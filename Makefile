@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke fanout-smoke qos-smoke ci bench bench-smoke bench-figures figures figures-paper protocol-doc examples clean
+.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke fanout-smoke qos-smoke ci bench bench-smoke bench-e2e-smoke bench-figures figures figures-paper protocol-doc examples clean
 
 install:
 	$(PY) setup.py develop
@@ -72,9 +72,10 @@ fuzz-smoke:
 	PYTHONPATH=src $(PY) -m repro.fuzz --seeds 1 --frames 150 \
 	  --replay tests/fuzz/corpus
 
-# What .github/workflows/ci.yml runs: lint gates + the tier-1 suite.
+# What .github/workflows/ci.yml runs: lint gates + the tier-1 suite
+# (with its 15 slowest tests, so the suite's wall time stays in view).
 ci: lint analyze
-	PYTHONPATH=src $(PY) -m pytest -x -q
+	PYTHONPATH=src $(PY) -m pytest -x -q --durations=15
 
 # Micro-performance harness: region ops, queue churn, codec plane,
 # pipeline throughput, shard-fabric scaling/migration, the PR-9
@@ -104,6 +105,21 @@ bench-smoke:
 	PYTHONPATH=src $(PY) -m repro.bench.microperf --quick --out bench-smoke.json
 	PYTHONPATH=src $(PY) -m repro.bench.microperf --validate bench-smoke.json
 	rm -f bench-smoke.json
+
+# thincbench smoke: the BENCHMARK.json command at --quick sizes, one
+# end-to-end run plus the traced run per workload.  Fails when any op
+# failed or any run was not correct (a rep's fingerprint or end-of-rep
+# pixel identity broke).  See benchmarks/e2e/README.md.
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --quick --runs 1 --out bench-e2e-smoke.json
+	$(PY) -c "import json; \
+	report = json.load(open('bench-e2e-smoke.json'))['workloads']; \
+	runs = [r for w in report.values() for r in \
+	        w['runs'] + [w['layers']] + w['noisy_runs_made_again']]; \
+	bad = [r['detail']['workload'] for r in runs \
+	       if r['failed'] > 0 or not r['correct']]; \
+	assert not bad, 'failed or incorrect runs: %s' % bad"
+	rm -f bench-e2e-smoke.json
 
 # The pytest-benchmark figure timings (the pre-PR3 `make bench`).
 bench-figures:

@@ -33,6 +33,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..display.driver import DisplayDriver
 from ..display.xserver import AppCommand, WindowServer
 from ..net.clock import EventLoop
 from ..net.transport import Connection
@@ -417,8 +418,9 @@ class ScrapeServer(_ServerCore):
         return EncodedUpdate(out_rect, payload, frame_tag=tag), cpu
 
 
-class _DamageTap:
-    """A DisplayDriver that converts driver calls into damage."""
+class _DamageTap(DisplayDriver):
+    """A DisplayDriver that converts driver calls into damage (text:
+    one rect per glyph, through the inherited ``glyph_run``)."""
 
     def __init__(self, server: ScrapeServer):
         self.server = server
@@ -447,25 +449,10 @@ class _DamageTap:
             self.server.add_damage(Rect(dst_x, dst_y, src_rect.width,
                                         src_rect.height))
 
-    def destroy_drawable(self, drawable):
-        pass
-
-    def video_setup(self, stream):
-        pass
-
     def video_put(self, stream, yuv_planes, dst_rect):
         # Scrapers cannot distinguish video from ordinary updates
         # (the paper's point); the tag exists only for *measurement*.
         self.server.add_damage(dst_rect, frame_tag=stream.frames_put)
-
-    def video_move(self, stream, dst_rect):
-        pass
-
-    def video_teardown(self, stream):
-        pass
-
-    def input_event(self, event):
-        pass
 
 
 class ForwardServer(_ServerCore):

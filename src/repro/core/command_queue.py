@@ -31,7 +31,6 @@ mutation (see :meth:`CommandQueue.audit_structures`).
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -170,7 +169,7 @@ class CommandQueue:
         # Opt-in invariant checking (THINC_SANITIZE=1); None when off.
         self._sanitizer = _sanitizer.for_queue(self)
         self._commands: List[Command] = []
-        self._seq = itertools.count()
+        self._next_seq = 0
         self._index = _TileIndex()
         # Buffered commands that read pixels (COPYs): their sources pin
         # content during eviction; kept as an identity map so the pin
@@ -250,7 +249,8 @@ class CommandQueue:
         Returns the command instance actually stored, which differs from
         the argument when the command merged into its predecessor.
         """
-        command.seq = next(self._seq)
+        command.seq = self._next_seq
+        self._next_seq += 1
         self.stats["added"] += 1
         san = self._sanitizer
         if san is not None:
@@ -263,14 +263,49 @@ class CommandQueue:
             # A transparent command blending over content this queue does
             # not describe: mark the area as non-replayable.
             self._tainted.add(command.dest)
+        stored = self._store(command)
+        if san is not None:
+            san.after_add(self, command, opaque)
+        return stored
+
+    def add_run(self, merged: Command, parts: Sequence[Rect]) -> Command:
+        """Add a run of adjacent transparent commands as their merge.
+
+        *merged* is the command that adding one command per rect of
+        *parts* (each the part of *merged* inside that rect, left to
+        right) would have merged into — a line of glyph stipples.  The
+        queue ends up exactly as after those adds: same commands,
+        sequence numbers, statistics and taint.
+        """
+        if (not self.merge_enabled
+                or merged.overwrite_class is not OverwriteClass.TRANSPARENT):
+            for part in merged.clipped(parts):
+                stored = self.add(part)
+            return stored
+        san = self._sanitizer
+        if san is not None:
+            replay = san.before_run(self, merged)
+        merged.seq = self._next_seq
+        self._next_seq += len(parts)
+        self.stats["added"] += len(parts)
+        self.stats["merged"] += len(parts) - 1
+        if not self._opaque_cover.contains_rect(merged.dest):
+            for part in parts:
+                if not self._opaque_cover.contains_rect(part):
+                    self._tainted.add(part)
+        stored = self._store(merged)
+        if san is not None:
+            san.after_run(self, replay, merged, parts)
+        return stored
+
+    def _store(self, command: Command) -> Command:
+        """Merge *command* into the tail, or append it."""
         stored = self._try_merge_tail(command) if self.merge_enabled else None
         if stored is None:
             command._qorder = (command.seq,)  # type: ignore[attr-defined]
             self._commands.append(command)
             self._register(command)
             stored = command
-        if san is not None:
-            san.after_add(self, command, opaque)
         return stored
 
     def _evict_under(self, opaque: Region, newcomer: Command) -> None:

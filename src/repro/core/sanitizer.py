@@ -28,6 +28,13 @@ ordering:
    eviction/copy fast paths can never silently diverge from the
    whole-queue semantics they replaced.
 
+6. **run insertion ≡ per-command adds** — ``CommandQueue.add_run``
+   (a text line's glyphs entering an offscreen queue as one merged
+   stipple) is replayed on a shadow copy of the queue as the
+   one-``add``-per-glyph sequence it stands for, and both queues must
+   agree on commands, position keys, the sequence counter, statistics,
+   opaque cover, taint and index coherence.
+
 Pins are remembered across mutations (a COPY that pinned content may
 itself be delivered and removed later), so the stale-overlap check
 never false-positives on legally pinned survivors.
@@ -147,6 +154,54 @@ class QueueSanitizer:
                             f"fully buried by the new opaque content — "
                             f"eviction failed to drop it")
         self.check(queue, "add")
+
+    def before_run(self, queue, merged):
+        """Before ``add_run``: record pins, return the shadow to replay on.
+
+        The shadow shares the queued command objects (no queue
+        operation mutates one in place) and runs unsanitized: it is the
+        oracle for what per-command adds do, not a queue under test.
+        """
+        self.before_mutation(queue, merged)
+        shadow = type(queue)(merge=queue.merge_enabled)
+        shadow._sanitizer = None
+        shadow._commands = list(queue._commands)
+        for cmd in shadow._commands:
+            shadow._register(cmd)
+        shadow._next_seq = queue._next_seq
+        shadow._opaque_cover = queue._opaque_cover.copy()
+        shadow._tainted = queue._tainted.copy()
+        shadow.stats = dict(queue.stats)
+        return shadow
+
+    def after_run(self, queue, shadow, merged, parts) -> None:
+        """After ``add_run``: the add-time checks, then invariant 6."""
+        untracked = Region(parts).subtract(queue._opaque_cover).subtract(
+            queue._tainted)
+        if not untracked.is_empty:
+            raise SanitizerError(
+                f"after run add of {merged!r}: blends over undescribed "
+                f"content at {list(untracked)} without a taint record")
+        self.check(queue, "add_run")
+        for part in merged.clipped(parts):
+            shadow.add(part)
+
+        def state(q):
+            return (len(q._commands), q._next_seq, q.stats, q._opaque_cover,
+                    q._tainted, q.audit_structures())
+
+        def entry(cmd):
+            return (cmd.seq, cmd._qorder, cmd.realtime, cmd.sched_floor,
+                    cmd.encode())
+
+        differ = [(ours, theirs) for ours, theirs
+                  in zip(queue._commands, shadow._commands)
+                  if ours is not theirs and entry(ours) != entry(theirs)]
+        if differ or state(queue) != state(shadow):
+            raise SanitizerError(
+                f"after run add of {merged!r}: queue is {state(queue)} but "
+                f"per-command adds give {state(shadow)}; commands that "
+                f"differ: {differ}")
 
     def reset(self) -> None:
         """The queue was cleared; historical pins die with its contents."""

@@ -27,7 +27,7 @@ to RAW.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -132,6 +132,27 @@ class THINCDriver(DisplayDriver):
                     fg: Color, bg: Optional[Color]) -> None:
         self.stats["driver_ops"] += 1
         self._emit(drawable, BitmapCommand(rect, mask, fg, bg))
+
+    def glyph_run(self, drawable: Drawable, rects: Sequence[Rect],
+                  masks: Sequence[np.ndarray], fg: Color) -> None:
+        """Text: one BITMAP per glyph onscreen, one queue step offscreen.
+
+        Onscreen glyphs must each reach the sink (it prices and
+        schedules per command).  A pixmap's queue would merge the run
+        glyph by glyph anyway, so it receives the merged stipple once.
+        """
+        if drawable.onscreen or not self.offscreen_awareness:
+            super().glyph_run(drawable, rects, masks, fg)
+            return
+        first = rects[0]
+        run = np.zeros((first.height, rects[-1].x2 - first.x), dtype=bool)
+        for rect, mask in zip(rects, masks):
+            run[:, rect.x - first.x : rect.x2 - first.x] = mask
+        self.stats["driver_ops"] += len(rects)
+        self.stats["offscreen_commands"] += len(rects)
+        self._queue_for(drawable).add_run(
+            BitmapCommand(Rect(first.x, first.y, run.shape[1], first.height),
+                          run, fg), rects)
 
     def put_image(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray) -> None:

@@ -5,7 +5,9 @@ well-defined, low-level, device-dependent layer between the window
 server and the hardware.  The simulated window server decomposes every
 application request into calls on this interface, passing along the full
 semantic information a real driver sees (operation kind, geometry,
-colours, tiles, stipples, source drawables).
+colours, tiles, stipples, source drawables).  Text reaches the driver as
+a whole glyph run (:meth:`DisplayDriver.glyph_run`); a driver that does
+not override that hook sees the run as one ``bitmap_fill`` per glyph.
 
 A hardware driver would program a GPU here.  THINC instead implements
 this interface with a *virtual* driver that translates each call into
@@ -23,7 +25,7 @@ All rectangles passed to hooks are pre-clipped to the drawable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,8 +86,22 @@ class DisplayDriver:
         """A 1-bit stipple was expanded over *rect* with fg/bg colours.
 
         ``bg is None`` means a transparent stipple: untouched zero bits.
-        Glyph text arrives through this hook.
+        Glyph text arrives through this hook unless :meth:`glyph_run`
+        is overridden.
         """
+
+    def glyph_run(self, drawable: Drawable, rects: Sequence[Rect],
+                  masks: Sequence[np.ndarray], fg: Color) -> None:
+        """A run of glyphs was drawn on one baseline (XAA's PolyGlyphBlt).
+
+        ``rects[i]`` is the cell of glyph *i* and ``masks[i]`` its
+        transparent 1-bit stipple; the cells have one height and one
+        ``y``, run left to right and lie at most two pixels apart (what
+        ``BitmapCommand.try_merge`` chains).  The default decomposes the
+        run into the per-glyph ``bitmap_fill`` calls it stands for.
+        """
+        for rect, mask in zip(rects, masks):
+            self.bitmap_fill(drawable, rect, mask, fg, None)
 
     def put_image(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray) -> None:

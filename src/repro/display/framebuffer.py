@@ -18,6 +18,10 @@ composite       alpha blending (Porter–Duff "over")
 
 All operations clip to the framebuffer bounds, so callers may pass
 rectangles that hang off an edge.
+
+The fills write whole pixels through a packed ``uint32`` view of the
+same ``(H, W, 4) uint8`` buffer — one store per pixel instead of four —
+so ``Framebuffer.data`` keeps its byte layout and channel order.
 """
 
 from __future__ import annotations
@@ -28,18 +32,23 @@ import numpy as np
 
 from ..region import Rect
 
-__all__ = ["Framebuffer", "solid_pixels", "make_tile", "CHANNELS"]
+__all__ = ["Framebuffer", "solid_pixels", "make_tile", "crop_mask",
+           "CHANNELS"]
 
 CHANNELS = 4  # RGBA
 
 Color = Tuple[int, int, int, int]
 
 
+def _pack(color: Color) -> np.uint32:
+    """One RGBA colour as the ``uint32`` whose bytes are r, g, b, a."""
+    return np.array(color, dtype=np.uint8).view(np.uint32)[0]
+
+
 def solid_pixels(width: int, height: int, color: Color) -> np.ndarray:
     """An RGBA pixel block of the given size filled with one colour."""
-    block = np.empty((height, width, CHANNELS), dtype=np.uint8)
-    block[:, :] = np.asarray(color, dtype=np.uint8)
-    return block
+    block = np.full((height, width), _pack(color), dtype=np.uint32)
+    return block.view(np.uint8).reshape(height, width, CHANNELS)
 
 
 def make_tile(pattern: np.ndarray) -> np.ndarray:
@@ -52,6 +61,22 @@ def make_tile(pattern: np.ndarray) -> np.ndarray:
     return tile
 
 
+def crop_mask(mask: np.ndarray, rect: Rect, drawn: Rect) -> np.ndarray:
+    """The bits of a stipple laid over *rect* that land on *drawn*.
+
+    A rect-sized mask is sliced, not gathered; any other size is
+    indexed in rect-local coordinates, wrapping so small stipples tile
+    across larger rects.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape == (rect.height, rect.width):
+        return mask[drawn.y - rect.y : drawn.y2 - rect.y,
+                    drawn.x - rect.x : drawn.x2 - rect.x]
+    ys = (np.arange(drawn.y, drawn.y2) - rect.y) % mask.shape[0]
+    xs = (np.arange(drawn.x, drawn.x2) - rect.x) % mask.shape[1]
+    return mask[np.ix_(ys, xs)]
+
+
 class Framebuffer:
     """An RGBA pixel raster supporting hardware-style 2D operations."""
 
@@ -61,6 +86,8 @@ class Framebuffer:
         self.width = width
         self.height = height
         self.data = solid_pixels(width, height, fill)
+        # The same buffer, one uint32 per pixel (see the module doc).
+        self._packed = self.data.view(np.uint32)[..., 0]
         # Counts every pixel written; used to measure drawing work.
         self.pixels_drawn = 0
 
@@ -76,13 +103,16 @@ class Framebuffer:
     def _view(self, rect: Rect) -> np.ndarray:
         return self.data[rect.y : rect.y2, rect.x : rect.x2]
 
+    def _packed_view(self, rect: Rect) -> np.ndarray:
+        return self._packed[rect.y : rect.y2, rect.x : rect.x2]
+
     # -- raster operations -----------------------------------------------
 
     def fill_rect(self, rect: Rect, color: Color) -> Rect:
         """Solid fill (SFILL analogue).  Returns the clipped rect drawn."""
         clipped = self._clip(rect)
         if clipped:
-            self._view(clipped)[:, :] = np.asarray(color, dtype=np.uint8)
+            self._packed_view(clipped)[:, :] = _pack(color)
             self.pixels_drawn += clipped.area
         return clipped
 
@@ -97,10 +127,13 @@ class Framebuffer:
         clipped = self._clip(rect)
         if not clipped:
             return clipped
-        th, tw = tile.shape[0], tile.shape[1]
+        packed = np.ascontiguousarray(tile).view(np.uint32)[..., 0]
+        th, tw = packed.shape
         ys = (np.arange(clipped.y, clipped.y2) - origin[1]) % th
         xs = (np.arange(clipped.x, clipped.x2) - origin[0]) % tw
-        self._view(clipped)[:, :] = tile[np.ix_(ys, xs)]
+        # Widen the tile's rows first, then repeat them down the rect:
+        # two 1-D gathers instead of one per pixel.
+        self._packed_view(clipped)[:, :] = packed[:, xs][ys]
         self.pixels_drawn += clipped.area
         return clipped
 
@@ -119,15 +152,12 @@ class Framebuffer:
         clipped = self._clip(rect)
         if not clipped:
             return clipped
-        # Index the mask in rect-local coordinates, wrapping so small
-        # stipples tile across larger rects.
-        ys = (np.arange(clipped.y, clipped.y2) - rect.y) % mask.shape[0]
-        xs = (np.arange(clipped.x, clipped.x2) - rect.x) % mask.shape[1]
-        local = mask[np.ix_(ys, xs)]
-        view = self._view(clipped)
-        view[local] = np.asarray(fg, dtype=np.uint8)
-        if bg is not None:
-            view[~local] = np.asarray(bg, dtype=np.uint8)
+        local = crop_mask(mask, rect, clipped)
+        view = self._packed_view(clipped)
+        if bg is None:
+            view[local] = _pack(fg)
+        else:
+            view[:, :] = np.where(local, _pack(fg), _pack(bg))
         self.pixels_drawn += clipped.area
         return clipped
 

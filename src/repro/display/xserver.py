@@ -9,9 +9,11 @@ with the full semantic information a real driver receives.
 Two behaviours of real servers matter for the paper's results and are
 modelled explicitly:
 
-* **Glyph text** renders as one driver-level stipple per glyph, so a
-  line of text produces many tiny ``bitmap_fill`` calls — the small
-  updates THINC aggregates (Section 4).
+* **Glyph text** reaches the driver as a glyph run
+  (``DisplayDriver.glyph_run``) that stands for one driver-level
+  stipple per glyph, so a line of text is many tiny ``bitmap_fill``
+  operations — the small updates THINC aggregates (Section 4).  Only a
+  driver that overrides the hook handles the run as a whole.
 * **Image rasterisation** proceeds in scan-line chunks, so one large
   ``put_image`` becomes many thin ``put_image`` driver calls that an
   efficient translator must merge.
@@ -33,7 +35,8 @@ from ..region import Rect, Region
 from ..video import yuv
 from .driver import DisplayDriver, InputEvent, VideoStreamInfo
 from .font import (ADVANCE, GLYPH_HEIGHT, GLYPH_WIDTH, glyph_bitmap,
-                   glyph_coverage)
+                   glyph_coverage, render_text_mask)
+from .framebuffer import crop_mask
 from .lines import line_spans, polyline_spans, rect_outline_spans
 from .pixmap import Drawable
 
@@ -196,30 +199,43 @@ class WindowServer:
         self._check(drawable)
         drawn = drawable.fb.stipple_rect(rect, mask, fg, bg)
         if drawn:
-            local = _crop_mask(mask, rect, drawn)
+            local = crop_mask(mask, rect, drawn)
             self.driver.bitmap_fill(drawable, drawn, local, fg, bg)
         self._notify("fill_stipple", drawable, drawn, (fg, bg))
         return drawn
 
     def draw_text(self, drawable: Drawable, x: int, y: int, text: str,
                   fg: Color) -> Rect:
-        """Draw one line of text; decomposes to per-glyph stipples.
+        """Draw one line of text: a run of per-glyph stipples.
+
+        A run that is wholly visible is rasterised with one mask blit
+        and handed to the driver as one ``glyph_run``; clipped text is
+        drawn and reported glyph piece by glyph piece.
 
         Returns the bounding rect of the drawn text (pre-clipping).
         """
         self._check(drawable)
         bounds = Rect(x, y, max(len(text) * ADVANCE - 1, 1), GLYPH_HEIGHT)
-        for i, ch in enumerate(text):
-            glyph_rect = Rect(x + i * ADVANCE, y, GLYPH_WIDTH, GLYPH_HEIGHT)
-            mask = glyph_bitmap(ch)
-            for piece in self._clip_pieces(glyph_rect):
-                piece_mask = _crop_mask(mask, glyph_rect, piece)
-                drawn = drawable.fb.stipple_rect(piece, piece_mask, fg,
-                                                 None)
-                if drawn:
-                    local = _crop_mask(piece_mask, piece, drawn)
-                    self.driver.bitmap_fill(drawable, drawn, local, fg,
-                                            None)
+        rects = [Rect(x + i * ADVANCE, y, GLYPH_WIDTH, GLYPH_HEIGHT)
+                 for i in range(len(text))]
+        masks = [glyph_bitmap(ch) for ch in text]
+        fb = drawable.fb
+        if text and self._clip is None and fb.bounds.contains(bounds):
+            fb.stipple_rect(bounds, render_text_mask(text), fg, None)
+            # The blit also crossed the blank columns between glyphs,
+            # which are no glyph's pixels.
+            fb.pixels_drawn -= (len(text) - 1) * GLYPH_HEIGHT \
+                * (ADVANCE - GLYPH_WIDTH)
+            self.driver.glyph_run(drawable, rects, masks, fg)
+        else:
+            for glyph_rect, mask in zip(rects, masks):
+                for piece in self._clip_pieces(glyph_rect):
+                    piece_mask = crop_mask(mask, glyph_rect, piece)
+                    drawn = fb.stipple_rect(piece, piece_mask, fg, None)
+                    if drawn:
+                        local = crop_mask(piece_mask, piece, drawn)
+                        self.driver.bitmap_fill(drawable, drawn, local, fg,
+                                                None)
         self._notify("draw_text", drawable, bounds, text)
         return bounds
 
@@ -455,14 +471,3 @@ class WindowServer:
         self.driver.input_event(event)
         self.op_counts["input"] = self.op_counts.get("input", 0) + 1
 
-
-def _crop_mask(mask: np.ndarray, intended: Rect, drawn: Rect) -> np.ndarray:
-    """Crop a stipple mask to the part of *intended* that survived clipping.
-
-    Mirrors the wrap-around indexing used by Framebuffer.stipple_rect so
-    the driver sees exactly the bits that were applied.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    ys = (np.arange(drawn.y, drawn.y2) - intended.y) % mask.shape[0]
-    xs = (np.arange(drawn.x, drawn.x2) - intended.x) % mask.shape[1]
-    return mask[np.ix_(ys, xs)]

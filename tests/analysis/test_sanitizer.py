@@ -87,6 +87,58 @@ class TestCatchesCorruption:
                 sanitizer.disable()
 
 
+def glyph_run(xs, width=5, fg=GREEN):
+    """(merged stipple, glyph cells) for cells of *width* at *xs*."""
+    cells = [Rect(x, 0, width, 7) for x in xs]
+    mask = np.zeros((7, cells[-1].x2 - xs[0]), dtype=bool)
+    for cell in cells:
+        mask[:, cell.x - xs[0]:cell.x2 - xs[0]] = True
+    return BitmapCommand(Rect(xs[0], 0, mask.shape[1], 7), mask, fg), cells
+
+
+class TestRunInsertion:
+    """Invariant 6: add_run must equal one add per part."""
+
+    def test_run_that_does_not_chain_is_caught(self):
+        # Three pixels apart: per-glyph adds would not have merged.
+        q = sanitized_queue(merge=True)
+        with pytest.raises(SanitizerError, match="per-command adds"):
+            q.add_run(*glyph_run([0, 8]))
+
+    def test_miscounted_statistics_are_caught(self):
+        q = sanitized_queue(merge=True)
+        q.stats = {"added": 0, "evicted": 0, "clipped": 0, "merged": 7}
+        q._store = lambda cmd: (q.stats.update(merged=0),
+                                type(q)._store(q, cmd))[1]
+        with pytest.raises(SanitizerError, match="per-command adds"):
+            q.add_run(*glyph_run([0, 6, 12]))
+
+    def test_missing_taint_is_caught(self):
+        q = sanitized_queue(merge=True)
+        q.add(SFillCommand(Rect(0, 0, 8, 8), RED))  # covers glyph 0 only
+        merged, cells = glyph_run([0, 6])
+
+        class Deaf(Region):
+            def add(self, rect):
+                pass
+
+        q._tainted = Deaf()
+        with pytest.raises(SanitizerError, match="taint"):
+            q.add_run(merged, cells)
+
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_legal_runs_pass_and_merge_with_the_tail(self, merge):
+        q = sanitized_queue(merge=merge)
+        q.add(SFillCommand(Rect(0, 0, 20, 8), RED))  # glyph 3 uncovered
+        q.add_run(*glyph_run([0, 6]))
+        q.add_run(*glyph_run([12, 18]))
+        assert q.stats["added"] == 5
+        assert q.stats["merged"] == (3 if merge else 0)
+        assert len(q) == (2 if merge else 5)
+        assert q.tainted == Region([Rect(18, 0, 5, 7)])
+        assert q.add(SFillCommand(Rect(30, 0, 2, 2), RED)).seq == 5
+
+
 class TestToleratesLegalMutations:
     def test_valid_replacement_passes(self):
         q = sanitized_queue(merge=False)
