@@ -48,7 +48,8 @@ chaos:
 	    tests/core/test_resilience.py \
 	    tests/core/test_qos_chaos.py \
 	    tests/cluster/test_migration.py \
-	    tests/fanout/test_migration_fanout.py -x -q || exit 1; \
+	    tests/fanout/test_migration_fanout.py \
+	    tests/fanout/test_qos_fanout.py -x -q || exit 1; \
 	done
 
 # End-to-end shard-fabric smoke: 2 shards x 8 sessions behind the

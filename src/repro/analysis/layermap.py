@@ -41,6 +41,12 @@ buffer/flush stages, built from the prepare plane below it and session
 units beside it.  The cluster fabric (rank 42) may drive it — a
 subscriber can attach through any shard's relay — but the plane itself
 never imports upward.
+
+``repro.core.link_health`` (the server's one link probe) is core-rank
+too and the lowest module in it: it imports only ``codec`` (rank 15,
+for the posture policy) and is imported by ``core.qos`` and
+``core.server``.  It reads the transport endpoint and packet monitor
+(``net``, rank 10) through the session it is handed, never by import.
 """
 
 from __future__ import annotations

@@ -25,15 +25,19 @@ unicast sessions — but display commands reach them through a
 per-subscriber **bounded relay queue** of references into the prepare
 cache rather than through a private prepare pass:
 
-1. :meth:`BroadcastPlane.dispatch` routes each translated command —
-   mirror subscribers always, tile subscribers only when the command's
-   destination overlaps their tile (a 64-px grid index, the same
-   banding the command queue uses).
+1. :meth:`BroadcastPlane.route` — the first stage of the server's one
+   dispatch path (``THINCServer.submit``) — offers each translated
+   command to mirror subscribers always and to tile subscribers only
+   when the command's destination intersects their tile.
 2. The prepare plane's :meth:`~repro.core.pipeline.PreparePlane.
    variants` partitions receivers into posture equivalence classes
    (so one congested subscriber never forces lossy payloads on its
-   LAN-class peers) and each class's entry is prepared once and
-   **pinned** in the cache while any relay queue still references it.
+   LAN-class peers — every session's posture comes from the server's
+   one :class:`~repro.core.link_health.LinkHealth` probe) and
+   :meth:`BroadcastPlane.relay`, the path's sink stage, **pins** each
+   class's entry in the cache while any relay queue still references
+   it.  Video frames arrive here already split by QoS rung, so
+   same-rung subscribers share one transformed variant.
 3. Draining moves prepared clones into the subscriber's normal buffer
    stage; the clamped pipe tail keeps per-subscriber ordering intact.
 
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..protocol import wire
 from ..region import Rect
@@ -73,10 +77,6 @@ __all__ = ["FanoutConfig", "TileWall", "BroadcastPlane",
 #: SUBSCRIBE message modes.
 MODE_MIRROR = 0
 MODE_TILE = 1
-
-#: Grid cell edge for the tile routing index, matching the command
-#: queue's spatial index banding.
-_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,16 @@ class _Subscriber:
 
 
 class TileWall:
-    """Tile index over subscriber sub-rectangles of the virtual wall.
+    """The tile partition of the virtual wall.
 
     Wall coordinates are the server's own framebuffer coordinates: a
     tile subscriber's scaler is ``DisplayScaler(server_size,
     (tile_w, tile_h), view_rect=tile)`` — a pure 1:1 translate-clip,
-    which :mod:`repro.core.resize` maps byte-exactly.  Routing uses a
-    64-px grid so a command is offered only to tiles its destination
-    can overlap, then filtered by exact intersection.
+    which :mod:`repro.core.resize` maps byte-exactly.  Which tile a
+    subscriber owns is relay-side state (``_Subscriber.tile``); the
+    route stage offers a command to a tile only when its destination
+    intersects it.
     """
-
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self._cells: Dict[Tuple[int, int], Set] = {}
-        self._tiles: Dict[object, Rect] = {}
-        self._order: List = []
 
     @staticmethod
     def grid(width: int, height: int, cols: int, rows: int) -> List[Rect]:
@@ -152,52 +146,6 @@ class TileWall:
                 tiles.append(Rect(x0, y0, x1 - x0, y1 - y0))
         return tiles
 
-    def _cell_range(self, rect: Rect):
-        return (rect.x // _GRID, (rect.x + rect.width - 1) // _GRID,
-                rect.y // _GRID, (rect.y + rect.height - 1) // _GRID)
-
-    def assign(self, session, tile: Rect) -> None:
-        self.remove(session)
-        self._tiles[session] = tile
-        self._order.append(session)
-        cx0, cx1, cy0, cy1 = self._cell_range(tile)
-        for cy in range(cy0, cy1 + 1):
-            for cx in range(cx0, cx1 + 1):
-                self._cells.setdefault((cx, cy), set()).add(session)
-
-    def remove(self, session) -> None:
-        tile = self._tiles.pop(session, None)
-        if tile is None:
-            return
-        self._order.remove(session)
-        cx0, cx1, cy0, cy1 = self._cell_range(tile)
-        for cy in range(cy0, cy1 + 1):
-            for cx in range(cx0, cx1 + 1):
-                cell = self._cells.get((cx, cy))
-                if cell is not None:
-                    cell.discard(session)
-                    if not cell:
-                        del self._cells[(cx, cy)]
-
-    def tile_of(self, session) -> Optional[Rect]:
-        return self._tiles.get(session)
-
-    def members_for(self, dest: Rect) -> List:
-        """Sessions whose tile overlaps *dest*, in subscribe order."""
-        if not self._tiles:
-            return []
-        cx0, cx1, cy0, cy1 = self._cell_range(dest)
-        candidates = set()
-        for cy in range(cy0, cy1 + 1):
-            for cx in range(cx0, cx1 + 1):
-                candidates |= self._cells.get((cx, cy), set())
-        return [s for s in self._order
-                if s in candidates
-                and not self._tiles[s].intersect(dest).empty]
-
-    def __len__(self) -> int:
-        return len(self._tiles)
-
 
 class BroadcastPlane:
     """Fan one translated stream out to mirror and tile subscribers."""
@@ -205,7 +153,6 @@ class BroadcastPlane:
     def __init__(self, server, config: Optional[FanoutConfig] = None):
         self.server = server
         self.config = config or FanoutConfig()
-        self.wall = TileWall(server.width, server.height)
         self._subs: Dict[object, _Subscriber] = {}
         self.stats = {
             "subscribed": 0, "unsubscribed": 0, "commands_relayed": 0,
@@ -242,14 +189,7 @@ class BroadcastPlane:
         """
         self.unsubscribe(session)
         self._subs[session] = _Subscriber(session, tile)
-        if tile is not None:
-            self.wall.assign(session, tile)
         self.stats["subscribed"] += 1
-        # Per-session posture classes: with the adaptive encoder on,
-        # heterogeneous subscriber links must split into encoding
-        # classes instead of all paying for the worst link.
-        if self.server.encoder_policy is not None:
-            self.server.plane.posture_of = self.server._session_posture
 
     def unsubscribe(self, session) -> None:
         """Drop *session* from the plane, releasing its relay pins.
@@ -257,7 +197,6 @@ class BroadcastPlane:
         sub = self._subs.pop(session, None)
         if sub is None:
             return
-        self.wall.remove(session)
         self._clear_relay(sub)
         self.stats["unsubscribed"] += 1
 
@@ -279,8 +218,8 @@ class BroadcastPlane:
             cols = max(1, min(msg.cols, self.server.width))
             rows = max(1, min(msg.rows, self.server.height))
             index = min(msg.index, cols * rows - 1)
-            tile = self.wall.grid(self.server.width, self.server.height,
-                                  cols, rows)[index]
+            tile = TileWall.grid(self.server.width, self.server.height,
+                                 cols, rows)[index]
             session.viewport = (tile.width, tile.height)
             session.scaler = DisplayScaler(
                 (self.server.width, self.server.height),
@@ -318,35 +257,32 @@ class BroadcastPlane:
 
     # -- the fan-out path ----------------------------------------------------
 
-    def dispatch(self, command) -> None:
-        """Deliver one translated command to every receiver.
+    def route(self, command, sessions) -> List:
+        """The dispatch path's *route* stage: who receives *command*.
 
-        Non-subscriber sessions take the classic per-session prepare
-        path; subscribers receive pinned references through their relay
-        queues.  Both go through one :meth:`~repro.core.pipeline.
-        PreparePlane.variants` pass so a direct session and a
-        same-class subscriber share a single prepared entry.
+        Everyone, except tile subscribers whose rectangle misses the
+        command's destination.  With no subscribers this is *sessions*
+        itself.
         """
-        server = self.server
-        plane = server.plane
-        targets = [s for s in server.sessions if s not in self._subs]
-        for sub in self._subs.values():
-            if sub.tile is None or not sub.tile.intersect(
-                    command.dest).empty:
-                targets.append(sub.session)
-        if not targets:
-            return
-        for members, variant in plane.variants(command, targets):
-            for session in members:
-                sub = self._subs.get(session)
-                if sub is None:
-                    _, entry = plane.prepare_entry(variant, session)
-                    for prepared in entry:
-                        session.enqueue_prepared(
-                            prepared.command.translated(0, 0),
-                            prepared.ready_at)
-                else:
-                    self._push(sub, variant)
+        subs = self._subs
+        if not subs:
+            return sessions
+        dest = command.dest
+        return [s for s in sessions
+                if (sub := subs.get(s)) is None or sub.tile is None
+                or not sub.tile.intersect(dest).empty]
+
+    def relay(self, variant, session) -> bool:
+        """The dispatch path's *sink* stage for subscribers: queue a
+        pinned reference to *variant*'s prepared entry on *session*'s
+        relay.  False for a direct session, which the prepare plane
+        then feeds itself — from the same posture-class variant, so a
+        direct session and a same-class subscriber share one entry."""
+        sub = self._subs.get(session)
+        if sub is None:
+            return False
+        self._push(sub, variant)
+        return True
 
     def _push(self, sub: _Subscriber, variant) -> None:
         plane = self.server.plane

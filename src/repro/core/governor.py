@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..protocol import wire
+from .qos import MAX_RUNG
 
 __all__ = ["Budget", "ServerBudget", "GovernorStats", "SessionMeter",
            "Governor", "AdmissionDenied"]
@@ -323,9 +324,9 @@ class Governor:
             self._coalesce(session, meter, now)
             return
         if pending > b.degrade_queue_bytes:
-            qos = getattr(self.server, "qos", None)
+            qos = self.server.qos
             if qos is not None and not meter.degraded \
-                    and session.qos_rung < qos.MAX_RUNG:
+                    and session.qos_rung < MAX_RUNG:
                 # QoS-class-aware shed order: video rungs are spent
                 # before the degrade stage (which sheds audio) may
                 # engage.  While the ladder has headroom the session

@@ -124,6 +124,13 @@ class PreparePlane:
     for non-RAW commands), and the scale key is :attr:`repro.core.
     resize.DisplayScaler.key` (view rect + client size — everything
     that determines the scaled output).
+
+    The plane also closes the server's dispatch path (see
+    ``THINCServer.submit``): :meth:`variants` is its *posture classes*
+    stage and the per-session hand-off in :meth:`submit` its *sink*.
+    Four optional collaborators are wired after construction:
+    ``policy`` with its one posture hook ``posture_of``,
+    ``shared_cache`` and ``read_back``.
     """
 
     def __init__(self, loop, cost_model, cache_entries: int = 128):
@@ -146,22 +153,15 @@ class PreparePlane:
         # it.  Entries are keyed by command *content*, not prep id —
         # prep ids are plane-local.
         self.shared_cache = None
-        # Optional adaptive encoder: a repro.codec.EncoderPolicy plus a
-        # zero-arg posture callable returning a LinkPosture (or a bool
-        # meaning degraded-or-not).  When set, every *fresh* RAW
-        # command is classified and re-encoded (or demoted to SFILL)
-        # before it is stamped with a prep id, so the chosen encoding
-        # is part of the command's cached identity.
+        # Optional adaptive encoder: a repro.codec.EncoderPolicy plus the
+        # one posture hook, ``session -> LinkPosture`` (the server wires
+        # its LinkHealth probe).  When set, every *fresh* RAW command is
+        # classified and re-encoded (or demoted to SFILL) once per
+        # *posture equivalence class* of the submitted sessions before
+        # it is stamped with a prep id, so the chosen encoding is part
+        # of the command's cached identity and one congested client can
+        # never force lossy payloads on its LAN-class peers.
         self.policy = None
-        self.posture = None
-        # Optional per-session posture probe (``session -> LinkPosture``
-        # or bool).  When set alongside ``policy``, every fresh RAW
-        # command is encoded once per *posture equivalence class* of the
-        # submitted sessions instead of once under the server-wide
-        # worst-link posture — the broadcast fan-out plane wires this so
-        # one congested subscriber can never force lossy payloads on its
-        # LAN-class peers.  ``posture`` (zero-arg, server-wide) remains
-        # the fallback when this is unset.
         self.posture_of = None
         # Pinned cache keys: entries still referenced by a pending
         # broadcast relay queue.  Refcounted; :meth:`_trim` skips them
@@ -186,47 +186,36 @@ class PreparePlane:
         fill.sched_floor = command.sched_floor
         return fill
 
-    def _admit_encoding(self, command: Command) -> Command:
-        if (self.policy is None or not isinstance(command, RawCommand)
-                or getattr(command, "_prep_id", None) is not None):
-            return command
-        posture = self.posture() if self.posture is not None else False
-        choice = self.policy.select(command.pixels, posture)
-        if choice.solid_color is not None:
-            return self._demote_solid(command, choice.solid_color)
-        return command.with_encoding(choice.encoding)
-
     def variants(self, command: Command,
                  sessions: Iterable) -> Iterator[Tuple[List, Command]]:
         """Partition *sessions* into encoding equivalence classes.
 
         Yields ``(members, variant)`` pairs where *variant* is the
         command encoded for that class and *members* the sessions that
-        should receive it.  Without a per-session posture probe this
-        degenerates to the single-class path: one variant (the
-        server-wide admitted encoding) for every session.  All variants
-        of one submitted command share a single prep id, so two posture
-        classes that resolve to the same encoding also share one cache
-        entry per scale key — the ``(scale, pixel-format, encoding)``
-        equivalence class of the fan-out design.
+        should receive it.  Only a fresh RAW command under an adaptive
+        policy can split; everything else is one class receiving the
+        command as submitted.  All variants of one submitted command
+        share a single prep id, so two posture classes that resolve to
+        the same encoding also share one cache entry per scale key —
+        the ``(scale, pixel-format, encoding)`` equivalence class of
+        the fan-out design.
         """
         sessions = list(sessions)
-        if (self.policy is None or self.posture_of is None
-                or not isinstance(command, RawCommand)
-                or getattr(command, "_prep_id", None) is not None):
-            variant = self._admit_encoding(command)
-            if getattr(variant, "_prep_id", None) is None:
-                variant._prep_id = next(self._prep_ids)
-            yield sessions, variant
+        fresh = getattr(command, "_prep_id", None) is None
+        if fresh:
+            command._prep_id = next(self._prep_ids)
+        if (self.policy is None or not fresh
+                or not isinstance(command, RawCommand)):
+            yield sessions, command
             return
-        pid = command._prep_id = next(self._prep_ids)
         classes: "OrderedDict[int, List]" = OrderedDict()
         for session in sessions:
             classes.setdefault(int(self.posture_of(session)),
                                []).append(session)
         # Content statistics are posture-independent: classify once per
-        # command, not once per class.
-        stats = classify(command.pixels)
+        # command, not once per class (a single class classifies
+        # inside ``select``).
+        stats = classify(command.pixels) if len(classes) > 1 else None
         emitted: "OrderedDict[int, Tuple[List, Command]]" = OrderedDict()
         for posture_key, members in classes.items():
             choice = self.policy.select(command.pixels,
@@ -234,20 +223,18 @@ class PreparePlane:
                                         stats=stats)
             if choice.solid_color is not None:
                 variant = self._demote_solid(command, choice.solid_color)
-            elif choice.encoding is command.encoding:
-                # Same encoding the translator produced: reuse the
-                # original so a pre-materialised batch payload survives.
-                variant = command
             else:
+                # ``with_encoding`` returns the command itself for the
+                # encoding the translator produced, so a
+                # pre-materialised batch payload survives.
                 variant = command.with_encoding(choice.encoding)
-            variant._prep_id = pid
+            variant._prep_id = command._prep_id
             marker = self._encoding_of(variant)
             if marker in emitted:
                 emitted[marker][0].extend(members)
             else:
                 emitted[marker] = (members, variant)
-        for members, variant in emitted.values():
-            yield members, variant
+        yield from emitted.values()
 
     @staticmethod
     def _encoding_of(command: Command) -> int:
@@ -256,12 +243,24 @@ class PreparePlane:
 
     # -- the shared path -----------------------------------------------------
 
-    def submit(self, command: Command, sessions: Iterable) -> None:
-        """Prepare *command* once per distinct viewport among *sessions*
-        and fan the prepared clones out to each session's buffer stage.
+    def submit(self, command: Command, sessions: Iterable,
+               relay=None) -> None:
+        """Prepare *command* once per posture class and distinct
+        viewport among *sessions* and hand each session its prepared
+        clones.
+
+        The last hop is the dispatch path's *sink* stage: *relay*
+        (``(variant, session) -> bool``, the fan-out plane's) takes the
+        variant for the sessions it fronts with a relay queue; every
+        other session gets it straight into its buffer stage.
         """
-        for members, variant in self.variants(command, sessions):
+        self._sink(self.variants(command, sessions), relay)
+
+    def _sink(self, classes, relay=None) -> None:
+        for members, variant in classes:
             for session in members:
+                if relay is not None and relay(variant, session):
+                    continue
                 _, entry = self.prepare_entry(variant, session)
                 for prepared in entry:
                     # Per-session clone: shares pixels and compressed
@@ -325,14 +324,14 @@ class PreparePlane:
         Byte-for-byte identical to the per-command path.
         """
         sessions = list(sessions)
-        admitted = [self._admit_encoding(c) for c in commands]
+        classed = [list(self.variants(c, sessions)) for c in commands]
         groups: Dict[Tuple, List[RawCommand]] = {}
-        for cmd in admitted:
-            if (isinstance(cmd, RawCommand)
-                    and cmd.encoding is Encoding.PNG
-                    and cmd._payload is None
-                    and getattr(cmd, "_prep_id", None) is None):
-                groups.setdefault(cmd.pixels.shape, []).append(cmd)
+        for classes in classed:
+            for _, cmd in classes:
+                if (isinstance(cmd, RawCommand)
+                        and cmd.encoding is Encoding.PNG
+                        and cmd._payload is None):
+                    groups.setdefault(cmd.pixels.shape, []).append(cmd)
         for members in groups.values():
             if len(members) < 2:
                 continue
@@ -340,8 +339,8 @@ class PreparePlane:
                 [m.pixels for m in members])
             for member, payload in zip(members, payloads):
                 member._payload = payload
-        for cmd in admitted:
-            self.submit(cmd, sessions)
+        for classes in classed:
+            self._sink(classes)
 
     def _prepare(self, command: Command,
                  scaler) -> Tuple[List[PreparedCommand], float]:

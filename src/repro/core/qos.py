@@ -42,10 +42,11 @@ Two deliberate design points keep the plane simulation-friendly:
   schedules nothing and ``run_until_idle`` terminates.  All time comes
   from the :class:`~repro.net.clock.EventLoop` clock.
 * **Plane-owned controller state.**  Hysteresis counters, poll clocks
-  and the seeded ramp-up jitter live here, keyed by session identity
-  — never on the unit — so the frozen-surface allowlist stays exact.
-  Only the rung itself (``SessionUnit.qos_rung``) migrates; a thawed
-  session re-derives its hysteresis from live measurements.
+  and the seeded ramp-up jitter live here, keyed by the session object
+  and dropped when it detaches — never on the unit — so the
+  frozen-surface allowlist stays exact.  Only the rung itself
+  (``SessionUnit.qos_rung``) migrates; a thawed session re-derives its
+  hysteresis from live measurements.
 
 Every rung change is announced to the client with a
 ``VIDEO_QUALITY`` descriptor, and recovery to rung 0 triggers a
@@ -63,14 +64,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..codec import EncoderPolicy, LinkPosture
 from ..protocol import wire
 from ..protocol.commands import VideoFrameCommand
 from ..protocol.limits import LIMITS
 from ..region import Rect
 from ..video import yuv
+from .link_health import PROBE_INTERVAL, PROBE_WINDOW
 
-__all__ = ["QosConfig", "QosPlane", "MAX_RUNG"]
+__all__ = ["QosConfig", "QosPlane", "MAX_RUNG", "video_variants"]
 
 #: Deepest ladder rung; mirrors the wire bound so a descriptor for any
 #: reachable rung always encodes.
@@ -85,10 +86,10 @@ class QosConfig:
     one rung; ``recover_polls`` consecutive clear polls (plus a seeded
     jitter of up to ``recover_jitter`` extra polls, so a fleet of
     sessions does not ramp up in lockstep and re-congest the link)
-    step it back up.  ``policy`` supplies the congestion verdict —
-    the same :class:`~repro.codec.EncoderPolicy` posture probe the
-    adaptive encoder uses — and defaults to a stock policy so the QoS
-    plane works on servers that keep the fixed PNG encoder.
+    step it back up.  The congestion verdict, its poll cadence and its
+    rate window are not configured here: they are the server's one
+    :class:`~repro.core.link_health.LinkHealth` probe, the same one
+    the adaptive encoder reads.
 
     ``report_gap``/``report_hold`` govern the *end-to-end* signal: when
     consecutive client QOS_REPORTs show the delivery gap (frames the
@@ -101,8 +102,6 @@ class QosConfig:
     hurt nothing but its own video quality.
     """
 
-    poll_interval: float = 0.05
-    window: float = 0.25
     degrade_polls: int = 2
     recover_polls: int = 6
     recover_jitter: int = 2
@@ -112,11 +111,8 @@ class QosConfig:
     report_gap: int = 2
     report_hold: float = 0.5
     seed: int = 0
-    policy: Optional[EncoderPolicy] = None
 
     def __post_init__(self):
-        if self.poll_interval <= 0 or self.window <= 0:
-            raise ValueError("poll_interval and window must be positive")
         if not 2 <= self.fps_divisor <= LIMITS.max_fps_divisor:
             raise ValueError(
                 f"fps_divisor must be in [2, {LIMITS.max_fps_divisor}]")
@@ -167,16 +163,11 @@ class _SessionQos:
 class QosPlane:
     """Per-session video degradation ladder over the flush boundary."""
 
-    #: Re-exported for callers holding only the plane (the governor's
-    #: shed-order check).
-    MAX_RUNG = MAX_RUNG
-
     def __init__(self, server, config: Optional[QosConfig] = None):
         self.server = server
         self.loop = server.loop
         self.config = config or QosConfig()
-        self.policy = self.config.policy or EncoderPolicy()
-        self._states: Dict[int, _SessionQos] = {}
+        self._states: Dict[object, _SessionQos] = {}
         self._order = 0
         #: Active stream destinations (server coordinates), fed by the
         #: driver's setup/move hooks and lazily by passing frames; the
@@ -204,7 +195,7 @@ class QosPlane:
     # -- controller state ----------------------------------------------------
 
     def _state(self, session) -> _SessionQos:
-        state = self._states.get(id(session))
+        state = self._states.get(session)
         if state is None:
             # Seeded per registration order (the FaultyEndpoint idiom):
             # the same attach sequence always yields the same ramp-up
@@ -214,42 +205,18 @@ class QosPlane:
             self._order += 1
             state = _SessionQos(rng, self.config.recover_polls,
                                 self.config.recover_jitter)
-            self._states[id(session)] = state
+            self._states[session] = state
         return state
 
-    def _prune(self, sessions) -> None:
-        if len(self._states) > len(sessions):
-            live = {id(s) for s in sessions}
-            self._states = {k: v for k, v in self._states.items()
-                            if k in live}
-
-    # -- congestion probe ----------------------------------------------------
-
-    def _congested(self, session, now: float) -> bool:
-        """One session's downlink verdict, from the same three signals
-        the adaptive encoder's posture probe uses: governor state,
-        transport send backlog against the drain horizon, and measured
-        throughput against link capacity."""
-        if session.connection is None:
-            return False  # detached: the ladder holds its position
-        if session.degraded or session.shed_display:
-            return True
-        down = session.connection.down
-        monitor = getattr(down, "monitor", None)
-        measured = None
-        if monitor is not None:
-            measured = monitor.rate("server->client",
-                                    window=self.config.window, now=now)
-        backlog = (session.buffer.pending_bytes()
-                   + getattr(down, "queued_bytes", 0))
-        posture = self.policy.posture_for(
-            measured, down.link.throughput * 8.0, backlog)
-        return posture is LinkPosture.DEGRADED
+    def forget(self, session) -> None:
+        """Drop *session*'s controller state (``detach_client``): a
+        later attach — or thaw — starts with fresh hysteresis."""
+        self._states.pop(session, None)
 
     def _poll(self, session, now: float) -> None:
         cfg = self.config
         state = self._state(session)
-        if now - state.last_poll < cfg.poll_interval:
+        if now - state.last_poll < PROBE_INTERVAL:
             return
         state.last_poll = now
         self.stats["polls"] += 1
@@ -258,7 +225,7 @@ class QosPlane:
             # window with our own burst; hold position until it ages
             # out rather than re-degrading on self-inflicted load.
             return
-        if self._congested(session, now):
+        if self.server.health.congested(session):
             state.clear = 0
             state.congested += 1
             if state.congested >= cfg.degrade_polls:
@@ -286,7 +253,7 @@ class QosPlane:
         if session.qos_rung >= MAX_RUNG:
             return False
         state = self._state(session)
-        if now - state.last_step < self.config.poll_interval:
+        if now - state.last_step < PROBE_INTERVAL:
             return False  # one rung per interval: never skip rungs
         state.last_step = now
         state.clear = 0
@@ -308,8 +275,7 @@ class QosPlane:
             self._recover(session)
             # The refresh burst must transmit and then age out of the
             # rate-probe window before verdicts are trustworthy again.
-            state.grace_until = now + 2.0 * self.config.window \
-                + self.config.poll_interval
+            state.grace_until = now + 2.0 * PROBE_WINDOW + PROBE_INTERVAL
 
     def _recover(self, session) -> None:
         """Back to rung 0: repaint each stream's destination lossless.
@@ -411,46 +377,34 @@ class QosPlane:
 
     # -- the dispatch boundary -----------------------------------------------
 
-    def intercepts(self, command) -> bool:
-        """Traffic classification at the submit boundary: only the
-        VIDEO class detours through the ladder.  INTERACTIVE display
-        commands and everything else keep the direct prepare-plane
-        path untouched."""
-        return isinstance(command, VideoFrameCommand)
+    def variants(self, command: VideoFrameCommand, sessions):
+        """One video frame as ``(group, frame)`` per ladder rung among
+        *sessions*.
 
-    def dispatch(self, command: VideoFrameCommand, sessions) -> None:
-        """Route one video frame to every session at its own rung.
-
-        Rung-0 sessions receive the *original command object* through
-        the same shared prepare-plane call the fixed-rate path makes —
-        an uncontended server with QoS enabled is byte-identical to one
+        Rung-0 sessions receive the *original command object* — an
+        uncontended server with QoS enabled is byte-identical to one
         without it.  Degraded sessions share one transformed variant
-        per rung, so same-rung fan-out pays the re-encode once.
+        per rung, so same-rung fan-out pays the re-encode once; groups
+        whose frame falls off the cadence grid are not yielded at all.
         """
         now = self.loop.now
         self.streams.setdefault(command.stream_id, command.dest)
-        self._prune(sessions)
         groups: Dict[int, List] = {}
         for session in sessions:
             self._poll(session, now)
             groups.setdefault(session.qos_rung, []).append(session)
-        sid = command.stream_id
         for rung in sorted(groups):
             group = groups[rung]
-            if rung == 0:
-                self.stats["frames_passed"] += len(group)
-                self._count_submitted(group, sid)
-                self.server.plane.submit(command, group)
-                continue
-            if command.frame_no % self.config.fps_divisor != 0:
+            if rung and command.frame_no % self.config.fps_divisor != 0:
                 # Cadence rung: off-grid frames die before costing
                 # wire bytes (VFRAME overwrites completely, so a
                 # dropped frame is pure savings, never corruption).
                 self.stats["frames_dropped"] += len(group)
                 continue
-            self.stats["frames_degraded"] += len(group)
-            self._count_submitted(group, sid)
-            self.server.plane.submit(self._transform(command, rung), group)
+            self.stats["frames_degraded" if rung else "frames_passed"] \
+                += len(group)
+            self._count_submitted(group, command.stream_id)
+            yield group, self._transform(command, rung)
 
     def _count_submitted(self, group, stream_id: int) -> None:
         # Ground truth for the report-gap signal: frames this server
@@ -482,7 +436,13 @@ class QosPlane:
             frame_no=command.frame_no,
             pixel_format=command.pixel_format)
 
-    # -- diagnostics ---------------------------------------------------------
 
-    def rung_of(self, session) -> int:
-        return session.qos_rung
+def video_variants(plane: Optional[QosPlane], command, sessions):
+    """The dispatch path's *QoS variant* stage: ``(group, command)``
+    pairs.  Traffic classification happens here: only the VIDEO class
+    on a QoS server splits by ladder rung; INTERACTIVE display commands
+    — and everything on a server without the plane — pass as one group
+    carrying the original object, so their latency is never taxed."""
+    if plane is None or not isinstance(command, VideoFrameCommand):
+        return ((sessions, command),)
+    return plane.variants(command, sessions)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..codec import Encoding, EncoderPolicy, LinkPosture
+from ..codec import Encoding, EncoderPolicy
 from ..display.driver import InputEvent, VideoStreamInfo
 from ..net.clock import EventLoop
 from ..net.transport import Connection
@@ -37,7 +37,8 @@ from ..region import Rect
 from . import pipeline
 from .fanout import BroadcastPlane, FanoutConfig
 from .governor import Budget, Governor, ServerBudget
-from .qos import QosConfig, QosPlane
+from .link_health import LinkHealth
+from .qos import QosConfig, QosPlane, video_variants
 from .resize import DisplayScaler, resample, scale_rect
 from .scheduler import SRSFScheduler
 from .session_unit import FLUSH_INTERVAL, FrozenSession, SessionUnit
@@ -88,13 +89,17 @@ class ServerCostModel:
 
 
 class THINCServer:
-    """The THINC server core, acting as the translation layer's sink."""
+    """The THINC server core, acting as the translation layer's sink.
 
-    #: Seconds a memoised posture verdict stays fresh, and the trailing
-    #: window over which downlink throughput is measured against link
-    #: capacity.  Both are simulated-clock quantities.
-    posture_interval = 0.05
-    posture_window = 0.25
+    Every translated command takes one dispatch path (:meth:`submit`):
+    *route* → *QoS variant* → *posture classes* → *sink*, each stage a
+    no-op while its plane is idle, so fan-out, QoS and adaptive
+    encoding compose instead of shadowing one another.  Every plane
+    that adapts to a client's pipe reads the one :class:`~repro.core.
+    link_health.LinkHealth` probe (``server.health``), whose thresholds
+    are the server's single :class:`~repro.codec.EncoderPolicy` — a
+    stock one when adaptive encoding is off.
+    """
 
     def __init__(self, loop: EventLoop, width: int, height: int,
                  compress_raw: bool = True,
@@ -141,22 +146,14 @@ class THINCServer:
         # queue/uplink chokepoints plus server-wide admission control.
         self.governor = Governor(self, budget, server_budget)
         # Content-adaptive, link-aware RAW encoding: hand the prepare
-        # plane a codec policy plus this server's posture probe.  Off
-        # by default — the paper's fixed PNG path stays the baseline.
+        # plane a codec policy plus the link probe as its posture hook.
+        # Off by default — the paper's fixed PNG path stays the baseline.
         self.encoder_policy = None
         if adaptive_encoding or encoder_policy is not None:
             self.encoder_policy = encoder_policy or EncoderPolicy()
-            self.plane.policy = self.encoder_policy
-            self.plane.posture = self._encoder_posture
-        # Memoised posture probe (recomputed at most once per simulated
-        # interval): scanning the packet trace per submitted command
-        # would turn the monitor into the hot path.
-        self._posture_at = -1.0
-        self._posture_value = LinkPosture.LOSSLESS
-        # Per-session posture memo for the fan-out plane's encoding
-        # classes; keyed by session identity, reset each interval.
-        self._postures: Dict[int, LinkPosture] = {}
-        self._postures_at = -1.0
+        self.health = LinkHealth(loop, self.encoder_policy or EncoderPolicy())
+        self.plane.policy = self.encoder_policy
+        self.plane.posture_of = self.health.posture
         # Broadcast fan-out plane: always constructed (the SUBSCRIBE
         # handler must exist), inert until the first subscriber.
         self.fanout = BroadcastPlane(self, fanout)
@@ -196,6 +193,9 @@ class THINCServer:
         self.fanout.unsubscribe(session)
         self.sessions.remove(session)
         self.governor.forget(session)
+        self.health.forget(session)
+        if self.qos is not None:
+            self.qos.forget(session)
 
     def thaw_session(self, frozen: FrozenSession) -> SessionUnit:
         """Rebuild a live :class:`SessionUnit` from its frozen surface.
@@ -285,101 +285,15 @@ class THINCServer:
         # the prepare plane's batch path.
         session.submit_batch(bands)
 
-    def _encoder_posture(self) -> LinkPosture:
-        """Posture of the worst attached downlink, for the adaptive
-        encoder.
-
-        DEGRADED when the governor already degraded a session, when a
-        session's send backlog exceeds the policy's drain horizon, or
-        when the packet monitor's measured downlink throughput over the
-        recent window sits within the policy's saturation fraction of
-        the link's capacity.  PLENTIFUL only when *every* attached link
-        is LAN-class and nearly idle.  Memoised per simulated interval
-        — the probe runs once per prepared command otherwise.
-        """
-        now = self.loop.now
-        if self._posture_at >= 0.0 \
-                and now - self._posture_at < self.posture_interval:
-            return self._posture_value
-        self._posture_at = now
-        posture = LinkPosture.LOSSLESS
-        linked = 0
-        plentiful = 0
-        for session in self.sessions:
-            link_posture = self._session_posture(session)
-            if link_posture is LinkPosture.DEGRADED:
-                posture = LinkPosture.DEGRADED
-                break
-            if session.connection is None:
-                continue
-            linked += 1
-            if link_posture is LinkPosture.PLENTIFUL:
-                plentiful += 1
-        if posture is not LinkPosture.DEGRADED and linked \
-                and plentiful == linked:
-            posture = LinkPosture.PLENTIFUL
-        self._posture_value = posture
-        return posture
-
-    def _session_posture(self, session: THINCSession) -> LinkPosture:
-        """Posture of *one* session's downlink, memoised per interval.
-
-        The prepare plane's ``posture_of`` hook: with fan-out
-        subscribers on heterogeneous links, encoding classes split per
-        subscriber posture instead of all paying for the worst link —
-        one congested 802.11g viewer no longer costs the LAN viewers
-        their lossless stream.  The memo is plane-owned (keyed by
-        session identity, reset each interval), never a session
-        attribute, so the frozen-surface allowlist stays exact.
-        """
-        now = self.loop.now
-        if self._postures_at < 0.0 \
-                or now - self._postures_at >= self.posture_interval:
-            self._postures = {}
-            self._postures_at = now
-        cached = self._postures.get(id(session))
-        if cached is not None:
-            return cached
-        posture = self._probe_link(session, now)
-        self._postures[id(session)] = posture
-        return posture
-
-    def _probe_link(self, session: THINCSession, now: float) -> LinkPosture:
-        if session.degraded or session.shed_display:
-            return LinkPosture.DEGRADED
-        if session.connection is None:
-            return LinkPosture.LOSSLESS
-        down = session.connection.down
-        monitor = getattr(down, "monitor", None)
-        measured = None
-        if monitor is not None:
-            measured = (monitor.total_bytes(
-                "server->client", start=now - self.posture_window)
-                * 8.0 / self.posture_window)
-        # Backlog = commands still queued in the session buffer plus
-        # bytes already flushed into the transport's bounded send
-        # buffer but not yet delivered — both sit in front of the
-        # link.
-        backlog = (session.buffer.pending_bytes()
-                   + getattr(down, "queued_bytes", 0))
-        return self.encoder_policy.posture_for(
-            measured, down.link.throughput * 8.0, backlog)
-
     # -- UpdateSink interface (called by THINCDriver) ------------------------------
 
     def submit(self, command: Command) -> None:
+        """The one dispatch path: route → QoS variant → posture classes
+        → sink (the last two inside :meth:`PreparePlane.submit`)."""
         command = self.translate.admit(command)
-        if self.fanout.active:
-            # One variants pass covers direct sessions and subscribers
-            # alike; the fan-out plane routes tiles and relays.
-            self.fanout.dispatch(command)
-        elif self.qos is not None and self.qos.intercepts(command):
-            # Video — and only video — detours through the QoS ladder;
-            # interactive display commands keep the direct path so
-            # their latency is never taxed by the detour.
-            self.qos.dispatch(command, self.sessions)
-        else:
-            self.plane.submit(command, self.sessions)
+        receivers = self.fanout.route(command, self.sessions)
+        for group, variant in video_variants(self.qos, command, receivers):
+            self.plane.submit(variant, group, self.fanout.relay)
 
     def video_setup(self, stream: VideoStreamInfo) -> None:
         if self.qos is not None:

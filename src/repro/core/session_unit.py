@@ -362,9 +362,7 @@ def _fanout_membership(unit) -> Tuple[bool, bool]:
     relay queue itself is never serialized — its content just became
     ordinary buffered commands, and membership is re-derived on thaw.
     """
-    fanout = getattr(unit.server, "fanout", None)
-    if fanout is None:
-        return False, False
+    fanout = unit.server.fanout
     fanout.flush(unit)
     return fanout.is_subscriber(unit), fanout.is_tile(unit)
 

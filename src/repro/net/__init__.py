@@ -6,7 +6,7 @@ from .faults import (Corruption, Disconnect, FaultPlan, FaultyConnection,
                      dial_factory)
 from .link import (LAN_DESKTOP, MSS, NETWORK_CONFIGS, PDA_80211G,
                    WAN_DESKTOP, LinkParams)
-from .monitor import PacketMonitor, PacketRecord, RollingRateEstimator
+from .monitor import PacketMonitor, PacketRecord
 from .transport import Connection, Endpoint
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "Endpoint",
     "PacketMonitor",
     "PacketRecord",
-    "RollingRateEstimator",
     "FaultPlan",
     "LossBurst",
     "Stall",

@@ -10,10 +10,11 @@ helpers extract the same measures the paper reports.
 Records arrive in time order (the transport stamps them with the
 monotone loop clock), so the analysis helpers answer windowed queries
 from per-direction bisect indexes with byte-prefix sums instead of
-rescanning the whole trace: the QoS controller polls the downlink rate
-every tick without going quadratic in trace length.  Should a caller
-ever record out of order, every query falls back to the original
-full-trace scan, so results are identical either way.
+rescanning the whole trace: the server's link probe
+(``repro.core.link_health``, the one rate reader) polls the downlink
+rate every interval without going quadratic in trace length.  Should
+a caller ever record out of order, every query falls back to the
+original full-trace scan, so results are identical either way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["PacketRecord", "PacketMonitor", "RollingRateEstimator"]
+__all__ = ["PacketRecord", "PacketMonitor"]
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,6 @@ class _DirectionIndex:
         i = bisect_right(self.times, before) - 1
         return self.times[i] if i >= 0 else None
 
-    def size_at(self, i: int) -> int:
-        return self.prefix[i + 1] - self.prefix[i]
-
 
 class PacketMonitor:
     """Records every segment crossing the emulated network."""
@@ -75,8 +73,6 @@ class PacketMonitor:
         self._by_dir: Dict[str, _DirectionIndex] = {}
         self._monotone = True
         self._last_time = float("-inf")
-        # Bumped by clear(); lets estimators notice a trace reset.
-        self._generation = 0
 
     def record(self, time: float, direction: str, size: int) -> None:
         """Log one delivered segment (called by the transport)."""
@@ -103,7 +99,6 @@ class PacketMonitor:
         self._by_dir = {}
         self._monotone = True
         self._last_time = float("-inf")
-        self._generation += 1
 
     def _index(self, direction: Optional[str]) -> _DirectionIndex:
         if direction is None:
@@ -165,44 +160,3 @@ class PacketMonitor:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-class RollingRateEstimator:
-    """Amortised-O(1) trailing-window rate over one monitor direction.
-
-    Each :meth:`update` advances two cursors monotonically over the
-    direction's index — every record enters and leaves the window at
-    most once — so polling every tick costs O(1) amortised instead of a
-    bisect (let alone a full rescan) per poll.  The returned rate is
-    exactly ``monitor.rate(direction, window, now)`` for monotone
-    *now* sequences (the only kind the loop clock produces).
-    """
-
-    def __init__(self, monitor: PacketMonitor,
-                 direction: Optional[str] = None,
-                 window: float = 0.25) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.monitor = monitor
-        self.direction = direction
-        self.window = window
-        self._head = 0
-        self._tail = 0
-        self._bytes = 0
-        self._generation = monitor._generation
-
-    def update(self, now: float) -> float:
-        """Advance the window to end at *now*; return bits per second."""
-        if self._generation != self.monitor._generation:
-            self._head = self._tail = self._bytes = 0
-            self._generation = self.monitor._generation
-        idx = self.monitor._index(self.direction)
-        times = idx.times
-        while self._tail < len(times) and times[self._tail] <= now:
-            self._bytes += idx.size_at(self._tail)
-            self._tail += 1
-        cutoff = now - self.window
-        while self._head < self._tail and times[self._head] < cutoff:
-            self._bytes -= idx.size_at(self._head)
-            self._head += 1
-        return self._bytes * 8.0 / self.window

@@ -10,6 +10,8 @@ from tests.helpers import make_rig
 from repro.codec import Encoding, EncoderPolicy, LinkPosture
 from repro.codec.encodings import psnr
 from repro.cluster.cache import SharedPrepareCache
+from repro.core.link_health import PROBE_INTERVAL
+from repro.core.qos import QosConfig
 from repro.fuzz import display_seed_corpus
 from repro.net import LAN_DESKTOP, PDA_80211G
 from repro.protocol.commands import RawCommand, decode_command
@@ -168,12 +170,29 @@ class TestAdaptiveServer:
     def test_posture_probe_memoises(self):
         loop, conn, mon, server, ws, client = make_rig(
             adaptive_encoding=True)
-        first = server._encoder_posture()
-        server._posture_value = LinkPosture.DEGRADED  # would change it
-        assert server._encoder_posture() is LinkPosture.DEGRADED
-        loop.schedule(server.posture_interval * 2, lambda: None)
+        session = server.sessions[0]
+        loop.run_until_idle(max_time=5)
+        first = server.health.posture(session)
+        assert first is not LinkPosture.DEGRADED
+        session.degraded = True  # would flip a fresh probe
+        assert server.health.posture(session) is first
+        loop.schedule(PROBE_INTERVAL * 2, lambda: None)
         loop.run_until_idle(max_time=1)
-        assert server._encoder_posture() is first
+        assert server.health.posture(session) is LinkPosture.DEGRADED
+
+    def test_one_probe_feeds_encoder_and_qos(self):
+        """The prepare plane's posture hook and the QoS ladder's
+        congestion poll are the same LinkHealth, reading the server's
+        single EncoderPolicy."""
+        policy = EncoderPolicy()
+        loop, conn, mon, server, ws, client = make_rig(
+            encoder_policy=policy, qos=QosConfig())
+        assert server.plane.posture_of == server.health.posture
+        assert server.health.policy is policy
+        # Adaptive encoding off: stock thresholds, hook still wired.
+        loop, conn, mon, plain, ws, client = make_rig(qos=QosConfig())
+        assert plain.encoder_policy is None and plain.plane.policy is None
+        assert isinstance(plain.health.policy, EncoderPolicy)
 
     def test_off_by_default(self):
         loop, conn, mon, server, ws, client = make_rig()

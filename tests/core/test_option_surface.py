@@ -1,0 +1,53 @@
+"""Tripwire: the public option surface, pinned.
+
+Every knob here is something a caller can set and a reader must
+understand.  A PR that adds (or removes) one has to edit this file, so
+the change shows up in a test diff and gets argued for — the ROADMAP's
+"a PR that adds a concept must delete one" made mechanical.
+"""
+
+import inspect
+from dataclasses import fields
+
+from repro.core import THINCServer
+from repro.core.fanout import FanoutConfig
+from repro.core.pipeline import PreparePlane
+from repro.core.qos import QosConfig
+from repro.net import EventLoop
+
+
+def test_server_constructor_parameters():
+    params = list(inspect.signature(THINCServer.__init__).parameters)
+    assert params == [
+        "self", "loop", "width", "height", "compress_raw",
+        "offscreen_awareness", "merge", "scheduler_factory",
+        "encrypt_key", "cost_model", "prepare_cache_entries",
+        "resilience", "budget", "server_budget", "adaptive_encoding",
+        "encoder_policy", "fanout", "qos"]
+    # No class-level tunables hiding beside the constructor.
+    assert [name for name, value in vars(THINCServer).items()
+            if not name.startswith("_")
+            and isinstance(value, (int, float))] == []
+
+
+def test_qos_config_fields():
+    assert [f.name for f in fields(QosConfig)] == [
+        "degrade_polls", "recover_polls", "recover_jitter",
+        "fps_divisor", "scale_shift", "qstep", "report_gap",
+        "report_hold", "seed"]
+
+
+def test_fanout_config_fields():
+    assert [f.name for f in fields(FanoutConfig)] == [
+        "relay_bytes", "subscriber_backlog_bytes", "ladder_cooldown",
+        "drain_interval"]
+
+
+def test_prepare_plane_settable_hooks():
+    # The optional collaborators a caller wires after construction:
+    # public attributes that start out unset.
+    plane = PreparePlane(EventLoop(), cost_model=None)
+    hooks = sorted(name for name, value in vars(plane).items()
+                   if value is None and not name.startswith("_")
+                   and name != "cost_model")
+    assert hooks == ["policy", "posture_of", "read_back", "shared_cache"]

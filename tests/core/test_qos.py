@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.codec import EncoderPolicy
 from repro.core import THINCClient, THINCServer
 from repro.core.governor import Budget
+from repro.core.link_health import PROBE_INTERVAL
 from repro.core.qos import MAX_RUNG, QosConfig, QosPlane
 from repro.core.session_unit import FrozenSession
 from repro.display import WindowServer
@@ -101,7 +102,12 @@ class TestConfigAndDefaults:
         with pytest.raises(ValueError):
             QosConfig(qstep=65)
         with pytest.raises(ValueError):
-            QosConfig(poll_interval=0.0)
+            QosConfig(degrade_polls=0)
+        # The probe's cadence, window and thresholds are LinkHealth's,
+        # not per-plane knobs.
+        for gone in ("poll_interval", "window", "policy"):
+            with pytest.raises(TypeError):
+                QosConfig(**{gone: 1})
 
     def test_descriptors_tighten_monotonically(self):
         loop, conn, mon, server, ws, client = make_qos_rig(
@@ -174,16 +180,16 @@ class TestShedOrderWithGovernor:
     def test_video_rungs_shed_before_audio_degrade(self):
         # A tight degrade line on a slow link: each RAW image blows
         # past it (video alone never does — VFRAME's overwrite
-        # eviction keeps its backlog at one frame).  The poll-driven
+        # eviction keeps its backlog at one frame).  The server's link
         # probe is neutered (saturation 1.0, a huge drain horizon) so
         # the queue spike reaches the governor before the ladder acts
         # on its own — isolating the shed-order path.
         budget = Budget(degrade_queue_bytes=512)
-        lenient = EncoderPolicy(saturation=1.0, backlog_horizon=1e6)
         loop, conn, mon, server, ws, client = make_qos_rig(
             link=replace(THIN_256K, bandwidth_bps=64e3),
-            budget=budget, qos=QosConfig(policy=lenient))
-        session = server.sessions[0]
+            budget=budget, qos=QosConfig())
+        server.health.policy = EncoderPolicy(saturation=1.0,
+                                             backlog_horizon=1e6)
         clip = SyntheticVideoClip(width=16, height=12, fps=12,
                                   duration=1.0)
         play_clip(loop, ws, clip, Rect(64, 40, 32, 24))
@@ -243,14 +249,71 @@ class TestMigrationCarriesRung:
             FrozenSession.from_bytes(bytes(blob))
 
 
-def run_scenario(plan=None, qos=None, end=3.5):
+class TestControllerStateFollowsTheSession:
+    """Controller and probe state are keyed by the session object and
+    die with it — never by ``id()``, which CPython reissues."""
+
+    def _played(self):
+        loop, conn, mon, server, ws, client = make_qos_rig(
+            qos=QosConfig())
+        clip = SyntheticVideoClip(width=16, height=12, fps=12,
+                                  duration=0.5)
+        play_clip(loop, ws, clip, Rect(0, 0, 32, 24))
+        loop.run_until_idle(max_time=10)
+        return loop, server
+
+    def test_detach_leaves_no_controller_or_probe_state(self):
+        loop, server = self._played()
+        session = server.sessions[0]
+        server.health.posture(session)
+        assert session in server.qos._states
+        assert session in server.health._memo
+        server.detach_client(session)
+        assert not server.qos._states
+        assert not server.health._memo
+        # A newcomer (who may well be handed the dead session's id)
+        # starts from scratch.
+        newcomer = server.attach_client(
+            Connection(loop, THIN_256K, monitor=PacketMonitor()))
+        state = server.qos._state(newcomer)
+        assert (state.congested, state.clear, state.submitted) \
+            == (0, 0, {})
+
+    def test_quarantine_drops_state_too(self):
+        loop, server = self._played()
+        session = server.sessions[0]
+        server.governor.quarantine(session, wire.DENY_QUARANTINED)
+        assert not server.qos._states
+        assert not server.health._memo
+
+    def test_thawed_session_keeps_rung_with_fresh_hysteresis(self):
+        loop, server = self._played()
+        session = server.sessions[0]
+        session.qos_rung = 2
+        state = server.qos._state(session)
+        state.congested, state.clear = 1, 2
+        assert state.submitted  # frames were counted for the stream
+        frozen = FrozenSession.from_bytes(session.freeze().to_bytes())
+        server.detach_client(session)
+        thawed = server.thaw_session(frozen)
+        assert thawed.qos_rung == 2
+        assert thawed not in server.qos._states
+        fresh = server.qos._state(thawed)
+        assert (fresh.congested, fresh.clear, fresh.submitted) \
+            == (0, 0, {})
+
+
+def run_scenario(plan=None, qos=None, end=3.5, subscribe=False):
     """The issue's scenario: video + interactive traffic on the 256
-    kbit/s link, optionally under a fault plan.  Returns the rig plus
-    per-op input-to-update latencies (client-side arrival of each
+    kbit/s link, optionally under a fault plan and optionally with the
+    session enrolled as a fan-out mirror subscriber.  Returns the rig
+    plus per-op input-to-update latencies (client-side arrival of each
     interactive fill minus its submission time).
     """
     loop, conn, mon, server, ws, client = make_qos_rig(
         link=THIN_256K, plan=plan, qos=qos)
+    if subscribe:
+        server.fanout.subscribe(server.sessions[0])
     # ~166 kbit/s offered (0.65 of the link; worst 0.25s window ~0.76),
     # comfortably healthy at full rate but underwater once cross
     # traffic cuts the service rate.
@@ -412,9 +475,9 @@ class TestLadderProperties:
             assert abs(cur - prev) == 1, rungs
         for (t0, r0), (t1, r1) in zip(transitions, transitions[1:]):
             if r1 > r0:  # a further step down needs degrade_polls polls
-                spacing = (cfg.degrade_polls - 1) * cfg.poll_interval
+                spacing = (cfg.degrade_polls - 1) * PROBE_INTERVAL
             else:  # a step up waits out at least recover_polls polls
-                spacing = (cfg.recover_polls - 1) * cfg.poll_interval
+                spacing = (cfg.recover_polls - 1) * PROBE_INTERVAL
             assert t1 - t0 >= spacing - 1e-9, (transitions,)
         # The plan's last window ends by 1.5s; by end of clip the
         # session must be back at full rate and pixel-exact.

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.codec import Encoding, LinkPosture
+from repro.codec import EncoderPolicy, Encoding, LinkPosture
 from repro.core import THINCClient, THINCServer
 from repro.display import WindowServer
 from repro.net import Connection, EventLoop, LAN_DESKTOP, PDA_80211G, \
@@ -62,8 +62,8 @@ class TestHeterogeneousSubscribers:
         loop.run_until(0.8)
 
         lan, slow = server.sessions
-        p_lan = server._session_posture(lan)
-        p_slow = server._session_posture(slow)
+        p_lan = server.health.posture(lan)
+        p_slow = server.health.posture(slow)
         assert p_slow is LinkPosture.DEGRADED
         assert p_lan is not LinkPosture.DEGRADED
 
@@ -96,12 +96,52 @@ class TestHeterogeneousSubscribers:
         _flood(loop, ws, rng, 0.05, 1.0)
         loop.run_until(1.0)
         lan, slow = server.sessions
-        assert server._session_posture(slow) is LinkPosture.DEGRADED
+        assert server.health.posture(slow) is LinkPosture.DEGRADED
 
         # Congestion clears; the degraded client asks for a repaint.
         loop.run_until(20.0)
         clients[1].request_refresh(Rect(0, 0, W, H))
         loop.run_until(40.0)
-        assert server._session_posture(slow) is not LinkPosture.DEGRADED
+        assert server.health.posture(slow) is not LinkPosture.DEGRADED
         for client in clients:
             assert_pixel_identical(client, ws)
+
+
+def _direct_rig(ever_subscribed):
+    """The same heterogeneous pair as *direct* sessions, one downlink
+    monitor each; optionally a subscriber came and went first."""
+    loop = EventLoop()
+    # The driver rasterises in 64x8 bands; size the lossy floor below
+    # them so the congested class really sheds fidelity.
+    server = THINCServer(
+        loop, W, H, encoder_policy=EncoderPolicy(min_lossy_pixels=256))
+    ws = WindowServer(W, H, driver=server.driver, clock=loop.clock)
+    mons, clients = [], []
+    for link, buf in ((LAN_DESKTOP, None), (CONGESTED, 8192)):
+        mon = PacketMonitor()
+        conn = Connection(loop, link, monitor=mon, send_buffer=buf)
+        server.attach_client(conn)
+        clients.append(THINCClient(loop, conn))
+        mons.append(mon)
+    if ever_subscribed:
+        server.fanout.subscribe(server.sessions[0])
+        server.fanout.unsubscribe(server.sessions[0])
+    _flood(loop, ws, np.random.default_rng(24), 0.05, 1.0)
+    loop.run_until(3.0)
+    return server, ws, clients, [
+        [(r.time, r.direction, r.size) for r in mon.records]
+        for mon in mons]
+
+
+class TestPostureHookIsNotSticky:
+    def test_a_departed_subscriber_leaves_direct_encoding_unchanged(self):
+        """How a direct session's RAW is encoded must not depend on
+        whether a subscriber *ever* existed: posture classes are always
+        per session, through the one hook."""
+        server, ws, clients, never = _direct_rig(ever_subscribed=False)
+        _, _, _, once = _direct_rig(ever_subscribed=True)
+        assert once == never
+        # And per session means the congested peer went lossy alone:
+        # the LAN session is exact at quiescence with no refresh.
+        assert server.encoder_policy.counts[Encoding.LOSSY] > 0
+        assert_pixel_identical(clients[0], ws)

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.net import PacketMonitor, RollingRateEstimator
+from repro.net import PacketMonitor
 
 
 def trace():
@@ -165,23 +165,3 @@ class TestRates:
             want = naive_total(m, "server->client",
                                now - window, now) * 8.0 / window
             assert m.rate("server->client", window, now) == want
-
-    def test_rolling_estimator_matches_rate_at_every_poll(self):
-        m = PacketMonitor()
-        est = RollingRateEstimator(m, "server->client", window=0.25)
-        rng = random.Random(6)
-        t = 0.0
-        for _ in range(300):
-            t += rng.random() * 0.03
-            m.record(t, rng.choice(["server->client", "client->server"]),
-                     rng.randrange(1, 1500))
-            assert est.update(t) == m.rate("server->client", 0.25, t)
-
-    def test_rolling_estimator_survives_clear(self):
-        m = PacketMonitor()
-        est = RollingRateEstimator(m, None, window=1.0)
-        m.record(0.5, "server->client", 100)
-        assert est.update(1.0) == 800.0
-        m.clear()
-        m.record(2.0, "server->client", 50)
-        assert est.update(2.0) == m.rate(None, 1.0, 2.0) == 400.0
