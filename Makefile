@@ -136,7 +136,7 @@ figures-paper:
 
 # Re-render docs/PROTOCOL.md from the machine-readable spec.
 protocol-doc:
-	$(PY) -c "from repro.protocol.spec import render_protocol_reference as r; \
+	PYTHONPATH=src $(PY) -c "from repro.protocol.spec import render_protocol_reference as r; \
 	open('docs/PROTOCOL.md','w').write(r())"
 
 examples:

@@ -6,8 +6,9 @@ function can prove about itself; the rules here cross-check the facts
 ``PROTOCOL_SPEC`` registry:
 
 ========  ====================================================================
-THL200    every ``type_id`` is registered in the spec, exactly once,
-          and matches the class the spec names
+THL200    every wire id is registered exactly once — by a
+          ``@message`` declaration or a ``MessageSpec`` row — and no
+          class carries a ``type_id`` the registry does not give it
 THL201    direction conformance — every directional ``StreamParser``
           names a spec-derived accept set, every accept set is
           enforced by at least one parser, and no dispatch scope
@@ -15,10 +16,12 @@ THL201    direction conformance — every directional ``StreamParser``
 THL202    every registered message has a reachable handler on its
           declared receiving side (no dead wire ids)
 THL203    interprocedural THL007 — a field unpacked in any
-          ``decode_payload`` that sizes a slice must flow through a
-          ``WireLimits`` comparison, a clamp, or a guard helper
-          (``_need``/``_exactly``/``_finite``/...), including through
-          one level of helper calls
+          hand-written decoder (a command's ``decode``, CHECKED's
+          ``decode_payload``) that sizes a slice must flow through a
+          ``WireLimits`` comparison, a clamp, or a guard helper,
+          including through one level of helper calls; declared
+          messages decode through the schema, which cannot slice
+          without a bound
 THL204    serialization-surface drift — every mutable ``SessionUnit``
           attribute is captured by ``freeze()`` or allowlisted in
           ``NOT_SERIALIZED`` with a reason
@@ -53,8 +56,9 @@ __all__ = [
 #: Rule catalogue, rendered into docs/ANALYSIS.md's table.
 CONTRACT_RULES = (
     ("THL200", "unregistered-type-id",
-     "Every class-level type_id is registered in PROTOCOL_SPEC exactly "
-     "once, under the class the spec names."),
+     "Every wire id is registered exactly once (a @message declaration "
+     "or a MessageSpec row), and no class carries a type_id the "
+     "registry does not give it."),
     ("THL201", "direction-violation",
      "Directional StreamParsers name a spec-derived accept set "
      "(SERVER_ACCEPTS/CLIENT_ACCEPTS/FABRIC_ACCEPTS), each set is "
@@ -64,9 +68,9 @@ CONTRACT_RULES = (
      "Every registered message has a reachable handler on its declared "
      "receiving side."),
     ("THL203", "unguarded-decode-field",
-     "A decode_payload field that sizes a slice must flow through a "
-     "WireLimits comparison, clamp, or guard helper first (one level "
-     "of helper calls is followed)."),
+     "In a hand-written decoder, a field that sizes a slice must flow "
+     "through a WireLimits comparison, clamp, or guard helper first "
+     "(one level of helper calls is followed)."),
     ("THL204", "serialization-drift",
      "Mutable SessionUnit state appears in freeze() or in the "
      "NOT_SERIALIZED allowlist with a reason string."),
@@ -134,20 +138,19 @@ PRELUDE_NAMES = frozenset({
 class _SpecView:
     """Direction sets and name->id resolution, derived from the spec."""
 
-    ids: FrozenSet[int]
     side_ids: Dict[str, FrozenSet[int]]  # side -> accepted ids
     impl_to_id: Dict[str, int]
+    id_to_impl: Dict[int, str]
     command_ids: FrozenSet[int]          # ids whose impl is a Command subclass
 
 
 def _spec_view(facts: Facts) -> _SpecView:
-    server = frozenset(e.type_id for e in facts.spec
-                       if e.direction == "c->s")
-    client = frozenset(e.type_id for e in facts.spec
-                       if e.direction == "s->c") \
-        | frozenset(e.type_id for e in facts.spec if e.name == "HEARTBEAT")
-    fabric = frozenset(e.type_id for e in facts.spec
-                       if e.direction == "s->s")
+    def ids(*directions: str) -> FrozenSet[int]:
+        return frozenset(e.type_id for e in facts.spec
+                         if e.direction in directions)
+
+    server, client = ids("c->s", "c<->s"), ids("s->c", "c<->s")
+    fabric = ids("s->s")
     prelude = frozenset(e.type_id for e in facts.spec
                         if e.name in PRELUDE_NAMES)
     impl_to_id = {e.implementation: e.type_id for e in facts.spec}
@@ -157,10 +160,11 @@ def _spec_view(facts: Facts) -> _SpecView:
         if commands_module.get(e.implementation, "")
         .endswith("protocol/commands.py"))
     return _SpecView(
-        ids=frozenset(e.type_id for e in facts.spec),
         side_ids={"server": server, "client": client,
                   "fabric": fabric, "prelude": prelude},
-        impl_to_id=impl_to_id, command_ids=command_ids)
+        impl_to_id=impl_to_id,
+        id_to_impl={e.type_id: e.implementation for e in facts.spec},
+        command_ids=command_ids)
 
 
 def _resolve_ref(name: str, view: _SpecView) -> Optional[FrozenSet[int]]:
@@ -212,45 +216,27 @@ def check_contracts(facts: Facts) -> List[Finding]:
 
 
 def _thl200(facts: Facts, view: _SpecView, add) -> None:
-    spec_path = "protocol/spec.py"
     seen: Dict[int, str] = {}
     for entry in facts.spec:
         if entry.type_id in seen:
-            add("THL200", spec_path, entry.line,
-                f"type id {entry.type_id} registered twice in "
-                f"PROTOCOL_SPEC ({seen[entry.type_id]} and {entry.name})")
+            add("THL200", entry.module, entry.line,
+                f"type id {entry.type_id} registered twice "
+                f"({seen[entry.type_id]} and {entry.name})")
         seen[entry.type_id] = entry.name
-    by_id: Dict[int, List] = {}
-    for msg in facts.messages:
-        # type_id 0 is the Command base class's never-on-the-wire
-        # sentinel, not a registrable id.
-        if msg.type_id == 0:
+    for cls in facts.messages:
+        # A declared class is its own registration; type_id 0 is the
+        # Command base class's never-on-the-wire sentinel.
+        if cls.fields is not None or cls.type_id == 0:
             continue
-        by_id.setdefault(msg.type_id, []).append(msg)
-    impl_names = frozenset(e.implementation for e in facts.spec)
-    for type_id, classes in sorted(by_id.items()):
-        if len(classes) > 1:
-            names = ", ".join(sorted(c.name for c in classes))
-            add("THL200", classes[-1].module, classes[-1].line,
-                f"type id {type_id} claimed by multiple classes "
-                f"({names})")
-        for cls in classes:
-            if type_id not in view.ids and cls.name not in impl_names:
-                add("THL200", cls.module, cls.line,
-                    f"message class {cls.name} declares type id "
-                    f"{type_id}, which PROTOCOL_SPEC does not register")
-    class_ids = {m.name: m.type_id for m in facts.messages}
-    for entry in facts.spec:
-        declared = class_ids.get(entry.implementation)
-        if declared is None:
-            add("THL200", spec_path, entry.line,
-                f"spec entry {entry.name} (id {entry.type_id}) names "
-                f"implementation {entry.implementation}, which defines "
-                f"no type_id in the tree")
-        elif declared != entry.type_id:
-            add("THL200", spec_path, entry.line,
-                f"spec registers {entry.name} as id {entry.type_id} "
-                f"but {entry.implementation} declares {declared}")
+        owner = view.id_to_impl.get(cls.type_id)
+        if owner is None:
+            add("THL200", cls.module, cls.line,
+                f"message class {cls.name} declares type id "
+                f"{cls.type_id}, which PROTOCOL_SPEC does not register")
+        elif owner != cls.name:
+            add("THL200", cls.module, cls.line,
+                f"message class {cls.name} declares type id "
+                f"{cls.type_id}, which is registered to {owner}")
 
 
 def _thl201(facts: Facts, view: _SpecView, add) -> None:
@@ -311,7 +297,6 @@ def _thl201(facts: Facts, view: _SpecView, add) -> None:
 
 
 def _thl202(facts: Facts, view: _SpecView, add) -> None:
-    spec_path = "protocol/spec.py"
     side_present = {
         side: any(module in facts.modules
                   for module, _cls, s in DISPATCH_SCOPES if s == side)
@@ -326,7 +311,7 @@ def _thl202(facts: Facts, view: _SpecView, add) -> None:
             if _handled(entry.implementation, entry.type_id, side,
                         facts, view):
                 continue
-            add("THL202", spec_path, entry.line,
+            add("THL202", entry.module, entry.line,
                 f"{entry.name} (id {entry.type_id}, "
                 f"{entry.direction}) has no reachable handler on its "
                 f"{side} side: dead wire id")
@@ -357,9 +342,9 @@ def _thl203(facts: Facts, view: _SpecView, add) -> None:
                 continue
             reported.add(field)
             add("THL203", msg.module, line,
-                f"{msg.name}.decode_payload sizes a slice with "
-                f"unpacked field '{field}' without a WireLimits "
-                f"comparison or guard helper (_need/_exactly/clamp)")
+                f"{msg.name}'s decoder sizes a slice with unpacked "
+                f"field '{field}' without a WireLimits comparison, "
+                f"clamp or guard helper")
 
 
 def _thl204(facts: Facts, add) -> None:
@@ -483,8 +468,6 @@ def render_contract_matrix(facts: Facts) -> str:
         elif _parser_role(site) is None:
             diagnostic.append(site)
 
-    impl_of = {e.type_id: e.implementation for e in facts.spec}
-
     def parsers_for(type_id: int) -> str:
         labels = sorted({f"`{site.module}::{site.scope}`"
                          for name, site in directional
@@ -493,7 +476,7 @@ def render_contract_matrix(facts: Facts) -> str:
 
     def handlers_for(type_id: int) -> str:
         labels = set()
-        impl = impl_of.get(type_id)
+        impl = view.id_to_impl.get(type_id)
         for ref in facts.refs:
             side = _dispatch_side(ref)
             if side is None:
@@ -509,8 +492,14 @@ def render_contract_matrix(facts: Facts) -> str:
         return ", ".join(sorted(labels)) if labels else "—"
 
     def bounds_for(type_id: int) -> str:
-        impl = impl_of.get(type_id)
+        impl = view.id_to_impl.get(type_id)
         fact = next((m for m in facts.messages if m.name == impl), None)
+        if fact is not None and fact.fields:
+            # Declared: the exact bounds, in wire order.
+            return ", ".join(
+                f"{name}* {' & '.join(filter(None, checks))}"
+                if any(checks) else name
+                for name, *checks in fact.fields)
         if fact is None or fact.decode is None or not fact.decode.fields:
             return "—"
         parts = [f"{f}*" if f in fact.decode.guarded else f
@@ -524,8 +513,13 @@ def render_contract_matrix(facts: Facts) -> str:
         "facts in `repro.analysis.facts` — **do not edit**; `make",
         "analyze` fails when this file is stale.  For every registered",
         "wire id: who parses it, who handles it, and which payload",
-        "fields are bounds-checked (`*` = the field flows through a",
-        "`WireLimits` comparison or guard helper before use, THL203).",
+        "fields are bounds-checked (`*`).  Ids 16 and up, CHECKED",
+        "excepted, are `@message` declarations: the column lists their",
+        "fields in wire order with the bound each declares and, where",
+        "the `check=` validator reads the field, the validator's name.",
+        "For the hand-written decoders (display commands, CHECKED) `*`",
+        "is inferred: the field flows through a `WireLimits`",
+        "comparison or guard helper before use (THL203).",
         "",
         "| id | message | dir | parsers that accept it | handlers "
         "| decode fields |",

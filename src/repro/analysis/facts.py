@@ -3,16 +3,23 @@
 One AST walk over a ``repro`` package tree, collecting everything the
 THL2xx rules in :mod:`repro.analysis.contracts` cross-check:
 
-* the spec registry itself — ``MessageSpec`` entries are read from the
-  *analyzed tree's* ``protocol/spec.py`` source, not imported, so the
-  analyzer works on any checkout (including the mutated copies the
-  test suite uses to prove each rule fires); a unit test asserts the
-  AST-extracted registry equals the live ``PROTOCOL_SPEC``;
-* every wire message class (``type_id`` class attribute) and a decode
-  analysis of its ``decode_payload``: which fields it unpacks, which
-  flow through a ``WireLimits`` comparison / clamp / guard helper
-  (``_need``/``_exactly``/``_finite``/anything that raises a
-  ``ProtocolError``), and which size a slice — including through one
+* the spec registry itself — every ``@message(NAME, id, direction,
+  ...)`` class decorator (the control messages: a row and its class
+  are one declaration) plus the ``MessageSpec(...)`` literals in
+  ``protocol/spec.py`` (the display commands) — read from the
+  *analyzed tree's* source, not imported, so the analyzer works on any
+  checkout (including the mutated copies the test suite uses to prove
+  each rule fires); a unit test asserts the AST-extracted registry
+  equals the live ``PROTOCOL_SPEC``;
+* for a declared message, its field table: each ``name = kind(...)``
+  row with the bound it declares, and the fields its ``check=``
+  validator reads — exact, nothing inferred (a unit test pins them to
+  the live schema);
+* every hand-written decoder (``decode`` of a display command, the
+  CHECKED ``decode_payload``) and a decode analysis of it: which
+  fields it unpacks, which flow through a ``WireLimits`` comparison /
+  clamp / guard helper (anything that raises a ``ProtocolError`` or
+  ``ValueError``), and which size a slice — including through one
   level of local helper-function calls;
 * every ``StreamParser`` construction site and its ``allowed=`` set;
 * every dispatch-site reference to a message class (``isinstance``
@@ -40,8 +47,7 @@ __all__ = [
     "SpecEntry", "DecodeFact", "MessageClassFact", "ParserSite",
     "MessageRef", "ClockCall", "SessionSurface", "Facts",
     "extract_facts", "collect_clock_calls",
-    "PROTOCOL_ERROR_NAMES", "GUARD_RAISE_NAMES", "BUILTIN_GUARDS",
-    "WALL_CLOCK_TIME_APIS",
+    "PROTOCOL_ERROR_NAMES", "GUARD_RAISE_NAMES", "WALL_CLOCK_TIME_APIS",
 ]
 
 #: The typed decode-failure family; a helper that raises one of these
@@ -58,10 +64,6 @@ PROTOCOL_ERROR_NAMES = frozenset({
 #: subclasses ``ValueError`` — so both families have the same teeth.
 GUARD_RAISE_NAMES = PROTOCOL_ERROR_NAMES | frozenset({"ValueError"})
 
-#: Guard helpers recognised even when the analyzed module does not
-#: define them (fixture trees may call them without a definition).
-BUILTIN_GUARDS = frozenset({"_need", "_exactly", "_finite"})
-
 #: Banned attributes of the ``time`` module (``perf_counter`` is *not*
 #: banned: measuring the harness's own wall cost is legitimate — only
 #: simulated behavior must never read the host clock).
@@ -76,15 +78,22 @@ _DATETIME_APIS = frozenset({"now", "utcnow", "today"})
 _MESSAGE_NAME = re.compile(
     r"^_?[A-Z]\w*(?:Message|Command|Frame)$|^Command$")
 
+#: The schema's field constructors (``protocol/schema.py``): under
+#: ``@message``, a class-body ``name = <kind>(...)`` is a payload field.
+_FIELD_KINDS = frozenset({"u8", "u16", "u32", "u64", "f64", "flag",
+                          "choice", "rect16", "tag", "rest", "blob"})
+
 
 @dataclass(frozen=True)
 class SpecEntry:
-    """One ``MessageSpec(...)`` literal from ``protocol/spec.py``."""
+    """One registered wire id: a ``@message(...)`` decorator or a
+    ``MessageSpec(...)`` literal in ``protocol/spec.py``."""
 
     name: str
     type_id: int
     direction: str
     implementation: str  # trailing name of the implementation class
+    module: str
     line: int
 
 
@@ -99,13 +108,17 @@ class DecodeFact:
 
 @dataclass(frozen=True)
 class MessageClassFact:
-    """A class with an integer ``type_id`` class attribute."""
+    """A class that owns a wire id: ``@message``-declared, or carrying
+    an integer ``type_id`` class attribute (display commands)."""
 
     name: str
     module: str  # posix path relative to the tree root
     line: int
     type_id: int
-    decode: Optional[DecodeFact]
+    decode: Optional[DecodeFact]  # its hand-written decoder, if any
+    #: ``@message``-declared classes only (None otherwise): the field
+    #: table in wire order, see :func:`_declared_fields`.
+    fields: Optional[Tuple[Tuple[str, str, str], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -260,9 +273,8 @@ def _analyze_decode(fn: ast.FunctionDef,
 
 def _guard_helper_names(tree: ast.Module) -> FrozenSet[str]:
     """Module-level functions that qualify as decode guards: they
-    compare against ``LIMITS``, raise a typed ``ProtocolError``, or
-    delegate to a builtin guard."""
-    names = set(BUILTIN_GUARDS)
+    compare against ``LIMITS`` or raise a typed ``ProtocolError``."""
+    names = set()
     for node in tree.body:
         if not isinstance(node, ast.FunctionDef):
             continue
@@ -276,25 +288,78 @@ def _guard_helper_names(tree: ast.Module) -> FrozenSet[str]:
                 if _trailing_name(target) in GUARD_RAISE_NAMES:
                     names.add(node.name)
                     break
-            if isinstance(inner, ast.Call) and \
-                    _trailing_name(inner.func) in BUILTIN_GUARDS:
-                names.add(node.name)
-                break
     return frozenset(names)
+
+
+# --- @message declarations ---------------------------------------------------
+
+def _declared_bound(call: ast.Call) -> str:
+    """The bound a field constructor call declares, rendered exactly
+    as the live ``Field.bound`` ("" when the whole wire range is
+    legal)."""
+    kind = _trailing_name(call.func)
+    if kind in ("flag", "choice"):
+        return "enum"
+    if kind == "rect16":
+        return ""
+    kwargs = {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
+    if kind in ("tag", "rest"):
+        return f"len <= {kwargs['max']}"
+    if kind == "blob":
+        return "len == " + "*".join(map(str, kwargs["size"]))
+    lo, hi = ([ast.literal_eval(a) for a in call.args] + [None, None])[:2]
+    if kind == "f64":
+        return "finite" if lo is None else f"finite [{lo}, {hi}]"
+    top = (1 << int(kind[1:])) - 1
+    lo, hi = lo or 0, top if hi is None else hi
+    return "" if (lo, hi) == (0, top) else f"[{lo}, {hi}]"
+
+
+def _registration(node: ast.AST, callee: str) \
+        -> Optional[Tuple[str, int, str]]:
+    """``(name, type_id, direction)`` when *node* is a
+    ``callee(NAME, id, direction, ...)`` call with a literal head —
+    a ``@message`` decorator or a ``MessageSpec`` row."""
+    if isinstance(node, ast.Call) and _trailing_name(node.func) == callee \
+            and len(node.args) >= 3 \
+            and all(isinstance(a, ast.Constant) for a in node.args[:3]):
+        return tuple(a.value for a in node.args[:3])
+    return None
+
+
+def _declared_fields(node: ast.ClassDef, decorator: ast.Call,
+                     local_fns: Dict[str, ast.FunctionDef]) \
+        -> Tuple[Tuple[str, str, str], ...]:
+    """The field table of a ``@message`` class: each ``name =
+    kind(...)`` row as (field, declared bound, the ``check=``
+    validator's name when it reads the field off its argument)."""
+    check = next((_trailing_name(kw.value) for kw in decorator.keywords
+                  if kw.arg == "check"), None)
+    reads = set()
+    if check in local_fns and local_fns[check].args.args:
+        param = local_fns[check].args.args[0].arg
+        reads = {n.attr for n in ast.walk(local_fns[check])
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == param}
+    return tuple(
+        (stmt.targets[0].id, _declared_bound(stmt.value),
+         check if stmt.targets[0].id in reads else "")
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+        and _trailing_name(stmt.value.func) in _FIELD_KINDS
+        and isinstance(stmt.targets[0], ast.Name))
 
 
 # --- per-module visitor ------------------------------------------------------
 
 class _ModuleFacts(ast.NodeVisitor):
-    def __init__(self, module: str, guard_names: FrozenSet[str],
-                 local_fns: Dict[str, ast.FunctionDef],
-                 int_consts: Optional[Dict[str, int]] = None):
+    def __init__(self, module: str,
+                 guard_names: FrozenSet[str] = frozenset(),
+                 local_fns: Optional[Dict[str, ast.FunctionDef]] = None):
         self.module = module
         self.guard_names = guard_names
-        self.local_fns = local_fns
-        #: Module-level integer constants, so ``type_id = _VSETUP``
-        #: resolves the same as a literal.
-        self.int_consts = int_consts or {}
+        self.local_fns = local_fns or {}
+        self.spec: List[SpecEntry] = []
         self.messages: List[MessageClassFact] = []
         self.parsers: List[ParserSite] = []
         self.refs: List[MessageRef] = []
@@ -333,38 +398,39 @@ class _ModuleFacts(ast.NodeVisitor):
     # -- message classes --
 
     def _collect_message_class(self, node: ast.ClassDef) -> None:
-        type_id = None
+        type_id, fields, decode = None, None, None
+        for dec in node.decorator_list:
+            head = _registration(dec, "message")
+            if head is not None:
+                type_id = head[1]
+                self._register(head, node.name, node.lineno)
+                fields = _declared_fields(node, dec, self.local_fns)
         for stmt in node.body:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target, value = stmt.targets[0], stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                target, value = stmt.target, stmt.value
-            else:
-                continue
-            if not (isinstance(target, ast.Name)
-                    and target.id == "type_id"):
-                continue
-            if isinstance(value, ast.Constant) \
-                    and isinstance(value.value, int) \
-                    and not isinstance(value.value, bool):
-                type_id = value.value
-            elif isinstance(value, ast.Name) \
-                    and value.id in self.int_consts:
-                type_id = self.int_consts[value.id]
-        if type_id is None:
-            return
-        decode = None
-        for stmt in node.body:
-            # Wire messages decode via ``decode_payload``; protocol
-            # commands via a ``decode`` classmethod.  Both are subject
-            # to the same bounded-decode contract.
-            if isinstance(stmt, ast.FunctionDef) \
+            # ``type_id = 3`` or ``type_id: int = 3`` (display commands).
+            target = stmt.targets[0] if isinstance(stmt, ast.Assign) \
+                else getattr(stmt, "target", None)
+            if isinstance(target, ast.Name) and target.id == "type_id" \
+                    and isinstance(stmt.value, ast.Constant) \
+                    and type(stmt.value.value) is int:
+                type_id = stmt.value.value
+            # Hand-written decoders: a command's ``decode`` classmethod
+            # or (CHECKED) a ``decode_payload``.  Both are subject to
+            # the same bounded-decode contract.
+            elif isinstance(stmt, ast.FunctionDef) \
                     and stmt.name in ("decode_payload", "decode"):
                 decode = _analyze_decode(stmt, self.guard_names,
                                          self.local_fns)
-        self.messages.append(MessageClassFact(
-            name=node.name, module=self.module, line=node.lineno,
-            type_id=type_id, decode=decode))
+        if type_id is not None:
+            self.messages.append(MessageClassFact(
+                name=node.name, module=self.module, line=node.lineno,
+                type_id=type_id, decode=decode, fields=fields))
+
+    def _register(self, head: Tuple[str, int, str], implementation: str,
+                  line: int) -> None:
+        name, type_id, direction = head
+        self.spec.append(SpecEntry(
+            name=name, type_id=type_id, direction=direction,
+            implementation=implementation, module=self.module, line=line))
 
     # -- imports (for wall-clock aliasing) --
 
@@ -391,6 +457,10 @@ class _ModuleFacts(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         callee = _trailing_name(node.func)
+        head = _registration(node, "MessageSpec")
+        if head is not None and len(node.args) >= 4:
+            self._register(head, _trailing_name(node.args[-1]) or "?",
+                           node.lineno)
         if callee == "StreamParser":
             self.parsers.append(ParserSite(
                 module=self.module, line=node.lineno, scope=self._scope,
@@ -469,68 +539,7 @@ class _ModuleFacts(ast.NodeVisitor):
             scope_func=".".join(self._func_stack), kind=kind))
 
 
-# --- spec + session extraction ----------------------------------------------
-
-def _module_int_consts(tree: ast.Module) -> Dict[str, int]:
-    """Module-level ``NAME = <int literal>`` bindings.
-
-    Wire modules keep type ids as named constants (``_VSETUP = 16``)
-    and assign ``type_id = _VSETUP`` in the class body; this map lets
-    the class collector resolve that indirection without importing.
-    """
-    consts: Dict[str, int] = {}
-
-    def _bind(target: ast.expr, value: ast.expr) -> None:
-        if isinstance(target, ast.Name) \
-                and isinstance(value, ast.Constant) \
-                and isinstance(value.value, int) \
-                and not isinstance(value.value, bool):
-            consts[target.id] = value.value
-        elif isinstance(target, ast.Tuple) \
-                and isinstance(value, ast.Tuple) \
-                and len(target.elts) == len(value.elts):
-            # ``_VSETUP, _VMOVE, _VTEARDOWN = 16, 17, 18``
-            for t, v in zip(target.elts, value.elts):
-                _bind(t, v)
-
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            _bind(node.targets[0], node.value)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            _bind(node.target, node.value)
-    return consts
-
-
-def _extract_spec(tree: ast.Module) -> Tuple[SpecEntry, ...]:
-    entries: List[SpecEntry] = []
-    for node in ast.walk(tree):
-        # The registry may carry a type annotation
-        # (``PROTOCOL_SPEC: List[MessageSpec] = [...]``) — accept both
-        # plain and annotated assignment forms.
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if not (isinstance(target, ast.Name)
-                and target.id == "PROTOCOL_SPEC"
-                and isinstance(value, (ast.List, ast.Tuple))):
-            continue
-        for elt in value.elts:
-            if not (isinstance(elt, ast.Call) and len(elt.args) >= 4):
-                continue
-            head = elt.args[:3]
-            if not all(isinstance(a, ast.Constant) for a in head):
-                continue
-            name, type_id, direction = (a.value for a in head)
-            impl = _trailing_name(elt.args[-1]) or "?"
-            entries.append(SpecEntry(name=name, type_id=type_id,
-                                     direction=direction,
-                                     implementation=impl,
-                                     line=elt.lineno))
-    return tuple(entries)
-
+# --- session extraction -----------------------------------------------------
 
 def _extract_session(tree: ast.Module, module: str) \
         -> Optional[SessionSurface]:
@@ -579,7 +588,7 @@ def extract_facts(root: Path) -> Facts:
     """One extraction pass over a ``repro`` package tree at *root*."""
     root = Path(root)
     modules: List[str] = []
-    spec: Tuple[SpecEntry, ...] = ()
+    spec: List[SpecEntry] = []
     messages: List[MessageClassFact] = []
     parsers: List[ParserSite] = []
     refs: List[MessageRef] = []
@@ -590,21 +599,19 @@ def extract_facts(root: Path) -> Facts:
         rel = path.relative_to(root).as_posix()
         modules.append(rel)
         tree = ast.parse(path.read_text(), filename=str(path))
-        if rel == "protocol/spec.py":
-            spec = _extract_spec(tree)
         if rel == "core/session_unit.py":
             session = _extract_session(tree, rel)
         local_fns = {node.name: node for node in tree.body
                      if isinstance(node, ast.FunctionDef)}
-        visitor = _ModuleFacts(rel, _guard_helper_names(tree), local_fns,
-                               _module_int_consts(tree))
+        visitor = _ModuleFacts(rel, _guard_helper_names(tree), local_fns)
         visitor.visit(tree)
+        spec.extend(visitor.spec)
         messages.extend(visitor.messages)
         parsers.extend(visitor.parsers)
         refs.extend(visitor.refs)
         clock_calls.extend(visitor.clock_calls)
 
-    return Facts(root=root, modules=frozenset(modules), spec=spec,
+    return Facts(root=root, modules=frozenset(modules), spec=tuple(spec),
                  messages=tuple(messages), parsers=tuple(parsers),
                  refs=tuple(refs), clock_calls=tuple(clock_calls),
                  session=session)
@@ -618,7 +625,7 @@ def collect_clock_calls(root: Path) -> Tuple[ClockCall, ...]:
     for path in _iter_py(root):
         rel = path.relative_to(root).as_posix()
         tree = ast.parse(path.read_text(), filename=str(path))
-        visitor = _ModuleFacts(rel, BUILTIN_GUARDS, {})
+        visitor = _ModuleFacts(rel)
         visitor.visit(tree)
         calls.extend(visitor.clock_calls)
     return tuple(calls)

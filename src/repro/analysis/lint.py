@@ -60,7 +60,7 @@ RULES: Sequence[Tuple[str, str, str]] = (
     ("THL006", "bare-except",
      "bare except swallows KeyboardInterrupt/SystemExit and hides bugs"),
     ("THL007", "unguarded-decode",
-     "decode_payload must length-check its input (via _need/_exactly/len) "
+     "decode_payload must length-check its input (a len() comparison) "
      "before struct.unpack or slice-decoding it"),
 )
 
@@ -72,9 +72,6 @@ _COMMAND_METHODS = ("translated", "clipped", "encode", "decode", "apply")
 _WIRE_NAME = re.compile(
     r"(WIRE|FRAME|HEADER|HDR|PACKET|MSG|MESSAGE)_?\w*?"
     r"(OVERHEAD|SIZE|BYTES|LEN)")
-
-# THL007: calls that count as a length guard inside decode_payload.
-_DECODE_GUARDS = {"_need", "_exactly", "len"}
 
 # THL005: zero-arg constructors of mutable containers.
 _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "deque",
@@ -257,7 +254,7 @@ class _LintVisitor(ast.NodeVisitor):
                 func = sub.func
                 name = func.id if isinstance(func, ast.Name) else (
                     func.attr if isinstance(func, ast.Attribute) else "")
-                if name in _DECODE_GUARDS:
+                if name == "len":  # the length guard
                     if guard_line is None or line < guard_line:
                         guard_line = line
                 elif name in ("unpack", "unpack_from"):
@@ -271,9 +268,8 @@ class _LintVisitor(ast.NodeVisitor):
                                      or guard_line > first_op.lineno):
             self._flag(first_op, "THL007",
                        "decode_payload decodes raw bytes before any "
-                       "length check; guard with _need/_exactly (or a "
-                       "len() comparison) so truncated input raises a "
-                       "typed ProtocolError")
+                       "length check; guard with a len() comparison so "
+                       "truncated input raises a typed ProtocolError")
 
     # -- THL006 ---------------------------------------------------------------
 

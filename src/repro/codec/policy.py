@@ -38,7 +38,7 @@ above own the actual command surgery.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -135,15 +135,9 @@ class EncoderPolicy:
     # -- selection --------------------------------------------------------
 
     def select(self, pixels: np.ndarray,
-               posture: Union[LinkPosture, bool] = LinkPosture.LOSSLESS,
+               posture: LinkPosture = LinkPosture.LOSSLESS,
                stats: Optional[ContentStats] = None) -> EncodingChoice:
-        """Pick an encoding for one RGBA block under *posture* (a bool
-        is accepted as degraded-or-not, for callers that only track the
-        saturation flip)."""
-        if posture is True:
-            posture = LinkPosture.DEGRADED
-        elif posture is False:
-            posture = LinkPosture.LOSSLESS
+        """Pick an encoding for one RGBA block under *posture*."""
         if stats is None:
             stats = classify(pixels)
         if stats.solid_color is not None:

@@ -12,7 +12,7 @@ from .governor import (AdmissionDenied, Budget, Governor, GovernorStats,
 from .pipeline import PreparePlane, StageStats, STAGE_NAMES
 from .resize import DisplayScaler, resample, scale_rect
 from .scheduler import FIFOScheduler, SRSFScheduler
-from .server import ServerCostModel, THINCServer, THINCSession
+from .server import ServerCostModel, THINCServer
 from .session_unit import FrozenSession, SessionUnit
 from .translation import THINCDriver
 
@@ -41,7 +41,6 @@ __all__ = [
     "STAGE_NAMES",
     "THINCDriver",
     "THINCServer",
-    "THINCSession",
     "SessionUnit",
     "FrozenSession",
     "THINCClient",

@@ -285,7 +285,7 @@ class QueueSanitizer:
 def check_pipe_tail(session, ready: float) -> None:
     """Assert per-session submission-order delivery to the buffer stage.
 
-    Called by ``THINCSession.enqueue_prepared`` with the clamped ready
+    Called by ``SessionUnit.enqueue_prepared`` with the clamped ready
     time; keeps its own shadow tail so a broken (or removed) clamp is
     caught the moment a prepare-cache hit tries to jump the queue.
     """

@@ -12,13 +12,12 @@ work is buffered the session schedules flush periods on the event loop
 and commits as much as the non-blocking transport will take.
 
 All per-client state lives in :class:`~repro.core.session_unit.
-SessionUnit` (``THINCSession`` remains as its historical alias); the
-server itself holds only the *shared planes* — driver, translate stage,
-prepare plane, governor, optional resilience plane — plus the session
-list.  That split is what makes a server a **shard**: units can leave
-one host frozen (:meth:`SessionUnit.freeze`) and arrive at another via
-:meth:`THINCServer.thaw_session`, with :mod:`repro.cluster` providing
-the fabric that moves them.
+SessionUnit`; the server itself holds only the *shared planes* —
+driver, translate stage, prepare plane, governor, optional resilience
+plane — plus the session list.  That split is what makes a server a
+**shard**: units can leave one host frozen (:meth:`SessionUnit.freeze`)
+and arrive at another via :meth:`THINCServer.thaw_session`, with
+:mod:`repro.cluster` providing the fabric that moves them.
 """
 
 from __future__ import annotations
@@ -44,13 +43,8 @@ from .scheduler import SRSFScheduler
 from .session_unit import FLUSH_INTERVAL, FrozenSession, SessionUnit
 from .translation import THINCDriver
 
-__all__ = ["THINCServer", "THINCSession", "SessionUnit", "FrozenSession",
+__all__ = ["THINCServer", "SessionUnit", "FrozenSession",
            "ServerCostModel", "FLUSH_INTERVAL"]
-
-#: Historical name: the per-client state grew an explicit serializable
-#: surface and moved to its own module; every existing call site keeps
-#: working through this alias.
-THINCSession = SessionUnit
 
 
 class ServerCostModel:
@@ -129,7 +123,7 @@ class THINCServer:
         self.plane = pipeline.PreparePlane(
             loop, self.cost_model, cache_entries=prepare_cache_entries)
         self.plane.read_back = self._read_screen_pixels
-        self.sessions: List[THINCSession] = []
+        self.sessions: List[SessionUnit] = []
         # Callback invoked with (session, InputMessage) for every input
         # event a client sends; the testbed wires this to the window
         # server and the workload's think-time logic.
@@ -165,7 +159,7 @@ class THINCServer:
     # -- session management -----------------------------------------------------
 
     def attach_client(self, connection: Connection,
-                      viewport=None) -> THINCSession:
+                      viewport=None) -> SessionUnit:
         """Attach a client; a mid-session join receives the current
         screen contents (the mobility story: connect from any client,
         resume the same persistent session).
@@ -180,16 +174,16 @@ class THINCServer:
         return self._make_session(connection, viewport)
 
     def _make_session(self, connection: Connection, viewport=None,
-                      sequenced: bool = False) -> THINCSession:
-        session = THINCSession(self, connection, viewport,
-                               encrypt_key=self.encrypt_key,
-                               sequenced=sequenced)
+                      sequenced: bool = False) -> SessionUnit:
+        session = SessionUnit(self, connection, viewport,
+                              encrypt_key=self.encrypt_key,
+                              sequenced=sequenced)
         self.sessions.append(session)
         self.governor.register(session)
         self._submit_refresh(session)
         return session
 
-    def detach_client(self, session: THINCSession) -> None:
+    def detach_client(self, session: SessionUnit) -> None:
         self.fanout.unsubscribe(session)
         self.sessions.remove(session)
         self.governor.forget(session)
@@ -256,7 +250,7 @@ class THINCServer:
                 "COPY submitted before any screen drawable exists")
         return screen.fb.read_pixels(rect)
 
-    def _submit_refresh(self, session: THINCSession,
+    def _submit_refresh(self, session: SessionUnit,
                         rect: Optional[Rect] = None,
                         chunk_rows: Optional[int] = None) -> None:
         """Push current screen content for *rect* (whole screen when
@@ -353,7 +347,7 @@ class THINCServer:
 
     # -- upstream traffic ------------------------------------------------------------
 
-    def handle_client_message(self, session: THINCSession, msg) -> None:
+    def handle_client_message(self, session: SessionUnit, msg) -> None:
         if self.resilience is not None and \
                 self.resilience.handle_session_message(session, msg):
             return

@@ -1,16 +1,22 @@
 """A machine-readable specification of the THINC wire protocol.
 
-Single source of truth for what travels on the wire: every message
-type, its numeric id, direction, payload layout and the paper section
-it comes from.  The spec is checked against the implementation by the
-test suite (ids unique and matching, registry complete) and rendered to
-a protocol reference by :func:`render_protocol_reference` (used by
-``docs/PROTOCOL.md``).
+One row per message type: its numeric id, direction, payload layout
+and the paper section it comes from.  The 24 control-message rows are
+*derived* from the :func:`~repro.protocol.schema.message` declarations
+in :mod:`repro.protocol.wire` (name, id, direction, section, summary =
+the class docstring's first paragraph, payload = the generated layout
+string), so a row cannot drift from its implementation; only the seven
+display commands — hand-written hot-path codecs in
+:mod:`repro.protocol.commands` — are stated here by hand and checked
+against their classes by the test suite.  The direction sets every
+``StreamParser`` names are read off the same rows, and
+:func:`render_protocol_reference` renders them to ``docs/PROTOCOL.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import cleandoc
 from typing import List
 
 from . import commands as _commands
@@ -38,11 +44,21 @@ class MessageSpec:
 
     name: str
     type_id: int
-    direction: str  # "s->c", "c->s", "s->s" (shard fabric internal)
+    #: "s->c", "c->s", "c<->s" (either client-facing side may send it)
+    #: or "s->s" (shard fabric internal).
+    direction: str
     section: str  # paper section introducing it
     summary: str
     payload: str  # field layout after the [type u8][len u32] frame
     implementation: type
+
+
+def _control_row(cls: type) -> MessageSpec:
+    """The spec row a ``@message`` declaration stands for."""
+    schema = cls.schema
+    summary = " ".join(cleandoc(cls.__doc__ or "").split("\n\n")[0].split())
+    return MessageSpec(schema.name, schema.type_id, schema.direction,
+                       schema.section, summary, schema.layout, cls)
 
 
 PROTOCOL_SPEC: List[MessageSpec] = [
@@ -93,200 +109,30 @@ PROTOCOL_SPEC: List[MessageSpec] = [
         "rect[4xu16] stream[u16] frame_no[u32] format[u8] src_w[u16] "
         "src_h[u16] length[u32] yuv[length]",
         _commands.VideoFrameCommand),
-    MessageSpec(
-        "VSETUP", 16, "s->c", "4.2",
-        "Open a video stream on the client.",
-        "stream[u16] fmt_len[u8] src_w[u16] src_h[u16] rect[4xu16] "
-        "fmt[fmt_len]",
-        _wire.VideoSetupMessage),
-    MessageSpec(
-        "VMOVE", 17, "s->c", "4.2",
-        "Move/resize a stream's output window.",
-        "stream[u16] rect[4xu16]",
-        _wire.VideoMoveMessage),
-    MessageSpec(
-        "VTEARDOWN", 18, "s->c", "4.2",
-        "Close a video stream.",
-        "stream[u16]",
-        _wire.VideoTeardownMessage),
-    MessageSpec(
-        "AUDIO", 19, "s->c", "4.2/7",
-        "A block of PCM samples stamped with server playback time "
-        "(A/V synchronisation).",
-        "timestamp[f64] samples[rest]",
-        _wire.AudioChunkMessage),
-    MessageSpec(
-        "INPUT", 20, "c->s", "5",
-        "User input; the server marks nearby updates real-time.",
-        "kind[u8] x[u16] y[u16] time[f64]",
-        _wire.InputMessage),
-    MessageSpec(
-        "RESIZE", 21, "c->s", "6",
-        "Client reports its viewport; enables server-side scaling.",
-        "width[u16] height[u16]",
-        _wire.ResizeMessage),
-    MessageSpec(
-        "SCREEN_INIT", 22, "s->c", "7",
-        "Session framebuffer geometry (sent on attach and viewport "
-        "changes).",
-        "width[u16] height[u16]",
-        _wire.ScreenInitMessage),
-    MessageSpec(
-        "CURSOR_IMAGE", 23, "s->c", "7 (client simplicity)",
-        "New pointer shape; position is tracked client-side for "
-        "zero-latency pointer feedback.",
-        "hot_x[u16] hot_y[u16] width[u16] height[u16] rgba[w*h*4]",
-        _wire.CursorImageMessage),
-    MessageSpec(
-        "REFRESH", 24, "c->s", "(extension)",
-        "Client asks for a region resend after local state loss.",
-        "rect[4xu16]",
-        _wire.RefreshRequestMessage),
-    MessageSpec(
-        "ZOOM", 25, "c->s", "6",
-        "Client zooms its viewport onto a desktop region; an empty "
-        "rect zooms back out to the full desktop. The server rescales "
-        "subsequent updates and pushes a refresh of the view.",
-        "rect[4xu16]",
-        _wire.ZoomRequestMessage),
-    MessageSpec(
-        "CHECKED", 26, "s->c", "(extension: resilience)",
-        "Integrity-checked wrapper around one framed message: CRC-32 "
-        "over seq+inner turns wire corruption into a typed checksum "
-        "error (resync, not crash); the per-session sequence number "
-        "drives cumulative acks and duplicate-skip after resync. Only "
-        "resilient sessions emit it, so old streams parse unchanged.",
-        "crc32[u32] seq[u32] inner[framed message]",
-        _wire.CheckedFrame),
-    MessageSpec(
-        "HEARTBEAT", 27, "c->s", "(extension: resilience)",
-        "Periodic liveness beacon; last_seq is the highest CHECKED "
-        "sequence applied (a cumulative ack pruning the server's "
-        "replay log). Either side may send it; the reference client "
-        "does.",
-        "last_seq[u32] time[f64]",
-        _wire.HeartbeatMessage),
-    MessageSpec(
-        "RECONNECT_REQ", 28, "c->s", "(extension: resilience)",
-        "First message on a dialled connection: resume session <token> "
-        "(0 = fresh attach) from CHECKED sequence last_seq.",
-        "token[u32] last_seq[u32]",
-        _wire.ReconnectRequestMessage),
-    MessageSpec(
-        "RECONNECT_ACCEPT", 29, "s->c", "(extension: resilience)",
-        "Plane accepts the attach/reconnect and announces the resync "
-        "mode (0 fresh, 1 replay of unacked frames, 2 region-chunked "
-        "RAW snapshot); sent in the clear before the re-keyed session "
-        "stream begins.",
-        "token[u32] resync[u8]",
-        _wire.ReconnectAcceptMessage),
-    MessageSpec(
-        "RECONNECT_DENIED", 30, "s->c", "(extension: resilience)",
-        "Reconnect backoff push-back: retry no sooner than "
-        "retry_after seconds from now.",
-        "retry_after[f64]",
-        _wire.ReconnectDeniedMessage),
-    MessageSpec(
-        "ATTACH_DENIED", 31, "s->c", "(extension: governance)",
-        "Typed admission push-back on the plain attach path: the "
-        "server's governor is out of global budget (reason 0), the "
-        "session exhausted its own budget (1), or the session was "
-        "quarantined for protocol abuse (2); retry no sooner than "
-        "retry_after seconds from now.",
-        "reason[u8] retry_after[f64]",
-        _wire.AttachDeniedMessage),
-    MessageSpec(
-        "SESSION_TRANSFER", 32, "s->s", "(extension: cluster)",
-        "A frozen session crossing the shard fabric during live "
-        "migration: the token rides in the clear for routing; the "
-        "state blob is the serialized SessionUnit surface (journal, "
-        "queue, scaler view, sequence marks), bounded by "
-        "max_transfer_bytes.  Never valid on a client-facing stream.",
-        "token[u32] state[rest, <= max_transfer_bytes]",
-        _wire.SessionTransferMessage),
-    MessageSpec(
-        "MIGRATE_BEGIN", 33, "s->s", "(extension: cluster)",
-        "Coordinator orders the owning shard to freeze and hand off a "
-        "session to target_shard; marks the start of the bounded "
-        "migration detach window.",
-        "token[u32] target_shard[u16]",
-        _wire.MigrateBeginMessage),
-    MessageSpec(
-        "MIGRATE_COMPLETE", 34, "s->s", "(extension: cluster)",
-        "Target shard acknowledges it thawed the session and owns the "
-        "token; the coordinator flips routing so the client's next "
-        "redial reaches the new owner.",
-        "token[u32] shard[u16]",
-        _wire.MigrateCompleteMessage),
-    MessageSpec(
-        "SHARD_ADMISSION", 35, "s->s", "(extension: cluster)",
-        "A shard reports its governor's admission posture (session "
-        "count, buffered display bytes, whether a fresh attach would "
-        "be admitted) upward to the coordinator for placement and "
-        "overflow routing.",
-        "shard[u16] sessions[u32] queue_bytes[u64] admitting[u8]",
-        _wire.ShardAdmissionReportMessage),
-    MessageSpec(
-        "SUBSCRIBE", 36, "c->s", "(extension: fanout)",
-        "Client joins the broadcast fan-out plane: mode 0 mirrors the "
-        "whole desktop (resampled into the session viewport), mode 1 "
-        "claims tile <index> of a cols x rows partition of the virtual "
-        "display wall (cols*rows <= max_wall_tiles; grid fields must "
-        "be zero in mirror mode).  The server answers a tile claim "
-        "with TILE_ASSIGN plus the usual geometry handshake.",
-        "mode[u8] cols[u16] rows[u16] index[u32]",
-        _wire.SubscribeMessage),
-    MessageSpec(
-        "TILE_ASSIGN", 37, "s->c", "(extension: fanout)",
-        "Server grants a tile-wall subscriber its sub-rectangle: the "
-        "virtual wall's full extent plus the tile rect in wall "
-        "coordinates (the tile must lie inside the wall).  The "
-        "session's stream then carries only content clipped to that "
-        "tile, at 1:1 scale.",
-        "wall_w[u16] wall_h[u16] rect[4xu16]",
-        _wire.TileAssignMessage),
-    MessageSpec(
-        "VIDEO_QUALITY", 38, "s->c", "(extension: qos)",
-        "Server announces a video stream's negotiated quality rung "
-        "whenever the QoS degradation ladder moves (healthy links "
-        "never see one): fps_divisor ships only every Nth source "
-        "frame, scale_shift right-shifts the source dimensions before "
-        "encoding (the client's overlay scaler restores the output "
-        "size), and qstep names the bottom rung's chroma/quantise "
-        "squeeze (0 = lossless YV12).",
-        "stream[u16] rung[u8] fps_divisor[u8] scale_shift[u8] qstep[u8]",
-        _wire.VideoQualityMessage),
-    MessageSpec(
-        "QOS_REPORT", 39, "c->s", "(extension: qos)",
-        "Client feeds delivered A/V quality back to the server: frames "
-        "actually presented plus the Section 8.2 playback/audio quality "
-        "fractions and the A/V sync skew over one stream's arrival "
-        "records.  The QoS plane uses it to confirm a ramp-up took on "
-        "the client, not just on the byte counters.",
-        "stream[u16] frames[u32] playback_q[f64] audio_q[f64] "
-        "av_skew[f64]",
-        _wire.QosReportMessage),
-]
+] + [_control_row(cls) for _, cls in sorted(_wire._CONTROL_TYPES.items())]
+
+
+def _ids(*directions: str) -> frozenset:
+    return frozenset(spec.type_id for spec in PROTOCOL_SPEC
+                     if spec.direction in directions)
+
 
 #: Type ids a client may legitimately send to the server.  The
 #: server's uplink parser rejects everything else at the frame header,
 #: before any payload decode runs.
-UPLINK_TYPE_IDS = frozenset(
-    spec.type_id for spec in PROTOCOL_SPEC if spec.direction == "c->s")
+UPLINK_TYPE_IDS = _ids("c->s", "c<->s")
 
-#: Type ids the server may send to a client.  HEARTBEAT rides both
-#: directions (either side may beacon), so it appears in both sets.
-DOWNLINK_TYPE_IDS = frozenset(
-    spec.type_id for spec in PROTOCOL_SPEC
-    if spec.direction == "s->c") | {_wire.HeartbeatMessage.type_id}
+#: Type ids the server may send to a client.  A message declared
+#: ``c<->s`` (the liveness beacon: either side may send it) appears in
+#: both sets.
+DOWNLINK_TYPE_IDS = _ids("s->c", "c<->s")
 
 #: Type ids that only travel between fabric peers (coordinator and
 #: shards).  They are valid on *no* client-facing stream: the uplink
 #: and downlink allow-lists above exclude them by construction, so a
 #: client smuggling a SESSION_TRANSFER at a server dies at the frame
 #: header.
-FABRIC_TYPE_IDS = frozenset(
-    spec.type_id for spec in PROTOCOL_SPEC if spec.direction == "s->s")
+FABRIC_TYPE_IDS = _ids("s->s")
 
 #: Parser-role aliases for the direction sets above: what each kind of
 #: `StreamParser` accepts at the frame header.  Every parser
@@ -303,11 +149,14 @@ def render_protocol_reference() -> str:
     lines = [
         "# THINC wire protocol reference",
         "",
-        "Generated from `repro.protocol.spec` (the test suite keeps the",
-        "spec and the implementation in lock step). Every message is",
-        "framed as `[type u8][length u32][payload]`, big-endian",
-        "throughout; when RC4 is enabled the whole framed stream is",
-        "encrypted.",
+        "Generated from `repro.protocol.spec`: ids 16 and up are read",
+        "off the `@message` declarations in `repro.protocol.wire` (the",
+        "payload column uses the attribute names of the message class),",
+        "ids 1-7 are the hand-written display commands, kept in lock",
+        "step by the test suite. Every message is framed as",
+        "`[type u8][length u32][payload]`, big-endian throughout; when",
+        "RC4 is enabled the whole framed stream is encrypted. Direction",
+        "`c<->s` means either client-facing side may send the message.",
         "",
         "| id | message | dir | paper | payload |",
         "|---|---|---|---|---|",

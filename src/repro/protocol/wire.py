@@ -13,178 +13,81 @@ lifecycle (Section 4.2), audio chunks with server-side timestamps,
 client input events, the client's viewport-size report that drives
 server-side scaling (Section 6), and the initial screen geometry.
 
-**Bounded decoding.**  Every ``decode_payload`` validates lengths,
-dimensions and enum ranges against the typed limits in
-:mod:`repro.protocol.limits` *before* touching the bytes, and raises a
-:class:`ProtocolError` subclass — never ``struct.error``, a numpy
-shape explosion, or silent garbage.  The parse entry points
+**Bounded decoding.**  Each control message below is one
+:func:`~repro.protocol.schema.message` declaration: a field table
+whose kinds carry their bounds (``u16(1, "max_viewport_dim")``,
+``rest(max="max_audio_chunk_bytes")``, ...).  The schema compiles it
+into the dataclass, ``encode_payload`` and the one generic
+``decode_payload``, which checks the payload length, then every field
+against its declared range (the typed limits in
+:mod:`repro.protocol.limits`), then any cross-field ``check=``
+validator — *before* a value reaches a caller — and raises a
+:class:`ProtocolError` subclass, never ``struct.error``, a numpy shape
+explosion, or silent garbage.  A length-bearing field cannot be
+declared without its bound.  :class:`CheckedFrame` alone keeps a
+hand-written codec (CRC + nesting).  The parse entry points
 (:func:`parse_messages`, :class:`StreamParser`) uphold the same
 contract for the display-command family by translating their decoder
 failures into :class:`ProtocolError`.  Receivers can therefore treat
 ``except ProtocolError`` as the complete failure surface of a
 malformed stream.
+
+**Adding a message.**
+
+1. Declare it here: ``@message(NAME, next free id, direction,
+   section)`` on a class whose docstring's first paragraph is its
+   reference summary and whose body lists the fields in wire order.
+2. Handle it where its direction says it arrives (``THINCServer.
+   handle_client_message``, ``THINCClient``, the coordinator).
+3. ``make protocol-doc contracts-doc``.
+
+Nothing in :mod:`.spec`, the direction sets, the property-test
+strategies or the docs generators needs touching: they read the
+declaration (``tests/protocol/test_wire_golden.py`` wants two pinned
+instances of the new class, and ``make analyze`` wants the handler).
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Collection, Optional, Union
 
-from ..region import Rect
 from .commands import Command, decode_command
 from .limits import LIMITS
+from .schema import (REGISTRY, ChecksumError, FieldRangeError,
+                     FrameTooLargeError, ProtocolError,
+                     TruncatedPayloadError, blob, choice, f64, flag,
+                     message, rect16, rest, tag, u8, u16, u32, u64)
 
+# The 24 message classes join ``__all__`` from the registry, below.
 __all__ = [
-    "StreamParser",
-    "CursorImageMessage",
-    "RefreshRequestMessage",
-    "ZoomRequestMessage",
-    "VideoSetupMessage",
-    "VideoMoveMessage",
-    "VideoTeardownMessage",
-    "AudioChunkMessage",
-    "InputMessage",
-    "ResizeMessage",
-    "ScreenInitMessage",
-    "CheckedFrame",
-    "HeartbeatMessage",
-    "ReconnectRequestMessage",
-    "ReconnectAcceptMessage",
-    "ReconnectDeniedMessage",
-    "AttachDeniedMessage",
-    "SessionTransferMessage",
-    "MigrateBeginMessage",
-    "MigrateCompleteMessage",
-    "ShardAdmissionReportMessage",
-    "SubscribeMessage",
-    "TileAssignMessage",
-    "VideoQualityMessage",
-    "QosReportMessage",
-    "SUBSCRIBE_MIRROR",
-    "SUBSCRIBE_TILE",
-    "ProtocolError",
-    "ChecksumError",
-    "TruncatedPayloadError",
-    "FrameTooLargeError",
-    "FieldRangeError",
-    "Message",
-    "FRAME_OVERHEAD",
-    "CHECKED_OVERHEAD",
-    "RESYNC_FRESH",
-    "RESYNC_REPLAY",
-    "RESYNC_SNAPSHOT",
-    "DENY_SERVER_FULL",
-    "DENY_SESSION_BUDGET",
-    "DENY_QUARANTINED",
-    "frame_message",
-    "parse_messages",
-    "encode_message",
-    "wrap_checked",
+    "StreamParser", "Message", "ProtocolError", "ChecksumError",
+    "TruncatedPayloadError", "FrameTooLargeError", "FieldRangeError",
+    "FRAME_OVERHEAD", "CHECKED_OVERHEAD",
+    "SUBSCRIBE_MIRROR", "SUBSCRIBE_TILE",
+    "RESYNC_FRESH", "RESYNC_REPLAY", "RESYNC_SNAPSHOT",
+    "DENY_SERVER_FULL", "DENY_SESSION_BUDGET", "DENY_QUARANTINED",
+    "frame_message", "parse_messages", "encode_message", "wrap_checked",
 ]
 
-
-class ProtocolError(ValueError):
-    """A malformed or inconsistent protocol stream.
-
-    Subclasses :class:`ValueError` so generic stream-robustness code
-    (and the fuzz suite) treats it like any other parse failure, while
-    resilience-aware receivers can catch it specifically and trigger a
-    resync instead of crashing.
-    """
-
-
-class ChecksumError(ProtocolError):
-    """A CHECKED frame whose payload fails its CRC — corruption on the
-    wire reached the parser."""
-
-
-class TruncatedPayloadError(ProtocolError):
-    """A payload shorter (or longer) than its message layout requires."""
-
-
-class FrameTooLargeError(ProtocolError):
-    """A length field declares more bytes than the typed limit allows."""
-
-
-class FieldRangeError(ProtocolError):
-    """A decoded field is outside its legal range (bad enum id,
-    impossible dimension, non-finite float)."""
-
-
 _FRAME = struct.Struct(">BI")
-
-# Message payload formats, precompiled once at import so encode/decode
-# never re-parse a format string on the hot path.
-_VSETUP_HDR = struct.Struct(">HBHHHHHH")
-_VMOVE_BODY = struct.Struct(">HHHHH")
-_STREAM_ID = struct.Struct(">H")
-_TIMESTAMP = struct.Struct(">d")
-_INPUT_BODY = struct.Struct(">BHHd")
-_SIZE_PAIR = struct.Struct(">HH")
-_RECT_BODY = struct.Struct(">HHHH")
-_CURSOR_HDR = struct.Struct(">HHHH")
+_U32 = struct.Struct(">I")  # CHECKED's crc32 and seq prefix words
 
 # Bytes the frame header adds around every message payload.  Exposed so
 # flush-time size arithmetic (repro.core.delivery) can never drift from
 # the actual framing format.
 FRAME_OVERHEAD = _FRAME.size
 
-# Message type ids 1..7 belong to display commands (commands.py).
-_VSETUP, _VMOVE, _VTEARDOWN = 16, 17, 18
-_AUDIO = 19
-_INPUT = 20
-_RESIZE = 21
-_SCREEN_INIT = 22
-_CURSOR_IMAGE = 23
-_REFRESH = 24
-_ZOOM = 25
-_CHECKED = 26
-_HEARTBEAT = 27
-_RECONNECT_REQ = 28
-_RECONNECT_ACCEPT = 29
-_RECONNECT_DENIED = 30
-_ATTACH_DENIED = 31
-_SESSION_TRANSFER = 32
-_MIGRATE_BEGIN = 33
-_MIGRATE_COMPLETE = 34
-_SHARD_ADMISSION = 35
-_SUBSCRIBE = 36
-_TILE_ASSIGN = 37
-_VIDEO_QUALITY = 38
-_QOS_REPORT = 39
+# Extra bytes a CHECKED wrapper adds around an already-framed message:
+# its own [type u8][len u32] header plus crc32[u32] and seq[u32].
+CHECKED_OVERHEAD = _FRAME.size + 2 * _U32.size
 
 _INPUT_KINDS = ("mouse-move", "mouse-click", "key")
-
-# CHECKED frame payload prefix and resilience message bodies.
-_U32 = struct.Struct(">I")
-_HEARTBEAT_BODY = struct.Struct(">Id")
-_RECONNECT_BODY = struct.Struct(">II")
-_ACCEPT_BODY = struct.Struct(">IB")
-_DENIED_BODY = struct.Struct(">d")
-_ATTACH_DENIED_BODY = struct.Struct(">Bd")
-
-# Fabric (shard-to-shard) message bodies.
-_MIGRATE_BODY = struct.Struct(">IH")
-_ADMISSION_BODY = struct.Struct(">HIQB")
-
-# Broadcast fan-out control bodies.
-_SUBSCRIBE_BODY = struct.Struct(">BHHI")
-_TILE_ASSIGN_BODY = struct.Struct(">HHHHHH")
-
-# QoS plane bodies.
-_VIDEO_QUALITY_BODY = struct.Struct(">HBBBB")
-_QOS_REPORT_BODY = struct.Struct(">HIddd")
 
 # Subscription modes carried by SubscribeMessage.
 SUBSCRIBE_MIRROR = 0  # receive the full desktop (scaled to viewport)
 SUBSCRIBE_TILE = 1  # own one tile of a cols x rows display wall
-
-# Extra bytes a CHECKED wrapper adds around an already-framed message:
-# its own [type u8][len u32] header plus crc32[u32] and seq[u32].
-CHECKED_OVERHEAD = _FRAME.size + 2 * _U32.size
 
 # Resync kinds carried by ReconnectAcceptMessage.
 RESYNC_FRESH = 0  # brand-new session: full state follows anyway
@@ -196,310 +99,138 @@ DENY_SERVER_FULL = 0  # global session or byte budget exhausted
 DENY_SESSION_BUDGET = 1  # this session exceeded its resource budget
 DENY_QUARANTINED = 2  # the session was quarantined for protocol abuse
 
-_DENY_REASONS = (DENY_SERVER_FULL, DENY_SESSION_BUDGET, DENY_QUARANTINED)
 
+# Control messages, one declaration each.  Type ids 1..7 belong to the
+# display commands (commands.py); the schema refuses a collision.
 
-def _need(data: bytes, size: int, what: str) -> None:
-    """Bounds guard: *data* must hold at least *size* bytes."""
-    if len(data) < size:
-        raise TruncatedPayloadError(
-            f"{what}: need {size} bytes, have {len(data)}")
-
-
-def _exactly(data: bytes, size: int, what: str) -> None:
-    """Bounds guard: *data* must be exactly *size* bytes.
-
-    Fixed-layout messages reject trailing garbage too — excess bytes
-    mean the sender and receiver disagree about the layout, and silent
-    tolerance would let that disagreement fester.
-    """
-    if len(data) != size:
-        raise TruncatedPayloadError(
-            f"{what}: payload is {len(data)} bytes, layout needs {size}")
-
-
-def _finite(value: float, what: str) -> float:
-    """Range guard: a wire float must be finite (NaN/inf poison clocks
-    and backoff arithmetic downstream)."""
-    if not math.isfinite(value):
-        raise FieldRangeError(f"{what}: {value!r} is not a finite number")
-    return value
-
-
-@dataclass(frozen=True)
+@message("VSETUP", 16, "s->c", "4.2")
 class VideoSetupMessage:
     """Open a video stream on the client (format + geometry)."""
 
-    stream_id: int
-    pixel_format: str
-    src_width: int
-    src_height: int
-    dst_rect: Rect
-
-    type_id = _VSETUP
-
-    def encode_payload(self) -> bytes:
-        fmt = self.pixel_format.encode("ascii")
-        return _VSETUP_HDR.pack(self.stream_id, len(fmt),
-                                self.src_width, self.src_height,
-                                *self.dst_rect.as_tuple()) + fmt
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "VideoSetupMessage":
-        _need(data, _VSETUP_HDR.size, "VSETUP header")
-        sid, fmt_len, sw, sh, x, y, w, h = _VSETUP_HDR.unpack_from(data)
-        if fmt_len > LIMITS.max_pixel_format_len:
-            raise FieldRangeError(
-                f"VSETUP format tag of {fmt_len} bytes exceeds "
-                f"{LIMITS.max_pixel_format_len}")
-        if not (1 <= sw <= LIMITS.max_viewport_dim
-                and 1 <= sh <= LIMITS.max_viewport_dim):
-            raise FieldRangeError(
-                f"VSETUP source geometry {sw}x{sh} out of range")
-        start = _VSETUP_HDR.size
-        _exactly(data, start + fmt_len, "VSETUP")
-        try:
-            fmt = data[start : start + fmt_len].decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise FieldRangeError(
-                f"VSETUP format tag is not ASCII: {exc}") from exc
-        return cls(sid, fmt, sw, sh, Rect(x, y, w, h))
+    stream_id = u16()
+    pixel_format = tag(max="max_pixel_format_len")
+    src_width = u16(1, "max_viewport_dim")
+    src_height = u16(1, "max_viewport_dim")
+    dst_rect = rect16()
 
 
-@dataclass(frozen=True)
+@message("VMOVE", 17, "s->c", "4.2")
 class VideoMoveMessage:
     """Move/resize a stream's output window."""
 
-    stream_id: int
-    dst_rect: Rect
-
-    type_id = _VMOVE
-
-    def encode_payload(self) -> bytes:
-        return _VMOVE_BODY.pack(self.stream_id,
-                                *self.dst_rect.as_tuple())
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "VideoMoveMessage":
-        _exactly(data, _VMOVE_BODY.size, "VMOVE")
-        sid, x, y, w, h = _VMOVE_BODY.unpack_from(data)
-        return cls(sid, Rect(x, y, w, h))
+    stream_id = u16()
+    dst_rect = rect16()
 
 
-@dataclass(frozen=True)
+@message("VTEARDOWN", 18, "s->c", "4.2")
 class VideoTeardownMessage:
     """Close a video stream."""
 
-    stream_id: int
-
-    type_id = _VTEARDOWN
-
-    def encode_payload(self) -> bytes:
-        return _STREAM_ID.pack(self.stream_id)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "VideoTeardownMessage":
-        _exactly(data, _STREAM_ID.size, "VTEARDOWN")
-        (sid,) = _STREAM_ID.unpack_from(data)
-        return cls(sid)
+    stream_id = u16()
 
 
-@dataclass(frozen=True)
+@message("AUDIO", 19, "s->c", "4.2/7")
 class AudioChunkMessage:
-    """A block of audio samples stamped with server time (Section 4.2)."""
+    """A block of PCM samples stamped with server playback time (A/V
+    synchronisation, Section 4.2)."""
 
-    timestamp: float
-    samples: bytes
-
-    type_id = _AUDIO
-
-    def encode_payload(self) -> bytes:
-        return _TIMESTAMP.pack(self.timestamp) + self.samples
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "AudioChunkMessage":
-        _need(data, _TIMESTAMP.size, "AUDIO header")
-        if len(data) - _TIMESTAMP.size > LIMITS.max_audio_chunk_bytes:
-            raise FrameTooLargeError(
-                f"AUDIO chunk of {len(data) - _TIMESTAMP.size} bytes "
-                f"exceeds {LIMITS.max_audio_chunk_bytes}")
-        (ts,) = _TIMESTAMP.unpack_from(data)
-        return cls(_finite(ts, "AUDIO timestamp"), data[_TIMESTAMP.size:])
+    timestamp = f64()
+    samples = rest(max="max_audio_chunk_bytes")
 
 
-@dataclass(frozen=True)
+@message("INPUT", 20, "c->s", "5")
 class InputMessage:
-    """Client-to-server user input."""
+    """Client-to-server user input; the server marks nearby updates
+    real-time."""
 
-    kind: str
-    x: int
-    y: int
-    time: float
-
-    type_id = _INPUT
-
-    def encode_payload(self) -> bytes:
-        kind_id = _INPUT_KINDS.index(self.kind)
-        return _INPUT_BODY.pack(kind_id, self.x, self.y, self.time)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "InputMessage":
-        _exactly(data, _INPUT_BODY.size, "INPUT")
-        kind_id, x, y, t = _INPUT_BODY.unpack_from(data)
-        if kind_id >= len(_INPUT_KINDS):
-            raise FieldRangeError(f"unknown input kind id {kind_id}")
-        return cls(_INPUT_KINDS[kind_id], x, y, _finite(t, "INPUT time"))
+    kind = choice(_INPUT_KINDS)
+    x = u16()
+    y = u16()
+    time = f64()
 
 
-@dataclass(frozen=True)
+@message("RESIZE", 21, "c->s", "6")
 class ResizeMessage:
     """Client reports its viewport size; enables server-side scaling."""
 
-    width: int
-    height: int
-
-    type_id = _RESIZE
-
-    def encode_payload(self) -> bytes:
-        return _SIZE_PAIR.pack(self.width, self.height)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "ResizeMessage":
-        _exactly(data, _SIZE_PAIR.size, "RESIZE")
-        w, h = _SIZE_PAIR.unpack_from(data)
-        if not (1 <= w <= LIMITS.max_viewport_dim
-                and 1 <= h <= LIMITS.max_viewport_dim):
-            raise FieldRangeError(f"RESIZE viewport {w}x{h} out of range")
-        return cls(w, h)
+    width = u16(1, "max_viewport_dim")
+    height = u16(1, "max_viewport_dim")
 
 
-@dataclass(frozen=True)
+@message("CURSOR_IMAGE", 23, "s->c", "7 (client simplicity)")
 class CursorImageMessage:
     """Server pushes a new cursor shape; the client tracks position
     locally for zero-latency pointer feedback (hardware cursor model).
     """
 
-    hot_x: int
-    hot_y: int
-    width: int
-    height: int
-    rgba: bytes  # width*height*4 straight-alpha pixels
-
-    type_id = _CURSOR_IMAGE
+    hot_x = u16()
+    hot_y = u16()
+    width = u16(1, "max_cursor_dim")
+    height = u16(1, "max_cursor_dim")
+    rgba = blob(size=("width", "height", 4))  # straight-alpha pixels
 
     def __post_init__(self):
         if len(self.rgba) != self.width * self.height * 4:
             raise ValueError("cursor pixel payload does not match size")
 
-    def encode_payload(self) -> bytes:
-        return _CURSOR_HDR.pack(self.hot_x, self.hot_y, self.width,
-                                self.height) + self.rgba
 
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "CursorImageMessage":
-        _need(data, _CURSOR_HDR.size, "CURSOR_IMAGE header")
-        hx, hy, w, h = _CURSOR_HDR.unpack_from(data)
-        if not (1 <= w <= LIMITS.max_cursor_dim
-                and 1 <= h <= LIMITS.max_cursor_dim):
-            raise FieldRangeError(
-                f"CURSOR_IMAGE dimensions {w}x{h} out of range "
-                f"(limit {LIMITS.max_cursor_dim})")
-        start = _CURSOR_HDR.size
-        _exactly(data, start + w * h * 4, "CURSOR_IMAGE")
-        return cls(hx, hy, w, h, data[start : start + w * h * 4])
-
-
-@dataclass(frozen=True)
+@message("REFRESH", 24, "c->s", "(extension)")
 class RefreshRequestMessage:
-    """Client asks the server to resend a screen region.
+    """Client asks the server to resend a screen region after local
+    state loss.
 
-    Sent after client-side state loss (a suspend/resume, a corrupted
-    blit) — the server answers with RAW content for the region, in
-    *server* coordinates (the client converts from its viewport).  The
-    server clamps the rect to its framebuffer; the wire layer only
-    checks the layout.
+    Sent after a suspend/resume or a corrupted blit — the server
+    answers with RAW content for the region, in *server* coordinates
+    (the client converts from its viewport).  The server clamps the
+    rect to its framebuffer; the wire layer only checks the layout.
     """
 
-    rect: Rect
-
-    type_id = _REFRESH
-
-    def encode_payload(self) -> bytes:
-        return _RECT_BODY.pack(*self.rect.as_tuple())
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "RefreshRequestMessage":
-        _exactly(data, _RECT_BODY.size, "REFRESH")
-        x, y, w, h = _RECT_BODY.unpack_from(data)
-        return cls(Rect(x, y, w, h))
+    rect = rect16()
 
 
-@dataclass(frozen=True)
+@message("ZOOM", 25, "c->s", "6")
 class ZoomRequestMessage:
-    """Client chooses the part of the desktop its viewport shows.
+    """Client zooms its viewport onto a desktop region; an empty rect
+    zooms back out to the full desktop.  The server rescales
+    subsequent updates and pushes a refresh of the view.
 
     Section 6: from the zoomed-out view of the whole desktop, the user
     zooms in on a section; the server then scales updates from that
     region and pushes a refresh with enough content for the new level.
-    An empty request returns to the full-desktop view.
     """
 
-    rect: Rect
-
-    type_id = _ZOOM
-
-    def encode_payload(self) -> bytes:
-        return _RECT_BODY.pack(*self.rect.as_tuple())
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "ZoomRequestMessage":
-        _exactly(data, _RECT_BODY.size, "ZOOM")
-        x, y, w, h = _RECT_BODY.unpack_from(data)
-        return cls(Rect(x, y, w, h))
+    rect = rect16()
 
 
-@dataclass(frozen=True)
+@message("SCREEN_INIT", 22, "s->c", "7")
 class ScreenInitMessage:
-    """Server announces the session's framebuffer geometry."""
+    """Server announces the session's framebuffer geometry (sent on
+    attach and viewport changes)."""
 
-    width: int
-    height: int
-
-    type_id = _SCREEN_INIT
-
-    def encode_payload(self) -> bytes:
-        return _SIZE_PAIR.pack(self.width, self.height)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "ScreenInitMessage":
-        _exactly(data, _SIZE_PAIR.size, "SCREEN_INIT")
-        w, h = _SIZE_PAIR.unpack_from(data)
-        if not (1 <= w <= LIMITS.max_viewport_dim
-                and 1 <= h <= LIMITS.max_viewport_dim):
-            raise FieldRangeError(
-                f"SCREEN_INIT geometry {w}x{h} out of range")
-        return cls(w, h)
+    width = u16(1, "max_viewport_dim")
+    height = u16(1, "max_viewport_dim")
 
 
-@dataclass(frozen=True)
+@message("CHECKED", 26, "s->c", "(extension: resilience)")
 class CheckedFrame:
-    """An integrity-checked wrapper around one framed message.
+    """Integrity-checked wrapper around one framed message: CRC-32
+    over seq+inner turns wire corruption into a typed checksum error
+    (resync, not crash); the per-session sequence number drives
+    cumulative acks and duplicate-skip after resync.  Only resilient
+    sessions emit it, so old streams parse unchanged.
 
     Resilient sessions wrap every server-to-client message in a CHECKED
-    frame carrying a CRC-32 of the body and a per-session sequence
-    number.  The checksum turns wire corruption into a typed
-    :class:`ChecksumError` (triggering resync, not a crash); the
+    frame.  The checksum failure is a :class:`ChecksumError`; the
     sequence number lets the client ack progress and skip duplicates
     replayed after a reconnect.  Negotiation is implicit: only sessions
     accepted through the resilience plane emit CHECKED frames, and the
-    parser handles wrapped and bare streams alike — old streams still
-    parse unchanged.
+    parser handles wrapped and bare streams alike.
     """
 
     seq: int
     message: "Message"
 
-    type_id = _CHECKED
+    layout = "crc32[u32] seq[u32] inner[framed message]"
 
     def encode_payload(self) -> bytes:
         body = _U32.pack(self.seq) + encode_message(self.message)
@@ -520,7 +251,7 @@ class CheckedFrame:
         # CHECKED wrappers costs 13 bytes per level, so a single large
         # frame could otherwise drive the decoder thousands of stack
         # frames deep and surface as RecursionError, not ProtocolError.
-        if body[_U32.size] == _CHECKED:
+        if body[_U32.size] == cls.type_id:
             raise FieldRangeError("CHECKED frames may not nest")
         (seq,) = _U32.unpack_from(body)
         inner = parse_messages(body[_U32.size:])
@@ -530,448 +261,224 @@ class CheckedFrame:
         return cls(seq, inner[0])
 
 
-@dataclass(frozen=True)
+@message("HEARTBEAT", 27, "c<->s", "(extension: resilience)")
 class HeartbeatMessage:
-    """Periodic liveness beacon carrying a cumulative ack.
+    """Periodic liveness beacon carrying a cumulative ack: ``last_seq``
+    is the highest CHECKED sequence number the sender has applied (0
+    when none), which the server uses to prune its replay log.  Either
+    side may send it; the reference client does.
 
-    ``last_seq`` is the highest CHECKED sequence number the sender has
-    applied (0 when none); the server uses it to prune its replay log.
     ``time`` is the sender's clock, for diagnostics.
     """
 
-    last_seq: int
-    time: float
-
-    type_id = _HEARTBEAT
-
-    def encode_payload(self) -> bytes:
-        return _HEARTBEAT_BODY.pack(self.last_seq, self.time)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "HeartbeatMessage":
-        _exactly(data, _HEARTBEAT_BODY.size, "HEARTBEAT")
-        last_seq, t = _HEARTBEAT_BODY.unpack_from(data)
-        return cls(last_seq, _finite(t, "HEARTBEAT time"))
+    last_seq = u32()
+    time = f64()
 
 
-@dataclass(frozen=True)
+@message("RECONNECT_REQ", 28, "c->s", "(extension: resilience)")
 class ReconnectRequestMessage:
-    """First message on a dialled connection to the resilience plane.
+    """First message on a dialled connection to the resilience plane:
+    resume session ``token`` (0 requests a fresh session) from CHECKED
+    sequence ``last_seq``, the highest the client applied, from which
+    the server picks the resync starting point."""
 
-    ``token`` identifies the session to resume (0 requests a fresh
-    session); ``last_seq`` is the highest CHECKED sequence the client
-    applied, from which the server picks the resync starting point.
-    """
-
-    token: int
-    last_seq: int
-
-    type_id = _RECONNECT_REQ
-
-    def encode_payload(self) -> bytes:
-        return _RECONNECT_BODY.pack(self.token, self.last_seq)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "ReconnectRequestMessage":
-        _exactly(data, _RECONNECT_BODY.size, "RECONNECT_REQ")
-        token, last_seq = _RECONNECT_BODY.unpack_from(data)
-        return cls(token, last_seq)
+    token = u32()
+    last_seq = u32()
 
 
-@dataclass(frozen=True)
+@message("RECONNECT_ACCEPT", 29, "s->c", "(extension: resilience)")
 class ReconnectAcceptMessage:
-    """The plane accepts an attach/reconnect; sent in the clear before
-    the (possibly re-keyed) session stream starts."""
+    """The plane accepts an attach/reconnect and announces the resync
+    mode (0 fresh, 1 replay of unacked frames, 2 region-chunked RAW
+    snapshot); sent in the clear before the (possibly re-keyed)
+    session stream starts."""
 
-    token: int
-    resync: int  # RESYNC_FRESH / RESYNC_REPLAY / RESYNC_SNAPSHOT
-
-    type_id = _RECONNECT_ACCEPT
-
-    def encode_payload(self) -> bytes:
-        return _ACCEPT_BODY.pack(self.token, self.resync)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "ReconnectAcceptMessage":
-        _exactly(data, _ACCEPT_BODY.size, "RECONNECT_ACCEPT")
-        token, resync = _ACCEPT_BODY.unpack_from(data)
-        if resync not in (RESYNC_FRESH, RESYNC_REPLAY, RESYNC_SNAPSHOT):
-            raise FieldRangeError(f"unknown resync mode {resync}")
-        return cls(token, resync)
+    token = u32()
+    resync = choice((RESYNC_FRESH, RESYNC_REPLAY, RESYNC_SNAPSHOT))
 
 
-@dataclass(frozen=True)
+@message("RECONNECT_DENIED", 30, "s->c", "(extension: resilience)")
 class ReconnectDeniedMessage:
-    """Backoff push-back: try again no sooner than ``retry_after``."""
+    """Reconnect backoff push-back: retry no sooner than
+    ``retry_after`` seconds from now."""
 
-    retry_after: float
-
-    type_id = _RECONNECT_DENIED
-
-    def encode_payload(self) -> bytes:
-        return _DENIED_BODY.pack(self.retry_after)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "ReconnectDeniedMessage":
-        _exactly(data, _DENIED_BODY.size, "RECONNECT_DENIED")
-        (retry_after,) = _DENIED_BODY.unpack_from(data)
-        _finite(retry_after, "RECONNECT_DENIED retry_after")
-        if not 0.0 <= retry_after <= LIMITS.max_retry_after:
-            raise FieldRangeError(
-                f"retry_after {retry_after} outside "
-                f"[0, {LIMITS.max_retry_after}]")
-        return cls(retry_after)
+    retry_after = f64(0.0, "max_retry_after")
 
 
-@dataclass(frozen=True)
+@message("ATTACH_DENIED", 31, "s->c", "(extension: governance)")
 class AttachDeniedMessage:
-    """Typed admission push-back on the plain attach path.
+    """Typed admission push-back on the plain attach path: the
+    server's governor is out of global budget (reason 0), the session
+    exhausted its own budget (1), or the session was quarantined for
+    protocol abuse (2); retry no sooner than ``retry_after`` seconds
+    from now.
 
-    The server's governor rejects an ``attach_client`` past the global
-    admission budget (or evicts a session for exhausting its own) by
-    writing this message before releasing the connection, so a
-    well-behaved client learns *why* it was turned away and when a
-    retry is worth the dial instead of diagnosing a silent hangup.
+    The governor rejects an ``attach_client`` past the global admission
+    budget (or evicts a session for exhausting its own) by writing this
+    message before releasing the connection, so a well-behaved client
+    learns *why* it was turned away and when a retry is worth the dial
+    instead of diagnosing a silent hangup.
     """
 
-    reason: int  # DENY_SERVER_FULL / DENY_SESSION_BUDGET / DENY_QUARANTINED
-    retry_after: float
-
-    type_id = _ATTACH_DENIED
-
-    def encode_payload(self) -> bytes:
-        return _ATTACH_DENIED_BODY.pack(self.reason, self.retry_after)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "AttachDeniedMessage":
-        _exactly(data, _ATTACH_DENIED_BODY.size, "ATTACH_DENIED")
-        reason, retry_after = _ATTACH_DENIED_BODY.unpack_from(data)
-        if reason not in _DENY_REASONS:
-            raise FieldRangeError(f"unknown denial reason {reason}")
-        _finite(retry_after, "ATTACH_DENIED retry_after")
-        if not 0.0 <= retry_after <= LIMITS.max_retry_after:
-            raise FieldRangeError(
-                f"retry_after {retry_after} outside "
-                f"[0, {LIMITS.max_retry_after}]")
-        return cls(reason, retry_after)
+    reason = choice((DENY_SERVER_FULL, DENY_SESSION_BUDGET,
+                     DENY_QUARANTINED))
+    retry_after = f64(0.0, "max_retry_after")
 
 
-@dataclass(frozen=True)
+@message("SESSION_TRANSFER", 32, "s->s", "(extension: cluster)")
 class SessionTransferMessage:
-    """A frozen session crossing the shard fabric.
+    """A frozen session crossing the shard fabric during live
+    migration: ``token`` rides in the clear so the fabric can route and
+    account a transfer without decoding the blob; ``state`` is the
+    serialized ``FrozenSession`` surface (journal, queue, scaler view,
+    sequence marks).  Never valid on a client-facing stream: the
+    uplink and downlink parsers both reject it.
 
-    ``state`` is the serialized :class:`~repro.core.session_unit.
-    FrozenSession` surface — opaque at this layer so the wire format
-    needs no knowledge of the server core.  ``token`` rides alongside
-    in the clear so the fabric can route and account a transfer without
-    decoding the blob.  Fabric-internal: the uplink and downlink
-    parsers both reject it.
+    ``state`` stays opaque at this layer so the wire format needs no
+    knowledge of the server core (:class:`~repro.core.session_unit.
+    FrozenSession`).
     """
 
-    token: int
-    state: bytes
-
-    type_id = _SESSION_TRANSFER
-
-    def encode_payload(self) -> bytes:
-        return _U32.pack(self.token) + self.state
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "SessionTransferMessage":
-        _need(data, _U32.size, "SESSION_TRANSFER header")
-        if len(data) - _U32.size > LIMITS.max_transfer_bytes:
-            raise FrameTooLargeError(
-                f"SESSION_TRANSFER state of {len(data) - _U32.size} bytes "
-                f"exceeds {LIMITS.max_transfer_bytes}")
-        (token,) = _U32.unpack_from(data)
-        return cls(token, data[_U32.size:])
+    token = u32()
+    state = rest(max="max_transfer_bytes")
 
 
-def _shard_in_range(shard: int, what: str) -> int:
-    if shard > LIMITS.max_shard_id:
-        raise FieldRangeError(
-            f"{what} names shard {shard}, ceiling is "
-            f"{LIMITS.max_shard_id}")
-    return shard
-
-
-@dataclass(frozen=True)
+@message("MIGRATE_BEGIN", 33, "s->s", "(extension: cluster)")
 class MigrateBeginMessage:
-    """Coordinator tells the owning shard to freeze and hand off a
-    session: the start-of-migration mark on the fabric."""
+    """Coordinator orders the owning shard to freeze and hand off a
+    session to ``target_shard``: the start-of-migration mark on the
+    fabric, opening the bounded migration detach window."""
 
-    token: int
-    target_shard: int
-
-    type_id = _MIGRATE_BEGIN
-
-    def encode_payload(self) -> bytes:
-        return _MIGRATE_BODY.pack(self.token, self.target_shard)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "MigrateBeginMessage":
-        _exactly(data, _MIGRATE_BODY.size, "MIGRATE_BEGIN")
-        token, shard = _MIGRATE_BODY.unpack_from(data)
-        return cls(token, _shard_in_range(shard, "MIGRATE_BEGIN"))
+    token = u32()
+    target_shard = u16(0, "max_shard_id")
 
 
-@dataclass(frozen=True)
+@message("MIGRATE_COMPLETE", 34, "s->s", "(extension: cluster)")
 class MigrateCompleteMessage:
     """Target shard acknowledges it thawed the session and owns the
-    token; the coordinator flips its routing on receipt."""
+    token; the coordinator flips its routing on receipt, so the
+    client's next redial reaches the new owner."""
 
-    token: int
-    shard: int
-
-    type_id = _MIGRATE_COMPLETE
-
-    def encode_payload(self) -> bytes:
-        return _MIGRATE_BODY.pack(self.token, self.shard)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "MigrateCompleteMessage":
-        _exactly(data, _MIGRATE_BODY.size, "MIGRATE_COMPLETE")
-        token, shard = _MIGRATE_BODY.unpack_from(data)
-        return cls(token, _shard_in_range(shard, "MIGRATE_COMPLETE"))
+    token = u32()
+    shard = u16(0, "max_shard_id")
 
 
-@dataclass(frozen=True)
+@message("SHARD_ADMISSION", 35, "s->s", "(extension: cluster)")
 class ShardAdmissionReportMessage:
-    """A shard reports its admission posture upward.
+    """A shard reports its governor's admission posture upward to the
+    coordinator, for placement and overflow routing: the governor's
+    own gauges — live session count, total buffered display bytes, and
+    whether a fresh attach would currently be admitted."""
 
-    The fields are the shard governor's own gauges — live session
-    count, total buffered display bytes, and whether a fresh attach
-    would currently be admitted — which is exactly what the coordinator
-    needs for placement and overflow routing.
-    """
+    shard = u16(0, "max_shard_id")
+    sessions = u32()
+    queue_bytes = u64()
+    admitting = flag()
 
-    shard: int
-    sessions: int
-    queue_bytes: int
-    admitting: bool
 
-    type_id = _SHARD_ADMISSION
-
-    def encode_payload(self) -> bytes:
-        return _ADMISSION_BODY.pack(self.shard, self.sessions,
-                                    self.queue_bytes,
-                                    1 if self.admitting else 0)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "ShardAdmissionReportMessage":
-        _exactly(data, _ADMISSION_BODY.size, "SHARD_ADMISSION")
-        shard, sessions, queue_bytes, admitting = \
-            _ADMISSION_BODY.unpack_from(data)
-        if admitting > 1:
+def _check_subscribe(msg: "SubscribeMessage") -> None:
+    cols, rows, index = msg.cols, msg.rows, msg.index
+    if msg.mode == SUBSCRIBE_MIRROR:
+        if cols or rows or index:
             raise FieldRangeError(
-                f"SHARD_ADMISSION admitting flag {admitting} is not 0/1")
-        return cls(_shard_in_range(shard, "SHARD_ADMISSION"), sessions,
-                   queue_bytes, bool(admitting))
+                "SUBSCRIBE mirror mode carries a tile grid "
+                f"({cols}x{rows} index {index})")
+    elif cols < 1 or rows < 1:
+        raise FieldRangeError(f"SUBSCRIBE tile grid {cols}x{rows} is empty")
+    elif cols * rows > LIMITS.max_wall_tiles:
+        raise FieldRangeError(
+            f"SUBSCRIBE tile grid {cols}x{rows} exceeds "
+            f"{LIMITS.max_wall_tiles} tiles")
+    elif index >= cols * rows:
+        raise FieldRangeError(
+            f"SUBSCRIBE tile index {index} outside {cols}x{rows} grid")
 
 
-@dataclass(frozen=True)
+@message("SUBSCRIBE", 36, "c->s", "(extension: fanout)",
+         check=_check_subscribe)
 class SubscribeMessage:
-    """Client asks to join the broadcast fan-out plane.
+    """Client joins the broadcast fan-out plane: mode 0 mirrors the
+    whole desktop (resampled into the session viewport), mode 1 claims
+    tile ``index`` of a ``cols x rows`` partition of the virtual
+    display wall.  Grid fields must be zero in mirror mode; a tile
+    grid holds at most ``max_wall_tiles`` tiles, so a hostile client
+    cannot demand a degenerate one-pixel carving.  The server answers
+    a tile claim with TILE_ASSIGN plus the usual geometry handshake.
 
-    ``mode`` is :data:`SUBSCRIBE_MIRROR` (receive the whole desktop,
-    resampled into the session's viewport) or :data:`SUBSCRIBE_TILE`
-    (own tile ``index`` of a ``cols x rows`` partition of the virtual
-    display wall; the server answers with TILE_ASSIGN plus the usual
-    geometry handshake).  Mirror subscriptions carry zeroed grid
-    fields; tile grids are bounded by ``LIMITS.max_wall_tiles`` so a
-    hostile client cannot demand a degenerate one-pixel carving.
+    ``mode`` is :data:`SUBSCRIBE_MIRROR` or :data:`SUBSCRIBE_TILE`.
     """
 
-    mode: int
-    cols: int = 0
-    rows: int = 0
-    index: int = 0
-
-    type_id = _SUBSCRIBE
-
-    def encode_payload(self) -> bytes:
-        return _SUBSCRIBE_BODY.pack(self.mode, self.cols, self.rows,
-                                    self.index)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "SubscribeMessage":
-        _exactly(data, _SUBSCRIBE_BODY.size, "SUBSCRIBE")
-        mode, cols, rows, index = _SUBSCRIBE_BODY.unpack_from(data)
-        if mode not in (SUBSCRIBE_MIRROR, SUBSCRIBE_TILE):
-            raise FieldRangeError(f"SUBSCRIBE mode {mode} is unknown")
-        if mode == SUBSCRIBE_MIRROR:
-            if cols or rows or index:
-                raise FieldRangeError(
-                    "SUBSCRIBE mirror mode carries a tile grid "
-                    f"({cols}x{rows} index {index})")
-        else:
-            if cols < 1 or rows < 1:
-                raise FieldRangeError(
-                    f"SUBSCRIBE tile grid {cols}x{rows} is empty")
-            if cols * rows > LIMITS.max_wall_tiles:
-                raise FieldRangeError(
-                    f"SUBSCRIBE tile grid {cols}x{rows} exceeds "
-                    f"{LIMITS.max_wall_tiles} tiles")
-            if index >= cols * rows:
-                raise FieldRangeError(
-                    f"SUBSCRIBE tile index {index} outside "
-                    f"{cols}x{rows} grid")
-        return cls(mode, cols, rows, index)
+    mode = choice((SUBSCRIBE_MIRROR, SUBSCRIBE_TILE))
+    cols = u16(default=0)
+    rows = u16(default=0)
+    index = u32(default=0)
 
 
-@dataclass(frozen=True)
+def _check_tile_assign(msg: "TileAssignMessage") -> None:
+    rect = msg.rect
+    if rect.empty:
+        raise FieldRangeError("TILE_ASSIGN tile is empty")
+    if rect.x2 > msg.wall_w or rect.y2 > msg.wall_h:
+        raise FieldRangeError(
+            f"TILE_ASSIGN tile {rect} leaves the "
+            f"{msg.wall_w}x{msg.wall_h} wall")
+
+
+@message("TILE_ASSIGN", 37, "s->c", "(extension: fanout)",
+         check=_check_tile_assign)
 class TileAssignMessage:
-    """Server assigns a tile-wall subscriber its sub-rectangle.
+    """Server grants a tile-wall subscriber its sub-rectangle: the
+    virtual wall's full extent (the server framebuffer) plus the tile
+    ``rect`` in wall coordinates, which must lie inside the wall —
+    everything a client needs to place its panel and map local pixels
+    back onto the wall.  The session's stream then carries only
+    content clipped to that tile, at 1:1 scale."""
 
-    ``wall_w``/``wall_h`` are the virtual wall's full extent (the
-    server framebuffer) and ``rect`` the subscriber's tile in wall
-    coordinates — everything a client needs to place its panel and map
-    local pixels back onto the wall.
-    """
-
-    wall_w: int
-    wall_h: int
-    rect: Rect
-
-    type_id = _TILE_ASSIGN
-
-    def encode_payload(self) -> bytes:
-        return _TILE_ASSIGN_BODY.pack(self.wall_w, self.wall_h,
-                                      *self.rect.as_tuple())
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "TileAssignMessage":
-        _exactly(data, _TILE_ASSIGN_BODY.size, "TILE_ASSIGN")
-        wall_w, wall_h, x, y, w, h = _TILE_ASSIGN_BODY.unpack_from(data)
-        if not (1 <= wall_w <= LIMITS.max_viewport_dim
-                and 1 <= wall_h <= LIMITS.max_viewport_dim):
-            raise FieldRangeError(
-                f"TILE_ASSIGN wall {wall_w}x{wall_h} out of range")
-        if w < 1 or h < 1:
-            raise FieldRangeError("TILE_ASSIGN tile is empty")
-        if x + w > wall_w or y + h > wall_h:
-            raise FieldRangeError(
-                f"TILE_ASSIGN tile {x},{y} {w}x{h} leaves the "
-                f"{wall_w}x{wall_h} wall")
-        return cls(wall_w, wall_h, Rect(x, y, w, h))
+    wall_w = u16(1, "max_viewport_dim")
+    wall_h = u16(1, "max_viewport_dim")
+    rect = rect16()
 
 
-@dataclass(frozen=True)
+@message("VIDEO_QUALITY", 38, "s->c", "(extension: qos)")
 class VideoQualityMessage:
-    """Server announces a video stream's negotiated quality rung.
-
-    Sent only when the QoS ladder moves (a healthy link never sees
-    one), alongside VSETUP for streams opened while degraded.  The
-    descriptor is everything the client needs to interpret what it
+    """Server announces a video stream's negotiated quality rung
+    whenever the QoS degradation ladder moves (a healthy link never
+    sees one), alongside VSETUP for streams opened while degraded.
+    The descriptor is everything the client needs to interpret what it
     will receive: ``fps_divisor`` (only every Nth source frame is
     shipped), ``scale_shift`` (frames arrive at source dimensions
     right-shifted this much and are scaled back by the overlay
     hardware), and ``qstep`` (the chroma/quantise squeeze applied at
-    the bottom rung; 0 means lossless YV12).
-    """
+    the bottom rung; 0 means lossless YV12)."""
 
-    stream_id: int
-    rung: int
-    fps_divisor: int = 1
-    scale_shift: int = 0
-    qstep: int = 0
-
-    type_id = _VIDEO_QUALITY
-
-    def encode_payload(self) -> bytes:
-        return _VIDEO_QUALITY_BODY.pack(self.stream_id, self.rung,
-                                        self.fps_divisor,
-                                        self.scale_shift, self.qstep)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "VideoQualityMessage":
-        _exactly(data, _VIDEO_QUALITY_BODY.size, "VIDEO_QUALITY")
-        sid, rung, fps_div, shift, qstep = \
-            _VIDEO_QUALITY_BODY.unpack_from(data)
-        if rung > LIMITS.max_qos_rung:
-            raise FieldRangeError(
-                f"VIDEO_QUALITY rung {rung} exceeds "
-                f"{LIMITS.max_qos_rung}")
-        if not 1 <= fps_div <= LIMITS.max_fps_divisor:
-            raise FieldRangeError(
-                f"VIDEO_QUALITY fps divisor {fps_div} outside "
-                f"[1, {LIMITS.max_fps_divisor}]")
-        if shift > LIMITS.max_scale_shift:
-            raise FieldRangeError(
-                f"VIDEO_QUALITY scale shift {shift} exceeds "
-                f"{LIMITS.max_scale_shift}")
-        if qstep > LIMITS.max_qos_qstep:
-            raise FieldRangeError(
-                f"VIDEO_QUALITY qstep {qstep} exceeds "
-                f"{LIMITS.max_qos_qstep}")
-        return cls(sid, rung, fps_div, shift, qstep)
+    stream_id = u16()
+    rung = u8(0, "max_qos_rung")
+    fps_divisor = u8(1, "max_fps_divisor", default=1)
+    scale_shift = u8(0, "max_scale_shift", default=0)
+    qstep = u8(0, "max_qos_qstep", default=0)
 
 
-@dataclass(frozen=True)
+@message("QOS_REPORT", 39, "c->s", "(extension: qos)")
 class QosReportMessage:
-    """Client feeds its delivered A/V quality back to the server.
+    """Client feeds its delivered A/V quality back to the server:
+    frames actually presented plus the Section 8.2 playback/audio
+    quality fractions and the A/V sync skew, computed client-side over
+    one stream's arrival records.  The QoS plane uses them to confirm
+    a recovery took on the client (the byte counters alone say the
+    link drained, not that the client kept up)."""
 
-    Carries the Section 8.2 measures computed client-side over one
-    stream's arrival records: frames actually presented, the playback
-    and audio quality fractions, and the A/V sync skew.  The QoS plane
-    uses them to confirm a recovery took (the byte counters alone say
-    the link drained, not that the client kept up).
-    """
-
-    stream_id: int
-    frames_received: int
-    playback_quality: float = 1.0
-    audio_quality: float = 1.0
-    av_skew: float = 0.0
-
-    type_id = _QOS_REPORT
-
-    def encode_payload(self) -> bytes:
-        return _QOS_REPORT_BODY.pack(self.stream_id, self.frames_received,
-                                     self.playback_quality,
-                                     self.audio_quality, self.av_skew)
-
-    @classmethod
-    def decode_payload(cls, data: bytes) -> "QosReportMessage":
-        _exactly(data, _QOS_REPORT_BODY.size, "QOS_REPORT")
-        sid, frames, playback, audio, skew = \
-            _QOS_REPORT_BODY.unpack_from(data)
-        for name, quality in (("playback", playback), ("audio", audio)):
-            _finite(quality, f"QOS_REPORT {name} quality")
-            if not 0.0 <= quality <= 1.0:
-                raise FieldRangeError(
-                    f"QOS_REPORT {name} quality {quality} outside [0, 1]")
-        _finite(skew, "QOS_REPORT av_skew")
-        if not 0.0 <= skew <= LIMITS.max_av_skew:
-            raise FieldRangeError(
-                f"QOS_REPORT av_skew {skew} outside "
-                f"[0, {LIMITS.max_av_skew}]")
-        return cls(sid, frames, playback, audio, skew)
+    stream_id = u16()
+    frames_received = u32()
+    playback_quality = f64(0.0, 1.0, default=1.0)
+    audio_quality = f64(0.0, 1.0, default=1.0)
+    av_skew = f64(0.0, "max_av_skew", default=0.0)
 
 
-_CONTROL_TYPES = {
-    cls.type_id: cls
-    for cls in (VideoSetupMessage, VideoMoveMessage, VideoTeardownMessage,
-                AudioChunkMessage, InputMessage, ResizeMessage,
-                ScreenInitMessage, CursorImageMessage,
-                RefreshRequestMessage, ZoomRequestMessage,
-                CheckedFrame, HeartbeatMessage, ReconnectRequestMessage,
-                ReconnectAcceptMessage, ReconnectDeniedMessage,
-                AttachDeniedMessage, SessionTransferMessage,
-                MigrateBeginMessage, MigrateCompleteMessage,
-                ShardAdmissionReportMessage, SubscribeMessage,
-                TileAssignMessage, VideoQualityMessage, QosReportMessage)
-}
-
-Message = Union[Command, VideoSetupMessage, VideoMoveMessage,
-                VideoTeardownMessage, AudioChunkMessage, InputMessage,
-                ResizeMessage, ScreenInitMessage, CheckedFrame,
-                HeartbeatMessage, ReconnectRequestMessage,
-                ReconnectAcceptMessage, ReconnectDeniedMessage,
-                AttachDeniedMessage, SessionTransferMessage,
-                MigrateBeginMessage, MigrateCompleteMessage,
-                ShardAdmissionReportMessage, SubscribeMessage,
-                TileAssignMessage, VideoQualityMessage, QosReportMessage]
+# Read off the registry: the decode table, the message union and the
+# public class names.
+_CONTROL_TYPES = REGISTRY
+Message = Union[(Command, *REGISTRY.values())]
+__all__ += [cls.__name__ for cls in REGISTRY.values()]
 
 
 def encode_message(msg: Message) -> bytes:
@@ -996,7 +503,8 @@ def wrap_checked(framed: bytes, seq: int) -> bytes:
     """
     body = _U32.pack(seq) + framed
     return frame_message(
-        _CHECKED, _U32.pack(zlib.crc32(body) & 0xFFFFFFFF) + body)
+        CheckedFrame.type_id,
+        _U32.pack(zlib.crc32(body) & 0xFFFFFFFF) + body)
 
 
 def _decode_frame(type_id: int, payload: bytes):

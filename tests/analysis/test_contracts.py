@@ -4,9 +4,10 @@ A synthetic fixture tree exercises every rule with a positive (the
 mutation the rule must flag) and a negative (the idiomatic fix it must
 pass); copytree mutations of the *real* ``src/repro`` then prove each
 rule fires on the production sources — deleting one handler, widening
-one parser set, adding one unguarded decode field, adding one
-unserialized SessionUnit attribute each produce exactly the expected
-finding.  The baseline lifecycle and the CLI exit codes are covered at
+one parser set, sizing one display-command slice with a raw field,
+adding one unserialized SessionUnit attribute each produce exactly the
+expected finding.  The field tables the analyzer reads off the
+``@message`` declarations are pinned to the live schema.  The baseline lifecycle and the CLI exit codes are covered at
 the bottom.
 """
 
@@ -14,8 +15,6 @@ import json
 import shutil
 import textwrap
 from pathlib import Path
-
-import pytest
 
 import repro
 from repro.analysis.__main__ import main as analysis_main
@@ -25,6 +24,7 @@ from repro.analysis.contracts import (Baseline, apply_baseline,
                                       render_contract_matrix)
 from repro.analysis.facts import extract_facts
 from repro.protocol.spec import PROTOCOL_SPEC
+from repro.protocol.wire import _CONTROL_TYPES
 
 SRC = Path(repro.__file__).resolve().parent
 REPO = SRC.parent.parent
@@ -32,28 +32,39 @@ REPO = SRC.parent.parent
 
 # --- the synthetic fixture tree ----------------------------------------------
 
+# The new shape: control messages are ``@message`` declarations (row
+# and class in one); spec.py states only the hand-written commands,
+# whose decoders are the ones THL203 still has to police.
 SPEC_SRC = """
-from . import wire
+from . import commands, wire
 
 PROTOCOL_SPEC = [
-    MessageSpec("PING", 1, "c->s", "s", "p", wire.PingMessage),
-    MessageSpec("PONG", 2, "s->c", "s", "p", wire.PongMessage),
-    MessageSpec("XFER", 32, "s->s", "s", "p", wire.XferMessage),
-]
-UPLINK_TYPE_IDS = frozenset({1})
-DOWNLINK_TYPE_IDS = frozenset({2})
-FABRIC_TYPE_IDS = frozenset({32})
-SERVER_ACCEPTS = UPLINK_TYPE_IDS
-CLIENT_ACCEPTS = DOWNLINK_TYPE_IDS
-FABRIC_ACCEPTS = FABRIC_TYPE_IDS
+    MessageSpec("BLIT", 1, "s->c", "s", "p", commands.BlitCommand),
+] + derived_rows(wire)
+SERVER_ACCEPTS = UPLINK_TYPE_IDS = direction_ids("c->s", "c<->s")
+CLIENT_ACCEPTS = DOWNLINK_TYPE_IDS = direction_ids("s->c", "c<->s")
+FABRIC_ACCEPTS = FABRIC_TYPE_IDS = direction_ids("s->s")
+"""
+
+COMMANDS_SRC = """
+import struct
+
+_BODY = struct.Struct(">I")
+
+
+class BlitCommand:
+    type_id = 1
+
+    @classmethod
+    def decode(cls, data, offset):
+        (n,) = _BODY.unpack_from(data, offset)
+        if offset + _BODY.size + n > len(data):
+            raise ValueError("truncated BLIT payload")
+        return cls(data[offset + _BODY.size:][:n])
 """
 
 WIRE_SRC = """
-import struct
-
-_PING, _PONG = 1, 2
-_XFER = 32
-_BODY = struct.Struct(">I")
+from .schema import message, rest, u16, u32
 
 
 class StreamParser:
@@ -61,22 +72,21 @@ class StreamParser:
         self.allowed = allowed
 
 
+@message("PING", 16, "c->s", "s")
 class PingMessage:
-    type_id = _PING
+    nonce = u32()
 
 
+@message("PONG", 17, "s->c", "s")
 class PongMessage:
-    type_id = _PONG
-
-    @classmethod
-    def decode_payload(cls, data):
-        (n,) = _BODY.unpack_from(data)
-        _need(data, n)
-        return cls(data[_BODY.size:][:n])
+    nonce = u32()
+    load = u16(0, "max_load")
 
 
+@message("XFER", 32, "s->s", "s")
 class XferMessage:
-    type_id = _XFER
+    token = u32()
+    state = rest(max="max_transfer_bytes")
 """
 
 SESSION_SRC = """
@@ -104,6 +114,7 @@ class SessionUnit:
 CLIENT_SRC = """
 from ..protocol.spec import CLIENT_ACCEPTS
 from ..protocol import wire
+from ..protocol.commands import BlitCommand
 
 
 class THINCClient:
@@ -112,7 +123,7 @@ class THINCClient:
                                         allowed=CLIENT_ACCEPTS)
 
     def render(self, msg):
-        if isinstance(msg, wire.PongMessage):
+        if isinstance(msg, (wire.PongMessage, BlitCommand)):
             return True
 """
 
@@ -131,6 +142,7 @@ class ShardCoordinator:
 
 CLEAN_TREE = {
     "protocol/spec.py": SPEC_SRC,
+    "protocol/commands.py": COMMANDS_SRC,
     "protocol/wire.py": WIRE_SRC,
     "core/session_unit.py": SESSION_SRC,
     "core/client.py": CLIENT_SRC,
@@ -176,33 +188,35 @@ class RogueProbeMessage:
         assert "RogueProbeMessage" in findings[0].message
         assert "99" in findings[0].message
 
-    def test_flags_spec_drift(self, tmp_path):
-        drifted = SPEC_SRC.replace(
-            'MessageSpec("PONG", 2,', 'MessageSpec("PONG", 3,')
-        root = build_tree(tmp_path, {"protocol/spec.py": drifted})
-        findings = findings_of(root)
-        assert any(f.rule == "THL200"
-                   and "spec registers PONG as id 3" in f.message
-                   and "declares 2" in f.message for f in findings)
+    def test_flags_type_id_registered_to_another_class(self, tmp_path):
+        root = build_tree(tmp_path, {
+            "protocol/commands.py": COMMANDS_SRC + """
 
-    def test_flags_duplicate_registration(self, tmp_path):
-        dup = SPEC_SRC.replace(
-            "]\nUPLINK",
-            '    MessageSpec("PING2", 1, "c->s", "s", "p",'
-            " wire.PingMessage),\n]\nUPLINK")
-        root = build_tree(tmp_path, {"protocol/spec.py": dup})
+class ShadowCommand:
+    type_id = 16
+"""})
         findings = findings_of(root)
         assert [f.rule for f in findings] == ["THL200"]
-        assert "registered twice" in findings[0].message
+        assert "ShadowCommand" in findings[0].message
+        assert "registered to PingMessage" in findings[0].message
 
-    def test_flags_missing_implementation(self, tmp_path):
-        ghost = SPEC_SRC.replace("wire.XferMessage", "wire.GhostMessage")
-        root = build_tree(tmp_path, {"protocol/spec.py": ghost})
-        rules = [f.rule for f in findings_of(root)]
-        # The ghost implementation plus the now-orphaned XferMessage id.
-        assert "THL200" in rules
-        assert any("GhostMessage" in f.message and "defines no type_id"
-                   in f.message for f in findings_of(root))
+    def test_flags_duplicate_registration(self, tmp_path):
+        root = build_tree(tmp_path, {"protocol/wire.py": WIRE_SRC + """
+
+@message("PING2", 16, "c->s", "s")
+class Ping2Message:
+    nonce = u32()
+"""})
+        findings = [f for f in findings_of(root) if f.rule == "THL200"]
+        assert len(findings) == 1
+        assert "registered twice (PING and PING2)" in findings[0].message
+
+    def test_flags_declaration_colliding_with_a_spec_row(self, tmp_path):
+        collide = WIRE_SRC.replace('"PONG", 17', '"PONG", 1')
+        root = build_tree(tmp_path, {"protocol/wire.py": collide})
+        assert any(f.rule == "THL200"
+                   and "registered twice (BLIT and PONG)" in f.message
+                   for f in findings_of(root))
 
 
 class TestTHL201:
@@ -244,11 +258,9 @@ class TestTHL201:
 
 class TestTHL202:
     def test_flags_dead_wire_id(self, tmp_path):
-        deaf = CLIENT_SRC.replace("""
-    def render(self, msg):
-        if isinstance(msg, wire.PongMessage):
-            return True
-""", "")
+        deaf = CLIENT_SRC.replace("(wire.PongMessage, BlitCommand)",
+                                  "BlitCommand")
+        assert deaf != CLIENT_SRC
         root = build_tree(tmp_path, {"core/client.py": deaf})
         findings = findings_of(root)
         assert [f.rule for f in findings] == ["THL202"]
@@ -263,55 +275,73 @@ class TestTHL202:
 
 
 class TestTHL203:
+    GUARD = ("        if offset + _BODY.size + n > len(data):\n"
+             "            raise ValueError(\"truncated BLIT payload\")\n")
+
     def test_flags_unguarded_slice_bound(self, tmp_path):
-        unguarded = WIRE_SRC.replace("        _need(data, n)\n", "")
-        root = build_tree(tmp_path, {"protocol/wire.py": unguarded})
+        unguarded = COMMANDS_SRC.replace(self.GUARD, "")
+        root = build_tree(tmp_path, {"protocol/commands.py": unguarded})
         findings = findings_of(root)
         assert [f.rule for f in findings] == ["THL203"]
         assert "'n'" in findings[0].message
-        assert "PongMessage" in findings[0].message
+        assert "BlitCommand" in findings[0].message
 
     def test_limits_comparison_counts_as_guard(self, tmp_path):
-        compared = WIRE_SRC.replace(
-            "        _need(data, n)\n",
+        compared = COMMANDS_SRC.replace(
+            self.GUARD,
             "        if n > LIMITS.max_frame_bytes:\n"
             "            raise FrameTooLargeError(n)\n")
         assert findings_of(
-            build_tree(tmp_path, {"protocol/wire.py": compared})) == []
+            build_tree(tmp_path, {"protocol/commands.py": compared})) == []
 
     def test_compare_then_raise_counts_as_guard(self, tmp_path):
         # A range check with teeth needs no LIMITS mention:
         # ``if n >= len(TABLE): raise FieldRangeError`` guards n.
-        checked = WIRE_SRC.replace(
-            "        _need(data, n)\n",
+        checked = COMMANDS_SRC.replace(
+            self.GUARD,
             "        if n >= 4096:\n"
             "            raise FieldRangeError(n)\n")
         assert findings_of(
-            build_tree(tmp_path, {"protocol/wire.py": checked})) == []
+            build_tree(tmp_path, {"protocol/commands.py": checked})) == []
 
     def test_guard_through_one_helper_level(self, tmp_path):
         # Interprocedural step: the unpack and the guard live in a
         # module-level helper; the field is still recognised as bound.
-        helper = WIRE_SRC.replace("""
-    @classmethod
-    def decode_payload(cls, data):
-        (n,) = _BODY.unpack_from(data)
-        _need(data, n)
-        return cls(data[_BODY.size:][:n])
-""", """
-    @classmethod
-    def decode_payload(cls, data):
-        n = _head(data)
-        return cls(data[_BODY.size:][:n])
-""") + """
+        helper = COMMANDS_SRC.replace(
+            "        (n,) = _BODY.unpack_from(data, offset)\n" + self.GUARD,
+            "        n = _head(data, offset)\n") + """
 
-def _head(data):
-    (n,) = _BODY.unpack_from(data)
-    _need(data, n)
+def _head(data, offset):
+    (n,) = _BODY.unpack_from(data, offset)
+    if offset + _BODY.size + n > len(data):
+        raise ValueError("truncated BLIT payload")
     return n
 """
+        assert "_head(data, offset)" in helper
         assert findings_of(
-            build_tree(tmp_path, {"protocol/wire.py": helper})) == []
+            build_tree(tmp_path, {"protocol/commands.py": helper})) == []
+
+    def test_handwritten_decoder_of_a_declared_message_is_policed(
+            self, tmp_path):
+        # CHECKED's shape: a declared row that keeps its own codec.
+        bespoke = WIRE_SRC + """
+
+@message("WRAPPED", 18, "s->c", "s")
+class WrappedFrame:
+    seq: int
+
+    @classmethod
+    def decode_payload(cls, data):
+        (n,) = _U32.unpack_from(data)
+        return cls(data[4:][:n])
+"""
+        root = build_tree(tmp_path, {
+            "protocol/wire.py": bespoke,
+            "core/client.py": CLIENT_SRC.replace(
+                "(wire.PongMessage,", "(wire.PongMessage, wire.WrappedFrame,")})
+        findings = findings_of(root)
+        assert [f.rule for f in findings] == ["THL203"]
+        assert "WrappedFrame" in findings[0].message
 
 
 class TestTHL204:
@@ -429,6 +459,34 @@ class TestRealTree:
                 for s in PROTOCOL_SPEC}
         assert extracted == live
 
+    def test_ast_field_tables_match_live_schema(self):
+        """Same pin for the bounds column: the field rows and bound
+        strings read from the ``@message`` class bodies equal what the
+        schema compiled, and a validator is only ever credited to the
+        class that declares it."""
+        declared = {m.name: m.fields for m in extract_facts(SRC).messages
+                    if m.fields is not None}
+        assert set(declared) == {c.__name__ for c in _CONTROL_TYPES.values()}
+        for cls in _CONTROL_TYPES.values():
+            rows = declared[cls.__name__]
+            assert [(name, bound) for name, bound, _ in rows] == [
+                (name, field.bound)
+                for name, field in cls.schema.fields.items()]
+            assert {check for _, _, check in rows if check} <= {
+                getattr(cls.schema.check, "__name__", None)}
+
+    def test_matrix_stars_validator_and_loop_checked_fields(self):
+        """The two false negatives of the inferred column: a check in
+        a ``BoolOp`` test (TILE_ASSIGN's tile) and on a loop variable
+        (QOS_REPORT's quality fractions) were invisible to the AST
+        flow pass; declared bounds are not."""
+        matrix = render_contract_matrix(extract_facts(SRC)).splitlines()
+        tile = next(row for row in matrix if "`TILE_ASSIGN`" in row)
+        assert "rect* _check_tile_assign" in tile
+        qos = next(row for row in matrix if "`QOS_REPORT`" in row)
+        assert "playback_quality* finite [0.0, 1.0]" in qos
+        assert "audio_quality* finite [0.0, 1.0]" in qos
+
     def test_matrix_covers_every_spec_id(self):
         matrix = render_contract_matrix(extract_facts(SRC))
         for spec in PROTOCOL_SPEC:
@@ -470,19 +528,16 @@ class TestSeededMutations:
         assert "SERVER_ACCEPTS" in findings[0].message
 
     def test_unguarded_decode_field_is_flagged(self, tmp_path):
+        # A display-command decoder (hand-written, so still policed):
+        # size the PFILL tile slice with the raw unpacked height.
         root = mutate_real_tree(
-            tmp_path, "protocol/wire.py",
-            "        (ts,) = _TIMESTAMP.unpack_from(data)\n"
-            "        return cls(_finite(ts, \"AUDIO timestamp\"), "
-            "data[_TIMESTAMP.size:])",
-            "        (ts,) = _TIMESTAMP.unpack_from(data)\n"
-            "        (nsamples,) = _TIMESTAMP.unpack_from(data)\n"
-            "        return cls(_finite(ts, \"AUDIO timestamp\"), "
-            "data[_TIMESTAMP.size:][:nsamples])")
+            tmp_path, "protocol/commands.py",
+            "        tile = np.frombuffer(data[offset : offset + count],",
+            "        tile = np.frombuffer(data[offset : offset + th],")
         findings = findings_of(root)
         assert [f.rule for f in findings] == ["THL203"]
-        assert "'nsamples'" in findings[0].message
-        assert "AudioChunkMessage" in findings[0].message
+        assert "'th'" in findings[0].message
+        assert "PFillCommand" in findings[0].message
 
     def test_unserialized_session_attribute_is_flagged(self, tmp_path):
         root = mutate_real_tree(
@@ -497,9 +552,9 @@ class TestSeededMutations:
     def test_unregistered_type_id_is_flagged(self, tmp_path):
         root = mutate_real_tree(
             tmp_path, "protocol/wire.py",
-            "\nclass VideoSetupMessage:",
+            "\n@message(\"VSETUP\"",
             "\nclass RogueProbeMessage:\n"
-            "    type_id = 99\n\n\nclass VideoSetupMessage:")
+            "    type_id = 99\n\n\n@message(\"VSETUP\"")
         findings = findings_of(root)
         assert [f.rule for f in findings] == ["THL200"]
         assert "99" in findings[0].message

@@ -148,9 +148,13 @@ class TestSelectionLadder:
             is Encoding.PNG
 
     def test_bool_posture_compatibility(self):
+        """``select`` takes a LinkPosture only; a caller holding just
+        the saturation flag converts it through the enum."""
         policy = EncoderPolicy()
-        assert policy.select(noise(), True).encoding is Encoding.LOSSY
-        assert policy.select(noise(), False).encoding is Encoding.PNG
+        assert policy.select(noise(), LinkPosture(True)).encoding \
+            is Encoding.LOSSY
+        assert policy.select(noise(), LinkPosture(False)).encoding \
+            is Encoding.PNG
 
     def test_counts_tally_choices(self):
         policy = EncoderPolicy()

@@ -1,6 +1,6 @@
 """The protocol spec must match the implementation exactly."""
 
-from repro.protocol import commands, spec, wire
+from repro.protocol import commands, schema, spec, wire
 
 
 class TestSpecConsistency:
@@ -30,7 +30,7 @@ class TestSpecConsistency:
 
     def test_directions_valid(self):
         for entry in spec.PROTOCOL_SPEC:
-            assert entry.direction in ("s->c", "c->s", "s->s"), entry.name
+            assert entry.direction in schema.DIRECTIONS, entry.name
 
     def test_fabric_ids_never_client_facing(self):
         assert not spec.FABRIC_TYPE_IDS & spec.UPLINK_TYPE_IDS

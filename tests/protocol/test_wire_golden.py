@@ -1,0 +1,146 @@
+"""Golden wire vectors: the byte-identity contract of the control codec.
+
+``wire_golden.json`` pins, for the wire format as committed:
+
+* ``instances`` — ``encode_message`` hex for two instances of every
+  registered control class, one at the lowest and one at the highest
+  legal value of every field (variable-length payloads are kept short
+  so the data file stays small);
+* ``seed_corpus`` — hex of every ``fuzz.corpus.seed_corpus()`` entry;
+* ``mutator_sha256`` — one SHA-256 over the outcome (parsed message
+  reprs, or the exception class name, plus ``pending_bytes``) of each
+  of 5 000 ``Mutator(seed=54, ...)`` cases fed to an unrestricted
+  ``StreamParser``.
+
+A codec refactor must pass this file unchanged.  A deliberate wire
+change regenerates it (``PYTHONPATH=src python
+tests/protocol/test_wire_golden.py``) and says so in its PR.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from repro.fuzz.corpus import seed_corpus
+from repro.fuzz.mutator import Mutator
+from repro.protocol import wire
+from repro.protocol.limits import LIMITS
+from repro.region import Rect
+
+GOLDEN = Path(__file__).with_name("wire_golden.json")
+
+U16, U32, U64 = 0xFFFF, 0xFFFFFFFF, 2 ** 64 - 1
+F_MIN, F_MAX = -sys.float_info.max, sys.float_info.max
+DIM = LIMITS.max_viewport_dim
+NO_RECT, FULL_RECT = Rect(0, 0, 0, 0), Rect(U16, U16, U16, U16)
+
+#: (lowest, highest) legal instance of every control class.
+INSTANCES = [
+    wire.VideoSetupMessage(0, "", 1, 1, NO_RECT),
+    wire.VideoSetupMessage(U16, "~" * LIMITS.max_pixel_format_len,
+                           DIM, DIM, FULL_RECT),
+    wire.VideoMoveMessage(0, NO_RECT),
+    wire.VideoMoveMessage(U16, FULL_RECT),
+    wire.VideoTeardownMessage(0),
+    wire.VideoTeardownMessage(U16),
+    wire.AudioChunkMessage(F_MIN, b""),
+    wire.AudioChunkMessage(F_MAX, bytes(range(256))),
+    wire.InputMessage("mouse-move", 0, 0, F_MIN),
+    wire.InputMessage("key", U16, U16, F_MAX),
+    wire.ResizeMessage(1, 1),
+    wire.ResizeMessage(DIM, DIM),
+    wire.ScreenInitMessage(1, 1),
+    wire.ScreenInitMessage(DIM, DIM),
+    wire.CursorImageMessage(0, 0, 1, 1, b"\x00" * 4),
+    wire.CursorImageMessage(U16, U16, 8, 8, b"\xff" * 256),
+    wire.RefreshRequestMessage(NO_RECT),
+    wire.RefreshRequestMessage(FULL_RECT),
+    wire.ZoomRequestMessage(NO_RECT),
+    wire.ZoomRequestMessage(FULL_RECT),
+    wire.CheckedFrame(0, wire.HeartbeatMessage(0, F_MIN)),
+    wire.CheckedFrame(U32, wire.HeartbeatMessage(U32, F_MAX)),
+    wire.HeartbeatMessage(0, F_MIN),
+    wire.HeartbeatMessage(U32, F_MAX),
+    wire.ReconnectRequestMessage(0, 0),
+    wire.ReconnectRequestMessage(U32, U32),
+    wire.ReconnectAcceptMessage(0, wire.RESYNC_FRESH),
+    wire.ReconnectAcceptMessage(U32, wire.RESYNC_SNAPSHOT),
+    wire.ReconnectDeniedMessage(0.0),
+    wire.ReconnectDeniedMessage(LIMITS.max_retry_after),
+    wire.AttachDeniedMessage(wire.DENY_SERVER_FULL, 0.0),
+    wire.AttachDeniedMessage(wire.DENY_QUARANTINED,
+                             LIMITS.max_retry_after),
+    wire.SessionTransferMessage(0, b""),
+    wire.SessionTransferMessage(U32, bytes(range(256))),
+    wire.MigrateBeginMessage(0, 0),
+    wire.MigrateBeginMessage(U32, LIMITS.max_shard_id),
+    wire.MigrateCompleteMessage(0, 0),
+    wire.MigrateCompleteMessage(U32, LIMITS.max_shard_id),
+    wire.ShardAdmissionReportMessage(0, 0, 0, False),
+    wire.ShardAdmissionReportMessage(LIMITS.max_shard_id, U32, U64, True),
+    wire.SubscribeMessage(wire.SUBSCRIBE_MIRROR),
+    wire.SubscribeMessage(wire.SUBSCRIBE_TILE, LIMITS.max_wall_tiles, 1,
+                          LIMITS.max_wall_tiles - 1),
+    wire.TileAssignMessage(1, 1, Rect(0, 0, 1, 1)),
+    wire.TileAssignMessage(DIM, DIM, Rect(0, 0, DIM, DIM)),
+    wire.VideoQualityMessage(0, 0),
+    wire.VideoQualityMessage(U16, LIMITS.max_qos_rung,
+                             LIMITS.max_fps_divisor,
+                             LIMITS.max_scale_shift, LIMITS.max_qos_qstep),
+    wire.QosReportMessage(0, 0, 0.0, 0.0, 0.0),
+    wire.QosReportMessage(U16, U32, 1.0, 1.0, LIMITS.max_av_skew),
+]
+
+
+def _mutator_digest():
+    corpus = seed_corpus() + [wire.encode_message(m) for m in INSTANCES]
+    digest = hashlib.sha256()
+    for case in Mutator(54, corpus).cases(5000):
+        parser = wire.StreamParser()
+        try:
+            outcome = "|".join(repr(m) for m in parser.feed(case))
+        except wire.ProtocolError as exc:
+            outcome = type(exc).__name__
+        digest.update(f"{outcome},{parser.pending_bytes}\n".encode())
+    return digest.hexdigest()
+
+
+def _current():
+    return {
+        "instances": {repr(m): wire.encode_message(m).hex()
+                      for m in INSTANCES},
+        "seed_corpus": [entry.hex() for entry in seed_corpus()],
+        "mutator_sha256": _mutator_digest(),
+    }
+
+
+def test_instances_cover_every_control_class_twice():
+    counts = {}
+    for msg in INSTANCES:
+        counts[type(msg)] = counts.get(type(msg), 0) + 1
+    assert counts == {cls: 2 for cls in wire._CONTROL_TYPES.values()}
+
+
+def test_instances_encode_to_golden_bytes_and_back():
+    golden = json.loads(GOLDEN.read_text())["instances"]
+    assert list(golden) == [repr(m) for m in INSTANCES]
+    for msg in INSTANCES:
+        framed = wire.encode_message(msg)
+        assert framed.hex() == golden[repr(msg)], repr(msg)
+        assert wire.parse_messages(framed) == [msg]
+
+
+def test_seed_corpus_bytes_are_golden():
+    golden = json.loads(GOLDEN.read_text())["seed_corpus"]
+    assert [entry.hex() for entry in seed_corpus()] == golden
+
+
+def test_mutated_stream_outcomes_are_golden():
+    golden = json.loads(GOLDEN.read_text())["mutator_sha256"]
+    assert _mutator_digest() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_current(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -21,107 +21,12 @@ from hypothesis import strategies as st
 from repro.protocol import wire
 from repro.protocol.limits import LIMITS
 from repro.protocol.spec import UPLINK_TYPE_IDS
-from repro.region import Rect
 
-u16 = st.integers(0, 0xFFFF)
-u32 = st.integers(0, 0xFFFFFFFF)
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-rects = st.builds(Rect, u16, u16, u16, u16)
-viewport_dims = st.integers(1, LIMITS.max_viewport_dim)
-retry_after = st.floats(0.0, float(LIMITS.max_retry_after),
-                        allow_nan=False, width=64)
-ascii_fmt = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=126),
-    max_size=LIMITS.max_pixel_format_len)
-shard_ids = st.integers(0, LIMITS.max_shard_id)
+from .strategies import strategy_for
 
-
-def _cursor_messages():
-    def build(dims):
-        w, h = dims
-        return st.builds(wire.CursorImageMessage, u16, u16,
-                         st.just(w), st.just(h),
-                         st.binary(min_size=w * h * 4, max_size=w * h * 4))
-    return st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(build)
-
-
-#: One strategy per control-message class (CheckedFrame added below).
-STRATEGIES = {
-    wire.VideoSetupMessage: st.builds(
-        wire.VideoSetupMessage, u16, ascii_fmt, viewport_dims,
-        viewport_dims, rects),
-    wire.VideoMoveMessage: st.builds(wire.VideoMoveMessage, u16, rects),
-    wire.VideoTeardownMessage: st.builds(wire.VideoTeardownMessage, u16),
-    wire.AudioChunkMessage: st.builds(
-        wire.AudioChunkMessage, finite, st.binary(max_size=256)),
-    wire.InputMessage: st.builds(
-        wire.InputMessage, st.sampled_from(wire._INPUT_KINDS), u16, u16,
-        finite),
-    wire.ResizeMessage: st.builds(
-        wire.ResizeMessage, viewport_dims, viewport_dims),
-    wire.CursorImageMessage: _cursor_messages(),
-    wire.RefreshRequestMessage: st.builds(wire.RefreshRequestMessage,
-                                          rects),
-    wire.ZoomRequestMessage: st.builds(wire.ZoomRequestMessage, rects),
-    wire.ScreenInitMessage: st.builds(
-        wire.ScreenInitMessage, viewport_dims, viewport_dims),
-    wire.HeartbeatMessage: st.builds(wire.HeartbeatMessage, u32, finite),
-    wire.ReconnectRequestMessage: st.builds(
-        wire.ReconnectRequestMessage, u32, u32),
-    wire.ReconnectAcceptMessage: st.builds(
-        wire.ReconnectAcceptMessage, u32,
-        st.sampled_from((wire.RESYNC_FRESH, wire.RESYNC_REPLAY,
-                         wire.RESYNC_SNAPSHOT))),
-    wire.ReconnectDeniedMessage: st.builds(
-        wire.ReconnectDeniedMessage, retry_after),
-    wire.AttachDeniedMessage: st.builds(
-        wire.AttachDeniedMessage,
-        st.sampled_from((wire.DENY_SERVER_FULL, wire.DENY_SESSION_BUDGET,
-                         wire.DENY_QUARANTINED)),
-        retry_after),
-    wire.SessionTransferMessage: st.builds(
-        wire.SessionTransferMessage, u32, st.binary(max_size=512)),
-    wire.MigrateBeginMessage: st.builds(
-        wire.MigrateBeginMessage, u32, shard_ids),
-    wire.MigrateCompleteMessage: st.builds(
-        wire.MigrateCompleteMessage, u32, shard_ids),
-    wire.ShardAdmissionReportMessage: st.builds(
-        wire.ShardAdmissionReportMessage, shard_ids, u32,
-        st.integers(0, 2 ** 64 - 1), st.booleans()),
-    wire.SubscribeMessage: st.one_of(
-        st.just(wire.SubscribeMessage(wire.SUBSCRIBE_MIRROR)),
-        st.tuples(st.integers(1, 64), st.integers(1, 64)).flatmap(
-            lambda grid: st.builds(
-                wire.SubscribeMessage, st.just(wire.SUBSCRIBE_TILE),
-                st.just(grid[0]), st.just(grid[1]),
-                st.integers(0, grid[0] * grid[1] - 1)))),
-    wire.TileAssignMessage: st.tuples(
-        viewport_dims, viewport_dims).flatmap(
-            lambda wall: st.tuples(
-                st.integers(0, wall[0] - 1),
-                st.integers(0, wall[1] - 1)).flatmap(
-                    lambda origin: st.builds(
-                        wire.TileAssignMessage,
-                        st.just(wall[0]), st.just(wall[1]),
-                        st.builds(
-                            Rect, st.just(origin[0]), st.just(origin[1]),
-                            st.integers(1, wall[0] - origin[0]),
-                            st.integers(1, wall[1] - origin[1]))))),
-    wire.VideoQualityMessage: st.builds(
-        wire.VideoQualityMessage, u16,
-        st.integers(0, LIMITS.max_qos_rung),
-        st.integers(1, LIMITS.max_fps_divisor),
-        st.integers(0, LIMITS.max_scale_shift),
-        st.integers(0, LIMITS.max_qos_qstep)),
-    wire.QosReportMessage: st.builds(
-        wire.QosReportMessage, u16, u32,
-        st.floats(0.0, 1.0, allow_nan=False, width=64),
-        st.floats(0.0, 1.0, allow_nan=False, width=64),
-        st.floats(0.0, float(LIMITS.max_av_skew), allow_nan=False,
-                  width=64)),
-}
-STRATEGIES[wire.CheckedFrame] = st.builds(
-    wire.CheckedFrame, u32, st.one_of(*STRATEGIES.values()))
+#: One strategy per control-message class, read off its field table.
+STRATEGIES = {cls: strategy_for(cls)
+              for cls in wire._CONTROL_TYPES.values()}
 
 messages = st.one_of(*STRATEGIES.values())
 
