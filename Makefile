@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke fanout-smoke qos-smoke ci bench bench-smoke bench-e2e-smoke bench-figures figures figures-paper protocol-doc examples clean
+.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci bench-e2e-smoke bench-e2e-selftest bench-figures figures figures-paper protocol-doc examples clean
 
 install:
 	$(PY) setup.py develop
@@ -78,35 +78,6 @@ fuzz-smoke:
 ci: lint analyze
 	PYTHONPATH=src $(PY) -m pytest -x -q --durations=15
 
-# Micro-performance harness: region ops, queue churn, codec plane,
-# pipeline throughput, shard-fabric scaling/migration, the PR-9
-# broadcast fan-out / tile-wall numbers, and the PR-10 adaptive-QoS
-# contention ladder.  Writes BENCH_PR10.json at the repo root (see
-# docs/PERF.md).
-bench:
-	PYTHONPATH=src $(PY) -m repro.bench.microperf --out BENCH_PR10.json
-
-# Fan-out smoke: a quick 20-subscriber broadcast + tile-wall run that
-# must hold the < 3x prepare-CPU gate, then a schema check of the
-# committed BENCH_PR10.json.  See docs/FANOUT.md.
-fanout-smoke:
-	PYTHONPATH=src $(PY) -m repro.bench.microperf --fanout-smoke
-
-# QoS smoke: the acceptance scenario at four cross-traffic duty
-# cycles.  Fails unless every contended level holds the < 2x
-# interactive-latency gate, the heavy level engages the ladder, the
-# uncontended twin stays byte-identical to the fixed-rate path, and
-# the heavy run recovers pixel-exact to rung 0; then schema-checks the
-# committed BENCH_PR10.json.  See docs/QOS.md.
-qos-smoke:
-	PYTHONPATH=src $(PY) -m repro.bench.microperf --qos-smoke
-
-# CI smoke mode: small workloads, then schema-validate the report.
-bench-smoke:
-	PYTHONPATH=src $(PY) -m repro.bench.microperf --quick --out bench-smoke.json
-	PYTHONPATH=src $(PY) -m repro.bench.microperf --validate bench-smoke.json
-	rm -f bench-smoke.json
-
 # thincbench smoke: the BENCHMARK.json command at --quick sizes, one
 # end-to-end run plus the traced run per workload.  Fails when any op
 # failed or any run was not correct (a rep's fingerprint or end-of-rep
@@ -122,7 +93,12 @@ bench-e2e-smoke:
 	assert not bad, 'failed or incorrect runs: %s' % bad"
 	rm -f bench-e2e-smoke.json
 
-# The pytest-benchmark figure timings (the pre-PR3 `make bench`).
+# thincbench's own tests (harness, tracer, ledger, compare), which the
+# tier-1 suite does not collect.
+bench-e2e-selftest:
+	$(PY) -m pytest benchmarks/e2e/tests -q
+
+# The pytest-benchmark figure timings.
 bench-figures:
 	pytest benchmarks/ --benchmark-only
 

@@ -21,6 +21,10 @@ from typing import List, Optional
 
 __all__ = ["main"]
 
+#: Smallest screen the scripted demo fits on: its editor window is half
+#: the screen each way and the window manager needs 24 x 22 to manage.
+_DEMO_MIN_WIDTH, _DEMO_MIN_HEIGHT = 48, 44
+
 
 def _cmd_figures(args) -> int:
     from .bench import experiments
@@ -225,8 +229,22 @@ def _cmd_sites(args) -> int:
     return 0
 
 
+def _bounded_int(low: int, high: float = float("inf")):
+    """An argparse ``type=`` accepting integers in [*low*, *high*]."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"{value} is out of range [{low}, {high}]")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
+    from .protocol.limits import LIMITS
+    positive = _bounded_int(1)
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -234,17 +252,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser("figures",
                              help="regenerate the paper's figures")
-    figures.add_argument("--pages", type=int, default=8)
-    figures.add_argument("--frames", type=int, default=120)
+    figures.add_argument("--pages", type=positive, default=8)
+    figures.add_argument("--frames", type=positive, default=120)
     figures.add_argument("--only", help="substring filter, e.g. fig5")
     figures.set_defaults(func=_cmd_figures)
 
     demo = sub.add_parser("demo", help="run a scripted desktop session")
-    demo.add_argument("--width", type=int, default=640)
-    demo.add_argument("--height", type=int, default=480)
+    demo.add_argument("--width", default=640, type=_bounded_int(
+        _DEMO_MIN_WIDTH, LIMITS.max_viewport_dim))
+    demo.add_argument("--height", default=480, type=_bounded_int(
+        _DEMO_MIN_HEIGHT, LIMITS.max_viewport_dim))
     demo.add_argument("--network", choices=("lan", "wan", "pda"),
                       default="lan")
-    demo.add_argument("--shards", type=int, default=1,
+    demo.add_argument("--shards", type=positive, default=1,
                       help="run the session on a shard fabric behind a "
                            "relay (N>1), with one live migration")
     demo.set_defaults(func=_cmd_demo)

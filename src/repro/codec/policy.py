@@ -98,8 +98,8 @@ class EncoderPolicy:
         self.backlog_horizon = backlog_horizon
         self.plentiful_headroom = plentiful_headroom
         self.lan_floor_bps = lan_floor_bps
-        # Selection tally by Encoding value (plus "sfill" demotions);
-        # surfaced through server stats and the microperf harness.
+        # Selection tally by Encoding value (plus "sfill" demotions),
+        # read off ``server.encoder_policy``.
         self.counts = {enc: 0 for enc in Encoding}
         self.demotions = 0
 

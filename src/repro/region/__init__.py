@@ -1,7 +1,6 @@
 """Rectangle and region algebra used across the display stack."""
 
 from .geometry import EMPTY_RECT, Rect
-from .naive import NaiveRegion
 from .region import Region
 
-__all__ = ["Rect", "Region", "NaiveRegion", "EMPTY_RECT"]
+__all__ = ["Rect", "Region", "EMPTY_RECT"]

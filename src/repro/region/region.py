@@ -13,8 +13,8 @@ spans are merged).  Canonical form makes equality a structural
 comparison and every binary operation a linear band merge:
 ``union``/``subtract``/``intersect``/``overlaps`` walk both operands'
 band lists once, giving O(n + m) behaviour where the previous
-list-of-rectangles implementation (kept as
-:class:`repro.region.naive.NaiveRegion`) degraded to O(n * m).
+list-of-rectangles implementation (kept as the test oracle
+``tests/region/naive.py``) degraded to O(n * m).
 
 The command queue and scheduler use regions to reason about which parts
 of a command's output remain visible after later drawing; all consumers

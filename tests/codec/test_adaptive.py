@@ -148,24 +148,36 @@ class TestAdaptiveServer:
 
     def test_congested_link_goes_lossy_then_refresh_restores(self):
         slow = replace(PDA_80211G, bandwidth_bps=256e3)
+
+        def run(**server_kw):
+            loop, conn, mon, server, ws, client = make_rig(
+                link=slow, **server_kw)
+            for seed in range(4):
+                photo_workload(ws, seed=seed)
+                loop.schedule(0.05, lambda: None)
+                loop.run_until(loop.now + 0.05)
+            loop.run_until_idle(max_time=120)
+            # Settle, then refresh under a quiet link.
+            loop.schedule(1.0, lambda: None)
+            loop.run_until_idle(max_time=120)
+            client.request_refresh(Rect(0, 0, 96, 64))
+            loop.run_until_idle(max_time=120)
+            return mon, server, ws, client
+
         # The small rig's driver emits 96x8 bands; size the lossy
         # floor below them so the ladder can reach its bottom rung.
-        loop, conn, mon, server, ws, client = make_rig(
-            link=slow, encoder_policy=EncoderPolicy(min_lossy_pixels=256))
-        for seed in range(4):
-            photo_workload(ws, seed=seed)
-            loop.schedule(0.05, lambda: None)
-            loop.run_until(loop.now + 0.05)
-        loop.run_until_idle(max_time=120)
+        mon, server, ws, client = run(
+            encoder_policy=EncoderPolicy(min_lossy_pixels=256))
         assert server.encoder_policy.counts[Encoding.LOSSY] > 0
-        # Settle, then a refresh under a quiet link restores exactness.
-        loop.schedule(1.0, lambda: None)
-        loop.run_until_idle(max_time=120)
-        client.request_refresh(Rect(0, 0, 96, 64))
-        loop.run_until_idle(max_time=120)
+        # The refresh restores exactness...
         screen = ws.screen.fb.read_pixels(ws.screen.bounds)
         assert np.array_equal(client.fb.read_pixels(client.fb.bounds),
                               screen)
+        # ...without handing the lossy savings back: refresh included,
+        # the adaptive run ships fewer bytes than its always-PNG twin.
+        png_mon, _, _, _ = run()
+        assert mon.total_bytes("server->client") \
+            < png_mon.total_bytes("server->client")
 
     def test_posture_probe_memoises(self):
         loop, conn, mon, server, ws, client = make_rig(

@@ -367,15 +367,22 @@ class TestAcceptanceScenario:
     """The issue's acceptance criteria, end to end."""
 
     PLAN_SEED = 11
+    #: Cross-traffic duty cycles as (burst_s, period_s).  Each burst
+    #: holds the delivery head with full drops, so duty cycle, not
+    #: drop probability, sets the contention level.
+    LEVELS = {"light": (0.05, 0.30),
+              "moderate": (0.09, 0.24),
+              "heavy": (0.12, 0.20)}
 
-    def _plan(self):
-        # 60% burst duty with full drops: while a burst holds the
-        # delivery head, the un-acked window throttles the sender to
+    def _plan(self, level="heavy"):
+        # Heavy is a 60% burst duty: while a burst holds the delivery
+        # head, the un-acked window throttles the sender to
         # ~window/burst ≈ 12 KB/s against ~21 KB/s offered, so the
         # queue genuinely builds until the ladder acts.
+        burst, period = self.LEVELS[level]
         return FaultPlan.bursty_cross_traffic(
             self.PLAN_SEED, start=0.3, duration=1.2,
-            period=0.2, burst=0.12, drop_rate=1.0)
+            period=period, burst=burst, drop_rate=1.0)
 
     def _qos(self):
         return QosConfig(seed=7, recover_polls=3, recover_jitter=1)
@@ -396,27 +403,33 @@ class TestAcceptanceScenario:
         assert server_on.stats["qos_rungs_down"] == 0
         assert lat_on == lat_off
 
-    def test_congested_ladder_protects_interactivity(self):
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_congested_ladder_protects_interactivity(self, level):
         _, _, _, _, _, lat_clean = run_scenario(plan=None,
                                                 qos=self._qos())
         loop, mon, server, ws, client, lat = run_scenario(
-            plan=self._plan(), qos=self._qos())
+            plan=self._plan(level), qos=self._qos())
         session = server.sessions[0]
         stats = server.stats
-        # Video walked the ladder while the link was contended...
-        assert stats["qos_rungs_down"] >= 1
-        assert stats["qos_frames_dropped"] + \
-            stats["qos_frames_degraded"] >= 1
-        # ...interactive latency stayed within 2x the uncontended run...
+        # At every contention level interactive latency stays within
+        # 2x the uncontended run (run_scenario itself asserts that no
+        # interactive update was lost)...
         mean_clean = sum(lat_clean) / len(lat_clean)
         mean = sum(lat) / len(lat)
         assert mean <= 2.0 * mean_clean, (mean, mean_clean)
-        # ...and after the fault window the session ramped back to
+        # ...and after the fault window the session is back at
         # full-rate video and converged pixel-exact.
         assert session.qos_rung == 0
-        assert stats["qos_rungs_up"] >= 1
-        assert stats["qos_recoveries"] >= 1
         assert_pixel_identical(client, ws)
+        if level == "heavy":
+            # Only the heavy level is underwater enough to need the
+            # ladder: video walked down it while the link was
+            # contended, then ramped back up.
+            assert stats["qos_rungs_down"] >= 1
+            assert stats["qos_frames_dropped"] + \
+                stats["qos_frames_degraded"] >= 1
+            assert stats["qos_rungs_up"] >= 1
+            assert stats["qos_recoveries"] >= 1
 
     def test_contended_without_qos_is_worse_for_video_bytes(self):
         # Sanity on the mechanism: with the ladder active, the

@@ -1,25 +1,21 @@
-"""The naive list-of-rectangles region: reference implementation.
+"""The naive list-of-rectangles region: the banded engine's oracle.
 
 This is the pre-banded :class:`~repro.region.region.Region` — a flat
 list of disjoint rectangles where every set operation is an O(n*m)
-rectangle loop.  It is kept for two purposes:
+rectangle loop.  It is kept as the correctness oracle: the property
+suite beside it (``test_banded_equivalence.py``) asserts the banded
+engine is observationally equivalent to this implementation under
+random operation sequences.
 
-* **correctness oracle** — the property suite asserts the banded
-  engine is observationally equivalent to this implementation under
-  random operation sequences (``tests/region/test_banded_equivalence``);
-* **performance baseline** — the microperf harness
-  (:mod:`repro.bench.microperf`) measures the banded engine's speedup
-  against it, and ``BENCH_*.json`` records both numbers.
-
-Nothing in the runtime system may import this module; the production
-region algebra is :class:`repro.region.region.Region`.
+Nothing in ``src/repro`` uses it; the production region algebra is
+:class:`repro.region.region.Region`.  Do not "optimise" it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from .geometry import Rect
+from repro.region import Rect
 
 __all__ = ["NaiveRegion"]
 

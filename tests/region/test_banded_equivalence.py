@@ -1,7 +1,7 @@
 """Property suite: the banded Region is pixel-equivalent to NaiveRegion.
 
 ``repro.region.region.Region`` (sorted y-bands of disjoint x-spans) and
-``repro.region.naive.NaiveRegion`` (the pre-PR3 list-of-disjoint-rects
+``tests.region.naive.NaiveRegion`` (the pre-PR3 list-of-disjoint-rects
 reference) must describe identical pixel sets under any sequence of
 operations.  Hypothesis drives both implementations through the same
 random op sequences and compares every observable: pixel membership,
@@ -15,7 +15,8 @@ canonical-form invariants — the structural guarantees that make
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.region import NaiveRegion, Rect, Region
+from repro.region import Rect, Region
+from tests.region.naive import NaiveRegion
 
 _MAX = 48  # coordinate bound; keeps exact pixel-set comparison cheap
 

@@ -19,6 +19,24 @@ class TestParser:
             build_parser().parse_args(["demo", "--network", "dialup"])
 
 
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--width", "0"],
+        ["demo", "--width", "47", "--height", "44"],
+        ["demo", "--width", "48", "--height", "43"],
+        ["demo", "--height", "16385"],
+        ["demo", "--shards", "0"],
+        ["figures", "--pages", "0", "--only", "fig2"],
+        ["figures", "--frames", "-3"],
+    ])
+    def test_out_of_range_sizes_are_usage_errors(self, argv, capsys):
+        # A usage message and exit status 2, not a traceback from
+        # deep inside the framebuffer / window manager / player.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "out of range" in capsys.readouterr().err
+
+
 class TestSites:
     def test_prints_table(self, capsys):
         assert main(["sites"]) == 0
@@ -33,6 +51,12 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "pixel-exact client : True" in out
         assert "SFILL" in out
+
+    def test_smallest_accepted_screen_still_runs(self, capsys):
+        # The lower --width/--height bound is tight: one pixel less is
+        # a usage error (above), this size plays the whole script.
+        assert main(["demo", "--width", "48", "--height", "44"]) == 0
+        assert "pixel-exact client : True" in capsys.readouterr().out
 
 
 class TestTrace:
