@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci bench-e2e-smoke bench-e2e-selftest bench-figures figures figures-paper protocol-doc examples clean
+.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci bench-e2e-smoke bench-e2e-selftest bench-pairs bench-figures figures figures-paper protocol-doc examples clean
 
 install:
 	$(PY) setup.py develop
@@ -97,6 +97,16 @@ bench-e2e-smoke:
 # tier-1 suite does not collect.
 bench-e2e-selftest:
 	$(PY) -m pytest benchmarks/e2e/tests -q
+
+# The procedure behind a claimed gain (docs/PERF.md): N alternating
+# runs of workload W in a temporary checkout of PARENT and in this
+# working tree, then compare.py over the two sides.
+#   make bench-pairs PARENT=HEAD~1 W=video_lan N=10
+PARENT ?= HEAD
+W ?= video_lan
+N ?= 10
+bench-pairs:
+	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(W) -n $(N)
 
 # The pytest-benchmark figure timings.
 bench-figures:

@@ -59,9 +59,9 @@ def _padded_dims(h: int, w: int):
 # same weights yuv.rgb_to_yv12 uses in float).  The encoder runs this
 # integer path because colour conversion would otherwise dominate the
 # whole lossy encode; it lands within +-1 of the float conversion,
-# which quantisation swallows.  The decoder keeps the shared float
-# inverse from repro.video.yuv — it runs client-side, where exactness
-# against the video plane's conversion matters more than server CPU.
+# which quantisation swallows.  The decoder keeps the shared inverse
+# from repro.video.yuv (exact integer tables) — it runs client-side, so
+# it is the video plane's conversion, bit for bit.
 _YR, _YG, _YB = 19595, 38470, 7471          # 0.299, 0.587, 0.114
 _UR, _UG, _UB = -11058, -21710, 32768       # -0.168736, -0.331264, 0.5
 _VR, _VG, _VB = 32768, -27439, -5329        # 0.5, -0.418688, -0.081312

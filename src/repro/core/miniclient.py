@@ -75,11 +75,10 @@ class MiniClient:
                 0, 255).astype(np.uint8)
             view[..., 3] = 255
         elif isinstance(msg, VideoFrameCommand):
-            rgb = yuv.decode_frame(msg.pixel_format, msg.yuv_bytes,
-                                   msg.src_width, msg.src_height)
-            scaled = yuv.scale_rgb(rgb, msg.dest.width, msg.dest.height)
-            self._slice(msg.dest)[..., :3] = scaled
-            self._slice(msg.dest)[..., 3] = 255
+            rgba = yuv.decode_frame(msg.pixel_format, msg.yuv_bytes,
+                                    msg.src_width, msg.src_height)
+            self._slice(msg.dest)[:] = yuv.scale_rgb(
+                rgba, msg.dest.width, msg.dest.height)
         # Control messages (video lifecycle, cursor, audio) carry no
         # pixels; the minimal client ignores them.
 

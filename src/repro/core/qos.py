@@ -420,12 +420,12 @@ class QosPlane:
         if rung <= 1:
             return command
         cfg = self.config
-        rgb = yuv.decode_frame(command.pixel_format, command.yuv_bytes,
-                               command.src_width, command.src_height)
+        rgba = yuv.decode_frame(command.pixel_format, command.yuv_bytes,
+                                command.src_width, command.src_height)
         # Even dimensions (floor 2) keep every planar format legal.
         width = max(2, (command.src_width >> cfg.scale_shift) & ~1)
         height = max(2, (command.src_height >> cfg.scale_shift) & ~1)
-        rgb = yuv.scale_rgb(rgb, width, height)
+        rgb = yuv.scale_rgb(rgba, width, height)[..., :3]
         if rung >= 3:
             q = cfg.qstep
             rgb = np.minimum((rgb.astype(np.int32) // q) * q + q // 2,

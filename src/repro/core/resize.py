@@ -222,7 +222,7 @@ class DisplayScaler:
                           self.sx, self.sy).intersect(
             Rect(0, 0, self.client_w, self.client_h))
         rgb = yuv.decode_frame(cmd.pixel_format, cmd.yuv_bytes,
-                               cmd.src_width, cmd.src_height)
+                               cmd.src_width, cmd.src_height)[..., :3]
         if visible != cmd.dest:
             # Map the visible screen area back into source pixels.
             fx = cmd.src_width / cmd.dest.width
@@ -258,7 +258,7 @@ class DisplayScaler:
         the Figure 6 effect.
         """
         rgb = yuv.decode_frame(cmd.pixel_format, cmd.yuv_bytes,
-                               cmd.src_width, cmd.src_height)
+                               cmd.src_width, cmd.src_height)[..., :3]
         # The source data scales with the viewport ratio like every other
         # update; the client's hardware scaler stretches it back to the
         # (scaled) destination window.

@@ -398,6 +398,8 @@ class WindowServer:
                             ) -> VideoStreamInfo:
         if pixel_format not in yuv.FORMATS:
             raise ValueError(f"unsupported pixel format {pixel_format!r}")
+        if src_width <= 0 or src_height <= 0:
+            raise ValueError("video source dimensions must be positive")
         stream = VideoStreamInfo(
             stream_id=next(self._stream_ids),
             pixel_format=pixel_format,
@@ -415,13 +417,11 @@ class WindowServer:
         """Present one YUV frame; the screen shows the scaled RGB result."""
         if stream.stream_id not in self.video_streams:
             raise ValueError("video stream is not active")
-        rgb = yuv.decode_frame(stream.pixel_format, yuv_bytes,
-                               stream.src_width, stream.src_height)
+        rgba = yuv.decode_frame(stream.pixel_format, yuv_bytes,
+                                stream.src_width, stream.src_height)
         dst = stream.dst_rect
-        scaled = yuv.scale_rgb(rgb, dst.width, dst.height)
-        alpha = np.full(scaled.shape[:2] + (1,), 255, dtype=np.uint8)
         drawn = self.screen.fb.put_pixels(
-            dst, np.concatenate([scaled, alpha], axis=2))
+            dst, yuv.scale_rgb(rgba, dst.width, dst.height))
         stream.frames_put += 1
         self.driver.video_put(stream, yuv_bytes, dst)
         self._notify("video_put", self.screen, drawn, stream.stream_id)

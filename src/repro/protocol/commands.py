@@ -748,6 +748,8 @@ class VideoFrameCommand(Command):
 
         if pixel_format not in self.PIXEL_FORMATS:
             raise ValueError(f"unknown pixel format {pixel_format!r}")
+        if src_width <= 0 or src_height <= 0:
+            raise ValueError("VFRAME source dimensions must be positive")
         expected = yuvmod.frame_size(pixel_format, src_width, src_height)
         if len(yuv_bytes) != expected:
             raise ValueError(
@@ -799,11 +801,10 @@ class VideoFrameCommand(Command):
     def apply(self, fb) -> None:
         from ..video import yuv as yuvmod
 
-        rgb = yuvmod.decode_frame(self.pixel_format, self.yuv_bytes,
-                                  self.src_width, self.src_height)
-        scaled = yuvmod.scale_rgb(rgb, self.dest.width, self.dest.height)
-        alpha = np.full(scaled.shape[:2] + (1,), 255, dtype=np.uint8)
-        fb.put_pixels(self.dest, np.concatenate([scaled, alpha], axis=2))
+        rgba = yuvmod.decode_frame(self.pixel_format, self.yuv_bytes,
+                                   self.src_width, self.src_height)
+        fb.put_pixels(self.dest, yuvmod.scale_rgb(
+            rgba, self.dest.width, self.dest.height))
 
 
 COMMAND_TYPES = {

@@ -81,7 +81,7 @@ class SyntheticVideoClip:
 
     def yv12_frame(self, index: int) -> bytes:
         """Frame *index* in the YV12 wire layout (what MPlayer hands X)."""
-        return yuv.pack_yv12(*yuv.rgb_to_yv12(self.rgb_frame(index)))
+        return self.encoded_frame(index, "YV12")
 
     def encoded_frame(self, index: int, pixel_format: str = "YV12") -> bytes:
         """Frame *index* in any registered wire pixel format."""

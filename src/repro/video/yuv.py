@@ -8,6 +8,19 @@ quarter-resolution V and U chroma planes: 12 bits per pixel instead of
 
 These routines implement BT.601 full-range conversion with 4:2:0 chroma
 subsampling, plus the packing/unpacking of the planar wire layout.
+
+The inverse (YUV -> RGB) runs once per presented frame on the server
+screen and once on every client, so it is done the way overlay hardware
+does it: exact integer tables, RGBA out.  Chroma becomes one integer
+offset per channel, looked up at chroma resolution and added to luma
+over the 2x2 (YV12) or 1x2 (YUY2) block it covers; the result is an
+``(h, w, 4)`` RGBA block with alpha 255, the layout ``Framebuffer``
+stores, and :func:`scale_rgb` moves it one ``uint32`` per pixel.  The
+tables are built at import from the BT.601 float coefficients, and the
+kernel is bit-identical to the float formula for every (Y, U, V) triple
+(pixels whose chroma sits on a rounding tie are the one place it still
+adds floats); the formula itself lives on as the oracle in
+``tests/video/reference.py``.
 """
 
 from __future__ import annotations
@@ -69,19 +82,101 @@ def rgb_to_yv12(rgb: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y8, v8, u8
 
 
+# -- YUV -> RGBA: exact integer tables ----------------------------------------
+#
+# In floats, R = Y + 1.402 V', G = Y - 0.344136 U' - 0.714136 V' and
+# B = Y + 1.772 U' (U' = U - 128, V' = V - 128), rounded half-to-even and
+# clipped.  Y is an integer, so unless the chroma term sits on a rounding
+# tie the rounded sum is Y plus the rounded chroma term, which depends on
+# chroma alone: ``_RV[v]``, ``_BU[u]`` and ``_GUV[u << 8 | v]``.  On a
+# tie (1.772 * 125 = 221.5 at U = 3 and 253; -+18.5 at two G pairs) the
+# float path rounds to even, or to wherever its summation order left
+# it, differently from one Y to the next; no single offset reproduces
+# that.  So a chroma pair with a term within ``_TIE_EPS`` of a tie (float
+# error in either form is below 1e-13) is flagged in ``_TIES`` and the
+# pixels that carry it take the float sums, built from the same
+# per-byte product tables.  docs/PERF.md "PR 19" has the counts;
+# tests/video/test_yuv_kernel.py checks all 2**24 triples.
+
+_TIE_EPS = 1e-6
+
+
+def _rounded_offsets(offset: np.ndarray):
+    """(*offset* rounded to int16, mask of entries too near a tie)."""
+    rounded = np.rint(offset)
+    near_tie = np.abs(np.abs(offset - rounded) - 0.5) < _TIE_EPS
+    return rounded.astype(np.int16), near_tie
+
+
+def _build_tables():
+    chroma = np.arange(256, dtype=np.float64) - 128.0
+    r_v, b_u = 1.402 * chroma, 1.772 * chroma
+    g_u, g_v = 0.344136 * chroma, 0.714136 * chroma
+    rv, r_tie = _rounded_offsets(r_v)
+    bu, b_tie = _rounded_offsets(b_u)
+    # G has one entry per (u, v); a row at a time, so that importing the
+    # module never holds float temporaries of the whole 256x256 square.
+    guv = np.empty((256, 256), dtype=np.int16)
+    ties = np.empty((256, 256), dtype=bool)
+    for u in range(256):
+        guv[u], g_tie = _rounded_offsets(-g_u[u] - g_v)
+        ties[u] = g_tie | b_tie[u] | r_tie
+    return (r_v, g_u, g_v, b_u), (rv, guv.ravel(), bu), ties.ravel()
+
+
+#: Float chroma products by chroma byte; their integer roundings (G's by
+#: ``u << 8 | v``); and which chroma pairs must not use the roundings.
+(_R_V, _G_U, _G_V, _B_U), (_RV, _GUV, _BU), _TIES = _build_tables()
+
+
+def _yuv_to_rgba(y: np.ndarray, u: np.ndarray, v: np.ndarray,
+                 block_h: int) -> np.ndarray:
+    """The one YUV -> RGBA kernel: chroma sample ``[i, j]`` covers the
+    luma block ``[i*block_h : (i+1)*block_h, 2*j : 2*j+2]``."""
+    ch, cw = u.shape
+    h, w = ch * block_h, cw * 2
+    pair = (u.astype(np.intp) << 8) | v
+    luma = y.astype(np.int16).reshape(ch, block_h, cw, 2)
+    rgba = np.empty((h, w, 4), dtype=np.uint8)
+    blocks = rgba.reshape(ch, block_h, cw, 2, 4)
+    channel = np.empty_like(luma)
+    for i, offset in enumerate((_RV[v], _GUV[pair], _BU[u])):
+        np.add(luma, offset[:, None, :, None], out=channel)
+        np.clip(channel, 0, 255, out=channel)
+        blocks[..., i] = channel
+    blocks[..., 3] = 255
+    ties = _TIES[pair]
+    if ties.any():
+        cy, cx = np.nonzero(ties)
+        yt = luma[cy, :, cx, :].astype(np.float64)
+        ut, vt = u[cy, cx][:, None, None], v[cy, cx][:, None, None]
+        # The float path's own operation order, to the last bit.
+        exact = np.stack([yt + _R_V[vt], yt - _G_U[ut] - _G_V[vt],
+                          yt + _B_U[ut]], axis=-1)
+        blocks[cy, :, cx, :, :3] = np.clip(np.rint(exact), 0, 255)
+    return rgba
+
+
+def _yv12_to_rgba(y: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    h, w = y.shape
+    ch, cw = (h + 1) // 2, (w + 1) // 2
+    if (h, w) != (2 * ch, 2 * cw):
+        # Odd luma: chroma replication covers the padded grid and the
+        # result is cropped back, as replicate-then-crop always did.
+        padded = np.zeros((2 * ch, 2 * cw), dtype=np.uint8)
+        padded[:h, :w] = y
+        y = padded
+    return _yuv_to_rgba(y, u[:ch, :cw], v[:ch, :cw], 2)[:h, :w]
+
+
 def yv12_to_rgb(y: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Reconstruct an HxWx3 uint8 RGB frame from planar YV12 data."""
-    y = np.asarray(y, dtype=np.float64)
-    # Upsample chroma by pixel replication (what cheap hardware does).
-    uf = np.repeat(np.repeat(np.asarray(u, dtype=np.float64), 2, 0), 2, 1)
-    vf = np.repeat(np.repeat(np.asarray(v, dtype=np.float64), 2, 0), 2, 1)
-    uf = uf[: y.shape[0], : y.shape[1]] - 128.0
-    vf = vf[: y.shape[0], : y.shape[1]] - 128.0
-    r = y + 1.402 * vf
-    g = y - 0.344136 * uf - 0.714136 * vf
-    b = y + 1.772 * uf
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+    """Reconstruct an HxWx3 uint8 RGB frame from planar YV12 data.
+
+    Chroma is upsampled by pixel replication (what cheap hardware does).
+    """
+    return _yv12_to_rgba(np.asarray(y, dtype=np.uint8),
+                         np.asarray(v, dtype=np.uint8),
+                         np.asarray(u, dtype=np.uint8))[..., :3]
 
 
 def pack_yv12(y: np.ndarray, v: np.ndarray, u: np.ndarray) -> bytes:
@@ -151,8 +246,7 @@ def rgb_to_yuy2(rgb: np.ndarray) -> bytes:
     return packed.tobytes()
 
 
-def yuy2_to_rgb(data: bytes, width: int, height: int) -> np.ndarray:
-    """Decode packed YUY2 back to an HxWx3 uint8 RGB frame."""
+def _yuy2_to_rgba(data: bytes, width: int, height: int) -> np.ndarray:
     expected = yuy2_frame_size(width, height)
     if len(data) != expected:
         raise ValueError(
@@ -160,16 +254,12 @@ def yuy2_to_rgb(data: bytes, width: int, height: int) -> np.ndarray:
             f"for {width}x{height}"
         )
     packed = np.frombuffer(data, dtype=np.uint8).reshape(height, width * 2)
-    y = np.empty((height, width), dtype=np.float64)
-    y[:, 0::2] = packed[:, 0::4]
-    y[:, 1::2] = packed[:, 2::4]
-    u = np.repeat(packed[:, 1::4], 2, axis=1).astype(np.float64) - 128.0
-    v = np.repeat(packed[:, 3::4], 2, axis=1).astype(np.float64) - 128.0
-    r = y + 1.402 * v
-    g = y - 0.344136 * u - 0.714136 * v
-    b = y + 1.772 * u
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+    return _yuv_to_rgba(packed[:, 0::2], packed[:, 1::4], packed[:, 3::4], 1)
+
+
+def yuy2_to_rgb(data: bytes, width: int, height: int) -> np.ndarray:
+    """Decode packed YUY2 back to an HxWx3 uint8 RGB frame."""
+    return _yuy2_to_rgba(data, width, height)[..., :3]
 
 
 # Format registry used by the video pipeline: wire id, sizing, codecs.
@@ -196,11 +286,11 @@ def encode_frame(pixel_format: str, rgb: np.ndarray) -> bytes:
 
 def decode_frame(pixel_format: str, data: bytes, width: int,
                  height: int) -> np.ndarray:
-    """Decode a wire frame back to RGB."""
+    """Decode a wire frame to an HxWx4 RGBA block (alpha 255)."""
     if pixel_format == "YV12":
-        return yv12_to_rgb(*unpack_yv12(data, width, height))
+        return _yv12_to_rgba(*unpack_yv12(data, width, height))
     if pixel_format == "YUY2":
-        return yuy2_to_rgb(data, width, height)
+        return _yuy2_to_rgba(data, width, height)
     raise ValueError(f"unknown pixel format {pixel_format!r}")
 
 
@@ -209,12 +299,19 @@ def scale_rgb(rgb: np.ndarray, width: int, height: int) -> np.ndarray:
 
     Hardware overlay scalers do cheap sampling; the point in THINC is
     that scaling happens *after* the network, so the wire cost is
-    independent of the viewing size.
+    independent of the viewing size.  Columns are gathered first, then
+    whole rows; an RGBA block moves as one ``uint32`` per pixel.
     """
     rgb = np.asarray(rgb)
     if width <= 0 or height <= 0:
         raise ValueError("target dimensions must be positive")
     src_h, src_w = rgb.shape[0], rgb.shape[1]
-    ys = (np.arange(height) * src_h // height).clip(0, src_h - 1)
-    xs = (np.arange(width) * src_w // width).clip(0, src_w - 1)
-    return rgb[np.ix_(ys, xs)]
+    if src_h == 0 or src_w == 0:
+        raise ValueError("cannot scale an empty source")
+    ys = np.arange(height) * src_h // height
+    xs = np.arange(width) * src_w // width
+    packable = (rgb.dtype == np.uint8 and rgb.ndim == 3
+                and rgb.shape[2] == 4 and rgb.strides[2] == 1)
+    src = rgb.view(np.uint32) if packable else rgb
+    out = np.take(np.take(src, xs, axis=1), ys, axis=0)
+    return out.view(np.uint8) if packable else out

@@ -82,6 +82,48 @@ class TestReceivePath:
         assert client.audio.arrivals[0][0] == 1.25
 
 
+def empty_source_vframe(pixel_format="YV12", src=(0, 0)) -> bytes:
+    """The framed bytes of a VFRAME whose source has no pixels — what a
+    hostile or broken server can put on the wire, though the
+    constructor now refuses to build one."""
+    cmd = VideoFrameCommand(1, Rect(0, 0, 4, 4), 2, 2, bytes(8),
+                            pixel_format="YUY2")
+    cmd.pixel_format = pixel_format
+    cmd.src_width, cmd.src_height = src
+    cmd.yuv_bytes = b""
+    return wire.encode_message(cmd)
+
+
+class TestEmptySourceVideoFrame:
+    @pytest.mark.parametrize("fmt,src", [("YV12", (0, 0)), ("YV12", (0, 2)),
+                                         ("YUY2", (0, 3)), ("YUY2", (2, 0))])
+    def test_parse_raises_protocol_error(self, fmt, src):
+        with pytest.raises(wire.ProtocolError):
+            wire.parse_messages(empty_source_vframe(fmt, src))
+
+    def test_live_client_reports_it_and_keeps_its_pixels(self):
+        errors = []
+        loop, conn, client = rig()
+        client.on_protocol_error = errors.append
+        send(loop, conn, wire.ScreenInitMessage(8, 8),
+             SFillCommand(Rect(0, 0, 8, 8), RED))
+        conn.down.write(empty_source_vframe())
+        loop.run_until_idle(max_time=5)
+        assert client.stats["protocol_errors"] == 1
+        assert isinstance(errors[0], wire.ProtocolError)
+        assert (client.fb.data == np.array(RED, dtype=np.uint8)).all()
+        # The parser was replaced; the stream carries on.
+        send(loop, conn, SFillCommand(Rect(0, 0, 4, 4), (0, 0, 255, 255)))
+        assert tuple(client.fb.data[1, 1]) == (0, 0, 255, 255)
+
+    def test_without_a_hook_it_surfaces_as_protocol_error(self):
+        loop, conn, client = rig()
+        send(loop, conn, wire.ScreenInitMessage(8, 8))
+        conn.down.write(empty_source_vframe())
+        with pytest.raises(wire.ProtocolError):
+            loop.run_until_idle(max_time=5)
+
+
 class TestCostModel:
     def test_processing_time_accumulates(self):
         model = ClientCostModel(per_byte=1e-6, per_pixel=1e-6, fixed=0.0)

@@ -111,7 +111,9 @@ class TestYUY2:
             data = yuv.encode_frame(fmt, rgb)
             assert len(data) == yuv.frame_size(fmt, 8, 8)
             out = yuv.decode_frame(fmt, data, 8, 8)
-            assert np.max(np.abs(out.astype(int) - 120)) <= 4
+            assert out.shape == (8, 8, 4)
+            assert np.max(np.abs(out[..., :3].astype(int) - 120)) <= 4
+            assert (out[..., 3] == 255).all()
         with pytest.raises(ValueError):
             yuv.frame_size("RGB24", 8, 8)
 

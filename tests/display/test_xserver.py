@@ -131,6 +131,15 @@ class TestVideo:
         with pytest.raises(ValueError):
             server.video_create_stream("RGB24", 16, 12, Rect(0, 0, 4, 4))
 
+    @pytest.mark.parametrize("fmt,w,h", [("YV12", 0, 0), ("YV12", 0, 2),
+                                         ("YUY2", 0, 3), ("YUY2", 2, 0)])
+    def test_rejects_empty_source(self, server, fmt, w, h):
+        """A zero-area source has a legal (empty) frame size, so it
+        used to get as far as the scaler and die there."""
+        with pytest.raises(ValueError):
+            server.video_create_stream(fmt, w, h, Rect(0, 0, 4, 4))
+        assert not server.video_streams
+
     def test_put_on_destroyed_stream_rejected(self, server):
         stream = server.video_create_stream("YV12", 16, 12,
                                             Rect(0, 0, 16, 12))

@@ -323,3 +323,13 @@ class TestValidation:
     def test_vframe_payload_length_checked(self):
         with pytest.raises(ValueError):
             VideoFrameCommand(1, Rect(0, 0, 4, 4), 16, 12, b"short")
+
+    @pytest.mark.parametrize("fmt,w,h", [("YV12", 0, 0), ("YV12", 0, 2),
+                                         ("YUY2", 0, 3), ("YUY2", 2, 0)])
+    def test_vframe_empty_source_rejected(self, fmt, w, h):
+        """``frame_size`` of a zero-area source is 0, so the length
+        check alone lets ``b""`` through to a scaler with no pixel to
+        sample."""
+        with pytest.raises(ValueError):
+            VideoFrameCommand(1, Rect(0, 0, 4, 4), w, h, b"",
+                              pixel_format=fmt)
