@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci bench-e2e-smoke bench-e2e-selftest bench-pairs bench-figures figures figures-paper protocol-doc examples clean
+.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci loc bench-e2e-smoke bench-e2e-selftest bench-pairs bench-figures figures figures-paper protocol-doc examples clean
 
 install:
 	$(PY) setup.py develop
@@ -77,6 +77,19 @@ fuzz-smoke:
 # (with its 15 slowest tests, so the suite's wall time stays in view).
 ci: lint analyze
 	PYTHONPATH=src $(PY) -m pytest -x -q --durations=15
+	@$(MAKE) --no-print-directory loc
+
+# The size of src/repro, counted one way: physical lines, and lines
+# that are neither blank nor a whole-line comment, per package and in
+# total (the total includes the top-level modules).  CHANGES.md entries
+# quote these.
+loc:
+	@for d in src/repro/[a-z]*/ src/repro; do \
+	  printf '%-22s %6d lines %6d non-blank non-comment\n' $$d \
+	    $$(find $$d -name '*.py' | xargs cat | wc -l) \
+	    $$(find $$d -name '*.py' | xargs cat | \
+	       grep -cvE '^[[:space:]]*(#|$$)'); \
+	done
 
 # thincbench smoke: the BENCHMARK.json command at --quick sizes, one
 # end-to-end run plus the traced run per workload.  Fails when any op

@@ -36,11 +36,11 @@ here so the runtime invariant checks obey the very layering they help
 protect.
 
 ``repro.core.fanout`` (the broadcast fan-out plane) likewise takes
-core's rank (THL100: rank 30): it is a delivery mode *beside* the
-buffer/flush stages, built from the prepare plane below it and session
-units beside it.  The cluster fabric (rank 42) may drive it — a
-subscriber can attach through any shard's relay — but the plane itself
-never imports upward.
+core's rank (THL100: rank 30): it is membership plus the dispatch
+path's route stage, *beside* the buffer/flush stages, and touches only
+the session units beside it.  The cluster fabric (rank 42) may drive
+it — a subscriber can attach through any shard's relay — but the plane
+itself never imports upward.
 
 ``repro.core.link_health`` (the server's one link probe) is core-rank
 too and the lowest module in it: it imports only ``codec`` (rank 15,

@@ -27,11 +27,9 @@ enabled = _core.enabled
 enable = _core.enable
 disable = _core.disable
 check_pipe_tail = _core.check_pipe_tail
-check_prepare_pins = _core.check_prepare_pins
 
 __all__ = ["SanitizerError", "QueueSanitizer", "enabled", "enable",
-           "disable", "check_pipe_tail", "check_prepare_pins", "attach",
-           "sanitized_queue"]
+           "disable", "check_pipe_tail", "attach", "sanitized_queue"]
 
 
 def attach(queue: CommandQueue) -> QueueSanitizer:

@@ -6,7 +6,7 @@ from .client import ClientCostModel, THINCClient
 from .miniclient import MiniClient
 from .command_queue import CommandQueue
 from .delivery import ClientBuffer, FlushResult
-from .fanout import BroadcastPlane, FanoutConfig, TileWall
+from .fanout import BroadcastPlane, TileWall
 from .governor import (AdmissionDenied, Budget, Governor, GovernorStats,
                        ServerBudget)
 from .pipeline import PreparePlane, StageStats, STAGE_NAMES
@@ -32,7 +32,6 @@ __all__ = [
     "ClientBuffer",
     "FlushResult",
     "BroadcastPlane",
-    "FanoutConfig",
     "TileWall",
     "SRSFScheduler",
     "FIFOScheduler",

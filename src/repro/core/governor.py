@@ -15,7 +15,8 @@ deterministic.
 Responses are graduated, mildest first:
 
 * **degrade** — past the queue soft watermark the session sheds audio
-  (the existing degraded-mode path); past the hard cap the queue is
+  (``session.degraded``, which only this module writes: entered on a
+  display add, exited after a flush); past the hard cap the queue is
   *coalesced*: dropped wholesale and replaced by a row-banded
   full-screen RAW refresh, which is cheaper than the backlog by the
   time the cap is hit (the same replay-vs-snapshot economics the
@@ -158,19 +159,18 @@ class GovernorStats:
 
 class SessionMeter:
     """Per-session governance state: token bucket, error tally, ladder
-    position.  Byte gauges live on the session itself (maintained at
-    the queue chokepoints); the meter holds only what the ladder
-    needs to remember between checks."""
+    position.  Byte gauges and the ``degraded`` flag live on the
+    session itself (maintained at the queue chokepoints); the meter
+    holds only what the ladder needs to remember between checks."""
 
     __slots__ = ("tokens", "last_refill", "uplink_dropped", "wire_errors",
-                 "degraded", "last_coalesce", "quarantined")
+                 "last_coalesce", "quarantined")
 
     def __init__(self, budget: Budget, now: float):
         self.tokens = float(budget.uplink_burst)
         self.last_refill = now
         self.uplink_dropped = 0
         self.wire_errors = 0
-        self.degraded = False  # did *this governor* degrade the session
         self.last_coalesce: Optional[float] = None
         self.quarantined = False
 
@@ -325,7 +325,7 @@ class Governor:
             return
         if pending > b.degrade_queue_bytes:
             qos = self.server.qos
-            if qos is not None and not meter.degraded \
+            if qos is not None and not session.degraded \
                     and session.qos_rung < MAX_RUNG:
                 # QoS-class-aware shed order: video rungs are spent
                 # before the degrade stage (which sheds audio) may
@@ -335,12 +335,16 @@ class Governor:
                 if qos.shed_video(session):
                     self.stats.video_rungs_shed += 1
                 return
-            if not meter.degraded:
-                meter.degraded = True
+            if not session.degraded:
                 session.degraded = True
                 self.stats.degrade_entered += 1
-        elif meter.degraded and pending < b.degrade_queue_bytes // 2:
-            meter.degraded = False
+
+    def after_flush(self, session) -> None:
+        """Degrade exit, evaluated after each flush of a degraded
+        session: it leaves degraded mode once the backlog is below half
+        the soft watermark."""
+        if session.buffer.pending_bytes() < \
+                self.budget.degrade_queue_bytes // 2:
             session.degraded = False
             self.stats.degrade_exited += 1
 

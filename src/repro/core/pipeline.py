@@ -48,7 +48,6 @@ from ..codec import Encoding, LinkPosture, classify
 from ..protocol import compression, wire
 from ..protocol.commands import (Command, CompositeCommand, RawCommand,
                                  SFillCommand)
-from . import sanitizer
 
 __all__ = ["STAGE_NAMES", "StageStats", "PreparedCommand", "PreparePlane",
            "TranslateStage", "FrameStage"]
@@ -127,7 +126,8 @@ class PreparePlane:
 
     The plane also closes the server's dispatch path (see
     ``THINCServer.submit``): :meth:`variants` is its *posture classes*
-    stage and the per-session hand-off in :meth:`submit` its *sink*.
+    stage, after which every receiver takes its clone of the class's
+    prepared entry straight into its buffer stage.
     Four optional collaborators are wired after construction:
     ``policy`` with its one posture hook ``posture_of``,
     ``shared_cache`` and ``read_back``.
@@ -163,12 +163,6 @@ class PreparePlane:
         # never force lossy payloads on its LAN-class peers.
         self.policy = None
         self.posture_of = None
-        # Pinned cache keys: entries still referenced by a pending
-        # broadcast relay queue.  Refcounted; :meth:`_trim` skips them
-        # so the LRU bound can never evict work a relay has promised to
-        # deliver (the sanitizer audits this — see
-        # ``repro.core.sanitizer.check_prepare_pins``).
-        self._pins: Dict[Tuple, int] = {}
         # ``rect -> pixels`` over the live screen framebuffer, supplied
         # by the server so the scale stage can materialise COPY
         # commands whose source lies outside a session's view (tile
@@ -243,50 +237,29 @@ class PreparePlane:
 
     # -- the shared path -----------------------------------------------------
 
-    def submit(self, command: Command, sessions: Iterable,
-               relay=None) -> None:
+    def submit(self, command: Command, sessions: Iterable) -> None:
         """Prepare *command* once per posture class and distinct
         viewport among *sessions* and hand each session its prepared
-        clones.
+        clones."""
+        self._deliver(self.variants(command, sessions))
 
-        The last hop is the dispatch path's *sink* stage: *relay*
-        (``(variant, session) -> bool``, the fan-out plane's) takes the
-        variant for the sessions it fronts with a relay queue; every
-        other session gets it straight into its buffer stage.
-        """
-        self._sink(self.variants(command, sessions), relay)
-
-    def _sink(self, classes, relay=None) -> None:
+    def _deliver(self, classes) -> None:
         for members, variant in classes:
             for session in members:
-                if relay is not None and relay(variant, session):
-                    continue
-                _, entry = self.prepare_entry(variant, session)
-                for prepared in entry:
+                for prepared in self.prepare_entry(variant, session):
                     # Per-session clone: shares pixels and compressed
                     # payload, but queue-mutable state stays private.
                     session.enqueue_prepared(
                         prepared.command.translated(0, 0),
                         prepared.ready_at)
 
-    def prepare_entry(self, command: Command, session,
-                      pin: bool = False
-                      ) -> Tuple[Tuple, List[PreparedCommand]]:
+    def prepare_entry(self, command: Command,
+                      session) -> List[PreparedCommand]:
         """Resolve *command* to its prepared entry for *session*'s
         viewport: cache hit, shared-cache adoption, or a fresh prepare
-        (the CPU-charging miss).  Returns ``(cache_key, entry)``.
-
-        Callers that hold entries across event-loop turns (the
-        broadcast relay queues) must pass ``pin=True`` rather than
-        calling :meth:`pin` afterwards: the store inside this method
-        trims the cache, and when every other slot is already pinned
-        the trim would evict the *new* key before the caller could
-        protect it.
-        """
+        (the CPU-charging miss)."""
         pid = command._prep_id
         key = (pid, self._encoding_of(command)) + session.scaler.key
-        if pin:
-            self.pin(key)
         entry = self._cache.get(key)
         if entry is None:
             shared = self.shared_cache
@@ -309,7 +282,7 @@ class PreparePlane:
         else:
             self._cache.move_to_end(key)
             self.stats.cache_hits += 1
-        return key, entry
+        return entry
 
     def submit_batch(self, commands: Iterable[Command],
                      sessions: Iterable) -> None:
@@ -340,7 +313,7 @@ class PreparePlane:
             for member, payload in zip(members, payloads):
                 member._payload = payload
         for classes in classed:
-            self._sink(classes)
+            self._deliver(classes)
 
     def _prepare(self, command: Command,
                  scaler) -> Tuple[List[PreparedCommand], float]:
@@ -369,46 +342,8 @@ class PreparePlane:
 
     def _store(self, key: Tuple, entry: List[PreparedCommand]) -> None:
         self._cache[key] = entry
-        self._trim()
-
-    def _trim(self) -> None:
-        """Evict LRU entries past the bound, skipping pinned keys.
-
-        A pinned entry is referenced by a broadcast relay queue that
-        has not yet drained it to its subscriber; evicting it would
-        force a re-prepare (or, for an adaptive re-encode, silently
-        change bytes a peer subscriber already received from the same
-        class).  The cache may therefore transiently exceed
-        ``cache_entries`` by at most the number of pinned keys.
-        """
-        excess = len(self._cache) - self.cache_entries
-        if excess > 0:
-            for key in list(self._cache):
-                if excess <= 0:
-                    break
-                if key in self._pins:
-                    continue
-                del self._cache[key]
-                excess -= 1
-        sanitizer.check_prepare_pins(self)
-
-    # -- broadcast pins ------------------------------------------------------
-
-    def pin(self, key: Tuple) -> None:
-        """Hold *key* against eviction (one reference; refcounted)."""
-        self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, key: Tuple) -> None:
-        """Release one reference on *key*; trims once it is unpinned."""
-        count = self._pins.get(key, 0) - 1
-        if count > 0:
-            self._pins[key] = count
-        else:
-            self._pins.pop(key, None)
-            self._trim()
-
-    def pinned_entries(self) -> int:
-        return len(self._pins)
+        while len(self._cache) > self.cache_entries:
+            self._cache.popitem(last=False)
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -28,10 +28,9 @@ Server side (:class:`ResiliencePlane`):
 * **Backoff** — reconnect accepts are spaced by exponential backoff
   with deterministic seeded jitter; too-early attempts are denied with
   a retry-after hint.
-* **Degradation** — sustained back-pressure (buffer backlog above a
-  high-water mark across consecutive checks) puts the session in
-  degraded mode: audio is shed and display coalescing does the rest;
-  it exits below the low-water mark.
+* **Degradation** — not this plane's: a resilient session under
+  back-pressure is degraded (audio shed) by the governor's queue-bytes
+  ladder exactly like a plain one (``Budget.degrade_queue_bytes``).
 
 Client side (:class:`ResilientClient`) wraps a
 :class:`~repro.core.client.THINCClient` with the mirror duties:
@@ -67,6 +66,10 @@ __all__ = ["ResilienceConfig", "ResilienceStats", "SessionGuard",
 # expansion on incompressible content.
 _SNAPSHOT_SLACK = 4096
 
+# Row-band height of a snapshot resync's refresh, so a recovering
+# client never faces one monolithic frame on a congested pipe.
+_SNAPSHOT_CHUNK_ROWS = 32
+
 
 @dataclass
 class ResilienceConfig:
@@ -80,13 +83,9 @@ class ResilienceConfig:
     backoff_max: float = 8.0
     backoff_jitter: float = 0.25
     flap_window: float = 1.0  # accepts closer than this escalate backoff
-    snapshot_chunk_rows: int = 32
     # Per-session replay log cap; None derives a full-screen RAW cost
     # from the session viewport (past which replay loses to snapshot).
     replay_log_limit: Optional[int] = None
-    degrade_high_bytes: int = 256_000
-    degrade_low_bytes: int = 64_000
-    degrade_after_checks: int = 3
     seed: int = 0
     # Token namespacing for sharded deployments: shard *i* of *N* runs
     # with ``token_start=i+1, token_stride=N`` so freshly issued tokens
@@ -103,8 +102,7 @@ class ResilienceStats:
     __slots__ = ("attaches", "reattaches", "disconnects", "heartbeats",
                  "resyncs_replay", "resyncs_snapshot", "reconnects_denied",
                  "queues_dropped", "log_overflows", "replayed_bytes",
-                 "max_replay_bytes", "snapshot_bytes", "degrade_entered",
-                 "degrade_exited")
+                 "max_replay_bytes", "snapshot_bytes")
 
     def __init__(self) -> None:
         for name in self.__slots__:
@@ -183,8 +181,8 @@ class SessionGuard:
     __slots__ = ("token", "session", "last_seen", "detached_at",
                  "queue_dropped", "log", "log_bytes", "log_limit",
                  "log_dropped", "acked_seq", "not_before",
-                 "last_accept_time", "flap_level", "pressure_ticks",
-                 "last_writer_bytes", "last_tx_time")
+                 "last_accept_time", "flap_level", "last_writer_bytes",
+                 "last_tx_time")
 
     def __init__(self, token: int, session, now: float, log_limit: int):
         self.token = token
@@ -201,7 +199,6 @@ class SessionGuard:
         self.not_before = now
         self.last_accept_time = now
         self.flap_level = 0
-        self.pressure_ticks = 0
         self.last_writer_bytes = 0
         self.last_tx_time = now
 
@@ -314,7 +311,6 @@ class ResiliencePlane:
         session.rebind(connection)
         guard.detached_at = None
         guard.last_seen = now
-        guard.pressure_ticks = 0
         self._note_accept(guard, now)
         if use_replay:
             session._replay.extend(data for _, data in replay)
@@ -336,7 +332,7 @@ class ResiliencePlane:
             self.stats.resyncs_snapshot += 1
             self.stats.snapshot_bytes += snapshot_cost
             self.server._submit_refresh(
-                session, chunk_rows=self.config.snapshot_chunk_rows)
+                session, chunk_rows=_SNAPSHOT_CHUNK_ROWS)
         session._kick()
 
     def _snapshot_cost(self, session) -> int:
@@ -406,7 +402,7 @@ class ResiliencePlane:
             return True
         return False
 
-    # -- the liveness / pressure tick ---------------------------------------
+    # -- the liveness tick ---------------------------------------------------
 
     def _ensure_tick(self) -> None:
         if not self._tick_scheduled and self.guards:
@@ -425,7 +421,6 @@ class ResiliencePlane:
                     self.stats.disconnects += 1
                     session.detach()
                 else:
-                    self._check_pressure(guard, session)
                     self._keepalive(guard, session, now)
             elif not guard.queue_dropped and (
                     now - guard.detached_at > cfg.detach_window
@@ -496,20 +491,6 @@ class ResiliencePlane:
         self.stats.attaches += 1
         self._ensure_tick()
         return guard
-
-    def _check_pressure(self, guard: SessionGuard, session) -> None:
-        backlog = session.buffer.pending_bytes()
-        if backlog > self.config.degrade_high_bytes:
-            guard.pressure_ticks += 1
-            if not session.degraded and \
-                    guard.pressure_ticks >= self.config.degrade_after_checks:
-                session.degraded = True
-                self.stats.degrade_entered += 1
-        elif backlog < self.config.degrade_low_bytes:
-            guard.pressure_ticks = 0
-            if session.degraded:
-                session.degraded = False
-                self.stats.degrade_exited += 1
 
     def _keepalive(self, guard: SessionGuard, session, now: float) -> None:
         """An idle downlink still needs bytes on it, or the client's

@@ -54,8 +54,7 @@ from ..protocol.commands import OverwriteClass
 from ..region import Region
 
 __all__ = ["SanitizerError", "enabled", "enable", "disable",
-           "QueueSanitizer", "for_queue", "check_pipe_tail",
-           "check_prepare_pins"]
+           "QueueSanitizer", "for_queue", "check_pipe_tail"]
 
 
 class SanitizerError(AssertionError):
@@ -298,35 +297,3 @@ def check_pipe_tail(session, ready: float) -> None:
             f"prepared command ready at {ready:.9f} would enter the "
             f"buffer stage before earlier work at {shadow:.9f}")
     session._sanitizer_tail = ready
-
-
-def check_prepare_pins(plane) -> None:
-    """Assert the prepare cache's pin bookkeeping is coherent.
-
-    Called by ``PreparePlane`` after every trim/unpin and by the
-    broadcast fan-out plane after relay-queue mutations.  A pinned
-    entry is one still referenced by a pending broadcast class; the
-    LRU must never evict it (the relay would re-prepare — or worse,
-    deliver a stale re-encode under the old key), every pin must point
-    at a live cache entry, and the cache may only exceed its LRU bound
-    by the number of pinned entries.
-    """
-    if not _enabled:
-        return
-    pins = plane._pins
-    for key, count in pins.items():
-        if count <= 0:
-            raise SanitizerError(
-                f"prepare-cache pin refcount for {key!r} is {count}: "
-                f"unpin underflow — a broadcast class released an entry "
-                f"it never held")
-        if key not in plane._cache:
-            raise SanitizerError(
-                f"prepare-cache entry {key!r} was evicted while pinned "
-                f"({count} pending broadcast reference(s)) — the LRU "
-                f"trim ignored a pin")
-    if len(plane._cache) > plane.cache_entries + len(pins):
-        raise SanitizerError(
-            f"prepare cache holds {len(plane._cache)} entries with only "
-            f"{len(pins)} pinned and a bound of {plane.cache_entries} — "
-            f"trim failed to converge")

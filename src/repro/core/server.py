@@ -34,7 +34,7 @@ from ..protocol.commands import (Command, CompositeCommand, RawCommand,
 from ..protocol.limits import LIMITS
 from ..region import Rect
 from . import pipeline
-from .fanout import BroadcastPlane, FanoutConfig
+from .fanout import BroadcastPlane
 from .governor import Budget, Governor, ServerBudget
 from .link_health import LinkHealth
 from .qos import QosConfig, QosPlane, video_variants
@@ -86,9 +86,10 @@ class THINCServer:
     """The THINC server core, acting as the translation layer's sink.
 
     Every translated command takes one dispatch path (:meth:`submit`):
-    *route* → *QoS variant* → *posture classes* → *sink*, each stage a
-    no-op while its plane is idle, so fan-out, QoS and adaptive
-    encoding compose instead of shadowing one another.  Every plane
+    *route* → *QoS variant* → *posture classes*, each stage a no-op
+    while its plane is idle, so fan-out, QoS and adaptive encoding
+    compose instead of shadowing one another, and every receiver takes
+    its prepared clone straight into its own buffer.  Every plane
     that adapts to a client's pipe reads the one :class:`~repro.core.
     link_health.LinkHealth` probe (``server.health``), whose thresholds
     are the server's single :class:`~repro.codec.EncoderPolicy` — a
@@ -108,7 +109,6 @@ class THINCServer:
                  server_budget: Optional[ServerBudget] = None,
                  adaptive_encoding: bool = False,
                  encoder_policy: Optional[EncoderPolicy] = None,
-                 fanout: Optional[FanoutConfig] = None,
                  qos: Optional[QosConfig] = None):
         self.loop = loop
         self.cost_model = cost_model or ServerCostModel()
@@ -150,7 +150,7 @@ class THINCServer:
         self.plane.posture_of = self.health.posture
         # Broadcast fan-out plane: always constructed (the SUBSCRIBE
         # handler must exist), inert until the first subscriber.
-        self.fanout = BroadcastPlane(self, fanout)
+        self.fanout = BroadcastPlane(self)
         # Adaptive QoS plane: degrade video before interactivity on
         # contended links.  Off by default — the paper's fixed-rate
         # video path stays the baseline, byte-for-byte.
@@ -200,14 +200,23 @@ class THINCServer:
         journal already describe exactly what the client is missing, and
         injecting a snapshot here would break the replay resync's
         byte-for-byte fidelity.  Valid on any server sharing the source
-        shard's simulation clock and geometry (the frozen pipe tail and
-        journal sequence marks are clock-relative).
+        shard's simulation clock (the frozen pipe tail and journal
+        sequence marks are clock-relative); a view rectangle that does
+        not fit this server's screen raises
+        :class:`~repro.protocol.wire.FieldRangeError` before any state
+        is touched.
 
-        Governance restarts fresh (meter position is not part of the
-        frozen surface) and the resilience plane adopts the unit under
-        its original token, so the client's redial resyncs exactly as
-        it would after a network fault.
+        The governor's token bucket and coalesce clock restart, but its
+        abuse tallies are seeded from ``frozen.stats`` — migrating does
+        not buy a session a fresh error allowance.  The resilience
+        plane adopts the unit under its original token, so the client's
+        redial resyncs exactly as it would after a network fault.
         """
+        if not Rect(0, 0, self.width, self.height).contains(
+                frozen.view_rect):
+            raise wire.FieldRangeError(
+                f"frozen view rect {frozen.view_rect} outside the "
+                f"{self.width}x{self.height} screen")
         session = SessionUnit(self, None, viewport=frozen.viewport,
                               encrypt_key=self.encrypt_key,
                               sequenced=frozen.sequenced, greet=False)
@@ -232,7 +241,9 @@ class THINCServer:
             session._control_bytes += len(data)
         session.stats.update(frozen.stats)
         self.sessions.append(session)
-        self.governor.register(session)
+        meter = self.governor.register(session)
+        meter.wire_errors = session.stats["wire_errors"]
+        meter.uplink_dropped = session.stats["uplink_dropped"]
         if self.resilience is not None and frozen.token:
             self.resilience.adopt(session, frozen)
         if frozen.subscribed:
@@ -283,11 +294,11 @@ class THINCServer:
 
     def submit(self, command: Command) -> None:
         """The one dispatch path: route → QoS variant → posture classes
-        → sink (the last two inside :meth:`PreparePlane.submit`)."""
+        (the last inside :meth:`PreparePlane.submit`)."""
         command = self.translate.admit(command)
         receivers = self.fanout.route(command, self.sessions)
         for group, variant in video_variants(self.qos, command, receivers):
-            self.plane.submit(variant, group, self.fanout.relay)
+            self.plane.submit(variant, group)
 
     def video_setup(self, stream: VideoStreamInfo) -> None:
         if self.qos is not None:
@@ -428,7 +439,7 @@ class THINCServer:
         }
         for key, value in self.governor.stats.as_dict().items():
             out[f"governor_{key}"] = value
-        if self.fanout.active or self.fanout.stats["subscribed"]:
+        if self.fanout.stats["subscribed"]:
             for key, value in self.fanout.stats.items():
                 out[f"fanout_{key}"] = value
         if self.qos is not None:

@@ -73,7 +73,8 @@ NOT_SERIALIZED = {
     "quarantined": "governor verdicts are host-local; an abusive "
                    "session is evicted, never migrated",
     "meter": "governor budgets are per-host capacity, not session "
-             "state; the target's governor meters from zero",
+             "state; the target's governor starts a fresh meter and "
+             "seeds its abuse tallies from the migrated stats",
     "_successor": "forwarding pointer only meaningful on the frozen "
                   "husk left behind on the source shard",
     "_audio": "audio is useless late (the paper sheds it first); a "
@@ -206,8 +207,9 @@ class FrozenSession:
       detach window anyway);
     * the audio backlog is dropped (late audio is worthless — the
       session is detached for the whole transfer); and
-    * governor meter position (token bucket, ladder state) restarts,
-      while the abuse tallies ride along in ``stats``.
+    * governor meter position (token bucket, coalesce clock)
+      restarts, while the abuse tallies ride along in ``stats`` and
+      seed the target governor's meter.
     """
 
     token: int
@@ -226,8 +228,7 @@ class FrozenSession:
     replay: Tuple[bytes, ...]
     control: Tuple[bytes, ...]
     stats: Dict[str, float]
-    # Broadcast fan-out membership (flag bits in _MARKS; relay-side
-    # state itself is plane-owned and re-derived on thaw): whether the
+    # Broadcast fan-out membership (flag bits in _MARKS): whether the
     # unit was subscribed, and whether as a tile-wall member (whose
     # rectangle is exactly ``view_rect``).
     subscribed: bool = False
@@ -354,16 +355,9 @@ class FrozenSession:
 
 
 def _fanout_membership(unit) -> Tuple[bool, bool]:
-    """Freeze-time hand-off to the broadcast plane.
-
-    Force-drains the unit's relay queue into its buffer (the backlog
-    bound must not strand pinned entries on the source shard) and
-    reports ``(subscribed, tile_mode)`` for the frozen flag bits.  The
-    relay queue itself is never serialized — its content just became
-    ordinary buffered commands, and membership is re-derived on thaw.
-    """
+    """``(subscribed, tile_mode)`` for the frozen flag bits; membership
+    itself is plane-owned and re-derived on thaw."""
     fanout = unit.server.fanout
-    fanout.flush(unit)
     return fanout.is_subscriber(unit), fanout.is_tile(unit)
 
 
@@ -399,7 +393,9 @@ class SessionUnit:
         )
         # Resilience state: a detached session buffers but does not
         # flush; the plane sets ``journal`` to log sent frames, fills
-        # ``_replay`` on resync, and toggles degraded/shed flags.
+        # ``_replay`` on resync, and toggles ``shed_display``.
+        # ``degraded`` (audio shed) is the governor's alone: set by its
+        # queue-bytes ladder on add, cleared by it after a flush.
         self.sequenced = sequenced
         self._writer = _SessionWriter(self, sequenced)
         self.journal: Optional[Callable[[int, bytes], None]] = None
@@ -611,6 +607,11 @@ class SessionUnit:
             result = self.buffer.flush(writer)
             self.stats["messages_sent"] += result.commands_sent
         self.stats["bytes_sent"] += writer.total_bytes - sent_before
+        if self.degraded:
+            # A flush is where the backlog drains, so the degrade-exit
+            # watermark is evaluated here rather than on the next add,
+            # which a display gone quiet never makes.
+            self.server.governor.after_flush(self)
         if self.pending():
             self._flush_scheduled = True
             self.loop.schedule(FLUSH_INTERVAL, self._flush)

@@ -10,6 +10,7 @@ resilient), and server-wide admission control with its typed denial.
 import numpy as np
 import pytest
 
+from repro.codec import LinkPosture
 from repro.core import AdmissionDenied, Budget, ServerBudget, THINCClient
 from repro.net import Connection, LAN_DESKTOP
 from repro.protocol import wire
@@ -17,7 +18,8 @@ from repro.region import Rect
 
 from repro.net.link import LinkParams
 
-from tests.helpers import make_rig, make_resilient_rig
+from tests.helpers import (assert_pixel_identical, make_rig,
+                           make_resilient_rig)
 
 #: A link slow enough (64 kbit/s) that full-screen noise RAWs pile up
 #: in the session buffer instead of draining between pipeline events.
@@ -37,26 +39,95 @@ def tight_budget(**kw):
 
 
 class TestQueueLadder:
+    #: Every case runs a second time with the session enrolled as a
+    #: mirror subscriber (the subclass below): a slow subscriber is
+    #: governed exactly like a slow unicast session.
+    subscribe = False
+
+    def _rig(self, **kw):
+        rig = make_rig(**kw)
+        if self.subscribe:
+            server = rig[3]
+            server.fanout.subscribe(server.sessions[0])
+        return rig
+
     def test_degrade_enter_and_exit(self):
-        loop, conn, mon, server, ws, client = make_rig(
-            budget=tight_budget())
+        budget = tight_budget()
+        loop, conn, mon, server, ws, client = self._rig(
+            link=SLOW_LINK, send_buffer=2048, budget=budget)
         session = server.sessions[0]
         ws.put_image(ws.screen, Rect(0, 0, 96, 64), noise())
         loop.run_until(0.2)
+        # Entry, with the backlog still standing behind the slow link.
+        assert session.buffer.pending_bytes() > budget.degrade_queue_bytes
         assert session.degraded
         assert server.governor.stats.degrade_entered == 1
         # Audio is shed while degraded (the mildest response).
         session.queue_audio(0.0, b"\x00" * 256)
         assert session.stats["audio_dropped"] == 1
-        # Drain, then a small add re-runs the ladder and exits degrade.
-        loop.run_until(20.0)
-        ws.fill_rect(ws.screen, Rect(0, 0, 4, 4), (9, 9, 9, 255))
-        loop.run_until(21.0)
+        # Exit once the backlog has drained — no further draw needed.
+        loop.run_until(8.0)
+        assert session.buffer.pending_bytes() == 0
         assert not session.degraded
         assert server.governor.stats.degrade_exited == 1
 
+    def test_degrade_exits_when_the_display_goes_quiet(self):
+        """A burst crosses the soft watermark and then the screen stays
+        static: the session must leave degraded mode as its buffer
+        drains, or audio stays shed and the link probe stays
+        pessimistic for as long as nothing draws."""
+        thin = LinkParams("thin", bandwidth_bps=0.4e6, rtt=0.02)
+        loop, conn, mon, server, ws, client = self._rig(
+            link=thin, send_buffer=6000,
+            budget=Budget(degrade_queue_bytes=20_000))
+        session = server.sessions[0]
+        rng = np.random.default_rng(21)
+        for i in range(14):
+            loop.schedule_at(0.1 + 0.05 * i, lambda: ws.put_image(
+                ws.screen, ws.screen.bounds,
+                rng.integers(0, 256, (64, 96, 4), dtype=np.uint8)))
+        loop.run_until(20.0)
+        stats = server.governor.stats
+        assert stats.degrade_entered == 1
+        assert session.buffer.pending_bytes() == 0
+        assert not session.degraded
+        assert stats.degrade_exited == 1
+        assert server.health.posture(session) is not LinkPosture.DEGRADED
+        # Audio on the now-static screen is delivered, not shed.
+        dropped = session.stats["audio_dropped"]
+        for i in range(200):
+            loop.schedule_at(20.0 + 0.025 * i, lambda t=i: (
+                server.submit_audio(20.0 + 0.025 * t, b"\x00" * 800)))
+        loop.run_until(26.0)
+        assert session.stats["audio_dropped"] == dropped
+        assert len(client.audio.arrivals) == 200
+        assert_pixel_identical(client, ws)
+
+    def test_hard_cap_coalesces_and_the_survivor_is_pixel_exact(self):
+        """A chatty application on a slow link: overdrawn text lines
+        are transparent, so eviction cannot shrink them and the backlog
+        passes the hard cap once; the refresh that replaces it is
+        cheaper, drains, and leaves the client exact."""
+        loop, conn, mon, server, ws, client = self._rig(
+            link=SLOW_LINK, send_buffer=2048,
+            budget=tight_budget(max_queue_bytes=8_000,
+                                evict_queue_bytes=10_000_000))
+        session = server.sessions[0]
+        loop.run_until(1.0)
+        rng = np.random.default_rng(3)
+        for i in range(120):
+            text = "".join(chr(c) for c in rng.integers(33, 127, 14))
+            ws.draw_text(ws.screen, 2, 8 + 10 * (i % 5), text,
+                         (int(rng.integers(0, 256)), 0, 0, 255))
+        loop.run_until(10.0)
+        stats = server.governor.stats
+        assert stats.coalesces == 1
+        assert stats.evicted == 0 and not session.quarantined
+        assert not session.degraded
+        assert_pixel_identical(client, ws)
+
     def test_ceiling_evicts(self):
-        loop, conn, mon, server, ws, client = make_rig(
+        loop, conn, mon, server, ws, client = self._rig(
             link=SLOW_LINK, send_buffer=2048,
             budget=tight_budget(degrade_queue_bytes=1_000,
                                 max_queue_bytes=3_000,
@@ -76,7 +147,7 @@ class TestQueueLadder:
         loop.run_until(6.0)
 
     def test_retrip_within_cooldown_evicts(self):
-        loop, conn, mon, server, ws, client = make_rig(
+        loop, conn, mon, server, ws, client = self._rig(
             link=SLOW_LINK, send_buffer=2048,
             budget=tight_budget(max_queue_bytes=20_000,
                                 evict_queue_bytes=10_000_000,
@@ -92,6 +163,10 @@ class TestQueueLadder:
         assert stats.coalesces >= 1
         assert stats.evicted == 1
         assert session.quarantined
+
+
+class TestQueueLadderSubscribed(TestQueueLadder):
+    subscribe = True
 
 
 class _StubBuffer:

@@ -9,10 +9,10 @@ the change shows up in a test diff and gets argued for — the ROADMAP's
 import inspect
 from dataclasses import fields
 
-from repro.core import THINCServer
-from repro.core.fanout import FanoutConfig
+from repro.core import Budget, ServerBudget, THINCServer
 from repro.core.pipeline import PreparePlane
 from repro.core.qos import QosConfig
+from repro.core.resilience import ResilienceConfig
 from repro.net import EventLoop
 
 
@@ -23,7 +23,7 @@ def test_server_constructor_parameters():
         "offscreen_awareness", "merge", "scheduler_factory",
         "encrypt_key", "cost_model", "prepare_cache_entries",
         "resilience", "budget", "server_budget", "adaptive_encoding",
-        "encoder_policy", "fanout", "qos"]
+        "encoder_policy", "qos"]
     # No class-level tunables hiding beside the constructor.
     assert [name for name, value in vars(THINCServer).items()
             if not name.startswith("_")
@@ -37,10 +37,26 @@ def test_qos_config_fields():
         "report_hold", "seed"]
 
 
-def test_fanout_config_fields():
-    assert [f.name for f in fields(FanoutConfig)] == [
-        "relay_bytes", "subscriber_backlog_bytes", "ladder_cooldown",
-        "drain_interval"]
+def test_resilience_config_fields():
+    assert [f.name for f in fields(ResilienceConfig)] == [
+        "heartbeat_interval", "liveness_timeout", "check_interval",
+        "detach_window", "backoff_base", "backoff_max", "backoff_jitter",
+        "flap_window", "replay_log_limit", "seed", "token_start",
+        "token_stride"]
+
+
+def test_budget_fields():
+    assert [f.name for f in fields(Budget)] == [
+        "degrade_queue_bytes", "max_queue_bytes", "evict_queue_bytes",
+        "coalesce_cooldown", "max_audio_backlog_bytes",
+        "max_control_backlog_bytes", "max_journal_bytes",
+        "uplink_msgs_per_sec", "uplink_burst", "max_uplink_dropped",
+        "max_uplink_errors"]
+
+
+def test_server_budget_fields():
+    assert [f.name for f in fields(ServerBudget)] == [
+        "max_sessions", "max_total_queue_bytes", "retry_after"]
 
 
 def test_prepare_plane_settable_hooks():

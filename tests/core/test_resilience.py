@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import (assert_pixel_identical, make_resilient_rig,
                            scripted_workload)
+from repro.core import Budget
 from repro.core.resilience import ResilienceConfig
 from repro.net import LinkParams
 from repro.net.faults import (Corruption, Disconnect, FaultPlan, LossBurst,
@@ -204,11 +205,10 @@ class TestDegradation:
         thin = LinkParams("thin", bandwidth_bps=0.4e6, rtt=0.02)
         cfg = ResilienceConfig(
             heartbeat_interval=0.1, liveness_timeout=2.0,
-            check_interval=0.05, backoff_base=0.05,
-            degrade_high_bytes=20_000, degrade_low_bytes=4_000,
-            degrade_after_checks=2)
+            check_interval=0.05, backoff_base=0.05)
         loop, dial, server, ws, rc = make_resilient_rig(
-            width=W, height=H, link=thin, send_buffer=6000, config=cfg)
+            width=W, height=H, link=thin, send_buffer=6000, config=cfg,
+            budget=Budget(degrade_queue_bytes=20_000))
         rng = np.random.default_rng(21)
 
         def hammer(i):
@@ -224,7 +224,7 @@ class TestDegradation:
                              lambda t=i: server.submit_audio(
                                  0.1 + 0.025 * t, b"\x00" * 800))
         loop.run_until(20.0)
-        st = server.resilience.stats
+        st = server.governor.stats
         session = server.sessions[0]
         assert st.degrade_entered >= 1  # pressure was seen...
         assert st.degrade_exited >= 1  # ...and receded

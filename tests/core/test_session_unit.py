@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FrozenSession, THINCServer
+from repro.core import Budget, FrozenSession, THINCServer
 from repro.core.resilience import ResilienceConfig
 from repro.net import Connection, EventLoop, LAN_DESKTOP
 from repro.protocol import wire
@@ -83,21 +83,21 @@ class TestValidation:
 
 
 class TestLiveFreezeThaw:
-    def make_server(self, loop):
+    def make_server(self, loop, **server_kw):
         config = ResilienceConfig(
             heartbeat_interval=0.1, liveness_timeout=0.35,
             check_interval=0.05, backoff_base=0.05, backoff_jitter=0.2,
             detach_window=5.0)
-        return THINCServer(loop, 96, 64, resilience=config)
+        return THINCServer(loop, 96, 64, resilience=config, **server_kw)
 
-    def attach(self, loop, server):
+    def attach(self, loop, server, token=0):
         conn = Connection(loop, LAN_DESKTOP)
         server.resilience.accept(conn)
         got = []
         conn.down.connect(got.append)
         conn.up.write(wire.wrap_checked(wire.encode_message(
-            wire.ReconnectRequestMessage(0, 0)), 0))
-        loop.run_until_idle(max_time=2.0)
+            wire.ReconnectRequestMessage(token, 0)), 0))
+        loop.run_until(loop.now + 0.1)
         return server.sessions[-1]
 
     def test_freeze_detaches_and_thaw_restores_on_a_peer(self):
@@ -124,3 +124,39 @@ class TestLiveFreezeThaw:
         refrozen = successor.freeze()
         assert dataclasses.asdict(refrozen) == dataclasses.asdict(
             dataclasses.replace(frozen))
+
+    def test_migration_does_not_launder_the_wire_error_tally(self):
+        """A session one decode failure short of its error budget on
+        one shard is still one short after being migrated."""
+        loop = EventLoop()
+        budget = Budget(max_uplink_errors=3)
+        src = self.make_server(loop, budget=budget)
+        dst = self.make_server(loop, budget=budget)
+        session = self.attach(loop, src)
+        token = session.guard.token
+        bad = wire.frame_message(99, b"garbage")
+        for _ in range(budget.max_uplink_errors):
+            session.connection.up.write(bad)
+            loop.run_until(loop.now + 0.05)
+        assert not session.quarantined
+        frozen = session.freeze()
+        src.resilience.drop_guard(session)
+        src.detach_client(session)
+
+        dst.thaw_session(FrozenSession.from_bytes(frozen.to_bytes()))
+        successor = self.attach(loop, dst, token=token)
+        assert successor.guard.token == token and not successor.detached
+        assert not successor.quarantined
+        successor.connection.up.write(bad)
+        loop.run_until(loop.now + 0.05)
+        assert successor.quarantined
+        assert successor not in dst.sessions
+
+    def test_thaw_rejects_a_view_rect_outside_the_screen(self):
+        loop = EventLoop()
+        dst = self.make_server(loop)
+        crafted = FrozenSession.from_bytes(sample_frozen(
+            view_rect=Rect(500, 500, 2000, 2000)).to_bytes())
+        with pytest.raises(wire.FieldRangeError):
+            dst.thaw_session(crafted)
+        assert dst.sessions == [] and not dst.resilience.guards

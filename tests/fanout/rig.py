@@ -25,7 +25,8 @@ def make_broadcast_rig(subscribers, width=96, height=64, link=LAN_DESKTOP,
     Mirror mode by default; pass ``tile_grid=(cols, rows)`` to assign
     client *i* tile ``i % (cols*rows)``.  Set ``subscribe=False`` to
     leave the clients as plain unicast sessions (the differential
-    twin).  Returns ``(loop, mon, server, ws, clients)``.
+    twin).  *link* may be a sequence, one link per subscriber in
+    attach order.  Returns ``(loop, mon, server, ws, clients)``.
     """
     loop = EventLoop()
     mon = PacketMonitor()
@@ -37,8 +38,11 @@ def make_broadcast_rig(subscribers, width=96, height=64, link=LAN_DESKTOP,
     server = THINCServer(loop, width, height, **server_kw)
     ws = WindowServer(width, height, driver=server.driver, clock=loop.clock)
     clients = []
+    links = link if isinstance(link, (list, tuple)) \
+        else [link] * subscribers
     for i in range(subscribers):
-        conn = Connection(loop, link, monitor=mon, send_buffer=send_buffer)
+        conn = Connection(loop, links[i], monitor=mon,
+                          send_buffer=send_buffer)
         server.attach_client(conn)
         client = THINCClient(loop, conn)
         if subscribe:

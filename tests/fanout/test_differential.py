@@ -49,8 +49,8 @@ class TestBroadcastDifferential:
         loop.run_until(END + SETTLE)
 
         stats = server.stats
-        draws = stats["fanout_commands_relayed"] / 100
-        assert draws >= 10  # the workload actually ran through the plane
+        draws = stats["commands_translated"]
+        assert draws >= 10  # the workload actually ran
         # Hits dominate: ~99 of every 100 deliveries reuse the prepared
         # payload (the initial per-client attach refreshes are the only
         # unicast misses).

@@ -83,7 +83,6 @@ class TestMigrationWithFanout:
         assert src_fanout.stats["unsubscribed"] == \
             src_fanout.stats["subscribed"]
         assert len(src_fanout.subscribers()) == 0
-        assert coord.shards[source].plane.pinned_entries() == 0
 
 
 class TestMigrationFanoutUnderChaos:
@@ -123,5 +122,3 @@ class TestMigrationFanoutUnderChaos:
         assert coord.shards[target].fanout.is_subscriber(live)
         assert_pixel_identical(rcs[0].client, screens[target])
         assert np.array_equal(rcs[0].client.fb.data, rcs[1].client.fb.data)
-        for shard in coord.shards:
-            assert shard.plane.pinned_entries() == 0

@@ -7,8 +7,7 @@ quiescence regardless of the schedule:
 * a stable mirror subscriber is pixel-identical to the screen;
 * a faulted (reconnecting) subscriber converges after resync;
 * a tile subscriber's framebuffer equals its tile crop;
-* every relay pin has been released and the prepare cache is in
-  bounds (the sanitizer invariant);
+* the prepare cache is within its bound;
 * the plane's subscribe/unsubscribe accounting matches membership.
 """
 
@@ -16,7 +15,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import sanitizer
 from repro.core import THINCClient
 from repro.net import Connection, LAN_DESKTOP
 from repro.net.faults import FaultPlan
@@ -105,8 +103,7 @@ class TestRandomSchedules:
         stats = fanout.stats
         assert stats["subscribed"] - stats["unsubscribed"] == len(
             fanout.subscribers())
-        assert server.plane.pinned_entries() == 0
-        sanitizer.check_prepare_pins(server.plane)
+        assert server.plane.cache_size() <= server.plane.cache_entries
 
         churn_session = next(
             (s for s in server.sessions

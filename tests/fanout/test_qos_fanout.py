@@ -5,8 +5,8 @@ silently switched the QoS plane off for every session on the server
 (``submit`` forked on ``fanout.active`` before it ever looked at
 ``qos``): the contended scenario below polled the ladder 0 times and
 shipped 4x the bytes.  These tests pin the composition: a subscriber is
-routed, degraded, classed and relayed by the same stages, in the same
-order, as its direct twin.
+routed, degraded and classed by the same stages, in the same order, as
+its direct twin.
 
 ``make chaos`` runs this file at THINC_CHAOS_SEED 11, 23 and 47 with
 the queue sanitizer armed; the default run uses seed 0.
@@ -83,7 +83,6 @@ class TestSubscriberWalksTheLadder:
         assert fanned.stats["qos_rungs_down"] >= 1
         assert fanned.stats["qos_recoveries"] >= 1
         assert fanned.sessions[0].qos_rung == 0
-        assert fanned.stats["fanout_commands_relayed"] > 0
         assert mon_s.total_bytes("server->client") \
             <= mon_d.total_bytes("server->client")
         assert lat_s == lat_d
