@@ -115,6 +115,7 @@ bench-e2e-selftest:
 # runs of workload W in a temporary checkout of PARENT and in this
 # working tree, then compare.py over the two sides.
 #   make bench-pairs PARENT=HEAD~1 W=video_lan N=10
+#   make bench-pairs PARENT=HEAD~1 W=typing_dsl N=10
 PARENT ?= HEAD
 W ?= video_lan
 N ?= 10

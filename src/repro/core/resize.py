@@ -5,7 +5,9 @@ client views it: after a client reports a smaller viewport, the server
 resizes every update before transmission.  Resizing is implemented with
 a simplified Fant resampler — separable, area-weighted pixel mixing —
 which anti-aliases downscales at very low cost (Section 7 cites Fant's
-non-aliasing spatial transform).
+non-aliasing spatial transform).  The kernel is exact integer
+arithmetic: every output sample is the area average of the source
+rectangle it covers, rounded half-to-even.
 
 The per-command policy follows the paper exactly:
 
@@ -24,6 +26,7 @@ video      frames resampled to the scaled destination and re-encoded
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List
 
@@ -38,40 +41,67 @@ from ..video import yuv
 __all__ = ["resample", "scale_rect", "scale_command", "DisplayScaler"]
 
 
-def _resample_axis(arr: np.ndarray, dst_len: int, axis: int) -> np.ndarray:
-    """Area-weighted 1-D resample along *axis* (Fant-style pixel mixing).
+@functools.lru_cache(maxsize=512)
+def _taps(src_len: int, dst_len: int):
+    """``S`` and the ``(indices, weights)`` taps of one axis.
 
-    Each destination pixel is the exact average of the source interval
-    it covers, computed via linear interpolation of the cumulative sum —
-    correct for both magnification and minification.
+    With ``S/D = src_len/dst_len`` in lowest terms and a source pixel
+    ``D`` units wide, destination pixel ``j`` covers ``[j*S, (j+1)*S)``:
+    at most ``ceil(S/D) + 1`` source pixels, weighted by their overlap —
+    integers summing to ``S``.  Tap ``k`` holds the ``k``-th of them for
+    every ``j`` at once (weight 0 where ``j`` has fewer).
     """
-    src_len = arr.shape[axis]
-    if src_len == dst_len:
-        return arr
-    moved = np.moveaxis(arr, axis, 0).astype(np.float64)
-    # Prefix integral of the source signal: cs[i] = sum of first i pixels.
-    cs = np.concatenate(
-        [np.zeros((1,) + moved.shape[1:]), np.cumsum(moved, axis=0)], axis=0)
-    scale = src_len / dst_len
-    edges = np.arange(dst_len + 1) * scale
-    idx = np.clip(edges.astype(int), 0, src_len)
-    frac = np.clip(edges - idx, 0.0, 1.0)
-    # Integral up to a fractional position, by linear interpolation.
-    upper = np.clip(idx + 1, 0, src_len)
-    vals = cs[idx] + (cs[upper] - cs[idx]) * frac.reshape(
-        (-1,) + (1,) * (moved.ndim - 1))
-    sums = vals[1:] - vals[:-1]
-    out = sums / scale
-    return np.moveaxis(out, 0, axis)
+    g = math.gcd(src_len, dst_len)
+    s, d = src_len // g, dst_len // g
+    lo = np.arange(dst_len, dtype=np.intp) * s
+    taps = []
+    for k in range(-(-s // d) + 1):
+        i = lo // d + k
+        w = np.minimum(lo + s, (i + 1) * d) - np.maximum(lo, i * d)
+        if (w > 0).any():
+            taps.append((np.minimum(i, src_len - 1),
+                         np.maximum(w, 0).astype(np.int32).reshape(-1, 1)))
+    return s, tuple(taps)
+
+
+def _sum_taps(arr: np.ndarray, taps, axis: int, dtype) -> np.ndarray:
+    """``S`` times the area average along *axis* of an HxWxC block."""
+    acc = None
+    for idx, w in taps:
+        term = arr.take(idx, axis).astype(dtype, copy=False)
+        term *= w if axis else w[:, None]
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return acc
 
 
 def resample(pixels: np.ndarray, dst_w: int, dst_h: int) -> np.ndarray:
-    """Resample an HxWxC uint8 image to dst_w x dst_h, anti-aliased."""
+    """Resample an HxW[xC] uint8 image to dst_w x dst_h, anti-aliased."""
     if dst_w <= 0 or dst_h <= 0:
         raise ValueError("target dimensions must be positive")
-    out = _resample_axis(np.asarray(pixels), dst_h, 0)
-    out = _resample_axis(out, dst_w, 1)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    px = np.asarray(pixels, dtype=np.uint8)
+    h, w = px.shape[:2]
+    if h == 0 or w == 0:
+        raise ValueError("cannot resample an empty image")
+    # Both axes leave the numerator of the average over den = S_y * S_x.
+    (sy, taps_y), (sx, taps_x) = _taps(h, dst_h), _taps(w, dst_w)
+    den = sy * sx
+    dtype = np.int32 if 255 * den * 2 < 2 ** 31 else np.int64
+    num = px.reshape(h, w, -1)
+    if h != dst_h:
+        num = _sum_taps(num, taps_y, 0, dtype)
+    if w != dst_w:
+        num = _sum_taps(num, taps_x, 1, dtype)
+    if den > 1:
+        # rint(num / den) is floor((num + den // 2) / den), except that
+        # a tie (even den only) whose floor is even must stay there.
+        if den % 2 == 0:
+            num += (num // den & 1) - 1
+        num += den // 2
+        num //= den
+    return num.astype(np.uint8).reshape((dst_h, dst_w) + px.shape[2:])
 
 
 def scale_rect(rect: Rect, sx: float, sy: float) -> Rect:
@@ -229,8 +259,8 @@ class DisplayScaler:
             fy = cmd.src_height / cmd.dest.height
             x0 = int((visible.x - cmd.dest.x) * fx)
             y0 = int((visible.y - cmd.dest.y) * fy)
-            x1 = max(x0 + 2, int(math.ceil(visible.x2 - cmd.dest.x) * fx))
-            y1 = max(y0 + 2, int(math.ceil(visible.y2 - cmd.dest.y) * fy))
+            x1 = max(x0 + 2, math.ceil((visible.x2 - cmd.dest.x) * fx))
+            y1 = max(y0 + 2, math.ceil((visible.y2 - cmd.dest.y) * fy))
             rgb = rgb[y0 : min(y1, cmd.src_height),
                       x0 : min(x1, cmd.src_width)]
         new_w = max(2, min(rgb.shape[1],

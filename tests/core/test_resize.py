@@ -1,4 +1,7 @@
-"""Tests for server-side display scaling (Section 6)."""
+"""Tests for server-side display scaling (Section 6).
+
+The resampling kernel itself is checked in ``test_resize_kernel.py``.
+"""
 
 import numpy as np
 import pytest
@@ -21,41 +24,13 @@ class TestResample:
         img = np.arange(4 * 4 * 4, dtype=np.uint8).reshape(4, 4, 4)
         assert np.array_equal(resample(img, 4, 4), img)
 
-    def test_downscale_averages(self):
-        """2x downscale of a checkerboard gives the mid grey (AA)."""
-        img = np.zeros((4, 4, 4), dtype=np.uint8)
-        img[::2, ::2] = 255
-        img[1::2, 1::2] = 255
-        out = resample(img, 2, 2)
-        assert np.all(np.abs(out.astype(int) - 128) <= 1)
-
-    def test_flat_stays_flat(self):
-        img = np.full((10, 10, 4), 77, dtype=np.uint8)
-        for dims in [(3, 3), (7, 5), (20, 13)]:
-            out = resample(img, *dims)
-            assert np.all(out == 77)
-
     def test_upscale_dimensions(self):
         img = np.zeros((3, 5, 4), dtype=np.uint8)
         assert resample(img, 13, 9).shape == (9, 13, 4)
 
-    def test_energy_preserved_on_downscale(self):
-        """Area-weighted resampling preserves the mean (no aliasing bias)."""
-        rng = np.random.default_rng(1)
-        img = rng.integers(0, 256, (32, 32, 4), dtype=np.uint8)
-        out = resample(img, 8, 8)
-        assert abs(float(out.mean()) - float(img.mean())) < 2.0
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resample(np.zeros((4, 4, 4), np.uint8), 0, 4)
-
-    @given(st.integers(1, 30), st.integers(1, 30),
-           st.integers(1, 30), st.integers(1, 30))
-    @settings(max_examples=40, deadline=None)
-    def test_shape_property(self, sw, sh, dw, dh):
-        img = np.zeros((sh, sw, 4), dtype=np.uint8)
-        assert resample(img, dw, dh).shape == (dh, dw, 4)
 
 
 class TestScaleRect:

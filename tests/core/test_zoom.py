@@ -59,6 +59,28 @@ class TestScalerView:
             DisplayScaler((128, 96), (64, 48),
                           view_rect=Rect(0, 0, 0, 0))
 
+    def test_video_crop_covers_a_fractional_source_edge(self, monkeypatch):
+        """A 176x144 source shown 352x288 (fx = fy = 1/2) under a
+        101x75 view: the visible area ends at source 50.5 x 37.5, so
+        the crop must reach column 51 and row 38."""
+        from repro.core import resize
+        from repro.protocol import VideoFrameCommand
+        from repro.video import yuv
+
+        cropped = []
+        inner = resize.resample
+        monkeypatch.setattr(
+            resize, "resample",
+            lambda px, w, h: cropped.append(px.shape) or inner(px, w, h))
+        scaler = DisplayScaler((352, 288), (101, 75),
+                               view_rect=Rect(0, 0, 101, 75))
+        rgb = np.full((144, 176, 3), 120, dtype=np.uint8)
+        data = yuv.pack_yv12(*yuv.rgb_to_yv12(rgb))
+        (out,) = scaler.scale_command(
+            VideoFrameCommand(1, Rect(0, 0, 352, 288), 176, 144, data))
+        assert cropped == [(38, 51, 3)]
+        assert out.dest == Rect(0, 0, 101, 75)
+
     def test_map_point(self):
         scaler = DisplayScaler((128, 96), (64, 48),
                                view_rect=Rect(64, 48, 64, 48))
