@@ -10,7 +10,13 @@
 * ``mutator_sha256`` — one SHA-256 over the outcome (parsed message
   reprs, or the exception class name, plus ``pending_bytes``) of each
   of 5 000 ``Mutator(seed=54, ...)`` cases fed to an unrestricted
-  ``StreamParser``.
+  ``StreamParser``;
+* ``commands`` — ``encode_message`` hex for at least two instances of
+  every display command (RAW once per ``Encoding``, BITMAP with and
+  without ``bg``, a PFILL with a non-zero origin, VFRAME in both pixel
+  formats, a self-overlapping and a disjoint COPY);
+* ``frozen_session`` — hex of one ``FrozenSession`` v2 blob with every
+  flag set, all four lists non-empty and non-zero counters.
 
 A codec refactor must pass this file unchanged.  A deliberate wire
 change regenerates it (``PYTHONPATH=src python
@@ -22,9 +28,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from repro.codec import Encoding
+from repro.core.session_unit import FrozenSession
 from repro.fuzz.corpus import seed_corpus
 from repro.fuzz.mutator import Mutator
-from repro.protocol import wire
+from repro.protocol import commands, wire
 from repro.protocol.limits import LIMITS
 from repro.region import Rect
 
@@ -93,6 +103,58 @@ INSTANCES = [
 ]
 
 
+def _ramp(*shape):
+    """Deterministic byte content (no RNG stream to keep stable)."""
+    return (np.arange(int(np.prod(shape))) * 7 % 251).astype(
+        np.uint8).reshape(shape)
+
+
+_BLOCK = Rect(3, 4, 6, 5)
+_MASK = _ramp(5, 6) % 3 == 0
+
+#: label -> pinned display-command instance.
+COMMANDS = {
+    **{f"RAW {encoding.name}":
+       commands.RawCommand(_BLOCK, _ramp(5, 6, 4), encoding)
+       for encoding in Encoding},
+    "COPY self-overlapping": commands.CopyCommand(0, 8, Rect(0, 0, 64, 40)),
+    "COPY disjoint": commands.CopyCommand(100, 200, Rect(0, 0, 16, 16)),
+    "SFILL low": commands.SFillCommand(Rect(0, 0, 1, 1), (0, 0, 0, 0)),
+    "SFILL high": commands.SFillCommand(Rect(U16, U16, U16, U16),
+                                        (255, 254, 253, 252)),
+    "PFILL": commands.PFillCommand(Rect(0, 0, 8, 8), _ramp(1, 1, 4)),
+    "PFILL origin": commands.PFillCommand(Rect(5, 9, 20, 12),
+                                          _ramp(3, 4, 4), origin=(2, 7)),
+    "BITMAP transparent": commands.BitmapCommand(_BLOCK, _MASK,
+                                                 (1, 2, 3, 255)),
+    "BITMAP opaque": commands.BitmapCommand(_BLOCK, _MASK, (1, 2, 3, 255),
+                                            (9, 8, 7, 6)),
+    "COMPOSITE": commands.CompositeCommand(_BLOCK, _ramp(5, 6, 4)),
+    "COMPOSITE 1x1": commands.CompositeCommand(Rect(0, 0, 1, 1),
+                                               _ramp(1, 1, 4)),
+    "VFRAME YV12": commands.VideoFrameCommand(
+        3, Rect(0, 0, 32, 24), 8, 6, _ramp(8 * 6 * 3 // 2).tobytes(),
+        frame_no=9),
+    "VFRAME YUY2": commands.VideoFrameCommand(
+        U16, Rect(1, 2, 16, 12), 8, 6, _ramp(8 * 6 * 2).tobytes(),
+        frame_no=U32, pixel_format="YUY2"),
+}
+
+#: Every flag set, every list non-empty, every counter non-zero.
+FROZEN = FrozenSession(
+    token=0xC0FFEE, viewport=(96, 64), view_rect=Rect(8, 4, 48, 32),
+    sequenced=True, degraded=True, shed_display=True, log_dropped=True,
+    queue_dropped=True, last_seq=41, acked_seq=39, pipe_tail=1.25,
+    journal=((40, b"frame-40"), (41, b"frame-41")),
+    commands=(COMMANDS["COPY disjoint"].encode(),
+              COMMANDS["SFILL high"].encode()),
+    replay=(b"replayed",), control=(b"ctl", b""),
+    stats={"messages_sent": 12, "bytes_sent": 1 << 33, "flush_periods": 9,
+           "cpu_time": 0.125, "audio_dropped": 4, "display_shed": 1,
+           "uplink_dropped": 5, "wire_errors": 2},
+    subscribed=True, tile_mode=True, qos_rung=LIMITS.max_qos_rung)
+
+
 def _mutator_digest():
     corpus = seed_corpus() + [wire.encode_message(m) for m in INSTANCES]
     digest = hashlib.sha256()
@@ -112,6 +174,9 @@ def _current():
                       for m in INSTANCES},
         "seed_corpus": [entry.hex() for entry in seed_corpus()],
         "mutator_sha256": _mutator_digest(),
+        "commands": {label: wire.encode_message(cmd).hex()
+                     for label, cmd in COMMANDS.items()},
+        "frozen_session": FROZEN.to_bytes().hex(),
     }
 
 
@@ -139,6 +204,32 @@ def test_seed_corpus_bytes_are_golden():
 def test_mutated_stream_outcomes_are_golden():
     golden = json.loads(GOLDEN.read_text())["mutator_sha256"]
     assert _mutator_digest() == golden
+
+
+def test_commands_cover_every_display_command_twice():
+    counts = {}
+    for cmd in COMMANDS.values():
+        counts[type(cmd)] = counts.get(type(cmd), 0) + 1
+    assert set(counts) == set(commands.COMMAND_TYPES.values())
+    assert min(counts.values()) >= 2
+    assert counts[commands.RawCommand] == len(Encoding)
+
+
+def test_commands_encode_to_golden_bytes_and_back():
+    golden = json.loads(GOLDEN.read_text())["commands"]
+    assert list(golden) == list(COMMANDS)
+    for label, cmd in COMMANDS.items():
+        framed = wire.encode_message(cmd)
+        assert framed.hex() == golden[label], label
+        (parsed,) = wire.parse_messages(framed)
+        assert type(parsed) is type(cmd), label
+        assert wire.encode_message(parsed) == framed, label
+
+
+def test_frozen_session_blob_is_golden_and_thaws():
+    golden = bytes.fromhex(json.loads(GOLDEN.read_text())["frozen_session"])
+    assert FROZEN.to_bytes() == golden
+    assert FrozenSession.from_bytes(golden) == FROZEN
 
 
 if __name__ == "__main__":
