@@ -8,18 +8,18 @@ checks them mechanically:
   its overwrite class and queue-manipulation contract, no direct
   framebuffer writes outside the display layer, no O(n) head drains on
   hot paths, no hard-coded wire-format constants, no mutable default
-  arguments, no bare excepts).
+  arguments, no bare excepts, no hand-packed wire layouts).
 * :mod:`repro.analysis.layering` — an import checker enforcing the
   translation architecture's dependency DAG (the machine-readable map
   lives in :mod:`repro.analysis.layermap`).
 * :mod:`repro.analysis.facts` + :mod:`repro.analysis.contracts` — the
   whole-program protocol-contract analyzer (rules THL200–THL205): one
-  AST pass over all of ``src/repro`` collects wire-message classes,
-  parser accept sets, dispatch sites, decode guards, the SessionUnit
-  serialization surface and wall-clock calls; the rule engine
-  cross-checks those facts against the ``PROTOCOL_SPEC`` registry,
-  renders the conformance matrix (``docs/CONTRACTS.md``) and gates CI
-  through the committed findings baseline
+  AST pass over all of ``src/repro`` collects the declared wire
+  classes and their field tables, parser accept sets, dispatch sites,
+  the SessionUnit serialization surface and wall-clock calls; the rule
+  engine cross-checks those facts against the ``PROTOCOL_SPEC``
+  registry, renders the conformance matrix (``docs/CONTRACTS.md``) and
+  gates CI through the committed findings baseline
   (``analysis_baseline.json``).
 * :mod:`repro.analysis.sanitizer` — wiring for the opt-in runtime
   command-queue sanitizer (``THINC_SANITIZE=1``) whose checks live in

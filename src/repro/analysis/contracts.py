@@ -7,21 +7,14 @@ function can prove about itself; the rules here cross-check the facts
 
 ========  ====================================================================
 THL200    every wire id is registered exactly once — by a
-          ``@message`` declaration or a ``MessageSpec`` row — and no
-          class carries a ``type_id`` the registry does not give it
+          ``@message`` / ``@wire_type`` declaration — and no class
+          carries a ``type_id`` the registry does not give it
 THL201    direction conformance — every directional ``StreamParser``
           names a spec-derived accept set, every accept set is
           enforced by at least one parser, and no dispatch scope
           handles a message its side can never legitimately receive
 THL202    every registered message has a reachable handler on its
           declared receiving side (no dead wire ids)
-THL203    interprocedural THL007 — a field unpacked in any
-          hand-written decoder (a command's ``decode``, CHECKED's
-          ``decode_payload``) that sizes a slice must flow through a
-          ``WireLimits`` comparison, a clamp, or a guard helper,
-          including through one level of helper calls; declared
-          messages decode through the schema, which cannot slice
-          without a bound
 THL204    serialization-surface drift — every mutable ``SessionUnit``
           attribute is captured by ``freeze()`` or allowlisted in
           ``NOT_SERIALIZED`` with a reason
@@ -56,8 +49,8 @@ __all__ = [
 #: Rule catalogue, rendered into docs/ANALYSIS.md's table.
 CONTRACT_RULES = (
     ("THL200", "unregistered-type-id",
-     "Every wire id is registered exactly once (a @message declaration "
-     "or a MessageSpec row), and no class carries a type_id the "
+     "Every wire id is registered exactly once (a @message or "
+     "@wire_type declaration), and no class carries a type_id the "
      "registry does not give it."),
     ("THL201", "direction-violation",
      "Directional StreamParsers name a spec-derived accept set "
@@ -67,10 +60,6 @@ CONTRACT_RULES = (
     ("THL202", "dead-wire-id",
      "Every registered message has a reachable handler on its declared "
      "receiving side."),
-    ("THL203", "unguarded-decode-field",
-     "In a hand-written decoder, a field that sizes a slice must flow "
-     "through a WireLimits comparison, clamp, or guard helper first "
-     "(one level of helper calls is followed)."),
     ("THL204", "serialization-drift",
      "Mutable SessionUnit state appears in freeze() or in the "
      "NOT_SERIALIZED allowlist with a reason string."),
@@ -195,7 +184,7 @@ def _parser_role(site: ParserSite) -> Optional[str]:
 # --- the rules ---------------------------------------------------------------
 
 def check_contracts(facts: Facts) -> List[Finding]:
-    """Run THL200–THL205 over one extracted fact set."""
+    """Run the THL2xx rules over one extracted fact set."""
     findings: List[Finding] = []
     view = _spec_view(facts)
     path_of = {m: str(facts.root / m) for m in facts.modules}
@@ -209,7 +198,6 @@ def check_contracts(facts: Facts) -> List[Finding]:
     _thl200(facts, view, add)
     _thl201(facts, view, add)
     _thl202(facts, view, add)
-    _thl203(facts, view, add)
     _thl204(facts, add)
     _thl205(facts.clock_calls, add, exempt=CLOCK_EXEMPT)
     return sorted(findings)
@@ -328,23 +316,6 @@ def _handled(impl: str, type_id: int, side: str, facts: Facts,
         if ids is not None and type_id in ids:
             return True
     return False
-
-
-def _thl203(facts: Facts, view: _SpecView, add) -> None:
-    for msg in facts.messages:
-        if msg.decode is None:
-            continue
-        reported = set()
-        for field, line in msg.decode.size_uses:
-            if field not in msg.decode.fields:
-                continue  # not attacker-controlled payload data
-            if field in msg.decode.guarded or field in reported:
-                continue
-            reported.add(field)
-            add("THL203", msg.module, line,
-                f"{msg.name}'s decoder sizes a slice with unpacked "
-                f"field '{field}' without a WireLimits comparison, "
-                f"clamp or guard helper")
 
 
 def _thl204(facts: Facts, add) -> None:
@@ -494,17 +465,12 @@ def render_contract_matrix(facts: Facts) -> str:
     def bounds_for(type_id: int) -> str:
         impl = view.id_to_impl.get(type_id)
         fact = next((m for m in facts.messages if m.name == impl), None)
-        if fact is not None and fact.fields:
-            # Declared: the exact bounds, in wire order.
-            return ", ".join(
-                f"{name}* {' & '.join(filter(None, checks))}"
-                if any(checks) else name
-                for name, *checks in fact.fields)
-        if fact is None or fact.decode is None or not fact.decode.fields:
+        if fact is None or not fact.fields:
             return "—"
-        parts = [f"{f}*" if f in fact.decode.guarded else f
-                 for f in sorted(fact.decode.fields)]
-        return ", ".join(parts)
+        return ", ".join(
+            f"{name}* {' & '.join(filter(None, checks))}"
+            if any(checks) else name
+            for name, *checks in fact.fields)
 
     lines = [
         "# THINC protocol conformance matrix",
@@ -513,13 +479,11 @@ def render_contract_matrix(facts: Facts) -> str:
         "facts in `repro.analysis.facts` — **do not edit**; `make",
         "analyze` fails when this file is stale.  For every registered",
         "wire id: who parses it, who handles it, and which payload",
-        "fields are bounds-checked (`*`).  Ids 16 and up, CHECKED",
-        "excepted, are `@message` declarations: the column lists their",
-        "fields in wire order with the bound each declares and, where",
-        "the `check=` validator reads the field, the validator's name.",
-        "For the hand-written decoders (display commands, CHECKED) `*`",
-        "is inferred: the field flows through a `WireLimits`",
-        "comparison or guard helper before use (THL203).",
+        "fields are bounds-checked (`*`).  Every id is a declaration",
+        "(`@message`, or `@wire_type` for the display commands): the",
+        "column is read off it — the rows in wire order with the bound",
+        "each declares and, where the `check=` validator reads the",
+        "field, the validator's name.",
         "",
         "| id | message | dir | parsers that accept it | handlers "
         "| decode fields |",

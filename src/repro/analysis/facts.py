@@ -3,24 +3,16 @@
 One AST walk over a ``repro`` package tree, collecting everything the
 THL2xx rules in :mod:`repro.analysis.contracts` cross-check:
 
-* the spec registry itself — every ``@message(NAME, id, direction,
-  ...)`` class decorator (the control messages: a row and its class
-  are one declaration) plus the ``MessageSpec(...)`` literals in
-  ``protocol/spec.py`` (the display commands) — read from the
-  *analyzed tree's* source, not imported, so the analyzer works on any
-  checkout (including the mutated copies the test suite uses to prove
-  each rule fires); a unit test asserts the AST-extracted registry
-  equals the live ``PROTOCOL_SPEC``;
-* for a declared message, its field table: each ``name = kind(...)``
+* the spec registry itself — every ``@message`` / ``@wire_type(NAME,
+  id, direction, ...)`` class decorator (a row and its class are one
+  declaration) — read from the *analyzed tree's* source, not imported,
+  so the analyzer works on any checkout (including the mutated copies
+  the test suite uses to prove each rule fires); a unit test asserts
+  the AST-extracted registry equals the live ``PROTOCOL_SPEC``;
+* for each declaration, its field table: each ``name = kind(...)``
   row with the bound it declares, and the fields its ``check=``
   validator reads — exact, nothing inferred (a unit test pins them to
   the live schema);
-* every hand-written decoder (``decode`` of a display command, the
-  CHECKED ``decode_payload``) and a decode analysis of it: which
-  fields it unpacks, which flow through a ``WireLimits`` comparison /
-  clamp / guard helper (anything that raises a ``ProtocolError`` or
-  ``ValueError``), and which size a slice — including through one
-  level of local helper-function calls;
 * every ``StreamParser`` construction site and its ``allowed=`` set;
 * every dispatch-site reference to a message class (``isinstance``
   checks and plain references), with its enclosing class/function;
@@ -44,25 +36,11 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 __all__ = [
-    "SpecEntry", "DecodeFact", "MessageClassFact", "ParserSite",
+    "SpecEntry", "MessageClassFact", "ParserSite",
     "MessageRef", "ClockCall", "SessionSurface", "Facts",
-    "extract_facts", "collect_clock_calls",
-    "PROTOCOL_ERROR_NAMES", "GUARD_RAISE_NAMES", "WALL_CLOCK_TIME_APIS",
+    "extract_facts", "collect_clock_calls", "WALL_CLOCK_TIME_APIS",
+    "DECLARATORS",
 ]
-
-#: The typed decode-failure family; a helper that raises one of these
-#: counts as a guard (THL203's interprocedural step).
-PROTOCOL_ERROR_NAMES = frozenset({
-    "ProtocolError", "ChecksumError", "TruncatedPayloadError",
-    "FrameTooLargeError", "FieldRangeError",
-})
-
-#: Raises that qualify a compare-then-raise as a decode guard.  The
-#: command layer deliberately raises plain ``ValueError`` (it must not
-#: import the wire module; the frame dispatcher re-raises command
-#: decode failures as ``ProtocolError``), and ``ProtocolError`` itself
-#: subclasses ``ValueError`` — so both families have the same teeth.
-GUARD_RAISE_NAMES = PROTOCOL_ERROR_NAMES | frozenset({"ValueError"})
 
 #: Banned attributes of the ``time`` module (``perf_counter`` is *not*
 #: banned: measuring the harness's own wall cost is legitimate — only
@@ -78,16 +56,19 @@ _DATETIME_APIS = frozenset({"now", "utcnow", "today"})
 _MESSAGE_NAME = re.compile(
     r"^_?[A-Z]\w*(?:Message|Command|Frame)$|^Command$")
 
-#: The schema's field constructors (``protocol/schema.py``): under
-#: ``@message``, a class-body ``name = <kind>(...)`` is a payload field.
+#: The schema's declaring decorators and field constructors
+#: (``protocol/schema.py``): under one of the former, a class-body
+#: ``name = <kind>(...)`` is a payload row.
+DECLARATORS = ("message", "wire_type")
 _FIELD_KINDS = frozenset({"u8", "u16", "u32", "u64", "f64", "flag",
-                          "choice", "rect16", "tag", "rest", "blob"})
+                          "choice", "rect16", "rgba", "tag", "sized",
+                          "rest", "blob"})
 
 
 @dataclass(frozen=True)
 class SpecEntry:
-    """One registered wire id: a ``@message(...)`` decorator or a
-    ``MessageSpec(...)`` literal in ``protocol/spec.py``."""
+    """One registered wire id: a ``@message(...)`` or
+    ``@wire_type(...)`` class decorator."""
 
     name: str
     type_id: int
@@ -98,26 +79,16 @@ class SpecEntry:
 
 
 @dataclass(frozen=True)
-class DecodeFact:
-    """What a ``decode_payload`` does with its payload bytes."""
-
-    fields: FrozenSet[str]          # names bound from struct unpacks
-    guarded: FrozenSet[str]         # fields that hit a guard event
-    size_uses: Tuple[Tuple[str, int], ...]  # (field, line) inside a slice
-
-
-@dataclass(frozen=True)
 class MessageClassFact:
-    """A class that owns a wire id: ``@message``-declared, or carrying
-    an integer ``type_id`` class attribute (display commands)."""
+    """A class that claims a wire id: declared, or carrying an integer
+    ``type_id`` class attribute the registry may not know (THL200)."""
 
     name: str
     module: str  # posix path relative to the tree root
     line: int
     type_id: int
-    decode: Optional[DecodeFact]  # its hand-written decoder, if any
-    #: ``@message``-declared classes only (None otherwise): the field
-    #: table in wire order, see :func:`_declared_fields`.
+    #: Declared classes only (None otherwise): the field table in wire
+    #: order, see :func:`_declared_fields`.
     fields: Optional[Tuple[Tuple[str, str, str], ...]] = None
 
 
@@ -187,108 +158,11 @@ def _trailing_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _names_in(node: ast.AST) -> FrozenSet[str]:
-    return frozenset(n.id for n in ast.walk(node)
-                     if isinstance(n, ast.Name))
-
-
-def _mentions_limits(node: ast.AST) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == "LIMITS"
-               for n in ast.walk(node))
-
-
 def _iter_py(root: Path):
     for path in sorted(root.rglob("*.py")):
         if "__pycache__" in path.parts:
             continue
         yield path
-
-
-# --- decode_payload analysis -------------------------------------------------
-
-def _analyze_decode(fn: ast.FunctionDef,
-                    guard_names: FrozenSet[str],
-                    local_fns: Dict[str, ast.FunctionDef],
-                    depth: int = 0) -> DecodeFact:
-    """Field/guard/size-use analysis of one function body.
-
-    ``depth`` bounds the interprocedural step: a ``decode_payload``
-    calling a module-level helper merges that helper's analysis once
-    (one level, per the THL203 contract).
-    """
-    fields: set = set()
-    guarded: set = set()
-    size_uses: List[Tuple[str, int]] = []
-    called: List[str] = []
-
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = _trailing_name(node.value.func)
-            if callee in ("unpack", "unpack_from"):
-                for target in node.targets:
-                    elts = target.elts if isinstance(
-                        target, ast.Tuple) else [target]
-                    for elt in elts:
-                        if isinstance(elt, ast.Name):
-                            fields.add(elt.id)
-        elif isinstance(node, ast.Compare):
-            if _mentions_limits(node):
-                guarded |= _names_in(node)
-        elif isinstance(node, ast.If) and isinstance(node.test, ast.Compare):
-            # ``if kind_id >= len(TABLE): raise FieldRangeError(...)``
-            # is a range check with teeth even without mentioning
-            # LIMITS: the compared field cannot reach a use unchecked.
-            if any(isinstance(inner, ast.Raise) and inner.exc is not None
-                   and _trailing_name(inner.exc.func
-                                      if isinstance(inner.exc, ast.Call)
-                                      else inner.exc) in GUARD_RAISE_NAMES
-                   for stmt in node.body for inner in ast.walk(stmt)):
-                guarded |= _names_in(node.test)
-        elif isinstance(node, ast.Call):
-            callee = _trailing_name(node.func)
-            if callee in guard_names:
-                for arg in node.args:
-                    guarded |= _names_in(arg)
-            elif callee in ("min", "max") and _mentions_limits(node):
-                for arg in node.args:
-                    guarded |= _names_in(arg)  # clamp counts as a guard
-            elif (isinstance(node.func, ast.Name)
-                  and node.func.id in local_fns and depth == 0):
-                called.append(node.func.id)
-        elif isinstance(node, ast.Subscript):
-            for name in _names_in(node.slice):
-                size_uses.append((name, node.lineno))
-
-    for callee in called:
-        sub = _analyze_decode(local_fns[callee], guard_names,
-                              local_fns, depth=1)
-        fields |= sub.fields
-        guarded |= sub.guarded
-        size_uses.extend(sub.size_uses)
-
-    return DecodeFact(fields=frozenset(fields),
-                      guarded=frozenset(guarded),
-                      size_uses=tuple(size_uses))
-
-
-def _guard_helper_names(tree: ast.Module) -> FrozenSet[str]:
-    """Module-level functions that qualify as decode guards: they
-    compare against ``LIMITS`` or raise a typed ``ProtocolError``."""
-    names = set()
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Compare) and _mentions_limits(inner):
-                names.add(node.name)
-                break
-            if isinstance(inner, ast.Raise) and inner.exc is not None:
-                exc = inner.exc
-                target = exc.func if isinstance(exc, ast.Call) else exc
-                if _trailing_name(target) in GUARD_RAISE_NAMES:
-                    names.add(node.name)
-                    break
-    return frozenset(names)
 
 
 # --- @message declarations ---------------------------------------------------
@@ -300,10 +174,10 @@ def _declared_bound(call: ast.Call) -> str:
     kind = _trailing_name(call.func)
     if kind in ("flag", "choice"):
         return "enum"
-    if kind == "rect16":
+    if kind in ("rect16", "rgba"):
         return ""
     kwargs = {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
-    if kind in ("tag", "rest"):
+    if kind in ("tag", "sized", "rest"):
         return f"len <= {kwargs['max']}"
     if kind == "blob":
         return "len == " + "*".join(map(str, kwargs["size"]))
@@ -315,12 +189,12 @@ def _declared_bound(call: ast.Call) -> str:
     return "" if (lo, hi) == (0, top) else f"[{lo}, {hi}]"
 
 
-def _registration(node: ast.AST, callee: str) \
-        -> Optional[Tuple[str, int, str]]:
-    """``(name, type_id, direction)`` when *node* is a
-    ``callee(NAME, id, direction, ...)`` call with a literal head —
-    a ``@message`` decorator or a ``MessageSpec`` row."""
-    if isinstance(node, ast.Call) and _trailing_name(node.func) == callee \
+def _registration(node: ast.AST) -> Optional[Tuple[str, int, str]]:
+    """``(name, type_id, direction)`` when *node* is a declaring
+    decorator, ``message(NAME, id, direction, ...)`` or ``wire_type``
+    likewise, with a literal head."""
+    if isinstance(node, ast.Call) \
+            and _trailing_name(node.func) in DECLARATORS \
             and len(node.args) >= 3 \
             and all(isinstance(a, ast.Constant) for a in node.args[:3]):
         return tuple(a.value for a in node.args[:3])
@@ -330,7 +204,7 @@ def _registration(node: ast.AST, callee: str) \
 def _declared_fields(node: ast.ClassDef, decorator: ast.Call,
                      local_fns: Dict[str, ast.FunctionDef]) \
         -> Tuple[Tuple[str, str, str], ...]:
-    """The field table of a ``@message`` class: each ``name =
+    """The field table of a declared class: each ``name =
     kind(...)`` row as (field, declared bound, the ``check=``
     validator's name when it reads the field off its argument)."""
     check = next((_trailing_name(kw.value) for kw in decorator.keywords
@@ -354,10 +228,8 @@ def _declared_fields(node: ast.ClassDef, decorator: ast.Call,
 
 class _ModuleFacts(ast.NodeVisitor):
     def __init__(self, module: str,
-                 guard_names: FrozenSet[str] = frozenset(),
                  local_fns: Optional[Dict[str, ast.FunctionDef]] = None):
         self.module = module
-        self.guard_names = guard_names
         self.local_fns = local_fns or {}
         self.spec: List[SpecEntry] = []
         self.messages: List[MessageClassFact] = []
@@ -398,39 +270,28 @@ class _ModuleFacts(ast.NodeVisitor):
     # -- message classes --
 
     def _collect_message_class(self, node: ast.ClassDef) -> None:
-        type_id, fields, decode = None, None, None
+        type_id, fields = None, None
         for dec in node.decorator_list:
-            head = _registration(dec, "message")
+            head = _registration(dec)
             if head is not None:
-                type_id = head[1]
-                self._register(head, node.name, node.lineno)
+                name, type_id, direction = head
+                self.spec.append(SpecEntry(
+                    name=name, type_id=type_id, direction=direction,
+                    implementation=node.name, module=self.module,
+                    line=node.lineno))
                 fields = _declared_fields(node, dec, self.local_fns)
         for stmt in node.body:
-            # ``type_id = 3`` or ``type_id: int = 3`` (display commands).
+            # An undeclared ``type_id = 3`` or ``type_id: int = 3``.
             target = stmt.targets[0] if isinstance(stmt, ast.Assign) \
                 else getattr(stmt, "target", None)
             if isinstance(target, ast.Name) and target.id == "type_id" \
                     and isinstance(stmt.value, ast.Constant) \
                     and type(stmt.value.value) is int:
                 type_id = stmt.value.value
-            # Hand-written decoders: a command's ``decode`` classmethod
-            # or (CHECKED) a ``decode_payload``.  Both are subject to
-            # the same bounded-decode contract.
-            elif isinstance(stmt, ast.FunctionDef) \
-                    and stmt.name in ("decode_payload", "decode"):
-                decode = _analyze_decode(stmt, self.guard_names,
-                                         self.local_fns)
         if type_id is not None:
             self.messages.append(MessageClassFact(
                 name=node.name, module=self.module, line=node.lineno,
-                type_id=type_id, decode=decode, fields=fields))
-
-    def _register(self, head: Tuple[str, int, str], implementation: str,
-                  line: int) -> None:
-        name, type_id, direction = head
-        self.spec.append(SpecEntry(
-            name=name, type_id=type_id, direction=direction,
-            implementation=implementation, module=self.module, line=line))
+                type_id=type_id, fields=fields))
 
     # -- imports (for wall-clock aliasing) --
 
@@ -457,10 +318,6 @@ class _ModuleFacts(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         callee = _trailing_name(node.func)
-        head = _registration(node, "MessageSpec")
-        if head is not None and len(node.args) >= 4:
-            self._register(head, _trailing_name(node.args[-1]) or "?",
-                           node.lineno)
         if callee == "StreamParser":
             self.parsers.append(ParserSite(
                 module=self.module, line=node.lineno, scope=self._scope,
@@ -603,7 +460,7 @@ def extract_facts(root: Path) -> Facts:
             session = _extract_session(tree, rel)
         local_fns = {node.name: node for node in tree.body
                      if isinstance(node, ast.FunctionDef)}
-        visitor = _ModuleFacts(rel, _guard_helper_names(tree), local_fns)
+        visitor = _ModuleFacts(rel, local_fns)
         visitor.visit(tree)
         spec.extend(visitor.spec)
         messages.extend(visitor.messages)

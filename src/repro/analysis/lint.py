@@ -8,8 +8,8 @@ overhead and hot-path ``list.pop(0)``).  The rules:
 id       name                what it enforces
 =======  ==================  ==============================================
 THL001   command-contract    every ``Command`` subclass declares its
-                             overwrite class and the full queue-
-                             manipulation contract (Section 4)
+                             overwrite class, the queue-manipulation
+                             contract (Section 4) and its row mapping
 THL002   fb-direct-write     only ``repro.display`` may write framebuffer
                              pixels directly; everyone else goes through
                              raster ops / the translation layer
@@ -20,10 +20,10 @@ THL004   wire-constant       wire-format sizes outside ``repro.protocol``
                              ``spec``, never be numeric literals
 THL005   mutable-default     no mutable default arguments
 THL006   bare-except         no bare ``except:`` clauses
-THL007   unguarded-decode    ``decode_payload`` bodies must length-check
-                             input before ``struct.unpack`` / slicing —
-                             a short payload must raise a typed
-                             ``ProtocolError``, not ``struct.error``
+THL007   hand-packed-layout  a class that owns a wire id, and
+                             ``core/session_unit.py``, call no
+                             ``struct`` API — declare the layout as
+                             ``protocol.schema`` rows
 =======  ==================  ==============================================
 
 Suppress a finding by appending a ``thinclint: skip`` comment (all
@@ -39,6 +39,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .facts import DECLARATORS
 from .findings import Finding
 
 __all__ = ["RULES", "lint_source", "lint_path", "find_suppressions"]
@@ -46,8 +47,8 @@ __all__ = ["RULES", "lint_source", "lint_path", "find_suppressions"]
 #: (id, name, summary) for every rule — rendered into docs/ANALYSIS.md.
 RULES: Sequence[Tuple[str, str, str]] = (
     ("THL001", "command-contract",
-     "Command subclasses must declare kind, type_id, overwrite_class and "
-     "the translated/clipped/encode/decode/apply contract"),
+     "Command subclasses must declare kind, overwrite_class and the "
+     "translated/clipped/to_rows/from_rows/apply contract"),
     ("THL002", "fb-direct-write",
      "only repro.display may write Framebuffer.data directly"),
     ("THL003", "head-drain",
@@ -59,14 +60,17 @@ RULES: Sequence[Tuple[str, str, str]] = (
      "mutable default arguments are shared across calls"),
     ("THL006", "bare-except",
      "bare except swallows KeyboardInterrupt/SystemExit and hides bugs"),
-    ("THL007", "unguarded-decode",
-     "decode_payload must length-check its input (a len() comparison) "
-     "before struct.unpack or slice-decoding it"),
+    ("THL007", "hand-packed-layout",
+     "a wire-id class and core/session_unit.py call no struct API; "
+     "declare the layout as protocol.schema rows"),
 )
 
 # THL001: the contract every concrete protocol command must spell out.
-_COMMAND_ATTRS = ("kind", "type_id", "overwrite_class")
-_COMMAND_METHODS = ("translated", "clipped", "encode", "decode", "apply")
+_COMMAND_ATTRS = ("kind", "overwrite_class")
+_COMMAND_METHODS = ("translated", "clipped", "to_rows", "from_rows", "apply")
+
+# THL007: the calls that read a layout by hand.
+_UNPACKERS = ("unpack", "unpack_from", "iter_unpack")
 
 # THL004: ALL_CAPS names that look like wire-format sizes.
 _WIRE_NAME = re.compile(
@@ -103,11 +107,12 @@ def find_suppressions(source: str) -> List[Tuple[int, Optional[List[str]]]]:
 
 class _LintVisitor(ast.NodeVisitor):
     def __init__(self, path: str, package: Optional[str], in_protocol: bool,
-                 in_display: bool):
+                 in_display: bool, declared_only: bool = False):
         self.path = path
         self.package = package
         self.in_protocol = in_protocol
         self.in_display = in_display
+        self.declared_only = declared_only  # THL007 covers the module
         self.findings: List[Finding] = []
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -137,7 +142,31 @@ class _LintVisitor(ast.NodeVisitor):
                            f"Command subclass {node.name} must declare its "
                            f"overwrite semantics; missing: "
                            f"{', '.join(missing)}")
+        if any(isinstance(dec, ast.Call)
+               and _base_name(dec.func) in DECLARATORS
+               for dec in node.decorator_list):
+            self._check_no_struct(node)
         self.generic_visit(node)
+
+    def visit_Module(self, node: ast.Module) -> None:
+        if self.declared_only:
+            self._check_no_struct(node)
+        self.generic_visit(node)
+
+    # -- THL007 ---------------------------------------------------------------
+
+    def _check_no_struct(self, scope: ast.AST) -> None:
+        """One way to state a layout: the scope parses wire bytes only
+        through a declared field table, whose parse is bounded."""
+        for sub in ast.walk(scope):
+            if isinstance(sub, ast.Call) \
+                    and isinstance(sub.func, ast.Attribute) \
+                    and (_base_name(sub.func.value) == "struct"
+                         or sub.func.attr in _UNPACKERS):
+                self._flag(sub, "THL007",
+                           "hand-packed layout: declare it as "
+                           "protocol.schema rows (a FieldTable parse is "
+                           "bounded; struct calls are not)")
 
     # -- THL002 ---------------------------------------------------------------
 
@@ -225,7 +254,6 @@ class _LintVisitor(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
-        self._check_decode_guard(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
@@ -235,41 +263,6 @@ class _LintVisitor(ast.NodeVisitor):
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node)
         self.generic_visit(node)
-
-    # -- THL007 ---------------------------------------------------------------
-
-    def _check_decode_guard(self, node: ast.FunctionDef) -> None:
-        """Wire decoders must validate lengths before raw decoding, so
-        a short or lying payload surfaces as a typed ProtocolError
-        instead of an uncontrolled struct.error / silent garbage."""
-        if node.name != "decode_payload":
-            return
-        guard_line = None
-        first_op: Optional[ast.AST] = None
-        for sub in ast.walk(node):
-            line = getattr(sub, "lineno", None)
-            if line is None:
-                continue
-            if isinstance(sub, ast.Call):
-                func = sub.func
-                name = func.id if isinstance(func, ast.Name) else (
-                    func.attr if isinstance(func, ast.Attribute) else "")
-                if name == "len":  # the length guard
-                    if guard_line is None or line < guard_line:
-                        guard_line = line
-                elif name in ("unpack", "unpack_from"):
-                    if first_op is None or line < first_op.lineno:
-                        first_op = sub
-            elif (isinstance(sub, ast.Subscript)
-                    and isinstance(sub.slice, ast.Slice)):
-                if first_op is None or line < first_op.lineno:
-                    first_op = sub
-        if first_op is not None and (guard_line is None
-                                     or guard_line > first_op.lineno):
-            self._flag(first_op, "THL007",
-                       "decode_payload decodes raw bytes before any "
-                       "length check; guard with a len() comparison so "
-                       "truncated input raises a typed ProtocolError")
 
     # -- THL006 ---------------------------------------------------------------
 
@@ -321,7 +314,8 @@ def lint_source(source: str, module: str, path: str = "<string>",
     package = _top_package(module)
     visitor = _LintVisitor(path, package,
                            in_protocol=(package == "protocol"),
-                           in_display=(package == "display"))
+                           in_display=(package == "display"),
+                           declared_only=(module == "repro.core.session_unit"))
     visitor.visit(tree)
     findings = visitor.findings
     if honor_suppressions:

@@ -77,6 +77,12 @@ __all__ = ["QosConfig", "QosPlane", "MAX_RUNG", "video_variants"]
 #: reachable rung always encodes.
 MAX_RUNG = LIMITS.max_qos_rung
 
+# The *end-to-end* congestion signal (:meth:`QosPlane.on_report`): a
+# delivery gap this many frames above its low-water mark counts as
+# evidence, and recovery stays blocked for the hold after it.
+_REPORT_GAP = 2  # frames
+_REPORT_HOLD = 0.5  # seconds
+
 
 @dataclass(frozen=True)
 class QosConfig:
@@ -90,16 +96,6 @@ class QosConfig:
     rate window are not configured here: they are the server's one
     :class:`~repro.core.link_health.LinkHealth` probe, the same one
     the adaptive encoder reads.
-
-    ``report_gap``/``report_hold`` govern the *end-to-end* signal: when
-    consecutive client QOS_REPORTs show the delivery gap (frames the
-    server submitted minus frames the client acknowledges) growing by
-    at least ``report_gap`` frames, frames are queuing somewhere past
-    this server's own transport — e.g. a relay's thin access link the
-    local probe cannot see — and that counts as congestion evidence.
-    The signal is degrade-only and recovery stays blocked for
-    ``report_hold`` seconds after such evidence: a lying client can
-    hurt nothing but its own video quality.
     """
 
     degrade_polls: int = 2
@@ -108,8 +104,6 @@ class QosConfig:
     fps_divisor: int = 2
     scale_shift: int = 1
     qstep: int = 8
-    report_gap: int = 2
-    report_hold: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -126,10 +120,6 @@ class QosConfig:
             raise ValueError("hysteresis poll counts must be >= 1")
         if self.recover_jitter < 0:
             raise ValueError("recover_jitter must be >= 0")
-        if self.report_gap < 1:
-            raise ValueError("report_gap must be >= 1")
-        if self.report_hold < 0:
-            raise ValueError("report_hold must be >= 0")
 
 
 class _SessionQos:
@@ -345,11 +335,13 @@ class QosPlane:
         relay tier the contended access link is invisible to it.  The
         report's ``frames_received`` closes that gap: the server knows
         how many frames it submitted for each stream, so a delivery
-        gap sitting ``report_gap`` frames above its low-water mark
-        means frames are queuing somewhere downstream.  The signal is
-        deliberately asymmetric — it can push the ladder down and
-        block recovery, never ramp it up — so a client fabricating
-        reports can only degrade its own video.
+        gap (frames submitted minus frames the client acknowledges)
+        sitting ``_REPORT_GAP`` frames above its low-water mark means
+        frames are queuing somewhere downstream — e.g. on a relay's
+        thin access link.  The signal is deliberately asymmetric — it
+        can push the ladder down and block recovery (for
+        ``_REPORT_HOLD`` seconds), never ramp it up — so a client
+        fabricating reports can only degrade its own video.
         """
         self.reports[msg.stream_id] = msg
         self.stats["reports"] += 1
@@ -364,10 +356,10 @@ class QosPlane:
         base = state.base_gap.get(msg.stream_id)
         if base is None or gap < base:
             state.base_gap[msg.stream_id] = base = gap
-        if gap - base < self.config.report_gap:
+        if gap - base < _REPORT_GAP:
             return
         now = self.loop.now
-        state.recover_block_until = now + self.config.report_hold
+        state.recover_block_until = now + _REPORT_HOLD
         state.clear = 0
         state.congested += 1
         self.stats["report_lag_events"] += 1

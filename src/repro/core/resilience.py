@@ -70,6 +70,11 @@ _SNAPSHOT_SLACK = 4096
 # client never faces one monolithic frame on a congested pipe.
 _SNAPSHOT_CHUNK_ROWS = 32
 
+# Reconnect backoff, both sides: the ceiling on the exponential delay,
+# and how close together two accepts must be to escalate it.
+_BACKOFF_MAX = 8.0  # seconds
+_FLAP_WINDOW = 1.0  # seconds
+
 
 @dataclass
 class ResilienceConfig:
@@ -80,12 +85,7 @@ class ResilienceConfig:
     check_interval: float = 0.1
     detach_window: float = 5.0
     backoff_base: float = 0.25
-    backoff_max: float = 8.0
     backoff_jitter: float = 0.25
-    flap_window: float = 1.0  # accepts closer than this escalate backoff
-    # Per-session replay log cap; None derives a full-screen RAW cost
-    # from the session viewport (past which replay loses to snapshot).
-    replay_log_limit: Optional[int] = None
     seed: int = 0
     # Token namespacing for sharded deployments: shard *i* of *N* runs
     # with ``token_start=i+1, token_stride=N`` so freshly issued tokens
@@ -270,10 +270,7 @@ class ResiliencePlane:
                 token, wire.RESYNC_FRESH))
             session = self.server._make_session(connection, viewport,
                                                 sequenced=True)
-            limit = min(
-                self.config.replay_log_limit or
-                2 * self._snapshot_cost(session),
-                governor.budget.max_journal_bytes)
+            limit = self._replay_log_limit(session)
             guard = SessionGuard(token, session, now, limit)
             session.journal = self._journal_for(guard)
             session.guard = guard
@@ -343,15 +340,21 @@ class ResiliencePlane:
         w, h = session.viewport
         return w * h * 4 + _SNAPSHOT_SLACK
 
+    def _replay_log_limit(self, session) -> int:
+        """Per-session replay log cap: twice a full-screen RAW snapshot
+        (past which replay loses to snapshot), within the budget."""
+        return min(2 * self._snapshot_cost(session),
+                   self.server.governor.budget.max_journal_bytes)
+
     def _note_accept(self, guard: SessionGuard, now: float) -> None:
         """Exponential backoff with seeded jitter between accepts."""
-        if now - guard.last_accept_time < self.config.flap_window:
+        if now - guard.last_accept_time < _FLAP_WINDOW:
             guard.flap_level = min(guard.flap_level + 1, 16)
         else:
             guard.flap_level = 0
         guard.last_accept_time = now
         delay = min(self.config.backoff_base * (2 ** guard.flap_level),
-                    self.config.backoff_max)
+                    _BACKOFF_MAX)
         delay *= 1.0 + self.config.backoff_jitter * self._rng.random()
         guard.not_before = now + delay
 
@@ -393,8 +396,12 @@ class ResiliencePlane:
             session._kick()
         if isinstance(msg, wire.HeartbeatMessage):
             self.stats.heartbeats += 1
-            if msg.last_seq > guard.acked_seq:
-                guard.acked_seq = msg.last_seq
+            # Nobody can have applied a frame that was never sent: an
+            # ack past the writer's mark is a lie, and would freeze
+            # into a blob its thaw target must reject.
+            acked = min(msg.last_seq, session._writer.last_seq)
+            if acked > guard.acked_seq:
+                guard.acked_seq = acked
                 log = guard.log
                 while log and log[0][0] <= guard.acked_seq:
                     _, data = log.popleft()
@@ -472,11 +479,8 @@ class ResiliencePlane:
         network-fault path does.
         """
         now = self.loop.now
-        limit = min(
-            self.config.replay_log_limit or
-            2 * self._snapshot_cost(session),
-            self.server.governor.budget.max_journal_bytes)
-        guard = SessionGuard(frozen.token, session, now, limit)
+        guard = SessionGuard(frozen.token, session, now,
+                             self._replay_log_limit(session))
         guard.acked_seq = frozen.acked_seq
         guard.log_dropped = frozen.log_dropped
         guard.queue_dropped = frozen.queue_dropped
@@ -641,7 +645,7 @@ class ResilientClient:
         if self._stopped:
             return
         delay = min(self.config.backoff_base * (2 ** self._retry_level),
-                    self.config.backoff_max)
+                    _BACKOFF_MAX)
         delay *= 1.0 + self.config.backoff_jitter * self._rng.random()
         self._retry_level = min(self._retry_level + 1, 16)
         self.loop.schedule(max(delay, min_delay), self._dial_now)

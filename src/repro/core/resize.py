@@ -189,7 +189,7 @@ class DisplayScaler:
             return [cmd]
         if (isinstance(cmd, CopyCommand) and read_back is not None
                 and not self.view.contains(cmd.src_rect)):
-            cmd = RawCommand(cmd.dest, read_back(cmd.dest), compress=True)
+            cmd = RawCommand(cmd.dest, read_back(cmd.dest))
         visible = cmd.dest.intersect(self.view)
         if visible.empty:
             return []
@@ -228,7 +228,7 @@ class DisplayScaler:
             rgba = resample(_bitmap_to_rgba(cmd), dest.width, dest.height)
             if cmd.bg is None:
                 return [CompositeCommand(dest, rgba)]
-            return [RawCommand(dest, rgba, compress=True)]
+            return [RawCommand(dest, rgba)]
         if isinstance(cmd, CompositeCommand):
             pixels = resample(cmd.pixels, dest.width, dest.height)
             return [CompositeCommand(dest, pixels)]

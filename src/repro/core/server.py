@@ -73,7 +73,8 @@ class ServerCostModel:
 
     def cost(self, command) -> float:
         cpu = self.per_command
-        if isinstance(command, RawCommand) and command.compress:
+        if isinstance(command, RawCommand) \
+                and command.encoding is not Encoding.NONE:
             cpu += command.pixels.nbytes / self._raw_rate(command.encoding)
         elif isinstance(command, CompositeCommand):
             cpu += command.pixels.nbytes / self.png_bytes_per_second
@@ -278,14 +279,14 @@ class THINCServer:
         rect = screen.bounds if rect is None else rect
         if chunk_rows is None or rect.height <= chunk_rows:
             session.submit(RawCommand(rect, screen.fb.read_pixels(rect),
-                                      compress=self.driver.compress_raw))
+                                      self.driver.raw_encoding))
             return
         bottom = rect.y + rect.height
         bands = []
         for y in range(rect.y, bottom, chunk_rows):
             band = Rect(rect.x, y, rect.width, min(chunk_rows, bottom - y))
             bands.append(RawCommand(band, screen.fb.read_pixels(band),
-                                    compress=self.driver.compress_raw))
+                                    self.driver.raw_encoding))
         # One drain: equal-height bands share a fused filter pass on
         # the prepare plane's batch path.
         session.submit_batch(bands)

@@ -40,6 +40,9 @@ from ..protocol import wire
 from ..protocol.commands import Command
 from ..protocol.limits import LIMITS
 from ..protocol.rc4 import RC4
+from ..protocol.schema import (FieldRangeError, FieldTable,
+                               FrameTooLargeError, TruncatedPayloadError,
+                               f64, rect16, rest, u8, u16, u32, u64)
 from ..protocol.spec import SERVER_ACCEPTS
 from ..region import Rect
 from . import pipeline
@@ -142,53 +145,72 @@ class _SessionWriter:
         return self._endpoint().writable_bytes()
 
 
-# FrozenSession wire layout, version 2 (v2 appended the QoS ladder
-# rung after the counters).  All integers big-endian.
-_FROZEN_VERSION = 2
-_HEAD = struct.Struct(">BIHH")      # version, token, viewport w, h
-_VIEW = struct.Struct(">HHHH")      # scaler view rect x, y, w, h
-_MARKS = struct.Struct(">BIId")     # flags, last_seq, acked_seq, pipe_tail
-_COUNTERS = struct.Struct(">IQIIIIId")
-_QOS = struct.Struct(">B")          # video degradation ladder rung
-_U32 = struct.Struct(">I")
-_ENTRY = struct.Struct(">II")       # journal entry: seq, byte length
-
-# Flag bits in _MARKS.
-_F_SEQUENCED = 1
-_F_DEGRADED = 2
-_F_SHED_DISPLAY = 4
-_F_LOG_DROPPED = 8
-_F_QUEUE_DROPPED = 16
-_F_SUBSCRIBED = 32
-_F_TILE = 64
-
-#: ``stats`` keys serialized by _COUNTERS, in pack order (cpu_time is
-#: the trailing double).
-_COUNTER_KEYS = ("messages_sent", "bytes_sent", "flush_periods",
-                 "audio_dropped", "display_shed", "uplink_dropped",
-                 "wire_errors")
+def _check_frozen(row) -> None:
+    if row.view_rect.empty:
+        raise FieldRangeError("frozen view rect is empty")
+    if row.acked_seq > row.last_seq:
+        raise FieldRangeError(
+            f"frozen session acked seq {row.acked_seq} is past the last "
+            f"one sent, {row.last_seq}")
 
 
-class _Cursor:
-    """Bounds-checked reader over a frozen-session blob: any read past
-    the end raises a typed ProtocolError, never IndexError/struct.error."""
+#: The FrozenSession blob, version 2 (v2 appended the QoS ladder rung
+#: after the counters): this fixed part, then four counted lists.
+_FROZEN = FieldTable("frozen session", dict(
+    version=u8(2, 2), token=u32(),
+    viewport_w=u16(1, "max_viewport_dim"),
+    viewport_h=u16(1, "max_viewport_dim"),
+    view_rect=rect16(), flags=u8(0, 0x7F),  # bit i <-> _FLAGS[i]
+    last_seq=u32(), acked_seq=u32(), pipe_tail=f64(),
+    messages_sent=u32(), bytes_sent=u64(), flush_periods=u32(),
+    audio_dropped=u32(), display_shed=u32(), uplink_dropped=u32(),
+    wire_errors=u32(), cpu_time=f64(),  # ``stats``, under its keys
+    qos_rung=u8(0, "max_qos_rung"),
+    lists=rest(max="max_transfer_bytes")), check=_check_frozen)
 
-    __slots__ = ("data", "pos")
+_FLAGS = ("sequenced", "degraded", "shed_display", "log_dropped",
+          "queue_dropped", "subscribed", "tile_mode")
+_STATS = ("messages_sent", "bytes_sent", "flush_periods", "audio_dropped",
+          "display_shed", "uplink_dropped", "wire_errors", "cpu_time")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise wire.TruncatedPayloadError(
-                f"frozen session truncated in {what}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+def _pack_lists(journal, *plain) -> bytes:
+    """Four counted lists, each ``count[u32]`` then its entries: the
+    journal's as ``seq[u32] length[u32] bytes``, then commands, replay
+    and control entries as ``length[u32] bytes``."""
+    def word(value: int) -> bytes:
+        return value.to_bytes(4, "big")
 
-    def unpack(self, st: struct.Struct, what: str) -> tuple:
-        return st.unpack(self.take(st.size, what))
+    out = [word(len(journal))]
+    out += [word(seq) + word(len(data)) + data for seq, data in journal]
+    for entries in plain:
+        out.append(word(len(entries)))
+        out += [word(len(data)) + data for data in entries]
+    return b"".join(out)
+
+
+def _take_lists(data: bytes) -> list:
+    """Read :func:`_pack_lists` back: every count and length is held
+    to the bytes actually present, and none may be left over."""
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise TruncatedPayloadError(
+                f"frozen session list truncated at byte {pos}")
+        pos += n
+        return data[pos - n:pos]
+
+    def word() -> int:
+        return int.from_bytes(take(4), "big")
+
+    lists = [tuple((word(), take(word())) for _ in range(word()))]
+    lists += [tuple(take(word()) for _ in range(word())) for _ in range(3)]
+    if pos != len(data):
+        raise TruncatedPayloadError(
+            f"{len(data) - pos} trailing bytes after frozen session")
+    return lists
 
 
 @dataclass(frozen=True)
@@ -228,7 +250,7 @@ class FrozenSession:
     replay: Tuple[bytes, ...]
     control: Tuple[bytes, ...]
     stats: Dict[str, float]
-    # Broadcast fan-out membership (flag bits in _MARKS): whether the
+    # Broadcast fan-out membership (two of the flag bits): whether the
     # unit was subscribed, and whether as a tile-wall member (whose
     # rectangle is exactly ``view_rect``).
     subscribed: bool = False
@@ -243,44 +265,18 @@ class FrozenSession:
         """Serialize for a SESSION_TRANSFER frame (bounded by
         ``LIMITS.max_transfer_bytes``; an honest session's journal and
         queue are budget-bounded far below it)."""
-        flags = 0
-        if self.sequenced:
-            flags |= _F_SEQUENCED
-        if self.degraded:
-            flags |= _F_DEGRADED
-        if self.shed_display:
-            flags |= _F_SHED_DISPLAY
-        if self.log_dropped:
-            flags |= _F_LOG_DROPPED
-        if self.queue_dropped:
-            flags |= _F_QUEUE_DROPPED
-        if self.subscribed:
-            flags |= _F_SUBSCRIBED
-        if self.tile_mode:
-            flags |= _F_TILE
-        view = self.view_rect
-        out = [
-            _HEAD.pack(_FROZEN_VERSION, self.token, *self.viewport),
-            _VIEW.pack(view.x, view.y, view.width, view.height),
-            _MARKS.pack(flags, self.last_seq, self.acked_seq,
-                        self.pipe_tail),
-            _COUNTERS.pack(
-                *(int(self.stats.get(k, 0)) for k in _COUNTER_KEYS),
-                float(self.stats.get("cpu_time", 0.0))),
-            _QOS.pack(self.qos_rung),
-        ]
-        out.append(_U32.pack(len(self.journal)))
-        for seq, data in self.journal:
-            out.append(_ENTRY.pack(seq, len(data)))
-            out.append(data)
-        for section in (self.commands, self.replay, self.control):
-            out.append(_U32.pack(len(section)))
-            for data in section:
-                out.append(_U32.pack(len(data)))
-                out.append(data)
-        blob = b"".join(out)
+        blob = _FROZEN.pack(
+            _FROZEN.fields["version"].hi, self.token, *self.viewport,
+            self.view_rect,
+            sum(getattr(self, name) << bit
+                for bit, name in enumerate(_FLAGS)),
+            self.last_seq, self.acked_seq, self.pipe_tail,
+            *(int(self.stats.get(key, 0)) for key in _STATS[:-1]),
+            float(self.stats.get("cpu_time", 0.0)), self.qos_rung,
+            _pack_lists(self.journal, self.commands, self.replay,
+                        self.control))
         if len(blob) > LIMITS.max_transfer_bytes:
-            raise wire.FrameTooLargeError(
+            raise FrameTooLargeError(
                 f"frozen session is {len(blob)} bytes "
                 f"(> {LIMITS.max_transfer_bytes})")
         return blob
@@ -288,70 +284,19 @@ class FrozenSession:
     @classmethod
     def from_bytes(cls, data: bytes) -> "FrozenSession":
         """Decode a transfer blob; malformed input raises a
-        :class:`~repro.protocol.wire.ProtocolError` subclass."""
-        cur = _Cursor(data)
-        version, token, vw, vh = cur.unpack(_HEAD, "header")
-        if version != _FROZEN_VERSION:
-            raise wire.FieldRangeError(
-                f"frozen session version {version} "
-                f"(expected {_FROZEN_VERSION})")
-        if not (1 <= vw <= LIMITS.max_viewport_dim
-                and 1 <= vh <= LIMITS.max_viewport_dim):
-            raise wire.FieldRangeError(
-                f"frozen viewport {vw}x{vh} out of range")
-        vx, vy, vrw, vrh = cur.unpack(_VIEW, "view rect")
-        if vrw == 0 or vrh == 0:
-            raise wire.FieldRangeError("frozen view rect is empty")
-        flags, last_seq, acked_seq, pipe_tail = cur.unpack(_MARKS, "marks")
-        if pipe_tail != pipe_tail or pipe_tail in (float("inf"),
-                                                   float("-inf")):
-            raise wire.FieldRangeError("frozen pipe tail is not finite")
-        counters = cur.unpack(_COUNTERS, "counters")
-        stats = dict(zip(_COUNTER_KEYS, counters[:-1]))
-        stats["cpu_time"] = counters[-1]
-        (qos_rung,) = cur.unpack(_QOS, "qos rung")
-        if qos_rung > LIMITS.max_qos_rung:
-            raise wire.FieldRangeError(
-                f"frozen qos rung {qos_rung} "
-                f"(> {LIMITS.max_qos_rung})")
-        (count,) = cur.unpack(_U32, "journal count")
-        journal = []
-        for _ in range(count):
-            seq, length = cur.unpack(_ENTRY, "journal entry")
-            journal.append((seq, cur.take(length, "journal frame")))
-        sections = []
-        for what in ("command", "replay", "control"):
-            (count,) = cur.unpack(_U32, f"{what} count")
-            entries = []
-            for _ in range(count):
-                (length,) = cur.unpack(_U32, f"{what} length")
-                entries.append(cur.take(length, f"{what} bytes"))
-            sections.append(tuple(entries))
-        if cur.pos != len(data):
-            raise wire.FieldRangeError(
-                f"{len(data) - cur.pos} trailing bytes after "
-                f"frozen session")
+        :class:`~repro.protocol.wire.ProtocolError` subclass before
+        any object is built."""
+        (_, token, viewport_w, viewport_h, view_rect, flags, last_seq,
+         acked_seq, pipe_tail, *stats, qos_rung, lists) = _FROZEN.parse(data)
+        journal, commands, replay, control = _take_lists(lists)
         return cls(
-            token=token,
-            viewport=(vw, vh),
-            view_rect=Rect(vx, vy, vrw, vrh),
-            sequenced=bool(flags & _F_SEQUENCED),
-            degraded=bool(flags & _F_DEGRADED),
-            shed_display=bool(flags & _F_SHED_DISPLAY),
-            log_dropped=bool(flags & _F_LOG_DROPPED),
-            queue_dropped=bool(flags & _F_QUEUE_DROPPED),
-            subscribed=bool(flags & _F_SUBSCRIBED),
-            tile_mode=bool(flags & _F_TILE),
-            last_seq=last_seq,
-            acked_seq=acked_seq,
-            pipe_tail=pipe_tail,
-            journal=tuple(journal),
-            commands=sections[0],
-            replay=sections[1],
-            control=sections[2],
-            stats=stats,
+            token=token, viewport=(viewport_w, viewport_h),
+            view_rect=view_rect, last_seq=last_seq, acked_seq=acked_seq,
+            pipe_tail=pipe_tail, journal=journal, commands=commands,
+            replay=replay, control=control, stats=dict(zip(_STATS, stats)),
             qos_rung=qos_rung,
-        )
+            **{name: bool(flags >> bit & 1)
+               for bit, name in enumerate(_FLAGS)})
 
 
 def _fanout_membership(unit) -> Tuple[bool, bool]:

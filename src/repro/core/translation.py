@@ -31,6 +31,7 @@ from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
+from ..codec import Encoding
 from ..display.driver import DisplayDriver, InputEvent, VideoStreamInfo
 from ..display.pixmap import Drawable
 from ..protocol.commands import (BitmapCommand, Command, CompositeCommand,
@@ -72,7 +73,8 @@ class THINCDriver(DisplayDriver):
     def __init__(self, sink: UpdateSink, compress_raw: bool = True,
                  offscreen_awareness: bool = True):
         self.sink = sink
-        self.compress_raw = compress_raw
+        # The ablation switch picks the encoding every RAW leaves with.
+        self.raw_encoding = Encoding.PNG if compress_raw else Encoding.NONE
         self.offscreen_awareness = offscreen_awareness
         self._offscreen: Dict[int, CommandQueue] = {}
         # The screen drawable, remembered from onscreen operations so
@@ -114,7 +116,7 @@ class THINCDriver(DisplayDriver):
 
     def _raw_from_fb(self, drawable: Drawable, rect: Rect) -> RawCommand:
         pixels = drawable.fb.read_pixels(rect)
-        return RawCommand(rect, pixels, compress=self.compress_raw)
+        return RawCommand(rect, pixels, self.raw_encoding)
 
     # -- 2D hooks: one-to-one translation -----------------------------------
 
@@ -158,7 +160,7 @@ class THINCDriver(DisplayDriver):
                   pixels: np.ndarray) -> None:
         self.stats["driver_ops"] += 1
         self._emit(drawable,
-                   RawCommand(rect, pixels, compress=self.compress_raw))
+                   RawCommand(rect, pixels, self.raw_encoding))
 
     def composite(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray, operator: str) -> None:
@@ -185,7 +187,7 @@ class THINCDriver(DisplayDriver):
             if self.offscreen_awareness:
                 dest = Rect(dst_x, dst_y, src_rect.width, src_rect.height)
                 raw = RawCommand(dest, src.fb.read_pixels(src_rect),
-                                 compress=self.compress_raw)
+                                 self.raw_encoding)
                 self._queue_for(dst).add(raw)
                 self.stats["offscreen_commands"] += 1
         elif not src.onscreen and dst.onscreen:

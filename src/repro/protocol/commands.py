@@ -24,11 +24,17 @@ payload is compressed (Section 7).  Its wire tag is a bounded
 :class:`~repro.codec.Encoding` enum — PNG-model lossless (the paper's
 choice), RLE, JPEG-style lossy, or uncompressed — and the encoded bytes
 are computed lazily and cached.
+
+**Wire layout.**  Each command declares its header rows under
+:func:`~repro.protocol.schema.wire_type` (id, name, direction, paper
+section; the docstring's first paragraph is its reference summary) and
+the schema packs and bounds-checks them; ``to_rows`` hands the rows
+out, and ``from_rows`` — the payload kernel: DEFLATE, bit unpacking,
+the numpy views — builds the command from the parsed row.
 """
 
 from __future__ import annotations
 
-import struct
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,7 +43,8 @@ import numpy as np
 from ..codec import Encoding
 from ..region import Rect, Region
 from . import compression
-from .limits import LIMITS
+from .schema import (FieldRangeError, TruncatedPayloadError, blob, choice,
+                     flag, rect16, rest, rgba, sized, u8, u16, u32, wire_type)
 
 __all__ = [
     "OverwriteClass",
@@ -55,16 +62,6 @@ __all__ = [
 
 Color = Tuple[int, int, int, int]
 
-_RECT = struct.Struct(">HHHH")
-_HEADER = struct.Struct(">BHHHH")  # type + rect
-# Per-command payload metadata, precompiled once at import.
-_RAW_META = struct.Struct(">BI")       # encoding tag + payload length
-_COPY_SRC = struct.Struct(">HH")       # src_x, src_y
-_PFILL_META = struct.Struct(">BBBB")   # tile h/w + relative origin
-_BOOL = struct.Struct(">B")
-_U32 = struct.Struct(">I")
-_VFRAME_META = struct.Struct(">HIBHHI")
-
 
 class OverwriteClass(Enum):
     """How a command overwrites and is overwritten (Section 4)."""
@@ -72,30 +69,6 @@ class OverwriteClass(Enum):
     PARTIAL = "partial"
     COMPLETE = "complete"
     TRANSPARENT = "transparent"
-
-
-def _pack_rect(rect: Rect) -> bytes:
-    return _RECT.pack(rect.x, rect.y, rect.width, rect.height)
-
-
-def _unpack_rect(data: bytes, offset: int) -> Tuple[Rect, int]:
-    _decode_need(data, offset, _RECT.size, "command rect")
-    x, y, w, h = _RECT.unpack_from(data, offset)
-    return Rect(x, y, w, h), offset + _RECT.size
-
-
-def _decode_need(data: bytes, offset: int, size: int, what: str) -> None:
-    """Decode bounds guard: *size* more bytes must exist at *offset*.
-
-    Raises a plain ValueError; the wire layer's frame dispatcher
-    re-raises decoder failures as ProtocolError, so command decoders
-    stay independent of the wire module (layering: wire imports
-    commands, not the reverse).
-    """
-    if offset + size > len(data):
-        raise ValueError(
-            f"truncated {what}: need {size} bytes at offset {offset}, "
-            f"have {len(data) - offset}")
 
 
 class Command:
@@ -155,10 +128,11 @@ class Command:
     # -- delivery -----------------------------------------------------------
 
     def wire_size(self) -> int:
-        """Exact bytes this command occupies on the wire (memoized)."""
+        """Exact bytes this command occupies on the wire (memoized):
+        its type byte plus the frame payload."""
         size = self._wire_size
         if size is None:
-            size = self._wire_size = len(self.encode())
+            size = self._wire_size = 1 + len(self.encode_payload())
         return size
 
     def split(self, max_bytes: int) -> Tuple["Command", Optional["Command"]]:
@@ -173,8 +147,18 @@ class Command:
 
     # -- wire format ----------------------------------------------------------
 
-    def encode(self) -> bytes:
+    def to_rows(self) -> tuple:
+        """One value per declared row, in wire order."""
         raise NotImplementedError
+
+    @classmethod
+    def from_rows(cls, *row) -> "Command":
+        """The payload kernel: build the command from its parsed row."""
+        raise NotImplementedError
+
+    def encode(self) -> bytes:
+        """Type byte + frame payload (a frame minus its length word)."""
+        return bytes((self.type_id,)) + self.encode_payload()
 
     def apply(self, fb) -> None:
         """Execute the command against a client framebuffer."""
@@ -184,21 +168,27 @@ class Command:
         return f"{type(self).__name__}({self.dest!r})"
 
 
+@wire_type("RAW", 1, "s->c", "3/Table 1")
 class RawCommand(Command):
-    """RAW — display raw pixel data at a given location (Table 1).
+    """Display raw pixel data at a given location (Table 1); the
+    last-resort command and the only one that may be compressed.  The
+    encoding byte is a bounded enum (<= max_raw_encoding) naming how
+    the payload is packed: 0 raw rows, 1 PNG-model (the paper's
+    choice), 2 RLE, 3 JPEG-style lossy; see the encoding ladder below.
 
-    The last-resort command, and the only one whose payload may be
-    compressed to mitigate its impact on the network.  The wire tag
-    names one of the bounded :class:`~repro.codec.Encoding` values;
-    ``compress`` accepts the historical boolean (False -> NONE,
-    True -> PNG) as well as an explicit encoding.
+    ``encoding`` is one of the :class:`~repro.codec.Encoding` values;
+    the payload is encoded lazily and cached.
     """
 
     kind = "raw"
-    type_id = 1
     overwrite_class = OverwriteClass.PARTIAL
 
-    def __init__(self, dest: Rect, pixels: np.ndarray, compress=True):
+    rect = rect16()
+    encoding = u8(0, "max_raw_encoding")
+    payload = sized(max="max_frame_bytes")
+
+    def __init__(self, dest: Rect, pixels: np.ndarray,
+                 encoding: Encoding = Encoding.PNG):
         super().__init__(dest)
         pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
         if pixels.shape != (dest.height, dest.width, 4):
@@ -206,26 +196,16 @@ class RawCommand(Command):
                 f"pixels {pixels.shape} do not match {dest!r}"
             )
         self.pixels = pixels
-        if compress is True:
-            self.encoding = Encoding.PNG
-        elif compress is False:
-            self.encoding = Encoding.NONE
-        else:
-            self.encoding = Encoding(int(compress))
+        self.encoding = Encoding(encoding)
         self._payload: Optional[bytes] = None
         # Estimated wire size for scheduling, set when this command is
         # the remainder of a split: avoids recompressing the whole tail
         # on every flush period just to know its queue.
         self._size_hint: Optional[int] = None
 
-    @property
-    def compress(self) -> bool:
-        """Historical flag: is the payload anything but raw rows?"""
-        return self.encoding is not Encoding.NONE
-
     def with_encoding(self, encoding) -> "RawCommand":
         """This command under another encoding (fresh payload memo)."""
-        encoding = Encoding(int(encoding))
+        encoding = Encoding(encoding)
         if encoding is self.encoding:
             return self
         cmd = RawCommand(self.dest, self.pixels, encoding)
@@ -253,7 +233,7 @@ class RawCommand(Command):
                 # Scheduling estimate for a split remainder; not cached,
                 # so the exact size takes over once the payload exists.
                 return self._size_hint
-            size = self._wire_size = len(self.encode())
+            size = super().wire_size()
         return size
 
     def translated(self, dx: int, dy: int) -> "RawCommand":
@@ -303,7 +283,7 @@ class RawCommand(Command):
         cheap exact sizes; the DEFLATE-backed encodings (PNG, LOSSY)
         fall back to the parent's measured per-row cost.
         """
-        overhead = _HEADER.size + _RAW_META.size
+        overhead = 1 + self.schema.struct.size
         if self.encoding is Encoding.NONE:
             return overhead + rows.size
         if self.encoding is Encoding.RLE:
@@ -314,7 +294,7 @@ class RawCommand(Command):
         # Split by scan lines so partially sent updates show whole rows.
         if self.dest.height <= 1:
             return self, None
-        overhead = _HEADER.size + _RAW_META.size
+        overhead = 1 + self.schema.struct.size  # type byte + header rows
         if self.wire_size() <= max_bytes:
             return self, None
         per_row = max(1, (self.wire_size() - overhead) // self.dest.height)
@@ -332,22 +312,11 @@ class RawCommand(Command):
         head.sched_floor = rest.sched_floor = self.sched_floor
         return head, rest
 
-    def encode(self) -> bytes:
-        payload = self._encoded_payload()
-        return (_HEADER.pack(self.type_id, *self.dest.as_tuple())
-                + _RAW_META.pack(int(self.encoding), len(payload))
-                + payload)
+    def to_rows(self):
+        return self.dest, self.encoding, self._encoded_payload()
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> "RawCommand":
-        rect, offset = _unpack_rect(data, offset)
-        _decode_need(data, offset, _RAW_META.size, "RAW metadata")
-        encoding, length = _RAW_META.unpack_from(data, offset)
-        offset += _RAW_META.size
-        if encoding > LIMITS.max_raw_encoding:
-            raise ValueError(f"unknown RAW encoding tag {encoding}")
-        _decode_need(data, offset, length, "RAW payload")
-        payload = data[offset : offset + length]
+    def from_rows(cls, rect, encoding, payload) -> "RawCommand":
         if encoding == Encoding.PNG:
             pixels = compression.png_decompress(payload)
         elif encoding == Encoding.RLE:
@@ -355,33 +324,35 @@ class RawCommand(Command):
         elif encoding == Encoding.LOSSY:
             pixels = compression.lossy_decompress(payload)
         else:
-            if length != rect.height * rect.width * 4:
-                raise ValueError(
-                    f"RAW payload is {length} bytes, rect {rect!r} "
+            if len(payload) != rect.height * rect.width * 4:
+                raise TruncatedPayloadError(
+                    f"RAW payload is {len(payload)} bytes, rect {rect!r} "
                     f"needs {rect.height * rect.width * 4}")
             pixels = np.frombuffer(payload, dtype=np.uint8).reshape(
                 rect.height, rect.width, 4)
         if pixels.shape != (rect.height, rect.width, 4):
-            raise ValueError(
+            raise FieldRangeError(
                 f"RAW payload decoded to {pixels.shape}, rect "
                 f"is {rect!r}")
         cmd = cls(rect, pixels, encoding)
-        cmd._payload = bytes(payload)
+        cmd._payload = payload
         return cmd
 
     def apply(self, fb) -> None:
         fb.put_pixels(self.dest, self.pixels)
 
 
+@wire_type("COPY", 2, "s->c", "3/Table 1")
 class CopyCommand(Command):
-    """COPY — copy a framebuffer area to new coordinates (Table 1).
-
-    Accelerates scrolling and opaque window movement without resending
-    screen data; only src/dst coordinates travel on the wire.
-    """
+    """Copy a framebuffer area to new coordinates (Table 1);
+    accelerates scrolling and opaque window movement with no pixel
+    resend: only src/dst coordinates travel on the wire."""
 
     kind = "copy"
-    type_id = 2
+
+    rect = rect16()
+    src_x = u16()
+    src_y = u16()
 
     def __init__(self, src_x: int, src_y: int, dest: Rect):
         super().__init__(dest)
@@ -428,27 +399,26 @@ class CopyCommand(Command):
             ))
         return out
 
-    def encode(self) -> bytes:
-        return (_HEADER.pack(self.type_id, *self.dest.as_tuple())
-                + _COPY_SRC.pack(self.src_x, self.src_y))
+    def to_rows(self):
+        return self.dest, self.src_x, self.src_y
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> "CopyCommand":
-        rect, offset = _unpack_rect(data, offset)
-        _decode_need(data, offset, _COPY_SRC.size, "COPY source")
-        sx, sy = _COPY_SRC.unpack_from(data, offset)
-        return cls(sx, sy, rect)
+    def from_rows(cls, rect, src_x, src_y) -> "CopyCommand":
+        return cls(src_x, src_y, rect)
 
     def apply(self, fb) -> None:
         fb.copy_area(self.src_rect, self.dest.x, self.dest.y)
 
 
+@wire_type("SFILL", 3, "s->c", "3/Table 1")
 class SFillCommand(Command):
-    """SFILL — fill an area with a single colour (Table 1)."""
+    """Fill an area with a single colour (Table 1)."""
 
     kind = "sfill"
-    type_id = 3
     overwrite_class = OverwriteClass.COMPLETE
+
+    rect = rect16()
+    color = rgba()
 
     def __init__(self, dest: Rect, color: Color):
         super().__init__(dest)
@@ -475,28 +445,31 @@ class SFillCommand(Command):
                                      a.height), self.color)
         return None
 
-    def encode(self) -> bytes:
-        return (_HEADER.pack(self.type_id, *self.dest.as_tuple())
-                + bytes(self.color))
+    def to_rows(self):
+        return self.dest, self.color
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> "SFillCommand":
-        rect, offset = _unpack_rect(data, offset)
-        if len(data) < offset + 4:
-            raise ValueError("truncated SFILL command")
-        color = tuple(data[offset : offset + 4])
-        return cls(rect, color)  # type: ignore[arg-type]
+    def from_rows(cls, rect, color) -> "SFillCommand":
+        return cls(rect, color)
 
     def apply(self, fb) -> None:
         fb.fill_rect(self.dest, self.color)
 
 
+@wire_type("PFILL", 4, "s->c", "3/Table 1")
 class PFillCommand(Command):
-    """PFILL — tile an area with a pixel pattern (Table 1)."""
+    """Tile an area with a pixel pattern (Table 1); the tile travels
+    once, its origin relative to the rect."""
 
     kind = "pfill"
-    type_id = 4
     overwrite_class = OverwriteClass.PARTIAL
+
+    rect = rect16()
+    tile_h = u8(1, 255)
+    tile_w = u8(1, 255)
+    origin_y = u8()
+    origin_x = u8()
+    tile = blob(size=("tile_h", "tile_w", 4))
 
     def __init__(self, dest: Rect, tile: np.ndarray,
                  origin: Tuple[int, int] = (0, 0)):
@@ -533,26 +506,17 @@ class PFillCommand(Command):
                                      a.height), self.tile, self.origin)
         return None
 
-    def encode(self) -> bytes:
+    def to_rows(self):
         th, tw = self.tile.shape[0], self.tile.shape[1]
         # Origin is transmitted relative to the dest rect, so it always
-        # fits in a tile-sized signed offset.
+        # fits in a tile-sized offset.
         ox = (self.origin[0] - self.dest.x) % tw
         oy = (self.origin[1] - self.dest.y) % th
-        return (_HEADER.pack(self.type_id, *self.dest.as_tuple())
-                + _PFILL_META.pack(th, tw, oy, ox)
-                + self.tile.tobytes())
+        return self.dest, th, tw, oy, ox, self.tile.tobytes()
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> "PFillCommand":
-        rect, offset = _unpack_rect(data, offset)
-        _decode_need(data, offset, _PFILL_META.size, "PFILL metadata")
-        th, tw, oy, ox = _PFILL_META.unpack_from(data, offset)
-        offset += _PFILL_META.size
-        count = th * tw * 4
-        _decode_need(data, offset, count, "PFILL tile")
-        tile = np.frombuffer(data[offset : offset + count],
-                             dtype=np.uint8).reshape(th, tw, 4)
+    def from_rows(cls, rect, th, tw, oy, ox, tile) -> "PFillCommand":
+        tile = np.frombuffer(tile, dtype=np.uint8).reshape(th, tw, 4)
         # Reconstruct an absolute origin equivalent to the relative one.
         return cls(rect, tile, (rect.x + ox - tw, rect.y + oy - th))
 
@@ -560,8 +524,11 @@ class PFillCommand(Command):
         fb.tile_rect(self.dest, self.tile, self.origin)
 
 
+@wire_type("BITMAP", 5, "s->c", "3/Table 1")
 class BitmapCommand(Command):
-    """BITMAP — fill a region through a 1-bit stipple (Table 1).
+    """Fill a region through a 1-bit stipple with fg (and optional bg)
+    colours (Table 1); transparent stipples carry glyph text.  The
+    mask is ``ceil(w/8)*h`` bytes, rows packed MSB first.
 
     With a background colour the fill is opaque (partial class); without
     one the zero bits leave existing content intact, making the command
@@ -569,7 +536,12 @@ class BitmapCommand(Command):
     """
 
     kind = "bitmap"
-    type_id = 5
+
+    rect = rect16()
+    fg = rgba()
+    has_bg = flag()
+    bg = rgba()
+    mask = rest(max="max_frame_bytes")
 
     def __init__(self, dest: Rect, mask: np.ndarray, fg: Color,
                  bg: Optional[Color] = None):
@@ -628,37 +600,31 @@ class BitmapCommand(Command):
         merged_rect = Rect(a.x, a.y, a.width + gap + b.width, a.height)
         return BitmapCommand(merged_rect, merged_mask, self.fg, self.bg)
 
-    def encode(self) -> bytes:
-        packed = np.packbits(self.mask, axis=1).tobytes()
+    def to_rows(self):
         has_bg = self.bg is not None
-        bg = self.bg if has_bg else (0, 0, 0, 0)
-        return (_HEADER.pack(self.type_id, *self.dest.as_tuple())
-                + bytes(self.fg) + _BOOL.pack(int(has_bg))
-                + bytes(bg) + packed)
+        return (self.dest, self.fg, has_bg, self.bg if has_bg else (0, 0, 0, 0),
+                np.packbits(self.mask, axis=1).tobytes())
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> "BitmapCommand":
-        rect, offset = _unpack_rect(data, offset)
-        if len(data) < offset + 9:
-            raise ValueError("truncated BITMAP command")
-        fg = tuple(data[offset : offset + 4])
-        has_bg = data[offset + 4]
-        bg = tuple(data[offset + 5 : offset + 9]) if has_bg else None
-        offset += 9
+    def from_rows(cls, rect, fg, has_bg, bg, mask) -> "BitmapCommand":
         row_bytes = (rect.width + 7) // 8
-        _decode_need(data, offset, row_bytes * rect.height, "BITMAP mask")
-        packed = np.frombuffer(
-            data[offset : offset + row_bytes * rect.height], dtype=np.uint8
-        ).reshape(rect.height, row_bytes)
+        if len(mask) != row_bytes * rect.height:
+            raise TruncatedPayloadError(
+                f"BITMAP mask is {len(mask)} bytes, rect {rect!r} needs "
+                f"{row_bytes * rect.height}")
+        packed = np.frombuffer(mask, dtype=np.uint8).reshape(
+            rect.height, row_bytes)
         mask = np.unpackbits(packed, axis=1)[:, : rect.width].astype(bool)
-        return cls(rect, mask, fg, bg)  # type: ignore[arg-type]
+        return cls(rect, mask, fg, bg if has_bg else None)
 
     def apply(self, fb) -> None:
         fb.stipple_rect(self.dest, self.mask, self.fg, self.bg)
 
 
+@wire_type("COMPOSITE", 6, "s->c", "3 (alpha support)")
 class CompositeCommand(Command):
-    """An alpha-blended RGBA block (Porter–Duff "over").
+    """Porter-Duff 'over' blend of an RGBA block (anti-aliased text,
+    translucency); payload compressed like RAW.
 
     Not one of the five Table 1 commands, but required by THINC's 24-bit
     + alpha design for graphics compositing (Section 3): anti-aliased
@@ -666,8 +632,10 @@ class CompositeCommand(Command):
     """
 
     kind = "composite"
-    type_id = 6
     overwrite_class = OverwriteClass.TRANSPARENT
+
+    rect = rect16()
+    payload = sized(max="max_frame_bytes")
 
     def __init__(self, dest: Rect, pixels: np.ndarray):
         super().__init__(dest)
@@ -701,32 +669,27 @@ class CompositeCommand(Command):
             out.append(CompositeCommand(sub, block))
         return out
 
-    def encode(self) -> bytes:
-        payload = self._encoded_payload()
-        return (_HEADER.pack(self.type_id, *self.dest.as_tuple())
-                + _U32.pack(len(payload)) + payload)
+    def to_rows(self):
+        return self.dest, self._encoded_payload()
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> "CompositeCommand":
-        rect, offset = _unpack_rect(data, offset)
-        _decode_need(data, offset, _U32.size, "COMPOSITE metadata")
-        (length,) = _U32.unpack_from(data, offset)
-        start = offset + _U32.size
-        _decode_need(data, start, length, "COMPOSITE payload")
-        pixels = compression.png_decompress(data[start : start + length])
+    def from_rows(cls, rect, payload) -> "CompositeCommand":
+        pixels = compression.png_decompress(payload)
         if pixels.shape != (rect.height, rect.width, 4):
-            raise ValueError(
+            raise FieldRangeError(
                 f"COMPOSITE payload decompressed to {pixels.shape}, "
                 f"rect is {rect!r}")
-        cmd = cls(rect, pixels)
-        return cmd
+        return cls(rect, pixels)
 
     def apply(self, fb) -> None:
         fb.composite(self.dest, self.pixels)
 
 
+@wire_type("VFRAME", 7, "s->c", "4.2")
 class VideoFrameCommand(Command):
-    """One YV12 video frame presented to a screen rectangle.
+    """One video frame in a YUV wire format, self-contained (geometry
+    and format ride along so frames survive stream control reordering
+    and drops).
 
     Video frames ride the same delivery pipeline as display commands so
     that the client buffer's eviction semantics give frame dropping
@@ -735,10 +698,17 @@ class VideoFrameCommand(Command):
     """
 
     kind = "vframe"
-    type_id = 7
     overwrite_class = OverwriteClass.COMPLETE
 
     PIXEL_FORMATS = ("YV12", "YUY2")
+
+    rect = rect16()
+    stream_id = u16()
+    frame_no = u32()
+    pixel_format = choice(PIXEL_FORMATS)
+    src_width = u16(1)
+    src_height = u16(1)
+    yuv = sized(max="max_frame_bytes")
 
     def __init__(self, stream_id: int, dest: Rect, src_width: int,
                  src_height: int, yuv_bytes: bytes, frame_no: int = 0,
@@ -777,26 +747,15 @@ class VideoFrameCommand(Command):
                 return [self]
         return []
 
-    def encode(self) -> bytes:
-        fmt_id = self.PIXEL_FORMATS.index(self.pixel_format)
-        return (_HEADER.pack(self.type_id, *self.dest.as_tuple())
-                + _VFRAME_META.pack(self.stream_id, self.frame_no,
-                                    fmt_id, self.src_width, self.src_height,
-                                    len(self.yuv_bytes))
-                + self.yuv_bytes)
+    def to_rows(self):
+        return (self.dest, self.stream_id, self.frame_no, self.pixel_format,
+                self.src_width, self.src_height, self.yuv_bytes)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> "VideoFrameCommand":
-        rect, offset = _unpack_rect(data, offset)
-        _decode_need(data, offset, _VFRAME_META.size, "VFRAME metadata")
-        stream_id, frame_no, fmt_id, sw, sh, length = (
-            _VFRAME_META.unpack_from(data, offset))
-        offset += _VFRAME_META.size
-        if fmt_id >= len(cls.PIXEL_FORMATS):
-            raise ValueError(f"unknown VFRAME pixel format id {fmt_id}")
-        _decode_need(data, offset, length, "VFRAME payload")
-        return cls(stream_id, rect, sw, sh, data[offset : offset + length],
-                   frame_no, cls.PIXEL_FORMATS[fmt_id])
+    def from_rows(cls, rect, stream_id, frame_no, pixel_format, src_width,
+                  src_height, yuv) -> "VideoFrameCommand":
+        return cls(stream_id, rect, src_width, src_height, yuv, frame_no,
+                   pixel_format)
 
     def apply(self, fb) -> None:
         from ..video import yuv as yuvmod
@@ -814,11 +773,10 @@ COMMAND_TYPES = {
 }
 
 
-def decode_command(data: bytes, offset: int = 0) -> Command:
-    """Decode one command from *data* starting at *offset*."""
-    type_id = data[offset]
+def decode_command(data: bytes) -> Command:
+    """Decode one command from its :meth:`Command.encode` form."""
     try:
-        cls = COMMAND_TYPES[type_id]
+        cls = COMMAND_TYPES[data[0]]
     except KeyError:
-        raise ValueError(f"unknown command type {type_id}") from None
-    return cls.decode(data, offset + 1)
+        raise ValueError(f"unknown command type {data[0]}") from None
+    return cls.decode_payload(data[1:])

@@ -1,7 +1,9 @@
-"""Declarative wire schema: one field table per control message.
+"""Declarative wire schema: one field table per layout.
 
-A control message is declared once, as a class whose body lists its
-payload fields in wire order::
+Every byte layout in the tree is declared once, as rows in wire order,
+and compiled at import by :class:`FieldTable` into one ``struct``,
+``pack`` and the one bounded ``parse``.  A control message (``wire.py``)
+is a :func:`message` class whose rows become a frozen dataclass::
 
     @message("RESIZE", 21, "c->s", "6")
     class ResizeMessage:
@@ -10,32 +12,35 @@ payload fields in wire order::
         width = u16(1, "max_viewport_dim")
         height = u16(1, "max_viewport_dim")
 
-:func:`message` turns that, once at import, into a frozen dataclass
-(positional constructor in declared order), a precompiled ``struct``,
-``encode_payload``, the bounded ``decode_payload`` and a
-:data:`REGISTRY` entry.  Everything else that used to restate the
-layout — the spec rows and direction sets in :mod:`.spec`, the
-generated protocol reference, the conformance matrix's bounds column
-and the property-test strategies — reads the same declaration.
+A class that owns a wire id but keeps its own constructor (the display
+commands in ``commands.py``) declares its header rows under
+:func:`wire_type` and maps them itself: ``to_rows`` on the way out, the
+``from_rows`` payload kernel on the way in.  Both enter the class in
+:data:`REGISTRY`, which the frame dispatcher, :mod:`.spec`, the
+generated docs and the property-test strategies read.  A layout with no
+wire id (``FrozenSession`` in ``core/session_unit.py``) uses
+``FieldTable(name, rows, check=)`` directly.
 
 **Field kinds.**  ``u8/u16/u32/u64(lo, hi)`` (range-checked when a
 bound is declared), ``f64(lo, hi)`` (always finite, plus the range),
 ``flag()`` (0/1 ↔ ``bool``), ``choice(values)`` (a ``u8`` index into
-*values*), ``rect16()`` (x, y, w, h as 4×u16 ↔ :class:`Rect`) and the
-three length-bearing kinds, whose bytes follow the fixed-size part:
-``tag(max=...)`` (a ``u8``-prefixed ASCII string), ``rest(max=...)``
-(every remaining byte) and ``blob(size=...)`` (exactly the product of
-the named, bounded fields and constants).  Their bound is a required
+*values*), ``rect16()`` (4×u16 ↔ :class:`Rect`), ``rgba()`` (4×u8 ↔ a
+colour tuple) and the length-bearing kinds, whose bytes follow the
+fixed-size part: ``tag(max=...)`` (a ``u8``-prefixed ASCII string),
+``sized(max=...)`` (``u32``-prefixed bytes), ``rest(max=...)`` (every
+remaining byte) and ``blob(size=...)`` (exactly the product of the
+named, bounded fields and constants).  Their bound is a required
 argument — an unbounded slice cannot be declared.  A bound is an
 ``int``/``float`` literal or a string naming a
 :class:`~repro.protocol.limits.WireLimits` field.
 
-**Decode order** (the failure precedence receivers and the fuzzer's
+**Parse order** (the failure precedence receivers and the fuzzer's
 outcome signatures rely on): length guard — short payload, trailing
 bytes on a fixed layout, oversized ``rest`` — then each field's
-finite/range/enum check in declared order, then the exact length of a
-``tag``/``blob``, then the optional cross-field ``check``.  Every
-failure is a :class:`ProtocolError` subclass.
+finite/range/enum check in declared order, then the exact length of
+the length-bearing field, then the optional cross-field ``check`` —
+all before any object is built.  Every failure is a
+:class:`ProtocolError` subclass.
 """
 
 from __future__ import annotations
@@ -43,19 +48,20 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from collections import namedtuple
 from dataclasses import MISSING, dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..region import Rect
-from .commands import COMMAND_TYPES
 from .limits import LIMITS
 
 __all__ = [
     "ProtocolError", "ChecksumError", "TruncatedPayloadError",
     "FrameTooLargeError", "FieldRangeError",
-    "Field", "Schema", "REGISTRY", "DIRECTIONS", "message",
-    "u8", "u16", "u32", "u64", "f64", "flag", "choice", "rect16",
-    "tag", "rest", "blob",
+    "Field", "FieldTable", "Schema", "REGISTRY", "DIRECTIONS",
+    "message", "wire_type",
+    "u8", "u16", "u32", "u64", "f64", "flag", "choice", "rect16", "rgba",
+    "tag", "sized", "rest", "blob",
 ]
 
 
@@ -91,7 +97,7 @@ class FieldRangeError(ProtocolError):
 #: client-facing side (HEARTBEAT), or shard to shard on the fabric.
 DIRECTIONS = ("s->c", "c->s", "c<->s", "s->s")
 
-#: type id -> control message class, filled by :func:`message`.
+#: type id -> class, filled by :func:`message` and :func:`wire_type`.
 REGISTRY: Dict[int, type] = {}
 
 FLOAT_MAX = sys.float_info.max
@@ -103,45 +109,46 @@ def _limit(bound):
 
 
 class Field:
-    """One payload field of a control message.
+    """One row of a field table.
 
     ``kind`` is the wire type the layout string prints, ``code`` the
     struct code(s) of the field's fixed-size part, ``lo``/``hi`` the
-    resolved range every decoded slot is held to, ``bound`` the
+    resolved range every parsed slot is held to, ``bound`` the
     declared bound as the docs print it ("" when the whole wire range
     is legal) and ``values``, for a choice, the Python values its slot
-    indexes.  Declarations use the lower-case constructors below.
+    indexes.  ``slots`` and ``load`` are the two expressions
+    :class:`FieldTable` compiles: the field's struct slot(s) in terms
+    of its value ``{0}``, and its value in terms of the unpacked slots
+    ``raw[{1}:{2}]``.  Declarations use the lower-case constructors
+    below.
     """
 
     trailing = False  # True when the field's bytes follow the fixed part
-    spare_max = None  # rest only: the cap the length guard enforces
+    slots = "{0}"
+    load = "raw[{1}]"
 
     def __init__(self, kind, code, pytype, lo=0, hi=0, bound="",
-                 default=MISSING, values=()):
+                 default=MISSING, values=(), **expressions):
         self.kind, self.code, self.pytype = kind, code, pytype
         self.lo, self.hi, self.bound = _limit(lo), _limit(hi), bound
         self.default, self.values = default, values
+        if values:
+            self.slots = "_{0}.values.index({0})"
+        vars(self).update(expressions)
 
-    def to_slots(self, value) -> tuple:
-        """The struct slot(s) *value* occupies."""
-        return (self.values.index(value),) if self.values else (value,)
-
-    def loader(self, what: str) -> Callable:
-        """A closure that pulls this field's slot(s) off the unpacked
-        value iterator and returns the checked Python value."""
-        if not self.bound:
-            return next
+    def checker(self, what: str) -> Callable:
+        """A closure taking this (bounded) field's slot to the checked
+        Python value."""
         lo, hi, values = self.lo, self.hi, self.values
 
-        def load(raw):
-            value = next(raw)
+        def check(value):
             # NaN fails every comparison and inf lies past +-FLOAT_MAX,
             # so the range check is also the finiteness check.
             if not lo <= value <= hi:
                 raise FieldRangeError(
                     f"{what} {value!r} outside [{lo}, {hi}]")
             return values[value] if values else value
-        return load
+        return check
 
     def layout(self, name: str) -> str:
         return f"{name}[{self.kind}]"
@@ -179,28 +186,25 @@ def flag():
     return choice((False, True))
 
 
-class rect16(Field):
+def rect16():
     """x, y, width, height as four ``u16`` slots <-> :class:`Rect`."""
+    return Field("4xu16", "HHHH", Rect, load="Rect(*raw[{1}:{2}])",
+                 slots="{0}.x, {0}.y, {0}.width, {0}.height")
 
-    def __init__(self):
-        super().__init__("4xu16", "HHHH", Rect)
 
-    def to_slots(self, value):
-        return value.as_tuple()
-
-    def loader(self, what):
-        return lambda raw: Rect(next(raw), next(raw), next(raw), next(raw))
+def rgba():
+    """A colour as four ``u8`` slots <-> an ``(r, g, b, a)`` tuple."""
+    return Field("4xu8", "BBBB", tuple, load="raw[{1}:{2}]", slots="*{0}")
 
 
 class _Trailing(Field):
     """A length-bearing kind: its bytes follow the fixed-size part.
-    A subclass says how many there must be (``tail_length``) and how
-    the layout string prints them (``tail_layout``)."""
+    A subclass says how many there must be (``sizer``) and how the
+    layout string prints them (``tail_layout``)."""
 
     trailing = True
-
-    def to_wire(self, value) -> bytes:
-        return value
+    slots = ""  # unless a length prefix sits in the fixed part
+    wire = "{0}"  # the expression of its bytes, as ``slots``
 
     def from_wire(self, chunk: bytes, what: str):
         return chunk
@@ -212,18 +216,18 @@ class rest(_Trailing):
     def __init__(self, *, max):
         super().__init__("rest", "", bytes, 0, getattr(LIMITS, max),
                          f"len <= {max}")
-        self.spare_max = self.hi
+        self.spare_max = self.hi  # the cap the length guard enforces
 
     def tail_layout(self, name):
         return f"{name}[rest, {self.bound}]"
 
-    def tail_length(self, name, values, spare):
-        return spare  # the length guard already capped it
+    def sizer(self, names, name):
+        return lambda values, spare: spare  # the length guard capped it
 
 
 class blob(_Trailing):
     """Exactly ``product(size)`` bytes; each factor is a constant or
-    the name of a range-bounded integer field of the same message."""
+    the name of a range-bounded integer field of the same table."""
 
     def __init__(self, *, size):
         self.size = tuple(size)
@@ -233,156 +237,212 @@ class blob(_Trailing):
     def tail_layout(self, name):
         return f"{name}[{self.product}]"
 
-    def tail_length(self, name, values, spare):
-        # A name looks its decoded field up; a constant stands for itself.
-        return math.prod(values.get(f, f) for f in self.size)
+    def sizer(self, names, name):
+        picks = [names.index(f) for f in self.size if isinstance(f, str)]
+        const = math.prod(f for f in self.size if not isinstance(f, str))
+        return lambda values, spare: const * math.prod(
+            values[at] for at in picks)
 
 
-class tag(_Trailing):
-    """A short ASCII string: its ``u8`` length sits in declared
-    position, its bytes follow the fixed-size part."""
+class sized(_Trailing):
+    """Length-prefixed bytes: the ``u32`` length sits in declared
+    position, the bytes follow the fixed-size part and must fill the
+    rest of the payload exactly."""
 
-    def __init__(self, *, max, default=MISSING):
-        super().__init__("u8", "B", str, 0, getattr(LIMITS, max),
+    slots = "len({0})"
+
+    def __init__(self, *, max, default=MISSING, prefix=("u32", "I"),
+                 pytype=bytes):
+        super().__init__(*prefix, pytype, 0, getattr(LIMITS, max),
                          f"len <= {max}", default)
 
-    def to_slots(self, value):
-        return (len(value.encode("ascii")),)
-
     def layout(self, name):
-        return f"{name}_len[u8]"
+        return f"{name}_len[{self.kind}]"
 
     def tail_layout(self, name):
         return f"{name}[{name}_len]"
 
-    def tail_length(self, name, values, spare):
-        return values[name]
+    def sizer(self, names, name):
+        at = names.index(name)
+        return lambda values, spare: values[at]
 
-    def to_wire(self, value):
-        return value.encode("ascii")
+
+class tag(sized):
+    """A short ASCII string behind a ``u8`` length."""
+
+    slots = 'len({0}.encode("ascii"))'
+    wire = '{0}.encode("ascii")'
+
+    def __init__(self, *, max, default=MISSING):
+        super().__init__(max=max, default=default, prefix=("u8", "B"),
+                         pytype=str)
 
     def from_wire(self, chunk, what):
         try:
             return chunk.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise FieldRangeError(f"{what} is not ASCII: {exc}") from exc
+            raise FieldRangeError(f"{what}: tag is not ASCII: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Schema:
-    """What :func:`message` compiled from one declaration."""
+class FieldTable:
+    """Declared rows compiled into ``pack`` and the bounded ``parse``.
 
-    name: str
-    type_id: int
-    direction: str
-    section: str
-    fields: Dict[str, Field]  # declared (wire) order
-    layout: str  # the payload layout the protocol reference prints
-    check: Optional[Callable]
-    struct: struct.Struct  # the fixed-size part
-    loaders: Tuple[Tuple[str, Callable], ...]
-    tail: Optional[Tuple[str, Field]]  # the one length-bearing field
-
-
-def encode_payload(self) -> bytes:
-    """Pack the declared fields in declared order."""
-    schema = self.schema
-    body = schema.struct.pack(*[
-        slot for name, field in schema.fields.items() if field.code
-        for slot in field.to_slots(getattr(self, name))])
-    if schema.tail is not None:
-        name, field = schema.tail
-        body += field.to_wire(getattr(self, name))
-    return body
-
-
-def decode_payload(cls, data: bytes):
-    """Bounded decode of one payload (the module docstring gives the
-    check order); raises only :class:`ProtocolError` subclasses."""
-    schema = cls.schema
-    name, tail = schema.tail or ("", None)
-    fixed = schema.struct.size
-    spare = len(data) - fixed
-    if spare < 0 or (spare and tail is None):
-        # Fixed layouts reject trailing garbage too: excess bytes mean
-        # sender and receiver disagree about the layout.
-        raise TruncatedPayloadError(
-            f"{schema.name}: payload is {len(data)} bytes, layout "
-            f"needs {fixed}")
-    if tail is not None and tail.spare_max is not None \
-            and spare > tail.spare_max:
-        raise FrameTooLargeError(
-            f"{schema.name}: {name} of {spare} bytes exceeds "
-            f"{tail.spare_max}")
-    raw = iter(schema.struct.unpack_from(data))
-    values = {attr: load(raw) for attr, load in schema.loaders}
-    if tail is not None:
-        want = tail.tail_length(name, values, spare)
-        if spare != want:
-            raise TruncatedPayloadError(
-                f"{schema.name}: {name} is {spare} bytes, layout "
-                f"needs {want}")
-        values[name] = tail.from_wire(data[fixed:],
-                                      f"{schema.name} {name}")
-    msg = cls(**values)
-    if schema.check is not None:
-        schema.check(msg)
-    return msg
-
-
-def message(name: str, type_id: int, direction: str, section: str,
-            check: Optional[Callable] = None):
-    """Class decorator declaring one control message.
-
-    *check*, when given, is a cross-field validator called with the
-    decoded message; it raises :class:`FieldRangeError` to reject it.
-    A class that defines its own ``decode_payload`` (CHECKED) keeps its
-    codec and names its payload in a ``layout`` class attribute; it is
-    still made a frozen dataclass and registered.
+    *fields* maps row name to :class:`Field` in wire order; *check*,
+    when given, is a cross-field validator called with the parsed row
+    as a named tuple; it raises a :class:`ProtocolError` to reject it.
+    A second length-bearing row, a ``rest``/``blob`` that is not the
+    last row, or a blob sized by an unbounded field raises
+    ``ValueError`` here — before a byte is parsed.
     """
-    def declare(cls):
-        if type_id in REGISTRY or type_id in COMMAND_TYPES:
+
+    def __init__(self, name: str, fields: Dict[str, Field],
+                 check: Optional[Callable] = None):
+        names = list(fields)
+        trailing = [attr for attr in names if fields[attr].trailing]
+        if len(trailing) > 1:
+            raise ValueError(f"{name}: two variable-length fields "
+                             f"({trailing[0]}, {trailing[1]})")
+        tail = fields[trailing[0]] if trailing else None
+        if tail is not None and not tail.code and trailing != names[-1:]:
+            raise ValueError(f"{name}: {trailing[0]} must be the last row")
+        for factor in getattr(tail, "size", ()):
+            if isinstance(factor, str) and not (
+                    factor in fields and fields[factor].pytype is int
+                    and fields[factor].bound):
+                raise ValueError(
+                    f"{name}: blob {trailing[0]} is sized by {factor!r}, "
+                    f"not a range-bounded integer field")
+        self.name, self.fields, self.check = name, fields, check
+        parts = [f.layout(attr) for attr, f in fields.items() if f.code]
+        if tail is not None:
+            parts.append(tail.tail_layout(trailing[0]))
+        self.layout = " ".join(parts)  # as the protocol reference prints
+        self.struct = struct.Struct(
+            ">" + "".join(f.code for f in fields.values()))
+        self._row = check and namedtuple("Row", names)._make
+        # Two expressions, compiled here from the declared row names
+        # and the kinds' own templates: one packs a row, one loads one
+        # off the unpacked slots.  Nothing is interpreted per call.
+        scope = {"_pack": self.struct.pack, "Rect": Rect,
+                 **{f"_{attr}": f for attr, f in fields.items()}}
+        slots = ", ".join(f.slots.format(attr)
+                          for attr, f in fields.items() if f.slots)
+        self.pack = eval(
+            f"lambda {', '.join(names)}: _pack({slots})"
+            + (f" + {tail.wire.format(trailing[0])}" if tail else ""), scope)
+        loads, at = [], 0
+        for attr, f in fields.items():
+            if f.code:
+                load = f.load.format(attr, at, at + len(f.code))
+                if f.bound:
+                    scope[f"_{attr}_ok"] = f.checker(f"{name} {attr}")
+                    load = f"_{attr}_ok({load})"
+                loads.append(load)
+                at += len(f.code)
+        self._load = eval(f"lambda raw: [{', '.join(loads)}]", scope)
+        self._spare_max = getattr(tail, "spare_max", math.inf)
+        self._tail = (None, None, 0, None) if tail is None else (
+            trailing[0], tail, names.index(trailing[0]),
+            tail.sizer(names, trailing[0]))
+
+    def parse(self, data: bytes) -> list:
+        """Bounded parse of one payload into its row values, in
+        declared order (the module docstring gives the check order);
+        raises only :class:`ProtocolError` subclasses."""
+        fixed = self.struct.size
+        spare = len(data) - fixed
+        name, field, at, sizer = self._tail
+        if spare < 0 or (spare and field is None):
+            # Fixed layouts reject trailing garbage too: excess bytes mean
+            # sender and receiver disagree about the layout.
+            raise TruncatedPayloadError(
+                f"{self.name}: payload is {len(data)} bytes, layout "
+                f"needs {fixed}")
+        if spare > self._spare_max:
+            raise FrameTooLargeError(
+                f"{self.name}: {name} of {spare} bytes exceeds "
+                f"{self._spare_max}")
+        values = self._load(self.struct.unpack_from(data))
+        if field is not None:
+            want = sizer(values, spare)
+            if spare != want:
+                raise TruncatedPayloadError(
+                    f"{self.name}: {name} is {spare} bytes, layout "
+                    f"needs {want}")
+            # A prefixed tail replaces its length; a bare one is last.
+            values[at:at + 1] = [field.from_wire(data[fixed:], self.name)]
+        if self.check is not None:
+            self.check(self._row(values))
+        return values
+
+
+class Schema(FieldTable):
+    """The field table of a class that owns a wire id."""
+
+    def __init__(self, name, type_id, direction, section, fields, check):
+        if type_id in REGISTRY:
             raise ValueError(f"{name}: type id {type_id} is already taken")
         if direction not in DIRECTIONS:
             raise ValueError(f"{name}: unknown direction {direction!r}")
+        super().__init__(name, fields, check)
+        self.type_id, self.direction = type_id, direction
+        self.section = section
+
+
+def encode_payload(self) -> bytes:
+    """The frame payload: this object's rows, packed."""
+    return self.schema.pack(*self.to_rows())
+
+
+def decode_payload(cls, data: bytes):
+    """Bounded decode of one frame payload: parse the rows, then build
+    the object from them."""
+    return cls.from_rows(*cls.schema.parse(data))
+
+
+def wire_type(name: str, type_id: int, direction: str, section: str,
+              check: Optional[Callable] = None):
+    """Class decorator declaring the wire layout of a class that keeps
+    its own constructor: the class supplies ``to_rows(self)`` (one
+    value per row) and the classmethod ``from_rows(cls, *row)`` (the
+    payload kernel).  The rows in its body are compiled into
+    ``cls.schema`` and taken out of the class namespace (a declared
+    default stays); it also gets ``type_id``, the codec pair
+    ``encode_payload``/``decode_payload`` and a :data:`REGISTRY` entry.
+    """
+    def declare(cls):
         fields = {attr: value for attr, value in vars(cls).items()
                   if isinstance(value, Field)}
-        trailing = [(attr, f) for attr, f in fields.items() if f.trailing]
-        if len(trailing) > 1:
-            raise ValueError(f"{name}: two variable-length fields "
-                             f"({trailing[0][0]}, {trailing[1][0]})")
-        tail = trailing[0] if trailing else None
-        if tail is not None and isinstance(tail[1], blob):
-            for factor in tail[1].size:
-                if isinstance(factor, str) and not (
-                        factor in fields and fields[factor].pytype is int
-                        and fields[factor].bound):
-                    raise ValueError(
-                        f"{name}: blob {tail[0]} is sized by {factor!r}, "
-                        f"not a range-bounded integer field")
+        cls.schema = Schema(name, type_id, direction, section, fields, check)
+        cls.type_id = type_id
         for attr, field in fields.items():
             if field.default is MISSING:
                 delattr(cls, attr)
             else:
                 setattr(cls, attr, field.default)
-        cls.__annotations__ = {
-            **{attr: field.pytype for attr, field in fields.items()},
-            **vars(cls).get("__annotations__", {})}
-        cls = dataclass(frozen=True)(cls)
-        parts = [f.layout(attr) for attr, f in fields.items() if f.code]
-        if tail is not None:
-            parts.append(tail[1].tail_layout(tail[0]))
-        cls.type_id = type_id
-        cls.schema = Schema(
-            name, type_id, direction, section, fields,
-            vars(cls).get("layout") or " ".join(parts), check,
-            struct.Struct(">" + "".join(f.code for f in fields.values())),
-            tuple((attr, f.loader(f"{name} {attr}"))
-                  for attr, f in fields.items() if f.code),
-            tail)
-        if "decode_payload" not in vars(cls):
-            cls.encode_payload = encode_payload
-            cls.decode_payload = classmethod(decode_payload)
+        cls.encode_payload = encode_payload
+        cls.decode_payload = classmethod(decode_payload)
         REGISTRY[type_id] = cls
         return cls
+    return declare
+
+
+def message(name: str, type_id: int, direction: str, section: str,
+            check: Optional[Callable] = None):
+    """Class decorator declaring one control message: :func:`wire_type`
+    plus a frozen dataclass with one attribute per row.  A class whose
+    attributes are not its rows (CHECKED) annotates its own and defines
+    ``to_rows``/``from_rows`` itself.
+    """
+    register = wire_type(name, type_id, direction, section, check)
+
+    def declare(cls):
+        fields = register(cls).schema.fields
+        if "from_rows" not in vars(cls):
+            cls.__annotations__ = {
+                **{attr: field.pytype for attr, field in fields.items()},
+                **vars(cls).get("__annotations__", {})}
+            cls.to_rows = lambda self: [getattr(self, attr) for attr in fields]
+            cls.from_rows = classmethod(lambda cls, *row: cls(*row))
+        return dataclass(frozen=True)(cls)
     return declare

@@ -13,30 +13,31 @@ lifecycle (Section 4.2), audio chunks with server-side timestamps,
 client input events, the client's viewport-size report that drives
 server-side scaling (Section 6), and the initial screen geometry.
 
-**Bounded decoding.**  Each control message below is one
-:func:`~repro.protocol.schema.message` declaration: a field table
-whose kinds carry their bounds (``u16(1, "max_viewport_dim")``,
-``rest(max="max_audio_chunk_bytes")``, ...).  The schema compiles it
-into the dataclass, ``encode_payload`` and the one generic
-``decode_payload``, which checks the payload length, then every field
-against its declared range (the typed limits in
-:mod:`repro.protocol.limits`), then any cross-field ``check=``
-validator — *before* a value reaches a caller — and raises a
-:class:`ProtocolError` subclass, never ``struct.error``, a numpy shape
-explosion, or silent garbage.  A length-bearing field cannot be
-declared without its bound.  :class:`CheckedFrame` alone keeps a
-hand-written codec (CRC + nesting).  The parse entry points
-(:func:`parse_messages`, :class:`StreamParser`) uphold the same
-contract for the display-command family by translating their decoder
-failures into :class:`ProtocolError`.  Receivers can therefore treat
-``except ProtocolError`` as the complete failure surface of a
-malformed stream.
+**Bounded decoding.**  Every message is one field table
+(:mod:`repro.protocol.schema`) whose kinds carry their bounds
+(``u16(1, "max_viewport_dim")``, ``rest(max="max_audio_chunk_bytes")``,
+...): the control messages below are :func:`~repro.protocol.schema.
+message` declarations, the display commands declare their header rows
+in :mod:`.commands`.  The one compiled parser checks the payload
+length, then every field against its declared range (the typed limits
+in :mod:`repro.protocol.limits`), then the exact length of the
+length-bearing field, then any cross-field ``check=`` validator —
+*before* a value reaches a caller or a payload kernel — and raises a
+:class:`ProtocolError` subclass.  A length-bearing field cannot be
+declared without its bound.  What a command's payload kernel can still
+raise (``zlib.error`` on a corrupt DEFLATE stream, a numpy or
+constructor ``ValueError``) becomes a :class:`ProtocolError` at the
+frame dispatcher, so ``except ProtocolError`` is the complete failure
+surface of a malformed stream.
 
 **Adding a message.**
 
-1. Declare it here: ``@message(NAME, next free id, direction,
-   section)`` on a class whose docstring's first paragraph is its
-   reference summary and whose body lists the fields in wire order.
+1. Declare it: a control message here, as ``@message(NAME, next free
+   id, direction, section)`` on a class whose body lists the fields in
+   wire order; a display command in :mod:`.commands`, as
+   ``@wire_type(...)`` on a ``Command`` subclass that lists its header
+   rows and maps them with ``to_rows``/``from_rows``.  Either way the
+   docstring's first paragraph is the reference summary.
 2. Handle it where its direction says it arrives (``THINCServer.
    handle_client_message``, ``THINCClient``, the coordinator).
 3. ``make protocol-doc contracts-doc``.
@@ -53,7 +54,7 @@ import struct
 import zlib
 from typing import Collection, Optional, Union
 
-from .commands import Command, decode_command
+from .commands import Command
 from .limits import LIMITS
 from .schema import (REGISTRY, ChecksumError, FieldRangeError,
                      FrameTooLargeError, ProtocolError,
@@ -72,7 +73,7 @@ __all__ = [
 ]
 
 _FRAME = struct.Struct(">BI")
-_U32 = struct.Struct(">I")  # CHECKED's crc32 and seq prefix words
+_U32 = struct.Struct(">I")  # CHECKED's seq word, as its CRC covers it
 
 # Bytes the frame header adds around every message payload.  Exposed so
 # flush-time size arithmetic (repro.core.delivery) can never drift from
@@ -101,7 +102,7 @@ DENY_QUARANTINED = 2  # the session was quarantined for protocol abuse
 
 
 # Control messages, one declaration each.  Type ids 1..7 belong to the
-# display commands (commands.py); the schema refuses a collision.
+# display commands (commands.py); the registry refuses a collision.
 
 @message("VSETUP", 16, "s->c", "4.2")
 class VideoSetupMessage:
@@ -211,7 +212,29 @@ class ScreenInitMessage:
     height = u16(1, "max_viewport_dim")
 
 
-@message("CHECKED", 26, "s->c", "(extension: resilience)")
+def _checked_crc(seq: int, inner: bytes) -> int:
+    """CRC-32 over ``seq[u32] + inner``, as a CHECKED frame carries it."""
+    return zlib.crc32(inner, zlib.crc32(_U32.pack(seq)))
+
+
+def _check_checked(row) -> None:
+    if len(row.inner) < _FRAME.size:
+        raise TruncatedPayloadError(
+            f"CHECKED frame of {len(row.inner)} inner bytes cannot hold "
+            f"an inner frame")
+    if _checked_crc(row.seq, row.inner) != row.crc32:
+        raise ChecksumError(
+            f"CHECKED frame failed CRC over {len(row.inner)} inner bytes")
+    # Reject nesting before recursing: a stream of CHECKED-in-CHECKED
+    # wrappers costs 13 bytes per level, so a single large frame could
+    # otherwise drive the decoder thousands of stack frames deep and
+    # surface as RecursionError, not ProtocolError.
+    if row.inner[0] == CheckedFrame.type_id:
+        raise FieldRangeError("CHECKED frames may not nest")
+
+
+@message("CHECKED", 26, "s->c", "(extension: resilience)",
+         check=_check_checked)
 class CheckedFrame:
     """Integrity-checked wrapper around one framed message: CRC-32
     over seq+inner turns wire corruption into a typed checksum error
@@ -230,35 +253,21 @@ class CheckedFrame:
     seq: int
     message: "Message"
 
-    layout = "crc32[u32] seq[u32] inner[framed message]"
+    crc32 = u32()
+    seq = u32()
+    inner = rest(max="max_frame_bytes")  # exactly one framed message
 
-    def encode_payload(self) -> bytes:
-        body = _U32.pack(self.seq) + encode_message(self.message)
-        return _U32.pack(zlib.crc32(body) & 0xFFFFFFFF) + body
+    def to_rows(self):
+        inner = encode_message(self.message)
+        return _checked_crc(self.seq, inner), self.seq, inner
 
     @classmethod
-    def decode_payload(cls, data: bytes) -> "CheckedFrame":
-        if len(data) < 2 * _U32.size + _FRAME.size:
-            raise TruncatedPayloadError(
-                f"CHECKED frame of {len(data)} bytes cannot hold its "
-                f"checksum, sequence and an inner frame")
-        (crc,) = _U32.unpack_from(data)
-        body = data[_U32.size:]
-        if zlib.crc32(body) & 0xFFFFFFFF != crc:
-            raise ChecksumError(
-                f"CHECKED frame failed CRC over {len(body)} bytes")
-        # Reject nesting before recursing: a stream of CHECKED-in-
-        # CHECKED wrappers costs 13 bytes per level, so a single large
-        # frame could otherwise drive the decoder thousands of stack
-        # frames deep and surface as RecursionError, not ProtocolError.
-        if body[_U32.size] == cls.type_id:
-            raise FieldRangeError("CHECKED frames may not nest")
-        (seq,) = _U32.unpack_from(body)
-        inner = parse_messages(body[_U32.size:])
-        if len(inner) != 1:
+    def from_rows(cls, crc32, seq, inner) -> "CheckedFrame":
+        messages = parse_messages(inner)
+        if len(messages) != 1:
             raise ProtocolError(
-                f"CHECKED frame wraps {len(inner)} messages, expected 1")
-        return cls(seq, inner[0])
+                f"CHECKED frame wraps {len(messages)} messages, expected 1")
+        return cls(seq, messages[0])
 
 
 @message("HEARTBEAT", 27, "c<->s", "(extension: resilience)")
@@ -376,9 +385,9 @@ class ShardAdmissionReportMessage:
     admitting = flag()
 
 
-def _check_subscribe(msg: "SubscribeMessage") -> None:
-    cols, rows, index = msg.cols, msg.rows, msg.index
-    if msg.mode == SUBSCRIBE_MIRROR:
+def _check_subscribe(row) -> None:
+    cols, rows, index = row.cols, row.rows, row.index
+    if row.mode == SUBSCRIBE_MIRROR:
         if cols or rows or index:
             raise FieldRangeError(
                 "SUBSCRIBE mirror mode carries a tile grid "
@@ -414,14 +423,14 @@ class SubscribeMessage:
     index = u32(default=0)
 
 
-def _check_tile_assign(msg: "TileAssignMessage") -> None:
-    rect = msg.rect
+def _check_tile_assign(row) -> None:
+    rect = row.rect
     if rect.empty:
         raise FieldRangeError("TILE_ASSIGN tile is empty")
-    if rect.x2 > msg.wall_w or rect.y2 > msg.wall_h:
+    if rect.x2 > row.wall_w or rect.y2 > row.wall_h:
         raise FieldRangeError(
             f"TILE_ASSIGN tile {rect} leaves the "
-            f"{msg.wall_w}x{msg.wall_h} wall")
+            f"{row.wall_w}x{row.wall_h} wall")
 
 
 @message("TILE_ASSIGN", 37, "s->c", "(extension: fanout)",
@@ -474,19 +483,16 @@ class QosReportMessage:
     av_skew = f64(0.0, "max_av_skew", default=0.0)
 
 
-# Read off the registry: the decode table, the message union and the
-# public class names.
-_CONTROL_TYPES = REGISTRY
-Message = Union[(Command, *REGISTRY.values())]
-__all__ += [cls.__name__ for cls in REGISTRY.values()]
+# Read off the registry: the control classes, the message union and
+# the public class names.
+_CONTROL_TYPES = {type_id: cls for type_id, cls in REGISTRY.items()
+                  if not issubclass(cls, Command)}
+Message = Union[(Command, *_CONTROL_TYPES.values())]
+__all__ += [cls.__name__ for cls in _CONTROL_TYPES.values()]
 
 
 def encode_message(msg: Message) -> bytes:
     """Frame one message (display command or control message)."""
-    if isinstance(msg, Command):
-        body = msg.encode()
-        # Command.encode already leads with its type byte; reuse it.
-        return frame_message(body[0], body[1:])
     return frame_message(msg.type_id, msg.encode_payload())
 
 
@@ -501,34 +507,31 @@ def wrap_checked(framed: bytes, seq: int) -> bytes:
     *framed* is ``encode_message(msg)``, but avoids re-encoding on the
     send path where the framed bytes already exist.
     """
-    body = _U32.pack(seq) + framed
     return frame_message(
         CheckedFrame.type_id,
-        _U32.pack(zlib.crc32(body) & 0xFFFFFFFF) + body)
+        CheckedFrame.schema.pack(_checked_crc(seq, framed), seq, framed))
 
 
 def _decode_frame(type_id: int, payload: bytes):
     """Decode one frame's payload, upholding the ProtocolError contract.
 
-    Control messages enforce it natively through their hardened
-    ``decode_payload``; the display-command decoders predate the typed
-    error surface and can still fail with ``struct.error`` on a short
-    buffer, ``zlib.error`` on a corrupt DEFLATE stream, or a numpy
-    ``ValueError`` on an impossible shape — all of which become
-    :class:`ProtocolError` here, so receivers have exactly one
-    exception family to guard against.
+    The declared rows fail typed by construction; a display command's
+    payload kernel can still fail with ``zlib.error`` on a corrupt
+    DEFLATE stream or a numpy / constructor ``ValueError`` on an
+    impossible shape — all of which become :class:`ProtocolError` here,
+    so receivers have exactly one exception family to guard against.
     """
-    if type_id in _CONTROL_TYPES:
-        return _CONTROL_TYPES[type_id].decode_payload(payload)
+    cls = REGISTRY.get(type_id)
+    if cls is None:
+        raise ProtocolError(f"unknown message type {type_id}")
     try:
-        # Display command: restore the leading type byte.
-        return decode_command(bytes([type_id]) + payload)
+        return cls.decode_payload(payload)
     except ProtocolError:
         raise
     except (ValueError, KeyError, IndexError, OverflowError,
             struct.error, zlib.error) as exc:
         raise ProtocolError(
-            f"malformed display command (type {type_id}): {exc}") from exc
+            f"malformed {cls.schema.name} payload: {exc}") from exc
 
 
 def parse_messages(data: bytes):

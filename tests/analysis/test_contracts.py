@@ -4,11 +4,11 @@ A synthetic fixture tree exercises every rule with a positive (the
 mutation the rule must flag) and a negative (the idiomatic fix it must
 pass); copytree mutations of the *real* ``src/repro`` then prove each
 rule fires on the production sources — deleting one handler, widening
-one parser set, sizing one display-command slice with a raw field,
-adding one unserialized SessionUnit attribute each produce exactly the
-expected finding.  The field tables the analyzer reads off the
-``@message`` declarations are pinned to the live schema.  The baseline lifecycle and the CLI exit codes are covered at
-the bottom.
+one parser set, adding one unserialized SessionUnit attribute each
+produce exactly the expected finding.  The field tables the analyzer
+reads off the ``@message`` / ``@wire_type`` declarations are pinned to
+the live schema.  The baseline lifecycle and the CLI exit codes are
+covered at the bottom.
 """
 
 import json
@@ -23,8 +23,8 @@ from repro.analysis.contracts import (Baseline, apply_baseline,
                                       finding_key, load_baseline,
                                       render_contract_matrix)
 from repro.analysis.facts import extract_facts
+from repro.protocol.schema import REGISTRY
 from repro.protocol.spec import PROTOCOL_SPEC
-from repro.protocol.wire import _CONTROL_TYPES
 
 SRC = Path(repro.__file__).resolve().parent
 REPO = SRC.parent.parent
@@ -32,35 +32,26 @@ REPO = SRC.parent.parent
 
 # --- the synthetic fixture tree ----------------------------------------------
 
-# The new shape: control messages are ``@message`` declarations (row
-# and class in one); spec.py states only the hand-written commands,
-# whose decoders are the ones THL203 still has to police.
+# Every wire id is a declaration (row and class in one): ``@message``
+# for control messages, ``@wire_type`` for display commands; spec.py
+# derives its rows from them.
 SPEC_SRC = """
-from . import commands, wire
+from . import wire
 
-PROTOCOL_SPEC = [
-    MessageSpec("BLIT", 1, "s->c", "s", "p", commands.BlitCommand),
-] + derived_rows(wire)
+PROTOCOL_SPEC = derived_rows(wire)
 SERVER_ACCEPTS = UPLINK_TYPE_IDS = direction_ids("c->s", "c<->s")
 CLIENT_ACCEPTS = DOWNLINK_TYPE_IDS = direction_ids("s->c", "c<->s")
 FABRIC_ACCEPTS = FABRIC_TYPE_IDS = direction_ids("s->s")
 """
 
 COMMANDS_SRC = """
-import struct
-
-_BODY = struct.Struct(">I")
+from .schema import rect16, sized, wire_type
 
 
+@wire_type("BLIT", 1, "s->c", "s")
 class BlitCommand:
-    type_id = 1
-
-    @classmethod
-    def decode(cls, data, offset):
-        (n,) = _BODY.unpack_from(data, offset)
-        if offset + _BODY.size + n > len(data):
-            raise ValueError("truncated BLIT payload")
-        return cls(data[offset + _BODY.size:][:n])
+    rect = rect16()
+    pixels = sized(max="max_frame_bytes")
 """
 
 WIRE_SRC = """
@@ -274,76 +265,6 @@ class TestTHL202:
         assert findings_of(build_tree(tmp_path)) == []
 
 
-class TestTHL203:
-    GUARD = ("        if offset + _BODY.size + n > len(data):\n"
-             "            raise ValueError(\"truncated BLIT payload\")\n")
-
-    def test_flags_unguarded_slice_bound(self, tmp_path):
-        unguarded = COMMANDS_SRC.replace(self.GUARD, "")
-        root = build_tree(tmp_path, {"protocol/commands.py": unguarded})
-        findings = findings_of(root)
-        assert [f.rule for f in findings] == ["THL203"]
-        assert "'n'" in findings[0].message
-        assert "BlitCommand" in findings[0].message
-
-    def test_limits_comparison_counts_as_guard(self, tmp_path):
-        compared = COMMANDS_SRC.replace(
-            self.GUARD,
-            "        if n > LIMITS.max_frame_bytes:\n"
-            "            raise FrameTooLargeError(n)\n")
-        assert findings_of(
-            build_tree(tmp_path, {"protocol/commands.py": compared})) == []
-
-    def test_compare_then_raise_counts_as_guard(self, tmp_path):
-        # A range check with teeth needs no LIMITS mention:
-        # ``if n >= len(TABLE): raise FieldRangeError`` guards n.
-        checked = COMMANDS_SRC.replace(
-            self.GUARD,
-            "        if n >= 4096:\n"
-            "            raise FieldRangeError(n)\n")
-        assert findings_of(
-            build_tree(tmp_path, {"protocol/commands.py": checked})) == []
-
-    def test_guard_through_one_helper_level(self, tmp_path):
-        # Interprocedural step: the unpack and the guard live in a
-        # module-level helper; the field is still recognised as bound.
-        helper = COMMANDS_SRC.replace(
-            "        (n,) = _BODY.unpack_from(data, offset)\n" + self.GUARD,
-            "        n = _head(data, offset)\n") + """
-
-def _head(data, offset):
-    (n,) = _BODY.unpack_from(data, offset)
-    if offset + _BODY.size + n > len(data):
-        raise ValueError("truncated BLIT payload")
-    return n
-"""
-        assert "_head(data, offset)" in helper
-        assert findings_of(
-            build_tree(tmp_path, {"protocol/commands.py": helper})) == []
-
-    def test_handwritten_decoder_of_a_declared_message_is_policed(
-            self, tmp_path):
-        # CHECKED's shape: a declared row that keeps its own codec.
-        bespoke = WIRE_SRC + """
-
-@message("WRAPPED", 18, "s->c", "s")
-class WrappedFrame:
-    seq: int
-
-    @classmethod
-    def decode_payload(cls, data):
-        (n,) = _U32.unpack_from(data)
-        return cls(data[4:][:n])
-"""
-        root = build_tree(tmp_path, {
-            "protocol/wire.py": bespoke,
-            "core/client.py": CLIENT_SRC.replace(
-                "(wire.PongMessage,", "(wire.PongMessage, wire.WrappedFrame,")})
-        findings = findings_of(root)
-        assert [f.rule for f in findings] == ["THL203"]
-        assert "WrappedFrame" in findings[0].message
-
-
 class TestTHL204:
     def test_flags_unserialized_attribute(self, tmp_path):
         drifted = SESSION_SRC.replace(
@@ -466,8 +387,8 @@ class TestRealTree:
         class that declares it."""
         declared = {m.name: m.fields for m in extract_facts(SRC).messages
                     if m.fields is not None}
-        assert set(declared) == {c.__name__ for c in _CONTROL_TYPES.values()}
-        for cls in _CONTROL_TYPES.values():
+        assert set(declared) == {c.__name__ for c in REGISTRY.values()}
+        for cls in REGISTRY.values():
             rows = declared[cls.__name__]
             assert [(name, bound) for name, bound, _ in rows] == [
                 (name, field.bound)
@@ -476,11 +397,13 @@ class TestRealTree:
                 getattr(cls.schema.check, "__name__", None)}
 
     def test_matrix_stars_validator_and_loop_checked_fields(self):
-        """The two false negatives of the inferred column: a check in
-        a ``BoolOp`` test (TILE_ASSIGN's tile) and on a loop variable
-        (QOS_REPORT's quality fractions) were invisible to the AST
-        flow pass; declared bounds are not."""
+        """The column is read, not inferred: a validator-checked field
+        (TILE_ASSIGN's tile), declared ranges (QOS_REPORT's quality
+        fractions) and a display command's header rows all show."""
         matrix = render_contract_matrix(extract_facts(SRC)).splitlines()
+        raw = next(row for row in matrix if "`RAW`" in row)
+        assert "encoding* [0, max_raw_encoding]" in raw
+        assert "payload* len <= max_frame_bytes" in raw
         tile = next(row for row in matrix if "`TILE_ASSIGN`" in row)
         assert "rect* _check_tile_assign" in tile
         qos = next(row for row in matrix if "`QOS_REPORT`" in row)
@@ -526,18 +449,6 @@ class TestSeededMutations:
         findings = findings_of(root)
         assert [f.rule for f in findings] == ["THL201"]
         assert "SERVER_ACCEPTS" in findings[0].message
-
-    def test_unguarded_decode_field_is_flagged(self, tmp_path):
-        # A display-command decoder (hand-written, so still policed):
-        # size the PFILL tile slice with the raw unpacked height.
-        root = mutate_real_tree(
-            tmp_path, "protocol/commands.py",
-            "        tile = np.frombuffer(data[offset : offset + count],",
-            "        tile = np.frombuffer(data[offset : offset + th],")
-        findings = findings_of(root)
-        assert [f.rule for f in findings] == ["THL203"]
-        assert "'th'" in findings[0].message
-        assert "PFillCommand" in findings[0].message
 
     def test_unserialized_session_attribute_is_flagged(self, tmp_path):
         root = mutate_real_tree(

@@ -29,12 +29,11 @@ class TestCommandContract:
         src = """
         class PatternCommand(Command):
             kind = "pattern"
-            type_id = 99
             overwrite_class = OverwriteClass.COMPLETE
             def translated(self, dx, dy): ...
             def clipped(self, rects): ...
-            def encode(self): ...
-            def decode(cls, payload): ...
+            def to_rows(self): ...
+            def from_rows(cls, rect): ...
             def apply(self, fb): ...
         """
         assert rules_of(src, "repro.protocol.fixture") == []
@@ -128,6 +127,36 @@ class TestBareExcept:
             pass
         """
         assert rules_of(src) == []
+
+
+class TestHandPackedLayout:
+    WIRE_CLASS = """
+        @wire_type("PATTERN", 99, "s->c", "test")
+        class PatternCommand:
+            rect = rect16()
+
+            @classmethod
+            def from_rows(cls, rect):
+                {body}
+        """
+
+    def test_flags_struct_calls_in_a_wire_id_class(self):
+        for body in ("return cls(*struct.unpack('>HH', rect))",
+                     "return cls(*_HEAD.unpack_from(rect))"):
+            src = self.WIRE_CLASS.format(body=body)
+            assert rules_of(src, "repro.protocol.fixture") == ["THL007"]
+        # The same call outside a declared class is not this rule's.
+        assert rules_of("size = _FRAME.unpack_from(data)\n") == []
+        assert rules_of(self.WIRE_CLASS.format(body="return cls(rect)"),
+                        "repro.protocol.fixture") == []
+
+    def test_session_unit_module_is_covered_whole(self):
+        src = "_HEAD = struct.Struct('>BI')\n"
+        assert rules_of(src, "repro.core.session_unit") == ["THL007"]
+        assert rules_of(src, "repro.core.delivery") == []
+        # Naming an exception class is not a call into the API.
+        assert rules_of("try:\n    go()\nexcept struct.error:\n    pass\n",
+                        "repro.core.session_unit") == []
 
 
 class TestSuppressions:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.gotomypc import MIN_VIEWPORT, RELAY_EXTRA_RTT
 from repro.bench.platforms import PLATFORMS, make_platform
+from repro.codec import Encoding
 from repro.net import EventLoop, LAN_DESKTOP
 from repro.region import Rect
 
@@ -100,4 +101,4 @@ class TestPlatformBehaviour:
                                  compress_raw=False)
         driver = platform.server.driver
         assert not driver.offscreen_awareness
-        assert not driver.compress_raw
+        assert driver.raw_encoding is Encoding.NONE

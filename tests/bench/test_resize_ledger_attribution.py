@@ -16,6 +16,7 @@ mean.
 import numpy as np
 import pytest
 
+from repro.codec import Encoding
 from repro.core import resize
 from repro.core.resize import DisplayScaler
 from repro.protocol import (BitmapCommand, CompositeCommand, CopyCommand,
@@ -36,7 +37,7 @@ def _video():
 
 
 COMMANDS = {
-    "raw": lambda: RawCommand(DEST, PIXELS, compress=False),
+    "raw": lambda: RawCommand(DEST, PIXELS, Encoding.NONE),
     "pfill": lambda: PFillCommand(DEST, PIXELS[:8, :8]),
     "bitmap_opaque": lambda: BitmapCommand(
         DEST, np.eye(32, dtype=bool), COLOR, (0, 0, 0, 255)),

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import Encoding
 from repro.core import CommandQueue
 from repro.display import Framebuffer
 from repro.protocol import BitmapCommand, RawCommand, SFillCommand
@@ -15,10 +16,10 @@ BLUE = (0, 0, 255, 255)
 W, H = 48, 32
 
 
-def raw(rect, seed=0, compress=False):
+def raw(rect, seed=0):
     rng = np.random.default_rng(seed)
     return RawCommand(rect, rng.integers(0, 256, (rect.height, rect.width, 4),
-                                         dtype=np.uint8), compress)
+                                         dtype=np.uint8), Encoding.NONE)
 
 
 def replay(queue, size=(W, H)):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.codec import Encoding
 from repro.core import ClientBuffer
 from repro.display import Framebuffer
 from repro.protocol import (BitmapCommand, CopyCommand, RawCommand,
@@ -32,7 +33,7 @@ def raw(rect, seed=0):
     rng = np.random.default_rng(seed)
     return RawCommand(rect, rng.integers(0, 256,
                                          (rect.height, rect.width, 4),
-                                         dtype=np.uint8), compress=False)
+                                         dtype=np.uint8), Encoding.NONE)
 
 
 class TestFlushBasics:
@@ -244,7 +245,7 @@ class TestDeliveryProperty:
                 return RawCommand(
                     Rect(x, y, w, h),
                     rng.integers(0, 256, (h, w, 4), dtype=np.uint8),
-                    compress=False)
+                    Encoding.NONE)
             if kind == 2:
                 mask = rng.integers(0, 2, (h, w)).astype(bool)
                 return BitmapCommand(Rect(x, y, w, h), mask, color, None)

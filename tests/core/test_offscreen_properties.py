@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import Encoding
 from repro.core.translation import THINCDriver
 from repro.display import Framebuffer, WindowServer
 from repro.region import Rect
@@ -156,7 +157,7 @@ class TestStarvationBehaviour:
         buf = ClientBuffer()
         big = RawCommand(Rect(0, 0, 64, 64),
                          rng.integers(0, 256, (64, 64, 4), dtype=np.uint8),
-                         compress=False)
+                         Encoding.NONE)
         buf.add(big)
         writer = Writer()
         # Small updates keep arriving and the room is always just

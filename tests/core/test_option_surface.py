@@ -33,16 +33,14 @@ def test_server_constructor_parameters():
 def test_qos_config_fields():
     assert [f.name for f in fields(QosConfig)] == [
         "degrade_polls", "recover_polls", "recover_jitter",
-        "fps_divisor", "scale_shift", "qstep", "report_gap",
-        "report_hold", "seed"]
+        "fps_divisor", "scale_shift", "qstep", "seed"]
 
 
 def test_resilience_config_fields():
     assert [f.name for f in fields(ResilienceConfig)] == [
         "heartbeat_interval", "liveness_timeout", "check_interval",
-        "detach_window", "backoff_base", "backoff_max", "backoff_jitter",
-        "flap_window", "replay_log_limit", "seed", "token_start",
-        "token_stride"]
+        "detach_window", "backoff_base", "backoff_jitter", "seed",
+        "token_start", "token_stride"]
 
 
 def test_budget_fields():

@@ -239,12 +239,10 @@ class TestMigrationCarriesRung:
         loop, conn, mon, server, ws, client = make_qos_rig()
         frozen = server.sessions[0].freeze()
         blob = bytearray(frozen.to_bytes())
-        # The rung byte sits right after the fixed-size counter block.
-        from repro.core import session_unit as su
+        # The rung is the last byte of the declared fixed part.
+        from repro.core.session_unit import _FROZEN
 
-        offset = (su._HEAD.size + su._VIEW.size + su._MARKS.size
-                  + su._COUNTERS.size)
-        blob[offset] = MAX_RUNG + 1
+        blob[_FROZEN.struct.size - 1] = MAX_RUNG + 1
         with pytest.raises(wire.FieldRangeError):
             FrozenSession.from_bytes(bytes(blob))
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import Encoding
 from repro.core.resize import DisplayScaler, resample, scale_rect
 from repro.protocol import (BitmapCommand, CompositeCommand, CopyCommand,
                             PFillCommand, RawCommand, SFillCommand,
@@ -76,7 +77,7 @@ class TestPerCommandPolicy:
     def test_raw_resampled_saves_bandwidth(self):
         rng = np.random.default_rng(2)
         pixels = rng.integers(0, 256, (192, 256, 4), dtype=np.uint8)
-        cmd = RawCommand(Rect(0, 0, 256, 192), pixels, compress=False)
+        cmd = RawCommand(Rect(0, 0, 256, 192), pixels, Encoding.NONE)
         (out,) = self.scaler.scale_command(cmd)
         assert isinstance(out, RawCommand)
         assert out.wire_size() < cmd.wire_size() / 4
@@ -152,7 +153,7 @@ class TestScaledDrawingConsistency:
             SFillCommand(Rect(0, 0, 64, 64), (200, 200, 200, 255)),
             RawCommand(Rect(8, 8, 32, 32),
                        rng.integers(0, 256, (32, 32, 4), dtype=np.uint8),
-                       compress=False),
+                       Encoding.NONE),
             SFillCommand(Rect(40, 40, 16, 16), RED),
         ]
         for cmd in cmds:

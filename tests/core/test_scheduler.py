@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import Encoding
 from repro.core import FIFOScheduler, SRSFScheduler
 from repro.protocol import RawCommand
 from repro.region import Rect
@@ -18,7 +19,7 @@ def sized_raw(nbytes_hint, seq, x=0, y=0):
     rng = np.random.default_rng(seq)
     cmd = RawCommand(Rect(x, y, side, side),
                      rng.integers(0, 256, (side, side, 4), dtype=np.uint8),
-                     compress=False)
+                     Encoding.NONE)
     cmd.seq = seq
     return cmd
 

@@ -1,6 +1,7 @@
 """The SessionUnit serializable state surface (freeze/thaw/transfer)."""
 
 import dataclasses
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,7 @@ class TestRoundTrip:
     def test_round_trip_property(self, token, last_seq, pipe_tail,
                                  journal, blobs):
         frozen = sample_frozen(token=token, last_seq=last_seq,
+                               acked_seq=min(39, last_seq),
                                pipe_tail=pipe_tail, journal=journal,
                                replay=blobs, control=blobs)
         assert FrozenSession.from_bytes(frozen.to_bytes()) == frozen
@@ -74,6 +76,25 @@ class TestValidation:
         data = sample_frozen().to_bytes()
         with pytest.raises(wire.ProtocolError):
             FrozenSession.from_bytes(b"\x09" + data[1:])
+
+    # Offsets into the v2 fixed part: version token viewport view |
+    # flags last_seq acked_seq pipe_tail | seven counters | cpu_time.
+    FLAGS = struct.calcsize(">BIHHHHHH")
+    ACKED = FLAGS + struct.calcsize(">BI")
+    CPU_TIME = ACKED + struct.calcsize(">Id") + struct.calcsize(">IQIIIII")
+
+    @pytest.mark.parametrize("offset, patch", [
+        (CPU_TIME, struct.pack(">d", float("nan"))),
+        (CPU_TIME, struct.pack(">d", float("inf"))),
+        (FLAGS, b"\x91"),  # the sample's 0x11 plus undefined bit 0x80
+        (ACKED, struct.pack(">I", 99)),  # past last_seq = 41
+    ], ids=["nan-cpu-time", "inf-cpu-time", "undefined-flag", "acked-ahead"])
+    def test_out_of_range_field_rejected_before_any_object(
+            self, offset, patch):
+        data = bytearray(sample_frozen().to_bytes())
+        data[offset:offset + len(patch)] = patch
+        with pytest.raises(wire.FieldRangeError):
+            FrozenSession.from_bytes(bytes(data))
 
     def test_oversize_transfer_rejected_at_encode(self):
         huge = sample_frozen(
@@ -124,6 +145,18 @@ class TestLiveFreezeThaw:
         refrozen = successor.freeze()
         assert dataclasses.asdict(refrozen) == dataclasses.asdict(
             dataclasses.replace(frozen))
+
+    def test_a_lying_ack_cannot_poison_the_frozen_surface(self):
+        """The ack mark is held to what was sent, so a client acking
+        frames it was never sent still freezes to a blob a peer thaws."""
+        loop = EventLoop()
+        session = self.attach(loop, self.make_server(loop))
+        session.connection.up.write(wire.encode_message(
+            wire.HeartbeatMessage(0xFFFFFFFF, 0.0)))
+        loop.run_until(loop.now + 0.05)
+        frozen = session.freeze()
+        assert frozen.acked_seq == frozen.last_seq > 0
+        assert FrozenSession.from_bytes(frozen.to_bytes()) == frozen
 
     def test_migration_does_not_launder_the_wire_error_tally(self):
         """A session one decode failure short of its error budget on

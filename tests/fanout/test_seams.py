@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import Encoding
 from repro.core.fanout import TileWall
 from repro.core.resize import DisplayScaler
 from repro.display import Framebuffer
@@ -37,7 +38,7 @@ def _commands(w, h):
             ra[0],
             np.random.default_rng(ra[1]).integers(
                 0, 256, (ra[0].height, ra[0].width, 4), dtype=np.uint8),
-            compress=False))
+            Encoding.NONE))
     copies = st.tuples(rects, st.integers(0, w - 1),
                        st.integers(0, h - 1)).map(
         lambda rc: CopyCommand(

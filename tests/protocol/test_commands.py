@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import Encoding
 from repro.display import Framebuffer, solid_pixels
 from repro.protocol import (BitmapCommand, CompositeCommand, CopyCommand,
                             OverwriteClass, PFillCommand, RawCommand,
-                            SFillCommand, VideoFrameCommand, decode_command)
+                            SFillCommand, VideoFrameCommand, decode_command,
+                            wire)
 from repro.region import Rect
 from repro.video import yuv
 
@@ -80,9 +82,9 @@ class TestEncodeDecode:
 
     def test_raw_roundtrip_uncompressed(self):
         pixels = rgba_block(7, 5, seed=2)
-        cmd = RawCommand(Rect(0, 0, 7, 5), pixels, compress=False)
+        cmd = RawCommand(Rect(0, 0, 7, 5), pixels, Encoding.NONE)
         out = self.roundtrip(cmd)
-        assert not out.compress
+        assert out.encoding is Encoding.NONE
         assert np.array_equal(out.pixels, pixels)
 
     def test_copy_roundtrip(self):
@@ -148,6 +150,42 @@ class TestEncodeDecode:
     def test_copy_is_tiny_regardless_of_area(self):
         cmd = CopyCommand(0, 0, Rect(0, 0, 500, 400))
         assert cmd.wire_size() < 32
+
+
+def _one_of_each():
+    pixels = rgba_block(6, 5)
+    rect = Rect(3, 4, 6, 5)
+    return [
+        RawCommand(rect, pixels),
+        CopyCommand(1, 2, rect),
+        SFillCommand(rect, RED),
+        PFillCommand(rect, checker_tile()),
+        BitmapCommand(rect, pixels[..., 0] > 127, RED, GREEN),
+        CompositeCommand(rect, pixels),
+        VideoFrameCommand(3, rect, 4, 2, bytes(4 * 2 * 3 // 2)),
+    ]
+
+
+class TestBoundedDecode:
+    """A command's frame is its declared rows and payload, exactly."""
+
+    @pytest.mark.parametrize("cmd", _one_of_each(),
+                             ids=lambda cmd: cmd.kind)
+    def test_bytes_after_the_payload_are_rejected(self, cmd):
+        payload = cmd.encode()[1:]
+        for junk in (b"\x00", b"\x00" * 8):
+            with pytest.raises(wire.TruncatedPayloadError):
+                wire.parse_messages(
+                    wire.frame_message(cmd.type_id, payload + junk))
+
+    def test_bitmap_has_bg_is_a_flag(self):
+        cmd = BitmapCommand(Rect(0, 0, 8, 2), np.eye(2, 8, dtype=bool), RED)
+        payload = bytearray(cmd.encode()[1:])
+        assert payload[12] == 0  # rect[8] fg[4] has_bg
+        payload[12] = 7
+        with pytest.raises(wire.FieldRangeError):
+            wire.parse_messages(wire.frame_message(cmd.type_id,
+                                                   bytes(payload)))
 
 
 class TestApply:
@@ -271,7 +309,7 @@ class TestMerging:
 class TestSplitting:
     def test_raw_split_preserves_output(self):
         pixels = rgba_block(16, 16, seed=9)
-        cmd = RawCommand(Rect(0, 0, 16, 16), pixels, compress=False)
+        cmd = RawCommand(Rect(0, 0, 16, 16), pixels, Encoding.NONE)
         head, rest = cmd.split(cmd.wire_size() // 3)
         assert rest is not None
         fb1, fb2 = Framebuffer(16, 16), Framebuffer(16, 16)
@@ -296,7 +334,7 @@ class TestSplitting:
     @settings(max_examples=30, deadline=None)
     def test_split_property(self, w, h, budget):
         cmd = RawCommand(Rect(0, 0, w, h), rgba_block(w, h, seed=w * h),
-                         compress=False)
+                         Encoding.NONE)
         head, rest = cmd.split(budget)
         if rest is not None:
             assert head.dest.height + rest.dest.height == h

@@ -4,9 +4,11 @@ What used to be lint findings (an unbounded slice, a duplicate or
 unregistered id, spec/class drift) cannot be *declared* any more:
 each case below fails at decoration, before a byte is parsed.  Plus
 the contract the rest of the tree reads off the registry: the three
-direction sets, and a codec compiled from a toy declaration.
+direction sets, a codec compiled from a toy declaration, and a field
+table compiled for a layout that owns no wire id.
 """
 
+import dataclasses
 import struct
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from repro.protocol import schema, spec, wire
 from repro.protocol.limits import LIMITS
 from repro.protocol.schema import (blob, choice, f64, flag, message, rect16,
-                                   rest, tag, u8, u16)
+                                   rest, sized, tag, u8, u16)
 from repro.region import Rect
 
 
@@ -25,12 +27,12 @@ def scratch_registry(monkeypatch):
 
 
 class TestBoundsAreRequired:
-    @pytest.mark.parametrize("kind", [rest, tag, blob])
+    @pytest.mark.parametrize("kind", [rest, tag, sized, blob])
     def test_length_bearing_kind_without_a_bound_is_a_type_error(self, kind):
         with pytest.raises(TypeError):
             kind()
 
-    @pytest.mark.parametrize("kind", [rest, tag])
+    @pytest.mark.parametrize("kind", [rest, tag, sized])
     def test_bound_must_name_a_wire_limit(self, kind):
         with pytest.raises(TypeError):
             kind(max=4096)  # a literal is not a WireLimits field name
@@ -178,18 +180,41 @@ class TestCompiledCodec:
             probe.decode_payload(payload)
 
     def test_spec_row_is_derived_from_the_declaration(self, probe):
-        row = spec._control_row(probe)
+        row = spec._row(probe)
         assert (row.name, row.type_id, row.direction, row.section) == (
             "PROBE", 90, "c->s", "test")
         assert row.summary == "A toy message using every fixed-size kind."
         assert row.payload == probe.schema.layout
         assert row.implementation is probe
 
-    def test_handwritten_codec_is_kept(self):
+    def test_checked_declares_its_rows(self):
+        # Its attributes are not its rows: it maps them itself.
         checked = wire.CheckedFrame
-        assert "decode_payload" in vars(checked)
-        assert checked.schema.fields == {}
-        assert checked.schema.layout.startswith("crc32[u32] seq[u32]")
+        assert list(checked.schema.fields) == ["crc32", "seq", "inner"]
+        assert [f.name for f in dataclasses.fields(checked)] == [
+            "seq", "message"]
+        assert checked.schema.check is wire._check_checked
+
+
+def test_field_table_without_a_wire_id():
+    """The compiler half alone: no class, no registry entry."""
+    def ordered(row):
+        if row.lo > row.hi:
+            raise schema.FieldRangeError("lo is past hi")
+
+    before = dict(schema.REGISTRY)
+    table = schema.FieldTable(
+        "SPAN", dict(lo=u8(), hi=u8(0, 9), label=sized(max="max_frame_bytes")),
+        check=ordered)
+    assert schema.REGISTRY == before
+    assert table.layout == "lo[u8] hi[u8] label_len[u32] label[label_len]"
+    data = table.pack(2, 7, b"ab")
+    assert data == struct.pack(">BBI", 2, 7, 2) + b"ab"
+    assert table.parse(data) == [2, 7, b"ab"]
+    for bad, error in ((data + b"!", schema.TruncatedPayloadError),
+                       (table.pack(8, 7, b""), schema.FieldRangeError)):
+        with pytest.raises(error):
+            table.parse(bad)
 
 
 def test_rest_is_capped_before_any_field_is_checked():

@@ -155,16 +155,23 @@ FROZEN = FrozenSession(
     subscribed=True, tile_mode=True, qos_rung=LIMITS.max_qos_rung)
 
 
-def _mutator_digest():
+def mutator_outcomes():
+    """``(case, outcome, pending_bytes)`` for each of the 5 000 mutated
+    streams; ``mutator_differential.py`` compares them across commits."""
     corpus = seed_corpus() + [wire.encode_message(m) for m in INSTANCES]
-    digest = hashlib.sha256()
     for case in Mutator(54, corpus).cases(5000):
         parser = wire.StreamParser()
         try:
             outcome = "|".join(repr(m) for m in parser.feed(case))
         except wire.ProtocolError as exc:
             outcome = type(exc).__name__
-        digest.update(f"{outcome},{parser.pending_bytes}\n".encode())
+        yield case, outcome, parser.pending_bytes
+
+
+def _mutator_digest():
+    digest = hashlib.sha256()
+    for _, outcome, pending in mutator_outcomes():
+        digest.update(f"{outcome},{pending}\n".encode())
     return digest.hexdigest()
 
 

@@ -1,10 +1,12 @@
 """Property tests for the hardened wire codec.
 
-Two laws, checked for *every* control-message class in wire.py:
+Two laws, checked for *every* declared layout — the 24 control
+messages, the seven display commands and ``FrozenSession``:
 
-1. encode → decode is the identity (framed through the real stream
-   machinery, not just ``decode_payload``);
-2. any mutation of valid framed bytes either parses or raises
+1. encode → decode is the identity (wire messages framed through the
+   real stream machinery, not just ``decode_payload``), and a command's
+   ``wire_size()`` is the length of its encoding;
+2. any mutation of valid bytes either parses or raises
    :class:`~repro.protocol.wire.ProtocolError` — never ``struct.error``,
    ``IndexError``, ``UnicodeDecodeError`` or silent garbage.
 
@@ -12,36 +14,64 @@ Plus deterministic spot checks for each typed limit in
 ``repro.protocol.limits``.
 """
 
+import json
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocol import wire
+from repro.core.session_unit import FrozenSession
+from repro.fuzz.mutator import Mutator
+from repro.protocol import commands, schema, wire
 from repro.protocol.limits import LIMITS
 from repro.protocol.spec import UPLINK_TYPE_IDS
 
-from .strategies import strategy_for
+from .strategies import same_message, strategy_for
+from .test_wire_golden import GOLDEN
 
-#: One strategy per control-message class, read off its field table.
-STRATEGIES = {cls: strategy_for(cls)
-              for cls in wire._CONTROL_TYPES.values()}
+#: One strategy per wire id, read off its field table.
+STRATEGIES = {cls: strategy_for(cls) for cls in schema.REGISTRY.values()}
 
 messages = st.one_of(*STRATEGIES.values())
 
 
 def test_every_control_class_has_a_strategy():
-    """The property tests cover the codec exhaustively: adding a wire
-    message class without a strategy here is a test failure."""
-    assert set(STRATEGIES) == set(wire._CONTROL_TYPES.values())
+    """The property tests cover the codec exhaustively: registering a
+    wire id — control message or display command — that
+    ``strategy_for`` cannot build is a test failure."""
+    assert len(STRATEGIES) == 31
+    assert set(STRATEGIES) == set(wire._CONTROL_TYPES.values()) | set(
+        commands.COMMAND_TYPES.values())
 
 
-@settings(max_examples=200, deadline=None)
-@given(msg=messages)
+@settings(max_examples=300, deadline=None)
+@given(msg=messages | strategy_for(FrozenSession))
 def test_encode_decode_identity(msg):
+    if isinstance(msg, FrozenSession):
+        assert FrozenSession.from_bytes(msg.to_bytes()) == msg
+        return
     framed = wire.encode_message(msg)
-    assert wire.parse_messages(framed) == [msg]
+    (parsed,) = wire.parse_messages(framed)
+    assert same_message(parsed, msg)
+    if isinstance(msg, commands.Command):
+        assert msg.wire_size() == len(msg.encode()) \
+            == len(framed) - wire.FRAME_OVERHEAD + 1
+        assert same_message(commands.decode_command(msg.encode()), msg)
+
+
+def test_mutated_frozen_blobs_raise_only_protocol_error():
+    """The blob crosses the fabric: 5 000 seeded mutations of the
+    golden one either thaw or fail typed."""
+    blob = bytes.fromhex(json.loads(GOLDEN.read_text())["frozen_session"])
+    thawed = 0
+    for case in Mutator(54, [blob], coverage=False).cases(5000):
+        try:
+            FrozenSession.from_bytes(case)
+            thawed += 1
+        except wire.ProtocolError:
+            pass  # the only exception family the contract allows
+    assert 0 < thawed < 5000
 
 
 @settings(max_examples=300, deadline=None)
