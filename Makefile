@@ -37,19 +37,24 @@ sanitize:
 	THINC_SANITIZE=1 PYTHONPATH=src $(PY) -m pytest -x -q
 
 # Deterministic chaos suite: fault-injected transport + resilience
-# plane, run with the queue sanitizer armed at three fixed seeds
-# (each seed selects a different random fault schedule; any failure
-# replays exactly from its seed).  See docs/RESILIENCE.md.
+# plane, the hand-picked schedule table, and the scenario state machine
+# at its deeper ``chaos`` profile, all with the queue sanitizer armed,
+# at three fixed seeds (each selects a different random fault schedule
+# and a different example stream).  A failing scenario is written out
+# as a bundle for ``python -m repro replay``.  See docs/TESTING.md.
 chaos:
 	@for seed in 11 23 47; do \
 	  echo "== chaos seed $$seed =="; \
 	  THINC_SANITIZE=1 THINC_CHAOS_SEED=$$seed PYTHONPATH=src \
 	  $(PY) -m pytest tests/net/test_faults.py \
 	    tests/core/test_resilience.py \
-	    tests/core/test_qos_chaos.py \
 	    tests/cluster/test_migration.py \
 	    tests/fanout/test_migration_fanout.py \
-	    tests/fanout/test_qos_fanout.py -x -q || exit 1; \
+	    tests/fanout/test_qos_fanout.py \
+	    tests/scenario/test_regressions.py \
+	    tests/scenario/test_state_machine.py \
+	    --hypothesis-profile=chaos --hypothesis-seed=$$seed \
+	    -x -q || exit 1; \
 	done
 
 # End-to-end shard-fabric smoke: 2 shards x 8 sessions behind the
@@ -139,13 +144,15 @@ protocol-doc:
 	PYTHONPATH=src $(PY) -c "from repro.protocol.spec import render_protocol_reference as r; \
 	open('docs/PROTOCOL.md','w').write(r())"
 
+# Every non-figure script in examples/ (run_all_figures.py is `make
+# figures`); CI's test job runs this as one step.
 examples:
-	$(PY) examples/quickstart.py
-	$(PY) examples/translation_inspector.py
-	$(PY) examples/desktop_session.py
-	$(PY) examples/collaboration.py
-	$(PY) examples/pda_navigation.py
-	$(PY) examples/shard_fanout.py
+	@for script in quickstart translation_inspector desktop_session \
+	    collaboration pda_navigation shard_fanout global_sessions \
+	    video_playback web_browsing; do \
+	  echo "== examples/$$script.py =="; \
+	  PYTHONPATH=src $(PY) examples/$$script.py || exit 1; \
+	done
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

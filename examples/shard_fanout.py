@@ -1,87 +1,50 @@
 #!/usr/bin/env python
 """Shard fan-out: one dial target, two servers, one live migration.
 
-Builds the minimal cluster deployment — a :class:`ShardCoordinator`
-owning two THINC shards behind a :class:`Relay` — and fans four thin
-clients out across it.  The clients dial the relay with the ordinary
-wire protocol and never learn the fabric exists; both shard screens
-play the same drawing script (mirrored content), one session is
-live-migrated between shards mid-script, and every client still ends
-pixel-identical to its shard's screen.
+The minimal cluster deployment — a :class:`ShardCoordinator` owning two
+THINC shards behind a :class:`Relay` — described as one
+:class:`~repro.cluster.scenario.Scenario`: four thin clients dial the
+relay with the ordinary wire protocol and never learn the fabric
+exists; both shard screens play the same drawing script (mirrored
+content), one session is live-migrated between shards mid-script, and
+the scenario oracle then holds every client pixel-identical to its
+shard's screen, live, and owned by exactly one shard.
 
 Run:  python examples/shard_fanout.py
 """
 
-from repro.cluster import ShardCoordinator
-from repro.cluster.smoke import SMOKE_CONFIG
-from repro.core.resilience import ResilientClient
-from repro.display import WindowServer
-from repro.net import Connection, EventLoop, LAN_DESKTOP
-from repro.region import Rect
-
-WHITE = (255, 255, 255, 255)
-NAVY = (24, 40, 96, 255)
-CORAL = (240, 108, 80, 255)
+from repro.cluster.scenario import ClientSpec, Op, Scenario
 
 
 def main() -> None:
-    loop = EventLoop()
-
     # Two complete THINC servers (shard 0 mints odd tokens, shard 1
-    # even) sharing one prepared-command cache, behind one relay.
-    coord = ShardCoordinator(loop, 2, 320, 240, resilience=SMOKE_CONFIG)
+    # even) sharing one prepared-command cache, behind one relay; the
+    # same scripted workload on both screens keeps them mirrored, which
+    # is what makes cross-shard migration seamless for the viewer.
+    scenario = Scenario(
+        320, 240, shards=2, clients=(ClientSpec(),) * 4,
+        workload=("scripted", {"end": 0.8}),
+        # Everyone has attached and the script is rolling: move the
+        # first session one shard along, live.  The relay severs its
+        # splice, the frozen state crosses the fabric in a
+        # SESSION_TRANSFER frame, and the client's ordinary reconnect
+        # logic lands it on the new shard and replays what it missed.
+        ops=(Op(0.5, "migrate", 0, (1,)),), settle=7.5)
+    run = scenario.build()
+    run.quiesce()
+    coord = run.coord
 
-    # Each shard drives its own window server; the script below is
-    # identical on both, so the screens stay mirrored — which is what
-    # makes cross-shard migration seamless for the viewer.
-    screens = [WindowServer(320, 240, driver=s.driver, clock=loop.clock)
-               for s in coord.shards]
-    for ws in screens:
-        ws.fill_rect(ws.screen, ws.screen.bounds, NAVY)
-        for n in range(6):
-            loop.schedule(0.1 + 0.1 * n, lambda ws=ws, n=n: (
-                ws.fill_rect(ws.screen, Rect(20 + 30 * n, 40, 24, 140),
-                             CORAL if n % 2 else WHITE),
-                ws.draw_text(ws.screen, 20, 200 + n, "thinc", WHITE)))
-
-    # Clients dial the *relay*; placement, routing and backhauls are
-    # the fabric's business, not theirs.
-    def dial() -> Connection:
-        conn = Connection(loop, LAN_DESKTOP)
-        coord.relay.accept(conn)
-        return conn
-
-    clients = []
-    for seed in range(4):
-        rc = ResilientClient(loop, dial, config=SMOKE_CONFIG, seed=seed)
-        rc.start()
-        clients.append(rc)
-
-    # Let everyone attach and the script get rolling...
-    loop.run_until(0.5)
-    token = clients[0].token
-    source = coord.route_token(token)
-
-    # ...then move the first session to the other shard, live.  The
-    # relay severs its splice, the frozen state crosses the fabric in a
-    # SESSION_TRANSFER frame, and the client's ordinary reconnect logic
-    # lands it on the new shard and replays what it missed.
-    coord.migrate(token, 1 - source)
-    loop.run_until(8.0)
-
-    print(f"sessions per shard : "
-          f"{[len(s.sessions) for s in coord.shards]}")
-    print(f"migrated token     : {token} "
-          f"(shard {source} -> {1 - source})")
+    (move,) = coord.migrations
+    print(f"sessions per shard : {[len(s.sessions) for s in coord.shards]}")
+    print(f"migrated token     : {move['token']} "
+          f"(shard {move['source']} -> {move['target']})")
     print(f"fabric control log : "
           f"{[type(m).__name__ for m in coord.fabric_log]}")
     print(f"shared-cache       : {coord.shared_cache.stats()}")
-    for i, rc in enumerate(clients):
-        shard = coord.route_token(rc.token)
-        exact = rc.client.fb.same_as(screens[shard].screen.fb)
-        print(f"client {i} (token {rc.token}) on shard {shard}: "
-              f"pixel-exact={exact}")
-        assert exact, "client diverged from its shard's screen"
+    for i, rc in enumerate(run.clients):
+        print(f"client {i} (token {rc.token}) on shard {run.home(i)[0]}")
+    # Pixels, liveness, budgets, ownership: the one oracle.
+    print(run.check())
     print("every client is pixel-identical to its shard's screen")
 
 

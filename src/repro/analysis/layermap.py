@@ -42,6 +42,12 @@ the session units beside it.  The cluster fabric (rank 42) may drive
 it — a subscriber can attach through any shard's relay — but the plane
 itself never imports upward.
 
+``repro.cluster.scenario`` (one description of a test run, one
+convergence oracle over it) takes cluster's rank, 42, so that ``fuzz``,
+``bench``, the entry points, the examples and ``tests/`` may all build
+their rigs from it; it imports ``workloads`` (40) for the scripted
+draws and nothing above itself.
+
 ``repro.core.link_health`` (the server's one link probe) is core-rank
 too and the lowest module in it: it imports only ``codec`` (rank 15,
 for the posture policy) and is imported by ``core.qos`` and

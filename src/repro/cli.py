@@ -5,12 +5,16 @@ Subcommands::
     python -m repro figures   [--pages N] [--frames N] [--only fig5]
     python -m repro demo      [--width W] [--height H] [--network lan|wan|pda]
     python -m repro trace     record <out.trace> | show <in.trace>
+    python -m repro replay    <bundle.json>
     python -m repro sites
 
 `figures` regenerates the paper's evaluation tables; `demo` runs a
 scripted desktop session and reports what crossed the wire; `trace`
 records a demo session's downstream protocol bytes to a file or
-summarises an existing trace; `sites` prints the Table 2 site models.
+summarises an existing trace; `replay` re-runs a scenario bundle (a
+failing example written by the state machine, `make chaos` or `make
+fuzz`) through build → quiesce → check; `sites` prints the Table 2 site
+models.
 """
 
 from __future__ import annotations
@@ -56,141 +60,75 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _build_demo(network: str, width: int, height: int, trace_path=None):
-    from .core import THINCClient, THINCServer
-    from .display import WindowServer
-    from .display.wm import WindowManager
-    from .net import (Connection, EventLoop, NETWORK_CONFIGS,
-                      PacketMonitor)
-    from .region import Rect
+def _demo_run(network: str, width: int, height: int, shards: int = 0):
+    """The scripted editor session as a scenario: one client on a bare
+    server, or two per shard behind a relay with one live migration."""
+    from .cluster.scenario import ClientSpec, Op, Scenario
+    from .net import NETWORK_CONFIGS
 
-    link = NETWORK_CONFIGS[network]
-    loop = EventLoop()
-    monitor = PacketMonitor()
-    conn = Connection(loop, link, monitor=monitor)
-    server = THINCServer(loop, width, height)
-    ws = WindowServer(width, height, driver=server.driver,
-                      clock=loop.clock)
-    server.attach_client(conn)
-    client = THINCClient(loop, conn)
-    recorder = None
-    if trace_path is not None:
-        from .protocol.trace import TraceRecorder
-
-        recorder = TraceRecorder(trace_path, loop.clock)
-        conn.down.connect(recorder.tee(client._on_data))
-
-    wm = WindowManager(ws)
-    editor = wm.create_window("editor", Rect(
-        width // 8, height // 8, width // 2, height // 2))
-    for n in range(8):
-        loop.schedule(0.15 * n, lambda n=n: wm.draw_in_window(
-            editor, lambda s, d: s.draw_text(
-                d, 6, 6 + n * 10, f"line {n}: the quick brown fox",
-                (10, 10, 10, 255))))
-    loop.schedule(1.3, lambda: wm.move_window(editor, width // 6,
-                                              height // 6))
-    end = loop.run_until_idle(max_time=30)
-    return loop, ws, client, monitor, recorder, end
-
-
-def _cmd_demo_sharded(args) -> int:
-    """The demo fanned out over a shard fabric behind a relay.
-
-    The same scripted editor session plays on every shard's (mirrored)
-    screen; two clients per shard dial the relay exactly as they would
-    a single server, and one session is live-migrated mid-script.
-    """
-    from .cluster import ShardCoordinator
-    from .cluster.smoke import SMOKE_CONFIG
-    from .core.resilience import ResilientClient
-    from .display import WindowServer
-    from .display.wm import WindowManager
-    from .net import Connection, EventLoop, NETWORK_CONFIGS
-    from .region import Rect
-
-    width, height = args.width, args.height
-    loop = EventLoop()
-    coord = ShardCoordinator(loop, args.shards, width, height,
-                             resilience=SMOKE_CONFIG)
-    screens = []
-    for server in coord.shards:
-        ws = WindowServer(width, height, driver=server.driver,
-                          clock=loop.clock)
-        wm = WindowManager(ws)
-        editor = wm.create_window("editor", Rect(
-            width // 8, height // 8, width // 2, height // 2))
-        for n in range(8):
-            loop.schedule(
-                0.15 * n, lambda wm=wm, editor=editor, n=n:
-                wm.draw_in_window(editor, lambda s, d: s.draw_text(
-                    d, 6, 6 + n * 10,
-                    f"line {n}: the quick brown fox", (10, 10, 10, 255))))
-        loop.schedule(1.3, lambda wm=wm, editor=editor:
-                      wm.move_window(editor, width // 6, height // 6))
-        screens.append(ws)
-
-    link = NETWORK_CONFIGS[args.network]
-
-    def dial() -> "Connection":
-        conn = Connection(loop, link)
-        coord.relay.accept(conn)
-        return conn
-
-    clients = []
-    for i in range(2 * args.shards):
-        rc = ResilientClient(loop, dial, config=SMOKE_CONFIG, seed=i)
-        rc.start()
-        clients.append(rc)
-    loop.run_until(2.0)
-    token = clients[0].token
-    moved = False
-    if token and args.shards > 1:
-        source = coord.route_token(token)
-        coord.migrate(token, (source + 1) % args.shards)
-        moved = True
-    loop.run_until(14.0)
-
-    exact = all(
-        rc.client.fb is not None and rc.client.fb.same_as(
-            screens[coord.route_token(rc.token)].screen.fb)
-        for rc in clients)
-    stats = coord.stats()
-    print(f"network            : {args.network}")
-    print(f"shards             : {args.shards}")
-    print(f"sessions           : {stats['sessions']} "
-          f"({[len(s.sessions) for s in coord.shards]} per shard)")
-    print(f"live migrations    : {len(coord.migrations)}"
-          + (f" (token {token})" if moved else ""))
-    print(f"pixel-exact clients: {exact}")
-    print(f"relay bytes up/down: {stats['relay']['bytes_up']:,} / "
-          f"{stats['relay']['bytes_down']:,}")
-    print(f"shared-cache hits  : {stats['shared_cache']['hits']}")
-    return 0 if exact else 1
+    client = ClientSpec(NETWORK_CONFIGS[network])
+    if shards > 1:
+        return Scenario(width, height, shards, workload=("editor", {}),
+                        clients=(client,) * (2 * shards),
+                        ops=(Op(2.0, "migrate", 0, (1,)),)).build()
+    return Scenario(width, height, clients=(client,), settle=30.0,
+                    workload=("editor", {})).build()
 
 
 def _cmd_demo(args) -> int:
-    if args.shards > 1:
-        return _cmd_demo_sharded(args)
-    loop, ws, client, monitor, recorder, end = _build_demo(
-        args.network, args.width, args.height)
-    exact = client.fb.same_as(ws.screen.fb)
+    run = _demo_run(args.network, args.width, args.height, args.shards)
+    end = run.quiesce()
+    problems = run.violations()
+    exact = not any(p.startswith("pixel") for p in problems)
     print(f"network            : {args.network}")
-    print(f"session length     : {end:.2f} s simulated")
-    print(f"pixel-exact client : {exact}")
-    print(f"bytes on the wire  : {monitor.total_bytes():,}")
-    for kind, count in sorted(client.stats["commands_by_kind"].items()):
-        print(f"    {kind.upper():9s} x {count}")
-    return 0 if exact else 1
+    if run.coord is not None:
+        stats = run.coord.stats()
+        print(f"shards             : {args.shards}")
+        print(f"sessions           : {stats['sessions']} "
+              f"({[len(s.sessions) for s in run.servers]} per shard)")
+        print(f"live migrations    : {len(run.coord.migrations)}")
+        print(f"pixel-exact clients: {exact}")
+        print(f"relay bytes up/down: {stats['relay']['bytes_up']:,} / "
+              f"{stats['relay']['bytes_down']:,}")
+        print(f"shared-cache hits  : {stats['shared_cache']['hits']}")
+    else:
+        client = run.clients[0]
+        print(f"session length     : {end:.2f} s simulated")
+        print(f"pixel-exact client : {exact}")
+        print(f"bytes on the wire  : {run.monitor.total_bytes():,}")
+        for kind, count in sorted(client.stats["commands_by_kind"].items()):
+            print(f"    {kind.upper():9s} x {count}")
+    for problem in problems:
+        print(f"VIOLATION {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def _cmd_replay(args) -> int:
+    from .cluster.scenario import Scenario, ScenarioFailure
+
+    with open(args.bundle) as source:
+        run = Scenario.from_json(source.read()).build()
+    run.quiesce()
+    try:
+        print(run.check())
+    except ScenarioFailure as failure:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_trace(args) -> int:
     from .protocol.trace import read_trace, summarize_trace
 
     if args.action == "record":
+        from .protocol.trace import TraceRecorder
+
+        run = _demo_run("lan", 320, 240)
         with open(args.path, "wb") as sink:
-            _, ws, client, monitor, recorder, end = _build_demo(
-                "lan", 320, 240, trace_path=sink)
+            recorder = TraceRecorder(sink, run.loop.clock)
+            run.links[0].down.connect(
+                recorder.tee(run.clients[0]._on_data))
+            end = run.quiesce()
         print(f"recorded {recorder.records_written} chunks "
               f"({recorder.bytes_written} bytes) over {end:.2f} s "
               f"to {args.path}")
@@ -273,6 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("action", choices=("record", "show"))
     trace.add_argument("path")
     trace.set_defaults(func=_cmd_trace)
+
+    replay = sub.add_parser(
+        "replay", help="re-run a scenario bundle through the oracle")
+    replay.add_argument("bundle", help="a Scenario.to_json() file")
+    replay.set_defaults(func=_cmd_replay)
 
     sites = sub.add_parser("sites", help="print the Table 2 site models")
     sites.set_defaults(func=_cmd_sites)

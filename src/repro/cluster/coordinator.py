@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
+from ..core.governor import AdmissionDenied
 from ..core.resilience import ResilienceConfig
 from ..core.server import THINCServer
 from ..core.session_unit import FrozenSession, SessionUnit
@@ -150,7 +151,10 @@ class ShardCoordinator:
         format) → thaw → adopt; the client is severed at the relay and
         recovers through the ordinary resilience redial, which the
         updated routing table now sends to *target*.  Returns the
-        thawed successor unit.
+        thawed successor unit.  A target whose governor would refuse a
+        fresh attach refuses the move too: :class:`~repro.core.governor.
+        AdmissionDenied` is raised before anything is sent, severed or
+        rerouted.
         """
         if not 0 <= target < len(self.shards):
             raise ValueError(f"no such shard: {target}")
@@ -163,6 +167,10 @@ class ShardCoordinator:
         guard = src_server.resilience.guards.get(token)
         if guard is None:
             raise KeyError(f"token {token} has no guard on shard {source}")
+        governor = self.shards[target].governor
+        reason = governor.check_admission()
+        if reason is not None:
+            raise AdmissionDenied(reason, governor.server_budget.retry_after)
         session = guard.session
         began = self.loop.now
         self._fabric_send(wire.MigrateBeginMessage(token, target))

@@ -1,164 +1,24 @@
 """End-to-end fabric smoke: shards, relay, live migration, fidelity.
 
-Runnable rehearsal of the whole cluster story in one deterministic
-simulation: N shards behind a relay, M resilient clients dialling the
-relay exactly as they would a single server, every shard's display
-driven by the *same* scripted workload (mirrored content is what makes
-a migrated session comparable to an uninterrupted twin), K live
-migrations fired mid-workload, and the golden assertion at the end —
-every client framebuffer pixel-identical to its owning shard's screen.
-
-This is the CI `cluster-smoke` job (run under ``THINC_SANITIZE=1``)::
+One :class:`~repro.cluster.scenario.Scenario`: N shards behind a relay,
+M resilient clients dialling it as they would a single server, the same
+scripted workload on every shard's display, K live migrations fired
+mid-workload, then the scenario oracle — every client pixel-identical to
+its owning shard's screen, live, and owned by exactly one shard.  The CI
+``cluster-smoke`` job (exit 0: every invariant held)::
 
     PYTHONPATH=src THINC_SANITIZE=1 python -m repro.cluster.smoke \
         --shards 2 --sessions 8 --migrations 1
-
-Exit status 0 means every invariant held; any divergence raises.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List
 
-import numpy as np
+from .scenario import ClientSpec, Op, Scenario
 
-from ..core.resilience import ResilienceConfig, ResilientClient
-from ..display import WindowServer
-from ..net import Connection, EventLoop
-from ..net.link import LinkParams
-from ..region import Rect
-from .coordinator import ShardCoordinator
-
-__all__ = ["run_smoke", "main"]
-
-#: Client access link: a typical LAN desktop path.
-ACCESS_LINK = LinkParams("smoke access", bandwidth_bps=100e6, rtt=0.0002)
-
-#: Resilience tuning matched to the chaos/test rigs: fast liveness so a
-#: severed splice turns into a redial within the simulated run.
-SMOKE_CONFIG = ResilienceConfig(
-    heartbeat_interval=0.1, liveness_timeout=0.35, check_interval=0.05,
-    backoff_base=0.05, backoff_jitter=0.2, detach_window=5.0)
-
-
-def scripted_workload(loop, ws, end: float = 1.5, step: float = 0.05,
-                      seed: int = 7):
-    """Deterministic mixed draw schedule over [0, end), every *step* s.
-
-    Same seed => same draws at the same times on every shard, so all
-    shard screens stay mirrored and a migrated session has an exact
-    uninterrupted twin to be compared against.
-    """
-    rng = np.random.default_rng(seed)
-    W, H = ws.screen.bounds.width, ws.screen.bounds.height
-    white = (255, 255, 255, 255)
-    ws.fill_rect(ws.screen, ws.screen.bounds, white)
-
-    def run(op: int, x: int, y: int, w: int, h: int, color, img) -> None:
-        if op == 0:
-            ws.fill_rect(ws.screen, Rect(x, y, w, h), color)
-        elif op == 1:
-            ws.put_image(ws.screen, Rect(x, y, w, h), img)
-        elif op == 2:
-            ws.draw_text(ws.screen, x, y, "thinc", color)
-        else:
-            ws.copy_area(ws.screen, ws.screen, Rect(0, 0, 24, 24), x, y)
-
-    t = step
-    while t < end:
-        op = int(rng.integers(0, 4))
-        x, y = int(rng.integers(0, W - 16)), int(rng.integers(0, H - 16))
-        w, h = int(rng.integers(4, 16)), int(rng.integers(4, 16))
-        color = tuple(int(v) for v in rng.integers(0, 256, 3)) + (255,)
-        img = rng.integers(0, 256, (h, w, 4), dtype=np.uint8) \
-            if op == 1 else None
-        loop.schedule_at(
-            t, lambda op=op, x=x, y=y, w=w, h=h, c=color, i=img:
-            run(op, x, y, w, h, c, i))
-        t += step
-
-
-def run_smoke(shards: int = 2, sessions: int = 8, migrations: int = 1,
-              width: int = 96, height: int = 64, end: float = 1.5,
-              settle: float = 9.0, verbose: bool = True) -> dict:
-    """Run the fabric smoke; returns the coordinator's final stats.
-
-    Raises AssertionError (or whatever invariant tripped) on failure.
-    """
-    loop = EventLoop()
-    coord = ShardCoordinator(loop, shards, width, height,
-                             resilience=SMOKE_CONFIG)
-    screens: List[WindowServer] = []
-    for server in coord.shards:
-        ws = WindowServer(width, height, driver=server.driver,
-                          clock=loop.clock)
-        scripted_workload(loop, ws, end=end)
-        screens.append(ws)
-
-    def dial() -> Connection:
-        conn = Connection(loop, ACCESS_LINK)
-        coord.relay.accept(conn)
-        return conn
-
-    clients: List[ResilientClient] = []
-    for i in range(sessions):
-        rc = ResilientClient(loop, dial, config=SMOKE_CONFIG, seed=i)
-        rc.start()
-        clients.append(rc)
-
-    # Let every session attach and the workload get rolling, then fire
-    # the migrations mid-stream, round-robin across attached clients.
-    loop.run_until(min(1.0, end))
-    moved = []
-    for i in range(migrations):
-        rc = clients[i % len(clients)]
-        token = rc.token
-        assert token, f"client {i} never attached"
-        source = coord.route_token(token)
-        target = (source + 1) % shards
-        if source == target:
-            continue  # single-shard run: nowhere to migrate to
-        coord.migrate(token, target)
-        moved.append((token, source, target))
-
-    loop.run_until(end + settle)
-
-    # The golden assertion, per client, against its *current* shard.
-    for i, rc in enumerate(clients):
-        shard = coord.route_token(rc.token)
-        assert shard is not None, f"client {i} lost its route"
-        fb = rc.client.fb
-        assert fb is not None, f"client {i} never got a framebuffer"
-        screen = screens[shard].screen.fb
-        diff = int(np.sum(np.any(fb.data != screen.data, axis=-1)))
-        assert fb.same_as(screen), (
-            f"client {i} (token {rc.token}, shard {shard}) diverged: "
-            f"{diff} pixels differ")
-
-    for token, source, target in moved:
-        assert coord.route_token(token) == target
-    want = {"MigrateBeginMessage", "SessionTransferMessage",
-            "MigrateCompleteMessage"}
-    seen = {type(m).__name__ for m in coord.fabric_log}
-    if moved:
-        assert want <= seen, f"fabric log incomplete: {seen}"
-    reports = coord.admission_reports()
-    assert len(reports) == shards
-
-    stats = coord.stats()
-    if verbose:
-        per = [len(s.sessions) for s in coord.shards]
-        print(f"cluster-smoke: {shards} shards x {sessions} sessions, "
-              f"{len(moved)} migration(s) {moved}")
-        print(f"  sessions per shard: {per}")
-        print(f"  relay: {stats['relay']}")
-        print(f"  shared cache: {stats['shared_cache']}")
-        print(f"  transfer bytes: {stats['transfer_bytes']}")
-        print("  all client framebuffers pixel-identical to their "
-              "shard screens")
-    return stats
+__all__ = ["main"]
 
 
 def main(argv=None) -> int:
@@ -170,8 +30,27 @@ def main(argv=None) -> int:
     parser.add_argument("--migrations", type=int, default=1)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    run_smoke(shards=args.shards, sessions=args.sessions,
-              migrations=args.migrations, verbose=not args.quiet)
+    # Migrations round-robin over the clients at t=1.0, once everyone
+    # has attached and the workload is rolling.
+    run = Scenario(
+        shards=args.shards, clients=(ClientSpec(),) * args.sessions,
+        workload=("scripted", {"end": 1.5}), settle=9.0,
+        ops=tuple(Op(1.0, "migrate", i % args.sessions, (1,)) for i in range(
+            args.migrations if args.shards > 1 else 0))).build()
+    run.quiesce()
+    verdict = run.check()
+    moved = [(m["token"], m["source"], m["target"])
+             for m in run.coord.migrations]
+    if len(moved) != len(run.scenario.ops):
+        raise RuntimeError(f"only {moved} of {run.scenario.ops} landed")
+    if not args.quiet:
+        stats = run.coord.stats()
+        print(f"cluster-smoke: {verdict}; {len(moved)} migration(s) {moved}")
+        print(f"  sessions per shard: "
+              f"{[len(s.sessions) for s in run.coord.shards]}")
+        print(f"  relay: {stats['relay']}")
+        print(f"  shared cache: {stats['shared_cache']}")
+        print(f"  transfer bytes: {stats['transfer_bytes']}")
     return 0
 
 

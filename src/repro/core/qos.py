@@ -324,7 +324,15 @@ class QosPlane:
         self.streams[stream.stream_id] = stream.dst_rect
 
     def note_teardown(self, stream_id: int) -> None:
+        """A stream ended.  Polls ride on passing frames, so with no
+        stream left a session would keep its degraded rung for ever:
+        put it back on rung 0 (``THINCServer.video_teardown`` repaints
+        the rectangle its last squeezed or skipped frame left stale)."""
         self.streams.pop(stream_id, None)
+        for session in self.server.sessions:
+            if session.qos_rung and not self.streams:
+                session.qos_rung = 0
+                self.stats["rungs_up"] += 1
 
     def note_report(self, session, msg: wire.QosReportMessage) -> None:
         """Record a client's QOS_REPORT (Section 8.2's quality measures

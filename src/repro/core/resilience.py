@@ -328,6 +328,9 @@ class ResiliencePlane:
             session.shed_display = False
             self.stats.resyncs_snapshot += 1
             self.stats.snapshot_bytes += snapshot_cost
+            # A resize's SCREEN_INIT may have died unacked with the log:
+            # the snapshot is only paintable at the geometry it is for.
+            session.queue_control(wire.ScreenInitMessage(*session.viewport))
             self.server._submit_refresh(
                 session, chunk_rows=_SNAPSHOT_CHUNK_ROWS)
         session._kick()

@@ -328,11 +328,22 @@ class THINCServer:
                 wire.VideoMoveMessage(stream.stream_id, dst))
 
     def video_teardown(self, stream: VideoStreamInfo) -> None:
+        # The stream's last frame stays on the screen.  A session that
+        # was fed it transformed — on a degraded QoS rung, or cropped
+        # and re-encoded for a 1:1 sub-view (a wall tile; a scaled view
+        # never held exact pixels to begin with) — is owed those pixels
+        # exactly, and no later frame will bring them.
+        stale = [s for s in self.sessions if s.qos_rung or (
+            (s.scaler.sx, s.scaler.sy) == (1.0, 1.0)
+            and not s.scaler.identity)]
         if self.qos is not None:
             self.qos.note_teardown(stream.stream_id)
         for session in self.sessions:
             session.queue_control(
                 wire.VideoTeardownMessage(stream.stream_id))
+        rect = stream.dst_rect.intersect(Rect(0, 0, self.width, self.height))
+        for session in stale if rect else ():
+            self._submit_refresh(session, rect=rect)
 
     def cursor_set(self, pixels, hotspot) -> None:
         for session in self.sessions:

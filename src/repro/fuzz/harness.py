@@ -1,62 +1,56 @@
 """The live-rig fuzz harness.
 
-One fuzz run builds a real server rig — event loop, fluid transport,
-window server, an *honest* client running a scripted workload — and
-co-locates a hostile connection that feeds seed-driven mutated frames
-into the server's uplink for the whole scenario.  When the hostile
-session gets itself quarantined (by design it quickly will), the
-harness re-dials, exercising admission control and the typed denial
-path too.
+One fuzz run is one :class:`~repro.cluster.scenario.Scenario` — a real
+server under tight budgets, an *honest* client running the scripted
+workload — built twice: as is (the unfuzzed twin), and with seed-driven
+mutated frames fed up a hostile co-resident connection for the whole
+run.  When the hostile session gets itself quarantined (by design it
+quickly will) the run re-dials, exercising admission control and the
+typed denial path too.
 
-The contract checked after every run:
-
-* **liveness** — no exception escapes the event loop, and the run
-  drains to idle (a wedged parser or scheduling loop trips the event
-  budget instead of hanging CI);
-* **isolation** — the honest session ends pixel-identical to the
-  server screen *and* to an unfuzzed twin run of the same scenario
-  seed: hostile bytes may not perturb an honest co-resident session by
-  a single pixel;
-* **bounded memory** — every session's queue, audio/control backlog
-  and parser residue end within the governor's budget, and the session
-  table never exceeds the admission cap.
+The contract is the scenario oracle's (docs/TESTING.md), read three
+ways in the report: **liveness** — no exception escapes the event loop
+and the honest session ends attached with nothing pending; **isolation**
+— it ends pixel-identical to the server screen *and* to the twin
+(hostile bytes may not move an honest co-resident session by a single
+pixel); **bounded memory** — every session's queue, audio / control
+backlog and parser residue within the governor's budget, the session
+table within the admission cap.
 
 Any violating input is written to the crash corpus (see
-:mod:`repro.fuzz.corpus`) where the test suite replays it forever.
+:mod:`repro.fuzz.corpus`) where the test suite replays it forever, with
+the whole run beside it as a bundle for ``python -m repro replay``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core import THINCClient, THINCServer
-from ..core.governor import AdmissionDenied, Budget, ServerBudget
-from ..display import WindowServer
-from ..net import Connection, EventLoop, LAN_DESKTOP
-from ..protocol.limits import LIMITS
-from ..region import Rect
+from ..cluster.scenario import Op, Run, Scenario
+from ..core.governor import Budget, ServerBudget
 from . import corpus as corpus_mod
 from .mutator import Mutator
 
 __all__ = ["FuzzConfig", "FuzzReport", "run_fuzz", "replay_corpus"]
 
-import numpy as np
 
+#: Server settings of every fuzz rig: budgets deliberately tight, so a
+#: run exercises the whole response ladder and not just the decode layer.
+_SERVER = {
+    "budget": Budget(
+        degrade_queue_bytes=256 << 10, max_queue_bytes=1 << 20,
+        evict_queue_bytes=2 << 20, max_audio_backlog_bytes=64 << 10,
+        max_control_backlog_bytes=256 << 10, max_journal_bytes=1 << 20,
+        uplink_msgs_per_sec=2000.0, uplink_burst=4000),
+    "server_budget": ServerBudget(max_sessions=8, retry_after=0.25)}
 
-def _fuzz_budget() -> Budget:
-    """A deliberately tight budget so fuzz runs exercise the whole
-    response ladder, not just the decode layer."""
-    return Budget(
-        degrade_queue_bytes=256 << 10,
-        max_queue_bytes=1 << 20,
-        evict_queue_bytes=2 << 20,
-        max_audio_backlog_bytes=64 << 10,
-        max_control_backlog_bytes=256 << 10,
-        max_journal_bytes=1 << 20,
-        uplink_msgs_per_sec=2000.0,
-        uplink_burst=4000,
-    )
+#: A fresh hostile connection every this many cases: a single
+#: length-lying frame legally makes the parser wait for bytes that never
+#: come, and a stream fuzzer that never redials would hide every later
+#: case inside that phantom payload.
+_REDIAL_EVERY = 8
 
 
 @dataclass
@@ -68,16 +62,7 @@ class FuzzConfig:
     width: int = 96
     height: int = 64
     duration: float = 2.0     # seconds of simulated scenario time
-    drain: float = 30.0       # extra simulated time allowed to go idle
-    workload_seed: int = 7
-    workload_step: float = 0.05
-    redial_every: int = 8     # fresh hostile connection every N cases
-    max_redials: int = 4096   # hard cap on hostile re-attaches
     crash_dir: Optional[str] = None
-    budget: Budget = field(default_factory=_fuzz_budget)
-    server_budget: ServerBudget = field(
-        default_factory=lambda: ServerBudget(max_sessions=8,
-                                             retry_after=0.25))
 
 
 @dataclass
@@ -120,178 +105,70 @@ class FuzzReport:
         return line
 
 
-def _scripted_workload(loop: EventLoop, ws: WindowServer, end: float,
-                       step: float, seed: int) -> None:
-    """The chaos harness's deterministic mixed workload (fills, images,
-    glyph text, copies), duplicated here because src code cannot import
-    the test helpers.  Same seed → same draws at the same times."""
-    rng = np.random.default_rng(seed)
-    W, H = ws.screen.bounds.width, ws.screen.bounds.height
-    ws.fill_rect(ws.screen, ws.screen.bounds, (255, 255, 255, 255))
-    t = step
-    while t < end:
-        op = int(rng.integers(0, 4))
-        x, y = int(rng.integers(0, W - 16)), int(rng.integers(0, H - 16))
-        w, h = int(rng.integers(4, 16)), int(rng.integers(4, 16))
-        color = tuple(int(v) for v in rng.integers(0, 256, 3)) + (255,)
-        if op == 0:
-            loop.schedule_at(t, lambda r=Rect(x, y, w, h), c=color:
-                             ws.fill_rect(ws.screen, r, c))
-        elif op == 1:
-            img = rng.integers(0, 256, (h, w, 4), dtype=np.uint8)
-            loop.schedule_at(t, lambda r=Rect(x, y, w, h), i=img:
-                             ws.put_image(ws.screen, r, i))
-        elif op == 2:
-            loop.schedule_at(t, lambda x=x, y=y, c=color:
-                             ws.draw_text(ws.screen, x, y, "thinc", c))
-        else:
-            loop.schedule_at(t, lambda x=x, y=y:
-                             ws.copy_area(ws.screen, ws.screen,
-                                          Rect(0, 0, 24, 24), x, y))
-        t += step
+def _scenario(config: FuzzConfig, ops=()) -> Scenario:
+    """The fuzz rig as a scenario: one honest LAN client running the
+    scripted workload under the tight budget, *ops* the hostile
+    connection's frames."""
+    return Scenario(config.width, config.height, ops=tuple(ops),
+                    server=_SERVER, settle=30.0,
+                    workload=("scripted", {"end": config.duration}))
 
 
-class _Rig:
-    """Loop + server + honest client, optionally with hostile traffic."""
-
-    def __init__(self, config: FuzzConfig):
-        self.config = config
-        self.loop = EventLoop()
-        self.server = THINCServer(self.loop, config.width, config.height,
-                                  budget=config.budget,
-                                  server_budget=config.server_budget)
-        self.ws = WindowServer(config.width, config.height,
-                               driver=self.server.driver,
-                               clock=self.loop.clock)
-        self.honest_conn = Connection(self.loop, LAN_DESKTOP)
-        self.server.attach_client(self.honest_conn)
-        self.honest = THINCClient(self.loop, self.honest_conn)
-        _scripted_workload(self.loop, self.ws, config.duration,
-                           config.workload_step, config.workload_seed)
-
-    def run(self) -> float:
-        end = self.config.duration + self.config.drain
-        return self.loop.run_until_idle(max_time=end)
+def _judge(run: Run, report: FuzzReport, twin: Optional[Run] = None,
+           crash_dir: Optional[str] = None) -> None:
+    """Play *run* out and fill *report* from the scenario oracle; a
+    failing run leaves its replay bundle (and, on a crash, the last
+    frame) under *crash_dir*."""
+    try:
+        report.end_time = run.quiesce()
+        violations = run.violations(twin)
+    except Exception as exc:  # noqa: BLE001 — the whole point: catch it all
+        violations = [f"crash: exception escaped the event loop: {exc!r}"]
+        if crash_dir is not None and run.applied:
+            report.crash_files.append(corpus_mod.save_crash(
+                crash_dir, report.seed, len(run.applied),
+                run.applied[-1].args[0]))
+    report.failures += violations
+    clauses = {text.split(":")[0] for text in violations}
+    report.honest_identical = not clauses & {"crash", "pixel"}
+    report.twin_identical = (twin is not None
+                             and not clauses & {"crash", "pixel", "twin"})
+    report.budget_ok = not clauses & {"crash", "budget"}
+    if violations and crash_dir is not None:
+        path = os.path.join(crash_dir, f"fuzz-s{report.seed}.scenario.json")
+        with open(path, "w") as sink:
+            sink.write(run.script().to_json())
+        report.crash_files.append(path)
+        print(f"replay bundle written to {path}")
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Execute one fuzz scenario; never raises — all violations are
     recorded in the report (and the crash corpus)."""
     report = FuzzReport(seed=config.seed, cases=config.cases)
-
-    # Twin run first: the honest scenario with no hostile connection.
-    twin = _Rig(config)
-    twin.run()
-    twin_pixels = None
-    if twin.honest.fb is not None:
-        twin_pixels = twin.honest.fb.data.tobytes()
-
-    rig = _Rig(config)
     mutator = Mutator(config.seed, corpus_mod.seed_corpus(
         config.width, config.height))
-    state = {"conn": None, "sent": 0, "redials": 0, "case": None}
-
-    def dial_hostile() -> None:
-        conn = Connection(rig.loop, LAN_DESKTOP)
-        try:
-            rig.server.attach_client(conn)
-        except AdmissionDenied:
-            report.admission_denied += 1
-            return
-        state["conn"] = conn
-
-    def hostile_session():
-        for sess in rig.server.sessions:
-            if sess.connection is state["conn"]:
-                return sess
-        return None
-
-    def send_case() -> None:
-        if state["sent"] >= config.cases:
-            return
-        sess = hostile_session()
-        # Redial on a fresh connection every few cases: a single
-        # length-lying frame legally makes the parser wait for bytes
-        # that never come, and a stream fuzzer that never redials would
-        # hide every later case inside that phantom payload.
-        stale = state["sent"] % config.redial_every == 0
-        if (state["conn"] is None or sess is None or sess.quarantined
-                or stale) and state["redials"] < config.max_redials:
-            if sess is not None and sess in rig.server.sessions:
-                rig.server.detach_client(sess)
-            state["redials"] += 1
-            dial_hostile()
-        state["sent"] += 1
-        data = mutator.next_case()
-        state["case"] = data
-        conn = state["conn"]
-        if conn is not None:
-            room = conn.up.writable_bytes()
-            if room > 0:
-                conn.up.write(data[:room])
-        rig.loop.schedule(interval, send_case)
-
     interval = config.duration / max(config.cases, 1)
-    rig.loop.schedule_at(0.0, send_case)
+    ops, t = [], 0.0
+    for index in range(config.cases):
+        ops.append(Op(t, "hostile", args=(
+            mutator.next_case(), index % _REDIAL_EVERY == 0)))
+        t += interval
+    twin = _scenario(config).build()
+    twin.quiesce()
+    run = _scenario(config, ops).build()
+    _judge(run, report, twin, config.crash_dir)
 
-    try:
-        report.end_time = rig.run()
-    except Exception as exc:  # noqa: BLE001 — the whole point: catch it all
-        report.failures.append(
-            f"exception escaped the event loop: {exc!r}")
-        if config.crash_dir is not None and state["case"] is not None:
-            report.crash_files.append(corpus_mod.save_crash(
-                config.crash_dir, config.seed, state["sent"],
-                state["case"]))
-
-    # -- verdicts -----------------------------------------------------------
-
-    gstats = rig.server.governor.stats
+    gstats = run.servers[0].governor.stats
     report.new_signatures = mutator.stats["new_signatures"]
     report.mutation_stats = dict(mutator.stats)
     report.quarantined = gstats.quarantined
     report.evicted = gstats.evicted
     report.wire_errors = gstats.wire_errors
     report.uplink_throttled = gstats.uplink_throttled
-    report.admission_denied += gstats.admission_denied
-    report.redials = state["redials"]
-
-    honest_fb = rig.honest.fb
-    if honest_fb is None:
-        report.failures.append("honest client never got a framebuffer")
-    else:
-        report.honest_identical = honest_fb.same_as(rig.ws.screen.fb)
-        if not report.honest_identical:
-            report.failures.append(
-                "honest session diverged from the server screen")
-        report.twin_identical = (
-            twin_pixels is not None
-            and honest_fb.data.tobytes() == twin_pixels)
-        if not report.twin_identical:
-            report.failures.append(
-                "honest session differs from the unfuzzed twin run")
-
-    report.budget_ok = True
-    budget = config.budget
-    if len(rig.server.sessions) > config.server_budget.max_sessions:
-        report.budget_ok = False
-        report.failures.append("session table exceeded the admission cap")
-    for sess in rig.server.sessions:
-        checks = (
-            (sess.buffer.pending_bytes(), budget.evict_queue_bytes,
-             "command queue"),
-            (sess.audio_backlog_bytes, budget.max_audio_backlog_bytes,
-             "audio backlog"),
-            (sess.control_backlog_bytes, budget.max_control_backlog_bytes,
-             "control backlog"),
-            (sess._parser.pending_bytes, LIMITS.max_uplink_pending_bytes,
-             "parser residue"),
-        )
-        for value, cap, what in checks:
-            if value > cap:
-                report.budget_ok = False
-                report.failures.append(
-                    f"{what} ended at {value} bytes, budget is {cap}")
+    report.admission_denied = (run.hostile["denied"]
+                               + gstats.admission_denied)
+    report.redials = run.hostile["redials"]
     return report
 
 
@@ -299,30 +176,11 @@ def replay_corpus(path: str, config: Optional[FuzzConfig] = None
                   ) -> List[Tuple[str, FuzzReport]]:
     """Replay every crash-corpus input as a tiny scenario of its own;
     returns (filename, report) pairs.  An empty corpus replays clean."""
-    config = config or FuzzConfig()
+    config = replace(config or FuzzConfig(), cases=1, duration=0.5)
     out = []
     for index, data in enumerate(corpus_mod.load_crash_corpus(path)):
-        cfg = FuzzConfig(seed=config.seed, cases=1, width=config.width,
-                         height=config.height, duration=0.5,
-                         budget=config.budget,
-                         server_budget=config.server_budget)
-        report = FuzzReport(seed=cfg.seed, cases=1)
-        rig = _Rig(cfg)
-        conn = Connection(rig.loop, LAN_DESKTOP)
-        try:
-            rig.server.attach_client(conn)
-            rig.loop.schedule_at(
-                0.0, lambda c=conn, d=data:
-                c.up.write(d[:c.up.writable_bytes()]))
-            report.end_time = rig.run()
-        except Exception as exc:  # noqa: BLE001
-            report.failures.append(
-                f"exception escaped the event loop: {exc!r}")
-        honest_fb = rig.honest.fb
-        if honest_fb is None or not honest_fb.same_as(rig.ws.screen.fb):
-            report.failures.append(
-                "honest session diverged from the server screen")
-        else:
-            report.honest_identical = True
+        report = FuzzReport(seed=config.seed, cases=1)
+        _judge(_scenario(config, [Op(0.0, "hostile", args=(data, True))])
+               .build(), report)
         out.append((f"case-{index:04d}", report))
     return out

@@ -10,6 +10,8 @@ from repro.protocol.commands import SFillCommand, VideoFrameCommand
 from repro.region import Rect
 from repro.video import yuv
 
+from tests.helpers import make_rig
+
 RED = (255, 0, 0, 255)
 
 
@@ -149,15 +151,7 @@ class TestCostModel:
 class TestRefreshRequest:
     def test_refresh_recovers_corrupted_region(self):
         """Client-side state loss repaired by a region refresh."""
-        from repro.core import THINCServer
-        from repro.display import WindowServer
-
-        loop = EventLoop()
-        conn = Connection(loop, LAN_DESKTOP)
-        server = THINCServer(loop, 64, 48)
-        ws = WindowServer(64, 48, driver=server.driver, clock=loop.clock)
-        server.attach_client(conn)
-        client = THINCClient(loop, conn)
+        loop, conn, mon, server, ws, client = make_rig(64, 48)
         ws.fill_rect(ws.screen, ws.screen.bounds, (70, 80, 90, 255))
         ws.draw_text(ws.screen, 4, 4, "state", (255, 255, 0, 255))
         loop.run_until_idle(max_time=5)
@@ -170,15 +164,7 @@ class TestRefreshRequest:
         assert client.fb.same_as(ws.screen.fb)
 
     def test_refresh_outside_screen_ignored(self):
-        from repro.core import THINCServer
-        from repro.display import WindowServer
-
-        loop = EventLoop()
-        conn = Connection(loop, LAN_DESKTOP)
-        server = THINCServer(loop, 64, 48)
-        ws = WindowServer(64, 48, driver=server.driver, clock=loop.clock)
-        server.attach_client(conn)
-        client = THINCClient(loop, conn)
+        loop, conn, mon, server, ws, client = make_rig(64, 48)
         ws.fill_rect(ws.screen, Rect(0, 0, 4, 4), RED)
         loop.run_until_idle(max_time=5)
         before = client.total_commands()

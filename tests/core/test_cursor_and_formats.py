@@ -3,23 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import THINCClient, THINCServer
-from repro.display import WindowServer
-from repro.net import Connection, EventLoop, LAN_DESKTOP
 from repro.region import Rect
 from repro.video import yuv
 from repro.video.stream import SyntheticVideoClip
+
+from tests.helpers import make_rig
 
 WHITE = (255, 255, 255, 255)
 
 
 def rig(viewport=None, size=(96, 64)):
-    loop = EventLoop()
-    conn = Connection(loop, LAN_DESKTOP)
-    server = THINCServer(loop, *size)
-    ws = WindowServer(*size, driver=server.driver, clock=loop.clock)
-    server.attach_client(conn, viewport=viewport)
-    client = THINCClient(loop, conn)
+    loop, conn, mon, server, ws, client = make_rig(*size, viewport=viewport)
     return loop, server, ws, client
 
 

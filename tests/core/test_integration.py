@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import BLUE, GREEN, RED, WHITE, make_rig
-from repro.core import THINCClient, THINCServer
-from repro.display import WindowServer, solid_pixels
-from repro.net import (Connection, EventLoop, LAN_DESKTOP, LinkParams,
-                       WAN_DESKTOP)
+from repro.core import THINCClient
+from repro.display import solid_pixels
+from repro.net import LinkParams, WAN_DESKTOP
 from repro.region import Rect
 from repro.video.stream import SyntheticVideoClip
 
@@ -100,11 +99,7 @@ class TestPixelExactness:
 
     def test_encrypted_bytes_differ_from_plaintext(self):
         received = []
-        loop = EventLoop()
-        conn = Connection(loop, LAN_DESKTOP)
-        server = THINCServer(loop, 32, 32, encrypt_key=b"k1")
-        ws = WindowServer(32, 32, driver=server.driver, clock=loop.clock)
-        server.attach_client(conn)
+        loop, conn, mon, server, ws, _ = make_rig(32, 32, encrypt_key=b"k1")
         conn.down.connect(lambda d: received.append(d))
         ws.fill_rect(ws.screen, Rect(0, 0, 8, 8), RED)
         loop.run_until_idle(max_time=5)
@@ -239,11 +234,7 @@ class TestInputPath:
         assert times[0] >= WAN_DESKTOP.rtt / 2
 
     def test_headless_client_accounts_without_rendering(self):
-        loop = EventLoop()
-        conn = Connection(loop, LAN_DESKTOP)
-        server = THINCServer(loop, 64, 48)
-        ws = WindowServer(64, 48, driver=server.driver, clock=loop.clock)
-        server.attach_client(conn)
+        loop, conn, mon, server, ws, _ = make_rig(64, 48)
         client = THINCClient(loop, conn, headless=True)
         ws.fill_rect(ws.screen, Rect(0, 0, 20, 20), RED)
         loop.run_until_idle(max_time=5)

@@ -144,15 +144,8 @@ class TestSharedPrepareExactness:
         """Encryption is per-session (stage 5, after the shared plane):
         prepared payloads are shared while each cipher stream stays
         independent, and both clients still decode pixel-exactly."""
-        loop = EventLoop()
-        key = b"pipeline-key"
-        server = THINCServer(loop, 96, 64, encrypt_key=key)
-        ws = WindowServer(96, 64, driver=server.driver, clock=loop.clock)
-        clients = []
-        for _ in range(2):
-            conn = Connection(loop, LAN_DESKTOP)
-            server.attach_client(conn)
-            clients.append(THINCClient(loop, conn, decrypt_key=key))
+        loop, mon, server, ws, clients = make_rig(
+            [None, None], encrypt_key=b"pipeline-key")
         rng = np.random.default_rng(17)
         draw_phase(ws, rng)
         loop.run_until_idle(max_time=10)

@@ -17,21 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codec import EncoderPolicy
-from repro.core import THINCClient, THINCServer
+from repro.cluster.scenario import Scenario
 from repro.core.governor import Budget
 from repro.core.link_health import PROBE_INTERVAL
 from repro.core.qos import MAX_RUNG, QosConfig, QosPlane
 from repro.core.session_unit import FrozenSession
-from repro.display import WindowServer
-from repro.net import Connection, EventLoop, PacketMonitor
-from repro.net.faults import FaultPlan, FaultyConnection
-from repro.net.link import LinkParams, PDA_80211G
+from repro.net import Connection, PacketMonitor
+from repro.net.faults import FaultPlan
+from repro.net.link import PDA_80211G
 from repro.protocol import wire
 from repro.region import Rect
 from repro.video import yuv
 from repro.video.stream import SyntheticVideoClip
 
-from ..helpers import assert_pixel_identical
+from ..helpers import assert_pixel_identical, client_spec
 
 #: The issue's contended link: a 256 kbit/s thin pipe.
 THIN_256K = replace(PDA_80211G, name="256k thin", bandwidth_bps=256e3)
@@ -40,21 +39,10 @@ THIN_256K = replace(PDA_80211G, name="256k thin", bandwidth_bps=256e3)
 def make_qos_rig(width=96, height=64, link=None, plan=None,
                  send_buffer=None, **server_kw):
     """A single-client rig whose connection honours a fault plan."""
-    loop = EventLoop()
-    mon = PacketMonitor()
-    link = link or THIN_256K
-    if plan is not None:
-        conn = FaultyConnection(loop, link, monitor=mon,
-                                send_buffer=send_buffer, plan=plan)
-    else:
-        conn = Connection(loop, link, monitor=mon,
-                          send_buffer=send_buffer)
-    server = THINCServer(loop, width, height, **server_kw)
-    ws = WindowServer(width, height, driver=server.driver,
-                      clock=loop.clock)
-    server.attach_client(conn)
-    client = THINCClient(loop, conn)
-    return loop, conn, mon, server, ws, client
+    run = Scenario(width, height, server=server_kw, clients=(client_spec(
+        link or THIN_256K, plan, send_buffer=send_buffer),)).build()
+    return (run.loop, run.links[0], run.monitor, run.servers[0],
+            run.screens[0], run.clients[0])
 
 
 def play_clip(loop, ws, clip, dst, start=0.0, end=None):

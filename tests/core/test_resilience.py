@@ -13,8 +13,6 @@ timers run forever, so ``run_until_idle`` would not return.
 import os
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tests.helpers import (assert_pixel_identical, make_resilient_rig,
                            scripted_workload)
@@ -269,21 +267,4 @@ class TestSeededSweep:
             plan, end=1.5, settle=12.0, workload_seed=self.CHAOS_SEED)
         assert_pixel_identical(rc.client, ws)
         assert server.resilience.stats.max_replay_bytes <= FULLSCREEN_RAW
-        assert rc.client.stats["seq_gaps"] == 0
-
-
-class TestChaosProperty:
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_random_fault_schedule_always_converges(self, seed):
-        # Under ANY seeded-random fault schedule the reconnecting
-        # client converges to the live framebuffer, never pays more
-        # than one full-screen RAW in replay, and never observes a
-        # sequence gap.
-        plan = FaultPlan.random(seed=seed, horizon=2.0)
-        loop, dial, server, ws, rc = chaos_run(plan, end=1.5, settle=12.0,
-                                               workload_seed=seed % 1000)
-        assert_pixel_identical(rc.client, ws)
-        st = server.resilience.stats
-        assert st.max_replay_bytes <= FULLSCREEN_RAW
         assert rc.client.stats["seq_gaps"] == 0

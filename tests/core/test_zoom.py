@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import THINCClient, THINCServer
 from repro.core.resize import DisplayScaler
-from repro.display import WindowServer
-from repro.net import Connection, EventLoop, LAN_DESKTOP, PacketMonitor
 from repro.protocol.commands import SFillCommand
 from repro.region import Rect
+
+from tests.helpers import make_rig
 
 RED = (255, 0, 0, 255)
 GREEN = (0, 200, 0, 255)
@@ -16,13 +15,7 @@ BLUE = (0, 0, 255, 255)
 
 
 def rig(viewport=(64, 48)):
-    loop = EventLoop()
-    mon = PacketMonitor()
-    conn = Connection(loop, LAN_DESKTOP, monitor=mon)
-    server = THINCServer(loop, 128, 96)
-    ws = WindowServer(128, 96, driver=server.driver, clock=loop.clock)
-    server.attach_client(conn, viewport=viewport)
-    client = THINCClient(loop, conn)
+    loop, conn, mon, server, ws, client = make_rig(128, 96, viewport=viewport)
     return loop, mon, server, ws, client
 
 

@@ -8,11 +8,9 @@ place where the three renderings cannot drift apart.
 
 import numpy as np
 
-from repro.core import THINCClient, THINCServer
+from repro.cluster.scenario import ClientSpec, Op, Scenario
 from repro.core.governor import ServerBudget
-from repro.display import WindowServer
-from repro.net import Connection, EventLoop, LAN_DESKTOP, PacketMonitor
-from repro.protocol import wire
+from repro.net import LAN_DESKTOP
 
 from tests.helpers import scripted_workload  # noqa: F401  (re-export)
 
@@ -20,42 +18,25 @@ from tests.helpers import scripted_workload  # noqa: F401  (re-export)
 def make_broadcast_rig(subscribers, width=96, height=64, link=LAN_DESKTOP,
                        tile_grid=None, subscribe=True, send_buffer=None,
                        **server_kw):
-    """One server with *subscribers* fan-out clients attached.
+    """``(loop, mon, server, ws, clients)``: *subscribers* fan-out
+    clients (*link* may be one link per subscriber), subscribed before
+    any draw.
 
-    Mirror mode by default; pass ``tile_grid=(cols, rows)`` to assign
-    client *i* tile ``i % (cols*rows)``.  Set ``subscribe=False`` to
-    leave the clients as plain unicast sessions (the differential
-    twin).  *link* may be a sequence, one link per subscriber in
-    attach order.  Returns ``(loop, mon, server, ws, clients)``.
+    Mirror mode by default; ``tile_grid=(cols, rows)`` gives client *i*
+    tile ``i % (cols*rows)``; ``subscribe=False`` leaves them plain
+    unicast sessions (the differential twin).  Fan-out exists to go
+    past the unicast session budget, so the default admits the wall.
     """
-    loop = EventLoop()
-    mon = PacketMonitor()
-    # Fan-out exists to go past the unicast session budget, so admit
-    # at least the requested wall of subscribers (plus twin headroom).
-    server_kw.setdefault(
-        "server_budget",
-        ServerBudget(max_sessions=max(64, 2 * subscribers + 8)))
-    server = THINCServer(loop, width, height, **server_kw)
-    ws = WindowServer(width, height, driver=server.driver, clock=loop.clock)
-    clients = []
-    links = link if isinstance(link, (list, tuple)) \
-        else [link] * subscribers
-    for i in range(subscribers):
-        conn = Connection(loop, links[i], monitor=mon,
-                          send_buffer=send_buffer)
-        server.attach_client(conn)
-        client = THINCClient(loop, conn)
-        if subscribe:
-            if tile_grid is not None:
-                cols, rows = tile_grid
-                client.request_subscribe(wire.SUBSCRIBE_TILE, cols, rows,
-                                         i % (cols * rows))
-            else:
-                client.request_subscribe()
-        clients.append(client)
-    # Let the SUBSCRIBE frames arrive before any workload draws.
-    loop.run_until(0.01)
-    return loop, mon, server, ws, clients
+    server_kw.setdefault("server_budget", ServerBudget(
+        max_sessions=max(64, 2 * subscribers + 8)))
+    links = link if isinstance(link, (list, tuple)) else [link] * subscribers
+    run = Scenario(width, height, server=server_kw, clients=tuple(
+        ClientSpec(l, send_buffer=send_buffer) for l in links), ops=tuple(
+        Op(0.0, "subscribe", i, tile_grid + (i % (tile_grid[0] * tile_grid[1]),)
+           if tile_grid else ()) for i in range(subscribers * subscribe))
+    ).build()
+    run.run_until(0.01)
+    return run.loop, run.monitor, run.servers[0], run.screens[0], run.clients
 
 
 def reassemble_wall(clients, width, height):

@@ -3,25 +3,17 @@
 Satellite of the fan-out PR: a *subscribed* session migrated between
 shards mid-workload re-enrolls in the target shard's broadcast plane
 (mirror or tile, per the frozen flags) and ends pixel-identical to an
-uninterrupted unicast twin.
-
-``make chaos`` runs this file at THINC_CHAOS_SEED 11, 23 and 47 with
-the queue sanitizer armed, layering a random fault schedule on top of
-the migration exactly as the cluster suite does.
+uninterrupted unicast twin.  The same move under a random fault
+schedule is a row of tests/scenario/test_regressions.py.
 """
-
-import os
 
 import numpy as np
 
-from repro.net.faults import FaultPlan
 from repro.protocol import wire
 
 from tests.helpers import assert_pixel_identical, make_shard_rig
 
 SETTLE = 12.0
-
-CHAOS_SEED = int(os.environ.get("THINC_CHAOS_SEED", "0"))
 
 
 def _subscribe_and_migrate(loop, coord, rcs, mode=wire.SUBSCRIBE_MIRROR,
@@ -83,42 +75,3 @@ class TestMigrationWithFanout:
         assert src_fanout.stats["unsubscribed"] == \
             src_fanout.stats["subscribed"]
         assert len(src_fanout.subscribers()) == 0
-
-
-class TestMigrationFanoutUnderChaos:
-    """Chaos twin: subscribed + migrated + faulted vs untouched."""
-
-    def test_subscribed_migration_under_chaos_matches_twin(self):
-        plan = FaultPlan.random(seed=1000 + CHAOS_SEED, horizon=2.0)
-        loop, coord, screens, rcs = make_shard_rig(
-            shards=2, clients=2, plan=plan)
-        # Attachment itself may be delayed well past the fault horizon
-        # by the schedule (partitions + flap-damped redial backoff).
-        while not rcs[0].token and loop.now < 12.0:
-            loop.run_until(loop.now + 0.5)
-        token = rcs[0].token
-        assert token, "client never attached"
-
-        def resubscribe():
-            # Any individual SUBSCRIBE may be eaten by a fault event,
-            # so re-send it periodically until past the fault horizon
-            # (re-subscribing in the same mode is idempotent).  A send
-            # on a mid-redial connection is itself a fault casualty.
-            try:
-                rcs[0].client.request_subscribe()
-            except Exception:
-                pass
-
-        for delay in (0.0, 0.5, 1.0, 1.5, 2.0):
-            loop.schedule_at(loop.now + 0.01 + delay, resubscribe)
-        loop.run_until(loop.now + 2.6)
-        source = coord.route_token(token)
-        assert coord.shards[source].fanout.stats["subscribed"] >= 1
-        target = (source + 1) % len(coord.shards)
-        successor = coord.migrate(token, target)
-        loop.run_until(loop.now + SETTLE + 4.0)
-        assert coord.route_token(token) == target
-        live = coord.shards[target].resilience.guards[token].session
-        assert coord.shards[target].fanout.is_subscriber(live)
-        assert_pixel_identical(rcs[0].client, screens[target])
-        assert np.array_equal(rcs[0].client.fb.data, rcs[1].client.fb.data)

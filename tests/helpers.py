@@ -1,19 +1,17 @@
-"""Shared test rig builders and assertions.
+"""Tuple-returning adapters over :class:`repro.cluster.scenario.Scenario`.
 
-One place for the pieces every suite kept rebuilding: the standard
-loop/connection/server/client rig, its resilient (fault-injected,
-reconnecting) variant, a deterministic scripted workload, and the
-golden pixel-exactness assertion.
+The rigs themselves are built in one place, ``Scenario.build()``; these
+names survive because ~100 call sites unpack their tuples, and
+rewriting those would be pure churn (docs/TESTING.md maps each retired
+builder to its scenario).  Plans on resilient rigs are absolute-time and
+shared by every dial; drive resilient and shard rigs with
+``loop.run_until(t)`` — their timers never let ``run_until_idle``
+return.
 """
 
-import numpy as np
-
-from repro.core import THINCClient, THINCServer
-from repro.core.resilience import ResilienceConfig, ResilientClient
-from repro.display import WindowServer
-from repro.net import Connection, EventLoop, LAN_DESKTOP, PacketMonitor
-from repro.net.faults import dial_factory
-from repro.region import Rect
+from repro.cluster.scenario import ClientSpec, Scenario, pixel_mismatch
+from repro.net import LAN_DESKTOP
+from repro.workloads.scripted import scripted_workload  # noqa: F401
 
 RED = (255, 0, 0, 255)
 GREEN = (0, 255, 0, 255)
@@ -22,157 +20,63 @@ WHITE = (255, 255, 255, 255)
 BLACK = (0, 0, 0, 255)
 
 
+def client_spec(link=LAN_DESKTOP, plan=None, **kw):
+    """A :class:`ClientSpec` whose faults are a ``FaultPlan``'s."""
+    return ClientSpec(link, faults=plan.events if plan else (),
+                      fault_seed=plan.seed if plan else 0, **kw)
+
+
+def _server_kw(server_kw, encrypt=False, config=None):
+    extra = {"encrypt_key": b"thinc-test-key"} if encrypt else {}
+    return dict(server_kw, **extra, **({"resilience": config}
+                                       if config else {}))
+
+
 def make_rig(width=96, height=64, link=LAN_DESKTOP, viewport=None,
              encrypt=False, send_buffer=None, **server_kw):
-    """The standard single-client rig over a plain connection.
-
-    Returns ``(loop, conn, mon, server, ws, client)``.
-    """
-    loop = EventLoop()
-    mon = PacketMonitor()
-    conn = Connection(loop, link, monitor=mon, send_buffer=send_buffer)
-    key = b"thinc-test-key" if encrypt else None
-    server = THINCServer(loop, width, height, encrypt_key=key, **server_kw)
-    ws = WindowServer(width, height, driver=server.driver, clock=loop.clock)
-    server.attach_client(conn, viewport=viewport)
-    client = THINCClient(loop, conn, decrypt_key=key)
-    return loop, conn, mon, server, ws, client
+    """``(loop, conn, mon, server, ws, client)``: one plain client."""
+    loop, mon, server, ws, (client,) = make_multi_rig(
+        [viewport], width, height, link, send_buffer=send_buffer,
+        **_server_kw(server_kw, encrypt))
+    return loop, client.connection, mon, server, ws, client
 
 
 def make_multi_rig(viewports, width=96, height=64, link=LAN_DESKTOP,
-                   **server_kw):
-    """One server/window-server pair with a client per viewport spec.
-
-    Returns ``(loop, mon, server, ws, clients)``.
-    """
-    loop = EventLoop()
-    mon = PacketMonitor()
-    server = THINCServer(loop, width, height, **server_kw)
-    ws = WindowServer(width, height, driver=server.driver, clock=loop.clock)
-    clients = []
-    for viewport in viewports:
-        conn = Connection(loop, link, monitor=mon)
-        server.attach_client(conn, viewport=viewport)
-        clients.append(THINCClient(loop, conn))
-    return loop, mon, server, ws, clients
+                   send_buffer=None, **server_kw):
+    """``(loop, mon, server, ws, clients)``: a client per viewport."""
+    run = Scenario(width, height, server=server_kw, clients=tuple(
+        ClientSpec(link, viewport, send_buffer=send_buffer)
+        for viewport in viewports)).build()
+    return run.loop, run.monitor, run.servers[0], run.screens[0], run.clients
 
 
 def make_resilient_rig(width=96, height=64, link=LAN_DESKTOP, plan=None,
                        encrypt=False, send_buffer=None, config=None,
-                       client_config=None, record_trace=False, seed=0,
-                       **server_kw):
-    """A resilience-plane rig: fault-injected dials and a reconnecting
-    client.  The first dial happens at t=0 via ``rc.start()``.
-
-    Returns ``(loop, dial, server, ws, rc)`` where ``rc`` is the
-    :class:`ResilientClient` (the inner THINCClient is ``rc.client``).
-    Drive it with ``loop.run_until(t)`` — the plane and the client run
-    perpetual timers, so ``run_until_idle`` never returns.
-    """
-    loop = EventLoop()
-    key = b"thinc-test-key" if encrypt else None
-    config = config or ResilienceConfig(
-        heartbeat_interval=0.1, liveness_timeout=0.35, check_interval=0.05,
-        backoff_base=0.05, backoff_jitter=0.2, detach_window=5.0)
-    server = THINCServer(loop, width, height, encrypt_key=key,
-                         resilience=config, **server_kw)
-    ws = WindowServer(width, height, driver=server.driver, clock=loop.clock)
-    dial = dial_factory(loop, link, server.resilience.accept, plan=plan,
-                        send_buffer=send_buffer, record_trace=record_trace)
-    rc = ResilientClient(loop, dial, config=client_config or config,
-                         decrypt_key=key, seed=seed)
-    rc.start()
-    return loop, dial, server, ws, rc
+                       client_config=None, record_trace=False, **server_kw):
+    """``(loop, dial, server, ws, rc)``: one reconnecting client whose
+    first dial happens at t=0."""
+    run = Scenario(width, height, server=_server_kw(
+        server_kw, encrypt, config), clients=(client_spec(
+            link, plan, resilient=True, send_buffer=send_buffer,
+            config=client_config, trace=record_trace),)).build()
+    return run.loop, run.links[0], run.servers[0], run.screens[0], \
+        run.clients[0]
 
 
 def make_shard_rig(shards=2, clients=2, width=96, height=64,
                    link=LAN_DESKTOP, plan=None, config=None, end=1.5,
                    workload_seed=7, schedule_workloads=True, **coord_kw):
-    """A shard-fabric rig: N servers behind a relay, resilient clients
-    dialling the relay exactly as they would a single server.
-
-    Every shard's window server runs the *same* scripted workload
-    (mirrored screens), so a session migrated between shards has an
-    exact uninterrupted twin to be compared against.  Fault *plan*
-    applies to every client dial (the shared absolute-time schedule,
-    as in :func:`make_resilient_rig`).
-
-    Returns ``(loop, coord, screens, rcs)``; drive with
-    ``loop.run_until(t)``.
-    """
-    from repro.cluster import ShardCoordinator
-
-    loop = EventLoop()
-    config = config or ResilienceConfig(
-        heartbeat_interval=0.1, liveness_timeout=0.35, check_interval=0.05,
-        backoff_base=0.05, backoff_jitter=0.2, detach_window=5.0)
-    coord = ShardCoordinator(loop, shards, width, height,
-                             resilience=config, **coord_kw)
-    screens = []
-    for server in coord.shards:
-        ws = WindowServer(width, height, driver=server.driver,
-                          clock=loop.clock)
-        if schedule_workloads:
-            scripted_workload(loop, ws, end=end, seed=workload_seed)
-        screens.append(ws)
-    dial = dial_factory(loop, link, coord.relay.accept, plan=plan)
-    rcs = []
-    for i in range(clients):
-        rc = ResilientClient(loop, dial, config=config, seed=i)
-        rc.start()
-        rcs.append(rc)
-    return loop, coord, screens, rcs
-
-
-def scripted_workload(loop, ws, end=1.5, step=0.05, seed=7):
-    """Schedule a deterministic mixed drawing workload over [0, end).
-
-    Draw operations land every *step* seconds so fault windows always
-    interleave with live traffic.  Same seed => same draws at the same
-    times, which is what makes chaos runs comparable to clean twins.
-    """
-    rng = np.random.default_rng(seed)
-    W, H = ws.screen.bounds.width, ws.screen.bounds.height
-    ops = []
-    t = step
-    while t < end:
-        op = int(rng.integers(0, 4))
-        x, y = int(rng.integers(0, W - 16)), int(rng.integers(0, H - 16))
-        w, h = int(rng.integers(4, 16)), int(rng.integers(4, 16))
-        color = tuple(int(v) for v in rng.integers(0, 256, 3)) + (255,)
-        if op == 0:
-            ops.append((t, "fill", (Rect(x, y, w, h), color)))
-        elif op == 1:
-            img = rng.integers(0, 256, (h, w, 4), dtype=np.uint8)
-            ops.append((t, "image", (Rect(x, y, w, h), img)))
-        elif op == 2:
-            ops.append((t, "text", (x, y, "thinc", color)))
-        else:
-            ops.append((t, "copy", (Rect(0, 0, 24, 24), x, y)))
-        t += step
-
-    def run(op, arg):
-        if op == "fill":
-            ws.fill_rect(ws.screen, *arg)
-        elif op == "image":
-            ws.put_image(ws.screen, *arg)
-        elif op == "text":
-            ws.draw_text(ws.screen, *arg)
-        elif op == "copy":
-            src, x, y = arg
-            ws.copy_area(ws.screen, ws.screen, src, x, y)
-
-    ws.fill_rect(ws.screen, ws.screen.bounds, WHITE)
-    for t, op, arg in ops:
-        loop.schedule_at(t, lambda op=op, arg=arg: run(op, arg))
-    return ops
+    """``(loop, coord, screens, rcs)``: N shards behind a relay, every
+    screen running the same scripted workload (mirrored, so a migrated
+    session has an exact twin)."""
+    run = Scenario(width, height, shards, _server_kw(coord_kw, config=config),
+                   (client_spec(link, plan),) * clients,
+                   ("scripted", {"end": end, "seed": workload_seed})
+                   if schedule_workloads else ()).build()
+    return run.loop, run.coord, run.screens, run.clients
 
 
 def assert_pixel_identical(client, ws):
-    """The golden assertion: client framebuffer == server screen."""
-    fb = client.fb
-    assert fb is not None, "client never received a framebuffer"
-    assert fb.same_as(ws.screen.fb), (
-        "client framebuffer diverged from server screen "
-        f"({int(np.sum(np.any(fb.data != ws.screen.fb.data, axis=-1)))} "
-        "pixels differ)")
+    """The oracle's pixel clause for one 1:1 client of one screen."""
+    problem = pixel_mismatch(client.fb, ws.screen.fb.data)
+    assert problem is None, f"pixel: client {problem}"
