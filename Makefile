@@ -121,6 +121,7 @@ bench-e2e-selftest:
 # working tree, then compare.py over the two sides.
 #   make bench-pairs PARENT=HEAD~1 W=video_lan N=10
 #   make bench-pairs PARENT=HEAD~1 W=typing_dsl N=10
+#   make bench-pairs PARENT=HEAD~1 W=web_lan N=10
 PARENT ?= HEAD
 W ?= video_lan
 N ?= 10

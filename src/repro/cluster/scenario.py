@@ -348,7 +348,6 @@ class Run:
             self.viewer(op.client).connection.close()
         if session is not None:
             server = self.servers[shard]
-            session.detach()  # or it would poll its dead pipe for ever
             if server.resilience is not None:
                 server.resilience.drop_guard(session)
             server.detach_client(session)

@@ -175,10 +175,18 @@ class ClientBuffer:
                     self.stats["commands_out"] += 1
                     self.stats["bytes_out"] += len(data)
                     continue
-            # Would block: try to break off a head that fits.  The head
-            # is sized from the command's average bytes-per-row, so an
-            # unlucky (denser) region can overshoot — shrink the budget
-            # and retry rather than stalling the whole flush pipeline.
+            # Would block: try to break off a head that fits.  A banded
+            # PNG payload is cut between bands already DEFLATEd, so its
+            # head has an exact size and the first try always fits.  The
+            # row-granular fallback sizes its head from the command's
+            # *average* compressed bytes per row and only learns the
+            # real size by compressing it: rows denser than the average
+            # overshoot, and since nothing says by how much, halving
+            # the budget (not trimming it) bounds the retries at four
+            # rather than stalling the whole flush pipeline.  A one-row
+            # head that overshoots ends them: no budget makes it
+            # smaller, and a stalled socket would otherwise pay four
+            # identical DEFLATEs per flush period.
             budget = max(avail - 16, 0)
             for _ in range(4):
                 head, rest = cmd.split(budget)
@@ -192,6 +200,8 @@ class ClientBuffer:
                     result.commands_split += 1
                     self.stats["commands_split"] += 1
                     self.stats["bytes_out"] += len(head_data)
+                    break
+                if head.dest.height == 1:
                     break
                 budget //= 2
             result.blocked = True

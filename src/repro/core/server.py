@@ -185,6 +185,10 @@ class THINCServer:
         return session
 
     def detach_client(self, session: SessionUnit) -> None:
+        """Forget *session*.  Its unit is detached too (idempotent: a
+        frozen or evicted unit already is), or its flush loop would go
+        on polling a pipe nobody reads."""
+        session.detach()
         self.fanout.unsubscribe(session)
         self.sessions.remove(session)
         self.governor.forget(session)

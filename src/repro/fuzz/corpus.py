@@ -82,11 +82,14 @@ def display_seed_corpus(width: int = 16, height: int = 12) -> List[bytes]:
     """Valid-ish *display* command bytes to mutate against the decoder.
 
     One RAW command per payload encoding tag (the adaptive ladder's
-    whole enum), plus the malformed shapes the bounded decoder must
-    reject rather than crash on: an out-of-range encoding tag, a lossy
-    payload truncated mid-stream, and a lossy payload whose declared
-    length exceeds the bytes present.  A decoder consuming these must
-    either return a command or raise ``ValueError`` — nothing else.
+    whole enum), a two-band PNG RAW and the head its flush-time split
+    assembles (full-flush points inside the zlib stream, and the empty
+    final block that closes a head), plus the malformed shapes the
+    bounded decoder must reject rather than crash on: an out-of-range
+    encoding tag, a lossy payload truncated mid-stream, and a lossy
+    payload whose declared length exceeds the bytes present.  A decoder
+    consuming these must either return a command or raise
+    ``ValueError`` — nothing else.
     """
     rng = np.random.default_rng(9)
     pixels = rng.integers(0, 256, (height, width, 4), dtype=np.uint8)
@@ -94,6 +97,12 @@ def display_seed_corpus(width: int = 16, height: int = 12) -> List[bytes]:
     corpus = [RawCommand(rect, pixels, enc).encode()
               for enc in (Encoding.NONE, Encoding.PNG,
                           Encoding.RLE, Encoding.LOSSY)]
+    # 64-byte rows band every 1024: smooth content keeps it ~1 KiB.
+    tall = np.broadcast_to(np.arange(2048, dtype=np.uint8)[:, None, None],
+                           (2048, 16, 4))
+    banded = RawCommand(Rect(0, 0, 16, 2048), tall)
+    corpus += [banded.encode(),
+               banded.split(banded.wire_size() - 1)[0].encode()]
     # Encoding tag past WireLimits.max_raw_encoding (header is type u8
     # + rect 4xu16; the tag is the next byte).
     bad_tag = bytearray(corpus[0])

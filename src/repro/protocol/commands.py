@@ -199,8 +199,9 @@ class RawCommand(Command):
         self.encoding = Encoding(encoding)
         self._payload: Optional[bytes] = None
         # Estimated wire size for scheduling, set when this command is
-        # the remainder of a split: avoids recompressing the whole tail
-        # on every flush period just to know its queue.
+        # the remainder of a row-granular split: avoids recompressing
+        # the whole tail on every flush period just to know its queue.
+        # (A split between row bands hands the remainder its payload.)
         self._size_hint: Optional[int] = None
 
     def with_encoding(self, encoding) -> "RawCommand":
@@ -297,16 +298,32 @@ class RawCommand(Command):
         overhead = 1 + self.schema.struct.size  # type byte + header rows
         if self.wire_size() <= max_bytes:
             return self, None
+        cut = compression.png_split(self._payload, self.pixels,
+                                    max_bytes - overhead)
+        if cut is not None:
+            # A banded PNG payload with room for a band: both halves
+            # are assembled from the bytes already DEFLATEd, so both
+            # know their exact wire size and the head is sure to fit.
+            rows, head_payload, rest_payload = cut
+            head, rest = self._fragments(rows)
+            head._payload, rest._payload = head_payload, rest_payload
+            return head, rest
+        # Row-granular fallback (one band, another encoding, or less
+        # room than a band): the head is sized from the average bytes
+        # per row and compressed afresh, the rest carries an estimate.
         per_row = max(1, (self.wire_size() - overhead) // self.dest.height)
         rows = max(1, (max_bytes - overhead) // per_row)
-        rows = min(rows, self.dest.height - 1)
+        head, rest = self._fragments(min(rows, self.dest.height - 1))
+        rest._size_hint = self._tail_size_estimate(rest.pixels, per_row)
+        return head, rest
+
+    def _fragments(self, rows: int) -> Tuple["RawCommand", "RawCommand"]:
+        """This command cut after *rows* scan lines, queue state kept."""
         top = Rect(self.dest.x, self.dest.y, self.dest.width, rows)
         bottom = Rect(self.dest.x, self.dest.y + rows, self.dest.width,
                       self.dest.height - rows)
         head = RawCommand(top, self.pixels[:rows], self.encoding)
         rest = RawCommand(bottom, self.pixels[rows:], self.encoding)
-        rest._size_hint = self._tail_size_estimate(self.pixels[rows:],
-                                                   per_row)
         head.seq = rest.seq = self.seq
         head.realtime = rest.realtime = self.realtime
         head.sched_floor = rest.sched_floor = self.sched_floor

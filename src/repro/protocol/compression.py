@@ -15,6 +15,11 @@ the byte formats and binds every decoder to the global decode bounds in
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate
+from typing import NamedTuple, Optional, Tuple
+
 import numpy as np
 import zlib
 
@@ -23,8 +28,11 @@ from ..codec import kernels
 from .limits import LIMITS
 
 __all__ = [
+    "PngPayload",
+    "adler32_combine",
     "png_compress",
     "png_compress_batch",
+    "png_split",
     "png_decompress",
     "zlib_compress",
     "zlib_decompress",
@@ -38,10 +46,109 @@ __all__ = [
 
 _FILTER_IDS = {"up": 0, "paeth": 1}
 
+_HEADER_BYTES = 6  # h[u16] w[u16] c[u8] filter[u8]
+
+# Raw (filtered) bytes per independently decodable row band of an
+# 'up'-filtered image.  Flush-time splitting (RawCommand.split) cuts a
+# payload only between bands, so a smaller band lets a head fill the
+# socket's room more closely, while every band costs two full-flush
+# markers and a dictionary reset that an image which is never split
+# pays for nothing.  DEFLATE time does not depend on it (a split
+# re-DEFLATEs one row, whatever the band).  Chosen on thincbench
+# ``web_lan`` seed 54 (docs/PERF.md "PR 24"): ``wire_bytes_per_op`` and
+# ``sim_latency_ms_p90`` fall with the band all the way down, but at
+# 32 KiB the inline images of the text pages become multi-band and
+# ``sim_latency_ms_p50`` moves; 64 KiB is the smallest band that leaves
+# it where it was, and an incompressible band still fits a 256 KiB
+# socket buffer three times over.
+_BAND_BYTES = 64 * 1024
+
+# A final fixed-Huffman block holding only end-of-block: what
+# ``Z_FINISH`` emits after a flush point when no input is left.
+_EMPTY_FINAL_BLOCK = b"\x03\x00"
+
+_ADLER_BASE = 65521
+
+
+def adler32_combine(adler1: int, adler2: int, len2: int) -> int:
+    """Adler-32 of ``a + b`` from ``adler32(a)``, ``adler32(b)`` and
+    ``len(b)`` (zlib's ``adler32_combine``, which Python does not
+    expose): the low word is ``1 + sum(bytes)``, the high word the sum
+    of the running low words, so *b*'s words shift by what *a*
+    contributed before it."""
+    low1 = adler1 & 0xFFFF
+    low = (low1 + (adler2 & 0xFFFF) - 1) % _ADLER_BASE
+    high = ((adler1 >> 16) + (adler2 >> 16)
+            + len2 * (low1 - 1)) % _ADLER_BASE
+    return high << 16 | low
+
+
+class _Segment(NamedTuple):
+    """One stretch of a banded DEFLATE stream that ends at a full-flush
+    point (or at the final block) and references nothing before it."""
+
+    end: int  # payload offset just past the segment's last byte
+    adler: int  # Adler-32 of the filtered bytes it inflates to
+    size: int  # how many filtered bytes that is
+
+
+class PngPayload(bytes):
+    """A multi-band :func:`png_compress` payload plus its band table.
+
+    To a decoder it is the ordinary format — header, then one zlib
+    stream of exactly ``h*w*c`` bytes.  ``segments`` records where that
+    stream may be cut: each band is two segments, its first row alone
+    and then its remaining rows, so :func:`png_split` can restart the
+    'up' predictor by re-DEFLATing that one row.
+    """
+
+    def __new__(cls, data: bytes, segments: Tuple[_Segment, ...] = ()):
+        self = super().__new__(cls, data)
+        self.segments = segments
+        return self
+
 
 def _png_header(h: int, w: int, c: int, row_filter: str) -> bytes:
     return (h.to_bytes(2, "big") + w.to_bytes(2, "big")
             + bytes([c, _FILTER_IDS[row_filter]]))
+
+
+def _stream_adler(segments) -> bytes:
+    """The zlib trailer of a stream made of *segments*."""
+    return reduce(lambda adler, seg: adler32_combine(adler, seg.adler,
+                                                     seg.size),
+                  segments, 1).to_bytes(4, "big")
+
+
+def _deflate_rows(header: bytes, rows: np.ndarray, level: int) -> bytes:
+    """DEFLATE the (h, row_bytes) 'up'-filtered *rows* once, as
+    independent row bands inside one zlib stream.
+
+    An image shorter than two bands is ``zlib.compress`` of the rows,
+    byte for byte.  A taller one goes through a single ``compressobj``
+    with a ``Z_FULL_FLUSH`` after the first row of every band and after
+    every band; the last band takes the remainder (it is never shorter
+    than a band) and ends the stream with ``Z_FINISH``.
+    """
+    h, row_bytes = rows.shape
+    band = max(2, _BAND_BYTES // max(row_bytes, 1))
+    if h < 2 * band:
+        return header + zlib.compress(rows.tobytes(), level)
+    cuts = [row for start in range(0, h // band * band, band)
+            for row in (start, start + 1)] + [h]
+    data = memoryview(rows).cast("B")
+    spans = [data[a * row_bytes:b * row_bytes]
+             for a, b in zip(cuts, cuts[1:])]
+    deflater = zlib.compressobj(level)
+    flushes = [zlib.Z_FULL_FLUSH] * (len(spans) - 1) + [zlib.Z_FINISH]
+    parts = [deflater.compress(span) + deflater.flush(mode)
+             for span, mode in zip(spans, flushes)]
+    parts[-1] = parts[-1][:-4]  # the trailer belongs to no segment
+    segments = tuple(
+        _Segment(len(header) + end, zlib.adler32(span), span.nbytes)
+        for end, span in zip(accumulate(map(len, parts)), spans))
+    return PngPayload(
+        b"".join([header, *parts, _stream_adler(segments)]), segments)
 
 
 def png_compress(pixels: np.ndarray, level: int = 6,
@@ -53,6 +160,10 @@ def png_compress(pixels: np.ndarray, level: int = 6,
     default 'up' predictor is fully vectorisable in both directions;
     'paeth' matches libpng's usual choice and its unfilter runs as an
     anti-diagonal wavefront (O(h+w) numpy steps).
+
+    A tall 'up'-filtered image comes back as a :class:`PngPayload`: the
+    same bytes-like payload, DEFLATEd once as row bands that
+    :func:`png_split` can later slice apart without recompressing.
     """
     img = np.ascontiguousarray(pixels, dtype=np.uint8)
     if img.ndim != 3:
@@ -60,10 +171,10 @@ def png_compress(pixels: np.ndarray, level: int = 6,
     if row_filter not in _FILTER_IDS:
         raise ValueError(f"unknown row filter {row_filter!r}")
     h, w, c = img.shape
-    filtered = (kernels.up_filter(img) if row_filter == "up"
-                else kernels.paeth_filter(img))
-    body = zlib.compress(filtered.tobytes(), level)
-    return _png_header(h, w, c, row_filter) + body
+    header = _png_header(h, w, c, row_filter)
+    if row_filter == "up":
+        return _deflate_rows(header, kernels.up_filter(img), level)
+    return header + zlib.compress(kernels.paeth_filter(img).tobytes(), level)
 
 
 def png_compress_batch(blocks, level: int = 6) -> list:
@@ -82,9 +193,50 @@ def png_compress_batch(blocks, level: int = 6) -> list:
     if stack.ndim != 4:
         raise ValueError("expected a batch of HxWxC pixel arrays")
     _, h, w, c = stack.shape
-    filtered = kernels.batch_up_filter(stack)
     header = _png_header(h, w, c, "up")
-    return [header + zlib.compress(f.tobytes(), level) for f in filtered]
+    return [_deflate_rows(header, rows, level)
+            for rows in kernels.batch_up_filter(stack)]
+
+
+def png_split(payload: bytes, pixels: np.ndarray,
+              max_bytes: int) -> Optional[Tuple[int, bytes, bytes]]:
+    """Cut a banded payload of *pixels* at the last band boundary that
+    keeps the head within *max_bytes*: ``(head_rows, head, rest)``, or
+    None when *payload* has no second band or not even its first fits.
+
+    Nothing is recompressed but the rest's first row, which loses its
+    'up' predecessor and is DEFLATEd again as raw pixels.  The head is
+    the prefix's segments closed by an empty final block, the rest is
+    the zlib header, that row and the suffix's segments; both get their
+    Adler-32 from the segment table, so both sizes are exact and both
+    are again banded payloads.
+    """
+    segments = getattr(payload, "segments", ())
+    band_ends = [seg.end for seg in segments[1:-2:2]]
+    room = max_bytes - len(_EMPTY_FINAL_BLOCK) - 4
+    cut = 2 * bisect_right(band_ends, room)
+    if not cut:
+        return None
+    h, w, c = pixels.shape
+    head_segs, row_seg, tail = segments[:cut], segments[cut], \
+        segments[cut + 1:]
+    head_rows = sum(seg.size for seg in head_segs) // row_seg.size
+    stream = memoryview(payload)
+    head = PngPayload(b"".join([
+        _png_header(head_rows, w, c, "up"),
+        stream[_HEADER_BYTES:head_segs[-1].end],
+        _EMPTY_FINAL_BLOCK, _stream_adler(head_segs)]), head_segs)
+    row = pixels[head_rows].tobytes()
+    deflater = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+    restart = (payload[_HEADER_BYTES:_HEADER_BYTES + 2]  # the zlib header
+               + deflater.compress(row) + deflater.flush(zlib.Z_FULL_FLUSH))
+    shift = _HEADER_BYTES + len(restart) - row_seg.end
+    rest_segs = (_Segment(row_seg.end + shift, zlib.adler32(row), len(row)),
+                 *[seg._replace(end=seg.end + shift) for seg in tail])
+    rest = PngPayload(b"".join([
+        _png_header(h - head_rows, w, c, "up"), restart,
+        stream[row_seg.end:-4], _stream_adler(rest_segs)]), rest_segs)
+    return head_rows, head, rest
 
 
 def png_decompress(data: bytes) -> np.ndarray:

@@ -13,7 +13,9 @@ from repro.cluster.cache import SharedPrepareCache
 from repro.core.link_health import PROBE_INTERVAL
 from repro.core.qos import QosConfig
 from repro.fuzz import display_seed_corpus
+from repro.fuzz.mutator import Mutator
 from repro.net import LAN_DESKTOP, PDA_80211G
+from repro.protocol import wire
 from repro.protocol.commands import RawCommand, decode_command
 from repro.region import Rect
 
@@ -230,11 +232,30 @@ class TestDisplayCorpusContract:
                 outcomes.append(type(cmd).__name__)
             except ValueError as exc:
                 outcomes.append(f"rejected: {exc.args[0][:30]}")
-        # The four valid per-tag seeds decode; the malformed tail of
-        # the corpus is rejected, never crashes.
-        assert outcomes[:4] == ["RawCommand"] * 4
-        assert all(o.startswith("rejected") for o in outcomes[4:])
+        # The four valid per-tag seeds and the two row-banded ones
+        # decode; the malformed tail of the corpus is rejected, never
+        # crashes.
+        assert outcomes[:6] == ["RawCommand"] * 6
+        assert all(o.startswith("rejected") for o in outcomes[6:])
         assert len(outcomes) == len(corpus)
+
+    def test_mutated_seeds_parse_or_raise_protocol_error(self):
+        """The receiver's contract under mutation — bit flips,
+        truncation and splices land on the banded seeds' full-flush
+        markers and on the ``03 00`` block that closes a split head;
+        a frame either parses or raises ``ProtocolError``."""
+        corpus = display_seed_corpus()
+        banded, head = (decode_command(seed) for seed in corpus[4:6])
+        assert (banded.dest.height, head.dest.height) == (2048, 1024)
+        assert head._payload[-6:-4] == b"\x03\x00"
+        framed = [wire.frame_message(seed[0], seed[1:]) for seed in corpus]
+        parsed = 0
+        for case in Mutator(54, framed, coverage=False).cases(600):
+            try:
+                parsed += len(wire.parse_messages(case))
+            except wire.ProtocolError:
+                pass
+        assert parsed
 
     def test_corpus_covers_every_encoding_tag(self):
         tags = set()

@@ -8,6 +8,8 @@ from repro.display import Framebuffer
 from repro.protocol import (BitmapCommand, CopyCommand, RawCommand,
                             SFillCommand, decode_command)
 from repro.region import Rect
+from repro.workloads.web import _photo
+from tests.helpers import assert_pixel_identical, deflate_spy, make_rig
 
 RED = (255, 0, 0, 255)
 GREEN = (0, 255, 0, 255)
@@ -101,6 +103,51 @@ class TestFlushBasics:
         for chunk in chunks:
             decode_command(chunk).apply(fb)
         assert np.array_equal(fb.read_pixels(Rect(0, 0, 16, 16)), pixels)
+
+
+class TestBandedSplit:
+    """A multi-band PNG RAW is DEFLATEd once; flushing slices it."""
+
+    def test_banded_head_is_framed_once_per_frame_written(self):
+        """Exact head sizes: through a 256 KiB socket the retry loop
+        never frames a head it has to throw away."""
+        framed = []
+        buf = ClientBuffer(
+            frame=lambda cmd: framed.append(cmd) or cmd.encode())
+        photo = _photo(500, 800, 4)
+        buf.add(RawCommand(Rect(0, 0, 500, 800), photo))
+        fb, written = Framebuffer(500, 800), 0
+        while buf.pending_commands():
+            w = FakeWriter(256 * 1024)
+            result = buf.flush(w)
+            assert result.commands_split + result.commands_sent == 1
+            if result.commands_split:  # at most a band of room unused
+                assert w.room < 64 * 1024
+            written += len(w.chunks)
+            for chunk in w.chunks:
+                decode_command(chunk).apply(fb)
+        assert written == len(framed) == 3
+        assert np.array_equal(fb.read_pixels(Rect(0, 0, 500, 800)), photo)
+
+    def test_photograph_is_deflated_about_once_over_a_lan(self):
+        """The gain as a count (docs/PERF.md "PR 24"): bytes handed to
+        DEFLATE while a 500x800 photograph is prepared and drained,
+        against its raw size.  Before row bands this was ~2.8x: once
+        whole for the size, then once more per head, discards included."""
+        loop, _, _, server, ws, client = make_rig(640, 900)
+        loop.run_until_idle()
+        photo = _photo(500, 800, 4)
+        with deflate_spy() as fed:
+            # Drawn offscreen and flipped, as the browser does: the
+            # scan-line chunks merge into one RAW on the way onscreen.
+            pixmap = ws.create_pixmap(500, 800)
+            ws.put_image(pixmap, pixmap.bounds, photo)
+            ws.copy_area(pixmap, ws.screen, pixmap.bounds, 64, 64)
+            ws.free_pixmap(pixmap)
+            loop.run_until_idle()
+        assert server.sessions[0].buffer.stats["commands_split"] >= 2
+        assert photo.nbytes <= sum(fed) <= 1.15 * photo.nbytes
+        assert_pixel_identical(client, ws)
 
 
 class TestEvictionThroughBuffer:

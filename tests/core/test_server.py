@@ -46,6 +46,20 @@ class TestMultiClient:
         loop.run_until_idle(max_time=5)
         assert a.stats["messages"] == before
 
+    def test_detach_stops_the_flush_loop(self):
+        """A backlogged unit whose pipe died stops polling it once the
+        server forgets the session; the caller need not detach it too."""
+        loop, server, ws, (a,) = rig()
+        session = server.sessions[0]
+        a.connection.close()
+        ws.fill_rect(ws.screen, Rect(0, 0, 8, 8), RED)
+        loop.run_until(loop.now + 0.1)
+        assert session.pending()
+        server.detach_client(session)
+        periods = session.stats["flush_periods"]
+        loop.run_until_idle(max_time=loop.now + 1.0)
+        assert session.stats["flush_periods"] == periods
+
 
 class TestSession:
     def test_screen_init_sent_first(self):

@@ -9,8 +9,14 @@ shared by every dial; drive resilient and shard rigs with
 return.
 """
 
+import zlib
+from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
+
 from repro.cluster.scenario import ClientSpec, Scenario, pixel_mismatch
 from repro.net import LAN_DESKTOP
+from repro.protocol import compression
 from repro.workloads.scripted import scripted_workload  # noqa: F401
 
 RED = (255, 0, 0, 255)
@@ -80,3 +86,26 @@ def assert_pixel_identical(client, ws):
     """The oracle's pixel clause for one 1:1 client of one screen."""
     problem = pixel_mismatch(client.fb, ws.screen.fb.data)
     assert problem is None, f"pixel: client {problem}"
+
+
+@contextmanager
+def deflate_spy():
+    """The size of every buffer ``repro.protocol.compression`` hands to
+    DEFLATE while the block runs, ``zlib.compress`` and
+    ``compressobj().compress`` alike, in call order."""
+    fed = []
+
+    def spy(method):
+        def wrapped(data, *args, **kw):
+            fed.append(memoryview(data).nbytes)
+            return method(data, *args, **kw)
+        return wrapped
+
+    def compressobj(*args, **kw):
+        obj = zlib.compressobj(*args, **kw)
+        return SimpleNamespace(compress=spy(obj.compress), flush=obj.flush)
+
+    with mock.patch.object(compression, "zlib", SimpleNamespace(**{
+            **vars(zlib), "compress": spy(zlib.compress),
+            "compressobj": compressobj})):
+        yield fed

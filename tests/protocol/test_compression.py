@@ -1,11 +1,19 @@
 """Tests for RAW-pixel compression codecs."""
 
+import zlib
+from itertools import cycle
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import kernels
 from repro.protocol import compression as comp
+from repro.protocol.commands import RawCommand
+from repro.region import Rect
+from tests.helpers import deflate_spy
 
 
 def random_rgba(w, h, seed=0):
@@ -58,6 +66,113 @@ class TestPngModel:
         img = random_rgba(w, h, seed=seed)
         assert np.array_equal(comp.png_decompress(comp.png_compress(img)),
                               img)
+
+
+def smooth_rgba(w, h, seed=0):
+    """Photograph-like: a seeded low-amplitude walk down each column."""
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(-3, 4, size=(h, w, 4))
+    return (128 + np.cumsum(steps, axis=0)).astype(np.uint8)
+
+
+CONTENT = {"noise": random_rgba, "smooth": smooth_rgba,
+           "flat": lambda w, h, seed: flat_rgba(w, h, seed % 256)}
+
+
+class TestAdlerCombine:
+    @given(st.binary(max_size=300), st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_adler_of_the_concatenation(self, a, b):
+        assert comp.adler32_combine(zlib.adler32(a), zlib.adler32(b),
+                                    len(b)) == zlib.adler32(a + b)
+
+    def test_long_runs_of_ff_wrap_both_words(self):
+        a, b = b"\xff" * 70000, b"\xff" * 90001
+        assert comp.adler32_combine(zlib.adler32(a), zlib.adler32(b),
+                                    len(b)) == zlib.adler32(a + b)
+
+
+class TestRowBands:
+    def test_one_band_image_is_plain_zlib_compress(self):
+        """Shorter than two bands: byte-identical to the unbanded
+        format, and no table rides along."""
+        img = smooth_rgba(100, 325, seed=3)  # 400 B rows, 163-row bands
+        payload = comp.png_compress(img)
+        assert type(payload) is bytes
+        assert payload == (comp._png_header(325, 100, 4, "up") + zlib.compress(
+            kernels.up_filter(img).tobytes(), 6))
+
+    def test_multi_band_image_is_one_ordinary_zlib_stream(self):
+        img = smooth_rgba(100, 700, seed=4)
+        payload = comp.png_compress(img)
+        assert len(payload.segments) == 2 * (700 // 163)
+        assert sum(seg.size for seg in payload.segments) == img.nbytes
+        assert zlib.decompress(payload[6:]) == \
+            kernels.up_filter(img).tobytes()
+        assert np.array_equal(comp.png_decompress(payload), img)
+
+    def test_batch_is_banded_like_single(self):
+        blocks = [smooth_rgba(100, 400, seed=s) for s in range(2)]
+        batch = comp.png_compress_batch(blocks)
+        single = [comp.png_compress(b) for b in blocks]
+        assert batch == single
+        assert [p.segments for p in batch] == [p.segments for p in single]
+
+    def test_split_recompresses_one_row(self):
+        img = smooth_rgba(100, 700, seed=5)
+        payload = comp.png_compress(img)
+        with deflate_spy() as fed:
+            rows, head, rest = comp.png_split(payload, img, len(payload) // 2)
+        assert fed == [100 * 4]
+        assert rows % 163 == 0 and 0 < rows < 700
+        assert len(head) <= len(payload) // 2
+        assert head.endswith(b"\x03\x00" + zlib.adler32(
+            kernels.up_filter(img[:rows]).tobytes()).to_bytes(4, "big"))
+        assert np.array_equal(comp.png_decompress(head), img[:rows])
+        assert np.array_equal(comp.png_decompress(rest), img[rows:])
+
+    def test_split_declines_without_a_band_that_fits(self):
+        img = smooth_rgba(100, 700, seed=6)
+        payload = comp.png_compress(img)
+        first_band = payload.segments[1].end + 6
+        assert comp.png_split(payload, img, first_band - 1) is None
+        assert comp.png_split(payload, img, first_band)[0] == 163
+        assert comp.png_split(bytes(payload), img, len(payload)) is None
+        assert comp.png_split(None, img, len(payload)) is None
+
+    @given(st.integers(1, 40), st.integers(2, 120),
+           st.sampled_from(sorted(CONTENT)), st.integers(0, 2**16),
+           st.lists(st.integers(0, 6000), min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_repeated_split_property(self, w, h, content, seed, budgets):
+        """Whatever rooms a RAW command is offered, every fragment
+        decodes through the unchanged decoder, a band-path fragment
+        knows its exact size and fits its budget, and the fragments
+        reassemble the image."""
+        img = CONTENT[content](w, h, seed)
+        rect = Rect(3, 5, w, h)
+        with mock.patch.object(comp, "_BAND_BYTES", 512):
+            cmd, heads = RawCommand(rect, img), []
+            for budget in cycle(budgets):
+                head, rest = cmd.split(budget)
+                if rest is None:  # fits whole, or is down to one row
+                    heads.append(cmd)
+                    break
+                if head._payload is not None:  # cut between bands
+                    assert head.wire_size() <= budget
+                    assert rest.wire_size() == len(rest.encode())
+                assert head.wire_size() == len(head.encode())
+                heads.append(head)
+                cmd = rest
+        out = np.zeros((5 + h, 3 + w, 4), dtype=np.uint8)
+        for piece in heads:
+            pixels = comp.png_decompress(piece._encoded_payload())
+            d = piece.dest
+            assert pixels.shape == (d.height, d.width, 4)
+            out[d.y:d.y2, d.x:d.x2] = pixels
+        assert [p.dest.y for p in heads] == sorted(p.dest.y for p in heads)
+        assert sum(p.dest.height for p in heads) == h
+        assert np.array_equal(out[5:, 3:], img)
 
 
 class TestRle:

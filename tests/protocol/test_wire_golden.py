@@ -12,8 +12,8 @@
   of 5 000 ``Mutator(seed=54, ...)`` cases fed to an unrestricted
   ``StreamParser``;
 * ``commands`` — ``encode_message`` hex for at least two instances of
-  every display command (RAW once per ``Encoding``, BITMAP with and
-  without ``bg``, a PFILL with a non-zero origin, VFRAME in both pixel
+  every display command (RAW once per ``Encoding`` and once as a
+  two-band PNG payload, BITMAP with and without ``bg``, a PFILL with a non-zero origin, VFRAME in both pixel
   formats, a self-overlapping and a disjoint COPY);
 * ``frozen_session`` — hex of one ``FrozenSession`` v2 blob with every
   flag set, all four lists non-empty and non-zero counters.
@@ -117,6 +117,10 @@ COMMANDS = {
     **{f"RAW {encoding.name}":
        commands.RawCommand(_BLOCK, _ramp(5, 6, 4), encoding)
        for encoding in Encoding},
+    # 64 B rows: two 1024-row bands, each flushed after its first row
+    # and at its end, inside one zlib stream.
+    "RAW PNG two bands": commands.RawCommand(Rect(0, 0, 16, 2048),
+                                             _ramp(2048, 16, 4)),
     "COPY self-overlapping": commands.CopyCommand(0, 8, Rect(0, 0, 64, 40)),
     "COPY disjoint": commands.CopyCommand(100, 200, Rect(0, 0, 16, 16)),
     "SFILL low": commands.SFillCommand(Rect(0, 0, 1, 1), (0, 0, 0, 0)),
@@ -219,7 +223,7 @@ def test_commands_cover_every_display_command_twice():
         counts[type(cmd)] = counts.get(type(cmd), 0) + 1
     assert set(counts) == set(commands.COMMAND_TYPES.values())
     assert min(counts.values()) >= 2
-    assert counts[commands.RawCommand] == len(Encoding)
+    assert counts[commands.RawCommand] == len(Encoding) + 1  # two bands
 
 
 def test_commands_encode_to_golden_bytes_and_back():
