@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci loc bench-e2e-smoke bench-e2e-selftest bench-pairs bench-figures figures figures-paper protocol-doc examples clean
+.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci loc bench-e2e-smoke bench-e2e-selftest bench-pairs claims figures figures-paper protocol-doc examples clean
 
 install:
 	$(PY) setup.py develop
@@ -128,25 +128,28 @@ N ?= 10
 bench-pairs:
 	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(W) -n $(N)
 
-# The pytest-benchmark figure timings.
-bench-figures:
-	pytest benchmarks/ --benchmark-only
+# The paper's claims (repro.bench.claims): every row of the table, the
+# four seeded mechanism breaks that must each fail a named row, and the
+# check that EXPERIMENTS.md's claims block is what `python -m repro
+# figures --only claims` prints.  Tier-1 runs only the rows that cost
+# about a second; this runs them all (~2 minutes).
+claims:
+	PYTHONPATH=src $(PY) -m pytest tests/bench/test_claims.py -m "" -q
 
 # Regenerate every evaluation figure at the fast default scale.
 figures:
-	$(PY) examples/run_all_figures.py
+	PYTHONPATH=src $(PY) -m repro figures
 
 # Paper-scale workloads (54 pages, 834 frames); takes a long while.
 figures-paper:
-	$(PY) examples/run_all_figures.py --pages 54 --frames 834
+	PYTHONPATH=src $(PY) -m repro figures --pages 54 --frames 834
 
 # Re-render docs/PROTOCOL.md from the machine-readable spec.
 protocol-doc:
 	PYTHONPATH=src $(PY) -c "from repro.protocol.spec import render_protocol_reference as r; \
 	open('docs/PROTOCOL.md','w').write(r())"
 
-# Every non-figure script in examples/ (run_all_figures.py is `make
-# figures`); CI's test job runs this as one step.
+# Every script in examples/; CI's test job runs this as one step.
 examples:
 	@for script in quickstart translation_inspector desktop_session \
 	    collaboration pda_navigation shard_fanout global_sessions \
@@ -157,4 +160,4 @@ examples:
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
-	rm -rf src/repro.egg-info .pytest_cache .hypothesis .benchmarks
+	rm -rf src/repro.egg-info .pytest_cache .hypothesis

@@ -21,5 +21,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["CommandMix", "command_mix", "latency_stats", "LatencyStats",
-           "bandwidth_timeline", "pipeline_report"]
+           "bandwidth_timeline"]
 
 
 @dataclass(frozen=True)
@@ -70,32 +70,6 @@ def command_mix(trace_records) -> CommandMix:
                 size = 0
             sizes[kind] = sizes.get(kind, 0) + size
     return CommandMix(counts, sizes)
-
-
-def pipeline_report(stats: Dict[str, Dict[str, float]]) -> List[List[str]]:
-    """Table rows summarising per-stage pipeline counters.
-
-    Accepts the dict produced by ``THINCServer.pipeline_stats`` (stage
-    name -> counters) and returns rows of
-    ``[stage, in, out, bytes, cpu, cache]`` suitable for
-    :func:`repro.bench.reporting.format_table`.  Zero-valued cells
-    render as ``-`` so the table highlights where work happens.
-    """
-    rows: List[List[str]] = []
-    for stage, counters in stats.items():
-        hits = counters.get("cache_hits", 0)
-        misses = counters.get("cache_misses", 0)
-        cpu = counters.get("cpu_seconds", 0.0)
-        rows.append([
-            stage,
-            str(int(counters.get("commands_in", 0)) or "-"),
-            str(int(counters.get("commands_out", 0)) or "-"),
-            f"{int(counters.get('bytes_out', 0)):,}"
-            if counters.get("bytes_out") else "-",
-            f"{cpu * 1000:.1f} ms" if cpu else "-",
-            f"{int(hits)}/{int(hits + misses)}" if (hits or misses) else "-",
-        ])
-    return rows
 
 
 @dataclass(frozen=True)

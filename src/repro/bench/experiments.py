@@ -1,11 +1,10 @@
 """The paper's evaluation, experiment by experiment.
 
-One function per figure of Section 8 (plus the local-PC control rows).
-Each returns structured results and can render the same table the paper
-plots.  ``scale`` trades run time for fidelity: 1.0 reproduces the full
-54-page / 834-frame workloads; smaller values truncate them (byte
-totals for A/V are extrapolated — playback is steady-state — and page
-means are over the truncated prefix).
+Per figure of Section 8, its runs (memoised: the tables and the claims
+of :mod:`repro.bench.claims` read the same ones) and the table the paper
+plots.  54 pages / 834 frames reproduce the full workloads; fewer
+truncate them (byte totals for A/V are extrapolated — playback is
+steady-state — and page means are over the truncated prefix).
 
 Index:
 
@@ -21,7 +20,7 @@ fig7       THINC A/V quality + relative bandwidth from remote sites
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines import LocalPCModel
@@ -36,7 +35,8 @@ from .testbed import (AV_PLATFORMS, WEB_PDA_PLATFORMS, WEB_PLATFORMS,
 
 __all__ = ["fig2_web_latency", "fig3_web_data", "fig4_web_remote",
            "fig5_av_quality", "fig6_av_data", "fig7_av_remote",
-           "WebFigures", "AVFigures", "PDA_VIEWPORT"]
+           "web_run", "av_run", "remote_web", "remote_av", "memoised",
+           "PDA_VIEWPORT"]
 
 PDA_VIEWPORT = (320, 240)
 
@@ -46,13 +46,45 @@ _WEB_CONFIGS: List[Tuple[str, LinkParams, bool, Optional[Tuple[int, int]]]] = [
     ("WAN Desktop", WAN_DESKTOP, True, None),
     ("802.11g PDA", PDA_80211G, False, PDA_VIEWPORT),
 ]
+_NETWORKS = {name: config for name, *config in _WEB_CONFIGS}
 
 # Platforms shown per network in Figures 5/6's PDA series.
 AV_PDA_PLATFORMS = ["THINC", "RDP", "ICA", "GoToMyPC"]
 
+_runs: Dict[Tuple, object] = {}
 
-def _local_pc_page_metrics(link: LinkParams, page_count: int,
-                           seed: int = 54):
+
+def memoised(fn):
+    """Run *fn* once per positional arguments for the life of the
+    process, so every table and claim reads the same run (a test that
+    breaks a mechanism on purpose swaps ``_runs`` for a fresh dict)."""
+    @functools.wraps(fn)
+    def cached(*args):
+        key = (fn.__module__, fn.__qualname__) + args
+        if key not in _runs:
+            _runs[key] = fn(*args)
+        return _runs[key]
+    return cached
+
+
+@memoised
+def web_run(platform: str, network: str, page_count: int) -> WebRunResult:
+    """One platform's web benchmark on one of the three networks."""
+    link, wan, viewport = _NETWORKS[network]
+    return run_web_benchmark(platform, link, network, page_count=page_count,
+                             viewport=viewport, wan_mode=wan)
+
+
+@memoised
+def av_run(platform: str, network: str, max_frames: int) -> AVRunResult:
+    """One platform's A/V benchmark on one of the three networks."""
+    link, wan, viewport = _NETWORKS[network]
+    return run_av_benchmark(platform, link, network, max_frames=max_frames,
+                            viewport=viewport, wan_mode=wan)
+
+
+@memoised
+def local_pc_page_metrics(link: LinkParams, page_count: int):
     """Mean (latency, bytes) for the local PC over the page set."""
     model = LocalPCModel()
     pages = make_page_set(count=page_count)
@@ -63,100 +95,63 @@ def _local_pc_page_metrics(link: LinkParams, page_count: int,
     return mean_latency, mean_bytes
 
 
-@dataclass
-class WebFigures:
-    """Raw material for Figures 2 and 3."""
-
-    page_count: int
-    runs: Dict[Tuple[str, str], WebRunResult] = field(default_factory=dict)
-    local_pc: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-
-    def latency_table(self) -> str:
-        rows = []
-        for network, _, _, _ in _WEB_CONFIGS:
-            if network in self.local_pc and network != "802.11g PDA":
-                latency, _ = self.local_pc[network]
-                rows.append(["local PC", network, format_ms(latency), "-"])
-            for name in WEB_PLATFORMS:
-                run = self.runs.get((name, network))
-                if run is None:
-                    continue
-                rows.append([
-                    name, network,
-                    format_ms(run.mean_latency),
-                    format_ms(run.mean_latency_with_processing),
-                ])
-        return format_table(
-            "Figure 2 — Web Benchmark: Average Page Latency",
-            ["platform", "network", "latency", "latency+client"],
-            rows,
-            note=f"{self.page_count} pages per run "
-                 "(paper: 54; means are stable after ~8)",
-        )
-
-    def data_table(self) -> str:
-        rows = []
-        for network, _, _, _ in _WEB_CONFIGS:
-            if network in self.local_pc and network != "802.11g PDA":
-                _, nbytes = self.local_pc[network]
-                rows.append(["local PC", network, format_mbytes(nbytes)])
-            for name in WEB_PLATFORMS:
-                run = self.runs.get((name, network))
-                if run is None:
-                    continue
-                rows.append([name, network,
-                             format_mbytes(run.mean_page_bytes)])
-        return format_table(
-            "Figure 3 — Web Benchmark: Average Page Data Transferred",
-            ["platform", "network", "data/page"],
-            rows,
-        )
-
-
-def _run_web_figures(page_count: int = 8) -> WebFigures:
-    figures = WebFigures(page_count=page_count)
-    for network, link, wan, viewport in _WEB_CONFIGS:
+def _figure_rows(run, size, platforms, local_cells, cells):
+    """Per network in figure order: the local PC (desktops only), then
+    each platform measured there (*platforms*: desktop, PDA lists)."""
+    rows = []
+    for network, link, _, viewport in _WEB_CONFIGS:
         if viewport is None:
-            figures.local_pc[network] = _local_pc_page_metrics(
-                link, page_count)
-        names = WEB_PLATFORMS if viewport is None else WEB_PDA_PLATFORMS
-        for name in names:
-            figures.runs[(name, network)] = run_web_benchmark(
-                name, link, network, page_count=page_count,
-                viewport=viewport, wan_mode=wan)
-    return figures
-
-
-_web_cache: Dict[int, WebFigures] = {}
-
-
-def web_figures(page_count: int = 8) -> WebFigures:
-    """Figures 2 and 3 share their runs; results are cached per size."""
-    if page_count not in _web_cache:
-        _web_cache[page_count] = _run_web_figures(page_count)
-    return _web_cache[page_count]
+            rows.append(["local PC", network, *local_cells(link)])
+        rows += [[name, network, *cells(run(name, network, size))]
+                 for name in platforms[viewport is not None]]
+    return rows
 
 
 def fig2_web_latency(page_count: int = 8) -> str:
-    return web_figures(page_count).latency_table()
+    return format_table(
+        "Figure 2 — Web Benchmark: Average Page Latency",
+        ["platform", "network", "latency", "latency+client"],
+        _figure_rows(
+            web_run, page_count, (WEB_PLATFORMS, WEB_PDA_PLATFORMS),
+            lambda link: [format_ms(local_pc_page_metrics(
+                link, page_count)[0]), "-"],
+            lambda run: [format_ms(run.mean_latency),
+                         format_ms(run.mean_latency_with_processing)]),
+        note=f"{page_count} pages per run "
+             "(paper: 54; means are stable after ~8)",
+    )
 
 
 def fig3_web_data(page_count: int = 8) -> str:
-    return web_figures(page_count).data_table()
+    return format_table(
+        "Figure 3 — Web Benchmark: Average Page Data Transferred",
+        ["platform", "network", "data/page"],
+        _figure_rows(
+            web_run, page_count, (WEB_PLATFORMS, WEB_PDA_PLATFORMS),
+            lambda link: [format_mbytes(local_pc_page_metrics(
+                link, page_count)[1])],
+            lambda run: [format_mbytes(run.mean_page_bytes)]),
+    )
+
+
+@memoised
+def remote_web(page_count: int) -> Dict[str, WebRunResult]:
+    """Figure 4's THINC runs: ``"LAN"`` (the testbed), then site codes."""
+    runs = {"LAN": web_run("THINC", "LAN Desktop", page_count)}
+    for site in REMOTE_SITES:
+        runs[site.code] = run_web_benchmark("THINC", site_link(site),
+                                            site.code, page_count=page_count)
+    return runs
 
 
 def fig4_web_remote(page_count: int = 5) -> str:
     """THINC page latency from each Table 2 site."""
-    rows = []
-    lan = run_web_benchmark("THINC", LAN_DESKTOP, "testbed LAN",
-                            page_count=page_count)
-    rows.append(["(testbed)", "0", format_ms(lan.mean_latency)])
+    runs = remote_web(page_count)
+    rows = [["(testbed)", "0", format_ms(runs["LAN"].mean_latency)]]
     for site in REMOTE_SITES:
-        run = run_web_benchmark("THINC", site_link(site), site.code,
-                                page_count=page_count)
         rows.append([f"{site.code} {site.location}",
                      f"{site.rtt * 1000:.0f}",
-                     format_ms(run.mean_latency)])
+                     format_ms(runs[site.code].mean_latency)])
     return format_table(
         "Figure 4 — Web Benchmark: THINC Page Latency from Remote Sites",
         ["site", "RTT (ms)", "latency"],
@@ -165,105 +160,63 @@ def fig4_web_remote(page_count: int = 5) -> str:
     )
 
 
-@dataclass
-class AVFigures:
-    """Raw material for Figures 5 and 6."""
-
-    max_frames: int
-    runs: Dict[Tuple[str, str], AVRunResult] = field(default_factory=dict)
-    local_pc: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-
-    def quality_table(self) -> str:
-        rows = []
-        for network, _, _, viewport in _WEB_CONFIGS:
-            if network in self.local_pc and network != "802.11g PDA":
-                quality, _ = self.local_pc[network]
-                rows.append(["local PC", network, format_pct(quality)])
-            names = AV_PLATFORMS if viewport is None else AV_PDA_PLATFORMS
-            for name in names:
-                run = self.runs.get((name, network))
-                if run is None:
-                    continue
-                label = name
-                if name in ("VNC", "GoToMyPC"):
-                    label += " (video only)"
-                rows.append([label, network, format_pct(run.av_quality)])
-        return format_table(
-            "Figure 5 — A/V Benchmark: A/V Quality",
-            ["platform", "network", "A/V quality"],
-            rows,
-            note="GoToMyPC and VNC have no audio support",
-        )
-
-    def data_table(self) -> str:
-        clip = BENCHMARK_CLIP()
-        rows = []
-        for network, _, _, viewport in _WEB_CONFIGS:
-            if network in self.local_pc and network != "802.11g PDA":
-                _, nbytes = self.local_pc[network]
-                rows.append(["local PC", network, format_mbytes(nbytes),
-                             f"{nbytes * 8 / clip.duration / 1e6:.1f}"])
-            names = AV_PLATFORMS if viewport is None else AV_PDA_PLATFORMS
-            for name in names:
-                run = self.runs.get((name, network))
-                if run is None:
-                    continue
-                rows.append([name, network,
-                             format_mbytes(run.total_bytes_full_clip),
-                             f"{run.bandwidth_mbps:.1f}"])
-        return format_table(
-            "Figure 6 — A/V Benchmark: Total Data Transferred",
-            ["platform", "network", "total data (full clip)", "Mbps"],
-            rows,
-            note="systems below THINC's volume are dropping video data",
-        )
-
-
-def _run_av_figures(max_frames: int = 120) -> AVFigures:
-    figures = AVFigures(max_frames=max_frames)
-    model = LocalPCModel()
-    clip = BENCHMARK_CLIP()
-    for network, link, wan, viewport in _WEB_CONFIGS:
-        if viewport is None:
-            quality, nbytes = model.video_metrics(clip.duration, link)
-            figures.local_pc[network] = (quality, nbytes)
-        names = AV_PLATFORMS if viewport is None else AV_PDA_PLATFORMS
-        for name in names:
-            figures.runs[(name, network)] = run_av_benchmark(
-                name, link, network, max_frames=max_frames,
-                viewport=viewport, wan_mode=wan)
-    return figures
-
-
-_av_cache: Dict[int, AVFigures] = {}
-
-
-def av_figures(max_frames: int = 120) -> AVFigures:
-    if max_frames not in _av_cache:
-        _av_cache[max_frames] = _run_av_figures(max_frames)
-    return _av_cache[max_frames]
+def local_pc_video(link: LinkParams):
+    """(A/V quality, bytes) for the local PC playing the whole clip."""
+    return LocalPCModel().video_metrics(BENCHMARK_CLIP().duration, link)
 
 
 def fig5_av_quality(max_frames: int = 120) -> str:
-    return av_figures(max_frames).quality_table()
+    rows = _figure_rows(
+        av_run, max_frames, (AV_PLATFORMS, AV_PDA_PLATFORMS),
+        lambda link: [format_pct(local_pc_video(link)[0])],
+        lambda run: [format_pct(run.av_quality)])
+    for row in rows:
+        if row[0] in ("VNC", "GoToMyPC"):
+            row[0] += " (video only)"
+    return format_table(
+        "Figure 5 — A/V Benchmark: A/V Quality",
+        ["platform", "network", "A/V quality"],
+        rows,
+        note="GoToMyPC and VNC have no audio support",
+    )
 
 
 def fig6_av_data(max_frames: int = 120) -> str:
-    return av_figures(max_frames).data_table()
+    duration = BENCHMARK_CLIP().duration
+
+    def local(link):
+        nbytes = local_pc_video(link)[1]
+        return [format_mbytes(nbytes), f"{nbytes * 8 / duration / 1e6:.1f}"]
+
+    return format_table(
+        "Figure 6 — A/V Benchmark: Total Data Transferred",
+        ["platform", "network", "total data (full clip)", "Mbps"],
+        _figure_rows(av_run, max_frames, (AV_PLATFORMS, AV_PDA_PLATFORMS),
+                     local,
+            lambda run: [format_mbytes(run.total_bytes_full_clip),
+                         f"{run.bandwidth_mbps:.1f}"]),
+        note="systems below THINC's volume are dropping video data",
+    )
+
+
+@memoised
+def remote_av(max_frames: int) -> Dict[str, AVRunResult]:
+    """Figure 7's THINC runs: ``"LAN"`` (the testbed), then site codes."""
+    runs = {"LAN": av_run("THINC", "LAN Desktop", max_frames)}
+    for site in REMOTE_SITES:
+        runs[site.code] = run_av_benchmark("THINC", site_link(site),
+                                           site.code, max_frames=max_frames)
+    return runs
 
 
 def fig7_av_remote(max_frames: int = 96) -> str:
     """THINC A/V quality and relative bandwidth from each remote site."""
-    lan = run_av_benchmark("THINC", LAN_DESKTOP, "testbed LAN",
-                           max_frames=max_frames)
-    rows = [["(testbed)", format_pct(lan.av_quality), "100%"]]
+    runs = remote_av(max_frames)
+    rows = [["(testbed)", format_pct(runs["LAN"].av_quality), "100%"]]
     for site in REMOTE_SITES:
-        link = site_link(site)
-        run = run_av_benchmark("THINC", link, site.code,
-                               max_frames=max_frames)
-        relative = link.throughput / LAN_DESKTOP.throughput
+        relative = site_link(site).throughput / LAN_DESKTOP.throughput
         rows.append([f"{site.code} {site.location}",
-                     format_pct(run.av_quality),
+                     format_pct(runs[site.code].av_quality),
                      format_pct(min(relative, 1.0))])
     return format_table(
         "Figure 7 — A/V Benchmark: THINC Quality from Remote Sites",

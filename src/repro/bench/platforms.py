@@ -121,13 +121,12 @@ class THINCPlatform(Platform):
 
     def __init__(self, *args, headless: bool = True,
                  compress_raw: bool = True, offscreen_awareness: bool = True,
-                 merge: bool = True, scheduler_factory=None,
+                 scheduler_factory=None,
                  adaptive_encoding: bool = False,
                  **kwargs):
         self._headless = headless
         self._thinc_opts = dict(compress_raw=compress_raw,
                                 offscreen_awareness=offscreen_awareness,
-                                merge=merge,
                                 adaptive_encoding=adaptive_encoding)
         if scheduler_factory is not None:
             self._thinc_opts["scheduler_factory"] = scheduler_factory

@@ -17,7 +17,7 @@ from ..audio.sync import audio_quality, playback_quality
 from ..net.monitor import PacketMonitor
 
 __all__ = ["PageMeasurement", "WebRunResult", "AVRunResult",
-           "measure_page", "combined_av_quality"]
+           "measure_page"]
 
 
 @dataclass
@@ -119,7 +119,3 @@ def measure_page(monitor: PacketMonitor, index: int, click_time: float,
         latency_with_processing=latency + processing_time_delta,
         bytes_transferred=nbytes,
     )
-
-
-def combined_av_quality(result: AVRunResult) -> float:
-    return result.av_quality

@@ -2,19 +2,19 @@
 
 Subcommands::
 
-    python -m repro figures   [--pages N] [--frames N] [--only fig5]
+    python -m repro figures   [--pages N] [--frames N] [--only fig5|claims]
     python -m repro demo      [--width W] [--height H] [--network lan|wan|pda]
     python -m repro trace     record <out.trace> | show <in.trace>
     python -m repro replay    <bundle.json>
     python -m repro sites
 
-`figures` regenerates the paper's evaluation tables; `demo` runs a
-scripted desktop session and reports what crossed the wire; `trace`
-records a demo session's downstream protocol bytes to a file or
-summarises an existing trace; `replay` re-runs a scenario bundle (a
-failing example written by the state machine, `make chaos` or `make
-fuzz`) through build → quiesce → check; `sites` prints the Table 2 site
-models.
+`figures` regenerates the paper's evaluation tables (or, `--only
+claims`, its table of claims); `demo` runs a scripted desktop session
+and reports what crossed the wire; `trace` records a demo session's
+downstream protocol bytes to a file or summarises an existing trace;
+`replay` re-runs a scenario bundle (a failing example written by the
+state machine, `make chaos` or `make fuzz`) through build → quiesce →
+check; `sites` prints the Table 2 site models.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ _DEMO_MIN_WIDTH, _DEMO_MIN_HEIGHT = 48, 44
 
 
 def _cmd_figures(args) -> int:
-    from .bench import experiments
+    from .bench import claims, experiments
 
-    wanted = args.only
+    scale, wanted = claims.Scale(args.pages, args.frames), args.only
     printed = False
 
     def emit(name: str, render) -> None:
@@ -47,15 +47,15 @@ def _cmd_figures(args) -> int:
 
     emit("fig2", lambda: experiments.fig2_web_latency(args.pages))
     emit("fig3", lambda: experiments.fig3_web_data(args.pages))
-    emit("fig4", lambda: experiments.fig4_web_remote(
-        max(2, args.pages // 2)))
+    emit("fig4", lambda: experiments.fig4_web_remote(scale.site_pages))
     emit("fig5", lambda: experiments.fig5_av_quality(args.frames))
     emit("fig6", lambda: experiments.fig6_av_data(args.frames))
-    emit("fig7", lambda: experiments.fig7_av_remote(
-        max(24, args.frames * 4 // 5)))
+    emit("fig7", lambda: experiments.fig7_av_remote(scale.site_frames))
+    if wanted:  # the claims table only when asked for by name
+        emit("claims", lambda: claims.render(scale))
     if not printed:
         print(f"no figure matches {wanted!r} "
-              "(use fig2..fig7)", file=sys.stderr)
+              "(use fig2..fig7 or claims)", file=sys.stderr)
         return 2
     return 0
 
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="regenerate the paper's figures")
     figures.add_argument("--pages", type=positive, default=8)
     figures.add_argument("--frames", type=positive, default=120)
-    figures.add_argument("--only", help="substring filter, e.g. fig5")
+    figures.add_argument("--only", help="substring filter: fig5, claims")
     figures.set_defaults(func=_cmd_figures)
 
     demo = sub.add_parser("demo", help="run a scripted desktop session")

@@ -180,7 +180,6 @@ class ShardCoordinator:
         frozen = session.freeze()
         transfer = self._fabric_send(
             wire.SessionTransferMessage(token, frozen.to_bytes()))
-        src_server.resilience.drop_guard(session)
         src_server.detach_client(session)
         successor = self.shards[target].thaw_session(
             FrozenSession.from_bytes(transfer.state))

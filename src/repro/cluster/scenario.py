@@ -347,10 +347,7 @@ class Run:
         if self.viewer(op.client).connection is not None:
             self.viewer(op.client).connection.close()
         if session is not None:
-            server = self.servers[shard]
-            if server.resilience is not None:
-                server.resilience.drop_guard(session)
-            server.detach_client(session)
+            self.servers[shard].detach_client(session)
 
     def _op_unsubscribe(self, op) -> None:
         shard, session = self.home(op.client)
@@ -535,7 +532,8 @@ class Run:
                        f"{len(fanout.subscribers())} subscribers")
         holders = {"fan-out": fanout.subscribers(),
                    "link health": server.health._memo,
-                   "qos": server.qos._states if server.qos else ()}
+                   "qos": server.qos._states if server.qos else (),
+                   "resilience": plane._by_session if plane else ()}
         return out + [f"membership: {name} on {where} remembers a session "
                       f"the server no longer holds"
                       for name, held in holders.items()

@@ -65,9 +65,8 @@ class ClientBuffer:
     """The per-client command buffer with SRSF scheduling."""
 
     def __init__(self, scheduler: Optional[SRSFScheduler] = None,
-                 merge: bool = True,
                  frame: Callable[[Command], bytes] = None):
-        self.queue = CommandQueue(merge=merge)
+        self.queue = CommandQueue()
         self.scheduler = scheduler or SRSFScheduler()
         # How a command becomes wire bytes (framing + encryption applied
         # by the session); defaults to the bare command encoding.

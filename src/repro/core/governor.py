@@ -409,7 +409,5 @@ class Governor:
                 session._writer.write(data)
                 self.stats.denials_written += 1
         session.detach()
-        if self.server.resilience is not None:
-            self.server.resilience.drop_guard(session)
         if session in self.server.sessions:
             self.server.detach_client(session)

@@ -28,7 +28,7 @@ distinct viewport**, not once per client:
 Every stage carries a :class:`StageStats` block (commands in/out, bytes
 out, CPU seconds, cache hits/misses, queue depth) so servers, sessions
 and benchmarks can report exactly where work happens; see
-``THINCServer.pipeline_stats`` and :func:`repro.bench.analysis.pipeline_report`.
+``THINCServer.pipeline_stats``.
 
 Ordering guarantee: prepared commands become *ready* at the CPU model's
 completion time, and a cache hit can be ready before work submitted
@@ -128,14 +128,29 @@ class PreparePlane:
     ``THINCServer.submit``): :meth:`variants` is its *posture classes*
     stage, after which every receiver takes its clone of the class's
     prepared entry straight into its buffer stage.
-    Four optional collaborators are wired after construction:
-    ``policy`` with its one posture hook ``posture_of``,
-    ``shared_cache`` and ``read_back``.
+
+    The server hands it an adaptive encoder ``policy`` (None: fixed
+    encodings) with its one posture hook ``posture_of`` — ``session ->
+    LinkPosture``, the server's LinkHealth probe — and ``read_back``,
+    ``rect -> pixels`` over the live screen framebuffer, so the scale
+    stage can materialise COPY commands whose source lies outside a
+    session's view (tile walls, zoomed viewports).  When a policy is
+    set, every *fresh* RAW command is classified and re-encoded (or
+    demoted to SFILL) once per *posture equivalence class* of the
+    submitted sessions before it is stamped with a prep id, so the
+    chosen encoding is part of the command's cached identity and one
+    congested client can never force lossy payloads on its LAN-class
+    peers.  ``shared_cache`` is the one collaborator wired after
+    construction.
     """
 
-    def __init__(self, loop, cost_model, cache_entries: int = 128):
+    def __init__(self, loop, cost_model, policy, posture_of, read_back,
+                 cache_entries: int = 128):
         self.loop = loop
         self.cost_model = cost_model
+        self.policy = policy
+        self.posture_of = posture_of
+        self.read_back = read_back
         self.cache_entries = cache_entries
         # (prep_id, encoding, scale_key) -> List[PreparedCommand],
         # LRU-ordered.  The encoding joins the key so an entry prepared
@@ -153,21 +168,6 @@ class PreparePlane:
         # it.  Entries are keyed by command *content*, not prep id —
         # prep ids are plane-local.
         self.shared_cache = None
-        # Optional adaptive encoder: a repro.codec.EncoderPolicy plus the
-        # one posture hook, ``session -> LinkPosture`` (the server wires
-        # its LinkHealth probe).  When set, every *fresh* RAW command is
-        # classified and re-encoded (or demoted to SFILL) once per
-        # *posture equivalence class* of the submitted sessions before
-        # it is stamped with a prep id, so the chosen encoding is part
-        # of the command's cached identity and one congested client can
-        # never force lossy payloads on its LAN-class peers.
-        self.policy = None
-        self.posture_of = None
-        # ``rect -> pixels`` over the live screen framebuffer, supplied
-        # by the server so the scale stage can materialise COPY
-        # commands whose source lies outside a session's view (tile
-        # walls, zoomed viewports).
-        self.read_back = None
         self.scale_stats = StageStats()
         self.stats = StageStats()  # the Prepare/Compress stage
 

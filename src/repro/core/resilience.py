@@ -458,9 +458,8 @@ class ResiliencePlane:
         self.stats.queues_dropped += 1
 
     def drop_guard(self, session) -> None:
-        """Forget a session entirely (governor eviction, or the source
-        side of a migration): its token will no longer resync *here* —
-        a redial becomes a fresh attach."""
+        """Forget a session entirely (``detach_client`` calls it): its
+        token will no longer resync *here* — a redial is a fresh attach."""
         guard = self._by_session.pop(session, None)
         session.guard = None
         if guard is not None:

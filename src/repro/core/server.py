@@ -95,35 +95,40 @@ class THINCServer:
     link_health.LinkHealth` probe (``server.health``), whose thresholds
     are the server's single :class:`~repro.codec.EncoderPolicy` — a
     stock one when adaptive encoding is off.
+
+    Three options are ablation switches, each kept for the claim rows
+    of :mod:`repro.bench.claims` that need it: ``compress_raw``
+    (``ablation.compression-*``), ``offscreen_awareness``
+    (``ablation.offscreen-*``) and ``scheduler_factory``
+    (``ablation.srsf-*``).
     """
 
     def __init__(self, loop: EventLoop, width: int, height: int,
                  compress_raw: bool = True,
                  offscreen_awareness: bool = True,
-                 merge: bool = True,
                  scheduler_factory: Callable[[], object] = SRSFScheduler,
                  encrypt_key: Optional[bytes] = None,
-                 cost_model: Optional[ServerCostModel] = None,
-                 prepare_cache_entries: int = 128,
                  resilience=None,
                  budget: Optional[Budget] = None,
                  server_budget: Optional[ServerBudget] = None,
                  adaptive_encoding: bool = False,
-                 encoder_policy: Optional[EncoderPolicy] = None,
                  qos: Optional[QosConfig] = None):
         self.loop = loop
-        self.cost_model = cost_model or ServerCostModel()
         self.width = width
         self.height = height
-        self.merge = merge
         self.scheduler_factory = scheduler_factory
         self.encrypt_key = encrypt_key
         self.driver = THINCDriver(self, compress_raw=compress_raw,
                                   offscreen_awareness=offscreen_awareness)
         self.translate = pipeline.TranslateStage()
+        # Content-adaptive, link-aware RAW encoding: the prepare plane
+        # gets a codec policy plus the link probe as its posture hook.
+        # Off by default — the paper's fixed PNG path stays the baseline.
+        self.encoder_policy = EncoderPolicy() if adaptive_encoding else None
+        self.health = LinkHealth(loop, self.encoder_policy or EncoderPolicy())
         self.plane = pipeline.PreparePlane(
-            loop, self.cost_model, cache_entries=prepare_cache_entries)
-        self.plane.read_back = self._read_screen_pixels
+            loop, ServerCostModel(), self.encoder_policy,
+            self.health.posture, self._read_screen_pixels)
         self.sessions: List[SessionUnit] = []
         # Callback invoked with (session, InputMessage) for every input
         # event a client sends; the testbed wires this to the window
@@ -140,15 +145,6 @@ class THINCServer:
         # Resource governance: per-session budgets enforced at the
         # queue/uplink chokepoints plus server-wide admission control.
         self.governor = Governor(self, budget, server_budget)
-        # Content-adaptive, link-aware RAW encoding: hand the prepare
-        # plane a codec policy plus the link probe as its posture hook.
-        # Off by default — the paper's fixed PNG path stays the baseline.
-        self.encoder_policy = None
-        if adaptive_encoding or encoder_policy is not None:
-            self.encoder_policy = encoder_policy or EncoderPolicy()
-        self.health = LinkHealth(loop, self.encoder_policy or EncoderPolicy())
-        self.plane.policy = self.encoder_policy
-        self.plane.posture_of = self.health.posture
         # Broadcast fan-out plane: always constructed (the SUBSCRIBE
         # handler must exist), inert until the first subscriber.
         self.fanout = BroadcastPlane(self)
@@ -187,8 +183,12 @@ class THINCServer:
     def detach_client(self, session: SessionUnit) -> None:
         """Forget *session*.  Its unit is detached too (idempotent: a
         frozen or evicted unit already is), or its flush loop would go
-        on polling a pipe nobody reads."""
+        on polling a pipe nobody reads; and its resilience guard goes,
+        so a redial with its token is a fresh attach rather than a
+        resync into a unit nothing routes to any more."""
         session.detach()
+        if self.resilience is not None:
+            self.resilience.drop_guard(session)
         self.fanout.unsubscribe(session)
         self.sessions.remove(session)
         self.governor.forget(session)

@@ -333,7 +333,6 @@ class SessionUnit:
             RC4(encrypt_key) if encrypt_key else None)
         self.buffer = ClientBuffer(
             scheduler=server.scheduler_factory(),
-            merge=server.merge,
             frame=self.frame_stage.frame,
         )
         # Resilience state: a detached session buffers but does not

@@ -1,8 +1,8 @@
 """Smoke tests for the figure-regeneration experiment module.
 
-Full-scale figure runs live in benchmarks/; these tests only verify the
-experiment plumbing (tables render, rows appear, caching works) at the
-smallest possible scale.
+What the figures show is checked by the claims table (tests/bench/
+test_claims.py); these tests only verify the experiment plumbing
+(tables render, rows appear, runs are shared) at the smallest scale.
 """
 
 import pytest
@@ -45,9 +45,7 @@ class TestConfigTables:
 
 class TestCaching:
     def test_web_figures_cached_by_size(self):
-        experiments._web_cache.clear()
-        # Two calls at the same size return the same object.
-        first = experiments.web_figures(page_count=1)
-        second = experiments.web_figures(page_count=1)
-        assert first is second
-        experiments._web_cache.clear()
+        lan = experiments.web_run("THINC", "LAN Desktop", 1)
+        assert experiments.web_run("THINC", "LAN Desktop", 1) is lan
+        # Figure 4's testbed row reads the same run.
+        assert experiments.remote_web(1)["LAN"] is lan

@@ -1,12 +1,12 @@
-"""Integration tests for the benchmark testbed (small workloads)."""
+"""Integration tests for the benchmark testbed (small workloads); what
+the runs show is repro.bench.claims' (tests/bench/test_claims.py)."""
 
 import pytest
 
 from repro.baselines import LocalPCModel
 from repro.bench.testbed import (run_av_benchmark, run_typing_benchmark,
                                  run_web_benchmark)
-from repro.core.scheduler import FIFOScheduler
-from repro.net import LAN_DESKTOP, WAN_DESKTOP, LinkParams
+from repro.net import LAN_DESKTOP, LinkParams
 from repro.video.stream import SyntheticVideoClip
 
 
@@ -26,13 +26,6 @@ class TestWebRunner:
         assert clicks == sorted(clicks)
         assert all(b - a >= 0.7 for a, b in zip(clicks, clicks[1:]))
 
-    def test_wan_latency_exceeds_lan(self):
-        lan = run_web_benchmark("THINC", LAN_DESKTOP, "lan", page_count=3,
-                                width=512, height=384)
-        wan = run_web_benchmark("THINC", WAN_DESKTOP, "wan", page_count=3,
-                                width=512, height=384, wan_mode=True)
-        assert wan.mean_latency > lan.mean_latency
-
     def test_platform_kwargs_forwarded(self):
         on = run_web_benchmark("THINC", LAN_DESKTOP, "lan", page_count=2,
                                width=512, height=384)
@@ -43,14 +36,6 @@ class TestWebRunner:
 
 
 class TestAVRunner:
-    def test_thinc_perfect_on_lan(self):
-        clip = SyntheticVideoClip(width=64, height=48, fps=24, duration=1.0)
-        r = run_av_benchmark("THINC", LAN_DESKTOP, "lan", width=256,
-                             height=192, clip=clip)
-        assert r.av_quality > 0.99
-        assert r.frames_received == clip.frame_count
-        assert r.audio_supported and r.audio_quality > 0.9
-
     def test_quality_collapses_on_starved_link(self):
         clip = SyntheticVideoClip(width=64, height=48, fps=24, duration=1.0)
         thin = LinkParams("thin", bandwidth_bps=0.3e6, rtt=0.01)
@@ -72,15 +57,6 @@ class TestTypingRunner:
         latencies = run_typing_benchmark(LAN_DESKTOP, keys=5)
         assert len(latencies) == 5
         assert all(l > 0 for l in latencies)
-
-    def test_srsf_beats_fifo_under_congestion(self):
-        import statistics
-
-        dsl = LinkParams("dsl", bandwidth_bps=8e6, rtt=0.03)
-        srsf = run_typing_benchmark(dsl, keys=10)
-        fifo = run_typing_benchmark(dsl, scheduler_factory=FIFOScheduler,
-                                    keys=10)
-        assert statistics.mean(srsf) < statistics.mean(fifo)
 
 
 class TestLocalPCModel:

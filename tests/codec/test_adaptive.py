@@ -154,6 +154,8 @@ class TestAdaptiveServer:
         def run(**server_kw):
             loop, conn, mon, server, ws, client = make_rig(
                 link=slow, **server_kw)
+            if server_kw:  # lossy floor below the rig's 96x8 bands
+                server.encoder_policy.min_lossy_pixels = 256
             for seed in range(4):
                 photo_workload(ws, seed=seed)
                 loop.schedule(0.05, lambda: None)
@@ -166,10 +168,7 @@ class TestAdaptiveServer:
             loop.run_until_idle(max_time=120)
             return mon, server, ws, client
 
-        # The small rig's driver emits 96x8 bands; size the lossy
-        # floor below them so the ladder can reach its bottom rung.
-        mon, server, ws, client = run(
-            encoder_policy=EncoderPolicy(min_lossy_pixels=256))
+        mon, server, ws, client = run(adaptive_encoding=True)
         assert server.encoder_policy.counts[Encoding.LOSSY] > 0
         # The refresh restores exactness...
         screen = ws.screen.fb.read_pixels(ws.screen.bounds)
@@ -198,11 +197,11 @@ class TestAdaptiveServer:
         """The prepare plane's posture hook and the QoS ladder's
         congestion poll are the same LinkHealth, reading the server's
         single EncoderPolicy."""
-        policy = EncoderPolicy()
         loop, conn, mon, server, ws, client = make_rig(
-            encoder_policy=policy, qos=QosConfig())
+            adaptive_encoding=True, qos=QosConfig())
         assert server.plane.posture_of == server.health.posture
-        assert server.health.policy is policy
+        assert server.health.policy is server.encoder_policy
+        assert server.plane.policy is server.encoder_policy
         # Adaptive encoding off: stock thresholds, hook still wired.
         loop, conn, mon, plain, ws, client = make_rig(qos=QosConfig())
         assert plain.encoder_policy is None and plain.plane.policy is None

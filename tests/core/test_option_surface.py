@@ -17,13 +17,16 @@ from repro.net import EventLoop
 
 
 def test_server_constructor_parameters():
+    # The ablation switches are held by the repro.bench.claims rows that
+    # need them: compress_raw by ablation.compression-*,
+    # offscreen_awareness by ablation.offscreen-*, scheduler_factory by
+    # ablation.srsf-*.
     params = list(inspect.signature(THINCServer.__init__).parameters)
     assert params == [
         "self", "loop", "width", "height", "compress_raw",
-        "offscreen_awareness", "merge", "scheduler_factory",
-        "encrypt_key", "cost_model", "prepare_cache_entries",
+        "offscreen_awareness", "scheduler_factory", "encrypt_key",
         "resilience", "budget", "server_budget", "adaptive_encoding",
-        "encoder_policy", "qos"]
+        "qos"]
     # No class-level tunables hiding beside the constructor.
     assert [name for name, value in vars(THINCServer).items()
             if not name.startswith("_")
@@ -58,10 +61,12 @@ def test_server_budget_fields():
 
 
 def test_prepare_plane_settable_hooks():
-    # The optional collaborators a caller wires after construction:
-    # public attributes that start out unset.
-    plane = PreparePlane(EventLoop(), cost_model=None)
-    hooks = sorted(name for name, value in vars(plane).items()
-                   if value is None and not name.startswith("_")
-                   and name != "cost_model")
-    assert hooks == ["policy", "posture_of", "read_back", "shared_cache"]
+    # The server wires policy, posture probe and read-back the same way
+    # every time; only the cluster's shared cache is wired afterwards.
+    plane = THINCServer(EventLoop(), 8, 8, adaptive_encoding=True).plane
+    assert list(inspect.signature(PreparePlane.__init__).parameters) == [
+        "self", "loop", "cost_model", "policy", "posture_of", "read_back",
+        "cache_entries"]
+    assert [name for name, value in vars(plane).items()
+            if value is None and not name.startswith("_")] == [
+        "shared_cache"]

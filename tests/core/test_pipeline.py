@@ -85,8 +85,8 @@ class TestSharedPrepareExactness:
         """A deliberately tiny prepared-command cache forces constant
         eviction and re-preparation; correctness must not depend on the
         cache at all."""
-        loop, mon, server, ws, clients = make_rig(
-            [None, (48, 32)], prepare_cache_entries=2)
+        loop, mon, server, ws, clients = make_rig([None, (48, 32)])
+        server.plane.cache_entries = 2
         run_workload(loop, ws, clients)
         assert server.plane.cache_size() <= 2
         assert clients[0].fb.same_as(ws.screen.fb)

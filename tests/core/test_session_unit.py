@@ -129,7 +129,6 @@ class TestLiveFreezeThaw:
         frozen = session.freeze()
         assert session.detached
         assert frozen.token == token
-        src.resilience.drop_guard(session)
         src.detach_client(session)
 
         wire_copy = FrozenSession.from_bytes(frozen.to_bytes())
@@ -173,7 +172,6 @@ class TestLiveFreezeThaw:
             loop.run_until(loop.now + 0.05)
         assert not session.quarantined
         frozen = session.freeze()
-        src.resilience.drop_guard(session)
         src.detach_client(session)
 
         dst.thaw_session(FrozenSession.from_bytes(frozen.to_bytes()))

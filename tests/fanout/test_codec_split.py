@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.codec import EncoderPolicy, Encoding, LinkPosture
+from repro.codec import Encoding, LinkPosture
 from repro.core import THINCClient, THINCServer
 from repro.display import WindowServer
 from repro.net import Connection, EventLoop, LAN_DESKTOP, PDA_80211G, \
@@ -113,8 +113,8 @@ def _direct_rig(ever_subscribed):
     loop = EventLoop()
     # The driver rasterises in 64x8 bands; size the lossy floor below
     # them so the congested class really sheds fidelity.
-    server = THINCServer(
-        loop, W, H, encoder_policy=EncoderPolicy(min_lossy_pixels=256))
+    server = THINCServer(loop, W, H, adaptive_encoding=True)
+    server.encoder_policy.min_lossy_pixels = 256
     ws = WindowServer(W, H, driver=server.driver, clock=loop.clock)
     mons, clients = [], []
     for link, buf in ((LAN_DESKTOP, None), (CONGESTED, 8192)):

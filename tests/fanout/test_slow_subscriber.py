@@ -63,7 +63,8 @@ def test_prepared_once_whatever_the_neighbours_do():
     one viewport class behind an 8-entry prepare cache: every command
     is one miss, however far the slow viewer falls behind."""
     loop, mon, server, ws, clients = _viewers(
-        (LAN_DESKTOP, LAN_DESKTOP, TRICKLE), prepare_cache_entries=8)
+        (LAN_DESKTOP, LAN_DESKTOP, TRICKLE))
+    server.plane.cache_entries = 8
     before = server.stats
     _busy_desktop(loop, ws, photos=40)
     loop.run_until(1.0)

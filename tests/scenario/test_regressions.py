@@ -111,6 +111,22 @@ ROWS = {
 OPEN = {"resize-over-a-video-only-screen": "ROADMAP item 7"}
 
 
+def test_a_detached_resilient_session_redials_fresh():
+    # ``detach_client`` used to leave the resilience guard behind: the
+    # client's redial resynced into the removed unit, which ``submit``
+    # never routes to, and its screen stayed stale for ever.
+    run = Scenario(workload=MIRRORED, clients=(
+        ClientSpec(resilient=True),), ops=(Op(2.0, "draw", 0, (3,)),)).build()
+    run.run_until(0.5)
+    run.servers[0].detach_client(run.home(0)[1])
+    run.viewer(0).connection.close()
+    run.quiesce()
+    stats = run.servers[0].resilience.stats
+    assert (stats.attaches, stats.resyncs_replay + stats.resyncs_snapshot) \
+        == (2, 0)
+    print(run.check())
+
+
 @pytest.mark.parametrize("scenario, holds", [
     pytest.param(*row, id=name, marks=[pytest.mark.xfail(
         strict=True, reason=OPEN[name])] if name in OPEN else [])

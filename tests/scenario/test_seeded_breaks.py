@@ -17,6 +17,7 @@ from repro.core.command_queue import CommandQueue
 from repro.core.fanout import BroadcastPlane
 from repro.core.governor import Governor
 from repro.core.qos import QosPlane
+from repro.core.resilience import ResiliencePlane
 
 from .machine import BASES, ScenarioMachine
 
@@ -50,6 +51,14 @@ def test_detach_skipping_qos_forget_breaks_membership(monkeypatch):
     monkeypatch.setattr(QosPlane, "forget", lambda self, session: None)
     machine_fails_with("membership", 0,
                        "play_or_stop_clip attach detach go_quiet")
+
+
+def test_detach_keeping_the_guard_breaks_membership(monkeypatch):
+    # A detached resilient session whose guard survives is a zombie:
+    # its redial resyncs into a unit ``submit`` never routes to again.
+    monkeypatch.setattr(ResiliencePlane, "drop_guard",
+                        lambda self, session: None)
+    machine_fails_with("membership", 1, "attach detach go_quiet")
 
 
 def test_uncounted_eviction_breaks_conservation(monkeypatch):
