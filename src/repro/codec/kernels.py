@@ -85,22 +85,28 @@ def paeth_unfilter(filtered: np.ndarray, height: int, width: int,
     return out[1:, 1:].astype(np.uint8)
 
 
+def _up_rows(flat: np.ndarray) -> np.ndarray:
+    """'Up'-filter along the second-to-last axis; uint8 wraps mod 256."""
+    out = np.empty(flat.shape, dtype=np.uint8)
+    out[..., :1, :] = flat[..., :1, :]
+    np.subtract(flat[..., 1:, :], flat[..., :-1, :], out=out[..., 1:, :])
+    return out
+
+
 def up_filter(pixels: np.ndarray) -> np.ndarray:
     """PNG 'Up' predictor: each row minus the row above (mod 256)."""
     img = pixels.astype(np.uint8)
     h, w, c = img.shape
-    flat = img.reshape(h, w * c).astype(np.int16)
-    up = np.zeros_like(flat)
-    up[1:, :] = flat[:-1, :]
-    return (flat - up).astype(np.uint8)
+    return _up_rows(img.reshape(h, w * c))
 
 
 def up_unfilter(filtered: np.ndarray, height: int, width: int,
                 channels: int) -> np.ndarray:
-    """Invert the Up filter via a modular column cumsum (vectorised)."""
-    flat = filtered.reshape(height, width * channels).astype(np.uint64)
-    out = np.cumsum(flat, axis=0) % 256
-    return out.astype(np.uint8).reshape(height, width, channels)
+    """Invert the Up filter: a column running sum in uint8, which wraps
+    mod 256 by itself; *filtered* is only read (a read-only view will do)."""
+    flat = filtered.reshape(height, width * channels)
+    out = np.add.accumulate(flat, axis=0, dtype=np.uint8)
+    return out.reshape(height, width, channels)
 
 
 def batch_up_filter(stack: np.ndarray) -> np.ndarray:
@@ -112,10 +118,7 @@ def batch_up_filter(stack: np.ndarray) -> np.ndarray:
     filtered rows ready for per-image DEFLATE.
     """
     n, h, w, c = stack.shape
-    flat = stack.reshape(n, h, w * c).astype(np.int16)
-    up = np.zeros_like(flat)
-    up[:, 1:, :] = flat[:, :-1, :]
-    return (flat - up).astype(np.uint8)
+    return _up_rows(stack.astype(np.uint8, copy=False).reshape(n, h, w * c))
 
 
 def _run_bounds(view: np.ndarray):

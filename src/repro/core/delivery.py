@@ -17,7 +17,9 @@ the network backed up.  The delivery layer therefore:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Tuple
+import bisect
+from collections import deque
+from typing import Callable, Deque, Optional, Protocol, Tuple
 
 from ..protocol import wire
 from ..protocol.commands import Command, CopyCommand
@@ -42,6 +44,8 @@ class Writer(Protocol):
     """The non-blocking socket interface the flush stage writes into."""
 
     def writable_bytes(self) -> int: ...
+
+    def capacity(self) -> int: ...  # the room of a drained socket
 
     def write(self, data: bytes) -> None: ...
 
@@ -71,7 +75,7 @@ class ClientBuffer:
         # How a command becomes wire bytes (framing + encryption applied
         # by the session); defaults to the bare command encoding.
         self._frame = frame or (lambda cmd: cmd.encode())
-        self._recent_inputs: List[Tuple[float, int, int]] = []
+        self._recent_inputs: Deque[Tuple[float, int, int]] = deque()
         self.stats = {"realtime_marked": 0, "floors_set": 0,
                       "commands_in": 0, "commands_out": 0,
                       "bytes_out": 0, "commands_split": 0}
@@ -80,11 +84,11 @@ class ClientBuffer:
 
     def note_input(self, x: int, y: int, time: float) -> None:
         """Record an input event location for real-time marking."""
-        self._recent_inputs.append((time, x, y))
-        # Keep the list short; old events expire out of the window.
-        cutoff = time - REALTIME_WINDOW
-        self._recent_inputs = [(t, a, b) for (t, a, b)
-                               in self._recent_inputs if t >= cutoff]
+        # Sorted by time, as client clocks may skew or jump, so every
+        # event that expired out of the window sits at the head.
+        bisect.insort(self._recent_inputs, (time, x, y))
+        while self._recent_inputs[0][0] < time - REALTIME_WINDOW:
+            self._recent_inputs.popleft()
 
     def _realtime_region_hit(self, rect: Rect, now: float) -> bool:
         for t, x, y in self._recent_inputs:
@@ -176,7 +180,8 @@ class ClientBuffer:
                     continue
             # Would block: try to break off a head that fits.  A banded
             # PNG payload is cut between bands already DEFLATEd, so its
-            # head has an exact size and the first try always fits.  The
+            # head has an exact size and the first try always fits; short
+            # of a band, it waits for one if the writer can hold it.  The
             # row-granular fallback sizes its head from the command's
             # *average* compressed bytes per row and only learns the
             # real size by compressing it: rows denser than the average
@@ -187,10 +192,11 @@ class ClientBuffer:
             # smaller, and a stalled socket would otherwise pay four
             # identical DEFLATEs per flush period.
             budget = max(avail - 16, 0)
+            capacity = writer.capacity() - 16
             for _ in range(4):
-                head, rest = cmd.split(budget)
+                head, rest = cmd.split(budget, capacity)
                 if rest is None:
-                    break  # unsplittable: wait for more room
+                    break  # unsplittable, or waiting: more room first
                 head_data = self._frame(head)
                 if len(head_data) <= avail:
                     writer.write(head_data)

@@ -108,8 +108,8 @@ class _SessionWriter:
     * **journaling** — each wrapped plaintext frame is handed to the
       resilience plane's per-session log before encryption.
 
-    ``writable_bytes`` subtracts the wrapper overhead so the flush
-    stage's size arithmetic keeps working unchanged.
+    ``writable_bytes`` and ``capacity`` subtract the wrapper overhead so
+    the flush stage's size arithmetic keeps working unchanged.
     """
 
     def __init__(self, session: "SessionUnit", sequenced: bool):
@@ -124,6 +124,9 @@ class _SessionWriter:
 
     def writable_bytes(self) -> int:
         return max(0, self._endpoint().writable_bytes() - self.overhead)
+
+    def capacity(self) -> int:
+        return self._endpoint().send_buffer_limit - self.overhead
 
     def write(self, data: bytes) -> None:
         if self.sequenced:

@@ -101,8 +101,8 @@ def display_seed_corpus(width: int = 16, height: int = 12) -> List[bytes]:
     tall = np.broadcast_to(np.arange(2048, dtype=np.uint8)[:, None, None],
                            (2048, 16, 4))
     banded = RawCommand(Rect(0, 0, 16, 2048), tall)
-    corpus += [banded.encode(),
-               banded.split(banded.wire_size() - 1)[0].encode()]
+    room = banded.wire_size() - 1
+    corpus += [banded.encode(), banded.split(room, room)[0].encode()]
     # Encoding tag past WireLimits.max_raw_encoding (header is type u8
     # + rect 4xu16; the tag is the next byte).
     bad_tag = bytearray(corpus[0])

@@ -135,13 +135,14 @@ class Command:
             size = self._wire_size = 1 + len(self.encode_payload())
         return size
 
-    def split(self, max_bytes: int) -> Tuple["Command", Optional["Command"]]:
+    def split(self, max_bytes: int, capacity: int
+              ) -> Tuple["Command", Optional["Command"]]:
         """Break off a prefix of at most *max_bytes* for non-blocking
         flushing; returns (head, remainder-or-None).
 
-        Commands that cannot be usefully split return themselves whole —
-        the flush layer then ships them in one piece once the socket has
-        room.
+        Commands that cannot be usefully split, or would rather wait for
+        room that a socket holding *capacity* bytes when drained can give,
+        return themselves whole — the flush layer ships them once it has.
         """
         return self, None
 
@@ -189,13 +190,18 @@ class RawCommand(Command):
 
     def __init__(self, dest: Rect, pixels: np.ndarray,
                  encoding: Encoding = Encoding.PNG):
-        super().__init__(dest)
         pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
         if pixels.shape != (dest.height, dest.width, 4):
             raise ValueError(
                 f"pixels {pixels.shape} do not match {dest!r}"
             )
-        self.pixels = pixels
+        self._stack(dest, [pixels], encoding)
+
+    def _stack(self, dest: Rect, blocks: List[np.ndarray],
+               encoding: Encoding) -> "RawCommand":
+        """Initialise over checked row *blocks*, joined on first read."""
+        Command.__init__(self, dest)
+        self._blocks = blocks
         self.encoding = Encoding(encoding)
         self._payload: Optional[bytes] = None
         # Estimated wire size for scheduling, set when this command is
@@ -203,6 +209,13 @@ class RawCommand(Command):
         # the whole tail on every flush period just to know its queue.
         # (A split between row bands hands the remainder its payload.)
         self._size_hint: Optional[int] = None
+        return self
+
+    @property
+    def pixels(self) -> np.ndarray:
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks)]
+        return self._blocks[0]
 
     def with_encoding(self, encoding) -> "RawCommand":
         """This command under another encoding (fresh payload memo)."""
@@ -262,12 +275,12 @@ class RawCommand(Command):
                 or later.encoding is not self.encoding:
             return None
         a, b = self.dest, later.dest
-        # Vertical continuation (scan-line chunks of one image).
+        # Vertical continuation (scan-line chunks of one image): keep
+        # the blocks, so dozens of chunks are concatenated just once.
         if a.x == b.x and a.width == b.width and a.y2 == b.y:
             merged = Rect(a.x, a.y, a.width, a.height + b.height)
-            return RawCommand(merged,
-                              np.vstack([self.pixels, later.pixels]),
-                              self.encoding)
+            return RawCommand.__new__(RawCommand)._stack(
+                merged, self._blocks + later._blocks, self.encoding)
         # Horizontal continuation.
         if a.y == b.y and a.height == b.height and a.x2 == b.x:
             merged = Rect(a.x, a.y, a.width + b.width, a.height)
@@ -291,7 +304,8 @@ class RawCommand(Command):
             return overhead + compression.rle_size(rows)
         return overhead + per_row * rows.shape[0]
 
-    def split(self, max_bytes: int) -> Tuple[Command, Optional[Command]]:
+    def split(self, max_bytes: int, capacity: int
+              ) -> Tuple[Command, Optional[Command]]:
         # Split by scan lines so partially sent updates show whole rows.
         if self.dest.height <= 1:
             return self, None
@@ -308,8 +322,12 @@ class RawCommand(Command):
             head, rest = self._fragments(rows)
             head._payload, rest._payload = head_payload, rest_payload
             return head, rest
-        # Row-granular fallback (one band, another encoding, or less
-        # room than a band): the head is sized from the average bytes
+        first = compression.png_first_head(self._payload)
+        if first is not None and first + overhead <= capacity:
+            # Short of a band, but the socket holds one: wait for it.
+            return self, None
+        # Row-granular fallback (one band, another encoding, or a socket
+        # too small for a band): the head is sized from the average bytes
         # per row and compressed afresh, the rest carries an estimate.
         per_row = max(1, (self.wire_size() - overhead) // self.dest.height)
         rows = max(1, (max_bytes - overhead) // per_row)

@@ -32,6 +32,7 @@ __all__ = [
     "adler32_combine",
     "png_compress",
     "png_compress_batch",
+    "png_first_head",
     "png_split",
     "png_decompress",
     "zlib_compress",
@@ -60,12 +61,15 @@ _HEADER_BYTES = 6  # h[u16] w[u16] c[u8] filter[u8]
 # 32 KiB the inline images of the text pages become multi-band and
 # ``sim_latency_ms_p50`` moves; 64 KiB is the smallest band that leaves
 # it where it was, and an incompressible band still fits a 256 KiB
-# socket buffer three times over.
+# socket buffer three times over: a split short of a band waits for one.
 _BAND_BYTES = 64 * 1024
 
 # A final fixed-Huffman block holding only end-of-block: what
 # ``Z_FINISH`` emits after a flush point when no input is left.
 _EMPTY_FINAL_BLOCK = b"\x03\x00"
+
+# What a head adds after its last band: that block and an Adler-32.
+_HEAD_TRAILER = len(_EMPTY_FINAL_BLOCK) + 4
 
 _ADLER_BASE = 65521
 
@@ -198,6 +202,13 @@ def png_compress_batch(blocks, level: int = 6) -> list:
             for rows in kernels.batch_up_filter(stack)]
 
 
+def png_first_head(payload: bytes) -> Optional[int]:
+    """Size of the smallest head :func:`png_split` can cut from
+    *payload* (its first band), or None when it has no second band."""
+    segments = getattr(payload, "segments", ())
+    return segments[1].end + _HEAD_TRAILER if len(segments) > 2 else None
+
+
 def png_split(payload: bytes, pixels: np.ndarray,
               max_bytes: int) -> Optional[Tuple[int, bytes, bytes]]:
     """Cut a banded payload of *pixels* at the last band boundary that
@@ -213,8 +224,7 @@ def png_split(payload: bytes, pixels: np.ndarray,
     """
     segments = getattr(payload, "segments", ())
     band_ends = [seg.end for seg in segments[1:-2:2]]
-    room = max_bytes - len(_EMPTY_FINAL_BLOCK) - 4
-    cut = 2 * bisect_right(band_ends, room)
+    cut = 2 * bisect_right(band_ends, max_bytes - _HEAD_TRAILER)
     if not cut:
         return None
     h, w, c = pixels.shape
@@ -268,7 +278,7 @@ def png_decompress(data: bytes) -> np.ndarray:
             f"decompressed to more or fewer than the expected "
             f"{expected} bytes"
         )
-    filtered = np.frombuffer(raw, dtype=np.uint8).reshape(h, w * c).copy()
+    filtered = np.frombuffer(raw, dtype=np.uint8).reshape(h, w * c)
     if filter_id == _FILTER_IDS["up"]:
         return kernels.up_unfilter(filtered, h, w, c)
     if filter_id == _FILTER_IDS["paeth"]:

@@ -93,7 +93,8 @@ class TestSplitSizeHints:
         img = np.zeros((64, 32, 4), dtype=np.uint8)
         img[::3] = 77  # banded: compressible but not solid
         cmd = RawCommand(Rect(0, 0, 32, 64), img, tag)
-        head, rest = cmd.split(cmd.wire_size() // 2)
+        room = cmd.wire_size() // 2
+        head, rest = cmd.split(room, room)
         assert rest is not None
         hinted = rest.wire_size()
         assert hinted == len(rest.encode())
@@ -101,7 +102,8 @@ class TestSplitSizeHints:
     def test_split_preserves_pixels_and_encoding(self):
         img = random_rgba(16, 40, seed=1)
         cmd = RawCommand(Rect(0, 0, 16, 40), img, Encoding.LOSSY)
-        head, rest = cmd.split(cmd.wire_size() // 3)
+        room = cmd.wire_size() // 3
+        head, rest = cmd.split(room, room)
         assert head.encoding is rest.encoding is Encoding.LOSSY
         assert np.array_equal(np.vstack([head.pixels, rest.pixels]), img)
 

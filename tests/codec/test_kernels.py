@@ -67,6 +67,24 @@ def _ref_rle_encode(pixels):
     return bytes(out)
 
 
+def _ref_up_filter(pixels):
+    """The 'up' filter through int16 temporaries, as it was written
+    before the kernels wrapped in uint8."""
+    img = pixels.astype(np.uint8)
+    h, w, c = img.shape
+    flat = img.reshape(h, w * c).astype(np.int16)
+    up = np.zeros_like(flat)
+    up[1:, :] = flat[:-1, :]
+    return (flat - up).astype(np.uint8)
+
+
+def _ref_up_unfilter(filtered, height, width, channels):
+    """The 'up' unfilter as a uint64 cumsum taken mod 256."""
+    flat = filtered.reshape(height, width * channels).astype(np.uint64)
+    out = np.cumsum(flat, axis=0) % 256
+    return out.astype(np.uint8).reshape(height, width, channels)
+
+
 # -- golden vectors ---------------------------------------------------------
 
 class TestGoldenVectors:
@@ -122,6 +140,38 @@ class TestLoopEquivalence:
     def test_rle_encode_matches_reference_on_noise(self):
         img = random_rgba(9, 6, seed=4)
         assert kernels.rle_encode(img) == _ref_rle_encode(img)
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([3, 4]),
+           st.sampled_from(["contiguous", "strided", "channel-sliced"]),
+           st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_up_kernels_match_reference(self, w, h, channels, layout, seed):
+        """The uint8 'up' kernels are byte-equal to the int16 / uint64
+        formulas on any layout a caller may hand them: one row, three
+        or four channels, a strided view or a channel slice."""
+        rng = np.random.default_rng(seed)
+        if layout == "strided":
+            img = rng.integers(0, 256, (2 * h, 2 * w, channels),
+                               dtype=np.uint8)[::2, ::2]
+        elif layout == "channel-sliced":
+            img = rng.integers(0, 256, (h, w, channels + 1),
+                               dtype=np.uint8)[..., :channels]
+        else:
+            img = rng.integers(0, 256, (h, w, channels), dtype=np.uint8)
+        filtered = kernels.up_filter(img)
+        assert filtered.tobytes() == _ref_up_filter(img).tobytes()
+        batch = kernels.batch_up_filter(np.stack([img, img[::-1]]))
+        assert batch.tobytes() == (filtered.tobytes()
+                                   + _ref_up_filter(img[::-1]).tobytes())
+        wide = np.zeros((h, 2 * w * channels), dtype=np.uint8)
+        wide[:, ::2] = filtered
+        for rows in (filtered, wide[:, ::2]):
+            out = kernels.up_unfilter(rows, h, w, channels)
+            assert out.tobytes() == _ref_up_unfilter(rows, h, w,
+                                                     channels).tobytes()
+            assert np.array_equal(out, img)
+        view = np.frombuffer(filtered.tobytes(), dtype=np.uint8)
+        assert np.array_equal(kernels.up_unfilter(view, h, w, channels), img)
 
 
 # -- round-trips and batch equivalence --------------------------------------

@@ -1,9 +1,12 @@
 """Tests for the client buffer: push delivery and non-blocking flush."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codec import Encoding
 from repro.core import ClientBuffer
+from repro.core.delivery import REALTIME_WINDOW
 from repro.display import Framebuffer
 from repro.protocol import (BitmapCommand, CopyCommand, RawCommand,
                             SFillCommand, decode_command)
@@ -16,14 +19,19 @@ GREEN = (0, 255, 0, 255)
 
 
 class FakeWriter:
-    """A writer with a fixed room per flush period."""
+    """A writer with a fixed room per flush period, out of a socket
+    buffer of *capacity* (by default, the room is the whole buffer)."""
 
-    def __init__(self, room):
+    def __init__(self, room, capacity=None):
         self.room = room
+        self._capacity = capacity or room
         self.chunks = []
 
     def writable_bytes(self):
         return self.room
+
+    def capacity(self):
+        return self._capacity
 
     def write(self, data):
         assert len(data) <= self.room
@@ -129,11 +137,50 @@ class TestBandedSplit:
         assert written == len(framed) == 3
         assert np.array_equal(fb.read_pixels(Rect(0, 0, 500, 800)), photo)
 
+    def _drain(self, buf, room, capacity):
+        """Flush *buf* dry through fresh writers; the decoded image."""
+        fb = Framebuffer(200, 300)
+        for _ in range(300):  # a stalled command fails, not hangs
+            w = FakeWriter(room, capacity)
+            buf.flush(w)
+            for chunk in w.chunks:
+                decode_command(chunk).apply(fb)
+            if not buf.pending_commands():
+                return fb.read_pixels(Rect(0, 0, 200, 300))
+        raise AssertionError("the buffer never drained")
+
+    def test_less_room_than_a_band_waits_for_one(self):
+        """A socket that can hold a band, offering less than one right
+        now: nothing is split or DEFLATEd; the command waits, then
+        drains as band slices that re-DEFLATE one row each."""
+        buf, photo = ClientBuffer(), _photo(200, 300, 4)  # three bands
+        cmd = RawCommand(Rect(0, 0, 200, 300), photo)
+        cmd.wire_size()  # prepared (DEFLATEd) before it is buffered
+        buf.add(cmd)
+        with deflate_spy() as fed:
+            w = FakeWriter(4096, capacity=256 * 1024)
+            result = buf.flush(w)
+            assert result.blocked and w.chunks == [] and fed == []
+            assert list(buf.queue) == [cmd]
+            pixels = self._drain(buf, 44 * 1024, 256 * 1024)
+        assert buf.stats["commands_split"] == 2
+        assert fed == [photo[0].nbytes] * 2
+        assert np.array_equal(pixels, photo)
+
+    def test_socket_smaller_than_a_band_takes_the_fallback(self):
+        """A 2 KiB socket never holds a band: waiting would stall for
+        ever, so the row-granular split keeps it live."""
+        buf, photo = ClientBuffer(), _photo(200, 300, 4)
+        buf.add(RawCommand(Rect(0, 0, 200, 300), photo))
+        assert np.array_equal(self._drain(buf, 2048, 2048), photo)
+        assert buf.stats["commands_split"] > 40  # ~2 KiB heads of 90 KB
+
     def test_photograph_is_deflated_about_once_over_a_lan(self):
-        """The gain as a count (docs/PERF.md "PR 24"): bytes handed to
-        DEFLATE while a 500x800 photograph is prepared and drained,
-        against its raw size.  Before row bands this was ~2.8x: once
-        whole for the size, then once more per head, discards included."""
+        """The gain as a count (docs/PERF.md "PR 24", "PR 26"): bytes
+        handed to DEFLATE while a 500x800 photograph is prepared and
+        drained are its raw size plus one restarted row per split.
+        Before row bands this was ~2.8x: once whole for the size, then
+        once more per head, discards included."""
         loop, _, _, server, ws, client = make_rig(640, 900)
         loop.run_until_idle()
         photo = _photo(500, 800, 4)
@@ -145,8 +192,9 @@ class TestBandedSplit:
             ws.copy_area(pixmap, ws.screen, pixmap.bounds, 64, 64)
             ws.free_pixmap(pixmap)
             loop.run_until_idle()
-        assert server.sessions[0].buffer.stats["commands_split"] >= 2
-        assert photo.nbytes <= sum(fed) <= 1.15 * photo.nbytes
+        splits = server.sessions[0].buffer.stats["commands_split"]
+        assert splits >= 2
+        assert sum(fed) == photo.nbytes + splits * photo[0].nbytes
         assert_pixel_identical(client, ws)
 
 
@@ -242,6 +290,31 @@ class TestRealtime:
         buf.flush(w)
         assert decode_command(w.chunks[0]).kind == "sfill"
 
+    @given(st.lists(st.one_of(st.floats(0, 20), st.just(1e300)),
+                    max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_expiry_matches_a_full_filter(self, times):
+        """Input times come from clients, so they may skew or jump far
+        ahead: the kept events are those a full filter of the whole
+        list by the newest event's cutoff would keep."""
+        buf, kept = ClientBuffer(), []
+        for i, t in enumerate(times):
+            buf.note_input(i, i, time=t)
+            kept = [e for e in kept + [(t, i, i)]
+                    if e[0] >= t - REALTIME_WINDOW]
+            assert sorted(buf._recent_inputs) == sorted(kept)
+
+    def test_far_future_input_does_not_pin_the_window(self):
+        """One event from a far-future clock stays, but it does not
+        stop the in-order events behind it from expiring."""
+        buf = ClientBuffer()
+        buf.note_input(0, 0, time=1e300)
+        for i in range(2000):
+            buf.note_input(5, 5, time=i * 0.01)
+            buf.note_input(9, 9, time=i * 0.01 - 0.5)  # a skewed clock
+        # Within 1.5 s of the newest cutoff: ~150 + ~100 of 4001 noted.
+        assert len(buf._recent_inputs) < 300
+
 
 class ChunkWriter:
     """A writer whose capacity arrives in random-sized chunks."""
@@ -256,6 +329,8 @@ class ChunkWriter:
 
     def writable_bytes(self):
         return self.room
+
+    capacity = writable_bytes
 
     def write(self, data):
         assert len(data) <= self.room

@@ -149,6 +149,8 @@ class TestStarvationBehaviour:
             def writable_bytes(self):
                 return self.room
 
+            capacity = writable_bytes
+
             def write(self, data):
                 self.room -= len(data)
                 self.sent.append(len(data))

@@ -109,7 +109,8 @@ class TestCoherenceThroughMutations:
     def test_replace_with_split_remainder(self):
         q = CommandQueue(merge=False)
         cmd = q.add(raw(Rect(0, 0, 128, 64), 3))
-        sent, remainder = cmd.split(cmd.wire_size() // 2)
+        room = cmd.wire_size() // 2
+        sent, remainder = cmd.split(room, room)
         q.replace(cmd, remainder)
         ok(q)
         assert q.commands[0] is remainder

@@ -1,5 +1,7 @@
 """Tests for the THINC protocol command objects (Table 1 coverage)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,24 @@ class TestMerging:
         merged.apply(fb2)
         assert fb1.same_as(fb2)
 
+    def test_scan_line_merges_concatenate_once(self):
+        """A chain of vertical merges keeps the chunks and joins them
+        the first time ``pixels`` is read, not once per merge."""
+        chunks = [rgba_block(8, 2, seed) for seed in range(20)]
+        merged = RawCommand(Rect(0, 0, 8, 2), chunks[0])
+        with mock.patch.object(np, "vstack") as vstack, \
+                mock.patch.object(np, "concatenate",
+                                  wraps=np.concatenate) as concatenate:
+            for row, chunk in enumerate(chunks[1:], 1):
+                merged = merged.try_merge(
+                    RawCommand(Rect(0, 2 * row, 8, 2), chunk))
+            assert concatenate.call_count == 0
+            pixels = merged.pixels
+            assert merged.pixels is pixels
+        assert concatenate.call_count == 1 and not vstack.called
+        assert merged.dest == Rect(0, 0, 8, 40)
+        assert np.array_equal(pixels, np.concatenate(chunks))
+
     def test_raw_merge_rejects_gap(self):
         a = RawCommand(Rect(0, 0, 8, 2), rgba_block(8, 2, 1))
         b = RawCommand(Rect(0, 3, 8, 2), rgba_block(8, 2, 2))
@@ -310,24 +330,25 @@ class TestSplitting:
     def test_raw_split_preserves_output(self):
         pixels = rgba_block(16, 16, seed=9)
         cmd = RawCommand(Rect(0, 0, 16, 16), pixels, Encoding.NONE)
-        head, rest = cmd.split(cmd.wire_size() // 3)
+        room = cmd.wire_size() // 3
+        head, rest = cmd.split(room, room)
         assert rest is not None
         fb1, fb2 = Framebuffer(16, 16), Framebuffer(16, 16)
         cmd.apply(fb1)
         head.apply(fb2)
         while rest is not None:
-            nxt, rest = rest.split(cmd.wire_size() // 3)
+            nxt, rest = rest.split(room, room)
             nxt.apply(fb2)
         assert fb1.same_as(fb2)
 
     def test_small_commands_do_not_split(self):
         cmd = SFillCommand(Rect(0, 0, 100, 100), RED)
-        head, rest = cmd.split(4)
+        head, rest = cmd.split(4, 4)
         assert head is cmd and rest is None
 
     def test_single_row_raw_does_not_split(self):
         cmd = RawCommand(Rect(0, 0, 64, 1), rgba_block(64, 1))
-        head, rest = cmd.split(10)
+        head, rest = cmd.split(10, 10)
         assert head is cmd and rest is None
 
     @given(st.integers(2, 20), st.integers(2, 20), st.integers(30, 400))
@@ -335,7 +356,7 @@ class TestSplitting:
     def test_split_property(self, w, h, budget):
         cmd = RawCommand(Rect(0, 0, w, h), rgba_block(w, h, seed=w * h),
                          Encoding.NONE)
-        head, rest = cmd.split(budget)
+        head, rest = cmd.split(budget, budget)
         if rest is not None:
             assert head.dest.height + rest.dest.height == h
             assert head.dest.y2 == rest.dest.y

@@ -154,7 +154,7 @@ class TestRowBands:
         with mock.patch.object(comp, "_BAND_BYTES", 512):
             cmd, heads = RawCommand(rect, img), []
             for budget in cycle(budgets):
-                head, rest = cmd.split(budget)
+                head, rest = cmd.split(budget, budget)
                 if rest is None:  # fits whole, or is down to one row
                     heads.append(cmd)
                     break
