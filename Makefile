@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci loc bench-e2e-smoke bench-e2e-selftest bench-pairs claims figures figures-paper protocol-doc examples clean
+.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci loc bench-e2e-smoke bench-e2e-selftest bench-pairs claims claims-paper figures figures-paper protocol-doc examples clean
 
 install:
 	$(PY) setup.py develop
@@ -135,6 +135,15 @@ bench-pairs:
 # about a second; this runs them all (~2 minutes).
 claims:
 	PYTHONPATH=src $(PY) -m pytest tests/bench/test_claims.py -m "" -q
+
+# The same table at the paper's scale (54 pages, 834 frames; about five
+# minutes), written to claims-paper.md and printed; fails when any row
+# reads ✗.  A weekly CI job runs it (.github/workflows/claims-paper.yml).
+claims-paper:
+	PYTHONPATH=src $(PY) -m repro figures --only claims --pages 54 \
+	  --frames 834 > claims-paper.md
+	@cat claims-paper.md
+	! grep -n "✗" claims-paper.md
 
 # Regenerate every evaluation figure at the fast default scale.
 figures:

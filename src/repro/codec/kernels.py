@@ -21,6 +21,8 @@ neighbour reads as zero" boundary rule, so no per-step masking).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
@@ -85,28 +87,53 @@ def paeth_unfilter(filtered: np.ndarray, height: int, width: int,
     return out[1:, 1:].astype(np.uint8)
 
 
-def _up_rows(flat: np.ndarray) -> np.ndarray:
-    """'Up'-filter along the second-to-last axis; uint8 wraps mod 256."""
-    out = np.empty(flat.shape, dtype=np.uint8)
-    out[..., :1, :] = flat[..., :1, :]
-    np.subtract(flat[..., 1:, :], flat[..., :-1, :], out=out[..., 1:, :])
+def _up_rows(img: np.ndarray) -> np.ndarray:
+    """'Up'-filter (..., H, W, C) pixels into (..., H, W*C) rows; uint8
+    wraps mod 256.
+
+    *img* is only read, and may be a view that skips bytes — the RGB
+    channels of an RGBA block.  Such a view is filtered channel plane
+    by channel plane (C order over channel-first views), so numpy's
+    inner loop runs along a row instead of over C bytes, and no packed
+    copy of the input is made.
+    """
+    rows = img.shape[:-2] + (img.shape[-2] * img.shape[-1],)
+    out = np.empty(rows, dtype=np.uint8)
+    if img.flags.c_contiguous:
+        src, dst = img.reshape(rows), out
+    else:
+        src = np.moveaxis(img, -1, 0)
+        dst = np.moveaxis(out.reshape(img.shape), -1, 0)
+    dst[..., :1, :] = src[..., :1, :]
+    np.subtract(src[..., 1:, :], src[..., :-1, :], out=dst[..., 1:, :],
+                order="C")
     return out
 
 
 def up_filter(pixels: np.ndarray) -> np.ndarray:
     """PNG 'Up' predictor: each row minus the row above (mod 256)."""
-    img = pixels.astype(np.uint8)
-    h, w, c = img.shape
-    return _up_rows(img.reshape(h, w * c))
+    return _up_rows(np.asarray(pixels, dtype=np.uint8))
 
 
 def up_unfilter(filtered: np.ndarray, height: int, width: int,
-                channels: int) -> np.ndarray:
+                channels: int, out: Optional[np.ndarray] = None
+                ) -> np.ndarray:
     """Invert the Up filter: a column running sum in uint8, which wraps
-    mod 256 by itself; *filtered* is only read (a read-only view will do)."""
-    flat = filtered.reshape(height, width * channels)
-    out = np.add.accumulate(flat, axis=0, dtype=np.uint8)
-    return out.reshape(height, width, channels)
+    mod 256 by itself; *filtered* is only read (a read-only view will do).
+
+    The sum lands in the first *channels* channels of *out* when one is
+    given — an (height, width, 4) RGBA array for RGB rows, so no packed
+    RGB image is made — and in a fresh (height, width, channels) array
+    otherwise; either is returned.  (A fresh 2-D sum is the faster
+    numpy loop, ~25 % on a 192x192 block, so it is kept for that case.)
+    """
+    if out is None:
+        flat = filtered.reshape(height, width * channels)
+        return np.add.accumulate(flat, axis=0, dtype=np.uint8).reshape(
+            height, width, channels)
+    np.add.accumulate(filtered.reshape(height, width, channels), axis=0,
+                      dtype=np.uint8, out=out[..., :channels])
+    return out
 
 
 def batch_up_filter(stack: np.ndarray) -> np.ndarray:
@@ -117,8 +144,7 @@ def batch_up_filter(stack: np.ndarray) -> np.ndarray:
     the prepare plane), returning an (N, H, W*C) uint8 array of
     filtered rows ready for per-image DEFLATE.
     """
-    n, h, w, c = stack.shape
-    return _up_rows(stack.astype(np.uint8, copy=False).reshape(n, h, w * c))
+    return _up_rows(stack.astype(np.uint8, copy=False))
 
 
 def _run_bounds(view: np.ndarray):

@@ -290,27 +290,30 @@ class PreparePlane:
 
         Same semantics as calling :meth:`submit` per command — the
         fan-out, cache keys and ordering are identical — but fresh RAW
-        blocks of the same shape headed for PNG encoding are filtered
-        in one fused numpy pass (:func:`repro.protocol.compression.
-        png_compress_batch`) and their payloads pre-materialised, so
-        the per-command prepare step finds the bytes already cached.
-        Byte-for-byte identical to the per-command path.
+        blocks headed for PNG encoding whose payload rows have the same
+        shape (opaque blocks carry RGB rows, :func:`repro.protocol.
+        compression.png_channels`) are filtered in one fused numpy pass
+        (:func:`~repro.protocol.compression.png_compress_batch`) and
+        their payloads pre-materialised, so the per-command prepare step
+        finds the bytes already cached.  Byte-for-byte identical to the
+        per-command path.
         """
         sessions = list(sessions)
         classed = [list(self.variants(c, sessions)) for c in commands]
-        groups: Dict[Tuple, List[RawCommand]] = {}
+        groups: Dict[Tuple, list] = {}  # rows shape -> [(command, rows)]
         for classes in classed:
             for _, cmd in classes:
                 if (isinstance(cmd, RawCommand)
                         and cmd.encoding is Encoding.PNG
                         and cmd._payload is None):
-                    groups.setdefault(cmd.pixels.shape, []).append(cmd)
+                    rows = compression.png_channels(cmd.pixels)
+                    groups.setdefault(rows.shape, []).append((cmd, rows))
         for members in groups.values():
             if len(members) < 2:
                 continue
             payloads = compression.png_compress_batch(
-                [m.pixels for m in members])
-            for member, payload in zip(members, payloads):
+                [rows for _, rows in members])
+            for (member, _), payload in zip(members, payloads):
                 member._payload = payload
         for classes in classed:
             self._deliver(classes)

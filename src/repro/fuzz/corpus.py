@@ -84,12 +84,13 @@ def display_seed_corpus(width: int = 16, height: int = 12) -> List[bytes]:
     One RAW command per payload encoding tag (the adaptive ladder's
     whole enum), a two-band PNG RAW and the head its flush-time split
     assembles (full-flush points inside the zlib stream, and the empty
-    final block that closes a head), plus the malformed shapes the
-    bounded decoder must reject rather than crash on: an out-of-range
-    encoding tag, a lossy payload truncated mid-stream, and a lossy
-    payload whose declared length exceeds the bytes present.  A decoder
-    consuming these must either return a command or raise
-    ``ValueError`` — nothing else.
+    final block that closes a head), the same pair for an opaque block
+    (RGB rows, ``c = 3``), plus the malformed shapes the bounded decoder
+    must reject rather than crash on: an out-of-range encoding tag, a
+    lossy payload truncated mid-stream, a lossy payload whose declared
+    length exceeds the bytes present, and PNG headers declaring 2 and 5
+    channels.  A decoder consuming these must either return a command
+    or raise ``ValueError`` — nothing else.
     """
     rng = np.random.default_rng(9)
     pixels = rng.integers(0, 256, (height, width, 4), dtype=np.uint8)
@@ -100,9 +101,13 @@ def display_seed_corpus(width: int = 16, height: int = 12) -> List[bytes]:
     # 64-byte rows band every 1024: smooth content keeps it ~1 KiB.
     tall = np.broadcast_to(np.arange(2048, dtype=np.uint8)[:, None, None],
                            (2048, 16, 4))
-    banded = RawCommand(Rect(0, 0, 16, 2048), tall)
-    room = banded.wire_size() - 1
-    corpus += [banded.encode(), banded.split(room, room)[0].encode()]
+    # Opaque, so 48-byte RGB rows: they band every 1365.
+    opaque = np.full((2730, 16, 4), 255, dtype=np.uint8)
+    opaque[..., :3] = (np.arange(2730) % 256)[:, None, None]
+    for block in (tall, opaque):
+        banded = RawCommand(Rect(0, 0, 16, len(block)), block)
+        room = banded.wire_size() - 1
+        corpus += [banded.encode(), banded.split(room, room)[0].encode()]
     # Encoding tag past WireLimits.max_raw_encoding (header is type u8
     # + rect 4xu16; the tag is the next byte).
     bad_tag = bytearray(corpus[0])
@@ -113,6 +118,14 @@ def display_seed_corpus(width: int = 16, height: int = 12) -> List[bytes]:
     corpus.append(lossy[: len(lossy) - max(1, len(lossy) // 3)])
     # Lossy meta header alone, declaring planes that never arrive.
     corpus.append(lossy[:19])
+    # PNG payloads whose h[u16] w[u16] c[u8] header declares a channel
+    # count no block has: rejected before a byte is inflated.
+    # The payload follows the type byte and the header rows.
+    channels_at = 1 + RawCommand.schema.struct.size + 4
+    for channels in (2, 5):
+        bad_channels = bytearray(corpus[1])
+        bad_channels[channels_at] = channels
+        corpus.append(bytes(bad_channels))
     return corpus
 
 

@@ -178,7 +178,10 @@ class RawCommand(Command):
     choice), 2 RLE, 3 JPEG-style lossy; see the encoding ladder below.
 
     ``encoding`` is one of the :class:`~repro.codec.Encoding` values;
-    the payload is encoded lazily and cached.
+    the payload is encoded lazily and cached.  A PNG payload carries
+    RGB rows when every alpha byte of the block is 255
+    (:func:`~repro.protocol.compression.png_channels`) and decodes with
+    alpha 255.
     """
 
     kind = "raw"
@@ -231,7 +234,8 @@ class RawCommand(Command):
     def _encoded_payload(self) -> bytes:
         if self._payload is None:
             if self.encoding is Encoding.PNG:
-                self._payload = compression.png_compress(self.pixels)
+                self._payload = compression.png_compress(
+                    compression.png_channels(self.pixels))
             elif self.encoding is Encoding.RLE:
                 self._payload = compression.rle_compress(self.pixels)
             elif self.encoding is Encoding.LOSSY:
@@ -324,11 +328,13 @@ class RawCommand(Command):
             return head, rest
         first = compression.png_first_head(self._payload)
         if first is not None and first + overhead <= capacity:
-            # Short of a band, but the socket holds one: wait for it.
+            # Short of a band (or of the last band, whole), but the
+            # socket holds one: wait for it.
             return self, None
-        # Row-granular fallback (one band, another encoding, or a socket
-        # too small for a band): the head is sized from the average bytes
-        # per row and compressed afresh, the rest carries an estimate.
+        # Row-granular fallback (an unbanded payload, another encoding,
+        # or a socket too small for a band): the head is sized from the
+        # average bytes per row and compressed afresh, the rest carries
+        # an estimate.
         per_row = max(1, (self.wire_size() - overhead) // self.dest.height)
         rows = max(1, (max_bytes - overhead) // per_row)
         head, rest = self._fragments(min(rows, self.dest.height - 1))

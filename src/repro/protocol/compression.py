@@ -26,10 +26,12 @@ import zlib
 from ..codec import encodings as _lossy
 from ..codec import kernels
 from .limits import LIMITS
+from .schema import FieldRangeError
 
 __all__ = [
     "PngPayload",
     "adler32_combine",
+    "png_channels",
     "png_compress",
     "png_compress_batch",
     "png_first_head",
@@ -50,18 +52,21 @@ _FILTER_IDS = {"up": 0, "paeth": 1}
 _HEADER_BYTES = 6  # h[u16] w[u16] c[u8] filter[u8]
 
 # Raw (filtered) bytes per independently decodable row band of an
-# 'up'-filtered image.  Flush-time splitting (RawCommand.split) cuts a
-# payload only between bands, so a smaller band lets a head fill the
-# socket's room more closely, while every band costs two full-flush
-# markers and a dictionary reset that an image which is never split
-# pays for nothing.  DEFLATE time does not depend on it (a split
-# re-DEFLATEs one row, whatever the band).  Chosen on thincbench
-# ``web_lan`` seed 54 (docs/PERF.md "PR 24"): ``wire_bytes_per_op`` and
-# ``sim_latency_ms_p90`` fall with the band all the way down, but at
-# 32 KiB the inline images of the text pages become multi-band and
-# ``sim_latency_ms_p50`` moves; 64 KiB is the smallest band that leaves
-# it where it was, and an incompressible band still fits a 256 KiB
-# socket buffer three times over: a split short of a band waits for one.
+# 'up'-filtered image, counted in the payload's own channels: an opaque
+# block's RGB rows are 3/4 the bytes of RGBA ones, so an 800-pixel-wide
+# photograph bands every 27 rows, not 20.  Flush-time splitting
+# (RawCommand.split) cuts a payload only between bands, so a smaller
+# band lets a head fill the socket's room more closely, while every
+# band costs two full-flush markers and a dictionary reset that an
+# image which is never split pays for nothing.  DEFLATE time does not
+# depend on it (a split re-DEFLATEs one row, whatever the band).  Chosen
+# on thincbench ``web_lan`` seed 54 (docs/PERF.md, "The band constant"):
+# ``wire_bytes_per_op`` and ``sim_latency_ms_p90`` fall with the band
+# all the way down, but at 32 KiB the inline images of the text pages
+# become multi-band and ``sim_latency_ms_p50`` moves; 64 KiB is the
+# smallest band that leaves it where it was, and an incompressible band
+# still fits a 256 KiB socket buffer three times over (the last band,
+# up to two bands long, twice): a split short of a band waits for one.
 _BAND_BYTES = 64 * 1024
 
 # A final fixed-Huffman block holding only end-of-block: what
@@ -151,15 +156,33 @@ def _deflate_rows(header: bytes, rows: np.ndarray, level: int) -> bytes:
     segments = tuple(
         _Segment(len(header) + end, zlib.adler32(span), span.nbytes)
         for end, span in zip(accumulate(map(len, parts)), spans))
+    # Free the filtered rows (when the caller holds no other reference)
+    # before the payload is assembled, so the payload, which outlives
+    # this call, can take their place in the heap instead of landing
+    # above them and pinning the hole they leave (docs/PERF.md,
+    # "peak_rss_mb: a heap-layout reading").
+    del rows, data, spans
     return PngPayload(
         b"".join([header, *parts, _stream_adler(segments)]), segments)
+
+
+def png_channels(pixels: np.ndarray) -> np.ndarray:
+    """What a RAW block's PNG payload carries: a view of its RGB
+    channels when every alpha byte is 255 — all a desktop draws — and
+    the RGBA block otherwise.  :func:`png_decompress` restores alpha
+    255 for a 3-channel payload.  (The first pixel is looked at alone
+    first: a translucent block then costs no scan.)"""
+    opaque = pixels[0, 0, 3] == 255 and pixels[..., 3].min() == 255
+    return pixels[..., :3] if opaque else pixels
 
 
 def png_compress(pixels: np.ndarray, level: int = 6,
                  row_filter: str = "up") -> bytes:
     """PNG-model compression: predictive row filter + DEFLATE.
 
-    Input is an HxWxC uint8 array; the output embeds the dimensions and
+    Input is an HxWxC uint8 array, which may be a strided view such as
+    :func:`png_channels`' RGB of an RGBA block (the 'up' filter reads
+    it in place); the output embeds the dimensions, channel count and
     filter so that :func:`png_decompress` is self-contained.  The
     default 'up' predictor is fully vectorisable in both directions;
     'paeth' matches libpng's usual choice and its unfilter runs as an
@@ -169,7 +192,7 @@ def png_compress(pixels: np.ndarray, level: int = 6,
     same bytes-like payload, DEFLATEd once as row bands that
     :func:`png_split` can later slice apart without recompressing.
     """
-    img = np.ascontiguousarray(pixels, dtype=np.uint8)
+    img = np.asarray(pixels, dtype=np.uint8)
     if img.ndim != 3:
         raise ValueError("expected an HxWxC pixel array")
     if row_filter not in _FILTER_IDS:
@@ -192,8 +215,7 @@ def png_compress_batch(blocks, level: int = 6) -> list:
     blocks = list(blocks)
     if not blocks:
         return []
-    stack = np.stack([np.ascontiguousarray(b, dtype=np.uint8)
-                      for b in blocks])
+    stack = np.stack([np.asarray(b, dtype=np.uint8) for b in blocks])
     if stack.ndim != 4:
         raise ValueError("expected a batch of HxWxC pixel arrays")
     _, h, w, c = stack.shape
@@ -203,22 +225,27 @@ def png_compress_batch(blocks, level: int = 6) -> list:
 
 
 def png_first_head(payload: bytes) -> Optional[int]:
-    """Size of the smallest head :func:`png_split` can cut from
-    *payload* (its first band), or None when it has no second band."""
+    """Size of the smallest unit a banded *payload* can be sent in: the
+    head :func:`png_split` cuts at its first band, or the whole payload
+    when that is its only band.  None for a payload without bands."""
     segments = getattr(payload, "segments", ())
-    return segments[1].end + _HEAD_TRAILER if len(segments) > 2 else None
+    if len(segments) > 2:
+        return segments[1].end + _HEAD_TRAILER
+    return len(payload) if segments else None
 
 
 def png_split(payload: bytes, pixels: np.ndarray,
               max_bytes: int) -> Optional[Tuple[int, bytes, bytes]]:
-    """Cut a banded payload of *pixels* at the last band boundary that
-    keeps the head within *max_bytes*: ``(head_rows, head, rest)``, or
-    None when *payload* has no second band or not even its first fits.
+    """Cut a banded payload of the RGBA *pixels* at the last band
+    boundary that keeps the head within *max_bytes*:
+    ``(head_rows, head, rest)``, or None when *payload* has no second
+    band or not even its first fits.
 
     Nothing is recompressed but the rest's first row, which loses its
-    'up' predecessor and is DEFLATEd again as raw pixels.  The head is
-    the prefix's segments closed by an empty final block, the rest is
-    the zlib header, that row and the suffix's segments; both get their
+    'up' predecessor and is DEFLATEd again as raw pixels of the
+    payload's own channels (its header's ``c``).  The head is the
+    prefix's segments closed by an empty final block, the rest is the
+    zlib header, that row and the suffix's segments; both get their
     Adler-32 from the segment table, so both sizes are exact and both
     are again banded payloads.
     """
@@ -227,7 +254,7 @@ def png_split(payload: bytes, pixels: np.ndarray,
     cut = 2 * bisect_right(band_ends, max_bytes - _HEAD_TRAILER)
     if not cut:
         return None
-    h, w, c = pixels.shape
+    (h, w), c = pixels.shape[:2], payload[4]
     head_segs, row_seg, tail = segments[:cut], segments[cut], \
         segments[cut + 1:]
     head_rows = sum(seg.size for seg in head_segs) // row_seg.size
@@ -236,7 +263,7 @@ def png_split(payload: bytes, pixels: np.ndarray,
         _png_header(head_rows, w, c, "up"),
         stream[_HEADER_BYTES:head_segs[-1].end],
         _EMPTY_FINAL_BLOCK, _stream_adler(head_segs)]), head_segs)
-    row = pixels[head_rows].tobytes()
+    row = pixels[head_rows, :, :c].tobytes()
     deflater = zlib.compressobj(wbits=-zlib.MAX_WBITS)
     restart = (payload[_HEADER_BYTES:_HEADER_BYTES + 2]  # the zlib header
                + deflater.compress(row) + deflater.flush(zlib.Z_FULL_FLUSH))
@@ -250,12 +277,16 @@ def png_split(payload: bytes, pixels: np.ndarray,
 
 
 def png_decompress(data: bytes) -> np.ndarray:
-    """Invert :func:`png_compress`.
+    """Invert :func:`png_compress` into an HxWx4 RGBA array.
 
-    Decompression is bounded by the geometry the header declares (and
-    the global decoded-pixel limit): the DEFLATE stream is only allowed
-    to produce ``h*w*c`` bytes, so a crafted payload cannot balloon a
-    small frame into gigabytes of output before the size check runs.
+    The header's channel count must be 4 (RGBA rows) or 3 (RGB rows of
+    an opaque block, which decode with alpha 255); any other is a
+    :class:`~repro.protocol.schema.FieldRangeError` before a byte is
+    inflated.  Decompression is bounded by the geometry the header
+    declares (and the global decoded-pixel limit): the DEFLATE stream
+    is only allowed to produce ``h*w*c`` bytes, so a crafted payload
+    cannot balloon a small frame into gigabytes of output before the
+    size check runs.
     """
     if len(data) < 6:
         raise ValueError("truncated compressed pixel data")
@@ -263,11 +294,15 @@ def png_decompress(data: bytes) -> np.ndarray:
     w = int.from_bytes(data[2:4], "big")
     c = data[4]
     filter_id = data[5]
-    expected = h * w * c
-    if expected > LIMITS.max_decoded_pixel_bytes:
+    if c not in (3, 4):
+        raise FieldRangeError(
+            f"PNG payload declares {c} channels; only 3 (RGB) or 4 "
+            f"(RGBA) decode to pixels")
+    if h * w * 4 > LIMITS.max_decoded_pixel_bytes:
         raise ValueError(
-            f"declared geometry {h}x{w}x{c} decodes to {expected} bytes, "
+            f"declared geometry {h}x{w} decodes to {h * w * 4} bytes, "
             f"limit is {LIMITS.max_decoded_pixel_bytes}")
+    expected = h * w * c
     # Ask for at most one byte more than the geometry needs: a stream
     # that still has output at expected+1 can only be oversized, and we
     # reject it without ever materialising the excess.
@@ -279,11 +314,17 @@ def png_decompress(data: bytes) -> np.ndarray:
             f"{expected} bytes"
         )
     filtered = np.frombuffer(raw, dtype=np.uint8).reshape(h, w * c)
-    if filter_id == _FILTER_IDS["up"]:
+    if filter_id not in _FILTER_IDS.values():
+        raise ValueError(f"unknown filter id {filter_id}")
+    up = filter_id == _FILTER_IDS["up"]
+    if up and c == 4:
         return kernels.up_unfilter(filtered, h, w, c)
-    if filter_id == _FILTER_IDS["paeth"]:
-        return kernels.paeth_unfilter(filtered, h, w, c)
-    raise ValueError(f"unknown filter id {filter_id}")
+    out = np.empty((h, w, 4), dtype=np.uint8)
+    out[..., 3] = 255
+    if up:  # RGB rows unfilter straight into the opaque RGBA array
+        return kernels.up_unfilter(filtered, h, w, c, out)
+    out[..., :c] = kernels.paeth_unfilter(filtered, h, w, c)
+    return out
 
 
 def zlib_compress(data: bytes, level: int = 6) -> bytes:

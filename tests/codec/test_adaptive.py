@@ -233,11 +233,13 @@ class TestDisplayCorpusContract:
                 outcomes.append(type(cmd).__name__)
             except ValueError as exc:
                 outcomes.append(f"rejected: {exc.args[0][:30]}")
-        # The four valid per-tag seeds and the two row-banded ones
+        # The four valid per-tag seeds and the four row-banded ones
         # decode; the malformed tail of the corpus is rejected, never
         # crashes.
-        assert outcomes[:6] == ["RawCommand"] * 6
-        assert all(o.startswith("rejected") for o in outcomes[6:])
+        assert outcomes[:8] == ["RawCommand"] * 8
+        assert all(o.startswith("rejected") for o in outcomes[8:])
+        assert outcomes[-2:] == ["rejected: PNG payload declares 2 channel",
+                                 "rejected: PNG payload declares 5 channel"]
         assert len(outcomes) == len(corpus)
 
     def test_mutated_seeds_parse_or_raise_protocol_error(self):
@@ -246,9 +248,13 @@ class TestDisplayCorpusContract:
         markers and on the ``03 00`` block that closes a split head;
         a frame either parses or raises ``ProtocolError``."""
         corpus = display_seed_corpus()
-        banded, head = (decode_command(seed) for seed in corpus[4:6])
+        banded, head, opaque, opaque_head = (decode_command(seed)
+                                             for seed in corpus[4:8])
         assert (banded.dest.height, head.dest.height) == (2048, 1024)
-        assert head._payload[-6:-4] == b"\x03\x00"
+        assert (opaque.dest.height, opaque_head.dest.height) == (2730, 1365)
+        assert [cmd._payload[4] for cmd in (head, opaque_head)] == [4, 3]
+        assert head._payload[-6:-4] == opaque_head._payload[-6:-4] \
+            == b"\x03\x00"
         framed = [wire.frame_message(seed[0], seed[1:]) for seed in corpus]
         parsed = 0
         for case in Mutator(54, framed, coverage=False).cases(600):

@@ -172,6 +172,10 @@ class TestLoopEquivalence:
             assert np.array_equal(out, img)
         view = np.frombuffer(filtered.tobytes(), dtype=np.uint8)
         assert np.array_equal(kernels.up_unfilter(view, h, w, channels), img)
+        rgba = np.full((h, w, 4), 255, dtype=np.uint8)
+        assert kernels.up_unfilter(view, h, w, channels, rgba) is rgba
+        assert np.array_equal(rgba[..., :channels], img)
+        assert (rgba[..., channels:] == 255).all()
 
 
 # -- round-trips and batch equivalence --------------------------------------

@@ -137,24 +137,28 @@ class TestBandedSplit:
         assert written == len(framed) == 3
         assert np.array_equal(fb.read_pixels(Rect(0, 0, 500, 800)), photo)
 
-    def _drain(self, buf, room, capacity):
-        """Flush *buf* dry through fresh writers; the decoded image."""
-        fb = Framebuffer(200, 300)
+    def _drain(self, buf, room, capacity, height):
+        """Flush *buf* dry through fresh writers offering *room*, or the
+        whole *capacity* after a period that wrote nothing (the socket
+        drains); the decoded 200-pixel-wide image."""
+        fb, offer = Framebuffer(200, height), room
         for _ in range(300):  # a stalled command fails, not hangs
-            w = FakeWriter(room, capacity)
+            w = FakeWriter(offer, capacity)
             buf.flush(w)
             for chunk in w.chunks:
                 decode_command(chunk).apply(fb)
             if not buf.pending_commands():
-                return fb.read_pixels(Rect(0, 0, 200, 300))
+                return fb.read_pixels(Rect(0, 0, 200, height))
+            offer = room if w.chunks else capacity
         raise AssertionError("the buffer never drained")
 
     def test_less_room_than_a_band_waits_for_one(self):
         """A socket that can hold a band, offering less than one right
         now: nothing is split or DEFLATEd; the command waits, then
-        drains as band slices that re-DEFLATE one row each."""
-        buf, photo = ClientBuffer(), _photo(200, 300, 4)  # three bands
-        cmd = RawCommand(Rect(0, 0, 200, 300), photo)
+        drains as band slices that re-DEFLATE one row each, and its
+        last band, short of room too, waits to leave whole."""
+        buf, photo = ClientBuffer(), _photo(200, 400, 4)  # three bands
+        cmd = RawCommand(Rect(0, 0, 200, 400), photo)
         cmd.wire_size()  # prepared (DEFLATEd) before it is buffered
         buf.add(cmd)
         with deflate_spy() as fed:
@@ -162,9 +166,9 @@ class TestBandedSplit:
             result = buf.flush(w)
             assert result.blocked and w.chunks == [] and fed == []
             assert list(buf.queue) == [cmd]
-            pixels = self._drain(buf, 44 * 1024, 256 * 1024)
+            pixels = self._drain(buf, 44 * 1024, 256 * 1024, 400)
         assert buf.stats["commands_split"] == 2
-        assert fed == [photo[0].nbytes] * 2
+        assert fed == [photo[0, :, :3].nbytes] * 2  # one opaque RGB row
         assert np.array_equal(pixels, photo)
 
     def test_socket_smaller_than_a_band_takes_the_fallback(self):
@@ -172,8 +176,8 @@ class TestBandedSplit:
         ever, so the row-granular split keeps it live."""
         buf, photo = ClientBuffer(), _photo(200, 300, 4)
         buf.add(RawCommand(Rect(0, 0, 200, 300), photo))
-        assert np.array_equal(self._drain(buf, 2048, 2048), photo)
-        assert buf.stats["commands_split"] > 40  # ~2 KiB heads of 90 KB
+        assert np.array_equal(self._drain(buf, 2048, 2048, 300), photo)
+        assert buf.stats["commands_split"] > 40  # ~2 KiB heads of 81 KB
 
     def test_photograph_is_deflated_about_once_over_a_lan(self):
         """The gain as a count (docs/PERF.md "PR 24", "PR 26"): bytes
@@ -194,7 +198,8 @@ class TestBandedSplit:
             loop.run_until_idle()
         splits = server.sessions[0].buffer.stats["commands_split"]
         assert splits >= 2
-        assert sum(fed) == photo.nbytes + splits * photo[0].nbytes
+        rgb = photo[..., :3]  # opaque: the payload carries RGB rows
+        assert sum(fed) == rgb.nbytes + splits * rgb[0].nbytes
         assert_pixel_identical(client, ws)
 
 

@@ -332,8 +332,10 @@ def run_scenario(plan=None, qos=None, end=3.5, subscribe=False):
         # merge/overwrite can never collapse two ops into one arrival.
         x = (idx % 4) * 12
         y = (idx // 4) * 12
+        # Noise in all four channels, alpha included: an opaque patch
+        # ships as RGB rows, a quarter lighter than the load the
+        # contention levels here are calibrated against.
         patch = rng.integers(0, 256, (12, 12, 4), dtype=np.uint8)
-        patch[..., 3] = 255
 
         def op(x=x, y=y, patch=patch):
             client.send_input("key", x, y)

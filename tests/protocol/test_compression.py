@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from repro.codec import kernels
 from repro.protocol import compression as comp
-from repro.protocol.commands import RawCommand
+from repro.protocol.commands import RawCommand, decode_command
+from repro.protocol.schema import FieldRangeError
 from repro.region import Rect
+from repro.workloads.web import _photo
 from tests.helpers import deflate_spy
 
 
@@ -75,8 +77,17 @@ def smooth_rgba(w, h, seed=0):
     return (128 + np.cumsum(steps, axis=0)).astype(np.uint8)
 
 
+def opaque_rgba(w, h, seed=0):
+    """Smooth content with alpha 255 everywhere, as a desktop draws it:
+    its RAW PNG payload carries RGB rows."""
+    img = smooth_rgba(w, h, seed)
+    img[..., 3] = 255
+    return img
+
+
 CONTENT = {"noise": random_rgba, "smooth": smooth_rgba,
-           "flat": lambda w, h, seed: flat_rgba(w, h, seed % 256)}
+           "flat": lambda w, h, seed: flat_rgba(w, h, seed % 256),
+           "opaque": opaque_rgba}
 
 
 class TestAdlerCombine:
@@ -173,6 +184,67 @@ class TestRowBands:
         assert [p.dest.y for p in heads] == sorted(p.dest.y for p in heads)
         assert sum(p.dest.height for p in heads) == h
         assert np.array_equal(out[5:, 3:], img)
+
+
+class TestOpaqueRows:
+    """An opaque RAW block travels as RGB rows (``c = 3``)."""
+
+    @given(st.integers(1, 30), st.integers(1, 30),
+           st.sampled_from(sorted(CONTENT)), st.integers(0, 2**16),
+           st.sampled_from(["as drawn", "opaque", "one translucent"]),
+           st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_raw_png_round_trips_any_rgba_block(self, w, h, content, seed,
+                                                alpha, where):
+        img = CONTENT[content](w, h, seed)
+        if alpha != "as drawn":
+            img[..., 3] = 255
+        if alpha == "one translucent":
+            img.reshape(-1, 4)[where % (w * h), 3] = where % 255
+        with mock.patch.object(comp, "_BAND_BYTES", 256):  # banded too
+            cmd = RawCommand(Rect(3, 5, w, h), img)
+            payload = cmd.to_rows()[2]
+        assert (payload[4] == 3) == bool((img[..., 3] == 255).all())
+        assert np.array_equal(decode_command(cmd.encode()).pixels, img)
+
+    @pytest.mark.parametrize("channels", [0, 1, 2, 5, 255])
+    def test_bad_channel_count_is_rejected_before_inflating(self,
+                                                            channels):
+        payload = bytearray(comp.png_compress(random_rgba(5, 4)))
+        payload[4] = channels
+        with mock.patch.object(comp.zlib, "decompressobj",
+                               side_effect=AssertionError("inflated")):
+            with pytest.raises(FieldRangeError):
+                comp.png_decompress(bytes(payload))
+
+    @pytest.mark.parametrize("content,w,h,seed", [
+        ("photo", 800, 500, 54), ("photo", 256, 300, 7),
+        ("photo", 97, 700, 1),
+        ("noise", 200, 300, 2), ("flat", 300, 400, 120)])
+    @pytest.mark.parametrize("opaque", [True, False])
+    def test_segments_deflate_independently(self, content, w, h, seed,
+                                            opaque):
+        """What :func:`png_split` relies on: each segment of a banded
+        payload is exactly what a fresh raw DEFLATE stream makes of its
+        filtered bytes alone, closed by a full flush (the last by
+        ``Z_FINISH``) — no segment depends on what came before it."""
+        img = (_photo(w, h, seed) if content == "photo"
+               else CONTENT[content](w, h, seed))
+        img[..., 3] = 255 if opaque else np.arange(w) % 255
+        rows = comp.png_channels(img)
+        payload = comp.png_compress(rows)
+        assert len(payload.segments) >= 4
+        filtered = memoryview(kernels.up_filter(rows)).cast("B")
+        start, offset = 8, 0  # past our header and the zlib header
+        for index, seg in enumerate(payload.segments):
+            deflater = zlib.compressobj(6, wbits=-zlib.MAX_WBITS)
+            last = index == len(payload.segments) - 1
+            alone = (deflater.compress(filtered[offset:offset + seg.size])
+                     + deflater.flush(zlib.Z_FINISH if last
+                                      else zlib.Z_FULL_FLUSH))
+            assert payload[start:seg.end] == alone, index
+            start, offset = seg.end, offset + seg.size
+        assert offset == rows.size and start == len(payload) - 4
 
 
 class TestRle:

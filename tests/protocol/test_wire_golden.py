@@ -12,9 +12,11 @@
   of 5 000 ``Mutator(seed=54, ...)`` cases fed to an unrestricted
   ``StreamParser``;
 * ``commands`` — ``encode_message`` hex for at least two instances of
-  every display command (RAW once per ``Encoding`` and once as a
-  two-band PNG payload, BITMAP with and without ``bg``, a PFILL with a non-zero origin, VFRAME in both pixel
-  formats, a self-overlapping and a disjoint COPY);
+  every display command (RAW once per ``Encoding``, once as a
+  two-band PNG payload, and as an opaque PNG block — RGB rows — of one
+  and of two bands, BITMAP with and without ``bg``, a PFILL with a
+  non-zero origin, VFRAME in both pixel formats, a self-overlapping
+  and a disjoint COPY);
 * ``frozen_session`` — hex of one ``FrozenSession`` v2 blob with every
   flag set, all four lists non-empty and non-zero counters.
 
@@ -109,6 +111,14 @@ def _ramp(*shape):
         np.uint8).reshape(shape)
 
 
+def _opaque(*shape):
+    """A ramp whose alpha is 255 everywhere: its PNG payload carries RGB
+    rows (``c = 3``)."""
+    block = _ramp(*shape)
+    block[..., 3] = 255
+    return block
+
+
 _BLOCK = Rect(3, 4, 6, 5)
 _MASK = _ramp(5, 6) % 3 == 0
 
@@ -121,6 +131,10 @@ COMMANDS = {
     # and at its end, inside one zlib stream.
     "RAW PNG two bands": commands.RawCommand(Rect(0, 0, 16, 2048),
                                              _ramp(2048, 16, 4)),
+    "RAW PNG opaque": commands.RawCommand(_BLOCK, _opaque(5, 6, 4)),
+    # 48 B RGB rows: two 1365-row bands.
+    "RAW PNG opaque two bands": commands.RawCommand(
+        Rect(0, 0, 16, 2730), _opaque(2730, 16, 4)),
     "COPY self-overlapping": commands.CopyCommand(0, 8, Rect(0, 0, 64, 40)),
     "COPY disjoint": commands.CopyCommand(100, 200, Rect(0, 0, 16, 16)),
     "SFILL low": commands.SFillCommand(Rect(0, 0, 1, 1), (0, 0, 0, 0)),
@@ -223,7 +237,8 @@ def test_commands_cover_every_display_command_twice():
         counts[type(cmd)] = counts.get(type(cmd), 0) + 1
     assert set(counts) == set(commands.COMMAND_TYPES.values())
     assert min(counts.values()) >= 2
-    assert counts[commands.RawCommand] == len(Encoding) + 1  # two bands
+    # + two bands, opaque, opaque two bands
+    assert counts[commands.RawCommand] == len(Encoding) + 3
 
 
 def test_commands_encode_to_golden_bytes_and_back():
