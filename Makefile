@@ -82,6 +82,8 @@ fuzz-smoke:
 # (with its 15 slowest tests, so the suite's wall time stays in view).
 ci: lint analyze
 	PYTHONPATH=src $(PY) -m pytest -x -q --durations=15
+	PYTHONPATH=src taskset -c 0 $(PY) -m pytest -x -q \
+	  tests/protocol/test_compression.py tests/core/test_delivery.py
 	@$(MAKE) --no-print-directory loc
 
 # The size of src/repro, counted one way: physical lines, and lines

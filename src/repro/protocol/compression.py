@@ -15,10 +15,14 @@ the byte formats and binds every decoder to the global decode bounds in
 
 from __future__ import annotations
 
+import os
+import threading
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from functools import reduce
 from itertools import accumulate
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import zlib
@@ -108,7 +112,9 @@ class PngPayload(bytes):
     stream of exactly ``h*w*c`` bytes.  ``segments`` records where that
     stream may be cut: each band is two segments, its first row alone
     and then its remaining rows, so :func:`png_split` can restart the
-    'up' predictor by re-DEFLATing that one row.
+    'up' predictor by re-DEFLATing that one row.  No segment depends on
+    an earlier one, so the bytes and the table are the same whether its
+    bands were DEFLATEd on one CPU or several (:func:`_deflate_rows`).
     """
 
     def __new__(cls, data: bytes, segments: Tuple[_Segment, ...] = ()):
@@ -129,30 +135,119 @@ def _stream_adler(segments) -> bytes:
                   segments, 1).to_bytes(4, "big")
 
 
+def _spare_cpus() -> List[int]:
+    """The CPUs this process may run on other than the one the calling
+    thread is on now (``processor`` in ``/proc/thread-self/stat``; where
+    that cannot be read, the lowest-numbered CPU stands in for it)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            here = int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        here = cpus[0]
+    return [cpu for cpu in cpus if cpu != here][:len(cpus) - 1]
+
+
+def _pin(cpus) -> None:
+    """Pool-thread initializer: run this thread on the next CPU of
+    *cpus* only.  A CPU the process may no longer use leaves the thread
+    unpinned, which is slower, not wrong."""
+    cpu = next(cpus)
+    with suppress(OSError):
+        os.sched_setaffinity(0, {cpu})
+
+
+class _DeflatePool:
+    """Threads that DEFLATE the runs of a banded payload after the
+    caller's own, one pinned to each of *cpus*.  Pinned, because where
+    the scheduler does not balance load across CPUs (a cpuset with
+    ``sched_load_balance`` 0) a new thread stays on the CPU of the
+    thread that made it — the caller's — and DEFLATEs no faster than
+    the caller alone (docs/PERF.md, "Placement: the reason for the
+    pin")."""
+
+    def __init__(self, cpus: List[int]):
+        self.workers = len(cpus)
+        self.executor = (ThreadPoolExecutor(len(cpus), "deflate", _pin,
+                                            (iter(cpus),))
+                         if cpus else None)
+
+
+_pool: Optional[_DeflatePool] = None
+_pool_lock = threading.Lock()
+
+
+def _shared_pool() -> _DeflatePool:
+    """The process's pool, made for the first banded payload: a worker
+    for each CPU beyond the caller's, none on a one-CPU affinity set."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = _DeflatePool(_spare_cpus())
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child, whose copy of the pool has no threads: its
+    executor would count the parent's workers as idle, start none, and
+    leave every run it is handed waiting for ever."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _deflate_run(spans, level: int, wbits: int, last: bool) -> List[bytes]:
+    """DEFLATE *spans* as consecutive segments of one stream, each ended
+    by a ``Z_FULL_FLUSH`` — the stream's *last* run by ``Z_FINISH``."""
+    deflater = zlib.compressobj(level, wbits=wbits)
+    flushes = [zlib.Z_FULL_FLUSH] * (len(spans) - 1) + [
+        zlib.Z_FINISH if last else zlib.Z_FULL_FLUSH]
+    return [deflater.compress(span) + deflater.flush(mode)
+            for span, mode in zip(spans, flushes)]
+
+
 def _deflate_rows(header: bytes, rows: np.ndarray, level: int) -> bytes:
     """DEFLATE the (h, row_bytes) 'up'-filtered *rows* once, as
     independent row bands inside one zlib stream.
 
     An image shorter than two bands is ``zlib.compress`` of the rows,
-    byte for byte.  A taller one goes through a single ``compressobj``
-    with a ``Z_FULL_FLUSH`` after the first row of every band and after
-    every band; the last band takes the remainder (it is never shorter
-    than a band) and ends the stream with ``Z_FINISH``.
+    byte for byte, and starts no pool.  A taller one is cut into
+    segments, each ended by a ``Z_FULL_FLUSH``: every band's first row,
+    then the rest of the band; the last band takes the remainder (it is
+    never shorter than a band) and ends the stream with ``Z_FINISH``.
+    A full flush forgets everything before it, so a segment DEFLATEs to
+    the same bytes in a fresh raw stream.  The bands are therefore
+    dealt in contiguous runs, one per CPU the process may use: the
+    caller DEFLATEs the first run, which carries the zlib header, and
+    each :class:`_DeflatePool` thread one of the others as raw DEFLATE.
+    The parts join in order into the same bytes, whatever the number
+    of CPUs.
     """
     h, row_bytes = rows.shape
     band = max(2, _BAND_BYTES // max(row_bytes, 1))
     if h < 2 * band:
         return header + zlib.compress(rows.tobytes(), level)
-    cuts = [row for start in range(0, h // band * band, band)
+    bands = h // band
+    cuts = [row for start in range(0, bands * band, band)
             for row in (start, start + 1)] + [h]
     data = memoryview(rows).cast("B")
     spans = [data[a * row_bytes:b * row_bytes]
              for a, b in zip(cuts, cuts[1:])]
-    deflater = zlib.compressobj(level)
-    flushes = [zlib.Z_FULL_FLUSH] * (len(spans) - 1) + [zlib.Z_FINISH]
-    parts = [deflater.compress(span) + deflater.flush(mode)
-             for span, mode in zip(spans, flushes)]
-    parts[-1] = parts[-1][:-4]  # the trailer belongs to no segment
+    pool = _shared_pool()
+    runs = min(bands, pool.workers + 1)
+    ends = [2 * (bands * run // runs) for run in range(1, runs + 1)]
+    futures = [pool.executor.submit(_deflate_run, spans[a:b], level,
+                                    -zlib.MAX_WBITS, b == len(spans))
+               for a, b in zip(ends, ends[1:])]
+    parts = _deflate_run(spans[:ends[0]], level, zlib.MAX_WBITS, runs == 1)
+    parts += [part for future in futures for part in future.result()]
+    if runs == 1:
+        parts[-1] = parts[-1][:-4]  # the trailer belongs to no segment
     segments = tuple(
         _Segment(len(header) + end, zlib.adler32(span), span.nbytes)
         for end, span in zip(accumulate(map(len, parts)), spans))
@@ -160,8 +255,12 @@ def _deflate_rows(header: bytes, rows: np.ndarray, level: int) -> bytes:
     # before the payload is assembled, so the payload, which outlives
     # this call, can take their place in the heap instead of landing
     # above them and pinning the hole they leave (docs/PERF.md,
-    # "peak_rss_mb: a heap-layout reading").
-    del rows, data, spans
+    # "peak_rss_mb: a heap-layout reading").  The futures go too: each
+    # holds C-heap blocks of its own (its condition's lock and deque),
+    # and kept past the join they read as a higher peak_rss_mb in a
+    # third of the launch configurations tried (docs/PERF.md,
+    # "peak_rss_mb: one arena per thread, and the futures").
+    del rows, data, spans, futures
     return PngPayload(
         b"".join([header, *parts, _stream_adler(segments)]), segments)
 
@@ -280,7 +379,8 @@ def png_decompress(data: bytes) -> np.ndarray:
     """Invert :func:`png_compress` into an HxWx4 RGBA array.
 
     The header's channel count must be 4 (RGBA rows) or 3 (RGB rows of
-    an opaque block, which decode with alpha 255); any other is a
+    an opaque block, which decode with alpha 255), and its filter id
+    one of :data:`_FILTER_IDS`; any other is a
     :class:`~repro.protocol.schema.FieldRangeError` before a byte is
     inflated.  Decompression is bounded by the geometry the header
     declares (and the global decoded-pixel limit): the DEFLATE stream
@@ -298,6 +398,8 @@ def png_decompress(data: bytes) -> np.ndarray:
         raise FieldRangeError(
             f"PNG payload declares {c} channels; only 3 (RGB) or 4 "
             f"(RGBA) decode to pixels")
+    if filter_id not in _FILTER_IDS.values():
+        raise FieldRangeError(f"unknown filter id {filter_id}")
     if h * w * 4 > LIMITS.max_decoded_pixel_bytes:
         raise ValueError(
             f"declared geometry {h}x{w} decodes to {h * w * 4} bytes, "
@@ -314,8 +416,6 @@ def png_decompress(data: bytes) -> np.ndarray:
             f"{expected} bytes"
         )
     filtered = np.frombuffer(raw, dtype=np.uint8).reshape(h, w * c)
-    if filter_id not in _FILTER_IDS.values():
-        raise ValueError(f"unknown filter id {filter_id}")
     up = filter_id == _FILTER_IDS["up"]
     if up and c == 4:
         return kernels.up_unfilter(filtered, h, w, c)

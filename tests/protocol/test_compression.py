@@ -1,5 +1,10 @@
 """Tests for RAW-pixel compression codecs."""
 
+import multiprocessing
+import os
+import sys
+import threading
+import warnings
 import zlib
 from itertools import cycle
 from unittest import mock
@@ -245,6 +250,135 @@ class TestOpaqueRows:
             assert payload[start:seg.end] == alone, index
             start, offset = seg.end, offset + seg.size
         assert offset == rows.size and start == len(payload) - 4
+
+    @pytest.mark.parametrize("filter_id", [2, 7, 255])
+    def test_bad_filter_id_is_rejected_before_inflating(self, filter_id):
+        payload = bytearray(comp.png_compress(random_rgba(5, 4)))
+        payload[5] = filter_id
+        with mock.patch.object(comp.zlib, "decompressobj",
+                               side_effect=AssertionError("inflated")):
+            with pytest.raises(FieldRangeError, match="filter id"):
+                comp.png_decompress(bytes(payload))
+
+
+HERE = min(os.sched_getaffinity(0))
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Pools of 1, 2, 3 and 5 workers, all pinned to one CPU this
+    process may use (their bytes cannot depend on where they run)."""
+    made = {n: comp._DeflatePool([HERE] * n) for n in (1, 2, 3, 5)}
+    yield made
+    for pool in made.values():
+        pool.executor.shutdown()
+
+
+class TestDeflatePool:
+    """A banded payload's runs DEFLATE on the caller plus one pinned
+    worker per spare CPU, into the bytes one thread makes."""
+
+    @given(st.integers(1, 40), st.integers(2, 120),
+           st.sampled_from(sorted(CONTENT)), st.booleans(),
+           st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_do_not_depend_on_the_worker_count(self, pools, w, h,
+                                                     content, opaque, seed):
+        img = CONTENT[content](w, h, seed)
+        if opaque:
+            img[..., 3] = 255
+        rows = comp.png_channels(img)
+        blocks = [rows, rows[::-1]]
+        with mock.patch.object(comp, "_BAND_BYTES", 256):
+            with mock.patch.object(comp, "_pool", comp._DeflatePool([])):
+                want = [comp.png_compress(rows),
+                        *comp.png_compress_batch(blocks)]
+            for workers, pool in pools.items():
+                with mock.patch.object(comp, "_pool", pool), \
+                        deflate_spy() as fed:
+                    got = [comp.png_compress(rows),
+                           *comp.png_compress_batch(blocks)]
+                assert got == want, workers
+                assert [getattr(p, "segments", ()) for p in got] == \
+                    [getattr(p, "segments", ()) for p in want], workers
+                assert sum(fed) == 3 * rows.size
+
+    def test_every_worker_takes_a_run_of_a_photograph(self, pools):
+        """The caller DEFLATEs the run with the zlib header, each worker
+        one raw run, and the spy still sees every row byte."""
+        rows = comp.png_channels(_photo(800, 500, 54))  # 18 bands
+        real, made = comp._deflate_run, []
+
+        def deflate_run(spans, level, wbits, last):
+            made.append((threading.current_thread().name, wbits))
+            return real(spans, level, wbits, last)
+
+        for workers, pool in pools.items():
+            made.clear()
+            with mock.patch.object(comp, "_pool", pool), \
+                    mock.patch.object(comp, "_deflate_run", deflate_run), \
+                    deflate_spy() as fed:
+                comp.png_compress(rows)
+            assert sum(fed) == rows.size
+            assert sorted(wbits for _, wbits in made) == \
+                [-zlib.MAX_WBITS] * workers + [zlib.MAX_WBITS]
+            assert ("MainThread", zlib.MAX_WBITS) in made
+            assert all(name.startswith("deflate_")
+                       for name, wbits in made if wbits < 0)
+
+    def test_under_two_bands_starts_no_pool(self):
+        img = smooth_rgba(100, 325, seed=3)  # 163-row bands
+        with mock.patch.object(comp, "_spare_cpus", return_value=[]), \
+                mock.patch.object(comp, "_pool", None):
+            comp.png_compress(img)
+            comp.png_compress_batch([img, img])
+            assert comp._pool is None
+            comp.png_compress(smooth_rgba(100, 326, seed=3))
+            assert comp._pool.workers == 0
+
+    @pytest.mark.parametrize("cpus,spare", [({HERE}, 0), ({0, 1, 2, 3}, 3)])
+    def test_one_worker_per_cpu_beyond_the_callers(self, cpus, spare):
+        with mock.patch.object(comp.os, "sched_getaffinity",
+                               return_value=cpus):
+            assert len(comp._spare_cpus()) == spare
+
+    def test_a_worker_exception_reaches_the_caller(self, pools):
+        real = comp._deflate_run
+
+        def deflate_run(spans, level, wbits, last):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return real(spans, level, wbits, last)
+
+        img = smooth_rgba(100, 700, seed=4)
+        with mock.patch.object(comp, "_pool", pools[2]):
+            with mock.patch.object(comp, "_deflate_run", deflate_run):
+                with pytest.raises(RuntimeError, match="worker failed"):
+                    comp.png_compress(img)
+            assert np.array_equal(
+                comp.png_decompress(comp.png_compress(img)), img)
+
+    def test_a_forked_child_deflates_with_its_own_pool(self):
+        """The parent's workers do not exist in a forked child; a child
+        still holding the parent's executor would wait for ever on the
+        first run it hands it."""
+        img = _photo(800, 500, 54)
+        with mock.patch.object(comp, "_spare_cpus", return_value=[HERE]), \
+                mock.patch.object(comp, "_pool", None):
+            expected = comp.png_compress(img)
+            pool = comp._pool
+            process = multiprocessing.get_context("fork").Process(
+                target=lambda: sys.exit(
+                    0 if comp.png_compress(img) == expected else 3))
+            with warnings.catch_warnings():  # 3.12 warns: forked threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                process.start()
+            process.join(timeout=60)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=10)
+        pool.executor.shutdown()
+        assert pool.workers == 1 and process.exitcode == 0
 
 
 class TestRle:
