@@ -14,22 +14,19 @@ lint:
 	@if command -v ruff >/dev/null 2>&1; then ruff check .; \
 	else echo "ruff not installed; skipping lint"; fi
 
-# THINC-specific invariants: thinclint AST rules + import layering,
-# then the whole-program THL2xx contract pass (spec conformance,
-# parser direction sets, dead wire ids, serialization drift, clock
-# discipline over src+tests+benchmarks) gated by the committed
-# findings baseline.  The second pass also regenerates the
-# conformance matrix in memory and fails if docs/CONTRACTS.md is
-# stale.  Fails on any finding *or* any suppression inside src/repro.
+# THINC-specific invariants in one pass, each file parsed once:
+# thinclint AST rules, import layering and the protocol-contract rules
+# (parser direction sets, dead wire ids, serialization drift, clock
+# discipline) over src/repro, the clock sweep of tests/ and
+# benchmarks/, and a check that docs/CONTRACTS.md is the conformance
+# matrix the pass renders.  Fails on any finding or a stale matrix.
+# The CI analyze job runs exactly this target.
 analyze:
-	PYTHONPATH=src $(PY) -m repro.analysis --list-suppressions
-	PYTHONPATH=src $(PY) -m repro.analysis --contracts \
-	  --matrix-check docs/CONTRACTS.md
+	PYTHONPATH=src $(PY) -m repro.analysis
 
 # Regenerate the committed conformance matrix after protocol changes.
 contracts-doc:
-	PYTHONPATH=src $(PY) -m repro.analysis --contracts \
-	  --matrix-out docs/CONTRACTS.md
+	PYTHONPATH=src $(PY) -m repro.analysis --matrix-out docs/CONTRACTS.md
 
 # Tier-1 suite with every command queue self-checking its replay
 # invariants after each mutation (see docs/ANALYSIS.md).
@@ -130,13 +127,15 @@ N ?= 10
 bench-pairs:
 	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(W) -n $(N)
 
-# The paper's claims (repro.bench.claims): every row of the table, the
-# four seeded mechanism breaks that must each fail a named row, and the
-# check that EXPERIMENTS.md's claims block is what `python -m repro
-# figures --only claims` prints.  Tier-1 runs only the rows that cost
-# about a second; this runs them all (~2 minutes).
+# Every test carrying the `claims` mark, which pytest.ini deselects from
+# tier-1 (~2 minutes): the rows of the paper's claims table
+# (repro.bench.claims) that cost more than about a second, the four
+# seeded mechanism breaks that must each fail a named row, the check
+# that EXPERIMENTS.md's claims block is what `python -m repro figures
+# --only claims` prints, and the full 54-page i-Bench build.  Tier-1
+# runs the remaining rows.
 claims:
-	PYTHONPATH=src $(PY) -m pytest tests/bench/test_claims.py -m "" -q
+	PYTHONPATH=src $(PY) -m pytest tests -m claims -q
 
 # The same table at the paper's scale (54 pages, 834 frames; about five
 # minutes), written to claims-paper.md and printed; fails when any row

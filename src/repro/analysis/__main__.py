@@ -2,29 +2,15 @@
 
 Usage::
 
-    python -m repro.analysis [paths...] [--lint-only | --layering-only]
-                             [--list-suppressions]
-    python -m repro.analysis --contracts [root]
-                             [--baseline FILE] [--sweep DIR ...]
-                             [--matrix-out FILE | --matrix-check FILE]
+    python -m repro.analysis [root] [--matrix-out FILE]
 
-With no paths, analyzes the installed ``repro`` package tree (which is
-``src/repro`` when run from a checkout).  The default mode runs
-thinclint + the layering checker and exits 1 on any finding — this is
-what ``make analyze`` and the CI ``analyze`` job run.
-
-``--contracts`` runs the whole-program THL2xx contract rules instead:
-findings are gated through the committed baseline
-(``analysis_baseline.json`` at the repo root, or ``--baseline``) — any
-*new* finding fails, accepted findings are tracked against the
-baseline's suppression budget, and baselined findings that no longer
-fire are flagged stale so the baseline only ever burns down.
-``--matrix-out`` writes the generated conformance matrix
-(``docs/CONTRACTS.md``); ``--matrix-check`` regenerates it in memory
-and fails if the file on disk is stale.  ``--sweep`` adds extra trees
-(``tests/``, ``benchmarks/``) to the THL205 wall-clock sweep; with the
-default root, sibling ``tests/`` and ``benchmarks/`` directories are
-swept automatically.
+Runs every rule over the checkout at *root* (default: the one this
+package lives in) — lint, layering and the contract rules over
+``src/repro``, the THL205 sweep of ``tests/`` and ``benchmarks/`` — and
+checks that ``docs/CONTRACTS.md`` is the conformance matrix the same
+pass renders.  Exits 1 on any finding or a stale matrix; this is what
+``make analyze`` and the CI ``analyze`` job run.  ``--matrix-out``
+writes the matrix first (``make contracts-doc``).
 """
 
 from __future__ import annotations
@@ -33,82 +19,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .contracts import (apply_baseline, check_clock_sweep,
-                        check_contracts, load_baseline,
-                        render_contract_matrix)
-from .facts import extract_facts
+from . import render_contract_matrix, run_all
 from .findings import format_findings
-from .layering import check_layering
-from .lint import find_suppressions, lint_path
-
-
-def _default_root() -> Path:
-    # .../src/repro/analysis/__main__.py -> .../src/repro
-    return Path(__file__).resolve().parent.parent
-
-
-def _run_contracts(args) -> int:
-    root = args.paths[0] if args.paths else _default_root()
-    if not root.exists():
-        print(f"error: {root} does not exist", file=sys.stderr)
-        return 2
-    facts = extract_facts(root)
-    findings = list(check_contracts(facts))
-
-    sweeps = list(args.sweep)
-    if not args.paths:
-        # From a checkout, src/repro's grandparent is the repo root.
-        repo = root.parent.parent
-        for name in ("tests", "benchmarks"):
-            candidate = repo / name
-            if candidate.is_dir():
-                sweeps.append(candidate)
-    for sweep in sweeps:
-        if not Path(sweep).exists():
-            print(f"error: sweep path {sweep} does not exist",
-                  file=sys.stderr)
-            return 2
-        findings.extend(check_clock_sweep(Path(sweep)))
-
-    baseline_path = args.baseline
-    if baseline_path is None and not args.paths:
-        candidate = root.parent.parent / "analysis_baseline.json"
-        if candidate.exists():
-            baseline_path = candidate
-    baseline = load_baseline(baseline_path)
-    result = apply_baseline(sorted(findings), baseline, root)
-
-    failed = not result.ok
-    if result.new:
-        print(format_findings(result.new))
-    for finding in result.accepted:
-        print(f"baseline: {finding.render()}")
-    for key in result.stale:
-        print(f"stale baseline entry (fix shipped? remove it): {key}")
-    if result.over_budget:
-        print(f"baseline over budget: {len(result.accepted)} accepted "
-              f"finding(s) exceed the suppression budget of "
-              f"{baseline.budget}")
-
-    matrix = render_contract_matrix(facts)
-    if args.matrix_out is not None:
-        args.matrix_out.parent.mkdir(parents=True, exist_ok=True)
-        args.matrix_out.write_text(matrix)
-        print(f"wrote {args.matrix_out}", file=sys.stderr)
-    if args.matrix_check is not None:
-        on_disk = args.matrix_check.read_text() \
-            if args.matrix_check.exists() else ""
-        if on_disk != matrix:
-            print(f"{args.matrix_check} is stale; regenerate with "
-                  f"python -m repro.analysis --contracts --matrix-out "
-                  f"{args.matrix_check}")
-            failed = True
-
-    print(f"repro.analysis (contracts): {len(result.new)} new, "
-          f"{len(result.accepted)} baselined, {len(result.stale)} "
-          f"stale finding(s) over {len(facts.spec)} spec ids",
-          file=sys.stderr)
-    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -116,75 +28,34 @@ def main(argv=None) -> int:
         prog="python -m repro.analysis",
         description="thinclint + layering + protocol-contract checks "
                     "for the THINC repo")
-    parser.add_argument("paths", nargs="*", type=Path,
-                        help="files or directories (default: the repro "
-                             "package tree)")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--lint-only", action="store_true",
-                       help="run only the AST lint rules")
-    group.add_argument("--layering-only", action="store_true",
-                       help="run only the import-layering checker")
-    group.add_argument("--contracts", action="store_true",
-                       help="run the whole-program THL2xx contract "
-                            "rules with the findings baseline")
-    parser.add_argument("--list-suppressions", action="store_true",
-                        help="also list every 'thinclint: skip' marker "
-                             "(the src/repro tree must have none)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="findings baseline JSON (default: "
-                             "analysis_baseline.json at the repo root)")
-    parser.add_argument("--sweep", type=Path, action="append",
-                        default=[],
-                        help="extra tree for the THL205 clock sweep "
-                             "(repeatable)")
-    parser.add_argument("--matrix-out", type=Path, default=None,
-                        help="write the generated conformance matrix "
-                             "(docs/CONTRACTS.md) here")
-    parser.add_argument("--matrix-check", type=Path, default=None,
-                        help="fail if this file differs from the "
-                             "regenerated conformance matrix")
+    # .../src/repro/analysis/__main__.py -> the checkout
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[3],
+                        help="checkout holding src/repro (default: this "
+                             "one)")
+    parser.add_argument("--matrix-out", type=Path, metavar="FILE",
+                        help="write the conformance matrix here "
+                             "(docs/CONTRACTS.md) before the check")
     args = parser.parse_args(argv)
 
-    if args.contracts:
-        if len(args.paths) > 1:
-            print("error: --contracts takes at most one root",
-                  file=sys.stderr)
-            return 2
-        return _run_contracts(args)
-
-    roots = args.paths or [_default_root()]
-    findings = []
-    suppressions = []
-    for root in roots:
-        if not root.exists():
-            print(f"error: {root} does not exist", file=sys.stderr)
-            return 2
-        if not args.layering_only:
-            findings.extend(lint_path(root))
-        if not args.lint_only:
-            findings.extend(check_layering(root))
-        if args.list_suppressions:
-            files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-            for path in files:
-                if "__pycache__" in path.parts:
-                    continue
-                for line, rules in find_suppressions(path.read_text()):
-                    which = ",".join(rules) if rules else "all"
-                    suppressions.append(f"{path}:{line}: suppresses {which}")
-
+    if not (args.root / "src" / "repro").is_dir():
+        print(f"error: {args.root} has no src/repro", file=sys.stderr)
+        return 2
+    findings, facts = run_all(args.root)
     if findings:
         print(format_findings(findings))
-    for line in suppressions:
-        print(line)
-    total = len(findings) + len(suppressions)
-    checked = ("lint" if args.lint_only
-               else "layering" if args.layering_only else "lint+layering")
-    print(f"repro.analysis ({checked}): {len(findings)} finding(s)"
-          + (f", {len(suppressions)} suppression(s)" if suppressions else ""),
-          file=sys.stderr)
-    # Suppressions count toward failure so a "clean" src/repro tree
-    # cannot hide silenced rules.
-    return 1 if total else 0
+    matrix = render_contract_matrix(facts)
+    if args.matrix_out is not None:
+        args.matrix_out.parent.mkdir(parents=True, exist_ok=True)
+        args.matrix_out.write_text(matrix)
+        print(f"wrote {args.matrix_out}", file=sys.stderr)
+    committed = args.root / "docs" / "CONTRACTS.md"
+    stale = not committed.exists() or committed.read_text() != matrix
+    if stale:
+        print(f"{committed} is stale; regenerate with make contracts-doc")
+    print(f"repro.analysis: {len(findings)} finding(s) over "
+          f"{len(facts.spec)} spec ids", file=sys.stderr)
+    return 1 if findings or stale else 0
 
 
 if __name__ == "__main__":

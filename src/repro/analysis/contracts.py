@@ -6,9 +6,6 @@ function can prove about itself; the rules here cross-check the facts
 ``PROTOCOL_SPEC`` registry:
 
 ========  ====================================================================
-THL200    every wire id is registered exactly once — by a
-          ``@message`` / ``@wire_type`` declaration — and no class
-          carries a ``type_id`` the registry does not give it
 THL201    direction conformance — every directional ``StreamParser``
           names a spec-derived accept set, every accept set is
           enforced by at least one parser, and no dispatch scope
@@ -23,50 +20,19 @@ THL205    simulated-clock discipline — no wall-clock API outside the
 ========  ====================================================================
 
 The module also renders the generated conformance matrix
-(``docs/CONTRACTS.md``) and implements the findings baseline
-(``analysis_baseline.json``): CI fails on any *new* finding, accepted
-findings are tracked against a suppression budget, and entries that no
-longer fire are flagged stale so the baseline burns down monotonically.
+(``docs/CONTRACTS.md``).  A duplicate wire id is not a rule here: the
+schema refuses one at import.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .facts import (ClockCall, Facts, MessageRef, ParserSite,
-                    collect_clock_calls)
+from .facts import Facts, MessageRef, ParserSite
 from .findings import Finding
 
-__all__ = [
-    "CONTRACT_RULES", "check_contracts", "check_clock_sweep",
-    "render_contract_matrix", "finding_key",
-    "Baseline", "load_baseline", "apply_baseline", "BaselineResult",
-]
-
-#: Rule catalogue, rendered into docs/ANALYSIS.md's table.
-CONTRACT_RULES = (
-    ("THL200", "unregistered-type-id",
-     "Every wire id is registered exactly once (a @message or "
-     "@wire_type declaration), and no class carries a type_id the "
-     "registry does not give it."),
-    ("THL201", "direction-violation",
-     "Directional StreamParsers name a spec-derived accept set "
-     "(SERVER_ACCEPTS/CLIENT_ACCEPTS/FABRIC_ACCEPTS), each set is "
-     "enforced by at least one parser, and no dispatch scope handles "
-     "an id its side can never legitimately receive."),
-    ("THL202", "dead-wire-id",
-     "Every registered message has a reachable handler on its declared "
-     "receiving side."),
-    ("THL204", "serialization-drift",
-     "Mutable SessionUnit state appears in freeze() or in the "
-     "NOT_SERIALIZED allowlist with a reason string."),
-    ("THL205", "wall-clock",
-     "No time.time()/time.monotonic()/datetime.now() outside the "
-     "injected-clock modules; tests/ and benchmarks/ are swept too."),
-)
+__all__ = ["check_contracts", "check_clock_sweep", "render_contract_matrix"]
 
 #: Modules allowed to touch the host clock (the injected-clock layer).
 CLOCK_EXEMPT = ("net/clock.py",)
@@ -183,48 +149,35 @@ def _parser_role(site: ParserSite) -> Optional[str]:
 
 # --- the rules ---------------------------------------------------------------
 
-def check_contracts(facts: Facts) -> List[Finding]:
-    """Run the THL2xx rules over one extracted fact set."""
+def _collector(facts: Facts):
+    """A finding list and the ``add(rule, module, line, message)``
+    that appends to it, paths resolved against the facts' root."""
     findings: List[Finding] = []
-    view = _spec_view(facts)
-    path_of = {m: str(facts.root / m) for m in facts.modules}
 
     def add(rule: str, module: str, line: int, message: str) -> None:
-        findings.append(Finding(path=path_of.get(module,
-                                                 str(facts.root / module)),
-                                line=line, col=0, rule=rule,
-                                message=message))
+        findings.append(Finding(path=str(facts.root / module), line=line,
+                                col=0, rule=rule, message=message))
 
-    _thl200(facts, view, add)
+    return findings, add
+
+
+def check_contracts(facts: Facts) -> List[Finding]:
+    """Run the THL2xx rules over the package tree's facts."""
+    findings, add = _collector(facts)
+    view = _spec_view(facts)
     _thl201(facts, view, add)
     _thl202(facts, view, add)
     _thl204(facts, add)
-    _thl205(facts.clock_calls, add, exempt=CLOCK_EXEMPT)
+    _thl205(facts, add, exempt=CLOCK_EXEMPT)
     return sorted(findings)
 
 
-def _thl200(facts: Facts, view: _SpecView, add) -> None:
-    seen: Dict[int, str] = {}
-    for entry in facts.spec:
-        if entry.type_id in seen:
-            add("THL200", entry.module, entry.line,
-                f"type id {entry.type_id} registered twice "
-                f"({seen[entry.type_id]} and {entry.name})")
-        seen[entry.type_id] = entry.name
-    for cls in facts.messages:
-        # A declared class is its own registration; type_id 0 is the
-        # Command base class's never-on-the-wire sentinel.
-        if cls.fields is not None or cls.type_id == 0:
-            continue
-        owner = view.id_to_impl.get(cls.type_id)
-        if owner is None:
-            add("THL200", cls.module, cls.line,
-                f"message class {cls.name} declares type id "
-                f"{cls.type_id}, which PROTOCOL_SPEC does not register")
-        elif owner != cls.name:
-            add("THL200", cls.module, cls.line,
-                f"message class {cls.name} declares type id "
-                f"{cls.type_id}, which is registered to {owner}")
+def check_clock_sweep(facts: Facts) -> List[Finding]:
+    """THL205 over a tree outside the package (``tests/``,
+    ``benchmarks/``), where no module is exempt."""
+    findings, add = _collector(facts)
+    _thl205(facts, add)
+    return sorted(findings)
 
 
 def _thl201(facts: Facts, view: _SpecView, add) -> None:
@@ -343,83 +296,14 @@ def _thl204(facts: Facts, add) -> None:
                 f"NOT_SERIALIZED entry {attr!r} has no reason string")
 
 
-def _thl205(calls: Iterable[ClockCall], add,
-            exempt: Tuple[str, ...] = ()) -> None:
-    for call in calls:
+def _thl205(facts: Facts, add, exempt: Tuple[str, ...] = ()) -> None:
+    for call in facts.clock_calls:
         if any(call.module == e or call.module.startswith(e)
                for e in exempt):
             continue
         add("THL205", call.module, call.line,
             f"wall-clock call {call.api}() outside the injected-clock "
             f"modules; simulated time comes from the event loop")
-
-
-def check_clock_sweep(root: Path, label: str = "") -> List[Finding]:
-    """THL205 over an arbitrary tree (tests/, benchmarks/)."""
-    findings: List[Finding] = []
-    root = Path(root)
-
-    def add(rule: str, module: str, line: int, message: str) -> None:
-        findings.append(Finding(path=str(root / module), line=line,
-                                col=0, rule=rule, message=message))
-
-    _thl205(collect_clock_calls(root), add)
-    return sorted(findings)
-
-
-# --- the findings baseline ---------------------------------------------------
-
-def finding_key(finding: Finding, root: Path) -> str:
-    """A line-independent identity for a finding: rule + root-relative
-    path + message (messages carry no line numbers by construction, so
-    unrelated edits never churn the baseline)."""
-    path = Path(finding.path)
-    try:
-        rel = path.relative_to(root).as_posix()
-    except ValueError:
-        rel = path.as_posix()
-    return f"{finding.rule}|{rel}|{finding.message}"
-
-
-@dataclass(frozen=True)
-class Baseline:
-    budget: int
-    keys: FrozenSet[str]
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    new: Tuple[Finding, ...]       # fail: not in the baseline
-    accepted: Tuple[Finding, ...]  # pass, tracked against the budget
-    stale: Tuple[str, ...]         # fail: baselined but no longer firing
-    over_budget: int               # accepted findings beyond the budget
-
-    @property
-    def ok(self) -> bool:
-        return not self.new and not self.stale and self.over_budget == 0
-
-
-def load_baseline(path: Optional[Path]) -> Baseline:
-    if path is None or not Path(path).exists():
-        return Baseline(budget=0, keys=frozenset())
-    data = json.loads(Path(path).read_text())
-    return Baseline(budget=int(data.get("suppression_budget", 0)),
-                    keys=frozenset(data.get("findings", ())))
-
-
-def apply_baseline(findings: Iterable[Finding], baseline: Baseline,
-                   root: Path) -> BaselineResult:
-    new: List[Finding] = []
-    accepted: List[Finding] = []
-    fired = set()
-    for finding in findings:
-        key = finding_key(finding, root)
-        fired.add(key)
-        (accepted if key in baseline.keys else new).append(finding)
-    stale = tuple(sorted(baseline.keys - fired))
-    over = max(0, len(accepted) - baseline.budget)
-    return BaselineResult(new=tuple(new), accepted=tuple(accepted),
-                          stale=stale, over_budget=over)
 
 
 # --- the conformance matrix --------------------------------------------------

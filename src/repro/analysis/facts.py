@@ -1,6 +1,8 @@
 """Whole-program fact extraction for the protocol-contract analyzer.
 
-One AST walk over a ``repro`` package tree, collecting everything the
+One visit of each parsed module of a ``repro`` package tree (the
+module ASTs :func:`repro.analysis.run_all` parses once and also hands
+to the linter and the layering checker), collecting everything the
 THL2xx rules in :mod:`repro.analysis.contracts` cross-check:
 
 * the spec registry itself — every ``@message`` / ``@wire_type(NAME,
@@ -20,7 +22,9 @@ THL2xx rules in :mod:`repro.analysis.contracts` cross-check:
   ``self`` anywhere in the class, attributes ``freeze()`` reads, and
   the ``NOT_SERIALIZED`` allowlist with its reason strings;
 * every wall-clock API call (``time.time``/``time.monotonic``/
-  ``datetime.now``/...), through ``import``/``from``-import aliases.
+  ``datetime.now``/...), through ``import``/``from``-import aliases
+  (the same extraction over ``tests/`` and ``benchmarks/`` is THL205's
+  sweep).
 
 Everything here is pure AST — no module from the analyzed tree is ever
 imported — so extraction cannot be confused by import-time side
@@ -33,13 +37,12 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = [
     "SpecEntry", "MessageClassFact", "ParserSite",
     "MessageRef", "ClockCall", "SessionSurface", "Facts",
-    "extract_facts", "collect_clock_calls", "WALL_CLOCK_TIME_APIS",
-    "DECLARATORS",
+    "extract_facts", "WALL_CLOCK_TIME_APIS", "DECLARATORS",
 ]
 
 #: Banned attributes of the ``time`` module (``perf_counter`` is *not*
@@ -80,16 +83,14 @@ class SpecEntry:
 
 @dataclass(frozen=True)
 class MessageClassFact:
-    """A class that claims a wire id: declared, or carrying an integer
-    ``type_id`` class attribute the registry may not know (THL200)."""
+    """A class that owns a wire id through its declaration."""
 
     name: str
     module: str  # posix path relative to the tree root
     line: int
     type_id: int
-    #: Declared classes only (None otherwise): the field table in wire
-    #: order, see :func:`_declared_fields`.
-    fields: Optional[Tuple[Tuple[str, str, str], ...]] = None
+    #: The field table in wire order, see :func:`_declared_fields`.
+    fields: Tuple[Tuple[str, str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -158,13 +159,6 @@ def _trailing_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _iter_py(root: Path):
-    for path in sorted(root.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        yield path
-
-
 # --- @message declarations ---------------------------------------------------
 
 def _declared_bound(call: ast.Call) -> str:
@@ -227,10 +221,9 @@ def _declared_fields(node: ast.ClassDef, decorator: ast.Call,
 # --- per-module visitor ------------------------------------------------------
 
 class _ModuleFacts(ast.NodeVisitor):
-    def __init__(self, module: str,
-                 local_fns: Optional[Dict[str, ast.FunctionDef]] = None):
+    def __init__(self, module: str, local_fns: Dict[str, ast.FunctionDef]):
         self.module = module
-        self.local_fns = local_fns or {}
+        self.local_fns = local_fns
         self.spec: List[SpecEntry] = []
         self.messages: List[MessageClassFact] = []
         self.parsers: List[ParserSite] = []
@@ -270,7 +263,6 @@ class _ModuleFacts(ast.NodeVisitor):
     # -- message classes --
 
     def _collect_message_class(self, node: ast.ClassDef) -> None:
-        type_id, fields = None, None
         for dec in node.decorator_list:
             head = _registration(dec)
             if head is not None:
@@ -279,19 +271,10 @@ class _ModuleFacts(ast.NodeVisitor):
                     name=name, type_id=type_id, direction=direction,
                     implementation=node.name, module=self.module,
                     line=node.lineno))
-                fields = _declared_fields(node, dec, self.local_fns)
-        for stmt in node.body:
-            # An undeclared ``type_id = 3`` or ``type_id: int = 3``.
-            target = stmt.targets[0] if isinstance(stmt, ast.Assign) \
-                else getattr(stmt, "target", None)
-            if isinstance(target, ast.Name) and target.id == "type_id" \
-                    and isinstance(stmt.value, ast.Constant) \
-                    and type(stmt.value.value) is int:
-                type_id = stmt.value.value
-        if type_id is not None:
-            self.messages.append(MessageClassFact(
-                name=node.name, module=self.module, line=node.lineno,
-                type_id=type_id, fields=fields))
+                self.messages.append(MessageClassFact(
+                    name=node.name, module=self.module, line=node.lineno,
+                    type_id=type_id,
+                    fields=_declared_fields(node, dec, self.local_fns)))
 
     # -- imports (for wall-clock aliasing) --
 
@@ -439,12 +422,13 @@ def _extract_session(tree: ast.Module, module: str) \
                           line=cls.lineno)
 
 
-# --- entry points ------------------------------------------------------------
+# --- entry point -------------------------------------------------------------
 
-def extract_facts(root: Path) -> Facts:
-    """One extraction pass over a ``repro`` package tree at *root*."""
-    root = Path(root)
-    modules: List[str] = []
+def extract_facts(root: Path,
+                  modules: Iterable[Tuple[str, ast.Module]]) -> Facts:
+    """The facts of the tree at *root*, given as ``(path relative to
+    root, parsed module)`` pairs."""
+    names: List[str] = []
     spec: List[SpecEntry] = []
     messages: List[MessageClassFact] = []
     parsers: List[ParserSite] = []
@@ -452,10 +436,8 @@ def extract_facts(root: Path) -> Facts:
     clock_calls: List[ClockCall] = []
     session: Optional[SessionSurface] = None
 
-    for path in _iter_py(root):
-        rel = path.relative_to(root).as_posix()
-        modules.append(rel)
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for rel, tree in modules:
+        names.append(rel)
         if rel == "core/session_unit.py":
             session = _extract_session(tree, rel)
         local_fns = {node.name: node for node in tree.body
@@ -468,21 +450,7 @@ def extract_facts(root: Path) -> Facts:
         refs.extend(visitor.refs)
         clock_calls.extend(visitor.clock_calls)
 
-    return Facts(root=root, modules=frozenset(modules), spec=tuple(spec),
-                 messages=tuple(messages), parsers=tuple(parsers),
-                 refs=tuple(refs), clock_calls=tuple(clock_calls),
-                 session=session)
-
-
-def collect_clock_calls(root: Path) -> Tuple[ClockCall, ...]:
-    """Wall-clock calls in an arbitrary tree (the ``tests/`` and
-    ``benchmarks/`` THL205 sweep; no exemptions apply there)."""
-    root = Path(root)
-    calls: List[ClockCall] = []
-    for path in _iter_py(root):
-        rel = path.relative_to(root).as_posix()
-        tree = ast.parse(path.read_text(), filename=str(path))
-        visitor = _ModuleFacts(rel)
-        visitor.visit(tree)
-        calls.extend(visitor.clock_calls)
-    return tuple(calls)
+    return Facts(root=Path(root), modules=frozenset(names),
+                 spec=tuple(spec), messages=tuple(messages),
+                 parsers=tuple(parsers), refs=tuple(refs),
+                 clock_calls=tuple(clock_calls), session=session)

@@ -1,45 +1,34 @@
 """Import-layering checker for the ``repro`` dependency DAG.
 
-Walks every module under a ``repro`` package root, resolves its imports
-(absolute and relative) to top-level ``repro`` subpackages, and reports
-any edge the layer map (:mod:`repro.analysis.layermap`) forbids, with
-file:line positions.  Only imports inside the ``repro`` namespace are
-checked — stdlib and third-party imports are out of scope.
+Resolves a module's imports (absolute and relative) to top-level
+``repro`` subpackages and reports any edge the layer map
+(:mod:`repro.analysis.layermap`) forbids, with file:line positions.
+Only imports inside the ``repro`` namespace are checked — stdlib and
+third-party imports are out of scope.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from . import layermap
 from .findings import Finding
 
-__all__ = ["check_layering", "check_module_source", "imported_packages"]
+__all__ = ["check_tree"]
 
 RULE = "THL100"
 
 
-def _module_parts(path: Path) -> List[str]:
-    # ``__init__`` is deliberately kept: a package's own __init__ module
-    # must resolve relative imports against the package itself.
-    parts = list(path.with_suffix("").parts)
-    if "repro" in parts:
-        parts = parts[parts.index("repro"):]
-    return parts
-
-
-def imported_packages(source: str, module: str,
-                      known_packages: Tuple[str, ...],
-                      ) -> Iterator[Tuple[Optional[str], int]]:
+def _imported_packages(tree: ast.Module, module: str,
+                       known_packages: Tuple[str, ...],
+                       ) -> Iterator[Tuple[Optional[str], int]]:
     """Yield (top-level repro package or None, lineno) per repro import.
 
     ``None`` means a top-level module (``repro.cli`` and friends).
     *known_packages* distinguishes ``from . import subpackage`` from
     plain module imports when resolution lands on ``repro`` itself.
     """
-    tree = ast.parse(source)
     mod_parts = module.split(".")
     # The package a relative import is resolved against: the module's
     # parent, or the module itself for a package __init__.
@@ -80,29 +69,19 @@ def imported_packages(source: str, module: str,
                         yield None, node.lineno
 
 
-def check_module_source(source: str, module: str,
-                        path: str = "<string>") -> List[Finding]:
-    """Layer-check one module's source against the layer map."""
+def check_tree(tree: ast.Module, module: str,
+               path: str = "<string>") -> List[Finding]:
+    """Layer-check one parsed module against the layer map.
+
+    *module* is its dotted name with ``__init__`` kept, so a package's
+    own ``__init__`` resolves relative imports against the package.
+    """
     mod_parts = module.split(".")
     importer = mod_parts[1] if len(mod_parts) >= 3 else None
     known = tuple(layermap.LAYER_RANKS)
     out: List[Finding] = []
-    for imported, lineno in imported_packages(source, module, known):
+    for imported, lineno in _imported_packages(tree, module, known):
         if not layermap.import_allowed(importer, imported):
             out.append(Finding(path, lineno, 0, RULE,
                                layermap.explain(importer, imported)))
     return out
-
-
-def check_layering(root) -> Iterator[Finding]:
-    """Check every module under *root* (the ``src/repro`` tree)."""
-    root = Path(root)
-    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-    for path in files:
-        if "__pycache__" in path.parts:
-            continue
-        parts = _module_parts(path)
-        if not parts or parts[0] != layermap.PACKAGE:
-            continue
-        module = ".".join(parts)
-        yield from check_module_source(path.read_text(), module, str(path))

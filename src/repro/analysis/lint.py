@@ -18,52 +18,26 @@ THL003   head-drain          no ``list.pop(0)`` / ``del seq[0]`` O(n) head
 THL004   wire-constant       wire-format sizes outside ``repro.protocol``
                              must derive from ``repro.protocol.wire`` /
                              ``spec``, never be numeric literals
-THL005   mutable-default     no mutable default arguments
-THL006   bare-except         no bare ``except:`` clauses
 THL007   hand-packed-layout  a class that owns a wire id, and
                              ``core/session_unit.py``, call no
                              ``struct`` API — declare the layout as
                              ``protocol.schema`` rows
 =======  ==================  ==============================================
 
-Suppress a finding by appending a ``thinclint: skip`` comment (all
-rules) or ``thinclint: skip=THL003`` (one rule, comma-separate for
-several) to the offending line.  ``make analyze`` requires ``src/repro``
-to be both finding-free and suppression-free.
+Mutable default arguments and bare ``except:`` are ruff's ``B006`` and
+``E722`` (``ruff.toml``), not rules here.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 from .facts import DECLARATORS
 from .findings import Finding
 
-__all__ = ["RULES", "lint_source", "lint_path", "find_suppressions"]
-
-#: (id, name, summary) for every rule — rendered into docs/ANALYSIS.md.
-RULES: Sequence[Tuple[str, str, str]] = (
-    ("THL001", "command-contract",
-     "Command subclasses must declare kind, overwrite_class and the "
-     "translated/clipped/to_rows/from_rows/apply contract"),
-    ("THL002", "fb-direct-write",
-     "only repro.display may write Framebuffer.data directly"),
-    ("THL003", "head-drain",
-     "list.pop(0) / del seq[0] head drains are O(n); use collections.deque"),
-    ("THL004", "wire-constant",
-     "wire-format sizes outside repro.protocol must derive from "
-     "repro.protocol.wire/spec, not numeric literals"),
-    ("THL005", "mutable-default",
-     "mutable default arguments are shared across calls"),
-    ("THL006", "bare-except",
-     "bare except swallows KeyboardInterrupt/SystemExit and hides bugs"),
-    ("THL007", "hand-packed-layout",
-     "a wire-id class and core/session_unit.py call no struct API; "
-     "declare the layout as protocol.schema rows"),
-)
+__all__ = ["lint_tree"]
 
 # THL001: the contract every concrete protocol command must spell out.
 _COMMAND_ATTRS = ("kind", "overwrite_class")
@@ -77,12 +51,6 @@ _WIRE_NAME = re.compile(
     r"(WIRE|FRAME|HEADER|HDR|PACKET|MSG|MESSAGE)_?\w*?"
     r"(OVERHEAD|SIZE|BYTES|LEN)")
 
-# THL005: zero-arg constructors of mutable containers.
-_MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "deque",
-                  "defaultdict", "Counter", "OrderedDict", "Region"}
-
-_SKIP_COMMENT = re.compile(r"#\s*thinclint:\s*skip(?:=([A-Z0-9,\s]+))?")
-
 
 def _top_package(module: str) -> Optional[str]:
     """``repro.core.server`` -> ``core``; ``repro.cli`` -> None."""
@@ -92,27 +60,14 @@ def _top_package(module: str) -> Optional[str]:
     return None
 
 
-def find_suppressions(source: str) -> List[Tuple[int, Optional[List[str]]]]:
-    """All ``thinclint: skip`` markers as (line, rules-or-None) pairs."""
-    out: List[Tuple[int, Optional[List[str]]]] = []
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _SKIP_COMMENT.search(line)
-        if m:
-            rules = None
-            if m.group(1):
-                rules = [r.strip() for r in m.group(1).split(",") if r.strip()]
-            out.append((lineno, rules))
-    return out
-
-
 class _LintVisitor(ast.NodeVisitor):
-    def __init__(self, path: str, package: Optional[str], in_protocol: bool,
-                 in_display: bool, declared_only: bool = False):
+    def __init__(self, path: str, module: str):
+        package = _top_package(module)
         self.path = path
-        self.package = package
-        self.in_protocol = in_protocol
-        self.in_display = in_display
-        self.declared_only = declared_only  # THL007 covers the module
+        self.in_protocol = package == "protocol"
+        self.in_display = package == "display"
+        # THL007 covers this module whole, not only its declared classes.
+        self.declared_only = module == "repro.core.session_unit"
         self.findings: List[Finding] = []
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -241,38 +196,6 @@ class _LintVisitor(ast.NodeVisitor):
                            f"it from repro.protocol.wire/spec so the "
                            f"framing struct and its users cannot drift")
 
-    # -- THL005 ---------------------------------------------------------------
-
-    def _check_defaults(self, node) -> None:
-        args = node.args
-        for default in list(args.defaults) + [d for d in args.kw_defaults
-                                              if d is not None]:
-            if _is_mutable_default(default):
-                self._flag(default, "THL005",
-                           "mutable default argument is shared across "
-                           "calls; default to None and create inside")
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    # -- THL006 ---------------------------------------------------------------
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._flag(node, "THL006",
-                       "bare except catches KeyboardInterrupt/SystemExit; "
-                       "name the exceptions this code expects")
-        self.generic_visit(node)
-
 
 def _base_name(base: ast.AST) -> str:
     if isinstance(base, ast.Name):
@@ -295,56 +218,9 @@ def _is_int_literal_expr(node: ast.AST) -> bool:
     return False
 
 
-def _is_mutable_default(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and not node.args and not node.keywords:
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else "")
-        return name in _MUTABLE_CALLS
-    return False
-
-
-def lint_source(source: str, module: str, path: str = "<string>",
-                honor_suppressions: bool = True) -> List[Finding]:
-    """Lint one module's source; *module* is its dotted import path."""
-    tree = ast.parse(source, filename=path)
-    package = _top_package(module)
-    visitor = _LintVisitor(path, package,
-                           in_protocol=(package == "protocol"),
-                           in_display=(package == "display"),
-                           declared_only=(module == "repro.core.session_unit"))
+def lint_tree(tree: ast.Module, module: str,
+              path: str = "<string>") -> List[Finding]:
+    """Lint one parsed module; *module* is its dotted import path."""
+    visitor = _LintVisitor(path, module)
     visitor.visit(tree)
-    findings = visitor.findings
-    if honor_suppressions:
-        skips = dict(find_suppressions(source))
-        findings = [f for f in findings
-                    if not (f.line in skips
-                            and (skips[f.line] is None
-                                 or f.rule in skips[f.line]))]
-    return findings
-
-
-def module_name_for(path: Path) -> str:
-    """Dotted module path for a file under a ``repro`` package root.
-
-    ``__init__`` is kept as a path component so a package's own
-    __init__ module still maps to the right package.
-    """
-    parts = list(path.with_suffix("").parts)
-    if "repro" in parts:
-        parts = parts[parts.index("repro"):]
-    return ".".join(parts) or "repro"
-
-
-def lint_path(root) -> Iterator[Finding]:
-    """Lint every ``*.py`` file under *root* (a file works too)."""
-    root = Path(root)
-    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-    for path in files:
-        if "__pycache__" in path.parts:
-            continue
-        source = path.read_text()
-        yield from lint_source(source, module_name_for(path), str(path))
+    return visitor.findings

@@ -41,8 +41,9 @@ never false-positives on legally pinned survivors.
 
 The sanitizer lives in ``repro.core`` — next to the structures it
 checks and below everything that uses them — so that enabling it never
-violates the layer map it shares a PR with.  The developer-facing
-wiring (enable helpers, CI job, docs) is ``repro.analysis.sanitizer``.
+violates the layer map it ships with.  ``make sanitize`` runs
+tier-1 with it armed; a test arms one queue by setting its
+``_sanitizer`` to a :class:`QueueSanitizer`.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ RAW is the only THINC command carrying bulk pixel data, and the only one
 the prototype compresses (Section 7, using PNG).  This module is the
 protocol-facing surface of the codec plane: the PNG compression model —
 per-row predictive filtering followed by DEFLATE — plus the plainer
-codecs the baselines and the adaptive encoder use (raw zlib at several
-effort levels, an RLE codec approximating VNC-style hextile encodings,
-and a JPEG-style lossy codec).  The numpy kernels live in
+codecs the baselines and the adaptive encoder use (an RLE codec
+approximating VNC-style hextile encodings, and a JPEG-style lossy
+codec).  The numpy kernels live in
 :mod:`repro.codec.kernels` (no per-pixel Python loops anywhere — the
 Paeth unfilter runs as an anti-diagonal wavefront); this module owns
 the byte formats and binds every decoder to the global decode bounds in
@@ -41,8 +41,6 @@ __all__ = [
     "png_first_head",
     "png_split",
     "png_decompress",
-    "zlib_compress",
-    "zlib_decompress",
     "rle_compress",
     "rle_size",
     "rle_decompress",
@@ -425,16 +423,6 @@ def png_decompress(data: bytes) -> np.ndarray:
         return kernels.up_unfilter(filtered, h, w, c, out)
     out[..., :c] = kernels.paeth_unfilter(filtered, h, w, c)
     return out
-
-
-def zlib_compress(data: bytes, level: int = 6) -> bytes:
-    """Plain DEFLATE, as used by X-over-ssh and the VNC/NX baselines."""
-    return zlib.compress(data, level)
-
-
-def zlib_decompress(data: bytes) -> bytes:
-    """Inverse of :func:`zlib_compress`."""
-    return zlib.decompress(data)
 
 
 def rle_compress(pixels: np.ndarray) -> bytes:

@@ -1,19 +1,21 @@
 """Tests for the import-layering checker and the layer map itself."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_all
-from repro.analysis.layering import check_module_source
+from repro.analysis import module_name_for
+from repro.analysis.layering import check_tree
 from repro.analysis.layermap import (LAYER_RANKS, TOPLEVEL_RANK,
                                      import_allowed, rank_of)
+from repro.analysis.lint import lint_tree
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def violations(src, module):
-    return check_module_source(src, module, path=f"{module}.py")
+    return check_tree(ast.parse(src), module, path=f"{module}.py")
 
 
 class TestLayerMap:
@@ -96,4 +98,10 @@ class TestChecker:
 class TestRealTree:
     def test_source_tree_is_finding_free(self):
         # The acceptance gate: lint + layering over src/repro is clean.
-        assert run_all(SRC_ROOT) == []
+        findings = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            module = module_name_for(Path("repro", path.relative_to(SRC_ROOT)))
+            findings += lint_tree(tree, module, str(path))
+            findings += check_tree(tree, module, str(path))
+        assert findings == []

@@ -1,18 +1,24 @@
 """Fixture tests for every thinclint rule: a snippet each rule must
-flag, and the idiomatic fix it must pass."""
+flag, and the idiomatic fix it must pass.  Mutable defaults and bare
+excepts are ruff's B006 / E722 (ruff.toml), not rules here."""
 
+import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lint import (find_suppressions, lint_source,
-                                 module_name_for)
+from repro.analysis import module_name_for
+from repro.analysis.lint import lint_tree
 
 # An arbitrary module outside the display and protocol packages.
 MOD = "repro.workloads.fixture"
 
 
-def rules_of(src, module=MOD, **kw):
-    return [f.rule for f in lint_source(textwrap.dedent(src), module, **kw)]
+def lint(src, module=MOD):
+    return lint_tree(ast.parse(textwrap.dedent(src)), module)
+
+
+def rules_of(src, module=MOD):
+    return [f.rule for f in lint(src, module)]
 
 
 class TestCommandContract:
@@ -21,7 +27,7 @@ class TestCommandContract:
         class PatternCommand(Command):
             kind = "pattern"
         """
-        findings = lint_source(textwrap.dedent(src), "repro.protocol.fixture")
+        findings = lint(src, "repro.protocol.fixture")
         assert [f.rule for f in findings] == ["THL001"]
         assert "overwrite_class" in findings[0].message
 
@@ -92,43 +98,6 @@ class TestWireConstant:
         assert rules_of("MAX_WINDOWS = 64\n") == []
 
 
-class TestMutableDefault:
-    def test_flags_list_literal(self):
-        assert rules_of("def f(items=[]): ...\n") == ["THL005"]
-
-    def test_flags_mutable_constructor(self):
-        assert rules_of("def f(area=Region()): ...\n") == ["THL005"]
-
-    def test_flags_lambda_default(self):
-        assert rules_of("f = lambda items={}: items\n") == ["THL005"]
-
-    def test_allows_none_default(self):
-        assert rules_of("def f(items=None): ...\n") == []
-
-    def test_allows_immutable_default(self):
-        assert rules_of("def f(n=4, name='x'): ...\n") == []
-
-
-class TestBareExcept:
-    def test_flags_bare_except(self):
-        src = """
-        try:
-            work()
-        except:
-            pass
-        """
-        assert rules_of(src) == ["THL006"]
-
-    def test_allows_named_except(self):
-        src = """
-        try:
-            work()
-        except ValueError:
-            pass
-        """
-        assert rules_of(src) == []
-
-
 class TestHandPackedLayout:
     WIRE_CLASS = """
         @wire_type("PATTERN", 99, "s->c", "test")
@@ -157,28 +126,6 @@ class TestHandPackedLayout:
         # Naming an exception class is not a call into the API.
         assert rules_of("try:\n    go()\nexcept struct.error:\n    pass\n",
                         "repro.core.session_unit") == []
-
-
-class TestSuppressions:
-    def test_skip_comment_suppresses_all_rules(self):
-        src = "queue.pop(0)  # thinclint: skip\n"
-        assert rules_of(src) == []
-
-    def test_targeted_skip_suppresses_only_named_rule(self):
-        src = "queue.pop(0)  # thinclint: skip=THL004\n"
-        assert rules_of(src) == ["THL003"]
-        assert rules_of("queue.pop(0)  # thinclint: skip=THL003\n") == []
-
-    def test_suppressions_can_be_ignored(self):
-        src = "queue.pop(0)  # thinclint: skip\n"
-        assert rules_of(src, honor_suppressions=False) == ["THL003"]
-
-    def test_find_suppressions_reports_markers(self):
-        src = ("a = 1  # thinclint: skip\n"
-               "b = 2\n"
-               "c = 3  # thinclint: skip=THL003,THL004\n")
-        assert find_suppressions(src) == [
-            (1, None), (3, ["THL003", "THL004"])]
 
 
 class TestModuleNames:

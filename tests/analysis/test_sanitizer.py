@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import sanitizer
-from repro.analysis.sanitizer import SanitizerError, sanitized_queue
+from repro.core import sanitizer
+from repro.core.command_queue import CommandQueue
+from repro.core.sanitizer import SanitizerError
 from repro.display import Framebuffer
 from repro.protocol import (BitmapCommand, CompositeCommand, CopyCommand,
                             PFillCommand, RawCommand, SFillCommand)
@@ -17,6 +18,13 @@ from repro.region import Rect, Region
 RED = (255, 0, 0, 255)
 GREEN = (0, 255, 0, 255)
 W, H = 64, 48
+
+
+def sanitized_queue(merge=True):
+    """A CommandQueue that self-checks, regardless of THINC_SANITIZE."""
+    queue = CommandQueue(merge=merge)
+    queue._sanitizer = sanitizer.QueueSanitizer()
+    return queue
 
 
 def raw(rect, seed=0):

@@ -52,7 +52,7 @@ class TestPngModel:
         ramp = np.linspace(0, 255, 128, dtype=np.uint8)
         img = np.stack([np.tile(ramp, (64, 1))] * 4, axis=-1)
         filtered = comp.png_compress(img)
-        plain = comp.zlib_compress(img.tobytes())
+        plain = zlib.compress(img.tobytes())
         assert len(filtered) < len(plain)
 
     def test_rejects_bad_shape(self):
@@ -418,15 +418,3 @@ class TestRle:
         img = rng.integers(0, 3, size=(h, w, 4), dtype=np.uint8) * 80
         assert np.array_equal(comp.rle_decompress(comp.rle_compress(img)),
                               img)
-
-
-class TestZlibHelpers:
-    def test_roundtrip(self):
-        data = b"thin client " * 100
-        assert comp.zlib_decompress(comp.zlib_compress(data)) == data
-
-    def test_levels_trade_size(self):
-        data = np.tile(np.arange(256, dtype=np.uint8), 200).tobytes()
-        fast = comp.zlib_compress(data, level=1)
-        best = comp.zlib_compress(data, level=9)
-        assert len(best) <= len(fast)

@@ -1,6 +1,7 @@
 """Tests for the web page-set generator and browser model."""
 
 import numpy as np
+import pytest
 
 from repro.display import RecordingDriver, WindowServer
 from repro.workloads.web import (PAGE_COUNT, WebBrowserApp, make_page_set,
@@ -10,8 +11,10 @@ from repro.workloads.web import (PAGE_COUNT, WebBrowserApp, make_page_set,
 class TestPageSet:
     def test_default_count_matches_ibench(self):
         assert PAGE_COUNT == 54
-        pages = make_page_set()
-        assert len(pages) == 54
+
+    @pytest.mark.claims
+    def test_default_page_set_is_the_ibench_set(self):
+        assert len(make_page_set()) == 54
 
     def test_deterministic(self):
         a = make_page_set(count=6)
