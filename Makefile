@@ -75,12 +75,14 @@ fuzz-smoke:
 	PYTHONPATH=src $(PY) -m repro.fuzz --seeds 1 --frames 150 \
 	  --replay tests/fuzz/corpus
 
-# What .github/workflows/ci.yml runs: lint gates + the tier-1 suite
-# (with its 15 slowest tests, so the suite's wall time stays in view).
+# What .github/workflows/ci.yml runs: lint gates, the tier-1 suite
+# (with its 15 slowest tests, so the suite's wall time stays in view),
+# its one-CPU codec and delivery tests, every example and the size.
 ci: lint analyze
 	PYTHONPATH=src $(PY) -m pytest -x -q --durations=15
 	PYTHONPATH=src taskset -c 0 $(PY) -m pytest -x -q \
 	  tests/protocol/test_compression.py tests/core/test_delivery.py
+	@$(MAKE) --no-print-directory examples
 	@$(MAKE) --no-print-directory loc
 
 # The size of src/repro, counted one way: physical lines, and lines

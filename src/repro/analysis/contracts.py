@@ -359,15 +359,15 @@ def render_contract_matrix(facts: Facts) -> str:
     lines = [
         "# THINC protocol conformance matrix",
         "",
-        "Generated by `python -m repro.analysis --contracts` from the",
-        "facts in `repro.analysis.facts` — **do not edit**; `make",
-        "analyze` fails when this file is stale.  For every registered",
-        "wire id: who parses it, who handles it, and which payload",
-        "fields are bounds-checked (`*`).  Every id is a declaration",
-        "(`@message`, or `@wire_type` for the display commands): the",
-        "column is read off it — the rows in wire order with the bound",
-        "each declares and, where the `check=` validator reads the",
-        "field, the validator's name.",
+        "Generated by `python -m repro.analysis --matrix-out` (`make",
+        "contracts-doc`) from the facts in `repro.analysis.facts` —",
+        "**do not edit**; `make analyze` fails when this file is stale.",
+        "For every registered wire id: who parses it, who handles it, and",
+        "which payload fields are bounds-checked (`*`).  Every id is a",
+        "declaration (`@message`, or `@wire_type` for the display",
+        "commands): the column is read off it — the rows in wire order",
+        "with the bound each declares and, where the `check=` validator",
+        "reads the field, the validator's name.",
         "",
         "| id | message | dir | parsers that accept it | handlers "
         "| decode fields |",

@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = ["ContentStats", "classify",
            "SAMPLE_BUDGET", "FLAT_UNIQUE_LIMIT", "FLAT_RLE_FRACTION",
-           "UNIQUE_RUN_CAP", "GRADIENT_BUDGET"]
+           "UNIQUE_RUN_CAP"]
 
 #: Most pixels the sampled statistics look at per block.
 SAMPLE_BUDGET = 1 << 14
@@ -45,9 +45,6 @@ FLAT_RLE_FRACTION = 1.0 / 16.0
 #: count doubles as a (documented) palette upper bound.
 UNIQUE_RUN_CAP = 1024
 
-#: Most sampled pixels the luma-gradient statistic looks at.
-GRADIENT_BUDGET = 1 << 8
-
 
 class ContentStats(NamedTuple):
     """What the classifier learned about one RGBA block."""
@@ -57,7 +54,6 @@ class ContentStats(NamedTuple):
                             # count is <= UNIQUE_RUN_CAP, else the run
                             # count as an upper bound)
     run_ratio: float        # runs / pixels in the sample (1.0 = noise)
-    gradient: float         # mean |d luma| between sampled neighbours
 
     @property
     def flat(self) -> bool:
@@ -73,10 +69,10 @@ def classify(pixels: np.ndarray) -> ContentStats:
     view = img.reshape(-1, 4).view(np.uint32).ravel()
     n = len(view)
     if n == 0:
-        return ContentStats((0, 0, 0, 0), 1, 0.0, 0.0)
+        return ContentStats((0, 0, 0, 0), 1, 0.0)
     if view[0] == view[-1] and bool((view == view[0]).all()):
         return ContentStats(tuple(int(c) for c in img.reshape(-1, 4)[0]),
-                            1, 1.0 / n, 0.0)
+                            1, 1.0 / n)
     sample = view if n <= SAMPLE_BUDGET else view[::-(-n // SAMPLE_BUDGET)]
     m = len(sample)
     changes = np.flatnonzero(sample[1:] != sample[:-1])
@@ -91,11 +87,4 @@ def classify(pixels: np.ndarray) -> ContentStats:
         unique = int(np.unique(heads).size)
     else:
         unique = runs
-    # Luma gradient along a coarse sub-sample of the scan order: green
-    # dominates luma and one channel is plenty for a smooth-vs-textured
-    # signal.
-    grad_sample = sample[::max(1, m // GRADIENT_BUDGET)]
-    green = (grad_sample >> np.uint32(8)).astype(np.int16) & 0xFF
-    gradient = float(np.mean(np.abs(np.diff(green)))) if len(green) > 1 \
-        else 0.0
-    return ContentStats(None, unique, runs / m, gradient)
+    return ContentStats(None, unique, runs / m)

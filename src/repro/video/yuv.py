@@ -12,15 +12,15 @@ subsampling, plus the packing/unpacking of the planar wire layout.
 The inverse (YUV -> RGB) runs once per presented frame on the server
 screen and once on every client, so it is done the way overlay hardware
 does it: exact integer tables, RGBA out.  Chroma becomes one integer
-offset per channel, looked up at chroma resolution and added to luma
-over the 2x2 (YV12) or 1x2 (YUY2) block it covers; the result is an
-``(h, w, 4)`` RGBA block with alpha 255, the layout ``Framebuffer``
-stores, and :func:`scale_rgb` moves it one ``uint32`` per pixel.  The
-tables are built at import from the BT.601 float coefficients, and the
-kernel is bit-identical to the float formula for every (Y, U, V) triple
-(pixels whose chroma sits on a rounding tie are the one place it still
-adds floats); the formula itself lives on as the oracle in
-``tests/video/reference.py``.
+offset per channel and luma column, looked up from chroma and added
+to the luma rows of the 2x2 (YV12) or 1x2 (YUY2) block it covers; the
+result is an ``(h, w, 4)`` RGBA block with alpha 255, the layout
+``Framebuffer`` stores, and :func:`scale_rgb` moves it one ``uint32``
+per pixel.  The tables are built at import from the BT.601 float
+coefficients, and the kernel is bit-identical to the float formula for
+every (Y, U, V) triple (pixels whose chroma sits on a rounding tie are
+the one place it still adds floats); the formula itself lives on as the
+oracle in ``tests/video/reference.py``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def rgb_to_yv12(rgb: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 # B = Y + 1.772 U' (U' = U - 128, V' = V - 128), rounded half-to-even and
 # clipped.  Y is an integer, so unless the chroma term sits on a rounding
 # tie the rounded sum is Y plus the rounded chroma term, which depends on
-# chroma alone: ``_RV[v]``, ``_BU[u]`` and ``_GUV[u << 8 | v]``.  On a
+# chroma alone: an int16 table each, R by V, B by U, G by u<<8|v.  On a
 # tie (1.772 * 125 = 221.5 at U = 3 and 253; -+18.5 at two G pairs) the
 # float path rounds to even, or to wherever its summation order left
 # it, differently from one Y to the next; no single offset reproduces
@@ -108,6 +108,14 @@ def _rounded_offsets(offset: np.ndarray):
     return rounded.astype(np.int16), near_tie
 
 
+def _twice(offsets: np.ndarray) -> np.ndarray:
+    """Each int16 of *offsets* twice over in one uint32, so a gather at
+    chroma resolution, viewed as int16, has one offset per luma column."""
+    doubled = offsets.view(np.uint16).astype(np.uint32)
+    doubled *= 0x10001
+    return doubled
+
+
 def _build_tables():
     chroma = np.arange(256, dtype=np.float64) - 128.0
     r_v, b_u = 1.402 * chroma, 1.772 * chroma
@@ -116,43 +124,60 @@ def _build_tables():
     bu, b_tie = _rounded_offsets(b_u)
     # G has one entry per (u, v); a row at a time, so that importing the
     # module never holds float temporaries of the whole 256x256 square.
-    guv = np.empty((256, 256), dtype=np.int16)
+    guv = np.empty((256, 256), dtype=np.uint32)
     ties = np.empty((256, 256), dtype=bool)
     for u in range(256):
-        guv[u], g_tie = _rounded_offsets(-g_u[u] - g_v)
+        g, g_tie = _rounded_offsets(-g_u[u] - g_v)
+        guv[u] = _twice(g)
         ties[u] = g_tie | b_tie[u] | r_tie
-    return (r_v, g_u, g_v, b_u), (rv, guv.ravel(), bu), ties.ravel()
+    return ((r_v, g_u, g_v, b_u), (_twice(rv), guv.ravel(), _twice(bu)),
+            ties.ravel())
 
 
-#: Float chroma products by chroma byte; their integer roundings (G's by
-#: ``u << 8 | v``); and which chroma pairs must not use the roundings.
-(_R_V, _G_U, _G_V, _B_U), (_RV, _GUV, _BU), _TIES = _build_tables()
+#: Float chroma products by chroma byte; their integer roundings, each
+#: twice over (G's by ``u << 8 | v``); and which chroma pairs must not
+#: use the roundings.
+(_R_V, _G_U, _G_V, _B_U), (_RV2, _GUV2, _BU2), _TIES = _build_tables()
 
 
 def _yuv_to_rgba(y: np.ndarray, u: np.ndarray, v: np.ndarray,
                  block_h: int) -> np.ndarray:
     """The one YUV -> RGBA kernel: chroma sample ``[i, j]`` covers the
-    luma block ``[i*block_h : (i+1)*block_h, 2*j : 2*j+2]``."""
+    luma block ``[i*block_h : (i+1)*block_h, 2*j : 2*j+2]``.
+
+    Every pass runs along whole luma rows.  Each channel's offsets,
+    gathered at chroma resolution from a doubled table, are one offset
+    per luma column; they are added to the ``block_h`` luma rows under
+    them and clipped.  A pixel is then two 16-bit lanes, ``R | G << 8``
+    and ``B | 0xFF00``, stored together as one ``uint32``.
+    """
     ch, cw = u.shape
     h, w = ch * block_h, cw * 2
     pair = (u.astype(np.intp) << 8) | v
-    luma = y.astype(np.int16).reshape(ch, block_h, cw, 2)
+    luma = y.reshape(ch, block_h, w)
+    channels = np.empty((3, ch, block_h, w), dtype=np.int16)
+    offsets = (_RV2.take(v), _GUV2.take(pair), _BU2.take(u))
+    for channel, offset in zip(channels, offsets):
+        np.add(luma, offset.view(np.int16)[:, None], out=channel)
+    np.clip(channels, 0, 255, out=channels)
+    r, g, b = channels.view(np.uint16)
+    g <<= 8
+    r |= g
+    b |= 0xFF00
     rgba = np.empty((h, w, 4), dtype=np.uint8)
-    blocks = rgba.reshape(ch, block_h, cw, 2, 4)
-    channel = np.empty_like(luma)
-    for i, offset in enumerate((_RV[v], _GUV[pair], _BU[u])):
-        np.add(luma, offset[:, None, :, None], out=channel)
-        np.clip(channel, 0, 255, out=channel)
-        blocks[..., i] = channel
-    blocks[..., 3] = 255
+    # Little-endian, so R is the low byte whatever the host's order.
+    pixels = rgba.view("<u4").reshape(ch, block_h, w)
+    np.left_shift(b, 16, out=pixels, dtype=np.uint32)
+    pixels |= r
     ties = _TIES[pair]
     if ties.any():
         cy, cx = np.nonzero(ties)
-        yt = luma[cy, :, cx, :].astype(np.float64)
+        yt = y.reshape(ch, block_h, cw, 2)[cy, :, cx, :].astype(np.float64)
         ut, vt = u[cy, cx][:, None, None], v[cy, cx][:, None, None]
         # The float path's own operation order, to the last bit.
         exact = np.stack([yt + _R_V[vt], yt - _G_U[ut] - _G_V[vt],
                           yt + _B_U[ut]], axis=-1)
+        blocks = rgba.reshape(ch, block_h, cw, 2, 4)
         blocks[cy, :, cx, :, :3] = np.clip(np.rint(exact), 0, 255)
     return rgba
 

@@ -48,15 +48,6 @@ class TestClassifier:
         assert not stats.flat
         assert stats.run_ratio > 0.5
 
-    def test_gradient_energy_signals_texture(self):
-        # Vertical ramp: smooth in scan order (the axis the sampled
-        # gradient walks), unlike a horizontal ramp with its row wraps.
-        ramp = np.linspace(0, 255, 64, dtype=np.uint8)
-        img = np.empty((64, 64, 4), dtype=np.uint8)
-        img[:] = ramp[:, None, None]
-        smooth = classify(img).gradient
-        assert classify(noise()).gradient > smooth > 0.0
-
     def test_empty_block(self):
         stats = classify(np.zeros((0, 0, 4), dtype=np.uint8))
         assert stats.unique_colors == 1

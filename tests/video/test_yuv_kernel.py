@@ -4,11 +4,15 @@ float originals in ``tests/video/reference.py``.
 The decode claim is exhaustive, not sampled: every one of the 2**24
 (Y, U, V) triples, through both block shapes (YV12's 2x2, YUY2's 1x2),
 must come out byte-for-byte what the float formula gives — including
-the rounding ties the tables have to special-case.
+the rounding ties the tables have to special-case.  A hypothesis
+property adds what one sweep geometry cannot: random frame sizes, odd
+luma included, with tie pairs at random chroma positions.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.video import yuv
 from tests.video.reference import (scale_rgb_ref, yuy2_to_rgb_ref,
@@ -68,6 +72,53 @@ class TestEveryTriple:
         blue = yuv.yv12_to_rgb(y, v, u)[..., 2]
         assert blue.tolist() == [[254, 254], [255, 255]]
         assert np.array_equal(blue, yv12_to_rgb_ref(y, v, u)[..., 2])
+
+
+#: Chroma pairs with a term on a rounding tie: B's at U = 3 and 253 (any
+#: V, drawn at random), G's at (U, V) = (78, 178) and (178, 78).
+TIE_PAIRS = ((3, None), (253, None), (78, 178), (178, 78))
+
+
+def _chroma_with_ties(data, rng, shape):
+    u = rng.integers(0, 256, shape, dtype=np.uint8)
+    v = rng.integers(0, 256, shape, dtype=np.uint8)
+    spots = data.draw(st.lists(st.tuples(
+        st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1),
+        st.sampled_from(TIE_PAIRS)), max_size=8))
+    for i, j, (tie_u, tie_v) in spots:
+        u[i, j] = tie_u
+        if tie_v is not None:
+            v[i, j] = tie_v
+    return u, v
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_geometry_and_ties_equal_the_float_oracle(w, h, data):
+    """Any frame size, odd luma included, with tie pairs anywhere: the
+    tie pixels are patched through another view than the lanes."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    y = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    u, v = _chroma_with_ties(data, rng, ((h + 1) // 2, (w + 1) // 2))
+    if h % 2 or w % 2:
+        # Not a legal YV12 frame: the planes go straight to the
+        # pad-and-crop path decode_frame shares.
+        got = yuv._yv12_to_rgba(y, v, u)
+    else:
+        got = yuv.decode_frame("YV12", yuv.pack_yv12(y, v, u), w, h)
+    assert np.array_equal(got[..., :3], yv12_to_rgb_ref(y, v, u))
+    assert (got[..., 3] == 255).all()
+
+    # YUY2: one chroma pair per two luma columns of each row.
+    cw = (w + 1) // 2
+    u, v = _chroma_with_ties(data, rng, (h, cw))
+    packed = np.empty((h, cw, 4), dtype=np.uint8)
+    packed[..., 0::2] = rng.integers(0, 256, (h, cw, 2), dtype=np.uint8)
+    packed[..., 1], packed[..., 3] = u, v
+    frame = packed.tobytes()
+    got = yuv.decode_frame("YUY2", frame, 2 * cw, h)
+    assert np.array_equal(got[..., :3], yuy2_to_rgb_ref(frame, 2 * cw, h))
+    assert (got[..., 3] == 255).all()
 
 
 class TestPlaneShapes:
