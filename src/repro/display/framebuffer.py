@@ -14,6 +14,7 @@ fill_rect       SFILL — solid colour fill
 tile_rect       PFILL — replicate a tile over a region
 stipple_rect    BITMAP — 1-bit stipple expanded with fg/bg colours
 composite       alpha blending (Porter–Duff "over")
+present_video   VFRAME — a YUV frame held as an overlay, composed on read
 =============  =====================================================
 
 All operations clip to the framebuffer bounds, so callers may pass
@@ -31,6 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..region import Rect
+from ..video import yuv
 
 __all__ = ["Framebuffer", "solid_pixels", "make_tile", "crop_mask",
            "CHANNELS"]
@@ -85,11 +87,19 @@ class Framebuffer:
             raise ValueError("framebuffer dimensions must be positive")
         self.width = width
         self.height = height
-        self.data = solid_pixels(width, height, fill)
+        self._data = solid_pixels(width, height, fill)
         # The same buffer, one uint32 per pixel (see the module doc).
-        self._packed = self.data.view(np.uint32)[..., 0]
+        self._packed = self._data.view(np.uint32)[..., 0]
+        self._overlay: Optional[tuple] = None  # see present_video
         # Counts every pixel written; used to measure drawing work.
         self.pixels_drawn = 0
+
+    @property
+    def data(self) -> np.ndarray:
+        """The ``(H, W, 4)`` RGBA pixels, with any held frame composed."""
+        if self._overlay:
+            self._settle()
+        return self._data
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -101,9 +111,13 @@ class Framebuffer:
         return rect.intersect(self.bounds)
 
     def _view(self, rect: Rect) -> np.ndarray:
-        return self.data[rect.y : rect.y2, rect.x : rect.x2]
+        if self._overlay:
+            self._settle()
+        return self._data[rect.y : rect.y2, rect.x : rect.x2]
 
     def _packed_view(self, rect: Rect) -> np.ndarray:
+        if self._overlay:
+            self._settle()
         return self._packed[rect.y : rect.y2, rect.x : rect.x2]
 
     # -- raster operations -----------------------------------------------
@@ -163,21 +177,51 @@ class Framebuffer:
 
     def put_pixels(self, rect: Rect, pixels: np.ndarray) -> Rect:
         """Raw pixel store (RAW analogue).  *pixels* must be rect-sized."""
+        clipped = self._store(rect, pixels)
+        self.pixels_drawn += clipped.area
+        return clipped
+
+    def _store(self, rect: Rect, pixels: np.ndarray) -> Rect:
         pixels = np.asarray(pixels, dtype=np.uint8)
         if pixels.shape != (rect.height, rect.width, CHANNELS):
             raise ValueError(
                 f"pixel block {pixels.shape} does not match {rect!r}"
             )
         clipped = self._clip(rect)
-        if not clipped:
-            return clipped
-        sub = pixels[
-            clipped.y - rect.y : clipped.y2 - rect.y,
-            clipped.x - rect.x : clipped.x2 - rect.x,
-        ]
-        self._view(clipped)[:, :] = sub
-        self.pixels_drawn += clipped.area
+        if clipped:
+            self._view(clipped)[:, :] = pixels[
+                clipped.y - rect.y : clipped.y2 - rect.y,
+                clipped.x - rect.x : clipped.x2 - rect.x,
+            ]
         return clipped
+
+    def present_video(self, rect: Rect, pixel_format: str, yuv_bytes,
+                      src_width: int, src_height: int) -> Rect:
+        """Show a YUV frame scaled onto *rect*, as an overlay: checked and
+        counted as drawn now, composed as :meth:`put_pixels` would store
+        it only when something next reads or draws.  A frame whose rect
+        contains the held one's replaces it unseen."""
+        data = bytes(yuv_bytes)
+        # frame_size also refuses an unknown format and odd YV12 sizes.
+        expected = yuv.frame_size(pixel_format, src_width, src_height)
+        if src_width <= 0 or src_height <= 0 or not rect:
+            raise ValueError("video source and destination must be non-empty")
+        if len(data) != expected:
+            raise ValueError(f"frame is {len(data)} bytes, expected {expected}")
+        clipped = self._clip(rect)
+        if clipped:
+            if self._overlay and not rect.contains(self._overlay[0]):
+                self._settle()
+            self._overlay = (rect, pixel_format, data, src_width, src_height)
+            self.pixels_drawn += clipped.area
+        return clipped
+
+    def _settle(self) -> None:
+        """Compose the held frame; the tracer sees both yuv calls."""
+        rect, pixel_format, data, src_width, src_height = self._overlay
+        self._overlay = None
+        rgba = yuv.decode_frame(pixel_format, data, src_width, src_height)
+        self._store(rect, yuv.scale_rgb(rgba, rect.width, rect.height))
 
     def composite(self, rect: Rect, pixels: np.ndarray) -> Rect:
         """Porter–Duff "over" blend of an RGBA block onto the framebuffer."""
@@ -242,7 +286,7 @@ class Framebuffer:
         backing array, which belongs to ``repro.display``.
         """
         out = Framebuffer(self.width, self.height)
-        np.copyto(out.data, self.data)
+        np.copyto(out._data, self.data)
         return out
 
     # -- comparison helpers (used heavily by integration tests) -----------

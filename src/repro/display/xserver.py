@@ -414,14 +414,13 @@ class WindowServer:
 
     def video_put_frame(self, stream: VideoStreamInfo,
                         yuv_bytes: bytes) -> Rect:
-        """Present one YUV frame; the screen shows the scaled RGB result."""
+        """Present one YUV frame; the screen holds it as an overlay."""
         if stream.stream_id not in self.video_streams:
             raise ValueError("video stream is not active")
-        rgba = yuv.decode_frame(stream.pixel_format, yuv_bytes,
-                                stream.src_width, stream.src_height)
         dst = stream.dst_rect
-        drawn = self.screen.fb.put_pixels(
-            dst, yuv.scale_rgb(rgba, dst.width, dst.height))
+        drawn = self.screen.fb.present_video(
+            dst, stream.pixel_format, yuv_bytes, stream.src_width,
+            stream.src_height)
         stream.frames_put += 1
         self.driver.video_put(stream, yuv_bytes, dst)
         self._notify("video_put", self.screen, drawn, stream.stream_id)

@@ -799,12 +799,8 @@ class VideoFrameCommand(Command):
                    pixel_format)
 
     def apply(self, fb) -> None:
-        from ..video import yuv as yuvmod
-
-        rgba = yuvmod.decode_frame(self.pixel_format, self.yuv_bytes,
-                                   self.src_width, self.src_height)
-        fb.put_pixels(self.dest, yuvmod.scale_rgb(
-            rgba, self.dest.width, self.dest.height))
+        fb.present_video(self.dest, self.pixel_format, self.yuv_bytes,
+                         self.src_width, self.src_height)
 
 
 COMMAND_TYPES = {

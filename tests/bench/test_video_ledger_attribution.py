@@ -1,13 +1,16 @@
-"""Tripwire for the ``video.yuv`` ledger row: both present sites still
-enter ``decode_frame`` and ``scale_rgb`` through the module attribute.
+"""Tripwire for the ``video.yuv`` ledger row: a presented frame is held
+as an overlay, and the first read composes it through the module
+attribute.
 
 thincbench's tracer times the video conversion by replacing
-``repro.video.yuv.decode_frame`` / ``scale_rgb`` with ``setattr``; the
-server present (``WindowServer.video_put_frame``) and the client apply
-(``VideoFrameCommand.apply``) must therefore look both up on the module
-at call time, once each per frame.  A fused helper, or a
-``from ..video.yuv import decode_frame`` binding, would keep every pixel
-right and silently move the time into the ``display`` and
+``repro.video.yuv.decode_frame`` / ``scale_rgb`` with ``setattr``.  Both
+present sites (``WindowServer.video_put_frame`` on the server,
+``VideoFrameCommand.apply`` on the client) hand the frame to
+``Framebuffer.present_video``, which converts nothing; the settle on the
+next read must look both up on the module at call time, once each per
+side.  An eager present would put the conversion back on every frame,
+and a ``from ..video.yuv import decode_frame`` binding would keep every
+pixel right and silently move the time into the ``display`` and
 ``core.client`` rows.
 """
 
@@ -23,7 +26,7 @@ from repro.video.stream import SyntheticVideoClip
 from ..helpers import assert_pixel_identical
 
 
-def test_one_decode_and_one_scale_per_side_per_frame(monkeypatch):
+def test_a_frame_is_composed_once_per_side_on_first_read(monkeypatch):
     entered = Counter()
 
     def counting(name):
@@ -46,11 +49,14 @@ def test_one_decode_and_one_scale_per_side_per_frame(monkeypatch):
     loop.run_until_idle(max_time=5)
     clip = SyntheticVideoClip(width=16, height=12, fps=24, duration=0.1)
     stream = ws.video_create_stream("YV12", 16, 12, Rect(0, 0, 64, 48))
-    assert not entered
 
-    ws.video_put_frame(stream, clip.yv12_frame(0))
-    assert entered == {"decode_frame": 1, "scale_rgb": 1}   # the server
-    loop.run_until_idle(max_time=5)
-    assert entered == {"decode_frame": 2, "scale_rgb": 2}   # + the client
-    assert client.video_stats[stream.stream_id].frames_received == 1
+    for i in range(2):
+        ws.video_put_frame(stream, clip.yv12_frame(i))
+        loop.run_until_idle(max_time=5)
+    assert client.video_stats[stream.stream_id].frames_received == 2
+    assert not entered                      # presenting converts nothing
+
     assert_pixel_identical(client, ws)
+    assert entered == {"decode_frame": 2, "scale_rgb": 2}   # one per side
+    assert_pixel_identical(client, ws)
+    assert entered == {"decode_frame": 2, "scale_rgb": 2}   # already settled

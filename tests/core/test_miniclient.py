@@ -79,8 +79,11 @@ class TestEquivalence:
     def test_random_workloads(self, seed):
         rng = np.random.default_rng(seed)
         loop, ws, full, mini = rig(width=64, height=48)
+        # The full client holds each frame as an overlay; the mini
+        # client paints it at once, so it checks every interleaving.
+        stream = ws.video_create_stream("YV12", 8, 6, Rect(8, 8, 24, 18))
         for _ in range(15):
-            op = rng.integers(0, 4)
+            op = rng.integers(0, 6)
             x, y = int(rng.integers(0, 48)), int(rng.integers(0, 32))
             w, h = int(rng.integers(1, 14)), int(rng.integers(1, 14))
             color = tuple(int(v) for v in rng.integers(0, 256, 3)) + (255,)
@@ -92,8 +95,15 @@ class TestEquivalence:
                                           dtype=np.uint8))
             elif op == 2:
                 ws.draw_text(ws.screen, x, y, "mc", color)
-            else:
+            elif op == 3:
                 ws.copy_area(ws.screen, ws.screen, Rect(0, 0, 20, 20), x, y)
+            elif op == 4:
+                ws.video_put_frame(stream, rng.integers(
+                    0, 256, 72, dtype=np.uint8).tobytes())
+            else:
+                ws.video_move_stream(stream, Rect(x, y, w, h))
+            if rng.integers(0, 3) == 0:   # let some batches land apart
+                loop.run_until(loop.now + 0.01)
         loop.run_until_idle(max_time=10)
         assert screens_match(ws, full, mini)
 
