@@ -135,7 +135,9 @@ class THINCPlatform(Platform):
     def _build(self) -> None:
         self.server = THINCServer(self.loop, self.width, self.height,
                                   **self._thinc_opts)
-        self.window_server.driver = self.server.driver
+        self.window_server = WindowServer(self.width, self.height,
+                                          driver=self.server.driver,
+                                          clock=self.loop.clock)
         self.server.attach_client(self.connection, viewport=self.viewport)
         self.client = THINCClient(self.loop, self.connection,
                                   headless=self._headless)

@@ -532,8 +532,8 @@ class Run:
                        f"{len(fanout.subscribers())} subscribers")
         holders = {"fan-out": fanout.subscribers(),
                    "link health": server.health._memo,
-                   "qos": server.qos._states if server.qos else (),
-                   "resilience": plane._by_session if plane else ()}
+                   "resilience": [guard.session for guard
+                                  in plane.guards.values()] if plane else ()}
         return out + [f"membership: {name} on {where} remembers a session "
                       f"the server no longer holds"
                       for name, held in holders.items()

@@ -159,12 +159,12 @@ class GovernorStats:
 
 class SessionMeter:
     """Per-session governance state: token bucket, error tally, ladder
-    position.  Byte gauges and the ``degraded`` flag live on the
-    session itself (maintained at the queue chokepoints); the meter
-    holds only what the ladder needs to remember between checks."""
+    position.  Byte gauges and the ``degraded`` and ``quarantined``
+    flags live on the session itself; the meter holds only what the
+    ladder needs to remember between checks."""
 
     __slots__ = ("tokens", "last_refill", "uplink_dropped", "wire_errors",
-                 "last_coalesce", "quarantined")
+                 "last_coalesce")
 
     def __init__(self, budget: Budget, now: float):
         self.tokens = float(budget.uplink_burst)
@@ -172,11 +172,11 @@ class SessionMeter:
         self.uplink_dropped = 0
         self.wire_errors = 0
         self.last_coalesce: Optional[float] = None
-        self.quarantined = False
 
 
 class Governor:
-    """Owner of per-session meters, the response ladder and admission."""
+    """The response ladder and admission control.  Each session unit
+    carries its own :class:`SessionMeter` (``session.meter``)."""
 
     def __init__(self, server, budget: Optional[Budget] = None,
                  server_budget: Optional[ServerBudget] = None):
@@ -231,27 +231,6 @@ class Governor:
             connection.down.write(data)
             self.stats.denials_written += 1
 
-    def register(self, session) -> SessionMeter:
-        """Hang a fresh meter on *session*.
-
-        The meter lives on the session unit itself (part of its state
-        surface) rather than in a governor-side map, so a unit carries
-        its whole live half with it and the governor holds no
-        per-session storage of its own.
-        """
-        meter = SessionMeter(self.budget, self.loop.now)
-        session.meter = meter
-        return meter
-
-    def forget(self, session) -> None:
-        session.meter = None
-
-    def meter(self, session) -> SessionMeter:
-        m = getattr(session, "meter", None)
-        if m is None:
-            m = self.register(session)
-        return m
-
     # -- uplink chokepoint ---------------------------------------------------
 
     def allow_uplink(self, session) -> bool:
@@ -260,9 +239,9 @@ class Governor:
         Returns False when the message should be dropped; a sustained
         flood past ``max_uplink_dropped`` evicts the sender.
         """
-        meter = self.meter(session)
-        if meter.quarantined:
+        if session.quarantined:
             return False
+        meter = session.meter
         b = self.budget
         now = self.loop.now
         meter.tokens = min(
@@ -288,7 +267,7 @@ class Governor:
         a fresh parser (heartbeats repeat; corruption on a lossy link
         is expected) until the error budget runs out.
         """
-        meter = self.meter(session)
+        meter = session.meter
         meter.wire_errors += 1
         self.stats.wire_errors += 1
         resilient = self.server.resilience is not None and session.sequenced
@@ -301,8 +280,7 @@ class Governor:
 
     def after_display_add(self, session) -> None:
         """Queue-bytes ladder, run after every buffered display add."""
-        meter = self.meter(session)
-        if meter.quarantined:
+        if session.quarantined:
             return
         if session.detached and self.server.resilience is not None:
             # A detached-but-guarded session belongs to the resilience
@@ -315,13 +293,13 @@ class Governor:
         pending = session.buffer.pending_bytes()
         now = self.loop.now
         if pending > b.max_queue_bytes:
-            recently = (meter.last_coalesce is not None
-                        and now - meter.last_coalesce < b.coalesce_cooldown)
+            last = session.meter.last_coalesce
+            recently = last is not None and now - last < b.coalesce_cooldown
             if pending > b.evict_queue_bytes or recently:
                 self.quarantine(session, wire.DENY_SESSION_BUDGET,
                                 evicted=True)
                 return
-            self._coalesce(session, meter, now)
+            self._coalesce(session, now)
             return
         if pending > b.degrade_queue_bytes:
             qos = self.server.qos
@@ -348,7 +326,7 @@ class Governor:
             session.degraded = False
             self.stats.degrade_exited += 1
 
-    def _coalesce(self, session, meter: SessionMeter, now: float) -> None:
+    def _coalesce(self, session, now: float) -> None:
         """Replace a runaway queue with a full-screen RAW refresh.
 
         By the time the hard cap is hit the backlog costs more than
@@ -357,7 +335,7 @@ class Governor:
         The refresh is row-banded so it can drain through a congested
         pipe's flush budget.
         """
-        meter.last_coalesce = now
+        session.meter.last_coalesce = now
         session.buffer.queue.clear()
         self.stats.coalesces += 1
         self.server._submit_refresh(session, chunk_rows=64)
@@ -390,10 +368,8 @@ class Governor:
         an escaping exception would kill the event loop — the exact
         failure mode this module exists to prevent.
         """
-        meter = self.meter(session)
-        if meter.quarantined:
+        if session.quarantined:
             return
-        meter.quarantined = True
         session.quarantined = True
         self.stats.quarantined += 1
         if evicted:

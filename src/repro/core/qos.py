@@ -41,12 +41,12 @@ Two deliberate design points keep the plane simulation-friendly:
   through, rate-limited to the configured interval, so an idle server
   schedules nothing and ``run_until_idle`` terminates.  All time comes
   from the :class:`~repro.net.clock.EventLoop` clock.
-* **Plane-owned controller state.**  Hysteresis counters, poll clocks
-  and the seeded ramp-up jitter live here, keyed by the session object
-  and dropped when it detaches — never on the unit — so the
-  frozen-surface allowlist stays exact.  Only the rung itself
-  (``SessionUnit.qos_rung``) migrates; a thawed session re-derives its
-  hysteresis from live measurements.
+* **Controller state on the unit, never migrated.**  Hysteresis
+  counters, poll clocks and the seeded ramp-up jitter live in
+  ``SessionUnit.qos_state``, made on the first poll and gone with the
+  unit; ``NOT_SERIALIZED`` keeps them off the frozen surface.  Only
+  the rung itself (``SessionUnit.qos_rung``) migrates; a thawed
+  session re-derives its hysteresis from live measurements.
 
 Every rung change is announced to the client with a
 ``VIDEO_QUALITY`` descriptor, and recovery to rung 0 triggers a
@@ -123,8 +123,9 @@ class QosConfig:
 
 
 class _SessionQos:
-    """Plane-owned controller state for one session (never serialized;
-    a migrated session re-derives all of this from live polls)."""
+    """QoS controller state for one session, held on the unit as
+    ``qos_state`` (never serialized; a migrated session re-derives all
+    of this from live polls)."""
 
     __slots__ = ("congested", "clear", "last_poll", "last_step",
                  "grace_until", "recover_block_until", "submitted",
@@ -157,7 +158,6 @@ class QosPlane:
         self.server = server
         self.loop = server.loop
         self.config = config or QosConfig()
-        self._states: Dict[object, _SessionQos] = {}
         self._order = 0
         #: Active stream destinations (server coordinates), fed by the
         #: driver's setup/move hooks and lazily by passing frames; the
@@ -185,7 +185,7 @@ class QosPlane:
     # -- controller state ----------------------------------------------------
 
     def _state(self, session) -> _SessionQos:
-        state = self._states.get(session)
+        state = session.qos_state
         if state is None:
             # Seeded per registration order (the FaultyEndpoint idiom):
             # the same attach sequence always yields the same ramp-up
@@ -195,13 +195,8 @@ class QosPlane:
             self._order += 1
             state = _SessionQos(rng, self.config.recover_polls,
                                 self.config.recover_jitter)
-            self._states[session] = state
+            session.qos_state = state
         return state
-
-    def forget(self, session) -> None:
-        """Drop *session*'s controller state (``detach_client``): a
-        later attach — or thaw — starts with fresh hysteresis."""
-        self._states.pop(session, None)
 
     def _poll(self, session, now: float) -> None:
         cfg = self.config
@@ -278,11 +273,9 @@ class QosPlane:
         self.stats["recoveries"] += 1
         screen = self.server.driver.screen_drawable
         for rect in self.streams.values():
-            if screen is not None:
-                rect = rect.intersect(screen.bounds)
-                if rect.empty:
-                    continue
-            self.server._submit_refresh(session, rect=rect)
+            rect = rect.intersect(screen.bounds)
+            if rect:
+                self.server._submit_refresh(session, rect=rect)
 
     def shed_video(self, session) -> bool:
         """Governor hook: spend one whole video rung before the

@@ -212,7 +212,6 @@ class ResiliencePlane:
         self.config = config or ResilienceConfig()
         self.stats = ResilienceStats()
         self.guards: Dict[int, SessionGuard] = {}
-        self._by_session: Dict[object, SessionGuard] = {}
         self._next_token = self.config.token_start
         self._tick_scheduled = False
         self._rng = random.Random(
@@ -270,15 +269,8 @@ class ResiliencePlane:
                 token, wire.RESYNC_FRESH))
             session = self.server._make_session(connection, viewport,
                                                 sequenced=True)
-            limit = self._replay_log_limit(session)
-            guard = SessionGuard(token, session, now, limit)
-            session.journal = self._journal_for(guard)
-            session.guard = guard
-            self.guards[token] = guard
-            self._by_session[session] = guard
-            self.stats.attaches += 1
+            guard = self._guard(token, session, now)
             self._note_accept(guard, now)
-            self._ensure_tick()
         else:
             if now < guard.not_before:
                 self.stats.reconnects_denied += 1
@@ -382,7 +374,7 @@ class ResiliencePlane:
 
     def handle_session_message(self, session, msg) -> bool:
         """First look at every client message; True when consumed."""
-        guard = self._by_session.get(session)
+        guard = session.guard
         if guard is None:
             return False
         now = self.loop.now
@@ -460,10 +452,9 @@ class ResiliencePlane:
     def drop_guard(self, session) -> None:
         """Forget a session entirely (``detach_client`` calls it): its
         token will no longer resync *here* — a redial is a fresh attach."""
-        guard = self._by_session.pop(session, None)
+        if session.guard is not None:
+            self.guards.pop(session.guard.token, None)
         session.guard = None
-        if guard is not None:
-            self.guards.pop(guard.token, None)
 
     # -- migration (driven by repro.cluster) ---------------------------------
 
@@ -471,9 +462,9 @@ class ResiliencePlane:
         """Take guardianship of a thawed session under its original
         token.
 
-        The mirror of the fresh-attach bookkeeping in ``_on_request``,
-        fed from a :class:`~repro.core.session_unit.FrozenSession`
-        instead of a dialled connection: the journal, cumulative-ack
+        The same bookkeeping as a fresh attach (:meth:`_guard`), fed
+        from a :class:`~repro.core.session_unit.FrozenSession` instead
+        of a dialled connection: the journal, cumulative-ack
         mark and drop flags transfer verbatim, so the client's eventual
         redial takes exactly the replay-vs-snapshot resync decision it
         would have taken on the source shard.  The detach window starts
@@ -481,8 +472,7 @@ class ResiliencePlane:
         network-fault path does.
         """
         now = self.loop.now
-        guard = SessionGuard(frozen.token, session, now,
-                             self._replay_log_limit(session))
+        guard = self._guard(frozen.token, session, now)
         guard.acked_seq = frozen.acked_seq
         guard.log_dropped = frozen.log_dropped
         guard.queue_dropped = frozen.queue_dropped
@@ -490,10 +480,16 @@ class ResiliencePlane:
             guard.log.append((seq, data))
             guard.log_bytes += len(data)
         guard.detached_at = now
+        return guard
+
+    def _guard(self, token: int, session, now: float) -> SessionGuard:
+        """Guard *session* under *token*: journal its sent frames and
+        watch its liveness from the next tick on."""
+        guard = SessionGuard(token, session, now,
+                             self._replay_log_limit(session))
         session.journal = self._journal_for(guard)
         session.guard = guard
-        self.guards[frozen.token] = guard
-        self._by_session[session] = guard
+        self.guards[token] = guard
         self.stats.attaches += 1
         self._ensure_tick()
         return guard

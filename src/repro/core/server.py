@@ -1,13 +1,13 @@
 """The THINC server: a thin shard host over session units.
 
 The server owns one :class:`~repro.core.translation.THINCDriver` (which
-plugs into the window server as its video driver) and any number of
-client sessions.  Display updates flow through the staged pipeline of
-:mod:`repro.core.pipeline`: translated commands are admitted once,
-scaled and compressed once per distinct viewport on the shared
-**prepare plane**, and then fanned out to each session, whose own state
-is only the scheduler-backed buffer, the optional RC4 stream cipher
-(Section 7) and the flush machinery.  Updates are *pushed*: whenever
+plugs into the window server as its video driver), the screen it hands
+that driver, and any number of client sessions.  Display updates flow
+through the staged pipeline of :mod:`repro.core.pipeline`: translated
+commands are admitted once, scaled and compressed once per distinct
+viewport on the shared **prepare plane**, and then fanned out to each
+session, whose own state is only the scheduler-backed buffer, the
+optional RC4 stream cipher (Section 7) and the flush machinery.  Updates are *pushed*: whenever
 work is buffered the session schedules flush periods on the event loop
 and commits as much as the non-blocking transport will take.
 
@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..codec import Encoding, EncoderPolicy
 from ..display.driver import InputEvent, VideoStreamInfo
+from ..display.pixmap import Drawable
 from ..net.clock import EventLoop
 from ..net.transport import Connection
 from ..protocol import wire
@@ -83,6 +84,12 @@ class ServerCostModel:
         return cpu
 
 
+def _client_rect(session: SessionUnit, rect: Rect) -> Rect:
+    """A video destination *rect* scaled by *session*'s viewport."""
+    scaler = session.scaler
+    return rect if scaler.identity else scale_rect(rect, scaler.sx, scaler.sy)
+
+
 class THINCServer:
     """The THINC server core, acting as the translation layer's sink.
 
@@ -120,6 +127,10 @@ class THINCServer:
         self.encrypt_key = encrypt_key
         self.driver = THINCDriver(self, compress_raw=compress_raw,
                                   offscreen_awareness=offscreen_awareness)
+        # The screen is the server's from the start, as an X server
+        # hands its driver the screen at initialisation; the window
+        # server built over this driver draws on it.
+        self.driver.screen_drawable = Drawable(width, height, onscreen=True)
         self.translate = pipeline.TranslateStage()
         # Content-adaptive, link-aware RAW encoding: the prepare plane
         # gets a codec policy plus the link probe as its posture hook.
@@ -176,7 +187,6 @@ class THINCServer:
                               encrypt_key=self.encrypt_key,
                               sequenced=sequenced)
         self.sessions.append(session)
-        self.governor.register(session)
         self._submit_refresh(session)
         return session
 
@@ -185,16 +195,15 @@ class THINCServer:
         frozen or evicted unit already is), or its flush loop would go
         on polling a pipe nobody reads; and its resilience guard goes,
         so a redial with its token is a fresh attach rather than a
-        resync into a unit nothing routes to any more."""
+        resync into a unit nothing routes to any more.  The governor's
+        meter and the QoS controller state live on the unit and go
+        with it."""
         session.detach()
         if self.resilience is not None:
             self.resilience.drop_guard(session)
         self.fanout.unsubscribe(session)
         self.sessions.remove(session)
-        self.governor.forget(session)
         self.health.forget(session)
-        if self.qos is not None:
-            self.qos.forget(session)
 
     def thaw_session(self, frozen: FrozenSession) -> SessionUnit:
         """Rebuild a live :class:`SessionUnit` from its frozen surface.
@@ -246,9 +255,8 @@ class THINCServer:
             session._control_bytes += len(data)
         session.stats.update(frozen.stats)
         self.sessions.append(session)
-        meter = self.governor.register(session)
-        meter.wire_errors = session.stats["wire_errors"]
-        meter.uplink_dropped = session.stats["uplink_dropped"]
+        session.meter.wire_errors = session.stats["wire_errors"]
+        session.meter.uplink_dropped = session.stats["uplink_dropped"]
         if self.resilience is not None and frozen.token:
             self.resilience.adopt(session, frozen)
         if frozen.subscribed:
@@ -260,11 +268,7 @@ class THINCServer:
     def _read_screen_pixels(self, rect: Rect):
         """``rect -> pixels`` over the live screen, for the scale
         stage's COPY materialisation (tile walls, zoomed views)."""
-        screen = self.driver.screen_drawable
-        if screen is None:
-            raise RuntimeError(
-                "COPY submitted before any screen drawable exists")
-        return screen.fb.read_pixels(rect)
+        return self.driver.screen_drawable.fb.read_pixels(rect)
 
     def _submit_refresh(self, session: SessionUnit,
                         rect: Optional[Rect] = None,
@@ -275,10 +279,12 @@ class THINCServer:
         ``chunk_rows`` splits the refresh into row bands of at most
         that height — the snapshot resync path uses it so a recovering
         client never faces one monolithic frame that cannot squeeze
-        through a congested pipe's flush budget.
+        through a congested pipe's flush budget.  A screen nothing has
+        drawn on yet is the black every client framebuffer starts as,
+        so it ships nothing.
         """
         screen = self.driver.screen_drawable
-        if screen is None:
+        if not screen.fb.pixels_drawn:
             return
         rect = screen.bounds if rect is None else rect
         if chunk_rows is None or rect.height <= chunk_rows:
@@ -309,12 +315,10 @@ class THINCServer:
         if self.qos is not None:
             self.qos.note_setup(stream)
         for session in self.sessions:
-            dst = stream.dst_rect
-            if not session.scaler.identity:
-                dst = scale_rect(dst, session.scaler.sx, session.scaler.sy)
             session.queue_control(wire.VideoSetupMessage(
                 stream.stream_id, stream.pixel_format,
-                stream.src_width, stream.src_height, dst))
+                stream.src_width, stream.src_height,
+                _client_rect(session, stream.dst_rect)))
             if self.qos is not None and session.qos_rung:
                 # A stream born mid-congestion opens already degraded:
                 # the descriptor rides right behind the VSETUP.
@@ -325,11 +329,8 @@ class THINCServer:
         if self.qos is not None:
             self.qos.note_move(stream)
         for session in self.sessions:
-            dst = stream.dst_rect
-            if not session.scaler.identity:
-                dst = scale_rect(dst, session.scaler.sx, session.scaler.sy)
-            session.queue_control(
-                wire.VideoMoveMessage(stream.stream_id, dst))
+            session.queue_control(wire.VideoMoveMessage(
+                stream.stream_id, _client_rect(session, stream.dst_rect)))
 
     def video_teardown(self, stream: VideoStreamInfo) -> None:
         # The stream's last frame stays on the screen.  A session that
@@ -404,11 +405,9 @@ class THINCServer:
                 self.qos.note_report(session, msg)
             return
         if isinstance(msg, wire.RefreshRequestMessage):
-            screen = self.driver.screen_drawable
-            if screen is not None:
-                rect = msg.rect.intersect(screen.bounds)
-                if rect:
-                    self._submit_refresh(session, rect=rect)
+            rect = msg.rect.intersect(self.driver.screen_drawable.bounds)
+            if rect:
+                self._submit_refresh(session, rect=rect)
             return
         if isinstance(msg, wire.ResizeMessage):
             # Never trust client geometry: the decode layer bounds it,

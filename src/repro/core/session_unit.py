@@ -48,6 +48,7 @@ from ..region import Rect
 from . import pipeline
 from . import sanitizer as _sanitizer
 from .delivery import ClientBuffer
+from .governor import SessionMeter
 from .resize import DisplayScaler
 
 __all__ = ["SessionUnit", "FrozenSession", "FLUSH_INTERVAL",
@@ -78,6 +79,9 @@ NOT_SERIALIZED = {
     "meter": "governor budgets are per-host capacity, not session "
              "state; the target's governor starts a fresh meter and "
              "seeds its abuse tallies from the migrated stats",
+    "qos_state": "hysteresis counters and poll clocks judge this "
+                 "host's link; only the rung migrates, and the thawed "
+                 "unit re-derives the rest from live polls",
     "_successor": "forwarding pointer only meaningful on the frozen "
                   "husk left behind on the source shard",
     "_audio": "audio is useless late (the paper sheds it first); a "
@@ -355,11 +359,14 @@ class SessionUnit:
         # session does not snap back to full-rate video mid-congestion
         # just because it changed shards.
         self.qos_rung = 0
-        # Plane-owned companions, attached by their owners: the
-        # resilience plane's guard and the governor's meter live *on*
-        # the unit so its whole state surface is reachable from it.
+        # Each plane's state for this session lives *on* the unit, so
+        # its whole state surface is reachable from it and dies with
+        # it: the governor's meter, the resilience plane's guard (set
+        # by the plane) and the QoS controller state (made by the plane
+        # on the first video frame that polls this session).
+        self.meter = SessionMeter(server.governor.budget, server.loop.now)
         self.guard = None
-        self.meter = None
+        self.qos_state = None
         # Set by the cluster coordinator after a migration: prepared
         # commands still scheduled against this (frozen) unit are
         # forwarded to the live successor on the target shard.

@@ -77,10 +77,6 @@ class THINCDriver(DisplayDriver):
         self.raw_encoding = Encoding.PNG if compress_raw else Encoding.NONE
         self.offscreen_awareness = offscreen_awareness
         self._offscreen: Dict[int, CommandQueue] = {}
-        # The screen drawable, remembered from onscreen operations so
-        # the server can source full-screen refreshes (e.g. after a
-        # client viewport change).
-        self.screen_drawable: Optional[Drawable] = None
         self.stats = {
             "driver_ops": 0,
             "onscreen_commands": 0,
@@ -105,7 +101,6 @@ class THINCDriver(DisplayDriver):
     def _emit(self, drawable: Drawable, command: Command) -> None:
         """Route a translated command onscreen or to an offscreen queue."""
         if drawable.onscreen:
-            self.screen_drawable = drawable
             self.stats["onscreen_commands"] += 1
             self.sink.submit(command)
         elif self.offscreen_awareness:
@@ -178,7 +173,6 @@ class THINCDriver(DisplayDriver):
         self.stats["driver_ops"] += 1
         if src.onscreen and dst.onscreen:
             # Screen-to-screen: the client has the pixels; just COPY.
-            self.screen_drawable = dst
             dest = Rect(dst_x, dst_y, src_rect.width, src_rect.height)
             self.sink.submit(CopyCommand(src_rect.x, src_rect.y, dest))
             self.stats["onscreen_commands"] += 1
@@ -191,7 +185,6 @@ class THINCDriver(DisplayDriver):
                 self._queue_for(dst).add(raw)
                 self.stats["offscreen_commands"] += 1
         elif not src.onscreen and dst.onscreen:
-            self.screen_drawable = dst
             self._copy_offscreen_out(src, src_rect, dst_x, dst_y,
                                      self.sink.submit)
         else:

@@ -70,7 +70,13 @@ class DisplayDriver:
 
     Subclasses override the hooks they care about; every hook has a
     no-op default so partial drivers (and test doubles) stay small.
+
+    ``screen_drawable`` is the screen a driver owns, if it owns one: a
+    :class:`~repro.display.xserver.WindowServer` built over the driver
+    then draws on it instead of allocating its own.
     """
+
+    screen_drawable = None
 
     # -- 2D acceleration hooks ------------------------------------------
 

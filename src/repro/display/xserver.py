@@ -77,8 +77,10 @@ class WindowServer:
     def __init__(self, width: int, height: int,
                  driver: Optional[DisplayDriver] = None,
                  clock=None, image_chunk_rows: int = 8):
-        self.screen = Drawable(width, height, onscreen=True)
         self.driver: DisplayDriver = driver or DisplayDriver()
+        # A driver that owns a screen (THINC's) is drawn on directly.
+        self.screen = (self.driver.screen_drawable
+                       or Drawable(width, height, onscreen=True))
         self.clock = clock if clock is not None else _WallClock()
         self.image_chunk_rows = max(1, image_chunk_rows)
         self.listeners: List[AppCommandListener] = []

@@ -12,6 +12,7 @@ import pytest
 
 from repro.codec import LinkPosture
 from repro.core import AdmissionDenied, Budget, ServerBudget, THINCClient
+from repro.core.governor import SessionMeter
 from repro.net import Connection, LAN_DESKTOP
 from repro.protocol import wire
 from repro.region import Rect
@@ -183,8 +184,9 @@ class _StubSession:
     clips real queues near one screen's worth of bytes, so the pure
     coalesce rung is driven with a synthetic gauge instead."""
 
-    def __init__(self):
+    def __init__(self, meter: SessionMeter):
         self.buffer = _StubBuffer()
+        self.meter = meter
         self.degraded = False
         self.quarantined = False
         self.connection = None
@@ -205,7 +207,9 @@ class TestLadderUnit:
         server._submit_refresh = (
             lambda session, rect=None, chunk_rows=None:
             refreshes.append((session, chunk_rows)))
-        return server.governor, _StubSession(), refreshes
+        gov = server.governor
+        return gov, _StubSession(SessionMeter(gov.budget, loop.now)), \
+            refreshes
 
     def test_hard_cap_coalesces_then_recovers(self):
         gov, sess, refreshes = self._governor(coalesce_cooldown=0.5)

@@ -95,7 +95,8 @@ class TestResiliencePlaneCaps:
         scripted_workload(loop, ws, end=1.5)
         loop.run_until(4.0)
         session = server.sessions[0]
-        guard = server.resilience._by_session[session]
+        guard = session.guard
+        assert server.resilience.guards[guard.token] is guard
         assert guard.log_limit <= 5_000
         assert guard.log_bytes <= guard.log_limit
 

@@ -236,8 +236,9 @@ class TestMigrationCarriesRung:
 
 
 class TestControllerStateFollowsTheSession:
-    """Controller and probe state are keyed by the session object and
-    die with it — never by ``id()``, which CPython reissues."""
+    """Controller state lives on the unit and probe state is keyed by
+    the session object — never by ``id()``, which CPython reissues —
+    so both die with the session."""
 
     def _played(self):
         loop, conn, mon, server, ws, client = make_qos_rig(
@@ -252,24 +253,26 @@ class TestControllerStateFollowsTheSession:
         loop, server = self._played()
         session = server.sessions[0]
         server.health.posture(session)
-        assert session in server.qos._states
+        assert session.qos_state is not None
         assert session in server.health._memo
         server.detach_client(session)
-        assert not server.qos._states
         assert not server.health._memo
         # A newcomer (who may well be handed the dead session's id)
         # starts from scratch.
         newcomer = server.attach_client(
             Connection(loop, THIN_256K, monitor=PacketMonitor()))
+        assert newcomer.qos_state is None
         state = server.qos._state(newcomer)
+        assert newcomer.qos_state is state
         assert (state.congested, state.clear, state.submitted) \
             == (0, 0, {})
 
     def test_quarantine_drops_state_too(self):
         loop, server = self._played()
         session = server.sessions[0]
+        assert session.qos_state is not None
         server.governor.quarantine(session, wire.DENY_QUARANTINED)
-        assert not server.qos._states
+        assert session not in server.sessions
         assert not server.health._memo
 
     def test_thawed_session_keeps_rung_with_fresh_hysteresis(self):
@@ -283,7 +286,7 @@ class TestControllerStateFollowsTheSession:
         server.detach_client(session)
         thawed = server.thaw_session(frozen)
         assert thawed.qos_rung == 2
-        assert thawed not in server.qos._states
+        assert thawed.qos_state is None
         fresh = server.qos._state(thawed)
         assert (fresh.congested, fresh.clear, fresh.submitted) \
             == (0, 0, {})

@@ -35,14 +35,17 @@ CLIP = ("clip", {"width": 32, "height": 18, "fps": 24, "duration": 3.0,
 #: Where the (shrunk, when hypothesis is done) failing scenario lands.
 BUNDLE = os.path.join(".hypothesis", "failing-scenario.json")
 
-#: Every desktop has been painted once: the driver learns its screen
-#: from the first onscreen draw, and only then can source a refresh.
+#: A desktop painted once before the ops start.  The first base leaves
+#: its screen never drawn, so attaches, resizes and refreshes over a
+#: black or video-only screen are explored too.  The others stay
+#: painted: the second base's degrade ladder needs that display traffic
+#: (the liveness break in tests/scenario/test_seeded_breaks.py).
 PAINTED = ("scripted", {"end": 0.3})
 
 BASES = (
     # One bare server, QoS on: a thin-link viewer, a LAN viewer and a
     # reconnecting WAN viewer share it.
-    Scenario(W, H, workload=PAINTED, server={"qos": QOS}, clients=(
+    Scenario(W, H, server={"qos": QOS}, clients=(
         ClientSpec(THIN), ClientSpec(),
         ClientSpec(WAN_DESKTOP, resilient=True))),
     # The same server under a budget tight enough to degrade and shed.

@@ -100,15 +100,13 @@ ROWS = {
             Op(3.15, "play", 0, CLIP), Op(3.75, "resize", 2, (128, 96)),
             Op(3.8, "fault", 2, (Partition(3.8, 0.7),)),
             Op(4.6, "disconnect", 2))), None),
-    # The driver learns its screen from the first onscreen *draw*; a
-    # screen that has only ever shown video cannot source the refresh a
-    # resize asks for.  The fix is the window server handing the driver
-    # its screen at construction: ROADMAP item 7.
-    "resize-over-a-video-only-screen": (replace(
-        BASES[0], workload=(), ops=(
-            Op(0.05, "play", 0, CLIP), Op(0.1, "resize", 1, (32, 24)))), None),
+    # The driver used to learn its screen from the first onscreen
+    # *draw*, so a screen that had only ever shown video could not
+    # source the refresh a resize asks for.
+    "resize-over-a-video-only-screen": (replace(BASES[0], ops=(
+        Op(0.05, "play", 0, CLIP), Op(0.1, "resize", 1, (32, 24)))), None),
 }
-OPEN = {"resize-over-a-video-only-screen": "ROADMAP item 7"}
+OPEN = {}
 
 
 def test_a_detached_resilient_session_redials_fresh():

@@ -16,7 +16,6 @@ from repro.core import THINCServer
 from repro.core.command_queue import CommandQueue
 from repro.core.fanout import BroadcastPlane
 from repro.core.governor import Governor
-from repro.core.qos import QosPlane
 from repro.core.resilience import ResiliencePlane
 
 from .machine import BASES, ScenarioMachine
@@ -45,12 +44,6 @@ def test_thaw_skipping_fanout_adopt_breaks_membership(monkeypatch):
     monkeypatch.setattr(BroadcastPlane, "adopt",
                         lambda self, session, tile_mode=False: None)
     machine_fails_with("membership", 2, "subscribe migrate")
-
-
-def test_detach_skipping_qos_forget_breaks_membership(monkeypatch):
-    monkeypatch.setattr(QosPlane, "forget", lambda self, session: None)
-    machine_fails_with("membership", 0,
-                       "play_or_stop_clip attach detach go_quiet")
 
 
 def test_detach_keeping_the_guard_breaks_membership(monkeypatch):
