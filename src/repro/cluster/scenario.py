@@ -350,9 +350,9 @@ class Run:
             self.servers[shard].detach_client(session)
 
     def _op_unsubscribe(self, op) -> None:
-        shard, session = self.home(op.client)
+        _, session = self.home(op.client)
         if session is not None:
-            self.servers[shard].fanout.unsubscribe(session)
+            session.subscribed = session.tile_mode = False
 
     def _op_migrate(self, op) -> None:
         """Move the client's session ``args[0]`` shards along.  A target
@@ -362,8 +362,7 @@ class Run:
         if session is None:
             return  # nothing attached to move
         target = (source + op.args[0]) % len(self.servers)
-        fanout = self.servers[source].fanout
-        was = (fanout.is_subscriber(session), fanout.is_tile(session))
+        was = (session.subscribed, session.tile_mode)
         try:
             session = self.coord.migrate(self.clients[op.client].token,
                                          target)
@@ -372,8 +371,7 @@ class Run:
                 self.noted.append(f"ownership: refused migration of "
                                   f"client {op.client} moved it anyway")
             return
-        fanout = self.servers[target].fanout
-        if (fanout.is_subscriber(session), fanout.is_tile(session)) != was:
+        if (session.subscribed, session.tile_mode) != was:
             self.noted.append(
                 f"membership: client {op.client} migrated to shard "
                 f"{target} and its subscription did not")
@@ -485,7 +483,7 @@ class Run:
 
     def _check_server(self, where: str, server) -> List[str]:
         budget, sessions = server.governor.budget, server.sessions
-        plane, fanout = server.resilience, server.fanout
+        plane = server.resilience
         # Budgets: every reservoir within its line at the end.
         sized = [(len(sessions), server.governor.server_budget.max_sessions,
                   "session table"),
@@ -523,18 +521,11 @@ class Run:
                 not sanitizer.enabled() else "sanitizer enabled, not armed"
             if problem is not None:
                 out.append(f"sanitizer: a queue on {where}: {problem}")
-        # Membership: plane accounting equals plane membership, and no
-        # plane remembers a session the server no longer holds.
-        if fanout.stats["subscribed"] - fanout.stats["unsubscribed"] \
-                != len(fanout.subscribers()):
-            out.append(f"membership: fan-out counters {fanout.stats} on "
-                       f"{where} disagree with its "
-                       f"{len(fanout.subscribers())} subscribers")
-        holders = {"fan-out": fanout.subscribers(),
-                   "link health": server.health._memo,
-                   "resilience": [guard.session for guard
-                                  in plane.guards.values()] if plane else ()}
-        return out + [f"membership: {name} on {where} remembers a session "
-                      f"the server no longer holds"
-                      for name, held in holders.items()
-                      if set(held) - set(sessions)]
+        # Membership: the resilience plane remembers no session the
+        # server no longer holds (every other plane keeps its state for
+        # a session on the unit).
+        if plane and {guard.session for guard in plane.guards.values()} \
+                - set(sessions):
+            out.append(f"membership: resilience on {where} remembers a "
+                       f"session the server no longer holds")
+        return out

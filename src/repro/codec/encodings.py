@@ -55,48 +55,6 @@ def _padded_dims(h: int, w: int):
     return h + (h & 1), w + (w & 1)
 
 
-# 16-bit fixed-point BT.601 full-range coefficients (rows sum to the
-# same weights yuv.rgb_to_yv12 uses in float).  The encoder runs this
-# integer path because colour conversion would otherwise dominate the
-# whole lossy encode; it lands within +-1 of the float conversion,
-# which quantisation swallows.  The decoder keeps the shared inverse
-# from repro.video.yuv (exact integer tables) — it runs client-side, so
-# it is the video plane's conversion, bit for bit.
-_YR, _YG, _YB = 19595, 38470, 7471          # 0.299, 0.587, 0.114
-_UR, _UG, _UB = -11058, -21710, 32768       # -0.168736, -0.331264, 0.5
-_VR, _VG, _VB = 32768, -27439, -5329        # 0.5, -0.418688, -0.081312
-_HALF = 1 << 15
-_CHROMA_BIAS = 128 << 16
-
-
-def _rgb_to_yv12_int(rgb: np.ndarray):
-    """Integer 4:2:0 conversion matching :func:`repro.video.yuv.
-    rgb_to_yv12` to within one code value per sample.
-
-    Chroma is converted *after* the 2x2 subsample: the colour matrix is
-    affine, so averaging RGB first is exactly averaging U/V (modulo one
-    rounding step), and the chroma math runs on a quarter of the
-    pixels.  Y needs no clip — its weights are all positive and sum to
-    exactly 2**16."""
-    r = rgb[..., 0].astype(np.int32)
-    g = rgb[..., 1].astype(np.int32)
-    b = rgb[..., 2].astype(np.int32)
-    y8 = ((_YR * r + _YG * g + _YB * b + _HALF) >> 16).astype(np.uint8)
-    def quad(p):
-        # 2x2 block sum via four strided adds (markedly cheaper than a
-        # two-axis reduction at these block sizes).
-        return p[0::2, 0::2] + p[0::2, 1::2] + p[1::2, 0::2] \
-            + p[1::2, 1::2]
-
-    r2, g2, b2 = quad(r), quad(g), quad(b)
-    bias = 4 * _CHROMA_BIAS + (2 << 16)
-    u8 = ((_UR * r2 + _UG * g2 + _UB * b2 + bias) >> 18) \
-        .clip(0, 255).astype(np.uint8)
-    v8 = ((_VR * r2 + _VG * g2 + _VB * b2 + bias) >> 18) \
-        .clip(0, 255).astype(np.uint8)
-    return y8, v8, u8
-
-
 def _quantise(plane: np.ndarray, qstep: int) -> np.ndarray:
     return ((plane.astype(np.uint16) + qstep // 2) // qstep).astype(np.uint8)
 
@@ -122,7 +80,7 @@ def lossy_encode(pixels: np.ndarray, qstep: int = 8) -> bytes:
     ph, pw = _padded_dims(h, w)
     if (ph, pw) != (h, w):
         img = np.pad(img, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
-    y, v, u = _rgb_to_yv12_int(img[..., :3])
+    y, v, u = yuvmod.rgb_to_yv12(img)
     body = b"".join(_quantise(p, qstep).tobytes()
                     for p in (y, v, u, img[..., 3]))
     return (_LOSSY_META.pack(h, w, qstep)

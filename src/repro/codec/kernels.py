@@ -6,17 +6,6 @@ layer's :mod:`repro.protocol.compression` delegates its filter and RLE
 work to these functions; keeping them below the protocol layer (rank 15
 in the layer map) lets the command objects use them without the codec
 plane ever learning about wire formats.
-
-The one genuinely sequential kernel is the Paeth unfilter: pixel (y, x)
-depends on its left, up and up-left neighbours, so neither a row pass
-nor a column pass can vectorise it.  Each *anti-diagonal* ``d = y + x``
-can, though: all three dependencies of a pixel on diagonal ``d`` sit on
-diagonals ``d-1`` and ``d-2``, and the channels never mix, so the whole
-diagonal resolves in one fancy-indexed numpy step.  That turns the old
-``height * width * channels`` interpreted-Python loop into
-``height + width - 1`` vector operations over an output array padded
-with a zero row and column (the padding stands in for the "missing
-neighbour reads as zero" boundary rule, so no per-step masking).
 """
 
 from __future__ import annotations
@@ -26,9 +15,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "paeth_predictor",
-    "paeth_filter",
-    "paeth_unfilter",
     "up_filter",
     "up_unfilter",
     "batch_up_filter",
@@ -36,55 +22,6 @@ __all__ = [
     "rle_encoded_size",
     "rle_decode",
 ]
-
-
-def paeth_predictor(a: np.ndarray, b: np.ndarray, c: np.ndarray
-                    ) -> np.ndarray:
-    """PNG's Paeth predictor, vectorised over int16 arrays."""
-    p = a.astype(np.int16) + b.astype(np.int16) - c.astype(np.int16)
-    pa = np.abs(p - a)
-    pb = np.abs(p - b)
-    pc = np.abs(p - c)
-    pred = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return pred.astype(np.int16)
-
-
-def paeth_filter(pixels: np.ndarray) -> np.ndarray:
-    """Apply the Paeth filter to every row of an HxWxC image."""
-    img = pixels.astype(np.uint8)
-    h, w, c = img.shape
-    flat = img.reshape(h, w * c)
-    left = np.zeros_like(flat)
-    left[:, c:] = flat[:, :-c]
-    up = np.zeros_like(flat)
-    up[1:, :] = flat[:-1, :]
-    upleft = np.zeros_like(flat)
-    upleft[1:, c:] = flat[:-1, :-c]
-    pred = paeth_predictor(left, up, upleft)
-    return (flat.astype(np.int16) - pred).astype(np.uint8)
-
-
-def paeth_unfilter(filtered: np.ndarray, height: int, width: int,
-                   channels: int) -> np.ndarray:
-    """Invert the Paeth filter by anti-diagonal wavefront.
-
-    ``out`` is padded with one zero row and one zero column so that the
-    boundary neighbours (left of column 0, above row 0) read as zero
-    without any masking; padded coordinates are ``(y+1, x+1)``.
-    """
-    f = filtered.reshape(height, width, channels).astype(np.int16)
-    out = np.zeros((height + 1, width + 1, channels), dtype=np.int16)
-    for d in range(height + width - 1):
-        y0 = max(0, d - width + 1)
-        y1 = min(height - 1, d)
-        ys = np.arange(y0, y1 + 1)
-        xs = d - ys
-        a = out[ys + 1, xs]        # left     (y, x-1)
-        b = out[ys, xs + 1]        # up       (y-1, x)
-        cc = out[ys, xs]           # up-left  (y-1, x-1)
-        pred = paeth_predictor(a, b, cc)
-        out[ys + 1, xs + 1] = (f[ys, xs] + pred) & 0xFF
-    return out[1:, 1:].astype(np.uint8)
 
 
 def _up_rows(img: np.ndarray) -> np.ndarray:

@@ -16,9 +16,11 @@ other way around.
 
 Fan-out is routing
 ------------------
-A :class:`BroadcastPlane` is membership — ``session → Optional[tile
-Rect]`` — plus :meth:`BroadcastPlane.route`, the first stage of the
-server's one dispatch path (``THINCServer.submit``): a translated
+Membership is two flags on each :class:`~repro.core.session_unit.
+SessionUnit` — ``subscribed`` and ``tile_mode`` — and a tile member's
+rectangle is its scaler's view, so routing, zooming and migration all
+read one rectangle.  :meth:`BroadcastPlane.route` is the first stage of
+the server's one dispatch path (``THINCServer.submit``): a translated
 command is offered to mirror subscribers and plain sessions always and
 to a tile subscriber only when its destination intersects the tile.
 Everything after that is the ordinary path.  The prepare plane's cache
@@ -41,7 +43,7 @@ its peers nothing — no shared structure holds work on its behalf.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from ..protocol import wire
 from ..region import Rect
@@ -60,9 +62,9 @@ class TileWall:
     Wall coordinates are the server's own framebuffer coordinates: a
     tile subscriber's scaler is ``DisplayScaler(server_size,
     (tile_w, tile_h), view_rect=tile)`` — a pure 1:1 translate-clip,
-    which :mod:`repro.core.resize` maps byte-exactly.  Which tile a
-    subscriber owns is plane membership; the route stage offers a
-    command to a tile only when its destination intersects it.
+    which :mod:`repro.core.resize` maps byte-exactly.  The route stage
+    offers a command to a tile only when its destination intersects
+    the subscriber's view.
     """
 
     @staticmethod
@@ -86,57 +88,32 @@ class TileWall:
 
 
 class BroadcastPlane:
-    """Which sessions subscribed, and as what: mirror or tile."""
+    """SUBSCRIBE handling and the route stage.
+
+    Membership is two flags on each unit, ``subscribed`` and
+    ``tile_mode``; a tile member's rectangle is its scaler's view.  The
+    plane keeps only its counter of SUBSCRIBEs handled, so nothing here
+    can outlive or disagree with a session.
+    """
 
     def __init__(self, server):
         self.server = server
-        # session -> its wall tile, or None for a mirror subscriber.
-        self._subs: Dict[object, Optional[Rect]] = {}
-        self.stats = {"subscribed": 0, "unsubscribed": 0}
-
-    # -- membership ----------------------------------------------------------
-
-    def is_subscriber(self, session) -> bool:
-        return session in self._subs
-
-    def is_tile(self, session) -> bool:
-        return self._subs.get(session) is not None
-
-    def subscribers(self) -> List:
-        return list(self._subs)
-
-    def tile_of(self, session) -> Optional[Rect]:
-        """The wall rectangle owned by *session*, or ``None`` for
-        mirror subscribers and strangers."""
-        return self._subs.get(session)
-
-    def subscribe(self, session, tile: Optional[Rect] = None) -> None:
-        """Enroll *session* as a mirror (``tile=None``) or tile-wall
-        subscriber.  Idempotent per session; re-subscribing moves the
-        session between modes.
-        """
-        self.unsubscribe(session)
-        self._subs[session] = tile
-        self.stats["subscribed"] += 1
-
-    def unsubscribe(self, session) -> None:
-        """Drop *session* from the plane.  Idempotent; called by
-        ``THINCServer.detach_client``."""
-        if session in self._subs:
-            del self._subs[session]
-            self.stats["unsubscribed"] += 1
+        self.stats = {"subscribed": 0}
 
     def handle_subscribe(self, session, msg) -> None:
         """Wire-level SUBSCRIBE: enroll and push the mode's geometry.
 
-        Mirror mode keeps the session's own viewport (the scaler
+        Re-subscribing moves a session between modes.  Mirror mode keeps the session's own viewport (the scaler
         already resamples the full desktop into it).  Tile mode carves
         tile ``msg.index`` out of a ``cols x rows`` wall partition,
         points the session's scaler at that sub-rectangle at 1:1, and
         pushes a TILE_ASSIGN plus the standard geometry + refresh
         handshake so the client repaints as its tile.
         """
-        if msg.mode == MODE_TILE:
+        self.stats["subscribed"] += 1
+        leaving_tile = session.tile_mode
+        session.subscribed, session.tile_mode = True, msg.mode == MODE_TILE
+        if session.tile_mode:
             # Never trust client geometry past the decode bounds: this
             # handler is also reachable with locally built messages.
             # Clamp the grid so no tile can be empty (cols > width
@@ -150,50 +127,35 @@ class BroadcastPlane:
             session.scaler = DisplayScaler(
                 (self.server.width, self.server.height),
                 (tile.width, tile.height), view_rect=tile)
-            self.subscribe(session, tile=tile)
             session.queue_control(wire.TileAssignMessage(
                 self.server.width, self.server.height, tile))
             session.queue_control(
                 wire.ScreenInitMessage(tile.width, tile.height))
             self.server._submit_refresh(session, rect=tile)
-        else:
-            was_tile = self.is_tile(session)
-            self.subscribe(session)
-            if was_tile:
-                # Leaving a tile: restore full-desktop geometry (the
-                # session's viewport was carved down to its tile).
-                session.viewport = (self.server.width, self.server.height)
-                session.scaler = DisplayScaler(
-                    (self.server.width, self.server.height),
-                    session.viewport)
-                session.queue_control(
-                    wire.ScreenInitMessage(*session.viewport))
-            self.server._submit_refresh(session)
-
-    def adopt(self, session, tile_mode: bool = False) -> None:
-        """Re-enroll a thawed subscriber without touching its stream.
-
-        The thaw contract forbids injecting refreshes (the restored
-        queue and journal already describe what the client is missing),
-        so this only rebuilds plane membership; a tile subscriber's
-        rectangle is its scaler's view, which migrated with it.
-        """
-        self.subscribe(session,
-                       tile=session.scaler.view if tile_mode else None)
+            return
+        if leaving_tile:
+            # Restore full-desktop geometry (the session's viewport was
+            # carved down to its tile).
+            session.viewport = (self.server.width, self.server.height)
+            session.scaler = DisplayScaler(
+                (self.server.width, self.server.height), session.viewport)
+            session.queue_control(wire.ScreenInitMessage(*session.viewport))
+        self.server._submit_refresh(session)
 
     # -- the fan-out path ----------------------------------------------------
 
     def route(self, command, sessions) -> List:
         """The dispatch path's *route* stage: who receives *command*.
 
-        Everyone, except tile subscribers whose rectangle misses the
-        command's destination.  With no subscribers this is *sessions*
-        itself.
+        Everyone, except tile subscribers whose view misses the
+        command's destination.  With no tile subscriber this is
+        *sessions* itself.
         """
-        subs = self._subs
-        if not subs:
+        for session in sessions:
+            if session.tile_mode:
+                break
+        else:
             return sessions
         dest = command.dest
-        return [s for s in sessions
-                if (tile := subs.get(s)) is None
-                or not tile.intersect(dest).empty]
+        return [s for s in sessions if not s.tile_mode
+                or not s.scaler.view.intersect(dest).empty]

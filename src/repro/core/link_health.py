@@ -15,8 +15,6 @@ exactly one place, the server's :class:`~repro.codec.EncoderPolicy`.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..codec import EncoderPolicy, LinkPosture
 
 __all__ = ["LinkHealth", "PROBE_INTERVAL", "PROBE_WINDOW"]
@@ -34,15 +32,18 @@ PROBE_WINDOW = 0.25
 
 
 class LinkHealth:
-    """Per-session downlink posture, memoised per probe interval."""
+    """Per-session downlink posture, memoised per probe interval.
+
+    A window opens at the first question asked :data:`PROBE_INTERVAL`
+    or more after the last one opened; each verdict is kept on its
+    unit as ``link_posture = (window, posture)`` and holds for the rest
+    of that window.
+    """
 
     def __init__(self, loop, policy: EncoderPolicy):
         self.loop = loop
         self.policy = policy
-        # Keyed by the session object (never ``id()``: a dead session's
-        # id can be reissued to a newcomer) and reset every interval.
-        self._memo: Dict[object, LinkPosture] = {}
-        self._memo_at = float("-inf")
+        self._window = float("-inf")
 
     def posture(self, session) -> LinkPosture:
         """What *session*'s downlink can afford right now.
@@ -55,20 +56,18 @@ class LinkHealth:
         a detached session, which has no link to measure.
         """
         now = self.loop.now
-        if now - self._memo_at >= PROBE_INTERVAL:
-            self._memo = {}
-            self._memo_at = now
-        posture = self._memo.get(session)
-        if posture is None:
-            posture = self._memo[session] = self._probe(session, now)
+        if now - self._window >= PROBE_INTERVAL:
+            self._window = now
+        memo = session.link_posture
+        if memo is not None and memo[0] == self._window:
+            return memo[1]
+        posture = self._probe(session, now)
+        session.link_posture = (self._window, posture)
         return posture
 
     def congested(self, session) -> bool:
         """The QoS ladder's poll: is the downlink the bottleneck?"""
         return self.posture(session) is LinkPosture.DEGRADED
-
-    def forget(self, session) -> None:
-        self._memo.pop(session, None)
 
     def _probe(self, session, now: float) -> LinkPosture:
         if session.degraded or session.shed_display:

@@ -31,7 +31,7 @@ from ..net.clock import EventLoop
 from ..net.transport import Connection
 from ..protocol import wire
 from ..protocol.commands import (Command, CompositeCommand, RawCommand,
-                                 VideoFrameCommand, decode_command)
+                                 VideoFrameCommand)
 from ..protocol.limits import LIMITS
 from ..region import Rect
 from . import pipeline
@@ -195,34 +195,23 @@ class THINCServer:
         frozen or evicted unit already is), or its flush loop would go
         on polling a pipe nobody reads; and its resilience guard goes,
         so a redial with its token is a fresh attach rather than a
-        resync into a unit nothing routes to any more.  The governor's
-        meter and the QoS controller state live on the unit and go
+        resync into a unit nothing routes to any more.  Every other
+        plane keeps its state for the session on the unit, which goes
         with it."""
         session.detach()
         if self.resilience is not None:
             self.resilience.drop_guard(session)
-        self.fanout.unsubscribe(session)
         self.sessions.remove(session)
-        self.health.forget(session)
 
     def thaw_session(self, frozen: FrozenSession) -> SessionUnit:
-        """Rebuild a live :class:`SessionUnit` from its frozen surface.
+        """Host a unit rebuilt by :meth:`SessionUnit.thaw` from its
+        frozen surface, on the migration target.
 
-        The inverse of :meth:`SessionUnit.freeze`, run on the migration
-        target.  The unit starts detached — its client is still dialling
-        — and deliberately receives *no* refresh: the restored queue and
-        journal already describe exactly what the client is missing, and
-        injecting a snapshot here would break the replay resync's
-        byte-for-byte fidelity.  Valid on any server sharing the source
-        shard's simulation clock (the frozen pipe tail and journal
-        sequence marks are clock-relative); a view rectangle that does
-        not fit this server's screen raises
-        :class:`~repro.protocol.wire.FieldRangeError` before any state
-        is touched.
-
-        The governor's token bucket and coalesce clock restart, but its
-        abuse tallies are seeded from ``frozen.stats`` — migrating does
-        not buy a session a fresh error allowance.  The resilience
+        Valid on any server sharing the source shard's simulation clock
+        (the frozen pipe tail and journal sequence marks are
+        clock-relative); a view rectangle that does not fit this
+        server's screen raises :class:`~repro.protocol.wire.
+        FieldRangeError` before any state is touched.  The resilience
         plane adopts the unit under its original token, so the client's
         redial resyncs exactly as it would after a network fault.
         """
@@ -231,38 +220,10 @@ class THINCServer:
             raise wire.FieldRangeError(
                 f"frozen view rect {frozen.view_rect} outside the "
                 f"{self.width}x{self.height} screen")
-        session = SessionUnit(self, None, viewport=frozen.viewport,
-                              encrypt_key=self.encrypt_key,
-                              sequenced=frozen.sequenced, greet=False)
-        session.scaler = DisplayScaler((self.width, self.height),
-                                       frozen.viewport,
-                                       view_rect=frozen.view_rect)
-        session._writer.last_seq = frozen.last_seq
-        session._pipe_tail = frozen.pipe_tail
-        session.degraded = frozen.degraded
-        session.shed_display = frozen.shed_display
-        # The QoS ladder position survives migration; hysteresis state
-        # is plane-owned and re-derives from live polls on this shard.
-        session.qos_rung = frozen.qos_rung
-        for blob in frozen.commands:
-            # Straight into the buffer: governor hooks and the shed
-            # check are skipped because this content was already
-            # admitted (and governed) on the source shard.
-            session.buffer.add(decode_command(blob), now=self.loop.now)
-        session._replay.extend(frozen.replay)
-        for data in frozen.control:
-            session._control.append(data)
-            session._control_bytes += len(data)
-        session.stats.update(frozen.stats)
+        session = SessionUnit.thaw(self, frozen)
         self.sessions.append(session)
-        session.meter.wire_errors = session.stats["wire_errors"]
-        session.meter.uplink_dropped = session.stats["uplink_dropped"]
         if self.resilience is not None and frozen.token:
             self.resilience.adopt(session, frozen)
-        if frozen.subscribed:
-            # Re-enroll in the fan-out plane without a refresh — the
-            # restored queue already describes what the client misses.
-            self.fanout.adopt(session, tile_mode=frozen.tile_mode)
         return session
 
     def _read_screen_pixels(self, rect: Rect):
@@ -419,12 +380,9 @@ class THINCServer:
                 max(1, min(msg.height, LIMITS.max_viewport_dim)))
             session.scaler = DisplayScaler((self.width, self.height),
                                            session.viewport)
-            # A tile-wall member that resizes has left the wall: its
-            # scaler now views the full desktop, so keeping the tile
-            # route would starve everything outside the old rectangle.
-            # Fall back to mirror membership.
-            if self.fanout.is_tile(session):
-                self.fanout.subscribe(session)
+            # A resized tile no longer partitions the wall: a tile-wall
+            # member that resizes stays subscribed, as a mirror.
+            session.tile_mode = False
             # The client's framebuffer geometry changes, and it only has
             # a resampled version of the display — push the new geometry
             # and a full-screen refresh (Section 6: "the client requests

@@ -13,8 +13,8 @@ halves:
   residue of the unit: geometry and view transform, sequencing marks,
   the resilience journal, the buffered command queue, pending resync /
   control frames and the counters.  ``freeze()`` captures it;
-  ``THINCServer.thaw_session`` rebuilds a live unit from it on any
-  shard sharing the simulation clock.
+  :meth:`SessionUnit.thaw` rebuilds a live unit from it on any shard
+  sharing the simulation clock.
 
 Freeze/thaw is the primitive under live migration in
 :mod:`repro.cluster`: a frozen session crosses the shard fabric inside
@@ -37,7 +37,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from ..display.driver import InputEvent
 from ..net.transport import Connection
 from ..protocol import wire
-from ..protocol.commands import Command
+from ..protocol.commands import Command, decode_command
 from ..protocol.limits import LIMITS
 from ..protocol.rc4 import RC4
 from ..protocol.schema import (FieldRangeError, FieldTable,
@@ -82,6 +82,8 @@ NOT_SERIALIZED = {
     "qos_state": "hysteresis counters and poll clocks judge this "
                  "host's link; only the rung migrates, and the thawed "
                  "unit re-derives the rest from live polls",
+    "link_posture": "a verdict on this host's link, good for one probe "
+                    "window; the target's probe takes its own",
     "_successor": "forwarding pointer only meaningful on the frozen "
                   "husk left behind on the source shard",
     "_audio": "audio is useless late (the paper sheds it first); a "
@@ -306,13 +308,6 @@ class FrozenSession:
                for bit, name in enumerate(_FLAGS)})
 
 
-def _fanout_membership(unit) -> Tuple[bool, bool]:
-    """``(subscribed, tile_mode)`` for the frozen flag bits; membership
-    itself is plane-owned and re-derived on thaw."""
-    fanout = unit.server.fanout
-    return fanout.is_subscriber(unit), fanout.is_tile(unit)
-
-
 class SessionUnit:
     """Per-client server state: buffer/schedule, frame/encrypt, flush.
 
@@ -362,11 +357,16 @@ class SessionUnit:
         # Each plane's state for this session lives *on* the unit, so
         # its whole state surface is reachable from it and dies with
         # it: the governor's meter, the resilience plane's guard (set
-        # by the plane) and the QoS controller state (made by the plane
-        # on the first video frame that polls this session).
+        # by the plane), the QoS controller state (made by the plane
+        # on the first video frame that polls this session), the link
+        # probe's ``(window, posture)`` verdict, and fan-out membership
+        # — a tile member's rectangle is its scaler's view.
         self.meter = SessionMeter(server.governor.budget, server.loop.now)
         self.guard = None
         self.qos_state = None
+        self.link_posture = None
+        self.subscribed = False
+        self.tile_mode = False
         # Set by the cluster coordinator after a migration: prepared
         # commands still scheduled against this (frozen) unit are
         # forwarded to the live successor on the target shard.
@@ -613,7 +613,6 @@ class SessionUnit:
         if self.connection is not None:
             self.connection.up.disconnect()
         self.detached = True
-        subscribed, tile_mode = _fanout_membership(self)
         guard = self.guard
         return FrozenSession(
             token=guard.token if guard is not None else 0,
@@ -634,10 +633,49 @@ class SessionUnit:
             replay=tuple(self._replay),
             control=tuple(self._control),
             stats=dict(self.stats),
-            subscribed=subscribed,
-            tile_mode=tile_mode,
+            subscribed=self.subscribed,
+            tile_mode=self.tile_mode,
             qos_rung=self.qos_rung,
         )
+
+    @classmethod
+    def thaw(cls, server, frozen: FrozenSession) -> "SessionUnit":
+        """Rebuild a live unit on *server* from its frozen surface.
+
+        The inverse of :meth:`freeze`.  The unit starts detached — its
+        client is still dialling — and greets nobody: the restored
+        queue and journal already describe exactly what the client is
+        missing.  The governor's meter restarts, but its abuse tallies
+        are seeded from ``frozen.stats``, so migrating does not buy a
+        session a fresh error allowance.  Enrolling the unit with the
+        server and its resilience plane is the caller's
+        (``THINCServer.thaw_session``).
+        """
+        unit = cls(server, None, viewport=frozen.viewport,
+                   encrypt_key=server.encrypt_key,
+                   sequenced=frozen.sequenced, greet=False)
+        unit.scaler = DisplayScaler((server.width, server.height),
+                                    frozen.viewport,
+                                    view_rect=frozen.view_rect)
+        unit._writer.last_seq = frozen.last_seq
+        unit._pipe_tail = frozen.pipe_tail
+        unit.degraded = frozen.degraded
+        unit.shed_display = frozen.shed_display
+        unit.subscribed = frozen.subscribed
+        unit.tile_mode = frozen.tile_mode
+        unit.qos_rung = frozen.qos_rung
+        for blob in frozen.commands:
+            # Straight into the buffer: governor hooks and the shed
+            # check are skipped because this content was already
+            # admitted (and governed) on the source shard.
+            unit.buffer.add(decode_command(blob), now=unit.loop.now)
+        unit._replay.extend(frozen.replay)
+        unit._control.extend(frozen.control)
+        unit._control_bytes = sum(map(len, frozen.control))
+        unit.stats.update(frozen.stats)
+        unit.meter.wire_errors = unit.stats["wire_errors"]
+        unit.meter.uplink_dropped = unit.stats["uplink_dropped"]
+        return unit
 
     def forward_to(self, successor: "SessionUnit") -> None:
         """Route work still scheduled against this frozen unit (prepare

@@ -7,8 +7,8 @@ per-row predictive filtering followed by DEFLATE — plus the plainer
 codecs the baselines and the adaptive encoder use (an RLE codec
 approximating VNC-style hextile encodings, and a JPEG-style lossy
 codec).  The numpy kernels live in
-:mod:`repro.codec.kernels` (no per-pixel Python loops anywhere — the
-Paeth unfilter runs as an anti-diagonal wavefront); this module owns
+:mod:`repro.codec.kernels` (no per-pixel Python loops anywhere); this
+module owns
 the byte formats and binds every decoder to the global decode bounds in
 :mod:`repro.protocol.limits`.
 """
@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 
-_FILTER_IDS = {"up": 0, "paeth": 1}
+#: The one row filter id, PNG's 'Up'.
+_UP_FILTER = 0
 
 _HEADER_BYTES = 6  # h[u16] w[u16] c[u8] filter[u8]
 
@@ -121,9 +122,9 @@ class PngPayload(bytes):
         return self
 
 
-def _png_header(h: int, w: int, c: int, row_filter: str) -> bytes:
+def _png_header(h: int, w: int, c: int) -> bytes:
     return (h.to_bytes(2, "big") + w.to_bytes(2, "big")
-            + bytes([c, _FILTER_IDS[row_filter]]))
+            + bytes([c, _UP_FILTER]))
 
 
 def _stream_adler(segments) -> bytes:
@@ -273,32 +274,24 @@ def png_channels(pixels: np.ndarray) -> np.ndarray:
     return pixels[..., :3] if opaque else pixels
 
 
-def png_compress(pixels: np.ndarray, level: int = 6,
-                 row_filter: str = "up") -> bytes:
-    """PNG-model compression: predictive row filter + DEFLATE.
+def png_compress(pixels: np.ndarray, level: int = 6) -> bytes:
+    """PNG-model compression: 'up' row filter + DEFLATE.
 
     Input is an HxWxC uint8 array, which may be a strided view such as
-    :func:`png_channels`' RGB of an RGBA block (the 'up' filter reads
-    it in place); the output embeds the dimensions, channel count and
-    filter so that :func:`png_decompress` is self-contained.  The
-    default 'up' predictor is fully vectorisable in both directions;
-    'paeth' matches libpng's usual choice and its unfilter runs as an
-    anti-diagonal wavefront (O(h+w) numpy steps).
+    :func:`png_channels`' RGB of an RGBA block (the filter reads it in
+    place); the output embeds the dimensions, channel count and filter
+    so that :func:`png_decompress` is self-contained.  The 'up'
+    predictor is fully vectorisable in both directions.
 
-    A tall 'up'-filtered image comes back as a :class:`PngPayload`: the
-    same bytes-like payload, DEFLATEd once as row bands that
+    A tall image comes back as a :class:`PngPayload`: the same
+    bytes-like payload, DEFLATEd once as row bands that
     :func:`png_split` can later slice apart without recompressing.
     """
     img = np.asarray(pixels, dtype=np.uint8)
     if img.ndim != 3:
         raise ValueError("expected an HxWxC pixel array")
-    if row_filter not in _FILTER_IDS:
-        raise ValueError(f"unknown row filter {row_filter!r}")
     h, w, c = img.shape
-    header = _png_header(h, w, c, row_filter)
-    if row_filter == "up":
-        return _deflate_rows(header, kernels.up_filter(img), level)
-    return header + zlib.compress(kernels.paeth_filter(img).tobytes(), level)
+    return _deflate_rows(_png_header(h, w, c), kernels.up_filter(img), level)
 
 
 def png_compress_batch(blocks, level: int = 6) -> list:
@@ -316,7 +309,7 @@ def png_compress_batch(blocks, level: int = 6) -> list:
     if stack.ndim != 4:
         raise ValueError("expected a batch of HxWxC pixel arrays")
     _, h, w, c = stack.shape
-    header = _png_header(h, w, c, "up")
+    header = _png_header(h, w, c)
     return [_deflate_rows(header, rows, level)
             for rows in kernels.batch_up_filter(stack)]
 
@@ -357,7 +350,7 @@ def png_split(payload: bytes, pixels: np.ndarray,
     head_rows = sum(seg.size for seg in head_segs) // row_seg.size
     stream = memoryview(payload)
     head = PngPayload(b"".join([
-        _png_header(head_rows, w, c, "up"),
+        _png_header(head_rows, w, c),
         stream[_HEADER_BYTES:head_segs[-1].end],
         _EMPTY_FINAL_BLOCK, _stream_adler(head_segs)]), head_segs)
     row = pixels[head_rows, :, :c].tobytes()
@@ -368,7 +361,7 @@ def png_split(payload: bytes, pixels: np.ndarray,
     rest_segs = (_Segment(row_seg.end + shift, zlib.adler32(row), len(row)),
                  *[seg._replace(end=seg.end + shift) for seg in tail])
     rest = PngPayload(b"".join([
-        _png_header(h - head_rows, w, c, "up"), restart,
+        _png_header(h - head_rows, w, c), restart,
         stream[row_seg.end:-4], _stream_adler(rest_segs)]), rest_segs)
     return head_rows, head, rest
 
@@ -378,7 +371,7 @@ def png_decompress(data: bytes) -> np.ndarray:
 
     The header's channel count must be 4 (RGBA rows) or 3 (RGB rows of
     an opaque block, which decode with alpha 255), and its filter id
-    one of :data:`_FILTER_IDS`; any other is a
+    :data:`_UP_FILTER`; any other is a
     :class:`~repro.protocol.schema.FieldRangeError` before a byte is
     inflated.  Decompression is bounded by the geometry the header
     declares (and the global decoded-pixel limit): the DEFLATE stream
@@ -396,7 +389,7 @@ def png_decompress(data: bytes) -> np.ndarray:
         raise FieldRangeError(
             f"PNG payload declares {c} channels; only 3 (RGB) or 4 "
             f"(RGBA) decode to pixels")
-    if filter_id not in _FILTER_IDS.values():
+    if filter_id != _UP_FILTER:
         raise FieldRangeError(f"unknown filter id {filter_id}")
     if h * w * 4 > LIMITS.max_decoded_pixel_bytes:
         raise ValueError(
@@ -414,15 +407,12 @@ def png_decompress(data: bytes) -> np.ndarray:
             f"{expected} bytes"
         )
     filtered = np.frombuffer(raw, dtype=np.uint8).reshape(h, w * c)
-    up = filter_id == _FILTER_IDS["up"]
-    if up and c == 4:
+    if c == 4:
         return kernels.up_unfilter(filtered, h, w, c)
+    # RGB rows unfilter straight into the opaque RGBA array.
     out = np.empty((h, w, 4), dtype=np.uint8)
     out[..., 3] = 255
-    if up:  # RGB rows unfilter straight into the opaque RGBA array
-        return kernels.up_unfilter(filtered, h, w, c, out)
-    out[..., :c] = kernels.paeth_unfilter(filtered, h, w, c)
-    return out
+    return kernels.up_unfilter(filtered, h, w, c, out)
 
 
 def rle_compress(pixels: np.ndarray) -> bytes:

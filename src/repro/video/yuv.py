@@ -7,7 +7,10 @@ quarter-resolution V and U chroma planes: 12 bits per pixel instead of
 24, a free 2x reduction in network bytes with no perceptible loss.
 
 These routines implement BT.601 full-range conversion with 4:2:0 chroma
-subsampling, plus the packing/unpacking of the planar wire layout.
+subsampling, plus the packing/unpacking of the planar wire layout.  The
+forward conversion is 16-bit fixed point, within one code value of the
+float formula; the server's video transcoders, the lossy RAW codec and
+the synthetic clips all run it.
 
 The inverse (YUV -> RGB) runs once per presented frame on the server
 screen and once on every client, so it is done the way overlay hardware
@@ -53,32 +56,49 @@ def yv12_frame_size(width: int, height: int) -> int:
     return width * height * 3 // 2
 
 
-def _subsample(plane: np.ndarray) -> np.ndarray:
-    """Average 2x2 blocks down to one sample (4:2:0 chroma siting)."""
-    h, w = plane.shape
-    return (
-        plane.reshape(h // 2, 2, w // 2, 2)
-        .mean(axis=(1, 3))
-    )
+# 16-bit fixed-point BT.601 full-range coefficients: each row is the
+# float weights scaled by 2**16, and Y's three sum to exactly 2**16.
+_YR, _YG, _YB = 19595, 38470, 7471          # 0.299, 0.587, 0.114
+_UR, _UG, _UB = -11058, -21710, 32768       # -0.168736, -0.331264, 0.5
+_VR, _VG, _VB = 32768, -27439, -5329        # 0.5, -0.418688, -0.081312
+_HALF = 1 << 15
+# A 2x2 block sum carries four 128 chroma biases plus the rounding half
+# of the final 18-bit shift (16 fixed-point bits, 2 for the average).
+_CHROMA_BIAS = 4 * (128 << 16) + (2 << 16)
+
+
+def _quad(plane: np.ndarray) -> np.ndarray:
+    """2x2 block sums via four strided adds (markedly cheaper than a
+    two-axis reduction at these block sizes)."""
+    return plane[0::2, 0::2] + plane[0::2, 1::2] + plane[1::2, 0::2] \
+        + plane[1::2, 1::2]
 
 
 def rgb_to_yv12(rgb: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convert an HxWx3 uint8 RGB frame to (Y, V, U) planes.
 
-    Returns uint8 planes: Y is HxW, V and U are (H/2)x(W/2).
+    Returns uint8 planes: Y is HxW, V and U are (H/2)x(W/2).  Integer
+    BT.601 full range, within one code value per sample of the float
+    formula (``tests/video/reference.py``).  Chroma is converted
+    *after* the 2x2 subsample: the colour matrix is affine, so
+    averaging RGB first is averaging U/V (modulo one rounding step),
+    and the chroma math runs on a quarter of the pixels.  Y needs no
+    clip — its weights are all positive and sum to exactly 2**16.
     """
-    rgb = np.asarray(rgb, dtype=np.float64)
+    rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] < 3:
         raise ValueError("expected HxWx3 RGB input")
     if rgb.shape[0] % 2 or rgb.shape[1] % 2:
         raise ValueError("YV12 dimensions must be even")
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    u = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
-    v = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
-    y8 = np.clip(np.rint(y), 0, 255).astype(np.uint8)
-    u8 = np.clip(np.rint(_subsample(u)), 0, 255).astype(np.uint8)
-    v8 = np.clip(np.rint(_subsample(v)), 0, 255).astype(np.uint8)
+    r = rgb[..., 0].astype(np.int32)
+    g = rgb[..., 1].astype(np.int32)
+    b = rgb[..., 2].astype(np.int32)
+    y8 = ((_YR * r + _YG * g + _YB * b + _HALF) >> 16).astype(np.uint8)
+    r2, g2, b2 = _quad(r), _quad(g), _quad(b)
+    u8 = ((_UR * r2 + _UG * g2 + _UB * b2 + _CHROMA_BIAS) >> 18) \
+        .clip(0, 255).astype(np.uint8)
+    v8 = ((_VR * r2 + _VG * g2 + _VB * b2 + _CHROMA_BIAS) >> 18) \
+        .clip(0, 255).astype(np.uint8)
     return y8, v8, u8
 
 
@@ -303,7 +323,7 @@ def frame_size(pixel_format: str, width: int, height: int) -> int:
 def encode_frame(pixel_format: str, rgb: np.ndarray) -> bytes:
     """Encode an RGB frame in the given wire pixel format."""
     if pixel_format == "YV12":
-        return pack_yv12(*rgb_to_yv12(np.asarray(rgb)[..., :3]))
+        return pack_yv12(*rgb_to_yv12(rgb))
     if pixel_format == "YUY2":
         return rgb_to_yuy2(rgb)
     raise ValueError(f"unknown pixel format {pixel_format!r}")

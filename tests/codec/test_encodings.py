@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec import encodings
 from repro.codec.encodings import lossy_decode, lossy_encode, psnr
 from repro.protocol import compression as comp
 from repro.video import yuv as yuvmod
+from tests.video.reference import rgb_to_yv12_ref
 
 MAX_BYTES = 1 << 20
 
@@ -80,9 +80,10 @@ class TestIntegerColourPath:
     def test_matches_float_conversion_within_one(self):
         img = random_rgba(64, 64, seed=7)
         rgb = img[..., :3]
-        # The float path subsamples the same way: average RGB first.
-        yi, vi, ui = encodings._rgb_to_yv12_int(rgb)
-        yf, vf, uf = yuvmod.rgb_to_yv12(rgb)
+        # The lossy codec's conversion is the video plane's kernel,
+        # held to the float formula.
+        yi, vi, ui = yuvmod.rgb_to_yv12(rgb)
+        yf, vf, uf = rgb_to_yv12_ref(rgb)
         for ours, theirs in ((yi, yf), (vi, vf), (ui, uf)):
             delta = np.abs(ours.astype(int) - theirs.astype(int))
             assert int(delta.max()) <= 1

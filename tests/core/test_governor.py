@@ -49,7 +49,7 @@ class TestQueueLadder:
         rig = make_rig(**kw)
         if self.subscribe:
             server = rig[3]
-            server.fanout.subscribe(server.sessions[0])
+            server.sessions[0].subscribed = True
         return rig
 
     def test_degrade_enter_and_exit(self):

@@ -236,9 +236,9 @@ class TestMigrationCarriesRung:
 
 
 class TestControllerStateFollowsTheSession:
-    """Controller state lives on the unit and probe state is keyed by
-    the session object — never by ``id()``, which CPython reissues —
-    so both die with the session."""
+    """Controller state and the link probe's verdict live on the unit —
+    never in a table keyed by ``id()``, which CPython reissues — so
+    both die with the session."""
 
     def _played(self):
         loop, conn, mon, server, ws, client = make_qos_rig(
@@ -252,16 +252,16 @@ class TestControllerStateFollowsTheSession:
     def test_detach_leaves_no_controller_or_probe_state(self):
         loop, server = self._played()
         session = server.sessions[0]
-        server.health.posture(session)
+        posture = server.health.posture(session)
         assert session.qos_state is not None
-        assert session in server.health._memo
+        assert session.link_posture == (server.health._window, posture)
         server.detach_client(session)
-        assert not server.health._memo
         # A newcomer (who may well be handed the dead session's id)
         # starts from scratch.
         newcomer = server.attach_client(
             Connection(loop, THIN_256K, monitor=PacketMonitor()))
         assert newcomer.qos_state is None
+        assert newcomer.link_posture is None
         state = server.qos._state(newcomer)
         assert newcomer.qos_state is state
         assert (state.congested, state.clear, state.submitted) \
@@ -273,7 +273,8 @@ class TestControllerStateFollowsTheSession:
         assert session.qos_state is not None
         server.governor.quarantine(session, wire.DENY_QUARANTINED)
         assert session not in server.sessions
-        assert not server.health._memo
+        # The probe's verdict was held by the unit, and went with it.
+        assert session.link_posture is not None
 
     def test_thawed_session_keeps_rung_with_fresh_hysteresis(self):
         loop, server = self._played()
@@ -302,7 +303,7 @@ def run_scenario(plan=None, qos=None, end=3.5, subscribe=False):
     loop, conn, mon, server, ws, client = make_qos_rig(
         link=THIN_256K, plan=plan, qos=qos)
     if subscribe:
-        server.fanout.subscribe(server.sessions[0])
+        server.sessions[0].subscribed = True
     # ~166 kbit/s offered (0.65 of the link; worst 0.25s window ~0.76),
     # comfortably healthy at full rate but underwater once cross
     # traffic cuts the service rate.

@@ -124,8 +124,9 @@ def _direct_rig(ever_subscribed):
         clients.append(THINCClient(loop, conn))
         mons.append(mon)
     if ever_subscribed:
-        server.fanout.subscribe(server.sessions[0])
-        server.fanout.unsubscribe(server.sessions[0])
+        # Enrolled and dropped server-side: no refresh either way.
+        server.sessions[0].subscribed = True
+        server.sessions[0].subscribed = False
     _flood(loop, ws, np.random.default_rng(24), 0.05, 1.0)
     loop.run_until(3.0)
     return server, ws, clients, [

@@ -145,8 +145,10 @@ class TestSubscribeProtocol:
         loop, mon, server, ws, clients = make_broadcast_rig(3)
         session = server.sessions[0]
         server.detach_client(session)
-        assert not server.fanout.is_subscriber(session)
-        assert server.fanout.stats["unsubscribed"] == 1
+        # Membership is the unit's own flags: leaving the server's
+        # session list takes the unit out of every route, and the plane
+        # holds nothing to clean up.
+        assert session not in server.sessions
         # The remaining subscribers still render exactly.
         scripted_workload(loop, ws, end=END)
         loop.run_until(END + SETTLE)
@@ -159,7 +161,7 @@ class TestSubscribeProtocol:
             1, tile_grid=(2, 2))
         client = clients[0]
         session = server.sessions[0]
-        assert server.fanout.is_tile(session)
+        assert session.tile_mode
         scripted_workload(loop, ws, end=END)
         loop.run_until(END + SETTLE)
         r = client.tile_assignment.rect
@@ -168,5 +170,23 @@ class TestSubscribeProtocol:
             ws.screen.fb.data[r.y:r.y + r.height, r.x:r.x + r.width])
         client.request_subscribe(wire.SUBSCRIBE_MIRROR)
         loop.run_until(END + SETTLE + 2.0)
-        assert not server.fanout.is_tile(session)
+        assert session.subscribed and not session.tile_mode
         assert_pixel_identical(client, ws)
+
+    def test_zoomed_tile_routes_by_its_view(self):
+        """A tile member that zooms is routed by the view it zoomed to:
+        the tile rectangle is the scaler's view, not a second copy the
+        zoom leaves behind."""
+        from repro.region import Rect
+        loop, mon, server, ws, clients = make_broadcast_rig(
+            1, width=64, height=64, tile_grid=(2, 2))
+        client = clients[0]
+        assert client.tile_assignment.rect == Rect(0, 0, 32, 32)
+        view = Rect(32, 32, 32, 32)
+        client.request_zoom(view)  # 1:1 onto the wall's last quarter
+        loop.run_until(0.5)
+        ws.fill_rect(ws.screen, Rect(40, 40, 8, 8), (200, 30, 90, 255))
+        loop.run_until(1.5)
+        assert server.sessions[0].scaler.view == view
+        assert np.array_equal(client.fb.data, ws.screen.fb.data[32:, 32:])
+        assert (client.fb.data[8:16, 8:16] == (200, 30, 90, 255)).all()

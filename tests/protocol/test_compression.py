@@ -38,11 +38,6 @@ class TestPngModel:
         out = comp.png_decompress(comp.png_compress(img))
         assert np.array_equal(out, img)
 
-    def test_roundtrip_paeth_filter(self):
-        img = random_rgba(9, 7, seed=2)
-        out = comp.png_decompress(comp.png_compress(img, row_filter="paeth"))
-        assert np.array_equal(out, img)
-
     def test_flat_content_compresses_hard(self):
         img = flat_rgba(100, 100)
         assert len(comp.png_compress(img)) < img.nbytes / 100
@@ -60,8 +55,13 @@ class TestPngModel:
             comp.png_compress(np.zeros((4, 4), dtype=np.uint8))
 
     def test_rejects_unknown_filter(self):
-        with pytest.raises(ValueError):
-            comp.png_compress(flat_rgba(2, 2), row_filter="sub")
+        """'Up' is the one row filter: every payload names id 0, and
+        one naming the retired Paeth id 1 is refused on decode."""
+        payload = bytearray(comp.png_compress(random_rgba(9, 7, seed=2)))
+        assert payload[5] == 0
+        payload[5] = 1
+        with pytest.raises(FieldRangeError, match="filter id 1"):
+            comp.png_decompress(bytes(payload))
 
     def test_rejects_truncated_data(self):
         with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ class TestRowBands:
         img = smooth_rgba(100, 325, seed=3)  # 400 B rows, 163-row bands
         payload = comp.png_compress(img)
         assert type(payload) is bytes
-        assert payload == (comp._png_header(325, 100, 4, "up") + zlib.compress(
+        assert payload == (comp._png_header(325, 100, 4) + zlib.compress(
             kernels.up_filter(img).tobytes(), 6))
 
     def test_multi_band_image_is_one_ordinary_zlib_stream(self):
@@ -251,7 +251,7 @@ class TestOpaqueRows:
             start, offset = seg.end, offset + seg.size
         assert offset == rows.size and start == len(payload) - 4
 
-    @pytest.mark.parametrize("filter_id", [2, 7, 255])
+    @pytest.mark.parametrize("filter_id", [1, 2, 7, 255])
     def test_bad_filter_id_is_rejected_before_inflating(self, filter_id):
         payload = bytearray(comp.png_compress(random_rgba(5, 4)))
         payload[5] = filter_id

@@ -26,7 +26,7 @@ CHAOS_SEED = int(os.environ.get("THINC_CHAOS_SEED", "0"))
 
 def subscribed_on_its_new_home(run):
     shard, session = run.home(0)
-    return shard == 1 and run.servers[1].fanout.is_subscriber(session)
+    return shard == 1 and session.subscribed
 
 
 def ladder_engaged_and_rung_travelled(run):

@@ -7,6 +7,8 @@ in: the machine must fail, and with the *named* invariant — so "the
 machine passes" (test_state_machine.py) is known to mean something.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import Phase, settings
 from hypothesis.stateful import run_state_machine_as_test
@@ -14,9 +16,9 @@ from hypothesis.stateful import run_state_machine_as_test
 from repro.cluster.scenario import ScenarioFailure
 from repro.core import THINCServer
 from repro.core.command_queue import CommandQueue
-from repro.core.fanout import BroadcastPlane
 from repro.core.governor import Governor
 from repro.core.resilience import ResiliencePlane
+from repro.core.session_unit import SessionUnit
 
 from .machine import BASES, ScenarioMachine
 
@@ -41,8 +43,12 @@ def test_degraded_never_cleared_once_quiet_breaks_liveness(monkeypatch):
 
 
 def test_thaw_skipping_fanout_adopt_breaks_membership(monkeypatch):
-    monkeypatch.setattr(BroadcastPlane, "adopt",
-                        lambda self, session, tile_mode=False: None)
+    # A thaw that ignores the frozen fan-out flags lands a migrated
+    # subscriber on its new shard as a plain session.
+    real = SessionUnit.thaw.__func__
+    monkeypatch.setattr(SessionUnit, "thaw", classmethod(
+        lambda cls, server, frozen: real(cls, server, replace(
+            frozen, subscribed=False, tile_mode=False))))
     machine_fails_with("membership", 2, "subscribe migrate")
 
 

@@ -1,16 +1,35 @@
-"""Pre-PR-19 YUV decode, kept verbatim as the oracle for its successor.
+"""The float YUV conversions, kept verbatim as oracles for their successors.
 
 PR 19 replaced the ``float64`` YUV -> RGB conversion in
 ``repro.video.yuv`` with integer tables that promise output bit-for-bit
 equal to what the code below produces for every (Y, U, V) triple, and
 gave ``scale_rgb`` a packed two-step gather that promises the pixels of
-the ``np.ix_`` gather below.  The equivalence tests compare against
-these.
+the ``np.ix_`` gather below.  The forward RGB -> YV12 conversion went
+16-bit fixed point later; it promises every sample within one code
+value of :func:`rgb_to_yv12_ref`.  The equivalence tests compare
+against these.
 
 Nothing here is used by ``src/repro``; do not "optimise" it.
 """
 
 import numpy as np
+
+
+def rgb_to_yv12_ref(rgb):
+    rgb = np.asarray(rgb, dtype=np.float64)
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    y = 0.299 * r + 0.587 * g + 0.114 * b
+    u = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
+    v = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
+
+    def subsample(plane):
+        h, w = plane.shape
+        return plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+
+    y8 = np.clip(np.rint(y), 0, 255).astype(np.uint8)
+    u8 = np.clip(np.rint(subsample(u)), 0, 255).astype(np.uint8)
+    v8 = np.clip(np.rint(subsample(v)), 0, 255).astype(np.uint8)
+    return y8, v8, u8
 
 
 def yv12_to_rgb_ref(y, v, u):
