@@ -34,16 +34,18 @@ sanitize:
 	THINC_SANITIZE=1 PYTHONPATH=src $(PY) -m pytest -x -q
 
 # Deterministic chaos suite: fault-injected transport + resilience
-# plane, the hand-picked schedule table, and the scenario state machine
-# at its deeper ``chaos`` profile, all with the queue sanitizer armed,
-# at three fixed seeds (each selects a different random fault schedule
-# and a different example stream).  A failing scenario is written out
+# plane, the lane transport's exactness property against the
+# per-event reference, the hand-picked schedule table, and the
+# scenario state machine at its deeper ``chaos`` profile, all with the
+# queue sanitizer armed, at three fixed seeds (each selects a different
+# random fault schedule and a different example stream).  A failing scenario is written out
 # as a bundle for ``python -m repro replay``.  See docs/TESTING.md.
 chaos:
 	@for seed in 11 23 47; do \
 	  echo "== chaos seed $$seed =="; \
 	  THINC_SANITIZE=1 THINC_CHAOS_SEED=$$seed PYTHONPATH=src \
 	  $(PY) -m pytest tests/net/test_faults.py \
+	    tests/net/test_transport.py \
 	    tests/core/test_resilience.py \
 	    tests/cluster/test_migration.py \
 	    tests/fanout/test_migration_fanout.py \

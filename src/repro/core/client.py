@@ -256,7 +256,7 @@ class THINCClient:
         try:
             messages = self.parser.feed(chunk)
             for msg in messages:
-                self._handle(msg, len_hint=len(chunk))
+                self._handle(msg)
         except (ValueError, KeyError, struct.error, zlib.error) as exc:
             # A corrupted stream can fail anywhere in parse/decode.
             # With a resilience hook installed the client reports the
@@ -268,7 +268,7 @@ class THINCClient:
             self.parser = self._make_parser()
             self.on_protocol_error(exc)
 
-    def _handle(self, msg, len_hint: int = 0) -> None:
+    def _handle(self, msg) -> None:
         if isinstance(msg, wire.CheckedFrame):
             # Sequenced stream: skip anything already applied (resync
             # replays overlap by design — duplicates are benign, which
@@ -354,10 +354,11 @@ class THINCClient:
         kinds = self.stats["commands_by_kind"]
         kinds[cmd.kind] = kinds.get(cmd.kind, 0) + 1
         sizes = self.stats["bytes_by_kind"]
-        sizes[cmd.kind] = sizes.get(cmd.kind, 0) + cmd.wire_size()
+        nbytes = cmd.wire_size()  # the frame's, for a decoded command
+        sizes[cmd.kind] = sizes.get(cmd.kind, 0) + nbytes
         npixels = cmd.dest.area
         self.stats["processing_time"] += self.cost_model.cost(
-            cmd.wire_size(), npixels)
+            nbytes, npixels)
         self.stats["last_update_time"] = now
         if isinstance(cmd, VideoFrameCommand):
             vstats = self.video_stats.setdefault(

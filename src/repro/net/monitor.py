@@ -8,13 +8,11 @@ segment is recorded with its timestamp and direction, and the analysis
 helpers extract the same measures the paper reports.
 
 Records arrive in time order (the transport stamps them with the
-monotone loop clock), so the analysis helpers answer windowed queries
-from per-direction bisect indexes with byte-prefix sums instead of
-rescanning the whole trace: the server's link probe
-(``repro.core.link_health``, the one rate reader) polls the downlink
-rate every interval without going quadratic in trace length.  Should
-a caller ever record out of order, every query falls back to the
-original full-trace scan, so results are identical either way.
+monotone loop clock; ``record`` refuses one that goes back), so each
+direction keeps timestamps and a byte-prefix sum, and the analysis
+helpers answer windowed queries by bisection instead of rescanning the
+trace: the server's link probe (``repro.core.link_health``) polls the
+downlink rate every interval without going quadratic in trace length.
 """
 
 from __future__ import annotations
@@ -43,10 +41,6 @@ class _DirectionIndex:
         # prefix[k] == bytes of the first k records; prefix[0] == 0.
         self.prefix: List[int] = [0]
 
-    def add(self, time: float, size: int) -> None:
-        self.times.append(time)
-        self.prefix.append(self.prefix[-1] + size)
-
     def total(self, start: float, end: float) -> int:
         lo = bisect_left(self.times, start)
         hi = bisect_right(self.times, end)
@@ -67,25 +61,20 @@ class PacketMonitor:
     """Records every segment crossing the emulated network."""
 
     def __init__(self) -> None:
-        self.records: List[PacketRecord] = []
-        self.marks: List[Tuple[float, str]] = []
-        self._all = _DirectionIndex()
-        self._by_dir: Dict[str, _DirectionIndex] = {}
-        self._monotone = True
-        self._last_time = float("-inf")
+        self.clear()
 
     def record(self, time: float, direction: str, size: int) -> None:
         """Log one delivered segment (called by the transport)."""
-        self.records.append(PacketRecord(time, direction, size))
         if time < self._last_time:
-            self._monotone = False
-        else:
-            self._last_time = time
-        self._all.add(time, size)
+            raise ValueError(f"packet time cannot move backwards "
+                             f"({time} < {self._last_time})")
+        self._last_time = time
         idx = self._by_dir.get(direction)
         if idx is None:
             idx = self._by_dir[direction] = _DirectionIndex()
-        idx.add(time, size)
+        idx.times.append(time)
+        idx.prefix.append(idx.prefix[-1] + size)
+        self._order.append(direction)
 
     def mark(self, time: float, label: str) -> None:
         """Drop an analysis marker (e.g. page-load click) into the trace."""
@@ -93,52 +82,45 @@ class PacketMonitor:
 
     def clear(self) -> None:
         """Drop all records and marks (between benchmark phases)."""
-        self.records = []
-        self.marks = []
-        self._all = _DirectionIndex()
-        self._by_dir = {}
-        self._monotone = True
+        self.marks: List[Tuple[float, str]] = []
+        self._by_dir: Dict[str, _DirectionIndex] = {}
+        self._order: List[str] = []  # each record's direction
         self._last_time = float("-inf")
 
-    def _index(self, direction: Optional[str]) -> _DirectionIndex:
-        if direction is None:
-            return self._all
-        idx = self._by_dir.get(direction)
-        if idx is None:
-            idx = self._by_dir[direction] = _DirectionIndex()
-        return idx
+    @property
+    def records(self) -> List[PacketRecord]:
+        """Every record so far, in the order it was logged."""
+        rows = {d: zip(idx.times, idx.prefix, idx.prefix[1:])
+                for d, idx in self._by_dir.items()}
+        out = []
+        for direction in self._order:
+            time, before, after = next(rows[direction])
+            out.append(PacketRecord(time, direction, after - before))
+        return out
+
+    def _indexes(self, direction: Optional[str]) -> List[_DirectionIndex]:
+        return [idx for d, idx in self._by_dir.items()
+                if direction in (None, d)]
 
     # -- analysis -----------------------------------------------------------
 
     def total_bytes(self, direction: Optional[str] = None,
                     start: float = float("-inf"),
                     end: float = float("inf")) -> int:
-        if not self._monotone:
-            return sum(r.size for r in self.records
-                       if (direction is None or r.direction == direction)
-                       and start <= r.time <= end)
-        return self._index(direction).total(start, end)
+        return sum(idx.total(start, end)
+                   for idx in self._indexes(direction))
 
     def first_packet_time(self, direction: Optional[str] = None,
                           after: float = float("-inf")) -> Optional[float]:
-        if not self._monotone:
-            for r in self.records:
-                if (direction is None or r.direction == direction) \
-                        and r.time >= after:
-                    return r.time
-            return None
-        return self._index(direction).first(after)
+        return min((t for t in (idx.first(after)
+                                for idx in self._indexes(direction))
+                    if t is not None), default=None)
 
     def last_packet_time(self, direction: Optional[str] = None,
                          before: float = float("inf")) -> Optional[float]:
-        if not self._monotone:
-            result = None
-            for r in self.records:
-                if (direction is None or r.direction == direction) \
-                        and r.time <= before:
-                    result = r.time
-            return result
-        return self._index(direction).last(before)
+        return max((t for t in (idx.last(before)
+                                for idx in self._indexes(direction))
+                    if t is not None), default=None)
 
     def span_latency(self, start: float, end: float = float("inf"),
                      direction: str = "server->client") -> Optional[float]:
@@ -159,4 +141,4 @@ class PacketMonitor:
                                 end=now) * 8.0 / window
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._order)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections import deque
 from typing import Callable, Optional
 
 from .clock import EventLoop
@@ -31,6 +32,8 @@ from .link import MSS, LinkParams
 __all__ = ["Endpoint", "Connection"]
 
 Receiver = Callable[[bytes], None]
+
+_FIRING = -1  # Endpoint._armed while the lanes run (re-armed after)
 
 
 class Endpoint:
@@ -63,6 +66,12 @@ class Endpoint:
         # simulation lose different segments on every run.
         self._loss_rng = random.Random(
             zlib.crc32(f"{label}|{link.name}".encode("utf-8")) & 0xFFFF)
+        # Deliveries (time, seq, segment) and acks (time, seq, nbytes),
+        # each in order, and the seq of the heap entry for the earlier.
+        self._arrivals: "deque[tuple]" = deque()
+        self._acks: "deque[tuple]" = deque()
+        self._armed: Optional[int] = None
+        loop.owners.add(self)
 
     # -- wiring -----------------------------------------------------------
 
@@ -129,42 +138,93 @@ class Endpoint:
     def _pump(self) -> None:
         """Move segments from the buffer onto the wire, window allowing."""
         self._pump_scheduled = False
-        window = self.link.effective_window
-        while self._buffer and self._inflight + MSS <= window:
-            segment = bytes(self._buffer[:MSS])
-            del self._buffer[: len(segment)]
-            self._inflight += len(segment)
-            tx_time = len(segment) / self.link.bytes_per_second
-            start = max(self.loop.now, self._wire_free_at)
-            self._wire_free_at = start + tx_time
-            arrive = self._wire_free_at + self.link.effective_rtt / 2
-            if self.link.loss_rate > 0 and \
-                    self._loss_rng.random() < self.link.loss_rate:
+        buffer = self._buffer
+        link = self.link
+        # Each segment needs an MSS of window; all but the last are full.
+        count = min(-(-len(buffer) // MSS),
+                    (link.effective_window - self._inflight) // MSS)
+        if count <= 0:
+            return  # window-blocked: the ack path will reschedule us
+        data = bytes(buffer[:count * MSS])
+        del buffer[:len(data)]
+        now, ticket = self.loop.now, self.loop.ticket
+        rate, rtt = link.bytes_per_second, link.effective_rtt
+        wire_free, deliver_free = self._wire_free_at, self._deliver_free_at
+        for offset in range(0, len(data), MSS):
+            segment = data[offset:offset + MSS]
+            wire_free = max(now, wire_free) + len(segment) / rate
+            arrive = wire_free + rtt / 2
+            if link.loss_rate > 0 and \
+                    self._loss_rng.random() < link.loss_rate:
                 # Lost in flight: detected and retransmitted roughly one
                 # RTT later (fast-retransmit model); the window stays
                 # occupied meanwhile, throttling the flow like real TCP.
                 self.segments_lost += 1
-                arrive += self.link.effective_rtt
+                arrive += rtt
             # TCP delivers in order: a retransmission head-of-line
             # blocks every later segment.
-            arrive = max(arrive, self._deliver_free_at)
-            self._deliver_free_at = arrive
-            self.loop.schedule_at(arrive,
-                                  lambda s=segment: self._deliver(s))
-            self.bytes_sent += len(segment)
-            self.segments_sent += 1
-        # If window-blocked, the ack path will reschedule us.
+            deliver_free = arrive = max(arrive, deliver_free)
+            self._arrivals.append((arrive, ticket(), segment))
+        self._wire_free_at, self._deliver_free_at = wire_free, deliver_free
+        self._inflight += len(data)
+        self.bytes_sent += len(data)
+        self.segments_sent += count
+        self._arm()
+
+    # -- the two lanes ----------------------------------------------------------
+
+    def held(self) -> int:
+        """Scheduled deliveries and acks no heap entry stands for."""
+        armed = self._armed not in (None, _FIRING)
+        return len(self._arrivals) + len(self._acks) - armed
+
+    def _head(self) -> Optional[tuple]:
+        """The earlier of the two lane heads, or None."""
+        arrivals, acks = self._arrivals, self._acks
+        if arrivals and (not acks or arrivals[0] < acks[0]):
+            return arrivals[0]
+        return acks[0] if acks else None
+
+    def _arm(self) -> None:
+        """Key the one heap entry to the earlier lane head."""
+        head = self._head()
+        armed = self._armed
+        if head is None or armed == head[1]:
+            return
+        self._armed = head[1]
+        self.loop.arm(head[0], head[1], self._run_lanes, replacing=armed)
+
+    def _run_lanes(self) -> None:
+        """Run the head, then each later item the loop claims."""
+        self._armed = _FIRING
+        acks = self._acks
+        try:
+            head = self._head()
+            while True:
+                if acks and head is acks[0]:
+                    self._acked(acks.popleft()[2])
+                else:
+                    self._deliver(self._arrivals.popleft()[2])
+                head = self._head()
+                if head is None or not self.loop.claim(head[0], head[1]):
+                    break
+        finally:
+            self._armed = None
+            self._arm()
 
     def _deliver(self, segment: bytes) -> None:
         if self.closed:
             return
+        loop = self.loop
         if self.monitor is not None:
-            self.monitor.record(self.loop.now, self.label, len(segment))
+            self.monitor.record(loop.clock.now, self.label, len(segment))
         if self._receiver is not None:
             self._receiver(segment)
         # The ack returns half an RTT later, freeing window space.
-        self.loop.schedule(self.link.effective_rtt / 2,
-                           lambda n=len(segment): self._acked(n))
+        self._acks.append((loop.clock.now + self.link.effective_rtt / 2,
+                           loop.ticket(), len(segment)))
+        if self._armed != _FIRING:  # a fault drain's event: re-key
+            self._arm()
 
     def _acked(self, n: int) -> None:
         self._inflight -= n

@@ -525,13 +525,18 @@ def _decode_frame(type_id: int, payload: bytes):
     if cls is None:
         raise ProtocolError(f"unknown message type {type_id}")
     try:
-        return cls.decode_payload(payload)
+        msg = cls.decode_payload(payload)
     except ProtocolError:
         raise
     except (ValueError, KeyError, IndexError, OverflowError,
             struct.error, zlib.error) as exc:
         raise ProtocolError(
             f"malformed {cls.schema.name} payload: {exc}") from exc
+    if isinstance(msg, Command):
+        # The frame is the command's encoding: its wire size is known
+        # without encoding it again.
+        msg._wire_size = 1 + len(payload)
+    return msg
 
 
 def parse_messages(data: bytes):
@@ -575,6 +580,7 @@ class StreamParser:
                  max_pending: Optional[int] = None,
                  allowed: Optional[Collection[int]] = None) -> None:
         self._buffer = bytearray()
+        self._need = 0  # buffered bytes the next frame completes at
         self.max_frame = max_frame
         self.max_pending = max_pending
         self.allowed = frozenset(allowed) if allowed is not None else None
@@ -582,11 +588,24 @@ class StreamParser:
     def feed(self, chunk: bytes):
         """Absorb a chunk and return the messages completed by it."""
         self._buffer.extend(chunk)
+        # Short of what the pending (checked) frame needs, none completes.
+        out = self._parse() if len(self._buffer) >= self._need else []
+        if self.max_pending is not None and \
+                len(self._buffer) > self.max_pending:
+            raise FrameTooLargeError(
+                f"{len(self._buffer)} bytes buffered awaiting a frame, "
+                f"cap is {self.max_pending}")
+        return out
+
+    def _parse(self) -> list:
+        """Consume complete frames; note what the next needs (0 on a raise)."""
         out = []
         offset = 0
+        self._need = 0
         try:
             while True:
-                if offset + _FRAME.size > len(self._buffer):
+                end = offset + _FRAME.size
+                if end > len(self._buffer):
                     break
                 type_id, length = _FRAME.unpack_from(self._buffer, offset)
                 if self.max_frame is not None and length > self.max_frame:
@@ -597,7 +616,7 @@ class StreamParser:
                     raise FieldRangeError(
                         f"message type {type_id} is not acceptable on "
                         f"this stream direction")
-                end = offset + _FRAME.size + length
+                end += length
                 if end > len(self._buffer):
                     break
                 payload = bytes(self._buffer[offset + _FRAME.size : end])
@@ -608,11 +627,7 @@ class StreamParser:
             # resilient receiver that resets on ProtocolError does not
             # re-parse (and re-apply) the messages that preceded it.
             del self._buffer[:offset]
-        if self.max_pending is not None and \
-                len(self._buffer) > self.max_pending:
-            raise FrameTooLargeError(
-                f"{len(self._buffer)} bytes buffered awaiting a frame, "
-                f"cap is {self.max_pending}")
+        self._need = end - offset
         return out
 
     @property

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.net import PacketMonitor
 
 
@@ -139,15 +141,33 @@ class TestIndexedQueriesMatchNaiveScans:
                 assert m.last_packet_time(d, before=after) == \
                     naive_last(m, d, after)
 
-    def test_out_of_order_records_fall_back_to_scans(self):
+    def test_out_of_order_record_raises(self):
+        # The transport stamps records from the monotone loop clock, so
+        # a record that goes back in time is a bug, refused like
+        # SimClock.advance_to refuses it; the trace is left as it was.
         m = random_trace(seed=3, n=50)
-        m.record(0.001, "server->client", 99)  # violates time order
-        for d in self.DIRECTIONS:
-            assert m.total_bytes(d) == naive_total(m, d)
-            assert m.first_packet_time(d, after=0.0005) == \
-                naive_first(m, d, 0.0005)
-            assert m.last_packet_time(d, before=0.002) == \
-                naive_last(m, d, 0.002)
+        before = m.records
+        with pytest.raises(ValueError):
+            m.record(0.001, "server->client", 99)
+        assert m.records == before
+        m.record(before[-1].time, "client->server", 7)  # a tie is fine
+        assert len(m) == 51
+
+    def test_query_for_unrecorded_direction_leaves_no_index(self):
+        m = random_trace(seed=6, n=20)
+        assert m.total_bytes("no-such-dir") == 0
+        assert m.first_packet_time("no-such-dir") is None
+        assert m.last_packet_time("no-such-dir") is None
+        assert m.rate("no-such-dir", 0.25, 1.0) == 0.0
+        assert set(m._by_dir) == {"server->client", "client->server"}
+
+    def test_records_keep_logging_order_across_directions(self):
+        m = PacketMonitor()
+        logged = [(0.5, "client->server", 3), (0.5, "server->client", 4),
+                  (0.5, "client->server", 5), (0.7, "server->client", 6)]
+        for t, d, n in logged:
+            m.record(t, d, n)
+        assert [(r.time, r.direction, r.size) for r in m.records] == logged
 
     def test_clear_resets_indexes(self):
         m = random_trace(seed=4, n=20)

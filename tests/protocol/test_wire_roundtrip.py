@@ -60,6 +60,36 @@ def test_encode_decode_identity(msg):
         assert same_message(commands.decode_command(msg.encode()), msg)
 
 
+@settings(max_examples=200, deadline=None)
+@given(cmd=st.one_of(*(strategy_for(cls)
+                       for cls in commands.COMMAND_TYPES.values())))
+def test_a_decoded_command_takes_its_wire_size_from_its_frame(cmd):
+    """The client charges its cost model a decoded command's wire size
+    without encoding it again: the frame's length must be what encoding
+    the decoded command gives."""
+    framed = wire.encode_message(cmd)
+    (parsed,) = wire.StreamParser().feed(framed)
+    assert parsed.wire_size() == len(framed) - wire.FRAME_OVERHEAD + 1
+    assert parsed.wire_size() == 1 + len(parsed.encode_payload())
+
+
+@settings(max_examples=100, deadline=None)
+@given(msgs=st.lists(messages, min_size=1, max_size=4), data=st.data())
+def test_chunked_feeds_parse_like_one_feed(msgs, data):
+    """Cut anywhere — inside a header, inside a payload — the stream
+    parses to the same messages, and nothing is left pending."""
+    stream = b"".join(wire.encode_message(m) for m in msgs)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)),
+                                     max_size=8)))
+    parser = wire.StreamParser()
+    got = []
+    for a, b in zip([0] + cuts, cuts + [len(stream)]):
+        got += parser.feed(stream[a:b])
+    assert parser.pending_bytes == 0
+    assert len(got) == len(msgs)
+    assert all(same_message(g, m) for g, m in zip(got, msgs))
+
+
 def test_mutated_frozen_blobs_raise_only_protocol_error():
     """The blob crosses the fabric: 5 000 seeded mutations of the
     golden one either thaw or fail typed."""
@@ -127,6 +157,22 @@ class TestTypedLimits:
         header = struct.pack(">BI", wire.HeartbeatMessage.type_id, 1 << 20)
         with pytest.raises(wire.FrameTooLargeError):
             parser.feed(header + b"\x00" * 64)
+
+    def test_pending_cap_holds_while_a_frame_is_short(self):
+        parser = wire.StreamParser(max_pending=64)
+        header = struct.pack(">BI", wire.HeartbeatMessage.type_id, 1 << 20)
+        assert parser.feed(header + b"\x00" * 59) == []  # at the cap
+        with pytest.raises(wire.FrameTooLargeError):
+            parser.feed(b"\x00")
+
+    def test_header_is_checked_when_it_completes_and_after(self):
+        parser = wire.StreamParser(allowed=UPLINK_TYPE_IDS)
+        framed = wire.encode_message(wire.ScreenInitMessage(64, 48))
+        assert parser.feed(framed[:wire.FRAME_OVERHEAD - 1]) == []
+        with pytest.raises(wire.FieldRangeError):
+            parser.feed(framed[wire.FRAME_OVERHEAD - 1:wire.FRAME_OVERHEAD])
+        with pytest.raises(wire.FieldRangeError):  # still in the buffer
+            parser.feed(b"")
 
     def test_disallowed_type_id_is_rejected(self):
         parser = wire.StreamParser(allowed=UPLINK_TYPE_IDS)
