@@ -13,9 +13,9 @@ Placement is consistent hashing with admission overflow: a fresh dial
 walks the ring's preference order and lands on the first shard whose
 governor would admit it (:meth:`place`); a full fabric yields None and
 the relay answers with the standard typed denial.  Routing for
-established sessions is token-based: minting-shard lookup by guard
-table, overridden by the explicit ``routes`` map once a migration has
-moved the token away from its minting shard.
+established sessions is token-based: the shard holding a unit under
+the token, overridden by the explicit ``routes`` map once a migration
+has moved the token away from its minting shard.
 
 **Live migration** (:meth:`migrate`) is freeze → transfer → thaw →
 resync, built entirely from parts that already exist: the relay severs
@@ -24,11 +24,11 @@ detach/redial path, bounded by the same detach window), the session
 freezes to its :class:`~repro.core.session_unit.FrozenSession`
 surface, crosses the fabric inside a real ``SESSION_TRANSFER`` wire
 frame (encoded and re-parsed — the codec is on the hot path, not
-decoration), thaws on the target via ``thaw_session``/``adopt``, and
-the client's redial replays or snapshots exactly as it would after a
-network fault.  Control-plane messages (MIGRATE_BEGIN/COMPLETE,
-SHARD_ADMISSION) take the same honest round-trip through the codec
-into :attr:`fabric_log`.
+decoration), thaws on the target via ``thaw_session`` — only then does
+the source let go of it — and the client's redial replays or snapshots
+exactly as it would after a network fault.  Control-plane messages
+(MIGRATE_BEGIN/COMPLETE, SHARD_ADMISSION) take the same honest
+round-trip through the codec into :attr:`fabric_log`.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class ShardCoordinator:
             server.plane.shared_cache = self.shared_cache
         self.ring = HashRing(range(num_shards), replicas=ring_replicas)
         #: Explicit token routes, needed once a migration moves a token
-        #: off its minting shard; minting-shard guard lookup is the
+        #: off its minting shard; a scan of the shards' sessions is the
         #: fallback for everything else.
         self.routes: Dict[int, int] = {}
         self.relay = Relay(self, fabric_link=fabric_link,
@@ -133,11 +133,8 @@ class ShardCoordinator:
         shard = self.routes.get(token)
         if shard is not None:
             return shard
-        for i, server in enumerate(self.shards):
-            if server.resilience is not None and \
-                    token in server.resilience.guards:
-                return i
-        return None
+        return next((i for i, server in enumerate(self.shards)
+                     if server.resilience.find(token) is not None), None)
 
     def note_route(self, token: int, shard: int) -> None:
         self.routes[token] = shard
@@ -148,13 +145,16 @@ class ShardCoordinator:
         """Move session *token* to shard *target*, live.
 
         Freeze → transfer (through the real SESSION_TRANSFER wire
-        format) → thaw → adopt; the client is severed at the relay and
-        recovers through the ordinary resilience redial, which the
-        updated routing table now sends to *target*.  Returns the
-        thawed successor unit.  A target whose governor would refuse a
-        fresh attach refuses the move too: :class:`~repro.core.governor.
-        AdmissionDenied` is raised before anything is sent, severed or
-        rerouted.
+        format) → thaw → detach from the source; the client is severed
+        at the relay and recovers through the ordinary resilience
+        redial, which the updated routing table now sends to *target*.
+        Returns the thawed successor unit.  A target whose governor
+        would refuse a fresh attach refuses the move too: :class:`~repro.
+        core.governor.AdmissionDenied` is raised before anything is
+        sent, severed or rerouted.  A transfer that fails to encode,
+        decode or thaw re-raises its typed :class:`~repro.protocol.wire.
+        ProtocolError` with the frozen session still on its source and
+        the routes unchanged, so the redial resyncs it there.
         """
         if not 0 <= target < len(self.shards):
             raise ValueError(f"no such shard: {target}")
@@ -164,14 +164,13 @@ class ShardCoordinator:
         if source == target:
             raise ValueError(f"token {token} is already on shard {target}")
         src_server = self.shards[source]
-        guard = src_server.resilience.guards.get(token)
-        if guard is None:
-            raise KeyError(f"token {token} has no guard on shard {source}")
+        session = src_server.resilience.find(token)
+        if session is None:
+            raise KeyError(f"token {token} has no session on shard {source}")
         governor = self.shards[target].governor
         reason = governor.check_admission()
         if reason is not None:
             raise AdmissionDenied(reason, governor.server_budget.retry_after)
-        session = guard.session
         began = self.loop.now
         self._fabric_send(wire.MigrateBeginMessage(token, target))
         # Cut the client's path first so no uplink byte lands mid-freeze;
@@ -180,9 +179,9 @@ class ShardCoordinator:
         frozen = session.freeze()
         transfer = self._fabric_send(
             wire.SessionTransferMessage(token, frozen.to_bytes()))
-        src_server.detach_client(session)
         successor = self.shards[target].thaw_session(
             FrozenSession.from_bytes(transfer.state))
+        src_server.detach_client(session)
         # Prepared commands still in flight against the frozen husk
         # belong to the successor now.
         session.forward_to(successor)

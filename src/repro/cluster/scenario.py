@@ -263,8 +263,7 @@ class Run:
         shard = self.coord.route_token(client.token) if self.coord else 0
         if shard is None or not client.token:
             return shard, None
-        guard = self.servers[shard].resilience.guards.get(client.token)
-        return shard, guard.session if guard is not None else None
+        return shard, self.servers[shard].resilience.find(client.token)
 
     def script(self) -> Scenario:
         """The scenario as actually run: ops in applied order."""
@@ -442,8 +441,8 @@ class Run:
         if viewer.stats["seq_gaps"]:
             out.append(f"sequence: {who} saw {viewer.stats['seq_gaps']} "
                        f"sequence gaps")
-        owners = [k for k, server in enumerate(self.servers)
-                  if self.coord and client.token in server.resilience.guards]
+        owners = [k for k, server in enumerate(self.servers) if self.coord
+                  and server.resilience.find(client.token) is not None]
         if self.coord and owners != [shard]:
             out.append(f"ownership: token {client.token} of {who} is "
                        f"routed to shard {shard} and held by {owners}")
@@ -521,11 +520,4 @@ class Run:
                 not sanitizer.enabled() else "sanitizer enabled, not armed"
             if problem is not None:
                 out.append(f"sanitizer: a queue on {where}: {problem}")
-        # Membership: the resilience plane remembers no session the
-        # server no longer holds (every other plane keeps its state for
-        # a session on the unit).
-        if plane and {guard.session for guard in plane.guards.values()} \
-                - set(sessions):
-            out.append(f"membership: resilience on {where} remembers a "
-                       f"session the server no longer holds")
         return out

@@ -17,7 +17,7 @@ Server side (:class:`ResiliencePlane`):
   replay log are dropped and further display buffering is shed; the
   eventual resync falls back to a region-chunked RAW snapshot.
 * **Resync by replay** — every sent frame is wrapped in a CHECKED
-  sequence wrapper and journaled (plaintext) in a per-session log,
+  sequence wrapper and journaled (plaintext) on the session unit,
   pruned by the client's acks.  On reconnect the client names its last
   applied sequence; the plane replays the unacked suffix and then the
   surviving queue flushes normally.  Replay is only chosen when its
@@ -50,9 +50,8 @@ from __future__ import annotations
 
 import random
 import zlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..net.transport import Connection
 from ..protocol import wire
@@ -176,26 +175,19 @@ def _decode_prelude(frame: bytes):
 
 
 class SessionGuard:
-    """Per-session resilience bookkeeping held by the plane."""
+    """The plane's host-local clocks for one session (``session.guard``).
 
-    __slots__ = ("token", "session", "last_seen", "detached_at",
-                 "queue_dropped", "log", "log_bytes", "log_limit",
-                 "log_dropped", "acked_seq", "not_before",
-                 "last_accept_time", "flap_level", "last_writer_bytes",
-                 "last_tx_time")
+    The session's own resilience state — token, journal, ack mark, drop
+    flags, detach time — lives on the unit and migrates with it; these
+    judge this host only and restart when a unit is enrolled."""
 
-    def __init__(self, token: int, session, now: float, log_limit: int):
-        self.token = token
-        self.session = session
+    __slots__ = ("last_seen", "not_before", "last_accept_time",
+                 "flap_level", "last_writer_bytes", "last_tx_time",
+                 "log_limit")
+
+    def __init__(self, now: float, log_limit: int):
         self.last_seen = now
-        self.detached_at: Optional[float] = None
-        self.queue_dropped = False
-        # Plaintext CHECKED frames sent but not yet acked, in seq order.
-        self.log: Deque[Tuple[int, bytes]] = deque()
-        self.log_bytes = 0
         self.log_limit = log_limit
-        self.log_dropped = False
-        self.acked_seq = 0
         self.not_before = now
         self.last_accept_time = now
         self.flap_level = 0
@@ -204,18 +196,22 @@ class SessionGuard:
 
 
 class ResiliencePlane:
-    """Server-side owner of session guards, liveness and resync."""
+    """Server-side liveness, reconnect and resync for guarded sessions."""
 
     def __init__(self, server, config: Optional[ResilienceConfig] = None):
         self.server = server
         self.loop = server.loop
         self.config = config or ResilienceConfig()
         self.stats = ResilienceStats()
-        self.guards: Dict[int, SessionGuard] = {}
         self._next_token = self.config.token_start
         self._tick_scheduled = False
         self._rng = random.Random(
             zlib.crc32(f"plane|{self.config.seed}".encode("utf-8")))
+
+    def find(self, token: int):
+        """The session this server holds under *token*, or None."""
+        return next((s for s in self.server.sessions if s.token == token),
+                    None) if token else None
 
     # -- attach / reconnect --------------------------------------------------
 
@@ -250,8 +246,8 @@ class ResiliencePlane:
                     req: wire.ReconnectRequestMessage, rest: bytes,
                     viewport) -> None:
         now = self.loop.now
-        guard = self.guards.get(req.token) if req.token else None
-        if guard is None:
+        session = self.find(req.token)
+        if session is None:
             # Fresh attach (or a token the plane no longer knows) —
             # subject to the governor's global admission budget, with
             # the denial in this path's own typed wire format.
@@ -269,36 +265,37 @@ class ResiliencePlane:
                 token, wire.RESYNC_FRESH))
             session = self.server._make_session(connection, viewport,
                                                 sequenced=True)
-            guard = self._guard(token, session, now)
-            self._note_accept(guard, now)
+            session.token = token
+            self.enrol(session)
+            self._note_accept(session.guard, now)
         else:
-            if now < guard.not_before:
+            not_before = session.guard.not_before
+            if now < not_before:
                 self.stats.reconnects_denied += 1
                 self._write_plain(connection, wire.ReconnectDeniedMessage(
-                    max(0.0, guard.not_before - now)))
+                    max(0.0, not_before - now)))
                 return
-            self._resync(guard, connection, req.last_seq, now)
+            self._resync(session, connection, req.last_seq, now)
         if rest:
-            guard.session._on_client_data(rest)
+            session._on_client_data(rest)
 
-    def _resync(self, guard: SessionGuard, connection: Connection,
+    def _resync(self, session, connection: Connection,
                 client_last_seq: int, now: float) -> None:
-        session = guard.session
-        replay = [(seq, data) for seq, data in guard.log
+        guard, journal = session.guard, session.journal
+        replay = [(seq, data) for seq, data in journal
                   if seq > client_last_seq]
         replay_bytes = sum(len(data) for _, data in replay)
         snapshot_cost = self._snapshot_cost(session)
         # Replay must be cheaper than a snapshot *and* gap-free from
         # the client's position; the log limit makes the first hold in
         # steady state, this is the belt to those braces.
-        contiguous = not guard.log or guard.log[0][0] <= client_last_seq + 1
-        use_replay = (not guard.log_dropped and not guard.queue_dropped
+        contiguous = not journal or journal[0][0] <= client_last_seq + 1
+        use_replay = (not session.log_dropped and not session.shed_display
                       and contiguous and replay_bytes <= snapshot_cost)
         mode = wire.RESYNC_REPLAY if use_replay else wire.RESYNC_SNAPSHOT
         self._write_plain(connection,
-                          wire.ReconnectAcceptMessage(guard.token, mode))
+                          wire.ReconnectAcceptMessage(session.token, mode))
         session.rebind(connection)
-        guard.detached_at = None
         guard.last_seen = now
         self._note_accept(guard, now)
         if use_replay:
@@ -313,10 +310,7 @@ class ResiliencePlane:
             session.buffer.queue.clear()
             session._replay.clear()
             session.clear_audio()
-            guard.log.clear()
-            guard.log_bytes = 0
-            guard.log_dropped = False
-            guard.queue_dropped = False
+            session.drop_journal(False)
             session.shed_display = False
             self.stats.resyncs_snapshot += 1
             self.stats.snapshot_bytes += snapshot_cost
@@ -353,18 +347,6 @@ class ResiliencePlane:
         delay *= 1.0 + self.config.backoff_jitter * self._rng.random()
         guard.not_before = now + delay
 
-    def _journal_for(self, guard: SessionGuard) -> Callable[[int, bytes],
-                                                            None]:
-        def record(seq: int, data: bytes) -> None:
-            guard.log.append((seq, data))
-            guard.log_bytes += len(data)
-            if guard.log_bytes > guard.log_limit:
-                guard.log.clear()
-                guard.log_bytes = 0
-                guard.log_dropped = True
-                self.stats.log_overflows += 1
-        return record
-
     def _write_plain(self, connection: Connection, msg) -> None:
         data = _checked_prelude(msg)
         if connection.down.writable_bytes() >= len(data):
@@ -379,14 +361,13 @@ class ResiliencePlane:
             return False
         now = self.loop.now
         guard.last_seen = now
-        if guard.detached_at is not None and not guard.queue_dropped \
+        if session.detached and not session.shed_display \
                 and session.connection is not None \
                 and not session.connection.closed:
             # The quiet spell ended on the same pipe (a one-way stall):
             # re-attach in place, no resync needed — the client never
             # missed a byte.
-            guard.detached_at = None
-            session.detached = False
+            session.detached_at = None
             self.stats.reattaches += 1
             session._kick()
         if isinstance(msg, wire.HeartbeatMessage):
@@ -395,19 +376,20 @@ class ResiliencePlane:
             # ack past the writer's mark is a lie, and would freeze
             # into a blob its thaw target must reject.
             acked = min(msg.last_seq, session._writer.last_seq)
-            if acked > guard.acked_seq:
-                guard.acked_seq = acked
-                log = guard.log
-                while log and log[0][0] <= guard.acked_seq:
-                    _, data = log.popleft()
-                    guard.log_bytes -= len(data)
+            if acked > session.acked_seq:
+                session.acked_seq = acked
+                journal = session.journal
+                while journal and journal[0][0] <= acked:
+                    _, data = journal.popleft()
+                    session.journal_bytes -= len(data)
             return True
         return False
 
     # -- the liveness tick ---------------------------------------------------
 
     def _ensure_tick(self) -> None:
-        if not self._tick_scheduled and self.guards:
+        if not self._tick_scheduled and any(
+                s.token for s in self.server.sessions):
             self._tick_scheduled = True
             self.loop.schedule(self.config.check_interval, self._tick)
 
@@ -415,17 +397,16 @@ class ResiliencePlane:
         self._tick_scheduled = False
         now = self.loop.now
         cfg = self.config
-        for guard in self.guards.values():
-            session = guard.session
-            if guard.detached_at is None:
+        for session in [s for s in self.server.sessions if s.token]:
+            guard = session.guard
+            if not session.detached:
                 if now - guard.last_seen > cfg.liveness_timeout:
-                    guard.detached_at = now
                     self.stats.disconnects += 1
                     session.detach()
                 else:
                     self._keepalive(guard, session, now)
-            elif not guard.queue_dropped and (
-                    now - guard.detached_at > cfg.detach_window
+            elif not session.shed_display and (
+                    now - session.detached_at > cfg.detach_window
                     or session.buffer.pending_bytes() >
                     self.server.governor.budget.max_queue_bytes):
                 # The client stayed away too long — or its absent-state
@@ -433,66 +414,29 @@ class ResiliencePlane:
                 # queue (and log) for it no longer beats a snapshot.
                 # Keep control state (cursor, video lifecycles) — only
                 # pixels are cheaper to re-read than to replay.
-                self._drop_session_state(guard)
+                self._drop_session_state(session)
         self._ensure_tick()
 
-    def _drop_session_state(self, guard: SessionGuard) -> None:
-        """Drop a detached session's queue, log and audio backlog; the
-        eventual resync falls back to a fresh RAW snapshot."""
-        session = guard.session
-        guard.queue_dropped = True
-        guard.log.clear()
-        guard.log_bytes = 0
-        guard.log_dropped = True
+    def _drop_session_state(self, session) -> None:
+        """Drop a detached session's queue, journal and audio backlog;
+        the eventual resync falls back to a fresh RAW snapshot."""
+        session.drop_journal(True)
         session.buffer.queue.clear()
         session.clear_audio()
         session.shed_display = True
         self.stats.queues_dropped += 1
 
-    def drop_guard(self, session) -> None:
-        """Forget a session entirely (``detach_client`` calls it): its
-        token will no longer resync *here* — a redial is a fresh attach."""
-        if session.guard is not None:
-            self.guards.pop(session.guard.token, None)
-        session.guard = None
-
-    # -- migration (driven by repro.cluster) ---------------------------------
-
-    def adopt(self, session, frozen) -> SessionGuard:
-        """Take guardianship of a thawed session under its original
-        token.
-
-        The same bookkeeping as a fresh attach (:meth:`_guard`), fed
-        from a :class:`~repro.core.session_unit.FrozenSession` instead
-        of a dialled connection: the journal, cumulative-ack
-        mark and drop flags transfer verbatim, so the client's eventual
-        redial takes exactly the replay-vs-snapshot resync decision it
-        would have taken on the source shard.  The detach window starts
-        *now* — migration spends part of the same bounded absence the
-        network-fault path does.
-        """
-        now = self.loop.now
-        guard = self._guard(frozen.token, session, now)
-        guard.acked_seq = frozen.acked_seq
-        guard.log_dropped = frozen.log_dropped
-        guard.queue_dropped = frozen.queue_dropped
-        for seq, data in frozen.journal:
-            guard.log.append((seq, data))
-            guard.log_bytes += len(data)
-        guard.detached_at = now
-        return guard
-
-    def _guard(self, token: int, session, now: float) -> SessionGuard:
-        """Guard *session* under *token*: journal its sent frames and
-        watch its liveness from the next tick on."""
-        guard = SessionGuard(token, session, now,
-                             self._replay_log_limit(session))
-        session.journal = self._journal_for(guard)
-        session.guard = guard
-        self.guards[token] = guard
+    def enrol(self, session) -> None:
+        """Watch *session* from the next tick on: a fresh attach, or a
+        unit thawed under its original token.  Its token, journal, ack
+        mark and drop flags are already on the unit, so the plane only
+        starts its clocks; a thawed unit is detached from its thaw
+        time, so a migration spends part of the same bounded absence
+        the network-fault path does."""
+        session.guard = SessionGuard(self.loop.now,
+                                     self._replay_log_limit(session))
         self.stats.attaches += 1
         self._ensure_tick()
-        return guard
 
     def _keepalive(self, guard: SessionGuard, session, now: float) -> None:
         """An idle downlink still needs bytes on it, or the client's

@@ -193,14 +193,10 @@ class THINCServer:
     def detach_client(self, session: SessionUnit) -> None:
         """Forget *session*.  Its unit is detached too (idempotent: a
         frozen or evicted unit already is), or its flush loop would go
-        on polling a pipe nobody reads; and its resilience guard goes,
-        so a redial with its token is a fresh attach rather than a
-        resync into a unit nothing routes to any more.  Every other
-        plane keeps its state for the session on the unit, which goes
-        with it."""
+        on polling a pipe nobody reads.  Every plane keeps its state
+        for the session on the unit, which goes with it: a redial with
+        its token is a fresh attach."""
         session.detach()
-        if self.resilience is not None:
-            self.resilience.drop_guard(session)
         self.sessions.remove(session)
 
     def thaw_session(self, frozen: FrozenSession) -> SessionUnit:
@@ -209,10 +205,11 @@ class THINCServer:
 
         Valid on any server sharing the source shard's simulation clock
         (the frozen pipe tail and journal sequence marks are
-        clock-relative); a view rectangle that does not fit this
-        server's screen raises :class:`~repro.protocol.wire.
+        clock-relative).  A view rectangle that does not fit this
+        server's screen, or a token on a server with no resilience
+        plane to guard it, raises :class:`~repro.protocol.wire.
         FieldRangeError` before any state is touched.  The resilience
-        plane adopts the unit under its original token, so the client's
+        plane enrols the unit under its original token, so the client's
         redial resyncs exactly as it would after a network fault.
         """
         if not Rect(0, 0, self.width, self.height).contains(
@@ -220,10 +217,14 @@ class THINCServer:
             raise wire.FieldRangeError(
                 f"frozen view rect {frozen.view_rect} outside the "
                 f"{self.width}x{self.height} screen")
+        if frozen.token and self.resilience is None:
+            raise wire.FieldRangeError(
+                f"frozen token {frozen.token} on a server with no "
+                f"resilience plane")
         session = SessionUnit.thaw(self, frozen)
         self.sessions.append(session)
-        if self.resilience is not None and frozen.token:
-            self.resilience.adopt(session, frozen)
+        if frozen.token:
+            self.resilience.enrol(session)
         return session
 
     def _read_screen_pixels(self, rect: Rect):

@@ -32,7 +32,7 @@ import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from ..display.driver import InputEvent
 from ..net.transport import Connection
@@ -70,10 +70,12 @@ NOT_SERIALIZED = {
                     "handshake re-keys on the target shard",
     "frame_stage": "holds the RC4 keystream position, which is "
                    "worthless after the re-key; rebuilt on thaw",
-    "journal": "a callable installed by the target plane's adopt(), "
-               "not data (the journalled frames themselves migrate)",
-    "detached": "a frozen unit is detached by definition; thaw "
-                "rebuilds the unit detached until the client redials",
+    "journal_bytes": "gauge over journal, recomputed on thaw",
+    "detached_at": "a frozen unit is detached by definition; thaw "
+                   "rebuilds the unit detached until the client redials",
+    "guard": "the resilience plane's liveness, backoff and keepalive "
+             "clocks judge this host; the target's plane enrols the "
+             "unit afresh",
     "quarantined": "governor verdicts are host-local; an abusive "
                    "session is evicted, never migrated",
     "meter": "governor budgets are per-host capacity, not session "
@@ -111,8 +113,8 @@ class _SessionWriter:
       a CHECKED wrapper whose sequence number is assigned in *send*
       order, so the client's cumulative ack and the replay log agree
       byte-for-byte about what the client may have seen; and
-    * **journaling** — each wrapped plaintext frame is handed to the
-      resilience plane's per-session log before encryption.
+    * **journaling** — a guarded unit (non-zero ``token``) keeps each
+      wrapped plaintext frame in its replay journal, unencrypted.
 
     ``writable_bytes`` and ``capacity`` subtract the wrapper overhead so
     the flush stage's size arithmetic keeps working unchanged.
@@ -138,8 +140,13 @@ class _SessionWriter:
         if self.sequenced:
             self.last_seq += 1
             data = wire.wrap_checked(data, self.last_seq)
-            if self.session.journal is not None:
-                self.session.journal(self.last_seq, data)
+            session = self.session
+            if session.token:
+                session.journal.append((self.last_seq, data))
+                session.journal_bytes += len(data)
+                if session.journal_bytes > session.guard.log_limit:
+                    session.drop_journal(True)
+                    session.server.resilience.stats.log_overflows += 1
         self.total_bytes += len(data)
         self._endpoint().write(self.session.frame_stage.encrypt(data))
 
@@ -161,6 +168,9 @@ def _check_frozen(row) -> None:
         raise FieldRangeError(
             f"frozen session acked seq {row.acked_seq} is past the last "
             f"one sent, {row.last_seq}")
+    if (row.flags >> 2 ^ row.flags >> 4) & 1:
+        raise FieldRangeError("frozen session flag bits 2 and 4 (both "
+                              "shed_display) disagree")
 
 
 #: The FrozenSession blob, version 2 (v2 appended the QoS ladder rung
@@ -177,8 +187,10 @@ _FROZEN = FieldTable("frozen session", dict(
     qos_rung=u8(0, "max_qos_rung"),
     lists=rest(max="max_transfer_bytes")), check=_check_frozen)
 
+#: Flag bits, in order.  Bit 4 repeats bit 2: it was a separate
+#: queue-dropped flag, always written equal to ``shed_display``.
 _FLAGS = ("sequenced", "degraded", "shed_display", "log_dropped",
-          "queue_dropped", "subscribed", "tile_mode")
+          "shed_display", "subscribed", "tile_mode")
 _STATS = ("messages_sent", "bytes_sent", "flush_periods", "audio_dropped",
           "display_shed", "uplink_dropped", "wire_errors", "cpu_time")
 
@@ -250,7 +262,6 @@ class FrozenSession:
     degraded: bool
     shed_display: bool
     log_dropped: bool
-    queue_dropped: bool
     last_seq: int
     acked_seq: int
     pipe_tail: float
@@ -338,14 +349,23 @@ class SessionUnit:
             frame=self.frame_stage.frame,
         )
         # Resilience state: a detached session buffers but does not
-        # flush; the plane sets ``journal`` to log sent frames, fills
-        # ``_replay`` on resync, and toggles ``shed_display``.
-        # ``degraded`` (audio shed) is the governor's alone: set by its
-        # queue-bytes ladder on add, cleared by it after a flush.
+        # flush.  A guarded unit (``token`` non-zero, set by the plane)
+        # journals the frames it sends, ``(seq, plaintext CHECKED
+        # frame)``, pruned by the client's cumulative ack; the plane
+        # fills ``_replay`` on resync and drops the journal, queue and
+        # further display work (``shed_display``) once the client has
+        # been away too long.  ``degraded`` (audio shed) is the
+        # governor's alone: set by its queue-bytes ladder on add,
+        # cleared by it after a flush.
         self.sequenced = sequenced
         self._writer = _SessionWriter(self, sequenced)
-        self.journal: Optional[Callable[[int, bytes], None]] = None
-        self.detached = connection is None
+        self.token = 0
+        self.journal: Deque[Tuple[int, bytes]] = deque()
+        self.journal_bytes = 0
+        self.acked_seq = 0
+        self.log_dropped = False
+        self.detached_at: Optional[float] = \
+            None if connection is not None else self.loop.now
         self.degraded = False
         self.shed_display = False
         self.quarantined = False
@@ -356,7 +376,7 @@ class SessionUnit:
         self.qos_rung = 0
         # Each plane's state for this session lives *on* the unit, so
         # its whole state surface is reachable from it and dies with
-        # it: the governor's meter, the resilience plane's guard (set
+        # it: the governor's meter, the resilience plane's clocks (set
         # by the plane), the QoS controller state (made by the plane
         # on the first video frame that polls this session), the link
         # probe's ``(window, posture)`` verdict, and fan-out membership
@@ -397,6 +417,10 @@ class SessionUnit:
     @property
     def cipher(self):
         return self.frame_stage.cipher
+
+    @property
+    def detached(self) -> bool:
+        return self.detached_at is not None
 
     # -- framing ------------------------------------------------------------
 
@@ -577,9 +601,18 @@ class SessionUnit:
 
         The command queue keeps taking display updates (eviction keeps
         it minimal — exactly the Section 4 replay invariant the resync
-        relies on); audio is shed; control messages are preserved.
+        relies on); audio is shed; control messages are preserved.  The
+        detach window counts from the first detach.
         """
-        self.detached = True
+        if self.detached_at is None:
+            self.detached_at = self.loop.now
+
+    def drop_journal(self, dropped: bool) -> None:
+        """Empty the replay journal; *dropped* records that it no longer
+        holds every frame sent since the client's ack."""
+        self.journal.clear()
+        self.journal_bytes = 0
+        self.log_dropped = dropped
 
     def rebind(self, connection: Connection) -> None:
         """Bind this session to a freshly dialled connection.
@@ -596,7 +629,7 @@ class SessionUnit:
         self.reset_parser()
         if self._encrypt_key is not None:
             self.frame_stage.rekey(RC4(self._encrypt_key))
-        self.detached = False
+        self.detached_at = None
         self._kick()
 
     # -- the serializable edge (driven by repro.cluster) -----------------------
@@ -612,23 +645,19 @@ class SessionUnit:
         """
         if self.connection is not None:
             self.connection.up.disconnect()
-        self.detached = True
-        guard = self.guard
+        self.detach()
         return FrozenSession(
-            token=guard.token if guard is not None else 0,
+            token=self.token,
             viewport=(int(self.viewport[0]), int(self.viewport[1])),
             view_rect=self.scaler.view,
             sequenced=self.sequenced,
             degraded=self.degraded,
             shed_display=self.shed_display,
-            log_dropped=bool(guard.log_dropped) if guard is not None
-            else False,
-            queue_dropped=bool(guard.queue_dropped) if guard is not None
-            else False,
+            log_dropped=self.log_dropped,
             last_seq=self._writer.last_seq,
-            acked_seq=guard.acked_seq if guard is not None else 0,
+            acked_seq=self.acked_seq,
             pipe_tail=self._pipe_tail,
-            journal=tuple(guard.log) if guard is not None else (),
+            journal=tuple(self.journal),
             commands=tuple(cmd.encode() for cmd in self.buffer.queue),
             replay=tuple(self._replay),
             control=tuple(self._control),
@@ -647,8 +676,9 @@ class SessionUnit:
         queue and journal already describe exactly what the client is
         missing.  The governor's meter restarts, but its abuse tallies
         are seeded from ``frozen.stats``, so migrating does not buy a
-        session a fresh error allowance.  Enrolling the unit with the
-        server and its resilience plane is the caller's
+        session a fresh error allowance.  The token, journal, ack mark
+        and drop flags come back as they were frozen; enrolling the
+        unit with the server and its resilience plane is the caller's
         (``THINCServer.thaw_session``).
         """
         unit = cls(server, None, viewport=frozen.viewport,
@@ -658,6 +688,11 @@ class SessionUnit:
                                     frozen.viewport,
                                     view_rect=frozen.view_rect)
         unit._writer.last_seq = frozen.last_seq
+        unit.token = frozen.token
+        unit.journal.extend(frozen.journal)
+        unit.journal_bytes = sum(len(data) for _, data in frozen.journal)
+        unit.acked_seq = frozen.acked_seq
+        unit.log_dropped = frozen.log_dropped
         unit._pipe_tail = frozen.pipe_tail
         unit.degraded = frozen.degraded
         unit.shed_display = frozen.shed_display

@@ -67,11 +67,11 @@ class TestRouting:
         loop, coord, screens, rcs = make_shard_rig(
             shards=2, clients=2, schedule_workloads=False)
         loop.run_until(0.5)
-        coord.routes.clear()  # force the guard-table fallback
+        coord.routes.clear()  # force the session-scan fallback
         for rc in rcs:
             shard = coord.route_token(rc.token)
             assert shard is not None
-            assert rc.token in coord.shards[shard].resilience.guards
+            assert coord.shards[shard].resilience.find(rc.token) is not None
 
     def test_route_override_wins_over_guard_scan(self):
         loop, coord, screens, rcs = make_shard_rig(

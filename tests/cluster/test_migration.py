@@ -9,7 +9,9 @@ tests/scenario/test_regressions.py.
 """
 
 import numpy as np
+import pytest
 
+from repro.core.session_unit import FrozenSession
 from repro.protocol import wire
 
 from tests.helpers import assert_pixel_identical, make_shard_rig
@@ -52,12 +54,12 @@ class TestMigrationFidelity:
         token = rcs[0].token
         target = (coord.route_token(token) + 1) % 2
         severed_at = loop.now
-        coord.migrate(token, target)
-        guard = coord.shards[target].resilience.guards[token]
+        successor = coord.migrate(token, target)
         loop.run_until(SETTLE)
-        # The successor guard saw the reattach well inside the detach
-        # window (liveness timeout + backoff, not the 5 s budget).
-        assert guard.detached_at is None  # reattached
+        # The successor saw the reattach well inside the detach window
+        # (liveness timeout + backoff, not the 5 s budget).
+        assert coord.shards[target].resilience.find(token) is successor
+        assert successor.detached_at is None  # reattached
         assert rcs[0].stats["dials"] >= 2
         assert loop.now > severed_at
         st = coord.shards[target].resilience.stats
@@ -68,8 +70,7 @@ class TestMigrationFidelity:
         loop.run_until(1.0)
         token = rcs[0].token
         source = coord.route_token(token)
-        before = dict(
-            coord.shards[source].resilience.guards[token].session.stats)
+        before = dict(coord.shards[source].resilience.find(token).stats)
         successor = coord.migrate(token, (source + 1) % 2)
         after = successor.stats
         for key in ("messages_sent", "bytes_sent", "flush_periods"):
@@ -108,3 +109,40 @@ class TestMigrationFidelity:
         assert isinstance(transfer, wire.SessionTransferMessage)
         assert transfer.token == token and len(transfer.state) > 0
         assert coord.transfer_bytes >= len(transfer.state)
+
+
+def _refuse(error):
+    def refuse(*args, **kw):
+        raise error("refused in transit")
+    return refuse
+
+
+@pytest.mark.parametrize("stage, error", [
+    ("decode", wire.TruncatedPayloadError),
+    ("thaw", wire.FieldRangeError),
+    ("encode", wire.FrameTooLargeError),
+])
+def test_failed_transfer_keeps_the_session_home(monkeypatch, stage, error):
+    """A transfer that fails to encode, decode or thaw re-raises its
+    typed error, and the session stays on its source shard: the
+    client's redial resyncs it there under the same token."""
+    loop, coord, screens, rcs = make_shard_rig(shards=2, clients=1)
+    loop.run_until(1.0)
+    rc, token = rcs[0], rcs[0].token
+    source = coord.route_token(token)
+    target = (source + 1) % 2
+    routes = dict(coord.routes)
+    owner, name = {"decode": (FrozenSession, "from_bytes"),
+                   "thaw": (coord.shards[target], "thaw_session"),
+                   "encode": (FrozenSession, "to_bytes")}[stage]
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, _refuse(error))
+        with pytest.raises(error):
+            coord.migrate(token, target)
+    assert coord.routes == routes
+    loop.run_until(SETTLE)
+    owners = [k for k, server in enumerate(coord.shards)
+              if server.resilience.find(token) is not None]
+    assert owners == [source] and coord.route_token(token) == source
+    assert rc.token == token
+    assert_pixel_identical(rc.client, screens[source])

@@ -95,10 +95,9 @@ class TestResiliencePlaneCaps:
         scripted_workload(loop, ws, end=1.5)
         loop.run_until(4.0)
         session = server.sessions[0]
-        guard = session.guard
-        assert server.resilience.guards[guard.token] is guard
-        assert guard.log_limit <= 5_000
-        assert guard.log_bytes <= guard.log_limit
+        assert server.resilience.find(session.token) is session
+        assert session.guard.log_limit <= 5_000
+        assert session.journal_bytes <= session.guard.log_limit
 
     def test_detached_session_buffers_capped_before_window_expires(self):
         # The client disconnects and stays away (huge backoff); the

@@ -71,10 +71,10 @@ class TestCleanSession:
 
     def test_acks_prune_the_replay_log(self):
         loop, dial, server, ws, rc = chaos_run(None)
-        guard = next(iter(server.resilience.guards.values()))
+        session = next(s for s in server.sessions if s.token)
         # Quiescent and fully acked: the journal must be (near) empty,
         # not an ever-growing transcript of the session.
-        assert guard.log_bytes <= 64
+        assert session.journal_bytes <= 64
 
 
 class TestScriptedScenarios:

@@ -18,9 +18,8 @@ from repro.region import Rect
 def sample_frozen(**over):
     base = dict(
         token=7, viewport=(96, 64), view_rect=Rect(0, 0, 96, 64),
-        sequenced=True, degraded=False, shed_display=False,
-        log_dropped=False, queue_dropped=True, last_seq=41, acked_seq=39,
-        pipe_tail=1.25,
+        sequenced=True, degraded=False, shed_display=True,
+        log_dropped=False, last_seq=41, acked_seq=39, pipe_tail=1.25,
         journal=((40, b"frame-40"), (41, b"frame-41")),
         commands=(), replay=(b"replayed",), control=(b"ctl",),
         stats={"messages_sent": 12, "bytes_sent": 3400, "flush_periods": 9,
@@ -36,11 +35,11 @@ class TestRoundTrip:
         assert FrozenSession.from_bytes(frozen.to_bytes()) == frozen
 
     def test_flags_round_trip_independently(self):
-        for field in ("sequenced", "degraded", "shed_display",
-                      "log_dropped", "queue_dropped"):
-            frozen = sample_frozen(**{field: True})
+        for field, value in (("sequenced", True), ("degraded", True),
+                             ("log_dropped", True), ("shed_display", False)):
+            frozen = sample_frozen(**{field: value})
             thawed = FrozenSession.from_bytes(frozen.to_bytes())
-            assert getattr(thawed, field) is True, field
+            assert getattr(thawed, field) is value, field
 
     @settings(max_examples=60, deadline=None)
     @given(token=st.integers(min_value=0, max_value=2**32 - 1),
@@ -86,9 +85,12 @@ class TestValidation:
     @pytest.mark.parametrize("offset, patch", [
         (CPU_TIME, struct.pack(">d", float("nan"))),
         (CPU_TIME, struct.pack(">d", float("inf"))),
-        (FLAGS, b"\x91"),  # the sample's 0x11 plus undefined bit 0x80
+        (FLAGS, b"\x95"),  # the sample's 0x15 plus undefined bit 0x80
+        (FLAGS, b"\x11"),  # shed_display's bit 4 without its bit 2
+        (FLAGS, b"\x05"),  # and bit 2 without bit 4
         (ACKED, struct.pack(">I", 99)),  # past last_seq = 41
-    ], ids=["nan-cpu-time", "inf-cpu-time", "undefined-flag", "acked-ahead"])
+    ], ids=["nan-cpu-time", "inf-cpu-time", "undefined-flag",
+            "shed-bit-4-alone", "shed-bit-2-alone", "acked-ahead"])
     def test_out_of_range_field_rejected_before_any_object(
             self, offset, patch):
         data = bytearray(sample_frozen().to_bytes())
@@ -125,7 +127,7 @@ class TestLiveFreezeThaw:
         loop = EventLoop()
         src, dst = self.make_server(loop), self.make_server(loop)
         session = self.attach(loop, src)
-        token = session.guard.token
+        token = session.token
         frozen = session.freeze()
         assert session.detached
         assert frozen.token == token
@@ -135,7 +137,7 @@ class TestLiveFreezeThaw:
         successor = dst.thaw_session(wire_copy)
         assert successor in dst.sessions
         assert successor.guard is not None
-        assert dst.resilience.guards[token].session is successor
+        assert dst.resilience.find(token) is successor
         assert successor._writer.last_seq == frozen.last_seq
         assert successor.stats["messages_sent"] == \
             frozen.stats["messages_sent"]
@@ -165,7 +167,7 @@ class TestLiveFreezeThaw:
         src = self.make_server(loop, budget=budget)
         dst = self.make_server(loop, budget=budget)
         session = self.attach(loop, src)
-        token = session.guard.token
+        token = session.token
         bad = wire.frame_message(99, b"garbage")
         for _ in range(budget.max_uplink_errors):
             session.connection.up.write(bad)
@@ -176,7 +178,7 @@ class TestLiveFreezeThaw:
 
         dst.thaw_session(FrozenSession.from_bytes(frozen.to_bytes()))
         successor = self.attach(loop, dst, token=token)
-        assert successor.guard.token == token and not successor.detached
+        assert successor.token == token and not successor.detached
         assert not successor.quarantined
         successor.connection.up.write(bad)
         loop.run_until(loop.now + 0.05)
@@ -190,4 +192,13 @@ class TestLiveFreezeThaw:
             view_rect=Rect(500, 500, 2000, 2000)).to_bytes())
         with pytest.raises(wire.FieldRangeError):
             dst.thaw_session(crafted)
-        assert dst.sessions == [] and not dst.resilience.guards
+        assert dst.sessions == []
+
+    def test_thaw_rejects_a_token_without_a_resilience_plane(self):
+        """A non-zero token means the plane guards the unit; a server
+        with no plane has nothing to guard it with."""
+        dst = THINCServer(EventLoop(), 96, 64)
+        with pytest.raises(wire.FieldRangeError):
+            dst.thaw_session(sample_frozen(token=7))
+        assert dst.sessions == []
+        assert dst.thaw_session(sample_frozen(token=0)) in dst.sessions

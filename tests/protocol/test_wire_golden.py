@@ -162,7 +162,7 @@ COMMANDS = {
 FROZEN = FrozenSession(
     token=0xC0FFEE, viewport=(96, 64), view_rect=Rect(8, 4, 48, 32),
     sequenced=True, degraded=True, shed_display=True, log_dropped=True,
-    queue_dropped=True, last_seq=41, acked_seq=39, pipe_tail=1.25,
+    last_seq=41, acked_seq=39, pipe_tail=1.25,
     journal=((40, b"frame-40"), (41, b"frame-41")),
     commands=(COMMANDS["COPY disjoint"].encode(),
               COMMANDS["SFILL high"].encode()),

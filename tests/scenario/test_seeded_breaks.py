@@ -17,7 +17,6 @@ from repro.cluster.scenario import ScenarioFailure
 from repro.core import THINCServer
 from repro.core.command_queue import CommandQueue
 from repro.core.governor import Governor
-from repro.core.resilience import ResiliencePlane
 from repro.core.session_unit import SessionUnit
 
 from .machine import BASES, ScenarioMachine
@@ -50,14 +49,6 @@ def test_thaw_skipping_fanout_adopt_breaks_membership(monkeypatch):
         lambda cls, server, frozen: real(cls, server, replace(
             frozen, subscribed=False, tile_mode=False))))
     machine_fails_with("membership", 2, "subscribe migrate")
-
-
-def test_detach_keeping_the_guard_breaks_membership(monkeypatch):
-    # A detached resilient session whose guard survives is a zombie:
-    # its redial resyncs into a unit ``submit`` never routes to again.
-    monkeypatch.setattr(ResiliencePlane, "drop_guard",
-                        lambda self, session: None)
-    machine_fails_with("membership", 1, "attach detach go_quiet")
 
 
 def test_uncounted_eviction_breaks_conservation(monkeypatch):
