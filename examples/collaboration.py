@@ -1,21 +1,20 @@
 #!/usr/bin/env python
-"""Screen sharing: one session, many clients, session-password auth.
+"""Screen sharing: one session, many clients.
 
-The paper's Section 7 extends THINC's authentication for collaboration:
-the session owner sets a session password and peers who present it join
-the same display session; every client then sees the same desktop
-(updates are multiplexed to all), each scaled to its own viewport.
+The paper's Section 7 lets peers join the same display session for
+collaboration: every client then sees the same desktop (updates are
+multiplexed to all), each scaled to its own viewport.  Attaching here
+carries no credentials; Section 7's accounts and session passwords are
+out of scope.
 
-This example walks the whole flow: accounts, ownership checks, a
-rejected intruder, a peer joining mid-session (and receiving the
-current screen), and a PDA-sized peer getting server-resized updates.
+This example walks the display side of that flow: a peer joining
+mid-session (and receiving the current screen) on a PDA-sized viewport
+that gets server-resized updates.
 
 Run:  python examples/collaboration.py
 """
 
 from repro.core import THINCClient, THINCServer
-from repro.core.auth import (AccountDatabase, AuthError, Authenticator,
-                             SessionRegistry)
 from repro.display import WindowServer
 from repro.net import Connection, EventLoop, LAN_DESKTOP, WAN_DESKTOP
 from repro.region import Rect
@@ -25,32 +24,6 @@ INK = (20, 20, 40, 255)
 
 
 def main() -> None:
-    # -- the access-control plane (Section 7) -------------------------
-    accounts = AccountDatabase()
-    accounts.add_user("alice", "curiouser")
-    accounts.add_user("bob", "bricks")
-    accounts.add_user("mallory", "sneaky")
-    sessions = SessionRegistry()
-    sessions.create("alice:0", owner="alice")
-    auth = Authenticator(accounts, sessions)
-
-    # Alice owns the session and opens it for collaboration.
-    print("alice connects:",
-          auth.authenticate("alice", "curiouser", "alice:0").role)
-    sessions.get("alice:0").enable_sharing("design-review")
-
-    # Mallory knows a valid account but not the session password.
-    try:
-        auth.authenticate("mallory", "sneaky", "alice:0",
-                          share_password="guess")
-    except AuthError as exc:
-        print("mallory rejected:", exc)
-
-    print("bob joins:",
-          auth.authenticate("bob", "bricks", "alice:0",
-                            share_password="design-review").role)
-
-    # -- the display plane ------------------------------------------------
     loop = EventLoop()
     server = THINCServer(loop, 400, 300)
     ws = WindowServer(400, 300, driver=server.driver, clock=loop.clock)
@@ -65,7 +38,7 @@ def main() -> None:
     ws.draw_rect_outline(ws.screen, Rect(10, 30, 200, 120), INK)
     loop.run_until_idle(max_time=5)
 
-    # Bob joins mid-session over a WAN, on a small-screen device: he
+    # Bob joins mid-session over a WAN, on a small-screen device, and
     # receives the current screen, resized by the server.
     bob_conn = Connection(loop, WAN_DESKTOP)
     server.attach_client(bob_conn, viewport=(200, 150))

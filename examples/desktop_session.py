@@ -3,7 +3,7 @@
 
 Drives a small desktop (window manager, cursor, overlapping windows, a
 video window) through THINC over a WAN link, then reports what the
-session cost on the wire, broken down by protocol command — the
+session cost on the wire, broken down by protocol message — the
 workload mix the paper's motivation sections describe.
 
 Run:  python examples/desktop_session.py
@@ -13,13 +13,12 @@ import io
 
 import numpy as np
 
-from repro.bench.analysis import command_mix
 from repro.bench.reporting import format_table
 from repro.core import THINCClient, THINCServer
 from repro.display import WindowServer
 from repro.display.wm import WindowManager
 from repro.net import Connection, EventLoop, PacketMonitor, WAN_DESKTOP
-from repro.protocol.trace import TraceRecorder, read_trace
+from repro.protocol.trace import TraceRecorder, read_trace, summarize_trace
 from repro.region import Rect
 from repro.video.stream import SyntheticVideoClip
 
@@ -34,7 +33,7 @@ def main() -> None:
     ws = WindowServer(640, 480, driver=server.driver, clock=loop.clock)
     server.attach_client(conn)
     client = THINCClient(loop, conn)
-    # Record the downstream protocol for the command-mix breakdown.
+    # Record the downstream protocol for the wire breakdown.
     trace_sink = io.BytesIO()
     recorder = TraceRecorder(trace_sink, loop.clock)
     conn.down.connect(recorder.tee(client._on_data))
@@ -90,12 +89,16 @@ def main() -> None:
     print(f"cursor shape at client   : "
           f"{client.cursor_image is not None}")
     print(f"bytes on the wire        : {monitor.total_bytes():,}")
-    mix = command_mix(read_trace(trace_sink.getvalue()))
+    summary = summarize_trace(read_trace(trace_sink.getvalue()))
+    sizes = summary["bytes_by_kind"]
+    total = sum(sizes.values())
+    rows = [[kind, summary["messages"][kind], f"{n:,}", f"{n / total:.1%}"]
+            for kind, n in sorted(sizes.items(), key=lambda kv: -kv[1])]
+    rows.append(["total", sum(summary["messages"].values()), f"{total:,}",
+                 ""])
     print()
-    print(format_table(
-        "wire breakdown by protocol command",
-        ["command", "count", "bytes", "share"],
-        mix.table_rows()))
+    print(format_table("wire breakdown by protocol message",
+                       ["message", "count", "bytes", "share"], rows))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """The benchmark harness: testbed, platforms, sites, experiments."""
 
-from .analysis import CommandMix, command_mix, latency_stats
 from .experiments import (fig2_web_latency, fig3_web_data, fig4_web_remote,
                           fig5_av_quality, fig6_av_data, fig7_av_remote)
 from .platforms import PLATFORMS, Platform, make_platform
@@ -11,9 +10,6 @@ from .testbed import (AV_PLATFORMS, WEB_PDA_PLATFORMS, WEB_PLATFORMS,
                       run_av_benchmark, run_web_benchmark)
 
 __all__ = [
-    "CommandMix",
-    "command_mix",
-    "latency_stats",
     "Platform",
     "PLATFORMS",
     "make_platform",

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_mbytes", "format_ms", "format_pct",
-           "bar_chart"]
+__all__ = ["format_table", "format_mbytes", "format_ms", "format_pct"]
 
 
 def format_ms(seconds: float) -> str:
@@ -49,22 +48,3 @@ def format_table(title: str, headers: Sequence[str],
         out.append(f"note: {note}")
     return "\n".join(out)
 
-
-def bar_chart(title: str, entries, unit: str = "",
-              width: int = 46) -> str:
-    """Render (label, value) pairs as a horizontal ASCII bar chart.
-
-    The terminal equivalent of the paper's bar figures; bars scale to
-    the maximum value.
-    """
-    entries = list(entries)
-    if not entries:
-        return f"{title}\n(no data)"
-    label_w = max(len(str(label)) for label, _ in entries)
-    peak = max(value for _, value in entries) or 1.0
-    lines = [title, "-" * max(len(title), label_w + width + 12)]
-    for label, value in entries:
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"{str(label).ljust(label_w)}  {bar.ljust(width)} "
-                     f"{value:g}{unit}")
-    return "\n".join(lines)

@@ -138,10 +138,12 @@ def _cmd_trace(args) -> int:
     summary = summarize_trace(records)
     print(f"records   : {summary['records']}")
     print(f"bytes     : {summary['bytes']:,}")
+    print(f"unparsed  : {summary['unparsed_bytes']:,}")
     print(f"duration  : {summary['duration']:.3f} s")
     print("messages  :")
     for name, count in sorted(summary["messages"].items()):
-        print(f"    {name:20s} x {count}")
+        print(f"    {name:20s} x {count:<6d} "
+              f"{summary['bytes_by_kind'][name]:>10,} B")
     return 0
 
 

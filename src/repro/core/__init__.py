@@ -1,7 +1,5 @@
 """THINC core: translation layer, command queues, delivery, scaling."""
 
-from .auth import (AccountDatabase, AuthError, Authenticator,
-                   SessionRegistry)
 from .client import ClientCostModel, THINCClient
 from .miniclient import MiniClient
 from .command_queue import CommandQueue
@@ -17,10 +15,6 @@ from .session_unit import FrozenSession, SessionUnit
 from .translation import THINCDriver
 
 __all__ = [
-    "AccountDatabase",
-    "Authenticator",
-    "AuthError",
-    "SessionRegistry",
     "MiniClient",
     "ServerCostModel",
     "AdmissionDenied",

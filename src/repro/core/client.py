@@ -380,21 +380,3 @@ class THINCClient:
     def done_time_with_processing(self) -> float:
         """Last-update time plus modelled client processing time."""
         return self.stats["last_update_time"] + self.stats["processing_time"]
-
-    def render_with_cursor(self):
-        """The displayed image: framebuffer with the cursor composited.
-
-        The hardware cursor is an overlay — the framebuffer itself never
-        contains it — so tests that want "what the user sees" ask here.
-        """
-        if self.fb is None:
-            return None
-        view = self.fb.clone()
-        if self.cursor_image is not None:
-            from ..region import Rect
-
-            x = self.cursor_pos[0] - self.cursor_hotspot[0]
-            y = self.cursor_pos[1] - self.cursor_hotspot[1]
-            h, w = self.cursor_image.shape[:2]
-            view.composite(Rect(x, y, w, h), self.cursor_image)
-        return view

@@ -1,7 +1,7 @@
 """The display substrate: framebuffer, window server, driver interface."""
 
 from .compositing import apply_operator, over
-from .driver import (DisplayDriver, InputEvent, NullDriver, RecordingDriver,
+from .driver import (DisplayDriver, InputEvent, RecordingDriver,
                      VideoStreamInfo)
 from .framebuffer import CHANNELS, Framebuffer, make_tile, solid_pixels
 from .pixmap import Drawable
@@ -14,7 +14,6 @@ __all__ = [
     "CHANNELS",
     "Drawable",
     "DisplayDriver",
-    "NullDriver",
     "RecordingDriver",
     "InputEvent",
     "VideoStreamInfo",

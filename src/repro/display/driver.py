@@ -32,7 +32,7 @@ import numpy as np
 from ..region import Rect
 from .pixmap import Drawable
 
-__all__ = ["DisplayDriver", "NullDriver", "RecordingDriver", "InputEvent",
+__all__ = ["DisplayDriver", "RecordingDriver", "InputEvent",
            "VideoStreamInfo"]
 
 Color = Tuple[int, int, int, int]
@@ -149,10 +149,6 @@ class DisplayDriver:
 
     def input_event(self, event: InputEvent) -> None:
         """A user input event reached the server (for real-time regions)."""
-
-
-class NullDriver(DisplayDriver):
-    """A driver that ignores everything — the 'local PC' case."""
 
 
 @dataclass

@@ -45,7 +45,6 @@ class Window:
     title: str
     frame: Rect  # onscreen geometry including title bar
     backing: Drawable  # application-drawn content (frame-local)
-    mapped: bool = True
 
     @property
     def content_rect(self) -> Rect:
@@ -79,13 +78,6 @@ class WindowManager:
     def focused(self) -> Optional[Window]:
         return self._stack[-1] if self._stack else None
 
-    def window_at(self, x: int, y: int) -> Optional[Window]:
-        """Topmost window containing the point (click routing)."""
-        for window in reversed(self._stack):
-            if window.mapped and window.frame.contains_point(x, y):
-                return window
-        return None
-
     def visible_region(self, window: Window) -> Region:
         """The part of *window* not hidden by higher windows."""
         region = Region.from_rect(
@@ -95,7 +87,7 @@ class WindowManager:
             if other is window:
                 above = True
                 continue
-            if above and other.mapped:
+            if above:
                 region.subtract_rect(other.frame)
         return region
 
@@ -128,16 +120,6 @@ class WindowManager:
             # The old top window loses focus decoration.
             self._draw_frame(previous_top)
         return window
-
-    def close_window(self, window: Window) -> None:
-        if window not in self._stack:
-            raise ValueError("window is not managed")
-        exposed = self.visible_region(window)
-        self._stack.remove(window)
-        self.ws.free_pixmap(window.backing)
-        self._expose(exposed)
-        if self._stack:
-            self._draw_frame(self._stack[-1])  # new focus decoration
 
     # -- stacking and movement ---------------------------------------------------
 
@@ -178,32 +160,6 @@ class WindowManager:
         # The area the window vacated shows what was underneath.
         vacated = visible_before.subtract(
             Region.from_rect(window.frame))
-        self._expose(vacated)
-
-    def resize_window(self, window: Window, new_width: int,
-                      new_height: int) -> None:
-        """Resize a window, preserving its content's top-left corner."""
-        if window not in self._stack:
-            raise ValueError("window is not managed")
-        if new_width < 24 or new_height < TITLE_BAR_HEIGHT + 8:
-            raise ValueError("window too small to manage")
-        old_frame = window.frame
-        old_backing = window.backing
-        visible_before = self.visible_region(window)
-        backing = self.ws.create_pixmap(
-            new_width - 2, new_height - TITLE_BAR_HEIGHT - 1,
-            label=old_backing.label)
-        # Preserve the old content (apps then repaint as they wish).
-        self.ws.fill_rect(backing, backing.bounds, (240, 240, 240, 255))
-        self.ws.copy_area(old_backing, backing, old_backing.bounds, 0, 0)
-        self.ws.free_pixmap(old_backing)
-        window.backing = backing
-        window.frame = Rect(old_frame.x, old_frame.y, new_width,
-                            new_height)
-        # Repaint the window at its new size, then repair anything the
-        # shrink uncovered.
-        self._repair(self.visible_region(window), only=window)
-        vacated = visible_before.subtract(Region.from_rect(window.frame))
         self._expose(vacated)
 
     # -- drawing into windows --------------------------------------------------------
@@ -271,8 +227,6 @@ class WindowManager:
         for rect in region:
             self.paint_desktop(rect)
         for window in self._stack:
-            if not window.mapped:
-                continue
             overlap = region.intersect_rect(window.frame)
             visible = self.visible_region(window)
             self._repair(overlap.intersect(visible), only=window)

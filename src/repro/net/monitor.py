@@ -48,10 +48,6 @@ class _DirectionIndex:
             return 0
         return self.prefix[hi] - self.prefix[lo]
 
-    def first(self, after: float) -> Optional[float]:
-        i = bisect_left(self.times, after)
-        return self.times[i] if i < len(self.times) else None
-
     def last(self, before: float) -> Optional[float]:
         i = bisect_right(self.times, before) - 1
         return self.times[i] if i >= 0 else None
@@ -110,26 +106,11 @@ class PacketMonitor:
         return sum(idx.total(start, end)
                    for idx in self._indexes(direction))
 
-    def first_packet_time(self, direction: Optional[str] = None,
-                          after: float = float("-inf")) -> Optional[float]:
-        return min((t for t in (idx.first(after)
-                                for idx in self._indexes(direction))
-                    if t is not None), default=None)
-
     def last_packet_time(self, direction: Optional[str] = None,
                          before: float = float("inf")) -> Optional[float]:
         return max((t for t in (idx.last(before)
                                 for idx in self._indexes(direction))
                     if t is not None), default=None)
-
-    def span_latency(self, start: float, end: float = float("inf"),
-                     direction: str = "server->client") -> Optional[float]:
-        """Slow-motion page latency: from an input mark to the last
-        data packet of the response burst."""
-        last = self.last_packet_time(direction, before=end)
-        if last is None or last < start:
-            return None
-        return last - start
 
     def rate(self, direction: Optional[str] = None, window: float = 0.25,
              now: float = 0.0) -> float:

@@ -97,11 +97,6 @@ class TraceReplayer:
     def __init__(self, records: List[TraceRecord]):
         self.records = records
 
-    @classmethod
-    def from_file(cls, source: Union[BinaryIO, bytes]) -> "TraceReplayer":
-        """Load a replayer from trace bytes or an open file."""
-        return cls(read_trace(source))
-
     def replay_into(self, receiver: Callable[[bytes], None]) -> int:
         """Deliver every chunk immediately; returns the record count."""
         for record in self.records:
@@ -119,15 +114,29 @@ class TraceReplayer:
 
 
 def summarize_trace(records: List[TraceRecord]) -> dict:
-    """Headline numbers for a trace (the CLI's `trace` subcommand)."""
+    """Headline numbers for a trace and its wire breakdown (the CLI's
+    `trace` subcommand, the desktop example).
+
+    Messages are named by their wire schema (``SFILL``,
+    ``SCREEN_INIT``).  Each counts its whole frame, header included, so
+    ``bytes_by_kind`` sums to ``bytes - unparsed_bytes``: the tail of a
+    capture that stops mid-frame is counted there instead.
+    """
     from . import wire
+    from .commands import Command
 
     parser = wire.StreamParser()
     kinds: dict = {}
+    kind_bytes: dict = {}
     for record in records:
         for msg in parser.feed(record.data):
-            name = getattr(msg, "kind", type(msg).__name__)
+            name = type(msg).schema.name
+            # A decoded command knows its size (type byte + payload).
+            payload = (msg.wire_size() - 1 if isinstance(msg, Command)
+                       else len(msg.encode_payload()))
             kinds[name] = kinds.get(name, 0) + 1
+            kind_bytes[name] = (kind_bytes.get(name, 0)
+                                + wire.FRAME_OVERHEAD + payload)
     total = sum(len(r.data) for r in records)
     duration = (records[-1].time - records[0].time) if records else 0.0
     return {
@@ -135,5 +144,6 @@ def summarize_trace(records: List[TraceRecord]) -> dict:
         "bytes": total,
         "duration": duration,
         "messages": kinds,
+        "bytes_by_kind": kind_bytes,
         "unparsed_bytes": parser.pending_bytes,
     }

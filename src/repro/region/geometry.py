@@ -155,9 +155,6 @@ class Rect:
         y2 = math.ceil(self.y2 * sy)
         return Rect.from_corners(x1, y1, x2, y2)
 
-    def clip_to(self, bounds: "Rect") -> "Rect":
-        return self.intersect(bounds)
-
     # -- misc ------------------------------------------------------------
 
     def as_tuple(self) -> Tuple[int, int, int, int]:

@@ -39,25 +39,3 @@ class TestTable:
         table = format_table("T", ["a", "b"], [])
         assert "T" in table
 
-
-class TestBarChart:
-    def test_bars_scale_to_peak(self):
-        from repro.bench.reporting import bar_chart
-
-        chart = bar_chart("t", [("a", 1.0), ("b", 2.0)], unit="s")
-        lines = chart.splitlines()
-        bar_a = lines[2].count("#")
-        bar_b = lines[3].count("#")
-        assert bar_b > bar_a
-        assert "2s" in lines[3]
-
-    def test_empty(self):
-        from repro.bench.reporting import bar_chart
-
-        assert "(no data)" in bar_chart("t", [])
-
-    def test_zero_values_render(self):
-        from repro.bench.reporting import bar_chart
-
-        chart = bar_chart("t", [("a", 0.0)])
-        assert "a" in chart

@@ -45,16 +45,6 @@ class TestCursor:
         loop.run_until_idle(max_time=5)
         assert client.fb.same_as(ws.screen.fb)  # fb is cursor-free
 
-    def test_render_with_cursor_composites_overlay(self):
-        loop, server, ws, client = rig()
-        ws.fill_rect(ws.screen, ws.screen.bounds, WHITE)
-        ws.set_cursor(arrow_cursor())
-        client.send_input("mouse-move", 40, 30)
-        loop.run_until_idle(max_time=5)
-        view = client.render_with_cursor()
-        assert tuple(view.data[30, 40])[:3] == (0, 0, 0)  # cursor tip
-        assert tuple(client.fb.data[30, 40]) == WHITE  # fb untouched
-
     def test_cursor_scaled_for_small_viewport(self):
         loop, server, ws, client = rig(viewport=(48, 32))
         ws.set_cursor(arrow_cursor(), hotspot=(4, 6))

@@ -56,18 +56,6 @@ class TestVisibilityInvariants:
         expected = top.frame.intersect(ws.screen.bounds)
         assert wm.visible_region(top) == Region.from_rect(expected)
 
-    @given(st.lists(window_rects, min_size=1, max_size=5),
-           st.integers(0, W - 1), st.integers(0, H - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_window_at_agrees_with_visible_region(self, rects, x, y):
-        ws, wm, windows = build(rects)
-        hit = wm.window_at(x, y)
-        if hit is None:
-            for w in windows:
-                assert not wm.visible_region(w).contains_point(x, y)
-        else:
-            assert wm.visible_region(hit).contains_point(x, y)
-
     @given(st.lists(window_rects, min_size=2, max_size=4),
            st.integers(0, 3))
     @settings(max_examples=30, deadline=None)

@@ -1,4 +1,4 @@
-"""Tests for the packet monitor and slow-motion analysis helpers."""
+"""Tests for the packet monitor and its windowed queries."""
 
 import random
 
@@ -39,34 +39,13 @@ class TestAccounting:
 
 
 class TestTimestamps:
-    def test_first_packet_after(self):
-        m = trace()
-        assert m.first_packet_time("server->client", after=0.2) == 0.30
-
     def test_last_packet_before(self):
         m = trace()
         assert m.last_packet_time("server->client", before=1.0) == 0.30
 
     def test_none_when_no_match(self):
         m = trace()
-        assert m.first_packet_time("server->client", after=99) is None
         assert m.last_packet_time("client->server", before=-1) is None
-
-
-class TestSpanLatency:
-    def test_page_latency_from_click_to_last_data(self):
-        m = trace()
-        # First page: click at 0, last data of its burst at 0.30.
-        assert m.span_latency(0.0, end=1.0) == 0.30
-
-    def test_second_page(self):
-        m = trace()
-        lat = m.span_latency(2.0)
-        assert abs(lat - 0.2) < 1e-9
-
-    def test_none_when_no_response(self):
-        m = trace()
-        assert m.span_latency(5.0) is None
 
     def test_marks(self):
         m = trace()
@@ -81,14 +60,6 @@ def naive_total(m, direction=None, start=float("-inf"), end=float("inf")):
     return sum(r.size for r in m.records
                if (direction is None or r.direction == direction)
                and start <= r.time <= end)
-
-
-def naive_first(m, direction=None, after=float("-inf")):
-    for r in m.records:
-        if (direction is None or r.direction == direction) \
-                and r.time >= after:
-            return r.time
-    return None
 
 
 def naive_last(m, direction=None, before=float("inf")):
@@ -132,14 +103,12 @@ class TestIndexedQueriesMatchNaiveScans:
                 assert m.total_bytes(d, start=start, end=end) == \
                     naive_total(m, d, start, end)
 
-    def test_first_and_last(self):
+    def test_last_packet_time(self):
         m = random_trace(seed=2)
         for d in self.DIRECTIONS:
-            for after, _ in self.probes(m):
-                assert m.first_packet_time(d, after=after) == \
-                    naive_first(m, d, after)
-                assert m.last_packet_time(d, before=after) == \
-                    naive_last(m, d, after)
+            for before, _ in self.probes(m):
+                assert m.last_packet_time(d, before=before) == \
+                    naive_last(m, d, before)
 
     def test_out_of_order_record_raises(self):
         # The transport stamps records from the monotone loop clock, so
@@ -156,7 +125,6 @@ class TestIndexedQueriesMatchNaiveScans:
     def test_query_for_unrecorded_direction_leaves_no_index(self):
         m = random_trace(seed=6, n=20)
         assert m.total_bytes("no-such-dir") == 0
-        assert m.first_packet_time("no-such-dir") is None
         assert m.last_packet_time("no-such-dir") is None
         assert m.rate("no-such-dir", 0.25, 1.0) == 0.0
         assert set(m._by_dir) == {"server->client", "client->server"}
@@ -174,7 +142,7 @@ class TestIndexedQueriesMatchNaiveScans:
         m.clear()
         m.record(1.0, "server->client", 10)
         assert m.total_bytes("server->client", start=0.5, end=1.5) == 10
-        assert m.first_packet_time("server->client", after=0.0) == 1.0
+        assert m.last_packet_time("server->client") == 1.0
 
 
 class TestRates:

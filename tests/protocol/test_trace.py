@@ -6,8 +6,8 @@ import pytest
 
 from repro.net import Connection, EventLoop, LAN_DESKTOP, SimClock
 from repro.protocol import wire
-from repro.protocol.trace import (TraceRecorder, TraceReplayer, read_trace,
-                                  summarize_trace)
+from repro.protocol.trace import (TraceRecord, TraceRecorder, TraceReplayer,
+                                  read_trace, summarize_trace)
 from repro.protocol.commands import SFillCommand
 from repro.region import Rect
 
@@ -59,7 +59,7 @@ class TestRecordAndRead:
 class TestReplay:
     def test_replay_into_preserves_content(self):
         data, _ = make_trace()
-        replayer = TraceReplayer.from_file(data)
+        replayer = TraceReplayer(read_trace(data))
         chunks = []
         assert replayer.replay_into(chunks.append) == 3
         messages = wire.parse_messages(b"".join(chunks))
@@ -70,7 +70,7 @@ class TestReplay:
         data, _ = make_trace()
         loop = EventLoop()
         times = []
-        TraceReplayer.from_file(data).schedule_into(
+        TraceReplayer(read_trace(data)).schedule_into(
             loop, lambda d: times.append(loop.now), start_delay=0.1)
         loop.run_until_idle()
         assert times == pytest.approx([0.1, 0.6, 1.35])
@@ -83,7 +83,7 @@ class TestReplay:
         loop = EventLoop()
         conn = Connection(loop, LAN_DESKTOP)
         client = THINCClient(loop, conn)
-        TraceReplayer.from_file(data).replay_into(client._on_data)
+        TraceReplayer(read_trace(data)).replay_into(client._on_data)
         assert client.total_commands() == 2
         assert tuple(client.fb.data[0, 0]) == RED
 
@@ -99,6 +99,16 @@ class TestSummary:
         summary = summarize_trace(read_trace(data))
         assert summary["records"] == 3
         assert summary["duration"] == pytest.approx(1.25)
-        assert summary["messages"]["sfill"] == 2
-        assert summary["messages"]["ScreenInitMessage"] == 1
+        assert summary["messages"] == {"SFILL": 2, "SCREEN_INIT": 1}
         assert summary["unparsed_bytes"] == 0
+
+    def test_kind_bytes_add_up_to_the_parsed_bytes(self):
+        data, _ = make_trace()
+        cursor = wire.CursorImageMessage(0, 0, 2, 2, bytes(16))
+        cut = wire.encode_message(SFillCommand(Rect(0, 8, 8, 8), RED))[:-3]
+        tail = TraceRecord(2.0, wire.encode_message(cursor) + cut)
+        summary = summarize_trace(read_trace(data) + [tail])
+        assert summary["messages"]["CURSOR_IMAGE"] == 1
+        assert summary["unparsed_bytes"] == len(cut)
+        assert sum(summary["bytes_by_kind"].values()) == \
+            summary["bytes"] - summary["unparsed_bytes"]

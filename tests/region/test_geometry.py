@@ -112,10 +112,6 @@ class TestTransforms:
         r = Rect(3, 4, 5, 6)
         assert r.scale(1.0, 1.0) == r
 
-    def test_clip_to(self):
-        r = Rect(-5, -5, 20, 20)
-        assert r.clip_to(Rect(0, 0, 10, 10)) == Rect(0, 0, 10, 10)
-
 
 class TestProperties:
     @given(rects(), rects())

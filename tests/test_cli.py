@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.net import SimClock
+from repro.protocol.trace import TraceRecorder, read_trace
 
 
 class TestParser:
@@ -66,7 +68,22 @@ class TestTrace:
         assert main(["trace", "show", path]) == 0
         out = capsys.readouterr().out
         assert "records" in out
-        assert "sfill" in out
+        assert "SFILL" in out
+        assert "unparsed  : 0\n" in out
+
+    def test_show_reports_a_frame_cut_short(self, tmp_path, capsys):
+        path = tmp_path / "s.trace"
+        assert main(["trace", "record", str(path)]) == 0
+        records = read_trace(path.read_bytes())
+        with open(tmp_path / "cut.trace", "wb") as sink:
+            recorder = TraceRecorder(sink, SimClock())
+            for record in records[:-1]:
+                recorder.record(record.data)
+            recorder.record(records[-1].data[:-1])
+        capsys.readouterr()
+        assert main(["trace", "show", str(tmp_path / "cut.trace")]) == 0
+        unparsed = capsys.readouterr().out.split("unparsed  : ")[1]
+        assert int(unparsed.split()[0].replace(",", "")) > 0
 
 
 class TestFiguresFilter:
