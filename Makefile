@@ -125,6 +125,7 @@ bench-e2e-selftest:
 #   make bench-pairs PARENT=HEAD~1 W=video_lan N=10
 #   make bench-pairs PARENT=HEAD~1 W=typing_dsl N=10
 #   make bench-pairs PARENT=HEAD~1 W=web_lan N=10
+#   make bench-pairs PARENT=HEAD~1 W=term_scroll N=10
 PARENT ?= HEAD
 W ?= video_lan
 N ?= 10
@@ -133,7 +134,7 @@ bench-pairs:
 
 # Every test carrying the `claims` mark, which pytest.ini deselects from
 # tier-1 (~2 minutes): the rows of the paper's claims table
-# (repro.bench.claims) that cost more than about a second, the four
+# (repro.bench.claims) that cost more than about a second, the five
 # seeded mechanism breaks that must each fail a named row, the check
 # that EXPERIMENTS.md's claims block is what `python -m repro figures
 # --only claims` prints, and the full 54-page i-Bench build.  Tier-1

@@ -5,9 +5,9 @@ Drives the window server through the operations a desktop generates —
 text, fills, tiles, images, scrolls, double-buffered window flips — and
 prints, for each, the protocol commands THINC's virtual driver emitted
 and their wire cost.  This makes the paper's Section 4 visible:
-one-to-one mappings, per-glyph stipples merging into one BITMAP,
-scan-line image chunks merging into one RAW, offscreen drawing shipping
-as replayed *commands* rather than pixels.
+one-to-one mappings, a line of glyph stipples leaving the driver as
+one BITMAP, scan-line image chunks merging into one RAW, offscreen
+drawing shipping as replayed *commands* rather than pixels.
 
 Run:  python examples/translation_inspector.py
 """
@@ -83,7 +83,8 @@ def main() -> None:
 
     ws.draw_text(ws.screen, 20, 20, "forty-two glyphs of text merge "
                  "into one...", BLACK)
-    describe("draw_text(42 chars)  [42 stipples merge into one BITMAP]",
+    describe("draw_text(42 chars)  [one glyph run: the driver ships one "
+             "BITMAP]",
              tap.take())
 
     rng = np.random.default_rng(7)

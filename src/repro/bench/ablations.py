@@ -33,6 +33,8 @@ FRAMES = 96  # video frames of the side runs
 DSL = LinkParams("dsl", bandwidth_bps=8e6, rtt=0.030)
 LOSS_RATES = (0.0, 0.01, 0.03, 0.08)
 SCROLL_REGION = Rect(40, 40, 560, 400)
+BUILD_LOG = [f"[{i:03d}/120] compiling module_{i:03d}.c ... ok"
+             for i in range(120)]
 
 
 @memoised
@@ -170,8 +172,7 @@ def scroll_bytes(name: str) -> int:
     platform = make_platform(name, loop, LAN_DESKTOP, monitor=monitor,
                              width=640, height=480)
     TerminalApp(platform.window_server, loop, SCROLL_REGION).run_output(
-        [f"[{i:03d}/120] compiling module_{i:03d}.c ... ok"
-         for i in range(120)], 0.02)
+        BUILD_LOG, 0.02)
     loop.run_until_idle(max_time=120)
     return monitor.total_bytes("server->client")
 

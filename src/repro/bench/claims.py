@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from ..net import LAN_DESKTOP
+from ..protocol import wire
+from ..protocol.commands import BitmapCommand
 from . import ablations as abl
 from .experiments import (av_run, local_pc_page_metrics, local_pc_video,
                           remote_av, remote_web, web_run)
@@ -396,6 +398,10 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("side.scroll-bytes", "Table 1", "… under one text region",
           "THINC bytes, build log", lambda s: abl.scroll_bytes("THINC"),
           ("<", abl.SCROLL_REGION.area * 4), "B"),
+    Claim("side.scroll-text-aggregated", "§4", "small updates aggregate "
+          "before they ship", "THINC bytes per glyph, build log",
+          lambda s: abl.scroll_bytes("THINC") / sum(map(len, abl.BUILD_LOG)),
+          ("<", wire.FRAME_OVERHEAD + BitmapCommand.schema.struct.size), "n"),
     Claim("side.sharing-bytes", "§1", "N clients get N full streams",
           "distance of bytes ÷ (N × one client's) from 1, N = 2 / 4 / 8",
           lambda s: tuple(abs(shared("bytes", n) / n - 1) for n in SHARED),

@@ -8,7 +8,7 @@ commands, applying the three design principles of Section 4:
 1. translate *as commands occur*, so the mapping is usually one-to-one
    (a solid fill becomes an SFILL, a stipple a BITMAP, ...);
 2. decouple translation from transmission, aggregating small updates
-   (per-glyph stipples, scan-line image chunks) before they ship; and
+   (a line's glyph stipples, scan-line image chunks) before they ship; and
 3. preserve command semantics for the whole command lifetime, via the
    command queues that track every offscreen region (Section 4.1).
 
@@ -132,24 +132,24 @@ class THINCDriver(DisplayDriver):
 
     def glyph_run(self, drawable: Drawable, rects: Sequence[Rect],
                   masks: Sequence[np.ndarray], fg: Color) -> None:
-        """Text: one BITMAP per glyph onscreen, one queue step offscreen.
+        """Text: the line as one transparent stipple, onscreen or queued.
 
-        Onscreen glyphs must each reach the sink (it prices and
-        schedules per command).  A pixmap's queue would merge the run
-        glyph by glyph anyway, so it receives the merged stipple once.
-        """
-        if drawable.onscreen or not self.offscreen_awareness:
-            super().glyph_run(drawable, rects, masks, fg)
-            return
+        Zero-bit gap columns draw what its per-glyph BITMAPs would
+        (``try_merge``'s rule), so it ships and is priced as one command."""
+        self.stats["driver_ops"] += len(rects)
+        if not (drawable.onscreen or self.offscreen_awareness):
+            return  # an ignored pixmap, as in _emit
         first = rects[0]
         run = np.zeros((first.height, rects[-1].x2 - first.x), dtype=bool)
         for rect, mask in zip(rects, masks):
             run[:, rect.x - first.x : rect.x2 - first.x] = mask
-        self.stats["driver_ops"] += len(rects)
-        self.stats["offscreen_commands"] += len(rects)
-        self._queue_for(drawable).add_run(
-            BitmapCommand(Rect(first.x, first.y, run.shape[1], first.height),
-                          run, fg), rects)
+        command = BitmapCommand(
+            Rect(first.x, first.y, run.shape[1], first.height), run, fg)
+        if drawable.onscreen:
+            self._emit(drawable, command)
+        else:
+            self.stats["offscreen_commands"] += len(rects)
+            self._queue_for(drawable).add_run(command, rects)
 
     def put_image(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray) -> None:

@@ -13,6 +13,7 @@ from repro.codec import Encoding
 from repro.core import THINCServer
 from repro.core.scheduler import FIFOScheduler, SRSFScheduler
 from repro.core.translation import THINCDriver
+from repro.display.driver import DisplayDriver
 from repro.protocol.commands import RawCommand
 from repro.video import yuv
 
@@ -73,12 +74,17 @@ def video_as_raw(monkeypatch):  # uncompressed: PNG would only be slower
     monkeypatch.setattr(THINCDriver, "video_put", as_raw)
 
 
+def glyphs_one_by_one(monkeypatch):  # a line ships as per-glyph BITMAPs
+    monkeypatch.setattr(THINCDriver, "glyph_run", DisplayDriver.glyph_run)
+
+
 @pytest.mark.claims
 @pytest.mark.parametrize("row, seed", [
     ("ablation.offscreen-latency", offscreen_replay_off),
     ("ablation.srsf-echo", fifo_for_srsf),
     ("fig3.thinc-pda-resize", client_side_resize),
-    ("fig6.thinc-24mbps", video_as_raw)])
+    ("fig6.thinc-24mbps", video_as_raw),
+    ("side.scroll-text-aggregated", glyphs_one_by_one)])
 def test_a_seeded_break_fails_its_row(monkeypatch, row, seed):
     monkeypatch.setattr(experiments, "_runs", {})  # fresh runs, restored
     seed(monkeypatch)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.server import ServerCostModel
 from repro.core.translation import THINCDriver
 from repro.display import WindowServer, solid_pixels
 from repro.display.driver import InputEvent
+from repro.display.font import ADVANCE, GLYPH_HEIGHT, GLYPH_WIDTH
 from repro.region import Rect
 
 RED = (255, 0, 0, 255)
@@ -93,6 +95,38 @@ class TestOneToOneMapping:
         ws.composite(ws.screen, Rect(0, 0, 4, 4),
                      solid_pixels(4, 4, (255, 0, 0, 128)), operator="plus")
         assert sink.kinds() == ["raw"]
+
+
+class TestTextAggregation:
+    """Section 4's second principle: a line of text ships as one stipple."""
+
+    def test_visible_line_is_one_bitmap_priced_as_one_command(self, rig):
+        ws, driver, sink = rig
+        text = "make all"
+        ws.draw_text(ws.screen, 2, 2, text, RED)
+        (line,) = sink.commands
+        assert line.kind == "bitmap" and line.bg is None
+        assert line.dest == Rect(2, 2, len(text) * ADVANCE - 1, GLYPH_HEIGHT)
+        assert driver.stats["driver_ops"] == len(text)
+        assert driver.stats["onscreen_commands"] == 1
+        # The same run drawn into a pixmap and replayed onscreen.
+        pm = ws.create_pixmap(64, 16)
+        ws.fill_rect(pm, pm.bounds, WHITE)
+        ws.draw_text(pm, 2, 2, text, RED)
+        sink.commands.clear()
+        ws.copy_area(pm, ws.screen, line.dest, 2, 2)
+        (replayed,) = [c for c in sink.commands if c.kind == "bitmap"]
+        assert replayed.encode() == line.encode()
+        cost = ServerCostModel().cost
+        assert cost(line) == cost(replayed) == ServerCostModel.per_command
+
+    def test_clipped_text_arrives_glyph_piece_by_piece(self, rig):
+        ws, driver, sink = rig
+        ws.set_clip(Rect(0, 0, 64, 5))
+        ws.draw_text(ws.screen, 2, 2, "abc", RED)
+        assert [c.dest for c in sink.commands] == [
+            Rect(2 + i * ADVANCE, 2, GLYPH_WIDTH, 3) for i in range(3)]
+        assert driver.stats["onscreen_commands"] == 3
 
 
 class TestOffscreenAwareness:

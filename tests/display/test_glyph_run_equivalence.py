@@ -6,8 +6,13 @@ one random script through both window servers and requires identical
 results at each layer the run crosses: framebuffer bytes and
 ``pixels_drawn``, the driver call list, the offscreen queue (commands,
 ``seq``/``_qorder``, statistics, opaque cover, taint), and — through a
-full server/client rig — the wire bytes and the client's pixels.
+full server/client rig — the client's pixels.  Onscreen, ``THINCDriver``
+ships a wholly visible line as one stipple: the oracle is the per-glyph
+BITMAP list with each such line left-folded by ``try_merge``, and the
+wire may carry no more bytes than the per-glyph rig's.
 """
+
+from functools import reduce
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +24,7 @@ from repro.core.translation import THINCDriver
 from repro.display import Framebuffer, WindowServer
 from repro.display.driver import DisplayDriver, RecordingDriver
 from repro.display.font import ADVANCE
-from repro.net import Connection, EventLoop, LAN_DESKTOP, PacketMonitor
+from repro.net import Connection, EventLoop, LAN_DESKTOP
 from repro.region import Rect, Region
 from tests.core.test_offscreen_properties import QueueSink
 from tests.display.reference import PerGlyphWindowServer
@@ -50,26 +55,34 @@ scripts = st.lists(st.one_of(text_ops, text_ops, continue_ops, continue_ops,
                              clip_ops, fill_ops), max_size=10)
 
 
-def run_script(ws, pixmap, script):
-    """Play *script* on *ws*; returns what the draw calls returned."""
+def run_script(ws, pixmap, script, after=lambda line: None):
+    """Play *script* on *ws*; returns what the draw calls returned.
+
+    ``after(line)`` runs after each op; *line* is true for text drawn
+    onscreen wholly visible, which ``draw_text`` hands over as one run.
+    """
     returned = []
     target, x, y, fg = "pixmap", 2, 3, (10, 20, 30, 255)
     for op in script:
+        line = False
         if op[0] == "clip":
             ws.set_clip(op[1])
-            continue
-        if op[0] == "fill":
+        elif op[0] == "fill":
             drawable = ws.screen if op[1] == "screen" else pixmap
             returned.append(ws.fill_rect(drawable, op[2], op[3]))
-            continue
-        if op[0] == "text":
-            _, target, x, y, text, fg = op
         else:
-            _, text, new_fg = op
-            fg = new_fg or fg
-        drawable = ws.screen if target == "screen" else pixmap
-        returned.append(ws.draw_text(drawable, x, y, text, fg))
-        x += len(text) * ADVANCE
+            if op[0] == "text":
+                _, target, x, y, text, fg = op
+            else:
+                _, text, new_fg = op
+                fg = new_fg or fg
+            drawable = ws.screen if target == "screen" else pixmap
+            bounds = ws.draw_text(drawable, x, y, text, fg)
+            returned.append(bounds)
+            x += len(text) * ADVANCE
+            line = (drawable.onscreen and bool(text) and ws._clip is None
+                    and drawable.fb.bounds.contains(bounds))
+        after(line)
     return returned
 
 
@@ -144,9 +157,28 @@ def queue_state(queue):
             queue.audit_structures())
 
 
+def described(commands):
+    return [(type(c).__name__, c.dest, c.encode()) for c in commands]
+
+
 def sunk(driver):
-    return [(type(c).__name__, c.dest, c.encode())
-            for c in driver.sink.commands]
+    return described(driver.sink.commands)
+
+
+def line_folder(commands):
+    """An ``after`` hook for a per-glyph rig sinking into *commands*,
+    and the list it fills: what a driver shipping one stipple per
+    wholly visible line must sink — *commands* with each such line's
+    BITMAPs left-folded by ``try_merge``."""
+    folded, start = [], 0
+
+    def after(line):
+        nonlocal start
+        fresh, start = commands[start:], len(commands)
+        folded.extend([reduce(lambda a, b: a.try_merge(b), fresh)]
+                      if line else fresh)
+
+    return after, folded
 
 
 class TestTranslationAndQueue:
@@ -160,12 +192,16 @@ class TestTranslationAndQueue:
         for ws, pixmap, driver in (new, old):
             if not merge:
                 driver._offscreen[pixmap.id] = CommandQueue(merge=False)
-            run_script(ws, pixmap, script)
+        run_script(*new[:2], script)
+        after, folded = line_folder(old[2].sink.commands)
+        run_script(*old[:2], script, after)
         same_pixels(new, old)
         assert queue_state(new[2].offscreen_queue(new[1])) \
             == queue_state(old[2].offscreen_queue(old[1]))
-        assert new[2].stats == old[2].stats
-        assert sunk(new[2]) == sunk(old[2])
+        # One onscreen command per line; driver_ops still counts glyphs.
+        assert new[2].stats == {**old[2].stats,
+                                "onscreen_commands": len(folded)}
+        assert sunk(new[2]) == described(folded)
 
         # Flip the pixmap onscreen: merged runs replay where the queue
         # describes what is under them, RAW covers tainted text.
@@ -174,7 +210,8 @@ class TestTranslationAndQueue:
             ws.set_clip(None)
             ws.copy_area(pixmap, ws.screen, src_rect, dst_x, dst_y)
         assert sunk(new[2]) == sunk(old[2])
-        assert new[2].stats == old[2].stats
+        assert new[2].stats == {**old[2].stats,
+                                "onscreen_commands": len(folded)}
         same_pixels(new, old)
 
     def test_runs_merge_across_calls_into_one_command(self):
@@ -213,21 +250,24 @@ class TestTranslationAndQueue:
 
 def full_rig(ws_class):
     loop = EventLoop()
-    monitor = PacketMonitor()
-    conn = Connection(loop, LAN_DESKTOP, monitor=monitor)
+    conn = Connection(loop, LAN_DESKTOP)
     server = THINCServer(loop, W, H)
     ws = ws_class(W, H, driver=server.driver, clock=loop.clock)
     server.attach_client(conn)
     client = THINCClient(loop, conn)
-    stream = bytearray()
-    write = conn.down.write
+    stream, sunk = bytearray(), []
+    write, submit = conn.down.write, server.submit
 
     def tee(data):
         stream.extend(data)
         write(data)
 
-    conn.down.write = tee
-    return loop, monitor, server, ws, client, stream
+    def tap(command):
+        sunk.append(command)
+        submit(command)
+
+    conn.down.write, server.submit = tee, tap
+    return loop, ws, client, stream, sunk
 
 
 class TestEndToEnd:
@@ -236,20 +276,28 @@ class TestEndToEnd:
     def test_wire_bytes_and_client_pixels(self, script, src_rect):
         results = []
         for ws_class in (WindowServer, PerGlyphWindowServer):
-            loop, monitor, server, ws, client, stream = full_rig(ws_class)
+            loop, ws, client, stream, sunk = full_rig(ws_class)
+            # The per-glyph rig's oracle folds its lines; ours is as sunk.
+            after, folded = (line_folder(sunk) if ws_class is not WindowServer
+                             else (lambda line: None, sunk))
             pixmap = ws.create_pixmap(PW, PH)
             ws.fill_rect(ws.screen, ws.screen.bounds, (250, 250, 250, 255))
-            run_script(ws, pixmap, script)
+            after(False)
+            run_script(ws, pixmap, script, after)
             ws.set_clip(None)
             ws.copy_area(pixmap, ws.screen, src_rect, 3, 2)
+            after(False)
             ws.draw_text(ws.screen, 4, 30, "on screen", (0, 0, 90, 255))
+            after(True)
             loop.run_until_idle()
             assert client.fb.same_as(ws.screen.fb)
-            results.append((bytes(stream), monitor.records,
-                            client.fb.data.tobytes(), server.driver.stats,
-                            server.stats, client.stats))
-        assert results[0][0], "the tee saw no server->client bytes"
-        assert results[0] == results[1]
+            results.append((len(stream), client.fb.data.tobytes(),
+                            ws.driver.stats["driver_ops"],
+                            described(folded)))
+        (new_bytes, *new), (old_bytes, *old) = results
+        assert old_bytes, "the tee saw no server->client bytes"
+        assert new == old
+        assert new_bytes <= old_bytes
 
 
 def test_replayed_runs_rebuild_the_pixmap_exactly():
