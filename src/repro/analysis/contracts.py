@@ -50,10 +50,11 @@ PARSER_ROLES: Tuple[Tuple[str, str], ...] = (
 )
 
 #: Accept-set names each role may cite (the spec alias and the raw
-#: direction set it aliases).
+#: direction set it aliases, plus the client's CHECKED-only set).
 ROLE_SET_NAMES: Dict[str, Tuple[str, ...]] = {
     "server": ("SERVER_ACCEPTS", "UPLINK_TYPE_IDS"),
-    "client": ("CLIENT_ACCEPTS", "DOWNLINK_TYPE_IDS"),
+    "client": ("CLIENT_ACCEPTS", "DOWNLINK_TYPE_IDS",
+               "SEQUENCED_ACCEPTS"),
     "fabric": ("FABRIC_ACCEPTS", "FABRIC_TYPE_IDS"),
 }
 
@@ -314,6 +315,8 @@ def render_contract_matrix(facts: Facts) -> str:
     view = _spec_view(facts)
     set_ids = {name: view.side_ids[role]
                for role, names in ROLE_SET_NAMES.items() for name in names}
+    set_ids["SEQUENCED_ACCEPTS"] = frozenset(
+        e.type_id for e in facts.spec if e.name == "CHECKED")
 
     directional: List[Tuple[str, ParserSite]] = []
     diagnostic: List[ParserSite] = []

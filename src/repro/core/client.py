@@ -29,7 +29,7 @@ from ..protocol import wire
 from ..protocol.commands import Command, VideoFrameCommand
 from ..protocol.limits import LIMITS
 from ..protocol.rc4 import RC4
-from ..protocol.spec import CLIENT_ACCEPTS
+from ..protocol.spec import CLIENT_ACCEPTS, SEQUENCED_ACCEPTS
 
 __all__ = ["THINCClient", "ClientCostModel", "VideoStreamStats",
            "AudioStats"]
@@ -90,7 +90,11 @@ class THINCClient:
         self._decrypt_key = decrypt_key
         self.cipher = RC4(decrypt_key) if decrypt_key else None
         self.cost_model = cost_model or ClientCostModel()
-        self.parser = self._make_parser()
+        # The accepted-id set comes from the protocol spec (THL201): a
+        # server-to-server frame — say a SESSION_TRANSFER smuggled down a
+        # compromised relay — dies at the frame header.
+        self.parser = wire.StreamParser(max_frame=self.MAX_FRAME,
+                                        allowed=CLIENT_ACCEPTS)
         # Resilience state: highest CHECKED sequence applied (resync
         # replay duplicates are skipped by it), and an optional hook a
         # resilient wrapper sets to turn parse failures into reconnects
@@ -139,14 +143,6 @@ class THINCClient:
 
     # -- connection management -----------------------------------------------
 
-    def _make_parser(self) -> wire.StreamParser:
-        """A fresh downlink parser.  The accepted-id set comes from the
-        protocol spec (THL201): a server-to-server frame — say a
-        SESSION_TRANSFER smuggled down a compromised relay — dies at
-        the frame header, before any payload decode runs."""
-        return wire.StreamParser(max_frame=self.MAX_FRAME,
-                                 allowed=CLIENT_ACCEPTS)
-
     def rebind(self, connection: Connection) -> None:
         """Attach to a freshly dialled connection after a reconnect.
 
@@ -154,11 +150,14 @@ class THINCClient:
         not reach the new parser), parsing restarts clean, and the RC4
         keystream restarts to mirror the server's re-key.  Framebuffer
         and cursor state survive: the resync stream builds on it.
+        Every rebound stream is sequenced, so its parser takes CHECKED
+        headers only, each with its lengths cross-checked.
         """
         if self.connection is not None:
             self.connection.down.disconnect()
         self.connection = connection
-        self.parser = self._make_parser()
+        self.parser = wire.StreamParser(max_frame=self.MAX_FRAME,
+                                        allowed=SEQUENCED_ACCEPTS)
         if self._decrypt_key is not None:
             self.cipher = RC4(self._decrypt_key)
         connection.down.connect(self._on_data)
@@ -265,7 +264,7 @@ class THINCClient:
             if self.on_protocol_error is None:
                 raise
             self.stats["protocol_errors"] += 1
-            self.parser = self._make_parser()
+            self.parser.reset()
             self.on_protocol_error(exc)
 
     def _handle(self, msg) -> None:

@@ -461,16 +461,13 @@ class ResilientClient:
 
     def __init__(self, loop, dial: Callable[[], Connection],
                  config: Optional[ResilienceConfig] = None,
-                 viewport=None, headless: bool = False,
-                 decrypt_key: Optional[bytes] = None,
-                 cost_model=None, seed: int = 0):
+                 viewport=None, decrypt_key: Optional[bytes] = None,
+                 seed: int = 0):
         self.loop = loop
         self.dial = dial
         self.config = config or ResilienceConfig()
         self.client = THINCClient(loop, None, viewport=viewport,
-                                  headless=headless,
-                                  decrypt_key=decrypt_key,
-                                  cost_model=cost_model)
+                                  decrypt_key=decrypt_key)
         self.client.on_protocol_error = self._on_protocol_error
         self.client.on_attach_denied = self._on_attach_denied
         self.token = 0
@@ -479,25 +476,12 @@ class ResilientClient:
         self._pending_conn: Optional[Connection] = None
         self._dial_deadline: Optional[float] = None
         self._retry_level = 0
-        self._progress_mark = 0
-        self._progress_time = 0.0
         self._rng = random.Random(
             zlib.crc32(f"client|{seed}".encode("utf-8")))
         self.stats = {"dials": 0, "accepts": 0, "denials": 0,
-                      "dead_detected": 0, "desyncs_detected": 0,
-                      "protocol_errors": 0, "attach_denied": 0,
-                      "replay_resyncs": 0, "snapshot_resyncs": 0}
-
-    def _parse_progress(self) -> int:
-        """Frames the parser has completed, applied or replay-skipped.
-
-        Bytes received are *not* progress: a corrupted length field can
-        leave the stream parser waiting on a phantom frame that keeps
-        absorbing (healthy-looking) traffic forever.  Only a completed
-        frame proves the framing layer is still synchronised.
-        """
-        return (self.client.stats["messages"] +
-                self.client.stats["replay_skipped"])
+                      "dead_detected": 0, "protocol_errors": 0,
+                      "attach_denied": 0, "replay_resyncs": 0,
+                      "snapshot_resyncs": 0}
 
     # Convenience pass-throughs ------------------------------------------------
 
@@ -558,8 +542,6 @@ class ResilientClient:
             self._dial_deadline = None
             self._retry_level = 0
             self.stats["accepts"] += 1
-            self._progress_mark = self._parse_progress()
-            self._progress_time = self.loop.now
             if msg.resync == wire.RESYNC_FRESH:
                 # A brand-new session: sequence space restarts.
                 self.client.last_applied_seq = 0
@@ -616,21 +598,11 @@ class ResilientClient:
             return
         now = self.loop.now
         if self.attached:
-            quiet = now - self.client.stats["last_rx_time"]
-            progress = self._parse_progress()
-            if progress != self._progress_mark:
-                self._progress_mark = progress
-                self._progress_time = now
-            if quiet > self.config.liveness_timeout:
+            # Silence alone is failure: a slow frame on a thin link is
+            # not, and a corrupted length fails at its header (wire.py).
+            if now - self.client.stats["last_rx_time"] > \
+                    self.config.liveness_timeout:
                 self.stats["dead_detected"] += 1
-                self._reconnect()
-            elif now - self._progress_time > self.config.liveness_timeout:
-                # Bytes keep arriving but no frame ever completes: a
-                # corrupted length field has wedged the stream parser on
-                # a phantom frame.  The server's keepalives guarantee
-                # frame progress on a healthy link, so a silent parser
-                # means the framing is desynchronised — resync.
-                self.stats["desyncs_detected"] += 1
                 self._reconnect()
         elif self._dial_deadline is not None and now > self._dial_deadline:
             # The dial never got an answer (partition, dead socket).

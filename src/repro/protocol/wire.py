@@ -83,6 +83,8 @@ FRAME_OVERHEAD = _FRAME.size
 # Extra bytes a CHECKED wrapper adds around an already-framed message:
 # its own [type u8][len u32] header plus crc32[u32] and seq[u32].
 CHECKED_OVERHEAD = _FRAME.size + 2 * _U32.size
+# A CHECKED frame's declared length less its inner frame's.
+_CHECKED_LEN = 2 * _U32.size + _FRAME.size
 
 _INPUT_KINDS = ("mouse-move", "mouse-click", "key")
 
@@ -236,18 +238,14 @@ def _check_checked(row) -> None:
 @message("CHECKED", 26, "s->c", "(extension: resilience)",
          check=_check_checked)
 class CheckedFrame:
-    """Integrity-checked wrapper around one framed message: CRC-32
-    over seq+inner turns wire corruption into a typed checksum error
-    (resync, not crash); the per-session sequence number drives
-    cumulative acks and duplicate-skip after resync.  Only resilient
-    sessions emit it, so old streams parse unchanged.
-
-    Resilient sessions wrap every server-to-client message in a CHECKED
-    frame.  The checksum failure is a :class:`ChecksumError`; the
-    sequence number lets the client ack progress and skip duplicates
-    replayed after a reconnect.  Negotiation is implicit: only sessions
-    accepted through the resilience plane emit CHECKED frames, and the
-    parser handles wrapped and bare streams alike.
+    """Integrity-checked wrapper around one framed message, emitted
+    around every server-to-client message of a session accepted through
+    the resilience plane.  CRC-32 over seq+inner turns wire corruption
+    into a :class:`ChecksumError` (resync, not crash); the sequence
+    number drives cumulative acks and duplicate-skip after resync.  Its
+    declared length is 13 more than its inner frame's; a stream parser
+    checks that once 18 bytes are buffered, so a corrupted length fails
+    there instead of waiting on a phantom frame.
     """
 
     seq: int
@@ -616,6 +614,18 @@ class StreamParser:
                     raise FieldRangeError(
                         f"message type {type_id} is not acceptable on "
                         f"this stream direction")
+                if type_id == CheckedFrame.type_id and length >= _CHECKED_LEN:
+                    # Its length must agree with its inner frame's, read
+                    # 18 bytes in (a shorter frame fails at decode).
+                    head = end + _CHECKED_LEN
+                    if head > len(self._buffer):
+                        end = head
+                        break
+                    inner = _U32.unpack_from(self._buffer, head - _U32.size)[0]
+                    if length != _CHECKED_LEN + inner:
+                        raise ChecksumError(
+                            f"CHECKED frame declares {length} bytes around "
+                            f"an inner frame of {inner}")
                 end += length
                 if end > len(self._buffer):
                     break
@@ -629,6 +639,11 @@ class StreamParser:
             del self._buffer[:offset]
         self._need = end - offset
         return out
+
+    def reset(self) -> None:
+        """Drop the buffered bytes, as after a frame that raised."""
+        self._buffer.clear()
+        self._need = 0
 
     @property
     def pending_bytes(self) -> int:

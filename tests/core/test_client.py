@@ -126,6 +126,24 @@ class TestEmptySourceVideoFrame:
             loop.run_until_idle(max_time=5)
 
 
+class TestRebind:
+    def test_a_rebound_stream_takes_only_checked_headers(self):
+        errors = []
+        loop, conn, client = rig()
+        client.on_protocol_error = errors.append
+        fresh = Connection(loop, LAN_DESKTOP)
+        client.rebind(fresh)
+        # A bare header announcing a long frame dies as its 5 bytes land.
+        fresh.down.write(wire.frame_message(
+            wire.ScreenInitMessage.type_id, bytes(1000))[:5])
+        loop.run_until_idle(max_time=5)
+        assert [type(exc) for exc in errors] == [wire.FieldRangeError]
+        fresh.down.write(wire.wrap_checked(
+            wire.encode_message(wire.ScreenInitMessage(8, 8)), 1))
+        loop.run_until_idle(max_time=5)
+        assert (client.fb.width, client.fb.height) == (8, 8)
+
+
 class TestCostModel:
     def test_processing_time_accumulates(self):
         model = ClientCostModel(per_byte=1e-6, per_pixel=1e-6, fixed=0.0)

@@ -12,7 +12,7 @@ from dataclasses import fields
 from repro.core import Budget, ServerBudget, THINCServer
 from repro.core.pipeline import PreparePlane
 from repro.core.qos import QosConfig
-from repro.core.resilience import ResilienceConfig
+from repro.core.resilience import ResilienceConfig, ResilientClient
 from repro.net import EventLoop
 
 
@@ -44,6 +44,11 @@ def test_resilience_config_fields():
         "heartbeat_interval", "liveness_timeout", "check_interval",
         "detach_window", "backoff_base", "backoff_jitter", "seed",
         "token_start", "token_stride"]
+
+
+def test_resilient_client_constructor_parameters():
+    assert list(inspect.signature(ResilientClient.__init__).parameters) == [
+        "self", "loop", "dial", "config", "viewport", "decrypt_key", "seed"]
 
 
 def test_budget_fields():

@@ -21,6 +21,7 @@ from repro.core.resilience import ResilienceConfig
 from repro.net import LinkParams
 from repro.net.faults import (Corruption, Disconnect, FaultPlan, LossBurst,
                               Partition, Stall)
+from repro.protocol import wire
 
 W, H = 96, 64
 # The replay-byte bound: what a full-screen RAW snapshot would cost on
@@ -196,6 +197,63 @@ class TestScriptedScenarios:
         assert_pixel_identical(rc.client, ws)
         st = server.resilience.stats
         assert st.resyncs_replay + st.resyncs_snapshot >= 3
+
+
+class TestFramingChecks:
+    """A frame is checked where it is read; a slow one is not a fault."""
+
+    def test_a_slow_frame_on_a_thin_link_is_not_a_desync(self):
+        # One noise photograph over 64 kbit/s takes seconds to arrive:
+        # the client must wait for it on its first connection, not
+        # redial and have the replay resend the same slow frame.
+        thin = LinkParams("64k", bandwidth_bps=64e3, rtt=0.02,
+                          tcp_window=16 * 1024)
+        loop, dial, server, ws, rc = make_resilient_rig(
+            width=128, height=96, link=thin, config=ResilienceConfig())
+        img = np.random.default_rng(1).integers(
+            0, 256, (96, 128, 4), dtype=np.uint8)
+        img[..., 3] = 255
+        loop.schedule_at(0.1, lambda: ws.put_image(
+            ws.screen, ws.screen.bounds, img))
+        loop.run_until(6.0)
+        assert_pixel_identical(rc.client, ws)
+        assert rc.stats["dials"] == 1
+        assert server.resilience.stats.resyncs_replay == 0
+
+    def test_a_corrupted_length_redials_on_the_chunk_that_carries_it(self):
+        # The wire damages one CHECKED frame's length (the journal keeps
+        # it intact).  The client must fail at that frame's header, not
+        # wait a liveness window on a phantom frame, and the replay
+        # must heal the screen.
+        loop, dial, server, ws, rc = make_resilient_rig(width=W, height=H)
+        scripted_workload(loop, ws, end=1.2, seed=7)
+        sent, errors = [], []
+
+        def arm():
+            stage = server.sessions[0].frame_stage
+            encrypt = stage.encrypt
+
+            def corrupt(data):
+                if not sent:
+                    sent.append(loop.now)
+                    data = bytearray(data)
+                    data[1:5] = (int.from_bytes(data[1:5], "big")
+                                 + (1 << 20)).to_bytes(4, "big")
+                return encrypt(bytes(data))
+
+            stage.encrypt = corrupt
+
+        loop.schedule_at(0.4, arm)
+        hook = rc.client.on_protocol_error
+        rc.client.on_protocol_error = lambda exc: (
+            errors.append((loop.now, exc)), hook(exc))
+        loop.run_until(SETTLE)
+        assert len(errors) == 1
+        (when, exc), = errors
+        assert isinstance(exc, wire.ChecksumError)
+        assert when - sent[0] < 0.01  # one LAN hop, not a liveness window
+        assert rc.stats["dials"] == 2
+        assert_clean_outcome(rc, ws)
 
 
 class TestDegradation:

@@ -180,6 +180,26 @@ class TestTypedLimits:
         with pytest.raises(wire.FieldRangeError):
             parser.feed(framed)
 
+    @pytest.mark.parametrize("at", [1, 14])  # outer, inner length
+    def test_checked_lengths_disagreeing_fail_at_the_header(self, at):
+        framed = bytearray(wire.wrap_checked(
+            wire.encode_message(wire.HeartbeatMessage(1, 0.5)), 2))
+        framed[at:at + 4] = struct.pack(
+            ">I", struct.unpack_from(">I", framed, at)[0] + 1000)
+        parser = wire.StreamParser()
+        assert parser.feed(bytes(framed[:17])) == []
+        with pytest.raises(wire.ChecksumError):
+            parser.feed(bytes(framed[17:18]))  # the rest never comes
+
+    @pytest.mark.parametrize("length", [0, 8, 12])
+    def test_a_short_checked_frame_fails_at_completion(self, length):
+        framed = wire.frame_message(wire.CheckedFrame.type_id,
+                                    bytes(length))
+        parser = wire.StreamParser()
+        assert parser.feed(framed[:-1]) == []
+        with pytest.raises(wire.TruncatedPayloadError):
+            parser.feed(framed[-1:])
+
     def test_nested_checked_frames_rejected(self):
         inner = wire.wrap_checked(
             wire.encode_message(wire.HeartbeatMessage(1, 0.5)), 2)
