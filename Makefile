@@ -134,7 +134,7 @@ bench-pairs:
 
 # Every test carrying the `claims` mark, which pytest.ini deselects from
 # tier-1 (~2 minutes): the rows of the paper's claims table
-# (repro.bench.claims) that cost more than about a second, the five
+# (repro.bench.claims) that cost more than about a second, the six
 # seeded mechanism breaks that must each fail a named row, the check
 # that EXPERIMENTS.md's claims block is what `python -m repro figures
 # --only claims` prints, and the full 54-page i-Bench build.  Tier-1

@@ -6,8 +6,8 @@ text, fills, tiles, images, scrolls, double-buffered window flips — and
 prints, for each, the protocol commands THINC's virtual driver emitted
 and their wire cost.  This makes the paper's Section 4 visible:
 one-to-one mappings, a line of glyph stipples leaving the driver as
-one BITMAP, scan-line image chunks merging into one RAW, offscreen
-drawing shipping as replayed *commands* rather than pixels.
+one BITMAP, scan-line image chunks leaving it as one RAW per band,
+offscreen drawing shipping as replayed *commands* rather than pixels.
 
 Run:  python examples/translation_inspector.py
 """
@@ -90,8 +90,8 @@ def main() -> None:
     rng = np.random.default_rng(7)
     ws.put_image(ws.screen, Rect(20, 60, 200, 120),
                  rng.integers(0, 256, (120, 200, 4), dtype=np.uint8))
-    describe("put_image(200x120 photo)  [15 scan-line chunks merge into "
-             "one compressed RAW]", tap.take())
+    describe("put_image(200x120 photo)  [15 scan-line chunks: one RAW "
+             "per 64 KiB band, merged in the buffer]", tap.take())
 
     tile = solid_pixels(8, 8, (230, 230, 240, 255))
     tile[::4, ::4] = (180, 180, 200, 255)

@@ -26,7 +26,8 @@ from .experiments import PDA_VIEWPORT, av_run, memoised, web_run
 from .platforms import CLIENT_RESIZE_COST, make_platform
 from .sites import REMOTE_SITES, site_link
 from .slowmotion import AVRunResult, WebRunResult
-from .testbed import run_av_benchmark, run_typing_benchmark, run_web_benchmark
+from .testbed import (TypingRunResult, run_av_benchmark, run_typing_benchmark,
+                      run_web_benchmark)
 
 LAN, PDA = "LAN Desktop", "802.11g PDA"
 FRAMES = 96  # video frames of the side runs
@@ -74,8 +75,8 @@ def resize(page_count: int) -> Dict[str, object]:
 
 
 @memoised
-def scheduler() -> Tuple[List[float], List[float]]:
-    """Echo latencies, SRSF then FIFO, typing under a bulk image load."""
+def scheduler() -> Tuple[TypingRunResult, TypingRunResult]:
+    """Typing under a bulk image load, SRSF then FIFO."""
     link = replace(DSL, tcp_window=256 * 1024)
     return (run_typing_benchmark(link, keys=15),
             run_typing_benchmark(link, scheduler_factory=FIFOScheduler,

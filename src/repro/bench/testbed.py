@@ -10,6 +10,7 @@ plays the A/V clip and scores it with slow-motion quality.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..audio.sync import audio_quality, av_sync_skew
@@ -21,6 +22,7 @@ from .platforms import make_platform
 from .slowmotion import AVRunResult, WebRunResult, measure_page
 
 __all__ = ["run_web_benchmark", "run_av_benchmark", "run_typing_benchmark",
+           "TypingRunResult",
            "WEB_PDA_PLATFORMS", "AV_PLATFORMS", "WEB_PLATFORMS"]
 
 # Platforms measured in each figure (Section 8.3): only these support a
@@ -157,16 +159,27 @@ def run_av_benchmark(platform_name: str, link: LinkParams,
     )
 
 
+@dataclass
+class TypingRunResult:
+    """One typing-under-load run: the keystroke-to-echo latencies seen
+    at the client, the RAWs the translation layer submitted, and the
+    scan-line chunks the bulk images stand for."""
+
+    latencies: List[float]
+    raws: int
+    chunks: int
+
+
 def run_typing_benchmark(link: LinkParams, scheduler_factory=None,
                          keys: int = 15, width: int = 640,
-                         height: int = 480) -> List[float]:
+                         height: int = 480) -> TypingRunResult:
     """Echo latency under bulk load (the Section 5 ablation).
 
     Runs THINC with the given delivery scheduler while a user types
-    into an editor as large images stream; returns the list of
-    keystroke-to-echo latencies observed at the client.
+    into an editor as large images stream.
     """
-    from ..protocol.commands import BitmapCommand, CompositeCommand
+    from ..protocol.commands import (BitmapCommand, CompositeCommand,
+                                     RawCommand)
     from ..workloads.interactive import TypingUnderLoadWorkload
 
     loop = EventLoop()
@@ -197,6 +210,20 @@ def run_typing_benchmark(link: LinkParams, scheduler_factory=None,
                     break
 
     client._execute = probe
+    # What the translation layer hands the server, before the delivery
+    # buffer drops RAWs a later image overwrote.
+    raws = 0
+    submit = platform.server.submit
+
+    def count(cmd):
+        nonlocal raws
+        raws += isinstance(cmd, RawCommand)
+        submit(cmd)
+
+    platform.server.submit = count
     workload.start()
     loop.run_until_idle(max_time=keys * 0.15 + 30)
-    return workload.latencies()
+    ws = platform.window_server
+    return TypingRunResult(
+        workload.latencies(), raws, ws.op_counts.get("put_image", 0)
+        * -(-workload.image_size // ws.image_chunk_rows))

@@ -12,6 +12,12 @@ commands, applying the three design principles of Section 4:
 3. preserve command semantics for the whole command lifetime, via the
    command queues that track every offscreen region (Section 4.1).
 
+Onscreen, a line of text ships as one stipple and an image as one RAW
+per band of whole scan-line chunks: a band is what the PNG coder
+DEFLATEs as one segment, so an image's first RAW is on the wire while
+the next compresses, where one RAW for the whole image would put all
+of its compression CPU before its first byte.
+
 Offscreen handling: drawing to a pixmap adds commands to that pixmap's
 queue instead of the network.  Copies between offscreen regions copy
 (never move — a region can source many copies) the translated commands
@@ -37,6 +43,7 @@ from ..display.pixmap import Drawable
 from ..protocol.commands import (BitmapCommand, Command, CompositeCommand,
                                  CopyCommand, PFillCommand, RawCommand,
                                  SFillCommand, VideoFrameCommand)
+from ..protocol.compression import _BAND_BYTES
 from ..region import Rect
 from .command_queue import CommandQueue
 
@@ -156,6 +163,22 @@ class THINCDriver(DisplayDriver):
         self.stats["driver_ops"] += 1
         self._emit(drawable,
                    RawCommand(rect, pixels, self.raw_encoding))
+
+    def image_run(self, drawable: Drawable, rect: Rect,
+                  pixels: np.ndarray, rows: int) -> None:
+        """An onscreen image: RAWs of whole chunks, each at most one band
+        and at least one chunk.  A pixmap's queue merges the chunks
+        itself (``RawCommand.try_merge``)."""
+        if not drawable.onscreen:
+            super().image_run(drawable, rect, pixels, rows)
+            return
+        self.stats["driver_ops"] += -(-rect.height // rows)
+        step = rows * max(1, _BAND_BYTES // (pixels[0].nbytes * rows))
+        for y0 in range(0, rect.height, step):
+            part = Rect(rect.x, rect.y + y0, rect.width,
+                        min(step, rect.height - y0))
+            self._emit(drawable, RawCommand(part, pixels[y0 : y0 + step],
+                                            self.raw_encoding))
 
     def composite(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray, operator: str) -> None:

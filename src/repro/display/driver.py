@@ -6,8 +6,10 @@ server and the hardware.  The simulated window server decomposes every
 application request into calls on this interface, passing along the full
 semantic information a real driver sees (operation kind, geometry,
 colours, tiles, stipples, source drawables).  Text reaches the driver as
-a whole glyph run (:meth:`DisplayDriver.glyph_run`); a driver that does
-not override that hook sees the run as one ``bitmap_fill`` per glyph.
+a whole glyph run (:meth:`DisplayDriver.glyph_run`), and a wholly
+visible image as a whole image run (:meth:`DisplayDriver.image_run`); a
+driver that does not override those hooks sees one ``bitmap_fill`` per
+glyph and one ``put_image`` per scan-line chunk.
 
 A hardware driver would program a GPU here.  THINC instead implements
 this interface with a *virtual* driver that translates each call into
@@ -112,6 +114,19 @@ class DisplayDriver:
     def put_image(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray) -> None:
         """Raw client-supplied pixels were stored into *rect*."""
+
+    def image_run(self, drawable: Drawable, rect: Rect,
+                  pixels: np.ndarray, rows: int) -> None:
+        """A wholly visible image was stored into *rect*, scan-line chunk
+        by chunk of *rows* rows (XAA's ImageWrite).
+
+        The default decomposes it into the per-chunk ``put_image``
+        calls it stands for.
+        """
+        for y0 in range(0, rect.height, rows):
+            chunk = Rect(rect.x, rect.y + y0, rect.width,
+                         min(rows, rect.height - y0))
+            self.put_image(drawable, chunk, pixels[y0 : y0 + rows])
 
     def composite(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray, operator: str) -> None:

@@ -15,8 +15,10 @@ modelled explicitly:
   operations — the small updates THINC aggregates (Section 4).  Only a
   driver that overrides the hook handles the run as a whole.
 * **Image rasterisation** proceeds in scan-line chunks, so one large
-  ``put_image`` becomes many thin ``put_image`` driver calls that an
-  efficient translator must merge.
+  ``put_image`` stands for many thin ``put_image`` driver calls that an
+  efficient translator must merge.  A wholly visible image reaches the
+  driver as one image run (``DisplayDriver.image_run``) that carries
+  its chunk height; clipped images arrive chunk piece by chunk piece.
 
 Application-*level* commands (pre-decomposition) are also published to
 registered listeners; the X/NX/RDP/ICA baselines intercept there, which
@@ -277,7 +279,12 @@ class WindowServer:
 
     def put_image(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray) -> Rect:
-        """Store client-supplied pixels; rasterised in scan-line chunks."""
+        """Store client-supplied pixels; rasterised in scan-line chunks.
+
+        An image that is wholly visible is stored with one blit and
+        handed to the driver as one ``image_run``; a clipped image is
+        stored and reported chunk piece by chunk piece.
+        """
         self._check(drawable)
         pixels = np.asarray(pixels, dtype=np.uint8)
         if pixels.shape[:2] != (rect.height, rect.width):
@@ -287,6 +294,13 @@ class WindowServer:
         if pixels.shape[2] == 3:  # accept RGB, promote to opaque RGBA
             alpha = np.full(pixels.shape[:2] + (1,), 255, dtype=np.uint8)
             pixels = np.concatenate([pixels, alpha], axis=2)
+        fb = drawable.fb
+        if rect and self._clip is None and fb.bounds.contains(rect):
+            fb.put_pixels(rect, pixels)
+            self.driver.image_run(drawable, rect, pixels,
+                                  self.image_chunk_rows)
+            self._notify("put_image", drawable, rect, rect.area)
+            return rect
         total = Rect(0, 0, 0, 0)
         for y0 in range(0, rect.height, self.image_chunk_rows):
             rows = min(self.image_chunk_rows, rect.height - y0)

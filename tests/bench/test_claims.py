@@ -78,10 +78,15 @@ def glyphs_one_by_one(monkeypatch):  # a line ships as per-glyph BITMAPs
     monkeypatch.setattr(THINCDriver, "glyph_run", DisplayDriver.glyph_run)
 
 
+def images_chunk_by_chunk(monkeypatch):  # an image ships as its chunks
+    monkeypatch.setattr(THINCDriver, "image_run", DisplayDriver.image_run)
+
+
 @pytest.mark.claims
 @pytest.mark.parametrize("row, seed", [
     ("ablation.offscreen-latency", offscreen_replay_off),
     ("ablation.srsf-echo", fifo_for_srsf),
+    ("ablation.image-chunks-aggregated", images_chunk_by_chunk),
     ("fig3.thinc-pda-resize", client_side_resize),
     ("fig6.thinc-24mbps", video_as_raw),
     ("side.scroll-text-aggregated", glyphs_one_by_one)])

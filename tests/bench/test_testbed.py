@@ -54,7 +54,7 @@ class TestAVRunner:
 
 class TestTypingRunner:
     def test_all_echoes_delivered(self):
-        latencies = run_typing_benchmark(LAN_DESKTOP, keys=5)
+        latencies = run_typing_benchmark(LAN_DESKTOP, keys=5).latencies
         assert len(latencies) == 5
         assert all(l > 0 for l in latencies)
 

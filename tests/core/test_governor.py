@@ -32,6 +32,17 @@ def noise(seed=0, w=96, h=64):
     return rng.integers(0, 256, (h, w, 4), dtype=np.uint8)
 
 
+def put_strips(ws, rect, pixels, rows=8):
+    """Draw *pixels* as one image per *rows*-row strip.  A whole image
+    reaches the queue as one RAW per 64 KiB band and can jump past
+    every rung at once; strips grow the backlog a few KB at a time, so
+    it meets the rungs in order."""
+    for y in range(0, rect.height, rows):
+        ws.put_image(ws.screen, Rect(rect.x, rect.y + y, rect.width,
+                                     min(rows, rect.height - y)),
+                     pixels[y : y + rows])
+
+
 def tight_budget(**kw):
     base = dict(degrade_queue_bytes=2_000, max_queue_bytes=200_000,
                 evict_queue_bytes=400_000, coalesce_cooldown=0.5)
@@ -134,7 +145,7 @@ class TestQueueLadder:
                                 max_queue_bytes=3_000,
                                 evict_queue_bytes=6_000))
         session = server.sessions[0]
-        ws.put_image(ws.screen, Rect(0, 0, 96, 64), noise())
+        put_strips(ws, Rect(0, 0, 96, 64), noise())
         loop.run_until(5.0)
         assert session.quarantined
         assert server.governor.stats.evicted == 1
@@ -157,8 +168,7 @@ class TestQueueLadder:
         # Overlapping tiles defeat queue overwrites; the first overflow
         # coalesces, and the re-trip within the cooldown evicts.
         for i in range(8):
-            ws.put_image(ws.screen, Rect(4 * i, 2 * i, 64, 48),
-                         noise(i, 64, 48))
+            put_strips(ws, Rect(4 * i, 2 * i, 64, 48), noise(i, 64, 48))
         loop.run_until(60.0)
         stats = server.governor.stats
         assert stats.coalesces >= 1

@@ -6,9 +6,11 @@ import pytest
 from repro.core.server import ServerCostModel
 from repro.core.translation import THINCDriver
 from repro.display import WindowServer, solid_pixels
-from repro.display.driver import InputEvent
+from repro.display.driver import DisplayDriver, InputEvent, RecordingDriver
 from repro.display.font import ADVANCE, GLYPH_HEIGHT, GLYPH_WIDTH
+from repro.protocol.compression import _BAND_BYTES
 from repro.region import Rect
+from tests.helpers import assert_pixel_identical, make_multi_rig, make_rig
 
 RED = (255, 0, 0, 255)
 GREEN = (0, 255, 0, 255)
@@ -127,6 +129,107 @@ class TestTextAggregation:
         assert [c.dest for c in sink.commands] == [
             Rect(2 + i * ADVANCE, 2, GLYPH_WIDTH, 3) for i in range(3)]
         assert driver.stats["onscreen_commands"] == 3
+
+
+def noise(width, height, seed=3):
+    return np.random.default_rng(seed).integers(
+        0, 256, (height, width, 4), dtype=np.uint8)
+
+
+class TestImageAggregation:
+    """Section 4's second principle: scan-line image chunks aggregate.
+
+    A 192-wide RGBA row is 768 B, so a 64 KiB band holds 85 rows: 80 of
+    them in whole 8-row chunks."""
+
+    BAND_ROWS = _BAND_BYTES // (192 * 4) // 8 * 8
+
+    @pytest.fixture
+    def big(self):
+        sink = CollectingSink()
+        driver = THINCDriver(sink)
+        return WindowServer(256, 256, driver=driver), driver, sink
+
+    def test_visible_image_is_one_raw_per_band(self, big):
+        ws, driver, sink = big
+        pixels = noise(192, 192)
+        ws.put_image(ws.screen, Rect(8, 8, 192, 192), pixels)
+        assert self.BAND_ROWS == 80
+        assert [c.dest for c in sink.commands] == [
+            Rect(8, 8, 192, 80), Rect(8, 88, 192, 80), Rect(8, 168, 192, 32)]
+        assert all(c.kind == "raw" and c.pixels.nbytes <= _BAND_BYTES
+                   for c in sink.commands)
+        assert np.array_equal(
+            np.concatenate([c.pixels for c in sink.commands]), pixels)
+        assert driver.stats["driver_ops"] == 192 // 8
+        assert driver.stats["onscreen_commands"] == 3
+
+    def test_a_chunk_wider_than_a_band_ships_alone(self):
+        sink = CollectingSink()
+        ws = WindowServer(2200, 32, driver=THINCDriver(sink))
+        ws.put_image(ws.screen, Rect(0, 0, 2100, 20), noise(2100, 20))
+        assert [c.dest.height for c in sink.commands] == [8, 8, 4]
+
+    def test_each_raw_is_priced_as_itself(self):
+        loop, conn, mon, server, ws, client = make_rig(256, 256)
+        sunk, submit = [], server.submit
+        server.submit = lambda c: (sunk.append(c), submit(c))
+        before = server.stats["cpu_time"]
+        ws.put_image(ws.screen, Rect(8, 8, 192, 192), noise(192, 192))
+        assert [c.dest.height for c in sunk] == [80, 80, 32]
+        cost = ServerCostModel().cost
+        assert server.stats["cpu_time"] - before == pytest.approx(
+            sum(map(cost, sunk)))
+        loop.run_until_idle()
+        assert_pixel_identical(client, ws)
+
+    def test_clipped_image_arrives_chunk_by_chunk(self, big):
+        ws, driver, sink = big
+        with ws.clip(Rect(0, 0, 256, 100)):
+            ws.put_image(ws.screen, Rect(8, 8, 192, 192), noise(192, 192))
+        assert [c.dest.height for c in sink.commands] == [8] * 11 + [4]
+        sink.commands.clear()
+        # Past the screen's edge: as if clipped.
+        ws.put_image(ws.screen, Rect(100, 200, 192, 40), noise(192, 40))
+        assert [c.dest for c in sink.commands] == [
+            Rect(100, y, 156, 8) for y in range(200, 240, 8)]
+
+    def test_offscreen_image_reaches_its_queue_chunk_by_chunk(self, big):
+        ws, driver, sink = big
+        pm = ws.create_pixmap(192, 192)
+        ws.put_image(pm, pm.bounds, noise(192, 192))
+        assert sink.commands == []
+        queue = driver.offscreen_queue(pm)
+        assert queue.stats["added"] == driver.stats["offscreen_commands"] \
+            == 192 // 8
+
+    def test_recording_driver_sees_one_put_image_per_chunk(self):
+        driver = RecordingDriver()
+        ws = WindowServer(256, 256, driver=driver)
+        ws.put_image(ws.screen, Rect(8, 8, 192, 20), noise(192, 20))
+        assert [(c.name, c.rect) for c in driver.calls] == [
+            ("put_image", Rect(8, y, 192, min(8, 28 - y)))
+            for y in (8, 16, 24)]
+
+    def _client_pixels(self):
+        # Images on an 8-pixel grid: the 5/8 viewport maps a chunk to
+        # whole client rows, so band and chunk resampling agree.
+        loop, mon, server, ws, clients = make_multi_rig(
+            [None, (160, 160)], 256, 256)
+        ws.fill_rect(ws.screen, ws.screen.bounds, WHITE)
+        for seed, (x, y, w, h) in enumerate(
+                [(8, 8, 192, 192), (48, 16, 200, 96), (0, 128, 256, 128),
+                 (64, 64, 24, 160)]):
+            ws.put_image(ws.screen, Rect(x, y, w, h), noise(w, h, seed))
+        loop.run_until_idle()
+        assert_pixel_identical(clients[0], ws)
+        return [client.fb.data.copy() for client in clients]
+
+    def test_client_pixels_match_the_per_chunk_path(self, monkeypatch):
+        banded = self._client_pixels()
+        monkeypatch.setattr(THINCDriver, "image_run", DisplayDriver.image_run)
+        for got, want in zip(banded, self._client_pixels()):
+            assert np.array_equal(got, want)
 
 
 class TestOffscreenAwareness:

@@ -66,8 +66,8 @@ def test_prepared_once_whatever_the_neighbours_do():
         (LAN_DESKTOP, LAN_DESKTOP, TRICKLE))
     server.plane.cache_entries = 8
     before = server.stats
-    _busy_desktop(loop, ws, photos=40)
-    loop.run_until(1.0)
+    _busy_desktop(loop, ws, photos=100)
+    loop.run_until(1.6)
     after = server.stats
     commands = after["commands_translated"] - before["commands_translated"]
     assert commands > 100
