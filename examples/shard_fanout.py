@@ -18,7 +18,7 @@ from repro.cluster.scenario import ClientSpec, Op, Scenario
 
 def main() -> None:
     # Two complete THINC servers (shard 0 mints odd tokens, shard 1
-    # even) sharing one prepared-command cache, behind one relay; the
+    # even), each preparing its own commands, behind one relay; the
     # same scripted workload on both screens keeps them mirrored, which
     # is what makes cross-shard migration seamless for the viewer.
     scenario = Scenario(
@@ -40,7 +40,9 @@ def main() -> None:
           f"(shard {move['source']} -> {move['target']})")
     print(f"fabric control log : "
           f"{[type(m).__name__ for m in coord.fabric_log]}")
-    print(f"shared-cache       : {coord.shared_cache.stats()}")
+    stats = coord.stats()
+    print(f"prepare hits/misses: {stats['prepare_cache_hits']} / "
+          f"{stats['prepare_cache_misses']}")
     for i, rc in enumerate(run.clients):
         print(f"client {i} (token {rc.token}) on shard {run.home(i)[0]}")
     # Pixels, liveness, budgets, ownership: the one oracle.

@@ -90,7 +90,8 @@ def _cmd_demo(args) -> int:
         print(f"pixel-exact clients: {exact}")
         print(f"relay bytes up/down: {stats['relay']['bytes_up']:,} / "
               f"{stats['relay']['bytes_down']:,}")
-        print(f"shared-cache hits  : {stats['shared_cache']['hits']}")
+        print(f"prepare hits/misses: {stats['prepare_cache_hits']} / "
+              f"{stats['prepare_cache_misses']}")
     else:
         client = run.clients[0]
         print(f"session length     : {end:.2f} s simulated")

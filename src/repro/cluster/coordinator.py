@@ -3,11 +3,9 @@
 A :class:`ShardCoordinator` owns N :class:`~repro.core.server.
 THINCServer` shards on one shared simulation clock.  Each shard is a
 complete THINC server — its own driver, prepare plane, governor and
-resilience plane — with two fabric couplings: a disjoint token
+resilience plane — with one fabric coupling: a disjoint token
 namespace (shard *i* issues tokens ``i+1, i+1+N, ...``, so a token
-names its minting shard and never collides) and the cluster-wide
-:class:`~repro.cluster.cache.SharedPrepareCache` injected into every
-prepare plane.
+names its minting shard and never collides).
 
 Placement is consistent hashing with admission overflow: a fresh dial
 walks the ring's preference order and lands on the first shard whose
@@ -44,7 +42,6 @@ from ..net.link import LinkParams
 from ..protocol import wire
 from ..protocol.limits import LIMITS
 from ..protocol.spec import FABRIC_ACCEPTS
-from .cache import SharedPrepareCache
 from .hashring import HashRing
 from .relay import FABRIC_LAN, Relay
 
@@ -56,7 +53,6 @@ class ShardCoordinator:
 
     def __init__(self, loop, num_shards: int, width: int, height: int,
                  resilience: Optional[ResilienceConfig] = None,
-                 shared_cache: Optional[SharedPrepareCache] = None,
                  ring_replicas: int = 64,
                  fabric_link: LinkParams = FABRIC_LAN,
                  relay_buffer_limit: int = 1 << 20,
@@ -70,9 +66,6 @@ class ShardCoordinator:
             cfg = replace(base, token_start=i + 1, token_stride=num_shards)
             self.shards.append(THINCServer(loop, width, height,
                                            resilience=cfg, **server_kw))
-        self.shared_cache = shared_cache or SharedPrepareCache()
-        for server in self.shards:
-            server.plane.shared_cache = self.shared_cache
         self.ring = HashRing(range(num_shards), replicas=ring_replicas)
         #: Explicit token routes, needed once a migration moves a token
         #: off its minting shard; a scan of the shards' sessions is the
@@ -215,15 +208,19 @@ class ShardCoordinator:
 
     def stats(self) -> Dict[str, object]:
         """Fabric-wide headline counters plus per-shard summaries."""
+        per_shard = [dict(server.stats) for server in self.shards]
         return {
             "shards": len(self.shards),
             "sessions": sum(len(s.sessions) for s in self.shards),
             "migrations": len(self.migrations),
             "transfer_bytes": self.transfer_bytes,
             "routes": len(self.routes),
-            "shared_cache": self.shared_cache.stats(),
+            "prepare_cache_hits": sum(
+                s["prepare_cache_hits"] for s in per_shard),
+            "prepare_cache_misses": sum(
+                s["prepare_cache_misses"] for s in per_shard),
             "relay": dict(self.relay.stats),
-            "per_shard": [dict(server.stats) for server in self.shards],
+            "per_shard": per_shard,
         }
 
     def pending(self) -> bool:

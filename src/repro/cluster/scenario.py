@@ -485,9 +485,7 @@ class Run:
         plane = server.resilience
         # Budgets: every reservoir within its line at the end.
         sized = [(len(sessions), server.governor.server_budget.max_sessions,
-                  "session table"),
-                 (server.plane.cache_size(), server.plane.cache_entries,
-                  "prepare cache")]
+                  "session table")]
         for s in sessions:
             sized += [
                 (s.buffer.pending_bytes(), budget.evict_queue_bytes,

@@ -49,7 +49,9 @@ def main(argv=None) -> int:
         print(f"  sessions per shard: "
               f"{[len(s.sessions) for s in run.coord.shards]}")
         print(f"  relay: {stats['relay']}")
-        print(f"  shared cache: {stats['shared_cache']}")
+        print(f"  prepare cache hits/misses: "
+              f"{stats['prepare_cache_hits']} / "
+              f"{stats['prepare_cache_misses']}")
         print(f"  transfer bytes: {stats['transfer_bytes']}")
     return 0
 

@@ -23,8 +23,8 @@ read one rectangle.  :meth:`BroadcastPlane.route` is the first stage of
 the server's one dispatch path (``THINCServer.submit``): a translated
 command is offered to mirror subscribers and plain sessions always and
 to a tile subscriber only when its destination intersects the tile.
-Everything after that is the ordinary path.  The prepare plane's cache
-is what prepares a command once per **(scale, pixel-format, encoding)
+Everything after that is the ordinary path.  The prepare plane
+prepares a command once per **(scale, pixel-format, encoding)
 equivalence class** however many receivers share it, its posture
 classes keep one congested subscriber from forcing lossy payloads on
 LAN-class peers, and video frames arrive already split by QoS rung.

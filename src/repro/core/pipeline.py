@@ -12,18 +12,18 @@ encode work across viewers) is that scaling and RAW/composite payload
 compression — the only expensive CPU in the server — happen **once per
 distinct viewport**, not once per client:
 
-* :class:`PreparePlane` owns the Scale and Prepare/Compress stages.  A
-  prepared-command cache keyed by ``(command identity, viewport scale
-  key)`` holds the scaled, compressed result of each translated
-  command; N attached clients with the same viewport cause one cache
-  miss (the work) and N-1 hits (free).  The serial CPU model charges
-  the preparation cost once, on the miss.
+* :class:`PreparePlane` owns the Scale and Prepare/Compress stages.
+  One dispatch hands it a command and the sessions that receive it;
+  the plane prepares each encoding variant once per distinct viewport
+  scale key among them, so N attached clients with the same viewport
+  cost one miss (the work) and N-1 hits (free).  The serial CPU model
+  charges the preparation cost once, on the miss.
 * Each session receives a cheap per-session *clone* of the prepared
   command (`Command.translated(0, 0)` shares the pixel arrays and the
-  cached compressed payload), because the per-session command queue
-  mutates what it stores (sequence numbers, clipping, merging) and the
-  cached original must stay pristine.  Shared payloads also make the
-  wire frames of cache hits byte-identical across sessions.
+  compressed payload), because the per-session command queue mutates
+  what it stores (sequence numbers, clipping, merging) and the shared
+  original must stay pristine.  Shared payloads also make the wire
+  frames of same-viewport sessions byte-identical.
 
 Every stage carries a :class:`StageStats` block (commands in/out, bytes
 out, CPU seconds, cache hits/misses, queue depth) so servers, sessions
@@ -31,16 +31,17 @@ and benchmarks can report exactly where work happens; see
 ``THINCServer.pipeline_stats``.
 
 Ordering guarantee: prepared commands become *ready* at the CPU model's
-completion time, and a cache hit can be ready before work submitted
-earlier to the same session has finished preparing.  Sessions therefore
-enqueue through a monotonic per-session pipe tail (`enqueue_prepared`)
-so the buffer stage always sees commands in submission order — the
-invariant the command queue's eviction and dependency rules assume.
+completion time.  One plane's serial CPU makes those times monotonic in
+submission order, but a migrated session's successor also receives the
+completions its frozen husk still has scheduled on the source shard's
+plane, and inherits that husk's pipe tail.  Sessions therefore enqueue
+through a monotonic per-session pipe tail (`enqueue_prepared`) so the
+buffer stage always sees commands in submission order — the invariant
+the command queue's eviction and dependency rules assume.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -50,7 +51,7 @@ from ..protocol.commands import (Command, CompositeCommand, RawCommand,
                                  SFillCommand)
 
 __all__ = ["STAGE_NAMES", "StageStats", "PreparedCommand", "PreparePlane",
-           "TranslateStage", "FrameStage"]
+           "FrameStage"]
 
 STAGE_NAMES = ("translate", "scale", "prepare", "buffer", "frame", "flush")
 
@@ -84,25 +85,6 @@ class StageStats:
         return f"StageStats({body})"
 
 
-class TranslateStage:
-    """Stage 1 — where translated driver commands enter the pipeline.
-
-    Translation itself happens in :class:`repro.core.translation.
-    THINCDriver`; this stage marks the boundary at which a translated
-    command is admitted into the delivery pipeline, and counts it.
-    """
-
-    name = "translate"
-
-    def __init__(self) -> None:
-        self.stats = StageStats()
-
-    def admit(self, command: Command) -> Command:
-        self.stats.commands_in += 1
-        self.stats.commands_out += 1
-        return command
-
-
 class PreparedCommand:
     """A scaled, compressed command plus the time its CPU work completes."""
 
@@ -116,13 +98,14 @@ class PreparedCommand:
 class PreparePlane:
     """Stages 2–3 — shared Scale and Prepare/Compress planes.
 
-    The cache key is ``(command identity, encoding, viewport scale
-    key)``: command identity is a monotonically increasing id stamped
-    on each translated command the first time it enters the plane, the
-    encoding is the RAW payload encoding the adaptive policy chose (-1
-    for non-RAW commands), and the scale key is :attr:`repro.core.
-    resize.DisplayScaler.key` (view rect + client size — everything
-    that determines the scaled output).
+    One dispatch (:meth:`submit`, or one command of
+    :meth:`submit_batch`) prepares each encoding variant of the command
+    once per distinct viewport scale key among its receivers —
+    :attr:`repro.core.resize.DisplayScaler.key`, view rect + client
+    size, everything that determines the scaled output — and hands
+    every receiver a clone of that entry.  Entries live only for the
+    dispatch: the server's dispatch path hands each command object to
+    the plane once, so a later lookup could never hit.
 
     The plane also closes the server's dispatch path (see
     ``THINCServer.submit``): :meth:`variants` is its *posture classes*
@@ -135,39 +118,21 @@ class PreparePlane:
     ``rect -> pixels`` over the live screen framebuffer, so the scale
     stage can materialise COPY commands whose source lies outside a
     session's view (tile walls, zoomed viewports).  When a policy is
-    set, every *fresh* RAW command is classified and re-encoded (or
-    demoted to SFILL) once per *posture equivalence class* of the
-    submitted sessions before it is stamped with a prep id, so the
-    chosen encoding is part of the command's cached identity and one
-    congested client can never force lossy payloads on its LAN-class
-    peers.  ``shared_cache`` is the one collaborator wired after
-    construction.
+    set, every RAW command is classified and re-encoded (or demoted to
+    SFILL) once per *posture equivalence class* of the submitted
+    sessions, so one congested client can never force lossy payloads
+    on its LAN-class peers.
     """
 
-    def __init__(self, loop, cost_model, policy, posture_of, read_back,
-                 cache_entries: int = 128):
+    def __init__(self, loop, cost_model, policy, posture_of, read_back):
         self.loop = loop
         self.cost_model = cost_model
         self.policy = policy
         self.posture_of = posture_of
         self.read_back = read_back
-        self.cache_entries = cache_entries
-        # (prep_id, encoding, scale_key) -> List[PreparedCommand],
-        # LRU-ordered.  The encoding joins the key so an entry prepared
-        # under one encoding can never satisfy a lookup for another.
-        self._cache: "OrderedDict[Tuple, List[PreparedCommand]]" = \
-            OrderedDict()
-        self._prep_ids = itertools.count()
         # One serial CPU pipeline for the whole server: preparation cost
         # is charged here exactly once per distinct prepared entry.
         self._cpu_free_at = 0.0
-        # Optional second-level cache shared *across* prepare planes
-        # (duck-typed: get(command, scale_key) / put(command, scale_key,
-        # entry)).  The cluster layer injects one so shards stop paying
-        # for work a peer already compressed; the core never depends on
-        # it.  Entries are keyed by command *content*, not prep id —
-        # prep ids are plane-local.
-        self.shared_cache = None
         self.scale_stats = StageStats()
         self.stats = StageStats()  # the Prepare/Compress stage
 
@@ -186,20 +151,14 @@ class PreparePlane:
 
         Yields ``(members, variant)`` pairs where *variant* is the
         command encoded for that class and *members* the sessions that
-        should receive it.  Only a fresh RAW command under an adaptive
-        policy can split; everything else is one class receiving the
-        command as submitted.  All variants of one submitted command
-        share a single prep id, so two posture classes that resolve to
-        the same encoding also share one cache entry per scale key —
-        the ``(scale, pixel-format, encoding)`` equivalence class of
-        the fan-out design.
+        should receive it.  Only a RAW command under an adaptive policy
+        can split; everything else is one class receiving the command
+        as submitted.  Two posture classes that resolve to the same
+        encoding are one class — the ``(scale, pixel-format,
+        encoding)`` equivalence class of the fan-out design.
         """
         sessions = list(sessions)
-        fresh = getattr(command, "_prep_id", None) is None
-        if fresh:
-            command._prep_id = next(self._prep_ids)
-        if (self.policy is None or not fresh
-                or not isinstance(command, RawCommand)):
+        if self.policy is None or not isinstance(command, RawCommand):
             yield sessions, command
             return
         classes: "OrderedDict[int, List]" = OrderedDict()
@@ -222,7 +181,6 @@ class PreparePlane:
                 # encoding the translator produced, so a
                 # pre-materialised batch payload survives.
                 variant = command.with_encoding(choice.encoding)
-            variant._prep_id = command._prep_id
             marker = self._encoding_of(variant)
             if marker in emitted:
                 emitted[marker][0].extend(members)
@@ -245,42 +203,34 @@ class PreparePlane:
 
     def _deliver(self, classes) -> None:
         for members, variant in classes:
+            # This dispatch's entries of *variant*, by scale key.
+            entries: Dict[Tuple, List[PreparedCommand]] = {}
             for session in members:
-                for prepared in self.prepare_entry(variant, session):
+                for prepared in self.prepare_entry(variant, session,
+                                                   entries):
                     # Per-session clone: shares pixels and compressed
                     # payload, but queue-mutable state stays private.
                     session.enqueue_prepared(
                         prepared.command.translated(0, 0),
                         prepared.ready_at)
 
-    def prepare_entry(self, command: Command,
-                      session) -> List[PreparedCommand]:
+    def prepare_entry(self, command: Command, session,
+                      entries: Dict[Tuple, List[PreparedCommand]]
+                      ) -> List[PreparedCommand]:
         """Resolve *command* to its prepared entry for *session*'s
-        viewport: cache hit, shared-cache adoption, or a fresh prepare
-        (the CPU-charging miss)."""
-        pid = command._prep_id
-        key = (pid, self._encoding_of(command)) + session.scaler.key
-        entry = self._cache.get(key)
+        viewport: a hit on an entry this dispatch already prepared
+        (*entries*, by scale key), or a fresh prepare (the
+        CPU-charging miss)."""
+        key = session.scaler.key
+        entry = entries.get(key)
         if entry is None:
-            shared = self.shared_cache
-            entry = shared.get(command, session.scaler.key) \
-                if shared is not None else None
-            if entry is not None:
-                # A peer plane already paid the CPU for this exact
-                # (content, viewport) pair; adopt its entry locally.
-                self._store(key, entry)
-                self.stats.cache_hits += 1
-            else:
-                entry, cost = self._prepare(command, session.scaler)
-                self._store(key, entry)
-                self.stats.cache_misses += 1
-                # Attribute the miss to the session that triggered
-                # it; per-session cpu_time sums to the server total.
-                session.stats["cpu_time"] += cost
-                if shared is not None:
-                    shared.put(command, session.scaler.key, entry)
+            entry, cost = self._prepare(command, session.scaler)
+            entries[key] = entry
+            self.stats.cache_misses += 1
+            # Attribute the miss to the session that triggered it;
+            # per-session cpu_time sums to the server total.
+            session.stats["cpu_time"] += cost
         else:
-            self._cache.move_to_end(key)
             self.stats.cache_hits += 1
         return entry
 
@@ -289,13 +239,13 @@ class PreparePlane:
         """Admit one pipeline drain of commands at once.
 
         Same semantics as calling :meth:`submit` per command — the
-        fan-out, cache keys and ordering are identical — but fresh RAW
-        blocks headed for PNG encoding whose payload rows have the same
-        shape (opaque blocks carry RGB rows, :func:`repro.protocol.
+        fan-out, entries and ordering are identical — but RAW blocks
+        headed for PNG encoding whose payload rows have the same shape
+        (opaque blocks carry RGB rows, :func:`repro.protocol.
         compression.png_channels`) are filtered in one fused numpy pass
         (:func:`~repro.protocol.compression.png_compress_batch`) and
         their payloads pre-materialised, so the per-command prepare step
-        finds the bytes already cached.  Byte-for-byte identical to the
+        finds the bytes already encoded.  Byte-for-byte identical to the
         per-command path.
         """
         sessions = list(sessions)
@@ -342,16 +292,6 @@ class PreparePlane:
                 self.stats.bytes_out += cmd.wire_size()
             out.append(PreparedCommand(cmd, self._cpu_free_at))
         return out, total_cost
-
-    def _store(self, key: Tuple, entry: List[PreparedCommand]) -> None:
-        self._cache[key] = entry
-        while len(self._cache) > self.cache_entries:
-            self._cache.popitem(last=False)
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def cache_size(self) -> int:
-        return len(self._cache)
 
 
 class FrameStage:

@@ -371,33 +371,38 @@ class QosPlane:
     # -- the dispatch boundary -----------------------------------------------
 
     def variants(self, command: VideoFrameCommand, sessions):
-        """One video frame as ``(group, frame)`` per ladder rung among
-        *sessions*.
+        """One video frame as ``(group, frame)`` per distinct frame
+        object among *sessions*' ladder rungs.
 
         Rung-0 sessions receive the *original command object* — an
         uncontended server with QoS enabled is byte-identical to one
-        without it.  Degraded sessions share one transformed variant
-        per rung, so same-rung fan-out pays the re-encode once; groups
-        whose frame falls off the cadence grid are not yielded at all.
+        without it — and so do rung-1 sessions on the cadence grid, in
+        the same group, so the prepare plane sees the object once.
+        Deeper rungs share one transformed variant per rung, so
+        same-rung fan-out pays the re-encode once; sessions whose frame
+        falls off the cadence grid are in no group at all.
         """
         now = self.loop.now
         self.streams.setdefault(command.stream_id, command.dest)
-        groups: Dict[int, List] = {}
+        rungs: Dict[int, List] = {}
         for session in sessions:
             self._poll(session, now)
-            groups.setdefault(session.qos_rung, []).append(session)
-        for rung in sorted(groups):
-            group = groups[rung]
+            rungs.setdefault(session.qos_rung, []).append(session)
+        groups: Dict[int, tuple] = {}  # id(frame) -> (group, frame)
+        for rung in sorted(rungs):
+            members = rungs[rung]
             if rung and command.frame_no % self.config.fps_divisor != 0:
                 # Cadence rung: off-grid frames die before costing
                 # wire bytes (VFRAME overwrites completely, so a
                 # dropped frame is pure savings, never corruption).
-                self.stats["frames_dropped"] += len(group)
+                self.stats["frames_dropped"] += len(members)
                 continue
             self.stats["frames_degraded" if rung else "frames_passed"] \
-                += len(group)
-            self._count_submitted(group, command.stream_id)
-            yield group, self._transform(command, rung)
+                += len(members)
+            self._count_submitted(members, command.stream_id)
+            frame = self._transform(command, rung)
+            groups.setdefault(id(frame), ([], frame))[0].extend(members)
+        return list(groups.values())
 
     def _count_submitted(self, group, stream_id: int) -> None:
         # Ground truth for the report-gap signal: frames this server

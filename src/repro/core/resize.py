@@ -167,8 +167,8 @@ class DisplayScaler:
 
         Two scalers with equal keys produce identical output for any
         command — the view rect and the client size fully determine
-        ``sx``/``sy`` — so the prepare plane uses this as the viewport
-        half of its prepared-command cache key.
+        ``sx``/``sy`` — so the prepare plane prepares a command once
+        per distinct key among its receivers.
         """
         return (self.view.x, self.view.y, self.view.width,
                 self.view.height, self.client_w, self.client_h)

@@ -20,8 +20,8 @@ ordering:
    buried by newer opaque content (outside pins) must have been
    evicted;
 4. **monotonic pipe tail** — per session, prepared commands reach the
-   buffer stage in submission order even when a prepare-cache hit is
-   ready before earlier work (see ``repro.core.pipeline``);
+   buffer stage in submission order even when a migrated husk's
+   completion is ready before earlier work (see ``repro.core.pipeline``);
 5. **spatial-index coherence** — the queue's tile-grid index and
    pinned-source map exactly mirror the queued commands after every
    mutation (see ``CommandQueue.audit_structures``), so the indexed
@@ -287,7 +287,7 @@ def check_pipe_tail(session, ready: float) -> None:
 
     Called by ``SessionUnit.enqueue_prepared`` with the clamped ready
     time; keeps its own shadow tail so a broken (or removed) clamp is
-    caught the moment a prepare-cache hit tries to jump the queue.
+    caught the moment a prepared command tries to jump the queue.
     """
     if not _enabled:
         return

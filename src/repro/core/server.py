@@ -13,7 +13,7 @@ and commits as much as the non-blocking transport will take.
 
 All per-client state lives in :class:`~repro.core.session_unit.
 SessionUnit`; the server itself holds only the *shared planes* —
-driver, translate stage, prepare plane, governor, optional resilience
+driver, prepare plane, governor, optional resilience
 plane — plus the session list.  That split is what makes a server a
 **shard**: units can leave one host frozen (:meth:`SessionUnit.freeze`)
 and arrive at another via :meth:`THINCServer.thaw_session`, with
@@ -134,7 +134,9 @@ class THINCServer:
         # hands its driver the screen at initialisation; the window
         # server built over this driver draws on it.
         self.driver.screen_drawable = Drawable(width, height, onscreen=True)
-        self.translate = pipeline.TranslateStage()
+        # The translate stage's one counter: commands the driver
+        # submitted into the dispatch path.
+        self.commands_translated = 0
         # Content-adaptive, link-aware RAW encoding: the prepare plane
         # gets a codec policy plus the link probe as its posture hook.
         # Off by default — the paper's fixed PNG path stays the baseline.
@@ -271,7 +273,7 @@ class THINCServer:
     def submit(self, command: Command) -> None:
         """The one dispatch path: route → QoS variant → posture classes
         (the last inside :meth:`PreparePlane.submit`)."""
-        command = self.translate.admit(command)
+        self.commands_translated += 1
         receivers = self.fanout.route(command, self.sessions)
         for group, variant in video_variants(self.qos, command, receivers):
             self.plane.submit(variant, group)
@@ -411,7 +413,7 @@ class THINCServer:
             "cpu_time": plane.cpu_seconds,
             "prepare_cache_hits": plane.cache_hits,
             "prepare_cache_misses": plane.cache_misses,
-            "commands_translated": self.translate.stats.commands_in,
+            "commands_translated": self.commands_translated,
             "sessions": len(self.sessions),
         }
         for key, value in self.governor.stats.as_dict().items():
@@ -433,14 +435,11 @@ class THINCServer:
         """
         stats: Dict[str, Dict[str, float]] = {
             "translate": {
-                **self.translate.stats.as_dict(),
+                "commands_in": self.commands_translated,
                 "driver_ops": self.driver.stats.get("driver_ops", 0),
             },
             "scale": self.plane.scale_stats.as_dict(),
-            "prepare": {
-                **self.plane.stats.as_dict(),
-                "cache_entries": self.plane.cache_size(),
-            },
+            "prepare": self.plane.stats.as_dict(),
         }
         for name in ("buffer", "frame", "flush"):
             merged: Dict[str, float] = {}

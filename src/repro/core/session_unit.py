@@ -399,8 +399,8 @@ class SessionUnit:
         self._control_bytes = 0
         self._audio_bytes = 0
         self._flush_scheduled = False
-        # Monotonic per-session enqueue horizon: a cache hit on the
-        # prepare plane can be ready *before* this session's previously
+        # Monotonic per-session enqueue horizon: a migrated husk's
+        # completions can be ready *before* this session's previously
         # submitted work, and the buffer stage must still see commands
         # in submission order (see repro.core.pipeline module docs).
         self._pipe_tail = 0.0
@@ -433,9 +433,7 @@ class SessionUnit:
         """Route a display command through the shared prepare plane.
 
         Preparation (scaling + compression) costs real server CPU; a
-        command only becomes sendable once prepared.  The plane's cache
-        means a command another same-viewport session already paid for
-        arrives here for free.
+        command only becomes sendable once prepared.
         """
         self.server.plane.submit(command, (self,))
 
@@ -453,7 +451,8 @@ class SessionUnit:
         """Buffer a prepared command once its CPU completion time passes.
 
         Clamped to the session's pipe tail so adds stay in submission
-        order even when a cache hit is ready before earlier work.
+        order even when a completion forwarded from a migrated husk is
+        ready before earlier work.
         """
         if self._successor is not None:
             self._successor.enqueue_prepared(command, ready_at)

@@ -1,6 +1,6 @@
 """The adaptive codec plane end to end: per-tag wire round-trips,
-split size hints, encoding-aware prepare caching, posture-driven
-servers, and the display fuzz corpus contract."""
+split size hints, posture-driven servers, and the display fuzz corpus
+contract."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from dataclasses import replace
 from tests.helpers import make_rig
 from repro.codec import Encoding, EncoderPolicy, LinkPosture
 from repro.codec.encodings import psnr
-from repro.cluster.cache import SharedPrepareCache
 from repro.core.link_health import PROBE_INTERVAL
 from repro.core.qos import QosConfig
 from repro.fuzz import display_seed_corpus
@@ -106,30 +105,6 @@ class TestSplitSizeHints:
         head, rest = cmd.split(room, room)
         assert head.encoding is rest.encoding is Encoding.LOSSY
         assert np.array_equal(np.vstack([head.pixels, rest.pixels]), img)
-
-
-class TestEncodingAwareCaching:
-    def test_shared_cache_keys_include_the_encoding(self):
-        """A PNG entry may never satisfy an RLE lookup for the same
-        content — the tag joins the fabric cache key outright."""
-        cache = SharedPrepareCache()
-        img = np.zeros((8, 8, 4), dtype=np.uint8)
-        img[::2] = 9
-        png = RawCommand(Rect(0, 0, 8, 8), img, Encoding.PNG)
-        rle = RawCommand(Rect(0, 0, 8, 8), img, Encoding.RLE)
-        scale_key = ("native",)
-        cache.put(png, scale_key, ["png-entry"])
-        assert cache.get(png, scale_key) == ["png-entry"]
-        assert cache.get(rle, scale_key) is None
-
-    def test_adaptive_server_caches_per_chosen_encoding(self):
-        loop, conn, mon, server, ws, client = make_rig(
-            adaptive_encoding=True)
-        photo_workload(ws)
-        loop.run_until_idle(max_time=10)
-        for key in server.plane._cache:
-            pid, encoding = key[0], key[1]
-            assert encoding in {-1} | {int(e) for e in Encoding}
 
 
 class TestAdaptiveServer:

@@ -67,11 +67,9 @@ def test_server_budget_fields():
 
 def test_prepare_plane_settable_hooks():
     # The server wires policy, posture probe and read-back the same way
-    # every time; only the cluster's shared cache is wired afterwards.
+    # every time; nothing is wired afterwards.
     plane = THINCServer(EventLoop(), 8, 8, adaptive_encoding=True).plane
     assert list(inspect.signature(PreparePlane.__init__).parameters) == [
-        "self", "loop", "cost_model", "policy", "posture_of", "read_back",
-        "cache_entries"]
+        "self", "loop", "cost_model", "policy", "posture_of", "read_back"]
     assert [name for name, value in vars(plane).items()
-            if value is None and not name.startswith("_")] == [
-        "shared_cache"]
+            if value is None and not name.startswith("_")] == []

@@ -3,8 +3,8 @@
 Sharing scaled/compressed payloads across sessions is only a win if it
 is invisible: every client must end up with framebuffers identical to
 what a private, unshared preparation path would have produced — across
-mixed viewports, cache hits, LRU eviction and SRSF reordering — and
-same-viewport clients must receive byte-identical wire streams.
+mixed viewports, shared entries and SRSF reordering — and same-viewport
+clients must receive byte-identical wire streams.
 """
 
 from unittest import mock
@@ -67,7 +67,7 @@ class TestSharedPrepareExactness:
             assert clients[index].fb.same_as(bclients[0].fb), index
 
     def test_same_viewport_clients_get_byte_identical_streams(self):
-        """A cache hit replays the prepared payload verbatim: two
+        """A hit replays the prepared payload verbatim: two
         same-viewport plaintext clients see identical wire bytes."""
         loop = EventLoop()
         server = THINCServer(loop, 96, 64)
@@ -86,47 +86,38 @@ class TestSharedPrepareExactness:
         assert server.plane.stats.cache_hits > 0
         assert b"".join(streams[0]) == b"".join(streams[1])
 
-    def test_lru_eviction_keeps_pixels_exact(self):
-        """A deliberately tiny prepared-command cache forces constant
-        eviction and re-preparation; correctness must not depend on the
-        cache at all."""
+    def test_native_and_scaled_viewports_keep_pixels_exact(self):
+        """A native and a scaled viewport prepare every command apart:
+        the native client matches the screen and the scaled one a
+        dedicated single-client server with its viewport."""
         loop, mon, server, ws, clients = make_rig([None, (48, 32)])
-        server.plane.cache_entries = 2
         run_workload(loop, ws, clients)
-        assert server.plane.cache_size() <= 2
         assert clients[0].fb.same_as(ws.screen.fb)
         bloop, bmon, bserver, bws, bclients = make_rig([(48, 32)])
         run_workload(bloop, bws, bclients)
         assert clients[1].fb.same_as(bclients[0].fb)
 
-    def test_cache_hit_preserves_submission_order(self):
-        """A hit whose prepared payload was ready long ago must not
-        overtake an expensive miss submitted just before it: the buffer
-        stage has to see commands in submission order or a stale command
-        would survive eviction and win."""
-        loop, mon, server, ws, clients = make_rig([None, None])
+    def test_pipe_tail_preserves_submission_order(self):
+        """A migrated unit's successor takes the completions its frozen
+        husk still has scheduled on the source shard's plane: a fill
+        ready now, enqueued after a photo whose compression finishes
+        later, must still land on top of it.  The buffer stage has to
+        see commands in submission order or a stale command would
+        survive eviction and win."""
+        loop, mon, server, ws, clients = make_rig([None])
         ws.fill_rect(ws.screen, ws.screen.bounds, WHITE)
         loop.run_until_idle(max_time=10)
-        one, two = server.sessions
-        hits_before = server.plane.stats.cache_hits
-
-        green = SFillCommand(Rect(10, 10, 20, 12), GREEN)
-        # Pay for the fill on session one: it is now cached.
-        server.plane.submit(green, (one,))
+        (session,) = server.sessions
         rng = np.random.default_rng(13)
         photo = RawCommand(ws.screen.bounds,
                            rng.integers(0, 256, (64, 96, 4), dtype=np.uint8))
-        # Session two: an expensive full-screen RAW (miss, ready only
-        # after its compression time) *then* the cached fill (hit, ready
-        # immediately).  The fill was submitted last, so it must land on
-        # top of the photo.
-        server.plane.submit(photo, (two,))
-        server.plane.submit(green, (two,))
-        assert server.plane.stats.cache_hits == hits_before + 1
+        green = SFillCommand(Rect(10, 10, 20, 12), GREEN)
+        session.enqueue_prepared(photo, loop.now + 0.05)
+        session.enqueue_prepared(green, loop.now)
         loop.run_until_idle(max_time=10)
-        assert np.all(clients[1].fb.data[10:22, 10:30] == GREEN)
+        assert np.all(clients[0].fb.data[10:22, 10:30] == GREEN)
         # And outside the fill the photo shows through.
-        assert np.all(clients[1].fb.data[40:, :] ==
+        assert np.all(clients[0].fb.data[40:, :] ==
                       photo.pixels[40:, :])
 
     def test_eight_clients_prepare_once(self):

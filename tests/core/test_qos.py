@@ -30,7 +30,7 @@ from repro.region import Rect
 from repro.video import yuv
 from repro.video.stream import SyntheticVideoClip
 
-from ..helpers import assert_pixel_identical, client_spec
+from ..helpers import assert_pixel_identical, client_spec, make_multi_rig
 
 #: The issue's contended link: a 256 kbit/s thin pipe.
 THIN_256K = replace(PDA_80211G, name="256k thin", bandwidth_bps=256e3)
@@ -162,6 +162,31 @@ class TestLadderTransforms:
         # And the payload still decodes at the declared geometry.
         yuv.decode_frame("YV12", out.yuv_bytes,
                          out.src_width, out.src_height)
+
+
+class TestOneDispatchPerFrame:
+    def test_rung0_and_rung1_share_one_prepare(self):
+        """Rung 1 passes an on-grid frame as the very object rung 0
+        gets, so a rung-0 and a rung-1 session receive it from one
+        prepare-plane dispatch: one miss pays for it, the other hits."""
+        loop, mon, server, ws, clients = make_multi_rig(
+            [None, None], qos=QosConfig())
+        zero, one = server.sessions
+        one.qos_rung = 1
+        clip = SyntheticVideoClip(16, 12, 4)
+        stream = ws.video_create_stream("YV12", 16, 12, Rect(0, 0, 32, 24))
+        ws.video_put_frame(stream, clip.yv12_frame(0))  # frame 1: off grid
+        stats = server.plane.stats
+        misses, hits = stats.cache_misses, stats.cache_hits
+        submits = []
+        submit = server.plane.submit
+        server.plane.submit = lambda cmd, group: (
+            submits.append(list(group)), submit(cmd, group))
+        ws.video_put_frame(stream, clip.yv12_frame(1))  # frame 2: on grid
+        assert one.qos_rung == 1
+        assert submits == [[zero, one]]
+        assert (stats.cache_misses - misses, stats.cache_hits - hits) \
+            == (1, 1)
 
 
 class TestShedOrderWithGovernor:

@@ -60,11 +60,10 @@ def _busy_desktop(loop, ws, photos, seed=5, start=0.5):
 
 def test_prepared_once_whatever_the_neighbours_do():
     """Two LAN subscribers and a 64 kbit/s one (attached last) share
-    one viewport class behind an 8-entry prepare cache: every command
-    is one miss, however far the slow viewer falls behind."""
+    one viewport class: every command is one miss, however far the
+    slow viewer falls behind."""
     loop, mon, server, ws, clients = _viewers(
         (LAN_DESKTOP, LAN_DESKTOP, TRICKLE))
-    server.plane.cache_entries = 8
     before = server.stats
     _busy_desktop(loop, ws, photos=100)
     loop.run_until(1.6)
