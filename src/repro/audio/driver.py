@@ -20,15 +20,15 @@ class AudioSink(Protocol):
 
 
 class AudioFormat:
-    """PCM stream parameters (defaults: CD-quality stereo)."""
+    """PCM stream parameters: 16-bit stereo (CD quality by default)."""
 
-    def __init__(self, sample_rate: int = 44100, channels: int = 2,
-                 sample_bytes: int = 2):
-        if sample_rate <= 0 or channels <= 0 or sample_bytes <= 0:
-            raise ValueError("audio format fields must be positive")
+    channels = 2
+    sample_bytes = 2
+
+    def __init__(self, sample_rate: int = 44100):
+        if sample_rate <= 0:
+            raise ValueError("audio sample rate must be positive")
         self.sample_rate = sample_rate
-        self.channels = channels
-        self.sample_bytes = sample_bytes
 
     @property
     def frame_bytes(self) -> int:

@@ -15,6 +15,9 @@ from typing import Sequence, Tuple
 
 __all__ = ["audio_quality", "av_sync_skew", "playback_quality"]
 
+#: Seconds of audio the client buffers before it starts playback.
+START_OFFSET = 0.25
+
 
 def playback_quality(units_received: int, units_total: int,
                      ideal_duration: float, actual_duration: float) -> float:
@@ -35,11 +38,10 @@ def playback_quality(units_received: int, units_total: int,
 
 
 def audio_quality(arrivals: Sequence[Tuple[float, float]],
-                  chunks_total: int, ideal_duration: float,
-                  start_offset: float = 0.25) -> float:
+                  chunks_total: int, ideal_duration: float) -> float:
     """Audio quality from (server timestamp, arrival time) pairs.
 
-    The client buffers ``start_offset`` seconds before starting
+    The client buffers ``START_OFFSET`` seconds before starting
     playback; a chunk is on time when it arrives before its scheduled
     play-out instant.  Quality is the on-time fraction scaled by
     delivery completeness.
@@ -49,7 +51,7 @@ def audio_quality(arrivals: Sequence[Tuple[float, float]],
     if not arrivals:
         return 0.0
     base_ts, base_arrival = arrivals[0]
-    deadline_origin = base_arrival + start_offset
+    deadline_origin = base_arrival + START_OFFSET
     on_time = 0
     for ts, arrival in arrivals:
         deadline = deadline_origin + (ts - base_ts)

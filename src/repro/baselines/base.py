@@ -44,6 +44,8 @@ __all__ = ["Encoder", "EncodedUpdate", "UpdateWire", "BaselineClient",
            "FLUSH_INTERVAL"]
 
 FLUSH_INTERVAL = 0.002
+# Encoded bytes one screen-scrape update burst may carry.
+_MAX_UPDATE_BYTES = 1 << 20
 
 _UPDATE = struct.Struct(">BHHHHII")  # kind, rect, frame_tag, payload_len
 
@@ -134,14 +136,11 @@ class BaselineClient:
     """Accounts received updates; optionally drives a pull loop."""
 
     def __init__(self, loop: EventLoop, connection: Connection,
-                 pull: bool = False, costs: Optional[ClientCosts] = None,
-                 resize_factor: float = 1.0):
+                 pull: bool = False, costs: Optional[ClientCosts] = None):
         self.loop = loop
         self.connection = connection
         self.pull = pull
         self.costs = costs or ClientCosts()
-        # >1 means the client scales each update down/up locally.
-        self.resize_factor = resize_factor
         self.wire = UpdateWire()
         self.stats = {
             "bytes_received": 0,
@@ -315,8 +314,7 @@ class ScrapeServer(_ServerCore):
                  window_server: WindowServer, encoder: Encoder,
                  pull: bool = False, color_depth: int = 24,
                  viewport: Optional[Tuple[int, int]] = None,
-                 resize_mode: str = "none",
-                 max_update_bytes: int = 1 << 20):
+                 resize_mode: str = "none"):
         super().__init__(loop, connection)
         self.ws = window_server
         self.encoder = encoder
@@ -324,7 +322,6 @@ class ScrapeServer(_ServerCore):
         self.color_depth = color_depth
         self.viewport = viewport
         self.resize_mode = resize_mode  # "none" | "clip" | "server" | "client"
-        self.max_update_bytes = max_update_bytes
         self.damage = Region()
         self._damage_tags: Dict[Tuple[int, int, int, int], int] = {}
         self._request_outstanding = not pull  # push: always allowed
@@ -372,7 +369,7 @@ class ScrapeServer(_ServerCore):
         remaining = Region()
         consumed = 0
         for rect in list(self.damage):
-            if consumed >= budget or consumed >= self.max_update_bytes:
+            if consumed >= budget or consumed >= _MAX_UPDATE_BYTES:
                 remaining.add(rect)
                 continue
             update, cpu = self._encode_rect(rect)
@@ -468,7 +465,6 @@ class ForwardServer(_ServerCore):
                  window_server: WindowServer,
                  price: Callable[[AppCommand, "ForwardServer"], Tuple[int, float]],
                  sync_every: int = 0,
-                 stream_compression: float = 1.0,
                  viewport: Optional[Tuple[int, int]] = None,
                  resize_mode: str = "none",
                  forward_offscreen: bool = False):
@@ -476,7 +472,6 @@ class ForwardServer(_ServerCore):
         self.ws = window_server
         self.price = price
         self.sync_every = sync_every
-        self.stream_compression = stream_compression
         self.viewport = viewport
         self.resize_mode = resize_mode
         # X-family protocols run the window server on the client, so
@@ -500,7 +495,7 @@ class ForwardServer(_ServerCore):
                 return
         self.commands_seen += 1
         payload, cpu = self.price(command, self)
-        payload = max(1, int(payload * self.stream_compression))
+        payload = max(1, payload)
         tag = 0
         if command.name == "video_put":
             tag = self.ws.video_streams[command.payload].frames_put

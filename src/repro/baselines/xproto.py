@@ -57,7 +57,7 @@ class _VideoRatioCache:
 _video_cache = _VideoRatioCache()
 
 
-def _image_bytes(drawable, rect: Rect, level: int = 6) -> Tuple[int, float]:
+def _image_bytes(drawable, rect: Rect) -> Tuple[int, float]:
     """XPutImage cost: 24-bit pixels through the ssh tunnel's DEFLATE.
 
     Reads back the just-rendered content of the target drawable, which
@@ -67,7 +67,7 @@ def _image_bytes(drawable, rect: Rect, level: int = 6) -> Tuple[int, float]:
     """
     pixels = drawable.fb.read_pixels(rect)[..., :3]
     data = pixels.tobytes()
-    return len(zlib.compress(data, level)) + _SMALL_REQUEST, \
+    return len(zlib.compress(data, 6)) + _SMALL_REQUEST, \
         len(data) / _ZLIB_RATE
 
 

@@ -74,8 +74,8 @@ class Platform:
 
     # -- uniform surface -------------------------------------------------------
 
-    def send_client_input(self, x: int, y: int,
-                          kind: str = "mouse-click") -> None:
+    def send_client_input(self, x: int, y: int) -> None:
+        """A mouse click at (x, y) from the client."""
         raise NotImplementedError
 
     def set_input_handler(self, handler: Callable[[int, int], None]) -> None:
@@ -121,13 +121,10 @@ class THINCPlatform(Platform):
 
     def __init__(self, *args, headless: bool = True,
                  compress_raw: bool = True, offscreen_awareness: bool = True,
-                 scheduler_factory=None,
-                 adaptive_encoding: bool = False,
-                 **kwargs):
+                 scheduler_factory=None, **kwargs):
         self._headless = headless
         self._thinc_opts = dict(compress_raw=compress_raw,
-                                offscreen_awareness=offscreen_awareness,
-                                adaptive_encoding=adaptive_encoding)
+                                offscreen_awareness=offscreen_awareness)
         if scheduler_factory is not None:
             self._thinc_opts["scheduler_factory"] = scheduler_factory
         super().__init__(*args, **kwargs)
@@ -152,8 +149,8 @@ class THINCPlatform(Platform):
         if self._input_handler is not None:
             self._input_handler(msg.x, msg.y)
 
-    def send_client_input(self, x, y, kind="mouse-click"):
-        self.client.send_input(kind, x, y)
+    def send_client_input(self, x, y):
+        self.client.send_input("mouse-click", x, y)
 
     def set_input_handler(self, handler):
         self._input_handler = handler
@@ -212,8 +209,8 @@ class _BaselinePlatform(Platform):
     pull = False
     client_costs: ClientCosts = ClientCosts()
 
-    def send_client_input(self, x, y, kind="mouse-click"):
-        self.client.send_input(kind, x, y)
+    def send_client_input(self, x, y):
+        self.client.send_input("mouse-click", x, y)
 
     def set_input_handler(self, handler):
         self.server.input_handler = handler
@@ -242,7 +239,7 @@ class _BaselinePlatform(Platform):
     def audio_chunks_received(self):
         return self.client.stats["audio_chunks"]
 
-    def _make_client(self, resize_factor: float = 1.0) -> BaselineClient:
+    def _make_client(self) -> BaselineClient:
         costs = self.client_costs
         if self.resize_model == "client" and self.viewport is not None:
             costs = ClientCosts(per_byte=costs.per_byte,

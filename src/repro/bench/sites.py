@@ -65,11 +65,12 @@ REMOTE_SITES: List[RemoteSite] = [
 ]
 
 
-def site_link(site: RemoteSite, bandwidth_bps: float = 100e6) -> LinkParams:
-    """The network path from the testbed server to *site*'s client."""
+def site_link(site: RemoteSite) -> LinkParams:
+    """The 100 Mbit/s network path from the testbed server to *site*'s
+    client."""
     return LinkParams(
         name=f"site-{site.code}",
-        bandwidth_bps=bandwidth_bps,
+        bandwidth_bps=100e6,
         rtt=site.rtt,
         tcp_window=site.tcp_window,
     )

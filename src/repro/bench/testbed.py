@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..audio.sync import audio_quality, av_sync_skew
+from ..display.xserver import IMAGE_CHUNK_ROWS
 from ..net import EventLoop, LinkParams, PacketMonitor
 from ..video.stream import BENCHMARK_CLIP, SyntheticVideoClip
 from ..workloads.video import AVPlayerApp
@@ -45,7 +46,7 @@ def run_web_benchmark(platform_name: str, link: LinkParams,
                       width: int = 1024, height: int = 768,
                       viewport: Optional[Tuple[int, int]] = None,
                       wan_mode: bool = False,
-                      seed: int = 54, **platform_kwargs) -> WebRunResult:
+                      **platform_kwargs) -> WebRunResult:
     """Run the web page-load benchmark for one platform/network pair.
 
     Extra keyword arguments reach the platform constructor — the
@@ -56,8 +57,7 @@ def run_web_benchmark(platform_name: str, link: LinkParams,
     platform = make_platform(platform_name, loop, link, monitor=monitor,
                              width=width, height=height, viewport=viewport,
                              wan_mode=wan_mode, **platform_kwargs)
-    pages = make_page_set(count=page_count, width=width, height=height,
-                          seed=seed)
+    pages = make_page_set(count=page_count, width=width, height=height)
     browser = WebBrowserApp(platform.window_server, pages)
 
     # The browser reacts to a click by loading the next page after its
@@ -171,12 +171,11 @@ class TypingRunResult:
 
 
 def run_typing_benchmark(link: LinkParams, scheduler_factory=None,
-                         keys: int = 15, width: int = 640,
-                         height: int = 480) -> TypingRunResult:
+                         keys: int = 15) -> TypingRunResult:
     """Echo latency under bulk load (the Section 5 ablation).
 
-    Runs THINC with the given delivery scheduler while a user types
-    into an editor as large images stream.
+    Runs THINC at 640×480 with the given delivery scheduler while a
+    user types into an editor as large images stream.
     """
     from ..protocol.commands import (BitmapCommand, CompositeCommand,
                                      RawCommand)
@@ -186,8 +185,8 @@ def run_typing_benchmark(link: LinkParams, scheduler_factory=None,
     kwargs = {}
     if scheduler_factory is not None:
         kwargs["scheduler_factory"] = scheduler_factory
-    platform = make_platform("THINC", loop, link, width=width,
-                             height=height, headless=False, **kwargs)
+    platform = make_platform("THINC", loop, link, width=640, height=480,
+                             headless=False, **kwargs)
     workload = TypingUnderLoadWorkload(
         platform.window_server, loop,
         inject_input=platform.send_client_input, keys=keys)
@@ -226,4 +225,4 @@ def run_typing_benchmark(link: LinkParams, scheduler_factory=None,
     ws = platform.window_server
     return TypingRunResult(
         workload.latencies(), raws, ws.op_counts.get("put_image", 0)
-        * -(-workload.image_size // ws.image_chunk_rows))
+        * -(-workload.image_size // IMAGE_CHUNK_ROWS))

@@ -53,9 +53,7 @@ class ShardCoordinator:
 
     def __init__(self, loop, num_shards: int, width: int, height: int,
                  resilience: Optional[ResilienceConfig] = None,
-                 ring_replicas: int = 64,
                  fabric_link: LinkParams = FABRIC_LAN,
-                 relay_buffer_limit: int = 1 << 20,
                  **server_kw):
         if num_shards <= 0:
             raise ValueError("need at least one shard")
@@ -66,13 +64,12 @@ class ShardCoordinator:
             cfg = replace(base, token_start=i + 1, token_stride=num_shards)
             self.shards.append(THINCServer(loop, width, height,
                                            resilience=cfg, **server_kw))
-        self.ring = HashRing(range(num_shards), replicas=ring_replicas)
+        self.ring = HashRing(range(num_shards))
         #: Explicit token routes, needed once a migration moves a token
         #: off its minting shard; a scan of the shards' sessions is the
         #: fallback for everything else.
         self.routes: Dict[int, int] = {}
-        self.relay = Relay(self, fabric_link=fabric_link,
-                           buffer_limit=relay_buffer_limit)
+        self.relay = Relay(self, fabric_link=fabric_link)
         #: Decoded control-plane traffic, in send order (every entry
         #: has been through encode_message + the fabric parser).
         self.fabric_log: List[object] = []

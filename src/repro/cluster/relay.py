@@ -24,7 +24,7 @@ network fault.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict
 
 from ..core.resilience import _checked_prelude, _decode_prelude, \
     _PreludeReader
@@ -40,6 +40,9 @@ FABRIC_LAN = LinkParams("shard fabric", bandwidth_bps=1e9, rtt=0.0001)
 
 #: Retry cadence for a pump blocked on a full destination window.
 _PUMP_RETRY = 0.001
+
+#: Bytes a splice pump may hold back before it declares overflow.
+BUFFER_LIMIT = 1 << 20
 
 
 class _Pump:
@@ -117,10 +120,10 @@ class _Splice:
         self.backhaul = backhaul
         self.shard = shard
         self.token = 0  # learned from the shard's accept answer
-        self.up = _Pump(relay.loop, backhaul.up, relay.buffer_limit,
+        self.up = _Pump(relay.loop, backhaul.up, BUFFER_LIMIT,
                         self._overflow)
-        self.down = _Pump(relay.loop, client_conn.down,
-                          relay.buffer_limit, self._overflow)
+        self.down = _Pump(relay.loop, client_conn.down, BUFFER_LIMIT,
+                          self._overflow)
         self._answer_seen = False
         self._down_reader = _PreludeReader()
         client_conn.up.connect(self._on_client_bytes)
@@ -174,15 +177,10 @@ class Relay:
     tell it apart from a single server.
     """
 
-    def __init__(self, coordinator,
-                 shard_dial: Optional[Callable[[int], Connection]] = None,
-                 fabric_link: LinkParams = FABRIC_LAN,
-                 buffer_limit: int = 1 << 20):
+    def __init__(self, coordinator, fabric_link: LinkParams = FABRIC_LAN):
         self.coordinator = coordinator
         self.loop = coordinator.loop
-        self.buffer_limit = buffer_limit
-        self._shard_dial = shard_dial or (
-            lambda shard: Connection(self.loop, fabric_link))
+        self.fabric_link = fabric_link
         self._dials = 0
         #: token -> live splice, for migration severing.
         self.splices: Dict[int, _Splice] = {}
@@ -238,7 +236,7 @@ class Relay:
             if connection.down.writable_bytes() >= len(data):
                 connection.down.write(data)
             return
-        backhaul = self._shard_dial(shard)
+        backhaul = Connection(self.loop, self.fabric_link)
         server = self.coordinator.shards[shard]
         server.resilience.accept(backhaul, viewport)
         connection.up.disconnect()  # the splice takes over the stream

@@ -73,31 +73,25 @@ class EncodingChoice(NamedTuple):
 class EncoderPolicy:
     """Selects a RAW encoding per block from content + link budget.
 
-    *saturation* is the fraction of link capacity at which the measured
-    throughput flips the posture to degraded; *backlog_horizon* is the
-    seconds of queued-but-unsent downlink drain that mean the same
-    thing (a link can be the bottleneck long before its *measured*
-    rate says so — the queue in front of it is the proof);
-    *plentiful_headroom* and *lan_floor_bps* gate the opposite flip: a
-    link at LAN capacity with almost nothing in flight can take raw
-    pixels.  *lossy_qstep* is the flat quantiser handed to the lossy
-    encoder; *min_lossy_pixels* keeps tiny blocks lossless (their
-    absolute cost is noise and their artefacts are disproportionate).
+    ``saturation`` is the fraction of link capacity at which the
+    measured throughput flips the posture to degraded;
+    ``backlog_horizon`` is the seconds of queued-but-unsent downlink
+    drain that mean the same thing (a link can be the bottleneck long
+    before its *measured* rate says so — the queue in front of it is
+    the proof); ``plentiful_headroom`` and ``lan_floor_bps`` gate the
+    opposite flip: a link at LAN capacity with almost nothing in flight
+    can take raw pixels.  ``min_lossy_pixels`` keeps tiny blocks
+    lossless (their absolute cost is noise and their artefacts are
+    disproportionate).
     """
 
-    def __init__(self, saturation: float = 0.85, lossy_qstep: int = 8,
-                 min_lossy_pixels: int = 1024,
-                 backlog_horizon: float = 0.1,
-                 plentiful_headroom: float = 0.25,
-                 lan_floor_bps: float = 50e6):
-        if not 0.0 < saturation <= 1.0:
-            raise ValueError("saturation must be in (0, 1]")
-        self.saturation = saturation
-        self.lossy_qstep = lossy_qstep
-        self.min_lossy_pixels = min_lossy_pixels
-        self.backlog_horizon = backlog_horizon
-        self.plentiful_headroom = plentiful_headroom
-        self.lan_floor_bps = lan_floor_bps
+    saturation = 0.85
+    min_lossy_pixels = 1024
+    backlog_horizon = 0.1
+    plentiful_headroom = 0.25
+    lan_floor_bps = 50e6
+
+    def __init__(self):
         # Selection tally by Encoding value (plus "sfill" demotions),
         # read off ``server.encoder_policy``.
         self.counts = {enc: 0 for enc in Encoding}

@@ -200,9 +200,7 @@ class THINCClient:
             wire.encode_message(wire.ZoomRequestMessage(rect)))
 
     def send_qos_report(self, stream_id: int, units_total: int,
-                        ideal_duration: float,
-                        start_offset: float = 0.25) \
-            -> wire.QosReportMessage:
+                        ideal_duration: float) -> wire.QosReportMessage:
         """Measure playback health and report it upstream.
 
         The paper's quality measures (Section 8.2) are computed where
@@ -227,7 +225,7 @@ class THINCClient:
         if self.audio.arrivals:
             audio_q = sync.audio_quality(
                 self.audio.arrivals, self.audio.chunks_received,
-                ideal_duration, start_offset=start_offset)
+                ideal_duration)
         skew = 0.0
         if vstats is not None and vstats.arrivals and units_total > 0:
             # Video arrivals carry frame numbers; the source cadence

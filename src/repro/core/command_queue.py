@@ -60,17 +60,16 @@ class _TileIndex:
     can never cause a missed eviction — only skip guaranteed misses.
     """
 
-    __slots__ = ("shift", "_tiles", "_keys_of")
+    __slots__ = ("_tiles", "_keys_of")
 
-    def __init__(self, shift: int = TILE_SHIFT):
-        self.shift = shift
+    def __init__(self):
         self._tiles: Dict[Tuple[int, int], Set[Command]] = {}
         # id(command) -> (command, tile keys); the command reference
         # keeps ids stable while registered.
         self._keys_of: Dict[int, Tuple[Command, List[Tuple[int, int]]]] = {}
 
     def _keys(self, rect: Rect) -> List[Tuple[int, int]]:
-        s = self.shift
+        s = TILE_SHIFT
         tx1 = rect.x >> s
         tx2 = (rect.x + rect.width - 1) >> s
         ty1 = rect.y >> s

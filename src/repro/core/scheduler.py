@@ -43,21 +43,16 @@ class SRSFScheduler:
 
     name = "srsf"
 
-    def __init__(self, num_queues: int = NUM_QUEUES,
-                 base_size: int = BASE_SIZE):
-        if num_queues < 1 or base_size < 1:
-            raise ValueError("need at least one queue and a positive base")
-        self.num_queues = num_queues
-        self.base_size = base_size
+    def __init__(self):
         self.stats = {"orderings": 0, "realtime_preempted": 0}
 
     def bucket(self, size: int) -> int:
         """Queue index for a command of *size* remaining bytes."""
-        if size <= self.base_size:
+        if size <= BASE_SIZE:
             return 0
         # Powers-of-two boundaries: (base, 2*base] -> 1, etc.
-        idx = (size - 1).bit_length() - (self.base_size - 1).bit_length()
-        return min(self.num_queues - 1, max(0, idx))
+        idx = (size - 1).bit_length() - (BASE_SIZE - 1).bit_length()
+        return min(NUM_QUEUES - 1, max(0, idx))
 
     def effective_bucket(self, command: Command) -> int:
         return max(self.bucket(command.wire_size()), command.sched_floor)

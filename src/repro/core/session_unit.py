@@ -451,12 +451,12 @@ class SessionUnit:
         """Buffer a prepared command once its CPU completion time passes.
 
         Clamped to the session's pipe tail so adds stay in submission
-        order even when a completion forwarded from a migrated husk is
-        ready before earlier work.
+        order.  A successor thawed from a migrated unit inherits that
+        tail, so its own work lands after the completions the frozen
+        husk still forwards (:meth:`_add_to_buffer`).  The plane calls
+        this only for live members of ``server.sessions``, never for a
+        husk.
         """
-        if self._successor is not None:
-            self._successor.enqueue_prepared(command, ready_at)
-            return
         ready = max(ready_at, self._pipe_tail)
         self._pipe_tail = ready
         _sanitizer.check_pipe_tail(self, ready)

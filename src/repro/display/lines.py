@@ -91,14 +91,13 @@ def rect_outline_spans(rect: Rect, width: int = 1) -> List[Rect]:
     return [r for r in (top, bottom, left, right) if r]
 
 
-def polyline_spans(points: List[Tuple[int, int]],
-                   width: int = 1) -> List[Rect]:
-    """Spans covering a connected sequence of line segments."""
+def polyline_spans(points: List[Tuple[int, int]]) -> List[Rect]:
+    """Spans covering a connected sequence of one-pixel line segments."""
     if len(points) < 2:
         raise ValueError("a polyline needs at least two points")
     spans: List[Rect] = []
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        segment = line_spans(x0, y0, x1, y1, width)
+        segment = line_spans(x0, y0, x1, y1)
         if spans and segment:
             # Avoid double-drawing the shared vertex pixel where easy.
             first = segment[0]

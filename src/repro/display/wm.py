@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from ..region import Rect, Region
 from .pixmap import Drawable
 from .xserver import WindowServer
@@ -34,7 +32,6 @@ TITLE_BAR_HEIGHT = 14
 _TITLE_ACTIVE = (52, 84, 160, 255)
 _TITLE_INACTIVE = (120, 120, 136, 255)
 _FRAME_COLOR = (80, 80, 92, 255)
-_DESKTOP_COLOR = (58, 110, 110, 255)
 
 
 @dataclass
@@ -57,12 +54,10 @@ class Window:
 class WindowManager:
     """Stacking window management with backing-store repaints."""
 
-    def __init__(self, ws: WindowServer,
-                 desktop_color: Color = _DESKTOP_COLOR,
-                 desktop_tile: Optional[np.ndarray] = None):
+    desktop_color: Color = (58, 110, 110, 255)
+
+    def __init__(self, ws: WindowServer):
         self.ws = ws
-        self.desktop_color = desktop_color
-        self.desktop_tile = desktop_tile
         self._ids = itertools.count(1)
         # Bottom-to-top stacking order.
         self._stack: List[Window] = []
@@ -94,10 +89,7 @@ class WindowManager:
     # -- desktop ---------------------------------------------------------------
 
     def paint_desktop(self, rect: Rect) -> None:
-        if self.desktop_tile is not None:
-            self.ws.fill_tiled(self.ws.screen, rect, self.desktop_tile)
-        else:
-            self.ws.fill_rect(self.ws.screen, rect, self.desktop_color)
+        self.ws.fill_rect(self.ws.screen, rect, self.desktop_color)
 
     # -- window lifecycle --------------------------------------------------------
 

@@ -42,9 +42,13 @@ from .framebuffer import crop_mask
 from .lines import line_spans, polyline_spans, rect_outline_spans
 from .pixmap import Drawable
 
-__all__ = ["WindowServer", "AppCommand", "AppCommandListener"]
+__all__ = ["WindowServer", "AppCommand", "AppCommandListener",
+           "IMAGE_CHUNK_ROWS"]
 
 Color = Tuple[int, int, int, int]
+
+#: Scan lines per ``put_image`` rasterisation chunk.
+IMAGE_CHUNK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -78,13 +82,12 @@ class WindowServer:
 
     def __init__(self, width: int, height: int,
                  driver: Optional[DisplayDriver] = None,
-                 clock=None, image_chunk_rows: int = 8):
+                 clock=None):
         self.driver: DisplayDriver = driver or DisplayDriver()
         # A driver that owns a screen (THINC's) is drawn on directly.
         self.screen = (self.driver.screen_drawable
                        or Drawable(width, height, onscreen=True))
         self.clock = clock if clock is not None else _WallClock()
-        self.image_chunk_rows = max(1, image_chunk_rows)
         self.listeners: List[AppCommandListener] = []
         self.pixmaps: Dict[int, Drawable] = {}
         self.video_streams: Dict[int, VideoStreamInfo] = {}
@@ -184,28 +187,30 @@ class WindowServer:
         self._notify("fill_rect", drawable, total, color)
         return total
 
-    def fill_tiled(self, drawable: Drawable, rect: Rect, tile: np.ndarray,
-                   origin: Tuple[int, int] = (0, 0)) -> Rect:
-        """Tiled fill: desktop patterns, repeating web backgrounds."""
+    def fill_tiled(self, drawable: Drawable, rect: Rect,
+                   tile: np.ndarray) -> Rect:
+        """Tiled fill, anchored at the drawable's origin: desktop
+        patterns, repeating web backgrounds."""
         self._check(drawable)
         total = Rect(0, 0, 0, 0)
         for piece in self._clip_pieces(rect):
-            drawn = drawable.fb.tile_rect(piece, tile, origin)
+            drawn = drawable.fb.tile_rect(piece, tile)
             if drawn:
-                self.driver.pattern_fill(drawable, drawn, tile, origin)
+                self.driver.pattern_fill(drawable, drawn, tile, (0, 0))
                 total = total.union_bounds(drawn)
         self._notify("fill_tiled", drawable, total, tile)
         return total
 
     def fill_stipple(self, drawable: Drawable, rect: Rect, mask: np.ndarray,
-                     fg: Color, bg: Optional[Color] = None) -> Rect:
-        """Raw stipple fill, the primitive under glyph rendering."""
+                     fg: Color) -> Rect:
+        """Raw transparent stipple fill, the primitive under glyph
+        rendering."""
         self._check(drawable)
-        drawn = drawable.fb.stipple_rect(rect, mask, fg, bg)
+        drawn = drawable.fb.stipple_rect(rect, mask, fg)
         if drawn:
             local = crop_mask(mask, rect, drawn)
-            self.driver.bitmap_fill(drawable, drawn, local, fg, bg)
-        self._notify("fill_stipple", drawable, drawn, (fg, bg))
+            self.driver.bitmap_fill(drawable, drawn, local, fg, None)
+        self._notify("fill_stipple", drawable, drawn, (fg, None))
         return drawn
 
     def draw_text(self, drawable: Drawable, x: int, y: int, text: str,
@@ -297,13 +302,12 @@ class WindowServer:
         fb = drawable.fb
         if rect and self._clip is None and fb.bounds.contains(rect):
             fb.put_pixels(rect, pixels)
-            self.driver.image_run(drawable, rect, pixels,
-                                  self.image_chunk_rows)
+            self.driver.image_run(drawable, rect, pixels, IMAGE_CHUNK_ROWS)
             self._notify("put_image", drawable, rect, rect.area)
             return rect
         total = Rect(0, 0, 0, 0)
-        for y0 in range(0, rect.height, self.image_chunk_rows):
-            rows = min(self.image_chunk_rows, rect.height - y0)
+        for y0 in range(0, rect.height, IMAGE_CHUNK_ROWS):
+            rows = min(IMAGE_CHUNK_ROWS, rect.height - y0)
             chunk_rect = Rect(rect.x, rect.y + y0, rect.width, rows)
             chunk = pixels[y0 : y0 + rows]
             for piece in self._clip_pieces(chunk_rect):
@@ -365,28 +369,30 @@ class WindowServer:
         return drawn
 
     def draw_line(self, drawable: Drawable, x0: int, y0: int,
-                  x1: int, y1: int, color: Color, width: int = 1) -> Rect:
-        """Draw a line; decomposes into solid spans like XAA does.
+                  x1: int, y1: int, color: Color) -> Rect:
+        """Draw a one-pixel line; decomposes into solid spans like XAA
+        does.
 
         Returns the bounding rect of the drawn (pre-clip) segment.
         """
         self._check(drawable)
-        for span in line_spans(x0, y0, x1, y1, width):
+        for span in line_spans(x0, y0, x1, y1):
             for piece in self._clip_pieces(span):
                 drawn = drawable.fb.fill_rect(piece, color)
                 if drawn:
                     self.driver.solid_fill(drawable, drawn, color)
         bounds = Rect.from_corners(min(x0, x1), min(y0, y1),
-                                   max(x0, x1) + 1, max(y0, y1) + width)
+                                   max(x0, x1) + 1, max(y0, y1) + 1)
         self._notify("draw_line", drawable, bounds, color)
         return bounds
 
-    def draw_polyline(self, drawable: Drawable, points, color: Color,
-                      width: int = 1) -> Rect:
-        """Draw connected segments (graph curves, freehand strokes)."""
+    def draw_polyline(self, drawable: Drawable, points,
+                      color: Color) -> Rect:
+        """Draw connected one-pixel segments (graph curves, freehand
+        strokes)."""
         self._check(drawable)
         bounds = Rect(0, 0, 0, 0)
-        for span in polyline_spans(list(points), width):
+        for span in polyline_spans(list(points)):
             for piece in self._clip_pieces(span):
                 drawn = drawable.fb.fill_rect(piece, color)
                 if drawn:

@@ -78,10 +78,10 @@ def seed_corpus(width: int = 96, height: int = 64) -> List[bytes]:
     return corpus
 
 
-def display_seed_corpus(width: int = 16, height: int = 12) -> List[bytes]:
+def display_seed_corpus() -> List[bytes]:
     """Valid-ish *display* command bytes to mutate against the decoder.
 
-    One RAW command per payload encoding tag (the adaptive ladder's
+    One 16×12 RAW command per payload encoding tag (the adaptive ladder's
     whole enum), a two-band PNG RAW and the head its flush-time split
     assembles (full-flush points inside the zlib stream, and the empty
     final block that closes a head), the same pair for an opaque block
@@ -93,8 +93,8 @@ def display_seed_corpus(width: int = 16, height: int = 12) -> List[bytes]:
     or raise ``ValueError`` — nothing else.
     """
     rng = np.random.default_rng(9)
-    pixels = rng.integers(0, 256, (height, width, 4), dtype=np.uint8)
-    rect = Rect(2, 3, width, height)
+    pixels = rng.integers(0, 256, (12, 16, 4), dtype=np.uint8)
+    rect = Rect(2, 3, 16, 12)
     corpus = [RawCommand(rect, pixels, enc).encode()
               for enc in (Encoding.NONE, Encoding.PNG,
                           Encoding.RLE, Encoding.LOSSY)]
@@ -142,12 +142,11 @@ def load_crash_corpus(path: str) -> List[bytes]:
     return out
 
 
-def save_crash(path: str, seed: int, index: int, data: bytes,
-               label: str = "crash") -> str:
-    """Persist a finding as ``<label>-s<seed>-<index>.bin`` under
-    *path* (created if needed); returns the file path."""
+def save_crash(path: str, seed: int, index: int, data: bytes) -> str:
+    """Persist a finding as ``crash-s<seed>-<index>.bin`` under *path*
+    (created if needed); returns the file path."""
     os.makedirs(path, exist_ok=True)
-    name = f"{label}-s{seed}-{index:04d}.bin"
+    name = f"crash-s{seed}-{index:04d}.bin"
     full = os.path.join(path, name)
     with open(full, "wb") as fh:
         fh.write(data)

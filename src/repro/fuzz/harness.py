@@ -25,7 +25,7 @@ the whole run beside it as a bundle for ``python -m repro replay``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.scenario import Op, Run, Scenario
@@ -172,11 +172,10 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     return report
 
 
-def replay_corpus(path: str, config: Optional[FuzzConfig] = None
-                  ) -> List[Tuple[str, FuzzReport]]:
+def replay_corpus(path: str) -> List[Tuple[str, FuzzReport]]:
     """Replay every crash-corpus input as a tiny scenario of its own;
     returns (filename, report) pairs.  An empty corpus replays clean."""
-    config = replace(config or FuzzConfig(), cases=1, duration=0.5)
+    config = FuzzConfig(cases=1, duration=0.5)
     out = []
     for index, data in enumerate(corpus_mod.load_crash_corpus(path)):
         report = FuzzReport(seed=config.seed, cases=1)

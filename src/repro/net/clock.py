@@ -37,8 +37,8 @@ class SimClock:
 class EventLoop:
     """A deterministic discrete-event scheduler."""
 
-    def __init__(self, clock: Optional[SimClock] = None):
-        self.clock = clock or SimClock()
+    def __init__(self):
+        self.clock = SimClock()
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         #: ``ticket()``: the sequence number an event scheduled now takes.

@@ -294,13 +294,14 @@ def png_compress(pixels: np.ndarray, level: int = 6) -> bytes:
     return _deflate_rows(_png_header(h, w, c), kernels.up_filter(img), level)
 
 
-def png_compress_batch(blocks, level: int = 6) -> list:
+def png_compress_batch(blocks) -> list:
     """Compress N same-shape HxWxC blocks in one fused filter pass.
 
     The batch-prepare path: the 'up' row filter runs once over the
     whole (N, H, W, C) stack, then each filtered image is DEFLATEd
     individually (payloads stay per-command on the wire).  Byte-for-byte
-    identical to calling :func:`png_compress` per block.
+    identical to calling :func:`png_compress` per block at its default
+    level.
     """
     blocks = list(blocks)
     if not blocks:
@@ -310,7 +311,7 @@ def png_compress_batch(blocks, level: int = 6) -> list:
         raise ValueError("expected a batch of HxWxC pixel arrays")
     _, h, w, c = stack.shape
     header = _png_header(h, w, c)
-    return [_deflate_rows(header, rows, level)
+    return [_deflate_rows(header, rows, 6)
             for rows in kernels.batch_up_filter(stack)]
 
 
@@ -459,9 +460,10 @@ def rle_decompress(data: bytes) -> np.ndarray:
     return kernels.rle_decode(data[4:], h * w).reshape(h, w, 4)
 
 
-def lossy_compress(pixels: np.ndarray, qstep: int = 8) -> bytes:
-    """JPEG-style lossy compression (4:2:0 + quantise + DEFLATE)."""
-    return _lossy.lossy_encode(pixels, qstep)
+def lossy_compress(pixels: np.ndarray) -> bytes:
+    """JPEG-style lossy compression (4:2:0 + quantise + DEFLATE) at the
+    encoder's flat quantiser step."""
+    return _lossy.lossy_encode(pixels)
 
 
 def lossy_decompress(data: bytes) -> np.ndarray:

@@ -175,10 +175,10 @@ def f64(lo=-FLOAT_MAX, hi=FLOAT_MAX, default=MISSING):
     return Field("f64", "d", float, lo, hi, bound, default)
 
 
-def choice(values, default=MISSING):
+def choice(values):
     """A ``u8`` index into *values*; the attribute holds the value."""
     return Field("u8", "B", type(values[0]), 0, len(values) - 1, "enum",
-                 default, tuple(values))
+                 MISSING, tuple(values))
 
 
 def flag():

@@ -51,7 +51,7 @@ class TypingUnderLoadWorkload:
                  inject_input: Callable[[int, int], None],
                  keys: int = 20, key_interval: float = 0.15,
                  image_interval: float = 0.10,
-                 image_size: int = 192, seed: int = 7):
+                 image_size: int = 192):
         self.ws = ws
         self.loop = loop
         self.inject_input = inject_input
@@ -59,7 +59,7 @@ class TypingUnderLoadWorkload:
         self.key_interval = key_interval
         self.image_interval = image_interval
         self.image_size = image_size
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(7)
         self.cursor = (40, ws.screen.height - 40)
         self.records: List[EchoRecord] = []
         self._keys_sent = 0

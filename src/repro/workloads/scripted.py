@@ -21,6 +21,8 @@ __all__ = ["scripted_workload", "seeded_draw", "editor_session",
            "play_clip", "WORKLOADS"]
 
 WHITE = (255, 255, 255, 255)
+#: Seconds between the scripted workload's draws.
+STEP = 0.05
 
 
 def _draw(ws, op: str, arg) -> None:
@@ -51,22 +53,22 @@ def _next_draw(rng, width: int, height: int):
     return "copy", (Rect(0, 0, 24, 24), x, y)
 
 
-def scripted_workload(loop, ws, end=1.5, step=0.05, seed=7):
+def scripted_workload(loop, ws, end=1.5, seed=7):
     """Schedule a mixed drawing workload over [0, end) on a white screen.
 
-    Draws land every *step* seconds so fault windows always interleave
+    Draws land every ``STEP`` seconds so fault windows always interleave
     with live traffic.  Returns the ``(time, op, arg)`` schedule.
     """
     rng = np.random.default_rng(seed)
     width, height = ws.screen.bounds.width, ws.screen.bounds.height
     ws.fill_rect(ws.screen, ws.screen.bounds, WHITE)
     ops = []
-    t = step
+    t = STEP
     while t < end:
         op, arg = _next_draw(rng, width, height)
         ops.append((t, op, arg))
         loop.schedule_at(t, lambda op=op, arg=arg: _draw(ws, op, arg))
-        t += step
+        t += STEP
     return ops
 
 
@@ -94,12 +96,12 @@ def editor_session(loop, ws) -> None:
 
 
 def play_clip(loop, ws, width=32, height=18, fps=24, duration=1.0,
-              dst=(48, 24, 48, 32), seed=2005) -> AVPlayerApp:
+              dst=(48, 24, 48, 32)) -> AVPlayerApp:
     """Start a synthetic clip playing into *dst* now; the returned
     player stops early when its ``max_frames`` is cut to
     ``frames_put``."""
     player = AVPlayerApp(
-        ws, loop, SyntheticVideoClip(width, height, fps, duration, seed),
+        ws, loop, SyntheticVideoClip(width, height, fps, duration, 2005),
         fullscreen=False, dst_rect=Rect(*dst))
     player.start()
     return player

@@ -29,20 +29,20 @@ LINE_HEIGHT = GLYPH_HEIGHT + 3
 class TerminalApp:
     """A terminal emulator producing output at a given line rate."""
 
+    bg = (12, 12, 16, 255)
+    fg = (140, 230, 140, 255)
+
     def __init__(self, ws: WindowServer, loop: EventLoop,
-                 rect: Optional[Rect] = None,
-                 bg=(12, 12, 16, 255), fg=(140, 230, 140, 255)):
+                 rect: Optional[Rect] = None):
         self.ws = ws
         self.loop = loop
         self.rect = rect or ws.screen.bounds
         if self.rect.height < 2 * LINE_HEIGHT:
             raise ValueError("terminal area too short for scrolling")
-        self.bg = bg
-        self.fg = fg
         self.rows = self.rect.height // LINE_HEIGHT
         self.lines_written = 0
         self._cursor_row = 0
-        ws.fill_rect(ws.screen, self.rect, bg)
+        ws.fill_rect(ws.screen, self.rect, self.bg)
 
     def write_line(self, text: str) -> None:
         """Append one output line, scrolling when the screen is full."""

@@ -212,12 +212,13 @@ class WebBrowserApp:
     the page before pixels appear.
     """
 
-    def __init__(self, ws: WindowServer, pages: List[WebPage],
-                 parse_rate: float = 4e6, render_rate: float = 60e6):
+    # Content bytes parsed and pixels laid out per second.
+    parse_rate = 4e6
+    render_rate = 60e6
+
+    def __init__(self, ws: WindowServer, pages: List[WebPage]):
         self.ws = ws
         self.pages = pages
-        self.parse_rate = parse_rate
-        self.render_rate = render_rate
         self.pages_rendered = 0
 
     def processing_delay(self, page: WebPage) -> float:

@@ -2,7 +2,6 @@
 ladder that joins them."""
 
 import numpy as np
-import pytest
 
 from repro.codec import Encoding, EncoderPolicy, LinkPosture
 from repro.codec.classify import SAMPLE_BUDGET, classify
@@ -62,8 +61,11 @@ class TestClassifier:
 
 class TestPosture:
     def make(self):
-        return EncoderPolicy(saturation=0.85, backlog_horizon=0.1,
-                             plentiful_headroom=0.25, lan_floor_bps=50e6)
+        policy = EncoderPolicy()
+        assert (policy.saturation, policy.backlog_horizon,
+                policy.plentiful_headroom, policy.lan_floor_bps) \
+            == (0.85, 0.1, 0.25, 50e6)
+        return policy
 
     def test_unknown_link_is_lossless(self):
         policy = self.make()
@@ -96,12 +98,6 @@ class TestPosture:
         policy = self.make()
         assert policy.posture_for(50e6, 100e6) is LinkPosture.LOSSLESS
 
-    def test_saturation_validation(self):
-        with pytest.raises(ValueError):
-            EncoderPolicy(saturation=0.0)
-        with pytest.raises(ValueError):
-            EncoderPolicy(saturation=1.5)
-
 
 class TestSelectionLadder:
     def test_solid_demotes_to_sfill(self):
@@ -119,7 +115,7 @@ class TestSelectionLadder:
                 is Encoding.RLE
 
     def test_busy_block_follows_the_posture(self):
-        policy = EncoderPolicy(min_lossy_pixels=1024)
+        policy = EncoderPolicy()
         block = noise()  # 64x64 = 4096 pixels
         assert policy.select(block, LinkPosture.LOSSLESS).encoding \
             is Encoding.PNG
@@ -131,7 +127,8 @@ class TestSelectionLadder:
     def test_small_blocks_stay_lossless(self):
         """Below min_lossy_pixels the artefact cost outweighs the
         byte savings (and raw rows their CPU savings)."""
-        policy = EncoderPolicy(min_lossy_pixels=1024)
+        policy = EncoderPolicy()
+        assert policy.min_lossy_pixels == 1024
         small = noise(16, 16)
         assert policy.select(small, LinkPosture.DEGRADED).encoding \
             is Encoding.PNG

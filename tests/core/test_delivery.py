@@ -253,6 +253,32 @@ class TestDependencies:
         kinds = [decode_command(c).kind for c in w.chunks]
         assert kinds.index("raw") < kinds.index("bitmap")
 
+    def test_merged_command_inherits_the_floor_it_widened_into(self):
+        """Two same-colour fills merge into one whose rect reaches over
+        a buffered COPY's source, which neither fill touched alone: the
+        merged fill takes the COPY's bucket as its floor and flushes
+        after it, so the copy reads the image, not the fill."""
+        buf = ClientBuffer()
+        image = raw(Rect(0, 0, 64, 64), 1)
+        buf.add(image)
+        cp = CopyCommand(8, 8, Rect(100, 8, 16, 16))
+        buf.add(cp)
+        buf.add(SFillCommand(Rect(0, 16, 8, 8), RED))
+        buf.add(SFillCommand(Rect(8, 16, 8, 8), RED))
+        fill = next(c for c in buf.queue if c.kind == "sfill")
+        assert fill.dest == Rect(0, 16, 16, 8)
+        assert fill.sched_floor == buf.scheduler.effective_bucket(cp) == 9
+        w = FakeWriter(10**7)
+        buf.flush(w)
+        sent = [decode_command(c) for c in w.chunks]
+        kinds = [c.kind for c in sent]
+        assert kinds.index("copy") < kinds.index("sfill")
+        fb = Framebuffer(128, 64)
+        for cmd in sent:
+            cmd.apply(fb)
+        assert np.array_equal(fb.read_pixels(Rect(100, 8, 16, 16)),
+                              image.pixels[8:24, 8:24])
+
 
 class TestRealtime:
     def test_update_near_recent_input_is_realtime(self):

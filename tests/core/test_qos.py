@@ -201,8 +201,8 @@ class TestShedOrderWithGovernor:
         loop, conn, mon, server, ws, client = make_qos_rig(
             link=replace(THIN_256K, bandwidth_bps=64e3),
             budget=budget, qos=QosConfig())
-        server.health.policy = EncoderPolicy(saturation=1.0,
-                                             backlog_horizon=1e6)
+        server.health.policy = policy = EncoderPolicy()
+        policy.saturation, policy.backlog_horizon = 1.0, 1e6
         clip = SyntheticVideoClip(width=16, height=12, fps=12,
                                   duration=1.0)
         play_clip(loop, ws, clip, Rect(64, 40, 32, 24))

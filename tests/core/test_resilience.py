@@ -256,6 +256,38 @@ class TestFramingChecks:
         assert_clean_outcome(rc, ws)
 
 
+class TestEviction:
+    def test_evicted_client_backs_off_then_attaches_fresh(self):
+        # Garbage uplink frames past the wire-error budget quarantine
+        # the session, which the fresh attach's own refresh cannot
+        # re-trip.  The client honours the denial's retry hint, redials
+        # once under a new token and converges.
+        loop, dial, server, ws, rc = make_resilient_rig(
+            width=W, height=H, budget=Budget(max_uplink_errors=2))
+        scripted_workload(loop, ws, end=1.2, seed=7)
+        denials, dials = [], []
+        hook = rc.client.on_attach_denied
+        rc.client.on_attach_denied = lambda msg: (
+            denials.append((loop.now, msg)), hook(msg))
+        real_dial = rc.dial
+        rc.dial = lambda: (dials.append(loop.now), real_dial())[1]
+        loop.run_until(0.5)
+        token, session = rc.token, server.sessions[0]
+        for _ in range(3):
+            session.connection.up.write(wire.frame_message(99, b"garbage"))
+            loop.run_until(loop.now + 0.05)
+        assert session.quarantined
+        loop.run_until(SETTLE)
+        (denied_at, msg), = denials
+        assert msg.reason == wire.DENY_QUARANTINED
+        assert len(dials) == 1 and dials[0] - denied_at >= msg.retry_after
+        assert rc.attached and rc.token not in (0, token)
+        assert rc.stats["attach_denied"] == 1
+        assert rc.stats["accepts"] == 2
+        assert len(server.sessions) == 1 and session not in server.sessions
+        assert_pixel_identical(rc.client, ws)
+
+
 class TestDegradation:
     def test_sustained_backpressure_sheds_audio_then_recovers(self):
         thin = LinkParams("thin", bandwidth_bps=0.4e6, rtt=0.02)

@@ -1,12 +1,12 @@
 """Tests for SRSF scheduling (Section 5)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codec import Encoding
 from repro.core import FIFOScheduler, SRSFScheduler
+from repro.core.scheduler import NUM_QUEUES
 from repro.protocol import RawCommand
 from repro.region import Rect
 
@@ -38,18 +38,12 @@ class TestBuckets:
 
     def test_top_bucket_caps(self):
         s = SRSFScheduler()
-        assert s.bucket(10**9) == s.num_queues - 1
+        assert s.bucket(10**9) == NUM_QUEUES - 1 == 9
 
     def test_monotone(self):
         s = SRSFScheduler()
         buckets = [s.bucket(n) for n in range(1, 100000, 37)]
         assert buckets == sorted(buckets)
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            SRSFScheduler(num_queues=0)
-        with pytest.raises(ValueError):
-            SRSFScheduler(base_size=0)
 
 
 class TestOrdering:
