@@ -50,6 +50,13 @@ def _qorder_of(command: Command) -> Tuple[int, ...]:
     return command._qorder  # type: ignore[attr-defined]
 
 
+def _parts_of(run: Command, count: int, pitch: int) -> List[Rect]:
+    """A run's *count* part rects: one width, *pitch* pixels apart."""
+    x, y, width, height = run.dest.as_tuple()
+    return [Rect(x + i * pitch, y, width - (count - 1) * pitch, height)
+            for i in range(count)]
+
+
 class _TileIndex:
     """Uniform tile grid mapping screen tiles to the commands on them.
 
@@ -267,34 +274,33 @@ class CommandQueue:
             san.after_add(self, command, opaque)
         return stored
 
-    def add_run(self, merged: Command, parts: Sequence[Rect]) -> Command:
+    def add_run(self, merged: Command, count: int, pitch: int) -> Command:
         """Add a run of adjacent transparent commands as their merge.
 
-        *merged* is the command that adding one command per rect of
-        *parts* (each the part of *merged* inside that rect, left to
-        right) would have merged into — a line of glyph stipples.  The
-        queue ends up exactly as after those adds: same commands,
+        *merged* is what adding its *count* parts (*pitch* pixels apart)
+        one by one would have merged into — a line of glyph stipples.
+        The queue ends up exactly as after those adds: same commands,
         sequence numbers, statistics and taint.
         """
         if (not self.merge_enabled
                 or merged.overwrite_class is not OverwriteClass.TRANSPARENT):
-            for part in merged.clipped(parts):
+            for part in merged.clipped(_parts_of(merged, count, pitch)):
                 stored = self.add(part)
             return stored
         san = self._sanitizer
         if san is not None:
             replay = san.before_run(self, merged)
         merged.seq = self._next_seq
-        self._next_seq += len(parts)
-        self.stats["added"] += len(parts)
-        self.stats["merged"] += len(parts) - 1
+        self._next_seq += count
+        self.stats["added"] += count
+        self.stats["merged"] += count - 1
         if not self._opaque_cover.contains_rect(merged.dest):
-            for part in parts:
+            for part in _parts_of(merged, count, pitch):
                 if not self._opaque_cover.contains_rect(part):
                     self._tainted.add(part)
         stored = self._store(merged)
         if san is not None:
-            san.after_run(self, replay, merged, parts)
+            san.after_run(self, replay, merged, _parts_of(merged, count, pitch))
         return stored
 
     def _store(self, command: Command) -> Command:

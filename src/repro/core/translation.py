@@ -33,12 +33,13 @@ to RAW.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
 from ..codec import Encoding
 from ..display.driver import DisplayDriver, InputEvent, VideoStreamInfo
+from ..display.font import ADVANCE
 from ..display.pixmap import Drawable
 from ..protocol.commands import (BitmapCommand, Command, CompositeCommand,
                                  CopyCommand, PFillCommand, RawCommand,
@@ -137,26 +138,19 @@ class THINCDriver(DisplayDriver):
         self.stats["driver_ops"] += 1
         self._emit(drawable, BitmapCommand(rect, mask, fg, bg))
 
-    def glyph_run(self, drawable: Drawable, rects: Sequence[Rect],
-                  masks: Sequence[np.ndarray], fg: Color) -> None:
-        """Text: the line as one transparent stipple, onscreen or queued.
+    def glyph_run(self, drawable: Drawable, bounds: Rect, mask: np.ndarray,
+                  count: int, fg: Color) -> None:
+        """Text: the window server's line mask, uncopied, as one stipple.
 
         Zero-bit gap columns draw what its per-glyph BITMAPs would
         (``try_merge``'s rule), so it ships and is priced as one command."""
-        self.stats["driver_ops"] += len(rects)
-        if not (drawable.onscreen or self.offscreen_awareness):
-            return  # an ignored pixmap, as in _emit
-        first = rects[0]
-        run = np.zeros((first.height, rects[-1].x2 - first.x), dtype=bool)
-        for rect, mask in zip(rects, masks):
-            run[:, rect.x - first.x : rect.x2 - first.x] = mask
-        command = BitmapCommand(
-            Rect(first.x, first.y, run.shape[1], first.height), run, fg)
-        if drawable.onscreen:
+        self.stats["driver_ops"] += count
+        command = BitmapCommand(bounds, mask, fg)
+        if drawable.onscreen or not self.offscreen_awareness:
             self._emit(drawable, command)
         else:
-            self.stats["offscreen_commands"] += len(rects)
-            self._queue_for(drawable).add_run(command, rects)
+            self.stats["offscreen_commands"] += count
+            self._queue_for(drawable).add_run(command, count, ADVANCE)
 
     def put_image(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray) -> None:

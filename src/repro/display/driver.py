@@ -5,8 +5,8 @@ well-defined, low-level, device-dependent layer between the window
 server and the hardware.  The simulated window server decomposes every
 application request into calls on this interface, passing along the full
 semantic information a real driver sees (operation kind, geometry,
-colours, tiles, stipples, source drawables).  Text reaches the driver as
-a whole glyph run (:meth:`DisplayDriver.glyph_run`), and a wholly
+colours, tiles, stipples, source drawables).  Visible text reaches the
+driver as one line mask (:meth:`DisplayDriver.glyph_run`), and a wholly
 visible image as a whole image run (:meth:`DisplayDriver.image_run`); a
 driver that does not override those hooks sees one ``bitmap_fill`` per
 glyph and one ``put_image`` per scan-line chunk.
@@ -27,11 +27,12 @@ All rectangles passed to hooks are pre-clipped to the drawable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..region import Rect
+from .font import ADVANCE, GLYPH_WIDTH
 from .pixmap import Drawable
 
 __all__ = ["DisplayDriver", "RecordingDriver", "InputEvent",
@@ -98,18 +99,19 @@ class DisplayDriver:
         is overridden.
         """
 
-    def glyph_run(self, drawable: Drawable, rects: Sequence[Rect],
-                  masks: Sequence[np.ndarray], fg: Color) -> None:
-        """A run of glyphs was drawn on one baseline (XAA's PolyGlyphBlt).
+    def glyph_run(self, drawable: Drawable, bounds: Rect, mask: np.ndarray,
+                  count: int, fg: Color) -> None:
+        """A line of *count* glyphs was drawn (XAA's PolyGlyphBlt).
 
-        ``rects[i]`` is the cell of glyph *i* and ``masks[i]`` its
-        transparent 1-bit stipple; the cells have one height and one
-        ``y``, run left to right and lie at most two pixels apart (what
-        ``BitmapCommand.try_merge`` chains).  The default decomposes the
-        run into the per-glyph ``bitmap_fill`` calls it stands for.
+        *mask* is the transparent stipple over *bounds* that the window
+        server blitted: glyph *i* in the ``GLYPH_WIDTH`` columns from
+        ``i * ADVANCE``, zero bits between.  The default slices it into
+        the per-glyph ``bitmap_fill`` calls it stands for.
         """
-        for rect, mask in zip(rects, masks):
-            self.bitmap_fill(drawable, rect, mask, fg, None)
+        for x in range(0, count * ADVANCE, ADVANCE):
+            self.bitmap_fill(drawable, Rect(bounds.x + x, bounds.y,
+                                            GLYPH_WIDTH, bounds.height),
+                             mask[:, x : x + GLYPH_WIDTH], fg, None)
 
     def put_image(self, drawable: Drawable, rect: Rect,
                   pixels: np.ndarray) -> None:

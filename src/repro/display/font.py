@@ -14,6 +14,7 @@ a stable, non-empty bitmap.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -173,11 +174,18 @@ def text_extent(text: str) -> Tuple[int, int]:
     return (len(text) * ADVANCE - 1, GLYPH_HEIGHT)
 
 
+@cache
+def _cell(ch: str) -> np.ndarray:
+    """One character's slot in a line: its glyph and the blank column."""
+    cell = np.zeros((GLYPH_HEIGHT, ADVANCE), dtype=bool)
+    cell[:, :GLYPH_WIDTH] = glyph_bitmap(ch)
+    return cell
+
+
 def render_text_mask(text: str) -> np.ndarray:
     """Render a one-line string into a boolean mask (the BITMAP payload)."""
-    width, height = text_extent(text)
-    mask = np.zeros((height, max(width, 1)), dtype=bool)
-    for i, ch in enumerate(text):
-        x = i * ADVANCE
-        mask[:, x : x + GLYPH_WIDTH] = glyph_bitmap(ch)
-    return mask
+    if not text:
+        return np.zeros((GLYPH_HEIGHT, 1), dtype=bool)
+    cells = list(map(_cell, text))
+    cells[-1] = cells[-1][:, :GLYPH_WIDTH]
+    return np.concatenate(cells, axis=1)

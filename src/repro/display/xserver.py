@@ -10,10 +10,10 @@ Two behaviours of real servers matter for the paper's results and are
 modelled explicitly:
 
 * **Glyph text** reaches the driver as a glyph run
-  (``DisplayDriver.glyph_run``) that stands for one driver-level
-  stipple per glyph, so a line of text is many tiny ``bitmap_fill``
-  operations — the small updates THINC aggregates (Section 4).  Only a
-  driver that overrides the hook handles the run as a whole.
+  (``DisplayDriver.glyph_run``): the line mask the server blitted, its
+  bounds and its glyph count.  A driver that does not override the hook
+  sees the run as one tiny ``bitmap_fill`` per glyph — the small
+  updates THINC aggregates (Section 4).
 * **Image rasterisation** proceeds in scan-line chunks, so one large
   ``put_image`` stands for many thin ``put_image`` driver calls that an
   efficient translator must merge.  A wholly visible image reaches the
@@ -217,7 +217,7 @@ class WindowServer:
                   fg: Color) -> Rect:
         """Draw one line of text: a run of per-glyph stipples.
 
-        A run that is wholly visible is rasterised with one mask blit
+        A wholly visible run is rasterised once: one line mask, blitted
         and handed to the driver as one ``glyph_run``; clipped text is
         drawn and reported glyph piece by glyph piece.
 
@@ -225,19 +225,19 @@ class WindowServer:
         """
         self._check(drawable)
         bounds = Rect(x, y, max(len(text) * ADVANCE - 1, 1), GLYPH_HEIGHT)
-        rects = [Rect(x + i * ADVANCE, y, GLYPH_WIDTH, GLYPH_HEIGHT)
-                 for i in range(len(text))]
-        masks = [glyph_bitmap(ch) for ch in text]
         fb = drawable.fb
         if text and self._clip is None and fb.bounds.contains(bounds):
-            fb.stipple_rect(bounds, render_text_mask(text), fg, None)
+            mask = render_text_mask(text)
+            fb.stipple_rect(bounds, mask, fg, None)
             # The blit also crossed the blank columns between glyphs,
             # which are no glyph's pixels.
             fb.pixels_drawn -= (len(text) - 1) * GLYPH_HEIGHT \
                 * (ADVANCE - GLYPH_WIDTH)
-            self.driver.glyph_run(drawable, rects, masks, fg)
+            self.driver.glyph_run(drawable, bounds, mask, len(text), fg)
         else:
-            for glyph_rect, mask in zip(rects, masks):
+            for i, ch in enumerate(text):
+                glyph_rect = Rect(x + i * ADVANCE, y, GLYPH_WIDTH, GLYPH_HEIGHT)
+                mask = glyph_bitmap(ch)
                 for piece in self._clip_pieces(glyph_rect):
                     piece_mask = crop_mask(mask, glyph_rect, piece)
                     drawn = fb.stipple_rect(piece, piece_mask, fg, None)

@@ -95,13 +95,14 @@ class TestCatchesCorruption:
                 sanitizer.disable()
 
 
-def glyph_run(xs, width=5, fg=GREEN):
-    """(merged stipple, glyph cells) for cells of *width* at *xs*."""
-    cells = [Rect(x, 0, width, 7) for x in xs]
-    mask = np.zeros((7, cells[-1].x2 - xs[0]), dtype=bool)
-    for cell in cells:
-        mask[:, cell.x - xs[0]:cell.x2 - xs[0]] = True
-    return BitmapCommand(Rect(xs[0], 0, mask.shape[1], 7), mask, fg), cells
+def glyph_run(x, count, pitch=6, width=5, fg=GREEN):
+    """``add_run``'s arguments for *count* cells of *width* from *x*,
+    *pitch* apart: (merged stipple, count, pitch)."""
+    mask = np.zeros((7, (count - 1) * pitch + width), dtype=bool)
+    for i in range(count):
+        mask[:, i * pitch:i * pitch + width] = True
+    return (BitmapCommand(Rect(x, 0, mask.shape[1], 7), mask, fg),
+            count, pitch)
 
 
 class TestRunInsertion:
@@ -111,7 +112,7 @@ class TestRunInsertion:
         # Three pixels apart: per-glyph adds would not have merged.
         q = sanitized_queue(merge=True)
         with pytest.raises(SanitizerError, match="per-command adds"):
-            q.add_run(*glyph_run([0, 8]))
+            q.add_run(*glyph_run(0, 2, pitch=8))
 
     def test_miscounted_statistics_are_caught(self):
         q = sanitized_queue(merge=True)
@@ -119,12 +120,11 @@ class TestRunInsertion:
         q._store = lambda cmd: (q.stats.update(merged=0),
                                 type(q)._store(q, cmd))[1]
         with pytest.raises(SanitizerError, match="per-command adds"):
-            q.add_run(*glyph_run([0, 6, 12]))
+            q.add_run(*glyph_run(0, 3))
 
     def test_missing_taint_is_caught(self):
         q = sanitized_queue(merge=True)
         q.add(SFillCommand(Rect(0, 0, 8, 8), RED))  # covers glyph 0 only
-        merged, cells = glyph_run([0, 6])
 
         class Deaf(Region):
             def add(self, rect):
@@ -132,14 +132,14 @@ class TestRunInsertion:
 
         q._tainted = Deaf()
         with pytest.raises(SanitizerError, match="taint"):
-            q.add_run(merged, cells)
+            q.add_run(*glyph_run(0, 2))
 
     @pytest.mark.parametrize("merge", [True, False])
     def test_legal_runs_pass_and_merge_with_the_tail(self, merge):
         q = sanitized_queue(merge=merge)
         q.add(SFillCommand(Rect(0, 0, 20, 8), RED))  # glyph 3 uncovered
-        q.add_run(*glyph_run([0, 6]))
-        q.add_run(*glyph_run([12, 18]))
+        q.add_run(*glyph_run(0, 2))
+        q.add_run(*glyph_run(12, 2))
         assert q.stats["added"] == 5
         assert q.stats["merged"] == (3 if merge else 0)
         assert len(q) == (2 if merge else 5)

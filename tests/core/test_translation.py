@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.server import ServerCostModel
 from repro.core.translation import THINCDriver
-from repro.display import WindowServer, solid_pixels
+from repro.display import Framebuffer, WindowServer, solid_pixels, xserver
 from repro.display.driver import DisplayDriver, InputEvent, RecordingDriver
 from repro.display.font import ADVANCE, GLYPH_HEIGHT, GLYPH_WIDTH
+from repro.protocol.commands import BitmapCommand
 from repro.protocol.compression import _BAND_BYTES
 from repro.region import Rect
 from tests.helpers import assert_pixel_identical, make_multi_rig, make_rig
@@ -16,6 +17,20 @@ RED = (255, 0, 0, 255)
 GREEN = (0, 255, 0, 255)
 BLUE = (0, 0, 255, 255)
 WHITE = (255, 255, 255, 255)
+
+
+def spy(monkeypatch, owner, name, pick):
+    """Wrap ``owner.name``; returns the list it fills with
+    ``pick(result, *args)``, one entry per call."""
+    real, log = getattr(owner, name), []
+
+    def wrapper(*args):
+        result = real(*args)
+        log.append(pick(result, *args))
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return log
 
 
 class CollectingSink:
@@ -121,6 +136,46 @@ class TestTextAggregation:
         assert replayed.encode() == line.encode()
         cost = ServerCostModel().cost
         assert cost(line) == cost(replayed) == ServerCostModel.per_command
+
+    @pytest.mark.parametrize("target", ["screen", "pixmap"])
+    def test_visible_line_is_rasterised_once(self, rig, monkeypatch, target):
+        """Work, not wall (docs/PERF.md): one ``render_text_mask`` per
+        line, and that array is what the framebuffer stippled, what
+        ``glyph_run`` got and what the shipped or queued BITMAP holds."""
+        ws, driver, sink = rig
+        rendered = spy(monkeypatch, xserver, "render_text_mask",
+                       lambda mask, text: mask)
+        stippled = spy(monkeypatch, Framebuffer, "stipple_rect",
+                       lambda drawn, fb, rect, mask, *rest: mask)
+        handed = spy(monkeypatch, THINCDriver, "glyph_run",
+                     lambda _, driver, drawable, bounds, mask, *rest: mask)
+        drawable = ws.screen if target == "screen" else ws.create_pixmap(
+            64, 16)
+        ws.draw_text(drawable, 2, 2, "make all", RED)
+        (mask,) = rendered
+        assert [m is mask for m in stippled + handed] == [True, True]
+        (line,) = (sink.commands if target == "screen"
+                   else driver.offscreen_queue(drawable).commands)
+        assert isinstance(line, BitmapCommand)
+        assert line.mask is mask, "the BITMAP holds a copy of the line mask"
+
+    @pytest.mark.parametrize("target", ["screen", "pixmap"])
+    def test_a_driver_that_rebuilds_the_mask_is_caught(self, rig,
+                                                        monkeypatch, target):
+        # A driver that rebuilds the line mask glyph by glyph, as
+        # THINCDriver.glyph_run once did.
+        run = THINCDriver.glyph_run
+
+        def rebuilding(self, drawable, bounds, mask, count, fg):
+            rebuilt = np.zeros_like(mask)
+            for x in range(0, count * ADVANCE, ADVANCE):
+                rebuilt[:, x:x + GLYPH_WIDTH] = mask[:, x:x + GLYPH_WIDTH]
+            run(self, drawable, bounds, rebuilt, count, fg)
+
+        monkeypatch.setattr(THINCDriver, "glyph_run", rebuilding)
+        with pytest.raises(AssertionError, match="copy of the line mask"):
+            self.test_visible_line_is_rasterised_once(rig, monkeypatch,
+                                                      target)
 
     def test_clipped_text_arrives_glyph_piece_by_piece(self, rig):
         ws, driver, sink = rig

@@ -7,7 +7,9 @@ code below produces, so the equivalence tests compare against it:
 * the byte-wise ``fill_rect`` / ``tile_rect`` / ``stipple_rect`` /
   ``solid_pixels`` kernels, as functions over a ``Framebuffer``;
 * the per-glyph ``draw_text`` loop with its ``np.ix_`` mask crops, as a
-  ``WindowServer`` subclass that rasterises through the kernels above.
+  ``WindowServer`` subclass that rasterises through the kernels above;
+* ``render_text_mask`` as one slice assignment per glyph, the oracle
+  for the line mask built from cached cells.
 
 Nothing here is used by ``src/repro``; do not "optimise" it.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from repro.display import WindowServer
 from repro.display.font import (ADVANCE, GLYPH_HEIGHT, GLYPH_WIDTH,
-                                glyph_bitmap)
+                                glyph_bitmap, text_extent)
 from repro.display.framebuffer import CHANNELS, make_tile
 from repro.region import Rect
 
@@ -71,6 +73,15 @@ def crop_mask_ref(mask, intended, drawn):
     ys = (np.arange(drawn.y, drawn.y2) - intended.y) % mask.shape[0]
     xs = (np.arange(drawn.x, drawn.x2) - intended.x) % mask.shape[1]
     return mask[np.ix_(ys, xs)]
+
+
+def render_text_mask_ref(text):
+    width, height = text_extent(text)
+    mask = np.zeros((height, max(width, 1)), dtype=bool)
+    for i, ch in enumerate(text):
+        x = i * ADVANCE
+        mask[:, x : x + GLYPH_WIDTH] = glyph_bitmap(ch)
+    return mask
 
 
 class PerGlyphWindowServer(WindowServer):

@@ -1,11 +1,14 @@
 """Tests for the bitmap font."""
 
+import string
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.display.font import (ADVANCE, GLYPH_HEIGHT, GLYPH_WIDTH,
                                 glyph_bitmap, render_text_mask, text_extent)
+from tests.display.reference import render_text_mask_ref
 
 
 class TestGlyphs:
@@ -62,3 +65,17 @@ class TestText:
         mask = render_text_mask("")
         assert mask.shape[0] == GLYPH_HEIGHT
         assert not mask.any()
+
+    # Lowercase (drawn as uppercase), space, and code points the font
+    # has only pseudo-glyphs for.
+    @given(st.text(alphabet=string.ascii_lowercase + " é中\x00"))
+    @example("")
+    @settings(max_examples=200, deadline=None)
+    def test_render_mask_equals_the_per_glyph_reference(self, text):
+        mask = render_text_mask(text)
+        expected = render_text_mask_ref(text)
+        assert mask.dtype == bool and mask.flags.c_contiguous
+        assert mask.shape == expected.shape
+        assert np.array_equal(mask, expected)
+        # A fresh array each time: a queued BITMAP keeps it as its mask.
+        assert not np.shares_memory(mask, render_text_mask(text))
