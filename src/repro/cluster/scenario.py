@@ -482,7 +482,6 @@ class Run:
 
     def _check_server(self, where: str, server) -> List[str]:
         budget, sessions = server.governor.budget, server.sessions
-        plane = server.resilience
         # Budgets: every reservoir within its line at the end.
         sized = [(len(sessions), server.governor.server_budget.max_sessions,
                   "session table")]
@@ -498,24 +497,20 @@ class Run:
                  "parser residue bytes")]
         out = [f"budget: {what} on {where} ended at {value}, budget is {cap}"
                for value, cap, what in sized if value > cap]
-        # Conservation: a queue accounts for every command it took.  A
-        # clip adds fragments (residue < 0); the wholesale clears of a
-        # coalesce, queue drop or snapshot resync are counted nowhere.
+        # Conservation: a queue accounts for every command it took.
         queues = [(q, 0) for q in server.driver._offscreen.values()]
-        if not (server.governor.stats.coalesces or plane and (
-                plane.stats.queues_dropped or plane.stats.resyncs_snapshot)):
-            queues += [(s.buffer.queue, s.buffer.stats["commands_out"])
-                       for s in sessions]
+        queues += [(s.buffer.queue, s.buffer.stats["commands_out"])
+                   for s in sessions]
         for queue, delivered in queues:
             stats = queue.stats
             residue = (stats["added"] - stats["merged"] - stats["evicted"]
-                       - delivered - len(queue))
-            if residue > 0 or (residue and not stats["clipped"]):
+                       - stats["clipped"] + stats["fragments"]
+                       - stats["cleared"] - delivered - len(queue))
+            if residue:
                 out.append(f"conservation: a queue on {where} cannot "
                            f"account for {residue} commands ({stats}, "
                            f"{delivered} delivered, {len(queue)} queued)")
-            problem = queue.audit_structures() if queue._sanitizer or \
-                not sanitizer.enabled() else "sanitizer enabled, not armed"
-            if problem is not None:
-                out.append(f"sanitizer: a queue on {where}: {problem}")
+            if queue._sanitizer is None and sanitizer.enabled():
+                out.append(f"sanitizer: a queue on {where}: sanitizer "
+                           f"enabled, not armed")
         return out

@@ -22,18 +22,15 @@ ordering:
 4. **monotonic pipe tail** — per session, prepared commands reach the
    buffer stage in submission order even when a migrated husk's
    completion is ready before earlier work (see ``repro.core.pipeline``);
-5. **spatial-index coherence** — the queue's tile-grid index and
-   pinned-source map exactly mirror the queued commands after every
-   mutation (see ``CommandQueue.audit_structures``), so the indexed
-   eviction/copy fast paths can never silently diverge from the
-   whole-queue semantics they replaced.
-
+5. *retired* — it audited a spatial index the queue no longer keeps;
+   its number stays unused, so the next one keeps the number the docs
+   cite;
 6. **run insertion ≡ per-command adds** — ``CommandQueue.add_run``
    (a text line's glyphs entering an offscreen queue as one merged
    stipple) is replayed on a shadow copy of the queue as the
    one-``add``-per-glyph sequence it stands for, and both queues must
-   agree on commands, position keys, the sequence counter, statistics,
-   opaque cover, taint and index coherence.
+   agree on commands, the sequence counter, statistics, opaque cover
+   and taint.
 
 Pins are remembered across mutations (a COPY that pinned content may
 itself be delivered and removed later), so the stale-overlap check
@@ -163,11 +160,9 @@ class QueueSanitizer:
         oracle for what per-command adds do, not a queue under test.
         """
         self.before_mutation(queue, merged)
-        shadow = type(queue)(merge=queue.merge_enabled)
+        shadow = type(queue)()
         shadow._sanitizer = None
         shadow._commands = list(queue._commands)
-        for cmd in shadow._commands:
-            shadow._register(cmd)
         shadow._next_seq = queue._next_seq
         shadow._opaque_cover = queue._opaque_cover.copy()
         shadow._tainted = queue._tainted.copy()
@@ -188,11 +183,10 @@ class QueueSanitizer:
 
         def state(q):
             return (len(q._commands), q._next_seq, q.stats, q._opaque_cover,
-                    q._tainted, q.audit_structures())
+                    q._tainted)
 
         def entry(cmd):
-            return (cmd.seq, cmd._qorder, cmd.realtime, cmd.sched_floor,
-                    cmd.encode())
+            return (cmd.seq, cmd.realtime, cmd.sched_floor, cmd.encode())
 
         differ = [(ours, theirs) for ours, theirs
                   in zip(queue._commands, shadow._commands)
@@ -261,13 +255,6 @@ class QueueSanitizer:
             opaque = cmd.opaque_region
             if not opaque.is_empty:
                 later_opaque = later_opaque.union(opaque)
-
-        # 5. Spatial-index coherence.
-        audit = getattr(queue, "audit_structures", None)
-        if audit is not None:
-            problem = audit()
-            if problem is not None:
-                raise SanitizerError(f"after {op}: {problem}")
 
     def check_replace(self, queue, command, replacement, op: str) -> None:
         """A replace must swap in a true remainder of the original."""

@@ -20,9 +20,9 @@ GREEN = (0, 255, 0, 255)
 W, H = 64, 48
 
 
-def sanitized_queue(merge=True):
+def sanitized_queue():
     """A CommandQueue that self-checks, regardless of THINC_SANITIZE."""
-    queue = CommandQueue(merge=merge)
+    queue = CommandQueue()
     queue._sanitizer = sanitizer.QueueSanitizer()
     return queue
 
@@ -35,28 +35,28 @@ def raw(rect, seed=0):
 
 class TestCatchesCorruption:
     def test_missing_eviction_of_partial_command(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         q.add(raw(Rect(0, 0, 8, 8)))
         q._evict_under = lambda opaque, newcomer: None  # break eviction
         with pytest.raises(SanitizerError, match="stale"):
             q.add(SFillCommand(Rect(0, 0, 8, 8), RED))
 
     def test_missing_eviction_of_buried_complete_command(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         q.add(SFillCommand(Rect(0, 0, 8, 8), RED))
         q._evict_under = lambda opaque, newcomer: None
         with pytest.raises(SanitizerError, match="buried"):
             q.add(raw(Rect(0, 0, 8, 8)))
 
     def test_corrupted_opaque_cover(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         q.add(SFillCommand(Rect(0, 0, 8, 8), RED))
         q._opaque_cover = Region()  # lose the bookkeeping
         with pytest.raises(SanitizerError, match="opaque cover"):
             q._sanitizer.check(q, "test")
 
     def test_transparent_blend_without_taint_record(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         mask = np.ones((4, 4), dtype=bool)
         cmd = BitmapCommand(Rect(0, 0, 4, 4), mask, RED, None)
         cmd.seq = 0
@@ -65,7 +65,7 @@ class TestCatchesCorruption:
             q._sanitizer.after_add(q, cmd, Region())
 
     def test_broken_arrival_order(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         q.add(SFillCommand(Rect(0, 0, 4, 4), RED))
         q.add(SFillCommand(Rect(8, 0, 4, 4), GREEN))
         q._commands.reverse()  # corrupt the ordering
@@ -73,7 +73,7 @@ class TestCatchesCorruption:
             q._sanitizer.check(q, "test")
 
     def test_replacement_must_be_a_remainder(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         cmd = q.add(SFillCommand(Rect(0, 0, 8, 8), RED))
         with pytest.raises(SanitizerError, match="remainder"):
             q.replace(cmd, SFillCommand(Rect(20, 20, 8, 8), GREEN))
@@ -110,20 +110,20 @@ class TestRunInsertion:
 
     def test_run_that_does_not_chain_is_caught(self):
         # Three pixels apart: per-glyph adds would not have merged.
-        q = sanitized_queue(merge=True)
+        q = sanitized_queue()
         with pytest.raises(SanitizerError, match="per-command adds"):
             q.add_run(*glyph_run(0, 2, pitch=8))
 
     def test_miscounted_statistics_are_caught(self):
-        q = sanitized_queue(merge=True)
-        q.stats = {"added": 0, "evicted": 0, "clipped": 0, "merged": 7}
+        q = sanitized_queue()
+        q.stats = {**q.stats, "merged": 7}
         q._store = lambda cmd: (q.stats.update(merged=0),
                                 type(q)._store(q, cmd))[1]
         with pytest.raises(SanitizerError, match="per-command adds"):
             q.add_run(*glyph_run(0, 3))
 
     def test_missing_taint_is_caught(self):
-        q = sanitized_queue(merge=True)
+        q = sanitized_queue()
         q.add(SFillCommand(Rect(0, 0, 8, 8), RED))  # covers glyph 0 only
 
         class Deaf(Region):
@@ -134,22 +134,21 @@ class TestRunInsertion:
         with pytest.raises(SanitizerError, match="taint"):
             q.add_run(*glyph_run(0, 2))
 
-    @pytest.mark.parametrize("merge", [True, False])
-    def test_legal_runs_pass_and_merge_with_the_tail(self, merge):
-        q = sanitized_queue(merge=merge)
+    def test_legal_runs_pass_and_merge_with_the_tail(self):
+        q = sanitized_queue()
         q.add(SFillCommand(Rect(0, 0, 20, 8), RED))  # glyph 3 uncovered
         q.add_run(*glyph_run(0, 2))
         q.add_run(*glyph_run(12, 2))
         assert q.stats["added"] == 5
-        assert q.stats["merged"] == (3 if merge else 0)
-        assert len(q) == (2 if merge else 5)
+        assert q.stats["merged"] == 3
+        assert len(q) == 2
         assert q.tainted == Region([Rect(18, 0, 5, 7)])
         assert q.add(SFillCommand(Rect(30, 0, 2, 2), RED)).seq == 5
 
 
 class TestToleratesLegalMutations:
     def test_valid_replacement_passes(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         cmd = q.add(SFillCommand(Rect(0, 0, 8, 8), RED))
         q.replace(cmd, SFillCommand(Rect(0, 4, 8, 4), RED))
         assert len(q) == 1
@@ -158,14 +157,14 @@ class TestToleratesLegalMutations:
         # Two partial covers together bury the fill; eviction only owes
         # a drop when a *single* newcomer covers it. Replay still draws
         # the newer content over the fill, so this must not alarm.
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         q.add(SFillCommand(Rect(0, 0, 8, 8), RED))
         q.add(raw(Rect(0, 0, 8, 4), 1))
-        q.add(raw(Rect(0, 4, 8, 4), 2))
+        q.add(SFillCommand(Rect(0, 4, 8, 4), GREEN))
         assert len(q) == 3
 
     def test_copy_pin_survives_delivery_of_the_copy(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         q.add(raw(Rect(0, 0, 8, 8), 1))
         copy = q.add(CopyCommand(0, 0, Rect(16, 0, 8, 8)))
         # The fill overlaps the COPY's source: the raw survives, pinned.
@@ -177,14 +176,14 @@ class TestToleratesLegalMutations:
     def test_transparent_merge_across_mask_gap(self):
         # Merged glyph runs widen a transparent dest across zero-bit gap
         # columns that draw nothing; replay stays faithful there.
-        q = sanitized_queue(merge=True)
+        q = sanitized_queue()
         q.add(SFillCommand(Rect(0, 0, 32, 8), RED))
         mask = np.ones((8, 4), dtype=bool)
         q.add(BitmapCommand(Rect(0, 0, 4, 8), mask, GREEN, None))
         q.add(BitmapCommand(Rect(8, 0, 4, 8), mask, GREEN, None))
 
     def test_clear_resets_history(self):
-        q = sanitized_queue(merge=False)
+        q = sanitized_queue()
         q.add(raw(Rect(0, 0, 8, 8)))
         q.add(CopyCommand(0, 0, Rect(16, 0, 8, 8)))
         q.clear()
@@ -247,10 +246,10 @@ class TestReplayFidelityProperty:
             assert np.array_equal(fb.read_pixels(r),
                                   reference.read_pixels(r))
 
-    @given(STEPS, st.booleans())
+    @given(STEPS)
     @settings(max_examples=60, deadline=None)
-    def test_random_mutations_stay_replayable(self, steps, merge):
-        q = sanitized_queue(merge=merge)
+    def test_random_mutations_stay_replayable(self, steps):
+        q = sanitized_queue()
         reference = Framebuffer(W, H)   # the true screen contents
         base = Framebuffer(W, H)        # content already delivered
         for kind, x, y, w, h, seed, op in steps:

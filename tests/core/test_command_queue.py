@@ -1,14 +1,16 @@
 """Tests for the command queue's eviction/merging/copy semantics."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codec import Encoding
 from repro.core import CommandQueue
 from repro.display import Framebuffer
-from repro.protocol import BitmapCommand, RawCommand, SFillCommand
-from repro.region import Rect
+from repro.protocol import (BitmapCommand, CopyCommand, RawCommand,
+                            SFillCommand)
+from repro.region import Rect, Region
 
 RED = (255, 0, 0, 255)
 GREEN = (0, 255, 0, 255)
@@ -31,7 +33,7 @@ def replay(queue, size=(W, H)):
 
 class TestOrderingAndSeq:
     def test_arrival_order_preserved(self):
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         a = q.add(SFillCommand(Rect(0, 0, 4, 4), RED))
         b = q.add(SFillCommand(Rect(10, 0, 4, 4), GREEN))
         assert [c.seq for c in q] == [a.seq, b.seq]
@@ -43,17 +45,75 @@ class TestOrderingAndSeq:
         out = q.drain()
         assert len(out) == 1 and len(q) == 0
 
+    @pytest.mark.parametrize("empty", ["drain", "clear"])
+    def test_drain_or_clear_then_refill(self, empty):
+        q = CommandQueue()
+        q.add(raw(Rect(0, 0, 8, 8), 1))
+        q.add(CopyCommand(0, 0, Rect(16, 0, 8, 8)))
+        getattr(q, empty)()
+        assert len(q) == 0
+        assert q.stats["cleared"] == (2 if empty == "clear" else 0)
+        # The emptied COPY pins nothing: the refill's second RAW evicts
+        # its first, and sequence numbers carry on.
+        first = q.add(raw(Rect(0, 0, 8, 8), 2))
+        second = q.add(raw(Rect(0, 0, 8, 8), 3))
+        assert q.commands == (second,)
+        assert (first.seq, second.seq) == (2, 3)
+        assert q.stats["evicted"] == 1
+
 
 class TestEviction:
+    def test_clip_fragments_stand_where_the_original_stood(self):
+        q = CommandQueue()
+        truth = Framebuffer(W, H)
+        a = raw(Rect(0, 0, 8, 8), 1)
+        b = SFillCommand(Rect(20, 0, 4, 4), GREEN)
+        hole = SFillCommand(Rect(2, 2, 4, 4), RED)
+        q.add(a)
+        a.realtime, a.sched_floor = True, 2
+        q.add(b)
+        q.add(hole)
+        for cmd in (a, b, hole):
+            cmd.apply(truth)
+        fragments = q.commands[:-2]
+        assert q.commands[-2:] == (b, hole)
+        assert [f.dest for f in fragments] == list(
+            Region.from_rect(a.dest).subtract(Region.from_rect(hole.dest)))
+        assert {(f.kind, f.seq, f.realtime, f.sched_floor)
+                for f in fragments} == {("raw", a.seq, True, 2)}
+        assert (q.stats["clipped"], q.stats["fragments"]) == (1, 4)
+        assert replay(q).same_as(truth)
+
+    def test_a_buffered_copy_pins_its_producers(self):
+        q = CommandQueue()
+        producer = q.add(raw(Rect(0, 0, 8, 8), 1))
+        copy = q.add(CopyCommand(0, 0, Rect(16, 0, 8, 8)))
+        # The COPY runs first on the client and reads the producer's
+        # pixels, so covering them must neither evict nor clip it.
+        cover = q.add(raw(Rect(0, 0, 8, 8), 2))
+        assert q.commands == (producer, copy, cover)
+        assert q.stats["evicted"] == q.stats["clipped"] == 0
+
+    def test_a_scroll_pins_what_it_reads(self):
+        # An overlapping COPY covers rows it reads: their producer must
+        # keep them, or replay copies pixels nothing drew.
+        q = CommandQueue()
+        truth = Framebuffer(W, H)
+        for cmd in (raw(Rect(0, 0, 8, 16), 1),
+                    CopyCommand(0, 0, Rect(0, 4, 8, 12))):
+            cmd.apply(truth)
+            q.add(cmd)
+        assert replay(q).same_as(truth)
+
     def test_full_overwrite_evicts(self):
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         q.add(raw(Rect(0, 0, 8, 8), 1))
         q.add(raw(Rect(0, 0, 8, 8), 2))
         assert len(q) == 1
         assert q.stats["evicted"] == 1
 
     def test_partial_overwrite_clips_partial_commands(self):
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         q.add(raw(Rect(0, 0, 8, 8), 1))
         q.add(SFillCommand(Rect(0, 0, 8, 4), RED))
         # The raw command survives only below the fill.
@@ -62,26 +122,26 @@ class TestEviction:
         assert sum(c.dest.area for c in raws) == 8 * 4
 
     def test_complete_commands_survive_partial_overlap(self):
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         q.add(SFillCommand(Rect(0, 0, 8, 8), RED))
         q.add(raw(Rect(0, 0, 4, 4), 1))
         kinds = [c.kind for c in q]
         assert kinds == ["sfill", "raw"]
 
     def test_complete_command_evicted_when_fully_covered(self):
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         q.add(SFillCommand(Rect(2, 2, 4, 4), RED))
         q.add(raw(Rect(0, 0, 10, 10), 1))
         assert [c.kind for c in q] == ["raw"]
 
     def test_transparent_commands_never_evict(self):
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         q.add(raw(Rect(0, 0, 8, 8), 1))
         q.add(BitmapCommand(Rect(0, 0, 8, 8), np.eye(8, dtype=bool), RED))
         assert len(q) == 2
 
     def test_transparent_evicted_when_covered(self):
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         q.add(BitmapCommand(Rect(2, 2, 4, 4), np.ones((4, 4), bool), RED))
         q.add(SFillCommand(Rect(0, 0, 10, 10), GREEN))
         assert [c.kind for c in q] == ["sfill"]
@@ -93,7 +153,7 @@ class TestEviction:
 
         rgb = np.zeros((12, 16, 3), dtype=np.uint8)
         data = yuv.pack_yv12(*yuv.rgb_to_yv12(rgb))
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         for i in range(5):
             q.add(VideoFrameCommand(1, Rect(0, 0, 32, 24), 16, 12, data, i))
         assert len(q) == 1
@@ -134,21 +194,12 @@ class TestReplayInvariant:
             cmd.apply(truth)
             q.add(cmd)
         assert replay(q).same_as(truth)
+        stats = q.stats
+        assert len(q) == (stats["added"] - stats["merged"] - stats["evicted"]
+                          - stats["clipped"] + stats["fragments"])
         # Clipping may split a command into at most 4 fragments, so the
         # queue can never grow past that bound on the history length.
         assert len(q) <= 4 * len(cmds)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_merge_disabled_also_correct(self, seed):
-        rng = np.random.default_rng(seed)
-        cmds = self._commands(rng)
-        q = CommandQueue(merge=False)
-        truth = Framebuffer(W, H)
-        for cmd in cmds:
-            cmd.apply(truth)
-            q.add(cmd)
-        assert replay(q).same_as(truth)
 
 
 class TestMerging:
@@ -250,7 +301,7 @@ class TestWireAccounting:
         assert q.total_wire_size() == a.wire_size()
 
     def test_remove_and_replace(self):
-        q = CommandQueue(merge=False)
+        q = CommandQueue()
         a = q.add(SFillCommand(Rect(0, 0, 4, 4), RED))
         b = q.add(SFillCommand(Rect(20, 0, 4, 4), GREEN))
         q.remove(a)
@@ -258,3 +309,18 @@ class TestWireAccounting:
         c = SFillCommand(Rect(20, 0, 2, 4), GREEN)
         q.replace(b, c)
         assert list(q) == [c]
+        with pytest.raises(ValueError):
+            q.remove(b)
+        with pytest.raises(ValueError):
+            q.replace(b, c)
+
+    def test_replace_keeps_the_original_place(self):
+        q = CommandQueue()
+        a = q.add(SFillCommand(Rect(0, 0, 4, 4), RED))
+        cmd = q.add(raw(Rect(0, 8, 32, 16), 3))
+        b = q.add(SFillCommand(Rect(40, 0, 4, 4), GREEN))
+        room = cmd.wire_size() // 2
+        _head, remainder = cmd.split(room, room)
+        q.replace(cmd, remainder)
+        assert q.commands == (a, remainder, b)
+        assert remainder.seq == cmd.seq

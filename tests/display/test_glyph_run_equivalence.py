@@ -5,7 +5,7 @@ the byte-wise stipple kernel under it) verbatim.  Every test here runs
 one random script through both window servers and requires identical
 results at each layer the run crosses: framebuffer bytes and
 ``pixels_drawn``, the driver call list, the offscreen queue (commands,
-``seq``/``_qorder``, statistics, opaque cover, taint), and — through a
+``seq``, statistics, opaque cover, taint), and — through a
 full server/client rig — the client's pixels.  Onscreen, ``THINCDriver``
 ships a wholly visible line as one stipple: the oracle is the per-glyph
 BITMAP list with each such line left-folded by ``try_merge``, and the
@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import THINCClient, THINCServer
-from repro.core.command_queue import CommandQueue
 from repro.core.translation import THINCDriver
 from repro.display import Framebuffer, WindowServer
 from repro.display.driver import DisplayDriver, RecordingDriver
@@ -151,10 +150,9 @@ class TestDisplayLayer:
 def queue_state(queue):
     if queue is None:
         return None
-    return ([(type(c).__name__, c.dest, c.seq, c._qorder, c.realtime,
-              c.sched_floor, c.encode()) for c in queue],
-            queue.stats, queue._next_seq, queue.opaque_cover, queue.tainted,
-            queue.audit_structures())
+    return ([(type(c).__name__, c.dest, c.seq, c.realtime, c.sched_floor,
+              c.encode()) for c in queue],
+            queue.stats, queue._next_seq, queue.opaque_cover, queue.tainted)
 
 
 def described(commands):
@@ -182,16 +180,13 @@ def line_folder(commands):
 
 
 class TestTranslationAndQueue:
-    @given(scripts, st.booleans(), st.booleans(), rects,
+    @given(scripts, st.booleans(), rects,
            st.integers(-4, W), st.integers(-4, H))
     @settings(max_examples=150, deadline=None)
-    def test_queue_state_and_replay(self, script, awareness, merge,
+    def test_queue_state_and_replay(self, script, awareness,
                                     src_rect, dst_x, dst_y):
         new, old = pair(lambda: THINCDriver(
             QueueSink(), compress_raw=False, offscreen_awareness=awareness))
-        for ws, pixmap, driver in (new, old):
-            if not merge:
-                driver._offscreen[pixmap.id] = CommandQueue(merge=False)
         run_script(*new[:2], script)
         after, folded = line_folder(old[2].sink.commands)
         run_script(*old[:2], script, after)

@@ -64,6 +64,28 @@ def test_uncounted_eviction_breaks_conservation(monkeypatch):
     machine_fails_with("conservation", 0, "draw fault play_or_stop_clip")
 
 
+def test_a_lost_clip_fragment_breaks_conservation(monkeypatch):
+    # A clip that drops its last fragment leaves the queue one command
+    # short of what its counts (clipped, fragments) account for.  A
+    # clip into two or more fragments keeps that shortfall at or below
+    # zero, which a check for "residue > 0" let through.
+    real = CommandQueue._evict_under
+
+    def lossy(self, opaque, newcomer):
+        before, clipped = list(self._commands), self.stats["clipped"]
+        real(self, opaque, newcomer)
+        kept = {id(cmd) for cmd in before}
+        fresh = [i for i, cmd in enumerate(self._commands)
+                 if id(cmd) not in kept]
+        if self.stats["clipped"] == clipped + 1 and len(fresh) >= 2:
+            del self._commands[fresh[-1]]
+
+    monkeypatch.setattr(CommandQueue, "_evict_under", lossy)
+    # (Drawing on the degrading base clips queued commands into two or
+    # three fragments.)
+    machine_fails_with("conservation", 1, "draw fault")
+
+
 def test_stream_end_without_the_repaint_breaks_pixels(monkeypatch):
     # This PR's own find: a stream that ends while a viewer sits on a
     # degraded rung (or under a wall tile) owes it a lossless repaint.
