@@ -122,6 +122,17 @@ class PreparePlane:
     SFILL) once per *posture equivalence class* of the submitted
     sessions, so one congested client can never force lossy payloads
     on its LAN-class peers.
+
+    The Prepare/Compress stage does not DEFLATE on the loop's thread.
+    It begins each PNG payload (:meth:`RawCommand.begin_payload`), which
+    starts a one-band block on a DEFLATE pool worker
+    (:class:`repro.protocol.compression.PngJob`), and the prepared
+    command and its clones share that job.  The simulated CPU model
+    already runs compression beside the server: a receiver buffers its
+    clone only at the entry's ``ready_at``.  That is where the clone
+    reads its wire size, and so where the loop collects the payload
+    (``SessionUnit._add_to_buffer``).  In between, the loop runs other
+    events.  With no spare CPU the payload is DEFLATEd at that read.
     """
 
     def __init__(self, loop, cost_model, policy, posture_of, read_back):
@@ -254,8 +265,7 @@ class PreparePlane:
         for classes in classed:
             for _, cmd in classes:
                 if (isinstance(cmd, RawCommand)
-                        and cmd.encoding is Encoding.PNG
-                        and cmd._payload is None):
+                        and cmd.encoding is Encoding.PNG):
                     rows = compression.png_channels(cmd.pixels)
                     groups.setdefault(rows.shape, []).append((cmd, rows))
         for members in groups.values():
@@ -284,12 +294,11 @@ class PreparePlane:
             self.stats.commands_out += 1
             self.stats.cpu_seconds += cpu
             if isinstance(cmd, (RawCommand, CompositeCommand)):
-                # Materialise the compressed payload now: this is the
-                # Prepare/Compress stage's real work, done once and then
-                # shared by every clone (hence byte-identical frames).
-                self.stats.bytes_out += len(cmd._encoded_payload())
-            else:
-                self.stats.bytes_out += cmd.wire_size()
+                # The stage's real work, done once and shared by every
+                # clone (hence byte-identical frames): a PNG payload
+                # starts DEFLATing beside the loop now, and the command
+                # collects it when it enters a session's buffer.
+                cmd.begin_payload()
             out.append(PreparedCommand(cmd, self._cpu_free_at))
         return out, total_cost
 

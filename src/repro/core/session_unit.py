@@ -480,6 +480,11 @@ class SessionUnit:
             # more display work is pure waste.
             self.stats["display_shed"] += 1
             return
+        # The buffer prices what it holds by wire size (eviction, the
+        # governor's byte ladder, SRSF), so the payload is read here, at
+        # the command's simulated completion time: a PNG payload the
+        # prepare stage began beside the loop is collected now.
+        command.wire_size()
         self.buffer.add(command, now=self.loop.now)
         self.server.governor.after_display_add(self)
         self._kick()

@@ -169,6 +169,19 @@ class Command:
         return f"{type(self).__name__}({self.dest!r})"
 
 
+def _collected(payload):
+    """The bytes of a RAW or COMPOSITE payload cell (None while nothing
+    was encoded).  A :class:`~repro.protocol.compression.PngJob` is
+    shared by a prepared command and every clone handed to a receiver;
+    the first to read it finishes it through ``png_compress``, on this
+    thread, and the others take the bytes it left."""
+    if type(payload) is not compression.PngJob:
+        return payload
+    if payload.payload is None:
+        return compression.png_compress(payload)
+    return payload.payload
+
+
 @wire_type("RAW", 1, "s->c", "3/Table 1")
 class RawCommand(Command):
     """Display raw pixel data at a given location (Table 1); the
@@ -206,7 +219,7 @@ class RawCommand(Command):
         Command.__init__(self, dest)
         self._blocks = blocks
         self.encoding = Encoding(encoding)
-        self._payload: Optional[bytes] = None
+        self._payload = None  # bytes, or a compression.PngJob
         # Estimated wire size for scheduling, set when this command is
         # the remainder of a row-granular split: avoids recompressing
         # the whole tail on every flush period just to know its queue.
@@ -231,27 +244,40 @@ class RawCommand(Command):
         cmd.sched_floor = self.sched_floor
         return cmd
 
+    def begin_payload(self) -> None:
+        """Start DEFLATing a PNG payload beside the caller (the prepare
+        stage's call); :meth:`_encoded_payload` collects it."""
+        if self._payload is None and self.encoding is Encoding.PNG:
+            self._payload = compression.PngJob(self.pixels,
+                                               rgb_if_opaque=True)
+
     def _encoded_payload(self) -> bytes:
-        if self._payload is None:
+        payload = _collected(self._payload)
+        if payload is None:
             if self.encoding is Encoding.PNG:
-                self._payload = compression.png_compress(
+                payload = compression.png_compress(
                     compression.png_channels(self.pixels))
             elif self.encoding is Encoding.RLE:
-                self._payload = compression.rle_compress(self.pixels)
+                payload = compression.rle_compress(self.pixels)
             elif self.encoding is Encoding.LOSSY:
-                self._payload = compression.lossy_compress(self.pixels)
+                payload = compression.lossy_compress(self.pixels)
             else:
-                self._payload = self.pixels.tobytes()
-        return self._payload
+                payload = self.pixels.tobytes()
+        self._payload = payload
+        return payload
+
+    def _estimate(self) -> Optional[int]:
+        """A split remainder's scheduling estimate while it has no
+        payload; not cached, so the exact size takes over once the
+        payload exists."""
+        return self._size_hint if self._payload is None else None
 
     def wire_size(self) -> int:
         size = self._wire_size
         if size is None:
-            if self._payload is None and self._size_hint is not None:
-                # Scheduling estimate for a split remainder; not cached,
-                # so the exact size takes over once the payload exists.
-                return self._size_hint
-            size = super().wire_size()
+            size = self._estimate()
+            if size is None:
+                size = super().wire_size()
         return size
 
     def translated(self, dx: int, dy: int) -> "RawCommand":
@@ -316,7 +342,9 @@ class RawCommand(Command):
         overhead = 1 + self.schema.struct.size  # type byte + header rows
         if self.wire_size() <= max_bytes:
             return self, None
-        cut = compression.png_split(self._payload, self.pixels,
+        payload = (None if self._estimate() is not None
+                   else self._encoded_payload())
+        cut = compression.png_split(payload, self.pixels,
                                     max_bytes - overhead)
         if cut is not None:
             # A banded PNG payload with room for a band: both halves
@@ -326,7 +354,7 @@ class RawCommand(Command):
             head, rest = self._fragments(rows)
             head._payload, rest._payload = head_payload, rest_payload
             return head, rest
-        first = compression.png_first_head(self._payload)
+        first = compression.png_first_head(payload)
         if first is not None and first + overhead <= capacity:
             # Short of a band (or of the last band, whole), but the
             # socket holds one: wait for it.
@@ -684,12 +712,21 @@ class CompositeCommand(Command):
         if pixels.shape != (dest.height, dest.width, 4):
             raise ValueError(f"pixels {pixels.shape} do not match {dest!r}")
         self.pixels = pixels
-        self._payload: Optional[bytes] = None
+        self._payload = None  # bytes, or a compression.PngJob
+
+    def begin_payload(self) -> None:
+        """Start DEFLATing the payload beside the caller (the prepare
+        stage's call); :meth:`_encoded_payload` collects it."""
+        if self._payload is None:
+            self._payload = compression.PngJob(self.pixels,
+                                               rgb_if_opaque=False)
 
     def _encoded_payload(self) -> bytes:
-        if self._payload is None:
-            self._payload = compression.png_compress(self.pixels)
-        return self._payload
+        payload = _collected(self._payload)
+        if payload is None:
+            payload = compression.png_compress(self.pixels)
+        self._payload = payload
+        return payload
 
     def translated(self, dx: int, dy: int) -> "CompositeCommand":
         cmd = CompositeCommand(self.dest.translate(dx, dy), self.pixels)

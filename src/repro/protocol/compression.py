@@ -33,6 +33,7 @@ from .limits import LIMITS
 from .schema import FieldRangeError
 
 __all__ = [
+    "PngJob",
     "PngPayload",
     "adler32_combine",
     "png_channels",
@@ -63,7 +64,8 @@ _HEADER_BYTES = 6  # h[u16] w[u16] c[u8] filter[u8]
 # band costs two full-flush markers and a dictionary reset that an
 # image which is never split pays for nothing.  DEFLATE time does not
 # depend on it (a split re-DEFLATEs one row, whatever the band).  Chosen
-# on thincbench ``web_lan`` seed 54 (docs/PERF.md, "The band constant"):
+# on thincbench ``web_lan`` seed 54 (docs/PERF.md, row 24 of "Earlier
+# perf PRs, one row each"):
 # ``wire_bytes_per_op`` and ``sim_latency_ms_p90`` fall with the band
 # all the way down, but at 32 KiB the inline images of the text pages
 # become multi-band and ``sim_latency_ms_p50`` moves; 64 KiB is the
@@ -159,13 +161,17 @@ def _pin(cpus) -> None:
 
 
 class _DeflatePool:
-    """Threads that DEFLATE the runs of a banded payload after the
-    caller's own, one pinned to each of *cpus*.  Pinned, because where
+    """Threads that DEFLATE beside the caller, one pinned to each of
+    *cpus*: the runs of a banded payload after the caller's own, and
+    each one-band payload the prepare stage begins (:class:`PngJob`).
+    No job on the pool waits for another: a payload that may be two
+    bands is never submitted whole, and one band is DEFLATEd by the
+    thread that runs it, all at once.  Pinned, because where
     the scheduler does not balance load across CPUs (a cpuset with
     ``sched_load_balance`` 0) a new thread stays on the CPU of the
     thread that made it — the caller's — and DEFLATEs no faster than
-    the caller alone (docs/PERF.md, "Placement: the reason for the
-    pin")."""
+    the caller alone (docs/PERF.md, row 28 of "Earlier perf PRs, one
+    row each")."""
 
     def __init__(self, cpus: List[int]):
         self.workers = len(cpus)
@@ -176,11 +182,13 @@ class _DeflatePool:
 
 _pool: Optional[_DeflatePool] = None
 _pool_lock = threading.Lock()
+_forks = 0  # how many forks this process descends through
 
 
 def _shared_pool() -> _DeflatePool:
-    """The process's pool, made for the first banded payload: a worker
-    for each CPU beyond the caller's, none on a one-CPU affinity set."""
+    """The process's pool, made for the first banded payload or
+    :class:`PngJob`: a worker for each CPU beyond the caller's, none on
+    a one-CPU affinity set."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -191,13 +199,20 @@ def _shared_pool() -> _DeflatePool:
 def _forget_pool() -> None:
     """In a forked child, whose copy of the pool has no threads: its
     executor would count the parent's workers as idle, start none, and
-    leave every run it is handed waiting for ever."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    leave every run it is handed waiting for ever.  A :class:`PngJob`
+    begun before the fork still holds its future; ``_forks`` tells it
+    that no thread of this process will finish it."""
+    global _pool, _pool_lock, _forks
+    _pool, _pool_lock, _forks = None, threading.Lock(), _forks + 1
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _band_rows(row_bytes: int) -> int:
+    """Rows per band of an image whose rows are *row_bytes* long."""
+    return max(2, _BAND_BYTES // max(row_bytes, 1))
 
 
 def _deflate_run(spans, level: int, wbits: int, last: bool) -> List[bytes]:
@@ -215,7 +230,9 @@ def _deflate_rows(header: bytes, rows: np.ndarray, level: int) -> bytes:
     independent row bands inside one zlib stream.
 
     An image shorter than two bands is ``zlib.compress`` of the rows,
-    byte for byte, and starts no pool.  A taller one is cut into
+    byte for byte, on the calling thread, which starts no pool for it
+    (that thread is a pool worker when the prepare stage began the
+    payload as a :class:`PngJob`).  A taller one is cut into
     segments, each ended by a ``Z_FULL_FLUSH``: every band's first row,
     then the rest of the band; the last band takes the remainder (it is
     never shorter than a band) and ends the stream with ``Z_FINISH``.
@@ -228,7 +245,7 @@ def _deflate_rows(header: bytes, rows: np.ndarray, level: int) -> bytes:
     of CPUs.
     """
     h, row_bytes = rows.shape
-    band = max(2, _BAND_BYTES // max(row_bytes, 1))
+    band = _band_rows(row_bytes)
     if h < 2 * band:
         return header + zlib.compress(rows.tobytes(), level)
     bands = h // band
@@ -253,12 +270,12 @@ def _deflate_rows(header: bytes, rows: np.ndarray, level: int) -> bytes:
     # Free the filtered rows (when the caller holds no other reference)
     # before the payload is assembled, so the payload, which outlives
     # this call, can take their place in the heap instead of landing
-    # above them and pinning the hole they leave (docs/PERF.md,
-    # "peak_rss_mb: a heap-layout reading").  The futures go too: each
+    # above them and pinning the hole they leave (docs/PERF.md, row 27
+    # of "Earlier perf PRs, one row each").  The futures go too: each
     # holds C-heap blocks of its own (its condition's lock and deque),
     # and kept past the join they read as a higher peak_rss_mb in a
-    # third of the launch configurations tried (docs/PERF.md,
-    # "peak_rss_mb: one arena per thread, and the futures").
+    # third of the launch configurations tried (docs/PERF.md, row 28
+    # of "Earlier perf PRs, one row each").
     del rows, data, spans, futures
     return PngPayload(
         b"".join([header, *parts, _stream_adler(segments)]), segments)
@@ -274,24 +291,81 @@ def png_channels(pixels: np.ndarray) -> np.ndarray:
     return pixels[..., :3] if opaque else pixels
 
 
-def png_compress(pixels: np.ndarray, level: int = 6) -> bytes:
+class PngJob:
+    """The PNG payload of one RGBA block, DEFLATEd beside the thread
+    that will read it.
+
+    The prepare stage begins one for each PNG-encoded RAW or COMPOSITE
+    block it prepares, and the command's clones share it.  A block of
+    one band whatever its channel count is submitted to the
+    :class:`_DeflatePool` at once; a larger block, or any block in a
+    process with no spare CPU, is submitted nowhere.  The first
+    :func:`png_compress` call handed the job finishes it on the calling
+    thread: a job no worker has started is taken back and run there,
+    and one a worker has started is waited for.  Either way the payload
+    is what :func:`png_compress` makes of :func:`png_channels` of the
+    block (*rgb_if_opaque*, a RAW's payload) or of the RGBA block, and
+    ``nbytes`` is the size of what was DEFLATEd.  A forked child runs an
+    inherited job itself: the parent's worker does not exist there.
+    """
+
+    __slots__ = ("_pixels", "_rgb", "_forks", "_future", "nbytes",
+                 "payload")
+
+    def __init__(self, pixels: np.ndarray, rgb_if_opaque: bool):
+        self._pixels = pixels
+        self._rgb = rgb_if_opaque
+        self._forks = _forks
+        self.nbytes = 0
+        self.payload: Optional[bytes] = None  # set once finished
+        h, w = pixels.shape[:2]
+        executor = (_shared_pool().executor
+                    if h < 2 * _band_rows(4 * w) else None)
+        self._future = (executor.submit(self._run)
+                        if executor is not None else None)
+
+    def _run(self) -> bytes:
+        img = png_channels(self._pixels) if self._rgb else self._pixels
+        self.nbytes = img.nbytes
+        return _png(img, 6)
+
+    def _finish(self) -> bytes:
+        future = self._future
+        if future is None or self._forks != _forks or future.cancel():
+            payload = self._run()
+        else:
+            payload = future.result()
+        self.payload = payload
+        self._pixels = self._future = None
+        return payload
+
+
+def _png(img: np.ndarray, level: int) -> bytes:
+    h, w, c = img.shape
+    return _deflate_rows(_png_header(h, w, c), kernels.up_filter(img), level)
+
+
+def png_compress(pixels, level: int = 6) -> bytes:
     """PNG-model compression: 'up' row filter + DEFLATE.
 
     Input is an HxWxC uint8 array, which may be a strided view such as
     :func:`png_channels`' RGB of an RGBA block (the filter reads it in
     place); the output embeds the dimensions, channel count and filter
     so that :func:`png_decompress` is self-contained.  The 'up'
-    predictor is fully vectorisable in both directions.
+    predictor is fully vectorisable in both directions.  Handed a
+    :class:`PngJob` instead, it finishes the job (once) and returns its
+    payload.
 
     A tall image comes back as a :class:`PngPayload`: the same
     bytes-like payload, DEFLATEd once as row bands that
     :func:`png_split` can later slice apart without recompressing.
     """
+    if isinstance(pixels, PngJob):
+        return pixels._finish()
     img = np.asarray(pixels, dtype=np.uint8)
     if img.ndim != 3:
         raise ValueError("expected an HxWxC pixel array")
-    h, w, c = img.shape
-    return _deflate_rows(_png_header(h, w, c), kernels.up_filter(img), level)
+    return _png(img, level)
 
 
 def png_compress_batch(blocks) -> list:

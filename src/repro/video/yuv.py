@@ -115,8 +115,9 @@ def rgb_to_yv12(rgb: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 # that.  So a chroma pair with a term within ``_TIE_EPS`` of a tie (float
 # error in either form is below 1e-13) is flagged in ``_TIES`` and the
 # pixels that carry it take the float sums, built from the same
-# per-byte product tables.  docs/PERF.md "PR 19" has the counts;
-# tests/video/test_yuv_kernel.py checks all 2**24 triples.
+# per-byte product tables.  Row 19 of docs/PERF.md, "Earlier perf PRs,
+# one row each", has the counts; tests/video/test_yuv_kernel.py checks
+# all 2**24 triples.
 
 _TIE_EPS = 1e-6
 

@@ -7,16 +7,21 @@ mixed viewports, shared entries and SRSF reordering — and same-viewport
 clients must receive byte-identical wire streams.
 """
 
+import os
+import threading
+from concurrent.futures import wait
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import (BLUE, GREEN, RED, WHITE,
+from tests.helpers import (BLUE, GREEN, RED, WHITE, deflate_spy,
                            make_multi_rig as make_rig)
 from repro.core import STAGE_NAMES, THINCClient, THINCServer
 from repro.core.pipeline import StageStats
+from repro.core.session_unit import SessionUnit
 from repro.display import WindowServer
 from repro.net import Connection, EventLoop, LAN_DESKTOP
 from repro.protocol import compression
@@ -180,14 +185,111 @@ class TestBatchPrepare:
                     for cmd in cmds:
                         server.plane.submit(cmd, (session,))
                 loop.run_until_idle(max_time=10)
-            return ([(bytes(cmd._payload), cmd._payload.segments)
-                     for cmd in cmds], client.fb.data.copy())
+            payloads = [cmd._encoded_payload() for cmd in cmds]
+            return ([(bytes(p), p.segments) for p in payloads],
+                    client.fb.data.copy())
 
         (batched, batch_fb), (single, single_fb) = run(True), run(False)
         assert batched == single
         assert np.array_equal(batch_fb, single_fb)
         assert [payload[4] for payload, _ in batched] == \
             [3 if flag else 4 for flag in opaque]
+
+
+HERE = min(os.sched_getaffinity(0))
+
+
+def _dispatch(pool, band_bytes=compression._BAND_BYTES):
+    """One opaque RAW sent to two receivers with the same viewport, on
+    *pool*: ``(loop, clients, raw, clones, pixels)``, nothing run yet.
+    The RAW is prepared as itself (an identity viewport), so its
+    payload cell is the one its two clones share."""
+    loop, _, server, _, clients = make_rig([None, None])
+    pixels = np.random.default_rng(5).integers(0, 256, (24, 32, 4),
+                                               dtype=np.uint8)
+    pixels[..., 3] = 255
+    raw = RawCommand(Rect(8, 8, 32, 24), pixels)
+    clones = []
+    enqueue = SessionUnit.enqueue_prepared
+
+    def recording(session, command, ready_at):
+        clones.append(command)
+        enqueue(session, command, ready_at)
+
+    with mock.patch.object(compression, "_pool", pool), \
+            mock.patch.object(compression, "_BAND_BYTES", band_bytes), \
+            mock.patch.object(SessionUnit, "enqueue_prepared", recording):
+        server.plane.submit(raw, server.sessions)
+    return loop, clients, raw, clones, pixels
+
+
+@pytest.fixture
+def pool():
+    """One DEFLATE worker, and an event that holds it busy until set."""
+    made, release = compression._DeflatePool([HERE]), threading.Event()
+    yield made, release
+    release.set()
+    made.executor.shutdown()
+
+
+class TestPayloadBesideTheLoop:
+    """The prepare stage starts a one-band PNG payload on the pool, and
+    the command collects it when it enters a session's buffer."""
+
+    @pytest.mark.parametrize("worker_free", [True, False])
+    def test_one_deflate_per_dispatch_and_the_same_bytes(self, pool,
+                                                         worker_free):
+        """With the worker free it DEFLATEs the payload; with it busy
+        the loop's thread takes the job back.  Either way the rows
+        reach DEFLATE once for both receivers, and every clone carries
+        the bytes ``png_compress`` makes of them."""
+        workers, release = pool
+        if not worker_free:
+            workers.executor.submit(release.wait)
+        png, threads = compression._png, []
+
+        def recording_png(img, level):
+            threads.append(threading.current_thread().name)
+            return png(img, level)
+
+        with mock.patch.object(compression, "_png", recording_png), \
+                deflate_spy() as fed:
+            loop, clients, raw, clones, pixels = _dispatch(workers)
+            if worker_free:
+                wait([raw._payload._future])
+            loop.run_until_idle(max_time=10)
+            payloads = [clone._encoded_payload() for clone in clones]
+        rows = compression.png_channels(pixels)
+        assert fed == [rows.nbytes]
+        assert len(threads) == 1
+        assert threads[0].startswith("deflate") == worker_free
+        assert len(clones) == 2
+        assert payloads == [compression.png_compress(rows)] * 2
+        for client in clients:
+            assert np.array_equal(client.fb.data[8:32, 8:40], pixels)
+
+    @pytest.mark.parametrize("band_bytes", [256, compression._BAND_BYTES])
+    def test_a_pending_clone_splits_like_its_original(self, pool,
+                                                      band_bytes):
+        """Split while its payload is still a job — banded (a cut
+        between bands) or one band (the row-granular fallback) — a
+        clone gives the head and rest its original gives."""
+        workers, release = pool
+        workers.executor.submit(release.wait)
+        loop, _, raw, (clone, _), pixels = _dispatch(workers, band_bytes)
+        with mock.patch.object(compression, "_BAND_BYTES", band_bytes):
+            want = compression.png_compress(compression.png_channels(pixels))
+            assert raw._payload.payload is None
+            overhead = 1 + RawCommand.schema.struct.size
+            room = overhead + len(want) // 2
+            splits = [cmd.split(room, 0) for cmd in (clone, raw)]
+            views = [(head.dest, bytes(head._encoded_payload()),
+                      head.wire_size(), rest.dest, rest.wire_size(),
+                      bytes(rest._encoded_payload()))
+                     for head, rest in splits]
+        assert views[0] == views[1]
+        assert 0 < views[0][0].height < 24
+        assert clone._encoded_payload() == raw._encoded_payload() == want
 
 
 class TestInstrumentation:

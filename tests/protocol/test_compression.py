@@ -327,6 +327,11 @@ class TestDeflatePool:
                        for name, wbits in made if wbits < 0)
 
     def test_under_two_bands_starts_no_pool(self):
+        """``png_compress`` DEFLATEs an image under two bands on the
+        calling thread and starts no pool for it.  The prepare stage's
+        :class:`PngJob` of the same block does, so that it can run
+        beside the caller — with no spare CPU, a pool with no worker,
+        and the job runs when it is read."""
         img = smooth_rgba(100, 325, seed=3)  # 163-row bands
         with mock.patch.object(comp, "_spare_cpus", return_value=[]), \
                 mock.patch.object(comp, "_pool", None):
@@ -335,6 +340,119 @@ class TestDeflatePool:
             assert comp._pool is None
             comp.png_compress(smooth_rgba(100, 326, seed=3))
             assert comp._pool.workers == 0
+        with mock.patch.object(comp, "_spare_cpus", return_value=[]), \
+                mock.patch.object(comp, "_pool", None):
+            job = comp.PngJob(img, rgb_if_opaque=True)
+            assert comp._pool.executor is None and job.payload is None
+            assert comp.png_compress(job) == comp.png_compress(img)
+            assert job.nbytes == img.nbytes
+
+    def test_a_job_that_may_be_banded_never_reaches_the_pool(self, pools):
+        """A pool job never waits on another, so a block that is two
+        bands as RGBA rows is not submitted, even when it is opaque (and
+        one band as RGB): it runs, split across the pool, when read."""
+        img = smooth_rgba(100, 400, seed=3)  # 2 RGBA bands, 1 RGB band
+        img[..., 3] = 255
+        with mock.patch.object(comp, "_pool", pools[1]):
+            job = comp.PngJob(img, rgb_if_opaque=True)
+            assert job._future is None
+            assert comp.png_compress(job) == comp.png_compress(
+                comp.png_channels(img))
+            job = comp.PngJob(img[:163], rgb_if_opaque=True)
+            assert job._future is not None
+            job._future.result()
+
+    def test_jobs_read_in_any_order_under_contention(self, pools):
+        """Jobs on more workers than CPUs, read in shuffled order under
+        a short switch interval: each block is DEFLATEd exactly once,
+        into its own bytes, and counts what it DEFLATEd."""
+        rng = np.random.default_rng(9)
+        blocks = [random_rgba(int(rng.integers(1, 40)),
+                              int(rng.integers(1, 30)), seed=i)
+                  for i in range(200)]
+        for block in blocks[::2]:
+            block[..., 3] = 255
+        rows = [comp.png_channels(block) for block in blocks]
+        want = [comp.png_compress(r) for r in rows]
+        png, ran = comp._png, []
+
+        def counting(img, level):
+            ran.append(img.shape)
+            return png(img, level)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(comp, "_pool", pools[3]), \
+                    mock.patch.object(comp, "_png", counting):
+                jobs = [comp.PngJob(block, rgb_if_opaque=True)
+                        for block in blocks]
+                got = {i: comp.png_compress(jobs[i])
+                       for i in rng.permutation(len(jobs))}
+        finally:
+            sys.setswitchinterval(interval)
+        assert [got[i] for i in range(len(jobs))] == want
+        assert sorted(ran) == sorted(r.shape for r in rows)
+        assert [job.nbytes for job in jobs] == [r.nbytes for r in rows]
+
+    @pytest.mark.parametrize("worker", ["queued", "running"])
+    def test_a_forked_child_reads_a_started_job(self, worker):
+        """Forked after a job was started and before it was read, a
+        child gets the parent's bytes without waiting for the parent's
+        worker, which does not exist there: whether that worker had
+        not yet taken the job (queued) or was inside it (running)."""
+        img = smooth_rgba(100, 120, seed=5)
+        expected = comp.png_compress(img)
+        pool, inside, release = comp._DeflatePool([HERE]), \
+            threading.Event(), threading.Event()
+        png = comp._png
+
+        def held(img, level):
+            if threading.current_thread() is not threading.main_thread():
+                inside.set()
+                release.wait()
+            return png(img, level)
+
+        with mock.patch.object(comp, "_pool", pool), \
+                mock.patch.object(comp, "_png", held):
+            if worker == "queued":
+                pool.executor.submit(release.wait)
+            job = comp.PngJob(img, rgb_if_opaque=False)
+            if worker == "running":
+                assert inside.wait(timeout=30)
+            process = multiprocessing.get_context("fork").Process(
+                target=lambda: sys.exit(
+                    0 if comp.png_compress(job) == expected else 3))
+            with warnings.catch_warnings():  # 3.12 warns: forked threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                process.start()
+            process.join(timeout=60)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=10)
+            release.set()
+            assert comp.png_compress(job) == expected
+        pool.executor.shutdown()
+        assert process.exitcode == 0
+
+    def test_the_prepare_path_needs_no_pool(self):
+        """On one CPU the prepare stage starts no worker: each payload
+        is DEFLATEd when its command enters the buffer, into the bytes
+        ``png_compress`` makes of the block's rows."""
+        from tests.helpers import make_multi_rig
+        pixels = smooth_rgba(32, 24, seed=6)
+        pixels[..., 3] = 255
+        raw = RawCommand(Rect(0, 0, 32, 24), pixels)
+        with mock.patch.object(comp, "_spare_cpus", return_value=[]), \
+                mock.patch.object(comp, "_pool", None):
+            loop, _, server, _, (client,) = make_multi_rig([None])
+            server.plane.submit(raw, server.sessions)
+            assert raw._payload._future is None
+            loop.run_until_idle(max_time=10)
+            assert comp._pool.executor is None
+        assert raw._encoded_payload() == comp.png_compress(
+            comp.png_channels(pixels))
+        assert np.array_equal(client.fb.data[:24, :32], pixels)
 
     @pytest.mark.parametrize("cpus,spare", [({HERE}, 0), ({0, 1, 2, 3}, 3)])
     def test_one_worker_per_cpu_beyond_the_callers(self, cpus, spare):
