@@ -84,7 +84,7 @@ ci: lint analyze
 	PYTHONPATH=src $(PY) -m pytest -x -q --durations=15
 	PYTHONPATH=src taskset -c 0 $(PY) -m pytest -x -q \
 	  tests/protocol/test_compression.py tests/core/test_delivery.py \
-	  tests/core/test_pipeline.py \
+	  tests/core/test_pipeline.py tests/cluster/test_migration.py \
 	  tests/bench/test_wrap_points_on_main_thread.py
 	@$(MAKE) --no-print-directory examples
 	@$(MAKE) --no-print-directory loc

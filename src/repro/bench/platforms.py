@@ -58,7 +58,9 @@ class Platform:
         self.wan_mode = wan_mode
         self.connection = Connection(loop, self.link, monitor=self.monitor,
                                      send_buffer=send_buffer)
-        self.window_server = WindowServer(width, height, clock=loop.clock)
+        self.window_server = WindowServer(width, height,
+                                          driver=self._display_driver(),
+                                          clock=loop.clock)
         self._build()
 
     # -- subclass hooks --------------------------------------------------------
@@ -68,6 +70,11 @@ class Platform:
 
     def _effective_viewport(self, viewport):
         return viewport
+
+    def _display_driver(self):
+        """The window server's driver; None gives the stock one, whose
+        screen the baselines scrape or forward from."""
+        return None
 
     def _build(self) -> None:
         raise NotImplementedError
@@ -129,12 +136,12 @@ class THINCPlatform(Platform):
             self._thinc_opts["scheduler_factory"] = scheduler_factory
         super().__init__(*args, **kwargs)
 
-    def _build(self) -> None:
+    def _display_driver(self):
         self.server = THINCServer(self.loop, self.width, self.height,
                                   **self._thinc_opts)
-        self.window_server = WindowServer(self.width, self.height,
-                                          driver=self.server.driver,
-                                          clock=self.loop.clock)
+        return self.server.driver
+
+    def _build(self) -> None:
         self.server.attach_client(self.connection, viewport=self.viewport)
         self.client = THINCClient(self.loop, self.connection,
                                   headless=self._headless)

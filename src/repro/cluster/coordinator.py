@@ -172,9 +172,6 @@ class ShardCoordinator:
         successor = self.shards[target].thaw_session(
             FrozenSession.from_bytes(transfer.state))
         src_server.detach_client(session)
-        # Prepared commands still in flight against the frozen husk
-        # belong to the successor now.
-        session.forward_to(successor)
         self.routes[token] = target
         self._fabric_send(wire.MigrateCompleteMessage(token, target))
         self.migrations.append({"token": token, "source": source,

@@ -32,12 +32,12 @@ and benchmarks can report exactly where work happens; see
 
 Ordering guarantee: prepared commands become *ready* at the CPU model's
 completion time.  One plane's serial CPU makes those times monotonic in
-submission order, but a migrated session's successor also receives the
-completions its frozen husk still has scheduled on the source shard's
-plane, and inherits that husk's pipe tail.  Sessions therefore enqueue
-through a monotonic per-session pipe tail (`enqueue_prepared`) so the
-buffer stage always sees commands in submission order — the invariant
-the command queue's eviction and dependency rules assume.
+submission order, so a session keeps its in-flight commands in a FIFO
+(`enqueue_prepared`) and each completion moves the FIFO's head into the
+buffer: the buffer stage always sees commands in submission order — the
+invariant the command queue's eviction and dependency rules assume.  A
+freeze carries the FIFO in the session's blob, after the buffered
+commands, so migration keeps that order too.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ ordering:
    COPY's source pinned it, and complete/transparent commands fully
    buried by newer opaque content (outside pins) must have been
    evicted;
-4. **monotonic pipe tail** — per session, prepared commands reach the
-   buffer stage in submission order even when a migrated husk's
-   completion is ready before earlier work (see ``repro.core.pipeline``);
+4. **monotonic pipe tail** — per session, the plane's ready times
+   never decrease, the one assumption of the FIFO that moves prepared
+   commands into the buffer stage in submission order (see
+   ``repro.core.pipeline``);
 5. *retired* — it audited a spatial index the queue no longer keeps;
    its number stays unused, so the next one keeps the number the docs
    cite;
@@ -272,9 +273,10 @@ class QueueSanitizer:
 def check_pipe_tail(session, ready: float) -> None:
     """Assert per-session submission-order delivery to the buffer stage.
 
-    Called by ``SessionUnit.enqueue_prepared`` with the clamped ready
-    time; keeps its own shadow tail so a broken (or removed) clamp is
-    caught the moment a prepared command tries to jump the queue.
+    Called by ``SessionUnit.enqueue_prepared`` with the plane's ready
+    time; keeps its own shadow tail so a ready time earlier than the
+    session's previous one — which would let the in-flight FIFO hand a
+    completion the wrong command — is caught the moment it is enqueued.
     """
     if not _enabled:
         return

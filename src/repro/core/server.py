@@ -208,14 +208,12 @@ class THINCServer:
         """Host a unit rebuilt by :meth:`SessionUnit.thaw` from its
         frozen surface, on the migration target.
 
-        Valid on any server sharing the source shard's simulation clock
-        (the frozen pipe tail and journal sequence marks are
-        clock-relative).  A view rectangle that does not fit this
-        server's screen, or a token on a server with no resilience
-        plane to guard it, raises :class:`~repro.protocol.wire.
-        FieldRangeError` before any state is touched.  The resilience
-        plane enrols the unit under its original token, so the client's
-        redial resyncs exactly as it would after a network fault.
+        A view rectangle that does not fit this server's screen, or a
+        token on a server with no resilience plane to guard it, raises
+        :class:`~repro.protocol.wire.FieldRangeError` before any state
+        is touched.  The resilience plane enrols the unit under its
+        original token, so the client's redial resyncs exactly as it
+        would after a network fault.
         """
         if not Rect(0, 0, self.width, self.height).contains(
                 frozen.view_rect):

@@ -11,19 +11,19 @@ halves:
   re-established whenever the unit lands on a host; and
 * **frozen half** — :class:`FrozenSession`, the byte-serializable
   residue of the unit: geometry and view transform, sequencing marks,
-  the resilience journal, the buffered command queue, pending resync /
-  control frames and the counters.  ``freeze()`` captures it;
-  :meth:`SessionUnit.thaw` rebuilds a live unit from it on any shard
-  sharing the simulation clock.
+  the resilience journal, the buffered command queue and the prepared
+  commands still in flight, pending resync / control frames and the
+  counters.  ``freeze()`` captures it; :meth:`SessionUnit.thaw`
+  rebuilds a live unit from it on any shard.
 
 Freeze/thaw is the primitive under live migration in
 :mod:`repro.cluster`: a frozen session crosses the shard fabric inside
 a ``SESSION_TRANSFER`` frame, and the client reconnects through the
 same detach/resync path it would use after a network fault — migration
 is deliberately *not* a new recovery mechanism, just a new reason to
-detach.  Commands already scheduled against the frozen unit (prepare
-completions in flight) are forwarded to the thawed successor via
-:meth:`SessionUnit.forward_to`, so no pixels are lost mid-migration.
+detach.  A prepared command whose simulated CPU has not finished at
+the freeze travels in the blob after the buffered ones, so no pixels
+are lost mid-migration and nothing stays behind on the source.
 """
 
 from __future__ import annotations
@@ -86,8 +86,6 @@ NOT_SERIALIZED = {
                  "unit re-derives the rest from live polls",
     "link_posture": "a verdict on this host's link, good for one probe "
                     "window; the target's probe takes its own",
-    "_successor": "forwarding pointer only meaningful on the frozen "
-                  "husk left behind on the source shard",
     "_audio": "audio is useless late (the paper sheds it first); a "
               "migration pause always exceeds its freshness window",
     "_audio_bytes": "gauge over _audio, which is dropped",
@@ -168,29 +166,26 @@ def _check_frozen(row) -> None:
         raise FieldRangeError(
             f"frozen session acked seq {row.acked_seq} is past the last "
             f"one sent, {row.last_seq}")
-    if (row.flags >> 2 ^ row.flags >> 4) & 1:
-        raise FieldRangeError("frozen session flag bits 2 and 4 (both "
-                              "shed_display) disagree")
 
 
-#: The FrozenSession blob, version 2 (v2 appended the QoS ladder rung
-#: after the counters): this fixed part, then four counted lists.
+#: The FrozenSession blob, version 3 (v3 dropped the pipe tail and
+#: the duplicate shed_display flag bit): this fixed part, then four
+#: counted lists.
 _FROZEN = FieldTable("frozen session", dict(
-    version=u8(2, 2), token=u32(),
+    version=u8(3, 3), token=u32(),
     viewport_w=u16(1, "max_viewport_dim"),
     viewport_h=u16(1, "max_viewport_dim"),
-    view_rect=rect16(), flags=u8(0, 0x7F),  # bit i <-> _FLAGS[i]
-    last_seq=u32(), acked_seq=u32(), pipe_tail=f64(),
+    view_rect=rect16(), flags=u8(0, 0x3F),  # bit i <-> _FLAGS[i]
+    last_seq=u32(), acked_seq=u32(),
     messages_sent=u32(), bytes_sent=u64(), flush_periods=u32(),
     audio_dropped=u32(), display_shed=u32(), uplink_dropped=u32(),
     wire_errors=u32(), cpu_time=f64(),  # ``stats``, under its keys
     qos_rung=u8(0, "max_qos_rung"),
     lists=rest(max="max_transfer_bytes")), check=_check_frozen)
 
-#: Flag bits, in order.  Bit 4 repeats bit 2: it was a separate
-#: queue-dropped flag, always written equal to ``shed_display``.
+#: Flag bits, in order.
 _FLAGS = ("sequenced", "degraded", "shed_display", "log_dropped",
-          "shed_display", "subscribed", "tile_mode")
+          "subscribed", "tile_mode")
 _STATS = ("messages_sent", "bytes_sent", "flush_periods", "audio_dropped",
           "display_shed", "uplink_dropped", "wire_errors", "cpu_time")
 
@@ -264,7 +259,6 @@ class FrozenSession:
     log_dropped: bool
     last_seq: int
     acked_seq: int
-    pipe_tail: float
     journal: Tuple[Tuple[int, bytes], ...]
     commands: Tuple[bytes, ...]
     replay: Tuple[bytes, ...]
@@ -290,7 +284,7 @@ class FrozenSession:
             self.view_rect,
             sum(getattr(self, name) << bit
                 for bit, name in enumerate(_FLAGS)),
-            self.last_seq, self.acked_seq, self.pipe_tail,
+            self.last_seq, self.acked_seq,
             *(int(self.stats.get(key, 0)) for key in _STATS[:-1]),
             float(self.stats.get("cpu_time", 0.0)), self.qos_rung,
             _pack_lists(self.journal, self.commands, self.replay,
@@ -307,12 +301,12 @@ class FrozenSession:
         :class:`~repro.protocol.wire.ProtocolError` subclass before
         any object is built."""
         (_, token, viewport_w, viewport_h, view_rect, flags, last_seq,
-         acked_seq, pipe_tail, *stats, qos_rung, lists) = _FROZEN.parse(data)
+         acked_seq, *stats, qos_rung, lists) = _FROZEN.parse(data)
         journal, commands, replay, control = _take_lists(lists)
         return cls(
             token=token, viewport=(viewport_w, viewport_h),
             view_rect=view_rect, last_seq=last_seq, acked_seq=acked_seq,
-            pipe_tail=pipe_tail, journal=journal, commands=commands,
+            journal=journal, commands=commands,
             replay=replay, control=control, stats=dict(zip(_STATS, stats)),
             qos_rung=qos_rung,
             **{name: bool(flags >> bit & 1)
@@ -387,10 +381,9 @@ class SessionUnit:
         self.link_posture = None
         self.subscribed = False
         self.tile_mode = False
-        # Set by the cluster coordinator after a migration: prepared
-        # commands still scheduled against this (frozen) unit are
-        # forwarded to the live successor on the target shard.
-        self._successor: Optional["SessionUnit"] = None
+        # Prepared commands whose simulated CPU has not finished, in
+        # submission order; each enters the buffer at its ready time.
+        self._preparing: Deque[Command] = deque()
         self._replay: Deque[bytes] = deque()
         self._control: Deque[bytes] = deque()
         self._audio: Deque[bytes] = deque()
@@ -399,11 +392,6 @@ class SessionUnit:
         self._control_bytes = 0
         self._audio_bytes = 0
         self._flush_scheduled = False
-        # Monotonic per-session enqueue horizon: a migrated husk's
-        # completions can be ready *before* this session's previously
-        # submitted work, and the buffer stage must still see commands
-        # in submission order (see repro.core.pipeline module docs).
-        self._pipe_tail = 0.0
         self.stats = {"messages_sent": 0, "bytes_sent": 0,
                       "flush_periods": 0, "cpu_time": 0.0,
                       "audio_dropped": 0, "display_shed": 0,
@@ -446,33 +434,21 @@ class SessionUnit:
         """
         self.server.plane.submit_batch(commands, (self,))
 
-    def enqueue_prepared(self, command: Command,
-                         ready_at: float = 0.0) -> None:
+    def enqueue_prepared(self, command: Command, ready_at: float) -> None:
         """Buffer a prepared command once its CPU completion time passes.
 
-        Clamped to the session's pipe tail so adds stay in submission
-        order.  A successor thawed from a migrated unit inherits that
-        tail, so its own work lands after the completions the frozen
-        husk still forwards (:meth:`_add_to_buffer`).  The plane calls
-        this only for live members of ``server.sessions``, never for a
-        husk.
+        The command waits in ``_preparing`` until then.  One plane's
+        serial CPU makes a session's ready times non-decreasing (every
+        prepare costs at least ``ServerCostModel.per_command``, so none
+        is at or before now), so each scheduled add takes the head of
+        that FIFO and the buffer sees commands in submission order.
         """
-        ready = max(ready_at, self._pipe_tail)
-        self._pipe_tail = ready
-        _sanitizer.check_pipe_tail(self, ready)
-        if ready <= self.loop.now:
-            self._add_to_buffer(command)
-        else:
-            self.loop.schedule(ready - self.loop.now,
-                               lambda c=command: self._add_to_buffer(c))
+        _sanitizer.check_pipe_tail(self, ready_at)
+        self._preparing.append(command)
+        self.loop.schedule(ready_at - self.loop.now, self._add_to_buffer)
 
-    def _add_to_buffer(self, command: Command) -> None:
-        if self._successor is not None:
-            # This unit was frozen and migrated while the command's
-            # prepare completion was still scheduled; the pixels belong
-            # to the live successor on the target shard.
-            self._successor._add_to_buffer(command)
-            return
+    def _add_to_buffer(self) -> None:
+        command = self._preparing.popleft()
         if self.shed_display or self.quarantined:
             # The detach window expired and the queue was dropped (or
             # the governor evicted the session): the reconnect resync
@@ -642,14 +618,17 @@ class SessionUnit:
         """Capture this unit's frozen half and detach it.
 
         The transport receiver is neutralised first so late in-flight
-        client bytes cannot mutate the state mid-capture.  The caller
-        (the shard coordinator) then detaches the unit from its server,
-        ships the blob, thaws it elsewhere, and points this husk at the
-        successor with :meth:`forward_to`.
+        client bytes cannot mutate the state mid-capture.  Commands
+        still preparing follow the buffered ones in ``commands`` (none
+        once display is shed, which would drop them on either host);
+        they stay in ``_preparing`` too, so a unit whose transfer fails
+        keeps delivering them, and a migrated one buffers them into its
+        own detached queue, which nothing flushes.
         """
         if self.connection is not None:
             self.connection.up.disconnect()
         self.detach()
+        in_flight = () if self.shed_display else tuple(self._preparing)
         return FrozenSession(
             token=self.token,
             viewport=(int(self.viewport[0]), int(self.viewport[1])),
@@ -660,9 +639,9 @@ class SessionUnit:
             log_dropped=self.log_dropped,
             last_seq=self._writer.last_seq,
             acked_seq=self.acked_seq,
-            pipe_tail=self._pipe_tail,
             journal=tuple(self.journal),
-            commands=tuple(cmd.encode() for cmd in self.buffer.queue),
+            commands=tuple(cmd.encode()
+                           for cmd in (*self.buffer.queue, *in_flight)),
             replay=tuple(self._replay),
             control=tuple(self._control),
             stats=dict(self.stats),
@@ -697,16 +676,15 @@ class SessionUnit:
         unit.journal_bytes = sum(len(data) for _, data in frozen.journal)
         unit.acked_seq = frozen.acked_seq
         unit.log_dropped = frozen.log_dropped
-        unit._pipe_tail = frozen.pipe_tail
         unit.degraded = frozen.degraded
         unit.shed_display = frozen.shed_display
         unit.subscribed = frozen.subscribed
         unit.tile_mode = frozen.tile_mode
         unit.qos_rung = frozen.qos_rung
         for blob in frozen.commands:
-            # Straight into the buffer: governor hooks and the shed
-            # check are skipped because this content was already
-            # admitted (and governed) on the source shard.
+            # Straight into the buffer, the source's in-flight commands
+            # too: a shedding unit froze none of those, and a detached
+            # guarded unit's queue is the resilience plane's to govern.
             unit.buffer.add(decode_command(blob), now=unit.loop.now)
         unit._replay.extend(frozen.replay)
         unit._control.extend(frozen.control)
@@ -715,11 +693,6 @@ class SessionUnit:
         unit.meter.wire_errors = unit.stats["wire_errors"]
         unit.meter.uplink_dropped = unit.stats["uplink_dropped"]
         return unit
-
-    def forward_to(self, successor: "SessionUnit") -> None:
-        """Route work still scheduled against this frozen unit (prepare
-        completions in flight at freeze time) to its live successor."""
-        self._successor = successor
 
     # -- instrumentation -----------------------------------------------------
 

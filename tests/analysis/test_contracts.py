@@ -441,8 +441,8 @@ class TestSeededMutations:
     def test_unserialized_session_attribute_is_flagged(self, tmp_path):
         finding = only_finding(mutate_real_tree(
             tmp_path, "core/session_unit.py",
-            "        self._pipe_tail = 0.0\n",
-            "        self._pipe_tail = 0.0\n"
+            "        self.link_posture = None\n",
+            "        self.link_posture = None\n"
             "        self._migration_epoch = 0\n"), "THL204")
         assert "_migration_epoch" in finding.message
 

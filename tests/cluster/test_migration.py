@@ -13,6 +13,8 @@ import pytest
 
 from repro.core.session_unit import FrozenSession
 from repro.protocol import wire
+from repro.protocol.commands import RawCommand, SFillCommand, decode_command
+from repro.region import Rect
 
 from tests.helpers import assert_pixel_identical, make_shard_rig
 
@@ -32,6 +34,17 @@ def migrate_first(loop, coord, rcs, at=1.0, settle=SETTLE):
     successor = coord.migrate(token, target)
     loop.run_until(settle)
     return token, source, target, successor
+
+
+def put_photo(screens, seed=5):
+    """Put one opaque random photo over every (mirrored) screen; its
+    RAW is still preparing on the plane when this returns."""
+    height, width = screens[0].screen.fb.data.shape[:2]
+    pixels = np.random.default_rng(seed).integers(
+        0, 256, (height, width, 4), dtype=np.uint8)
+    pixels[..., 3] = 255
+    for ws in screens:
+        ws.put_image(ws.screen, ws.screen.bounds, pixels)
 
 
 class TestMigrationFidelity:
@@ -110,6 +123,43 @@ class TestMigrationFidelity:
         assert transfer.token == token and len(transfer.state) > 0
         assert coord.transfer_bytes >= len(transfer.state)
 
+    def test_in_flight_command_travels_in_the_blob(self):
+        """A RAW whose prepare completion is still scheduled on the
+        source at the freeze is listed in the transfer blob after the
+        buffered commands; its late completion lands in the source's
+        own detached unit, nothing more reaches the successor from
+        there, and the redialled client ends pixel-exact."""
+        loop, coord, screens, rcs = make_shard_rig(
+            shards=2, clients=1, schedule_workloads=False)
+        loop.run_until(0.5)
+        token = rcs[0].token
+        source = coord.route_token(token)
+        target = (source + 1) % 2
+        session = coord.shards[source].resilience.find(token)
+        # Lose the client: until it redials, the detached unit keeps
+        # what it buffers, so the fill stays queued.
+        coord.relay.sever(token)
+        while not session.detached:
+            assert loop.now < SETTLE, "the source never noticed"
+            loop.run_until(loop.now + 0.01)
+        for ws in screens:
+            ws.fill_rect(ws.screen, Rect(0, 0, 40, 20), (1, 2, 3, 255))
+        loop.run_until(loop.now + 0.001)
+        put_photo(screens)
+        successor = coord.migrate(token, target)
+        transfer = next(m for m in coord.fabric_log
+                        if isinstance(m, wire.SessionTransferMessage))
+        listed = [decode_command(blob) for blob in
+                  FrozenSession.from_bytes(transfer.state).commands]
+        assert [type(c) for c in listed] == [SFillCommand, RawCommand]
+        assert listed[1].dest == screens[source].screen.bounds
+        home_in = session.buffer.stats["commands_in"]
+        away_in = successor.buffer.stats["commands_in"]
+        loop.run_until(SETTLE)
+        assert session.buffer.stats["commands_in"] == home_in + 1
+        assert successor.buffer.stats["commands_in"] == away_in
+        assert_pixel_identical(rcs[0].client, screens[target])
+
 
 def _refuse(error):
     def refuse(*args, **kw):
@@ -125,11 +175,15 @@ def _refuse(error):
 def test_failed_transfer_keeps_the_session_home(monkeypatch, stage, error):
     """A transfer that fails to encode, decode or thaw re-raises its
     typed error, and the session stays on its source shard: the
-    client's redial resyncs it there under the same token."""
+    client's redial resyncs it there under the same token.  A photo
+    still preparing at the freeze stays with it and is delivered."""
     loop, coord, screens, rcs = make_shard_rig(shards=2, clients=1)
     loop.run_until(1.0)
     rc, token = rcs[0], rcs[0].token
     source = coord.route_token(token)
+    session = coord.shards[source].resilience.find(token)
+    put_photo(screens)
+    photo = session._preparing[-1]
     target = (source + 1) % 2
     routes = dict(coord.routes)
     owner, name = {"decode": (FrozenSession, "from_bytes"),
@@ -140,7 +194,9 @@ def test_failed_transfer_keeps_the_session_home(monkeypatch, stage, error):
         with pytest.raises(error):
             coord.migrate(token, target)
     assert coord.routes == routes
+    assert photo in session._preparing
     loop.run_until(SETTLE)
+    assert not session._preparing
     owners = [k for k, server in enumerate(coord.shards)
               if server.resilience.find(token) is not None]
     assert owners == [source] and coord.route_token(token) == source

@@ -25,7 +25,7 @@ from repro.core.session_unit import SessionUnit
 from repro.display import WindowServer
 from repro.net import Connection, EventLoop, LAN_DESKTOP
 from repro.protocol import compression
-from repro.protocol.commands import RawCommand, SFillCommand
+from repro.protocol.commands import RawCommand
 from repro.region import Rect
 
 ZOOM_RECT = Rect(16, 8, 48, 32)
@@ -101,29 +101,6 @@ class TestSharedPrepareExactness:
         bloop, bmon, bserver, bws, bclients = make_rig([(48, 32)])
         run_workload(bloop, bws, bclients)
         assert clients[1].fb.same_as(bclients[0].fb)
-
-    def test_pipe_tail_preserves_submission_order(self):
-        """A migrated unit's successor takes the completions its frozen
-        husk still has scheduled on the source shard's plane: a fill
-        ready now, enqueued after a photo whose compression finishes
-        later, must still land on top of it.  The buffer stage has to
-        see commands in submission order or a stale command would
-        survive eviction and win."""
-        loop, mon, server, ws, clients = make_rig([None])
-        ws.fill_rect(ws.screen, ws.screen.bounds, WHITE)
-        loop.run_until_idle(max_time=10)
-        (session,) = server.sessions
-        rng = np.random.default_rng(13)
-        photo = RawCommand(ws.screen.bounds,
-                           rng.integers(0, 256, (64, 96, 4), dtype=np.uint8))
-        green = SFillCommand(Rect(10, 10, 20, 12), GREEN)
-        session.enqueue_prepared(photo, loop.now + 0.05)
-        session.enqueue_prepared(green, loop.now)
-        loop.run_until_idle(max_time=10)
-        assert np.all(clients[0].fb.data[10:22, 10:30] == GREEN)
-        # And outside the fill the photo shows through.
-        assert np.all(clients[0].fb.data[40:, :] ==
-                      photo.pixels[40:, :])
 
     def test_eight_clients_prepare_once(self):
         """Misses (and therefore prepare CPU) match the single-client

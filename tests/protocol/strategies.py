@@ -159,7 +159,7 @@ def _frozen_sessions():
     return marks.flatmap(lambda pair: st.builds(
         FrozenSession, token=rows["token"],
         viewport=st.tuples(rows["viewport_w"], rows["viewport_h"]),
-        view_rect=small_rects, pipe_tail=rows["pipe_tail"],
+        view_rect=small_rects,
         acked_seq=st.just(pair[0]), last_seq=st.just(pair[1]),
         journal=journal, commands=frames, replay=frames, control=frames,
         stats=st.fixed_dictionaries({key: rows[key] for key in _STATS}),

@@ -17,7 +17,7 @@
   and of two bands, BITMAP with and without ``bg``, a PFILL with a
   non-zero origin, VFRAME in both pixel formats, a self-overlapping
   and a disjoint COPY);
-* ``frozen_session`` — hex of one ``FrozenSession`` v2 blob with every
+* ``frozen_session`` — hex of one ``FrozenSession`` v3 blob with every
   flag set, all four lists non-empty and non-zero counters.
 
 A codec refactor must pass this file unchanged.  A deliberate wire
@@ -162,7 +162,7 @@ COMMANDS = {
 FROZEN = FrozenSession(
     token=0xC0FFEE, viewport=(96, 64), view_rect=Rect(8, 4, 48, 32),
     sequenced=True, degraded=True, shed_display=True, log_dropped=True,
-    last_seq=41, acked_seq=39, pipe_tail=1.25,
+    last_seq=41, acked_seq=39,
     journal=((40, b"frame-40"), (41, b"frame-41")),
     commands=(COMMANDS["COPY disjoint"].encode(),
               COMMANDS["SFILL high"].encode()),
