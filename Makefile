@@ -7,8 +7,9 @@ PY ?= python
 install:
 	$(PY) setup.py develop
 
+# The tier-1 suite, from a fresh checkout (no install step needed).
 test:
-	pytest tests/
+	PYTHONPATH=src $(PY) -m pytest -x -q
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then ruff check .; \

@@ -351,7 +351,7 @@ class Run:
     def _op_unsubscribe(self, op) -> None:
         _, session = self.home(op.client)
         if session is not None:
-            session.subscribed = session.tile_mode = False
+            session.tile_mode = False
 
     def _op_migrate(self, op) -> None:
         """Move the client's session ``args[0]`` shards along.  A target
@@ -361,7 +361,7 @@ class Run:
         if session is None:
             return  # nothing attached to move
         target = (source + op.args[0]) % len(self.servers)
-        was = (session.subscribed, session.tile_mode)
+        was = (session.tile_mode, session.scaler.view)
         try:
             session = self.coord.migrate(self.clients[op.client].token,
                                          target)
@@ -370,7 +370,7 @@ class Run:
                 self.noted.append(f"ownership: refused migration of "
                                   f"client {op.client} moved it anyway")
             return
-        if (session.subscribed, session.tile_mode) != was:
+        if (session.tile_mode, session.scaler.view) != was:
             self.noted.append(
                 f"membership: client {op.client} migrated to shard "
                 f"{target} and its subscription did not")

@@ -3,7 +3,7 @@
 from .client import ClientCostModel, THINCClient
 from .miniclient import MiniClient
 from .command_queue import CommandQueue
-from .delivery import ClientBuffer, FlushResult
+from .delivery import ClientBuffer
 from .fanout import BroadcastPlane, TileWall
 from .governor import (AdmissionDenied, Budget, Governor, GovernorStats,
                        ServerBudget)
@@ -24,7 +24,6 @@ __all__ = [
     "GovernorStats",
     "CommandQueue",
     "ClientBuffer",
-    "FlushResult",
     "BroadcastPlane",
     "TileWall",
     "SRSFScheduler",

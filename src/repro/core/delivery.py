@@ -27,8 +27,7 @@ from ..region import Rect
 from .command_queue import CommandQueue
 from .scheduler import SRSFScheduler
 
-__all__ = ["ClientBuffer", "FlushResult", "REALTIME_RADIUS",
-           "REALTIME_WINDOW"]
+__all__ = ["ClientBuffer", "REALTIME_RADIUS", "REALTIME_WINDOW"]
 
 # Frame header bytes added around a command by the wire format, taken
 # from the framing struct itself so the two cannot drift apart.
@@ -48,21 +47,6 @@ class Writer(Protocol):
     def capacity(self) -> int: ...  # the room of a drained socket
 
     def write(self, data: bytes) -> None: ...
-
-
-class FlushResult:
-    """Outcome of one flush period."""
-
-    def __init__(self) -> None:
-        self.bytes_written = 0
-        self.commands_sent = 0
-        self.commands_split = 0
-        self.blocked = False
-
-    def __repr__(self) -> str:
-        state = "blocked" if self.blocked else "drained"
-        return (f"FlushResult({self.commands_sent} cmds, "
-                f"{self.bytes_written} B, {state})")
 
 
 class ClientBuffer:
@@ -154,15 +138,15 @@ class ClientBuffer:
 
     # -- flushing ------------------------------------------------------------
 
-    def flush(self, writer: Writer) -> FlushResult:
+    def flush(self, writer: Writer) -> None:
         """One flush period: commit commands until the writer would block.
 
         Follows the paper's two-stage handler: whole commands are
         committed while they fit; the first command that does not fit is
         split so its head fills the remaining room, the remainder is
-        reformatted in place, and flushing stops.
+        reformatted in place, and flushing stops.  What was written
+        shows in ``stats``; what is left, in :meth:`pending_commands`.
         """
-        result = FlushResult()
         for cmd in self.scheduler.order(self.queue.commands):
             avail = writer.writable_bytes()
             # Cheap size check first: framing (and possibly compressing)
@@ -173,8 +157,6 @@ class ClientBuffer:
                 if len(data) <= avail:
                     writer.write(data)
                     self.queue.remove(cmd)
-                    result.bytes_written += len(data)
-                    result.commands_sent += 1
                     self.stats["commands_out"] += 1
                     self.stats["bytes_out"] += len(data)
                     continue
@@ -201,17 +183,13 @@ class ClientBuffer:
                 if len(head_data) <= avail:
                     writer.write(head_data)
                     self.queue.replace(cmd, rest)
-                    result.bytes_written += len(head_data)
-                    result.commands_split += 1
                     self.stats["commands_split"] += 1
                     self.stats["bytes_out"] += len(head_data)
                     break
                 if head.dest.height == 1:
                     break
                 budget //= 2
-            result.blocked = True
             break
-        return result
 
     def pending_commands(self) -> int:
         return len(self.queue)

@@ -16,20 +16,21 @@ other way around.
 
 Fan-out is routing
 ------------------
-Membership is two flags on each :class:`~repro.core.session_unit.
-SessionUnit` — ``subscribed`` and ``tile_mode`` — and a tile member's
-rectangle is its scaler's view, so routing, zooming and migration all
-read one rectangle.  :meth:`BroadcastPlane.route` is the first stage of
-the server's one dispatch path (``THINCServer.submit``): a translated
-command is offered to mirror subscribers and plain sessions always and
-to a tile subscriber only when its destination intersects the tile.
+A mirror subscriber is an ordinary session: every session already
+receives the whole desktop.  A tile subscriber is one whose
+:class:`~repro.core.session_unit.SessionUnit` has ``tile_mode`` set,
+and its rectangle is its scaler's view, so routing, zooming and
+migration all read one rectangle.  :meth:`BroadcastPlane.route` is the
+first stage of the server's one dispatch path (``THINCServer.submit``):
+a translated command is offered to every session except a tile
+subscriber whose tile its destination misses.
 Everything after that is the ordinary path.  The prepare plane
 prepares a command once per **(scale, pixel-format, encoding)
 equivalence class** however many receivers share it, its posture
 classes keep one congested subscriber from forcing lossy payloads on
 LAN-class peers, and video frames arrive already split by QoS rung.
-Every receiver, subscribed or not, takes its clone straight into its
-own :class:`~repro.core.delivery.ClientBuffer`.
+Every receiver takes its clone straight into its own
+:class:`~repro.core.delivery.ClientBuffer`.
 
 Slow subscribers
 ----------------
@@ -90,10 +91,10 @@ class TileWall:
 class BroadcastPlane:
     """SUBSCRIBE handling and the route stage.
 
-    Membership is two flags on each unit, ``subscribed`` and
-    ``tile_mode``; a tile member's rectangle is its scaler's view.  The
-    plane keeps only its counter of SUBSCRIBEs handled, so nothing here
-    can outlive or disagree with a session.
+    Membership is ``tile_mode`` on each unit plus its scaler's view,
+    which is a tile member's rectangle.  The plane keeps only its
+    counter of SUBSCRIBEs handled, so nothing here can outlive or
+    disagree with a session.
     """
 
     def __init__(self, server):
@@ -103,8 +104,9 @@ class BroadcastPlane:
     def handle_subscribe(self, session, msg) -> None:
         """Wire-level SUBSCRIBE: enroll and push the mode's geometry.
 
-        Re-subscribing moves a session between modes.  Mirror mode keeps the session's own viewport (the scaler
-        already resamples the full desktop into it).  Tile mode carves
+        Re-subscribing moves a session between modes.  Mirror mode
+        keeps the session's own viewport (the scaler already resamples
+        the full desktop into it).  Tile mode carves
         tile ``msg.index`` out of a ``cols x rows`` wall partition,
         points the session's scaler at that sub-rectangle at 1:1, and
         pushes a TILE_ASSIGN plus the standard geometry + refresh
@@ -112,7 +114,7 @@ class BroadcastPlane:
         """
         self.stats["subscribed"] += 1
         leaving_tile = session.tile_mode
-        session.subscribed, session.tile_mode = True, msg.mode == MODE_TILE
+        session.tile_mode = msg.mode == MODE_TILE
         if session.tile_mode:
             # Never trust client geometry past the decode bounds: this
             # handler is also reachable with locally built messages.
@@ -123,7 +125,6 @@ class BroadcastPlane:
             index = min(msg.index, cols * rows - 1)
             tile = TileWall.grid(self.server.width, self.server.height,
                                  cols, rows)[index]
-            session.viewport = (tile.width, tile.height)
             session.scaler = DisplayScaler(
                 (self.server.width, self.server.height),
                 (tile.width, tile.height), view_rect=tile)
@@ -136,9 +137,8 @@ class BroadcastPlane:
         if leaving_tile:
             # Restore full-desktop geometry (the session's viewport was
             # carved down to its tile).
-            session.viewport = (self.server.width, self.server.height)
-            session.scaler = DisplayScaler(
-                (self.server.width, self.server.height), session.viewport)
+            size = (self.server.width, self.server.height)
+            session.scaler = DisplayScaler(size, size)
             session.queue_control(wire.ScreenInitMessage(*session.viewport))
         self.server._submit_refresh(session)
 

@@ -158,19 +158,17 @@ class GovernorStats:
 
 
 class SessionMeter:
-    """Per-session governance state: token bucket, error tally, ladder
-    position.  Byte gauges and the ``degraded`` and ``quarantined``
-    flags live on the session itself; the meter holds only what the
-    ladder needs to remember between checks."""
+    """Per-session governance clocks: token bucket and ladder position.
+    Byte gauges, the ``degraded`` and ``quarantined`` flags and the
+    abuse tallies (``stats["uplink_dropped"]``, ``stats["wire_errors"]``)
+    live on the session itself; the meter holds only what the ladder
+    needs to remember between checks."""
 
-    __slots__ = ("tokens", "last_refill", "uplink_dropped", "wire_errors",
-                 "last_coalesce")
+    __slots__ = ("tokens", "last_refill", "last_coalesce")
 
     def __init__(self, budget: Budget, now: float):
         self.tokens = float(budget.uplink_burst)
         self.last_refill = now
-        self.uplink_dropped = 0
-        self.wire_errors = 0
         self.last_coalesce: Optional[float] = None
 
 
@@ -236,10 +234,13 @@ class Governor:
     def allow_uplink(self, session) -> bool:
         """Token-bucket gate for one parsed uplink message.
 
-        Returns False when the message should be dropped; a sustained
-        flood past ``max_uplink_dropped`` evicts the sender.
+        Returns False when the message should be dropped, counting it in
+        the session's ``uplink_dropped``; a sustained flood past
+        ``max_uplink_dropped`` evicts the sender.
         """
+        stats = session.stats
         if session.quarantined:
+            stats["uplink_dropped"] += 1
             return False
         meter = session.meter
         b = self.budget
@@ -251,9 +252,9 @@ class Governor:
         if meter.tokens >= 1.0:
             meter.tokens -= 1.0
             return True
-        meter.uplink_dropped += 1
+        stats["uplink_dropped"] += 1
         self.stats.uplink_throttled += 1
-        if meter.uplink_dropped > b.max_uplink_dropped:
+        if stats["uplink_dropped"] > b.max_uplink_dropped:
             self.quarantine(session, wire.DENY_SESSION_BUDGET,
                             evicted=True)
         return False
@@ -267,11 +268,10 @@ class Governor:
         a fresh parser (heartbeats repeat; corruption on a lossy link
         is expected) until the error budget runs out.
         """
-        meter = session.meter
-        meter.wire_errors += 1
+        session.stats["wire_errors"] += 1
         self.stats.wire_errors += 1
-        resilient = self.server.resilience is not None and session.sequenced
-        if resilient and meter.wire_errors <= self.budget.max_uplink_errors:
+        if self.server.resilience is not None and session.token and \
+                session.stats["wire_errors"] <= self.budget.max_uplink_errors:
             session.reset_parser()
             return
         self.quarantine(session, wire.DENY_QUARANTINED)

@@ -185,13 +185,13 @@ class SessionGuard:
                  "flap_level", "last_writer_bytes", "last_tx_time",
                  "log_limit")
 
-    def __init__(self, now: float, log_limit: int):
+    def __init__(self, now: float, log_limit: int, bytes_sent: int):
         self.last_seen = now
         self.log_limit = log_limit
         self.not_before = now
         self.last_accept_time = now
         self.flap_level = 0
-        self.last_writer_bytes = 0
+        self.last_writer_bytes = bytes_sent
         self.last_tx_time = now
 
 
@@ -264,8 +264,7 @@ class ResiliencePlane:
             self._write_plain(connection, wire.ReconnectAcceptMessage(
                 token, wire.RESYNC_FRESH))
             session = self.server._make_session(connection, viewport,
-                                                sequenced=True)
-            session.token = token
+                                                token=token)
             self.enrol(session)
             self._note_accept(session.guard, now)
         else:
@@ -434,14 +433,15 @@ class ResiliencePlane:
         time, so a migration spends part of the same bounded absence
         the network-fault path does."""
         session.guard = SessionGuard(self.loop.now,
-                                     self._replay_log_limit(session))
+                                     self._replay_log_limit(session),
+                                     session.stats["bytes_sent"])
         self.stats.attaches += 1
         self._ensure_tick()
 
     def _keepalive(self, guard: SessionGuard, session, now: float) -> None:
         """An idle downlink still needs bytes on it, or the client's
         liveness detector would declare a healthy server dead."""
-        sent = session._writer.total_bytes
+        sent = session.stats["bytes_sent"]
         if sent != guard.last_writer_bytes:
             guard.last_writer_bytes = sent
             guard.last_tx_time = now

@@ -187,10 +187,8 @@ class THINCServer:
         return self._make_session(connection, viewport)
 
     def _make_session(self, connection: Connection, viewport=None,
-                      sequenced: bool = False) -> SessionUnit:
-        session = SessionUnit(self, connection, viewport,
-                              encrypt_key=self.encrypt_key,
-                              sequenced=sequenced)
+                      token: int = 0) -> SessionUnit:
+        session = SessionUnit(self, connection, viewport, token=token)
         self.sessions.append(session)
         self._submit_refresh(session)
         return session
@@ -379,13 +377,12 @@ class THINCServer:
             # but this handler is also reachable with locally built
             # messages — clamp to [1, max_viewport_dim] so a degenerate
             # viewport can never reach the scaler's division.
-            session.viewport = (
-                max(1, min(msg.width, LIMITS.max_viewport_dim)),
-                max(1, min(msg.height, LIMITS.max_viewport_dim)))
-            session.scaler = DisplayScaler((self.width, self.height),
-                                           session.viewport)
+            session.scaler = DisplayScaler(
+                (self.width, self.height),
+                (max(1, min(msg.width, LIMITS.max_viewport_dim)),
+                 max(1, min(msg.height, LIMITS.max_viewport_dim))))
             # A resized tile no longer partitions the wall: a tile-wall
-            # member that resizes stays subscribed, as a mirror.
+            # member that resizes stays on as a mirror.
             session.tile_mode = False
             # The client's framebuffer geometry changes, and it only has
             # a resampled version of the display — push the new geometry

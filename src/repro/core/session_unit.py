@@ -66,8 +66,6 @@ FLUSH_INTERVAL = 0.002  # seconds between flush periods while backlogged
 NOT_SERIALIZED = {
     "server": "host binding; the thaw target supplies its own",
     "loop": "host binding; every shard shares the simulated clock",
-    "_encrypt_key": "keys never cross the fabric; the reconnect "
-                    "handshake re-keys on the target shard",
     "frame_stage": "holds the RC4 keystream position, which is "
                    "worthless after the re-key; rebuilt on thaw",
     "journal_bytes": "gauge over journal, recomputed on thaw",
@@ -79,8 +77,8 @@ NOT_SERIALIZED = {
     "quarantined": "governor verdicts are host-local; an abusive "
                    "session is evicted, never migrated",
     "meter": "governor budgets are per-host capacity, not session "
-             "state; the target's governor starts a fresh meter and "
-             "seeds its abuse tallies from the migrated stats",
+             "state; the target's governor starts a fresh meter, and "
+             "the abuse tallies it judges by migrate in stats",
     "qos_state": "hysteresis counters and poll clocks judge this "
                  "host's link; only the rung migrates, and the thawed "
                  "unit re-derives the rest from live polls",
@@ -107,23 +105,23 @@ class _SessionWriter:
       split head that then fails the fit check must not consume RC4
       keystream, and journaled frames must be re-encryptable under a
       fresh key after a reconnect);
-    * **sequencing** — resilient sessions wrap every outgoing frame in
-      a CHECKED wrapper whose sequence number is assigned in *send*
-      order, so the client's cumulative ack and the replay log agree
-      byte-for-byte about what the client may have seen; and
-    * **journaling** — a guarded unit (non-zero ``token``) keeps each
-      wrapped plaintext frame in its replay journal, unencrypted.
+    * **sequencing and journaling** — a guarded unit (non-zero
+      ``token``) wraps every outgoing frame in a CHECKED wrapper whose
+      sequence number is assigned in *send* order, so the client's
+      cumulative ack and the replay log agree byte-for-byte about what
+      the client may have seen, and keeps each wrapped plaintext frame
+      in its replay journal, unencrypted.
 
     ``writable_bytes`` and ``capacity`` subtract the wrapper overhead so
-    the flush stage's size arithmetic keeps working unchanged.
+    the flush stage's size arithmetic keeps working unchanged.  Every
+    frame written counts in the unit's ``messages_sent`` and
+    ``bytes_sent``.
     """
 
-    def __init__(self, session: "SessionUnit", sequenced: bool):
+    def __init__(self, session: "SessionUnit"):
         self.session = session
-        self.sequenced = sequenced
-        self.overhead = wire.CHECKED_OVERHEAD if sequenced else 0
+        self.overhead = wire.CHECKED_OVERHEAD if session.token else 0
         self.last_seq = 0
-        self.total_bytes = 0
 
     def _endpoint(self):
         return self.session.connection.down
@@ -135,24 +133,24 @@ class _SessionWriter:
         return self._endpoint().send_buffer_limit - self.overhead
 
     def write(self, data: bytes) -> None:
-        if self.sequenced:
+        session = self.session
+        if session.token:
             self.last_seq += 1
             data = wire.wrap_checked(data, self.last_seq)
-            session = self.session
-            if session.token:
-                session.journal.append((self.last_seq, data))
-                session.journal_bytes += len(data)
-                if session.journal_bytes > session.guard.log_limit:
-                    session.drop_journal(True)
-                    session.server.resilience.stats.log_overflows += 1
-        self.total_bytes += len(data)
-        self._endpoint().write(self.session.frame_stage.encrypt(data))
+            session.journal.append((self.last_seq, data))
+            session.journal_bytes += len(data)
+            if session.journal_bytes > session.guard.log_limit:
+                session.drop_journal(True)
+                session.server.resilience.stats.log_overflows += 1
+        self.write_prewrapped(data)
 
     def write_prewrapped(self, data: bytes) -> None:
         """Write an already-wrapped frame (resync replay): encrypt
         only — it carries its original sequence number and is already
         in the journal."""
-        self.total_bytes += len(data)
+        stats = self.session.stats
+        stats["messages_sent"] += 1
+        stats["bytes_sent"] += len(data)
         self._endpoint().write(self.session.frame_stage.encrypt(data))
 
     def prewrapped_writable(self) -> int:
@@ -168,14 +166,15 @@ def _check_frozen(row) -> None:
             f"one sent, {row.last_seq}")
 
 
-#: The FrozenSession blob, version 3 (v3 dropped the pipe tail and
-#: the duplicate shed_display flag bit): this fixed part, then four
-#: counted lists.
+#: The FrozenSession blob, version 4 (v4 dropped the sequenced and
+#: subscribed flag bits: a non-zero token is what sequences a session,
+#: and fan-out membership is ``tile_mode`` plus the view): this fixed
+#: part, then four counted lists.
 _FROZEN = FieldTable("frozen session", dict(
-    version=u8(3, 3), token=u32(),
+    version=u8(4, 4), token=u32(),
     viewport_w=u16(1, "max_viewport_dim"),
     viewport_h=u16(1, "max_viewport_dim"),
-    view_rect=rect16(), flags=u8(0, 0x3F),  # bit i <-> _FLAGS[i]
+    view_rect=rect16(), flags=u8(0, 0x0F),  # bit i <-> _FLAGS[i]
     last_seq=u32(), acked_seq=u32(),
     messages_sent=u32(), bytes_sent=u64(), flush_periods=u32(),
     audio_dropped=u32(), display_shed=u32(), uplink_dropped=u32(),
@@ -184,8 +183,7 @@ _FROZEN = FieldTable("frozen session", dict(
     lists=rest(max="max_transfer_bytes")), check=_check_frozen)
 
 #: Flag bits, in order.
-_FLAGS = ("sequenced", "degraded", "shed_display", "log_dropped",
-          "subscribed", "tile_mode")
+_FLAGS = ("degraded", "shed_display", "log_dropped", "tile_mode")
 _STATS = ("messages_sent", "bytes_sent", "flush_periods", "audio_dropped",
           "display_shed", "uplink_dropped", "wire_errors", "cpu_time")
 
@@ -246,14 +244,17 @@ class FrozenSession:
     * the audio backlog is dropped (late audio is worthless — the
       session is detached for the whole transfer); and
     * governor meter position (token bucket, coalesce clock)
-      restarts, while the abuse tallies ride along in ``stats`` and
-      seed the target governor's meter.
+      restarts, while the abuse tallies the governor judges by ride
+      along in ``stats``.
+
+    A non-zero ``token`` is a guarded session, whose frames are
+    CHECKED-wrapped and journaled: the one state a resilient client's
+    rebound parser can read.
     """
 
     token: int
     viewport: Tuple[int, int]
     view_rect: Rect
-    sequenced: bool
     degraded: bool
     shed_display: bool
     log_dropped: bool
@@ -264,10 +265,8 @@ class FrozenSession:
     replay: Tuple[bytes, ...]
     control: Tuple[bytes, ...]
     stats: Dict[str, float]
-    # Broadcast fan-out membership (two of the flag bits): whether the
-    # unit was subscribed, and whether as a tile-wall member (whose
-    # rectangle is exactly ``view_rect``).
-    subscribed: bool = False
+    # Broadcast fan-out membership (one flag bit): whether the unit is
+    # a tile-wall member, whose rectangle is exactly ``view_rect``.
     tile_mode: bool = False
     # Video degradation ladder position (repro.core.qos).  The rung is
     # the only QoS state that migrates: hysteresis counters and poll
@@ -323,37 +322,33 @@ class SessionUnit:
     Constructed with ``connection=None`` the unit starts detached (the
     thaw path: a migrated session has no socket until its client
     redials); ``greet=False`` suppresses the initial SCREEN_INIT (the
-    client already holds the geometry from before the freeze).
+    client already holds the geometry from before the freeze).  A
+    non-zero ``token`` makes the unit guarded by the resilience plane.
     """
 
     def __init__(self, server, connection: Optional[Connection],
-                 viewport=None, encrypt_key: Optional[bytes] = None,
-                 sequenced: bool = False, greet: bool = True):
+                 viewport=None, token: int = 0, greet: bool = True):
         self.server = server
         self.connection = connection
         self.loop = server.loop
-        self.viewport = viewport or (server.width, server.height)
         self.scaler = DisplayScaler((server.width, server.height),
-                                    self.viewport)
-        self._encrypt_key = encrypt_key
-        self.frame_stage = pipeline.FrameStage(
-            RC4(encrypt_key) if encrypt_key else None)
+                                    viewport or (server.width, server.height))
+        key = server.encrypt_key
+        self.frame_stage = pipeline.FrameStage(RC4(key) if key else None)
         self.buffer = ClientBuffer(
             scheduler=server.scheduler_factory(),
             frame=self.frame_stage.frame,
         )
         # Resilience state: a detached session buffers but does not
-        # flush.  A guarded unit (``token`` non-zero, set by the plane)
-        # journals the frames it sends, ``(seq, plaintext CHECKED
-        # frame)``, pruned by the client's cumulative ack; the plane
-        # fills ``_replay`` on resync and drops the journal, queue and
-        # further display work (``shed_display``) once the client has
-        # been away too long.  ``degraded`` (audio shed) is the
+        # flush.  A guarded unit (``token`` non-zero, issued by the
+        # plane) journals the frames it sends, ``(seq, plaintext
+        # CHECKED frame)``, pruned by the client's cumulative ack; the
+        # plane fills ``_replay`` on resync and drops the journal, queue
+        # and further display work (``shed_display``) once the client
+        # has been away too long.  ``degraded`` (audio shed) is the
         # governor's alone: set by its queue-bytes ladder on add,
         # cleared by it after a flush.
-        self.sequenced = sequenced
-        self._writer = _SessionWriter(self, sequenced)
-        self.token = 0
+        self.token = token
         self.journal: Deque[Tuple[int, bytes]] = deque()
         self.journal_bytes = 0
         self.acked_seq = 0
@@ -363,6 +358,14 @@ class SessionUnit:
         self.degraded = False
         self.shed_display = False
         self.quarantined = False
+        # The one home of every per-session counter: the flush loop,
+        # the writer (frames and bytes sent) and the governor (abuse
+        # tallies) all count here.
+        self.stats = {"messages_sent": 0, "bytes_sent": 0,
+                      "flush_periods": 0, "cpu_time": 0.0,
+                      "audio_dropped": 0, "display_shed": 0,
+                      "uplink_dropped": 0, "wire_errors": 0}
+        self._writer = _SessionWriter(self)
         # Video degradation ladder rung (repro.core.qos): 0 is the
         # fixed-rate path.  Set only by the QoS plane; migrates so a
         # session does not snap back to full-rate video mid-congestion
@@ -379,7 +382,6 @@ class SessionUnit:
         self.guard = None
         self.qos_state = None
         self.link_posture = None
-        self.subscribed = False
         self.tile_mode = False
         # Prepared commands whose simulated CPU has not finished, in
         # submission order; each enters the buffer at its ready time.
@@ -392,15 +394,16 @@ class SessionUnit:
         self._control_bytes = 0
         self._audio_bytes = 0
         self._flush_scheduled = False
-        self.stats = {"messages_sent": 0, "bytes_sent": 0,
-                      "flush_periods": 0, "cpu_time": 0.0,
-                      "audio_dropped": 0, "display_shed": 0,
-                      "uplink_dropped": 0, "wire_errors": 0}
         if connection is not None:
             connection.up.connect(self._on_client_data)
         self.reset_parser()
         if greet:
             self.queue_control(wire.ScreenInitMessage(*self.viewport))
+
+    @property
+    def viewport(self) -> Tuple[int, int]:
+        """The client's framebuffer size: what its scaler maps into."""
+        return self.scaler.client_w, self.scaler.client_h
 
     @property
     def cipher(self):
@@ -541,7 +544,6 @@ class SessionUnit:
             return  # no socket to write to; rebind() resumes flushing
         self.stats["flush_periods"] += 1
         writer = self._writer
-        sent_before = writer.total_bytes
         # Resync replay drains first (the client must catch up to the
         # stream point before new frames make sense), then control
         # messages (tiny, order-sensitive), then audio
@@ -549,7 +551,6 @@ class SessionUnit:
         while self._replay and \
                 len(self._replay[0]) <= writer.prewrapped_writable():
             writer.write_prewrapped(self._replay.popleft())
-            self.stats["messages_sent"] += 1
         for fifo in (self._control, self._audio):
             if self._replay:
                 break
@@ -560,11 +561,8 @@ class SessionUnit:
                 else:
                     self._audio_bytes -= len(data)
                 writer.write(data)
-                self.stats["messages_sent"] += 1
         if not self._replay and not self._control:
-            result = self.buffer.flush(writer)
-            self.stats["messages_sent"] += result.commands_sent
-        self.stats["bytes_sent"] += writer.total_bytes - sent_before
+            self.buffer.flush(writer)
         if self.degraded:
             # A flush is where the backlog drains, so the degrade-exit
             # watermark is evaluated here rather than on the next add,
@@ -607,8 +605,8 @@ class SessionUnit:
         self.connection = connection
         connection.up.connect(self._on_client_data)
         self.reset_parser()
-        if self._encrypt_key is not None:
-            self.frame_stage.rekey(RC4(self._encrypt_key))
+        if self.server.encrypt_key is not None:
+            self.frame_stage.rekey(RC4(self.server.encrypt_key))
         self.detached_at = None
         self._kick()
 
@@ -633,7 +631,6 @@ class SessionUnit:
             token=self.token,
             viewport=(int(self.viewport[0]), int(self.viewport[1])),
             view_rect=self.scaler.view,
-            sequenced=self.sequenced,
             degraded=self.degraded,
             shed_display=self.shed_display,
             log_dropped=self.log_dropped,
@@ -645,7 +642,6 @@ class SessionUnit:
             replay=tuple(self._replay),
             control=tuple(self._control),
             stats=dict(self.stats),
-            subscribed=self.subscribed,
             tile_mode=self.tile_mode,
             qos_rung=self.qos_rung,
         )
@@ -657,28 +653,24 @@ class SessionUnit:
         The inverse of :meth:`freeze`.  The unit starts detached — its
         client is still dialling — and greets nobody: the restored
         queue and journal already describe exactly what the client is
-        missing.  The governor's meter restarts, but its abuse tallies
-        are seeded from ``frozen.stats``, so migrating does not buy a
-        session a fresh error allowance.  The token, journal, ack mark
-        and drop flags come back as they were frozen; enrolling the
-        unit with the server and its resilience plane is the caller's
-        (``THINCServer.thaw_session``).
+        missing.  The governor's meter restarts, but the abuse tallies
+        it judges by come back in ``stats``, so migrating does not buy
+        a session a fresh error allowance.  The token, journal, ack
+        mark and drop flags come back as they were frozen; enrolling
+        the unit with the server and its resilience plane is the
+        caller's (``THINCServer.thaw_session``).
         """
-        unit = cls(server, None, viewport=frozen.viewport,
-                   encrypt_key=server.encrypt_key,
-                   sequenced=frozen.sequenced, greet=False)
+        unit = cls(server, None, token=frozen.token, greet=False)
         unit.scaler = DisplayScaler((server.width, server.height),
                                     frozen.viewport,
                                     view_rect=frozen.view_rect)
         unit._writer.last_seq = frozen.last_seq
-        unit.token = frozen.token
         unit.journal.extend(frozen.journal)
         unit.journal_bytes = sum(len(data) for _, data in frozen.journal)
         unit.acked_seq = frozen.acked_seq
         unit.log_dropped = frozen.log_dropped
         unit.degraded = frozen.degraded
         unit.shed_display = frozen.shed_display
-        unit.subscribed = frozen.subscribed
         unit.tile_mode = frozen.tile_mode
         unit.qos_rung = frozen.qos_rung
         for blob in frozen.commands:
@@ -690,8 +682,6 @@ class SessionUnit:
         unit._control.extend(frozen.control)
         unit._control_bytes = sum(map(len, frozen.control))
         unit.stats.update(frozen.stats)
-        unit.meter.wire_errors = unit.stats["wire_errors"]
-        unit.meter.uplink_dropped = unit.stats["uplink_dropped"]
         return unit
 
     # -- instrumentation -----------------------------------------------------
@@ -727,15 +717,12 @@ class SessionUnit:
         governor = self.server.governor
         try:
             for msg in self._parser.feed(chunk):
-                if not governor.allow_uplink(self):
-                    self.stats["uplink_dropped"] += 1
-                    continue
-                self.server.handle_client_message(self, msg)
+                if governor.allow_uplink(self):
+                    self.server.handle_client_message(self, msg)
         except (ValueError, KeyError, struct.error, zlib.error) as exc:
             # Any decode failure is a session-scoped event, never a
             # server crash: the governor either resets the parser (a
             # resilient session on a lossy link — heartbeats repeat and
             # the liveness clock already advanced when the bytes
             # arrived) or quarantines and detaches the session.
-            self.stats["wire_errors"] += 1
             governor.on_wire_error(self, exc)

@@ -11,7 +11,10 @@ tests/scenario/test_regressions.py.
 import numpy as np
 import pytest
 
+from repro.core import THINCClient, THINCServer
 from repro.core.session_unit import FrozenSession
+from repro.display import WindowServer
+from repro.net import Connection, EventLoop, LAN_DESKTOP
 from repro.protocol import wire
 from repro.protocol.commands import RawCommand, SFillCommand, decode_command
 from repro.region import Rect
@@ -159,6 +162,68 @@ class TestMigrationFidelity:
         assert session.buffer.stats["commands_in"] == home_in + 1
         assert successor.buffer.stats["commands_in"] == away_in
         assert_pixel_identical(rcs[0].client, screens[target])
+
+
+def frames_written(unit):
+    """``(seq, journaled)`` for every plaintext frame *unit* writes from
+    now on: ``seq`` is a CHECKED frame's sequence number, None for a
+    bare one, and ``journaled`` says the frame is in the unit's journal
+    as it leaves."""
+    out, stage = [], unit.frame_stage
+    encrypt = stage.encrypt
+
+    def spy(data):
+        msg = wire.StreamParser().feed(data)[0]
+        seq = msg.seq if isinstance(msg, wire.CheckedFrame) else None
+        out.append((seq, (seq, data) in unit.journal))
+        return encrypt(data)
+
+    stage.encrypt = spy
+    return out
+
+
+class TestSuccessorFraming:
+    """A successor frames what it sends by the token it was thawed
+    with: the blob holds no second field that could disagree."""
+
+    def test_a_guarded_successor_writes_checked_journaled_frames(self):
+        loop, coord, screens, rcs = make_shard_rig(shards=2, clients=1)
+        loop.run_until(1.0)
+        token = rcs[0].token
+        source = coord.route_token(token)
+        successor = coord.migrate(token, (source + 1) % 2)
+        last_seq = successor._writer.last_seq
+        written = frames_written(successor)
+        loop.run_until(SETTLE)
+        fresh = [seq for seq, _ in written if seq is None or seq > last_seq]
+        assert fresh == list(range(last_seq + 1,
+                                   successor._writer.last_seq + 1))
+        assert fresh and all(journaled for _, journaled in written)
+        assert rcs[0].stats["dials"] == 2
+        assert rcs[0].stats["protocol_errors"] == 0
+        assert_pixel_identical(rcs[0].client, screens[
+            coord.route_token(token)])
+
+    def test_a_thawed_plain_unit_writes_bare_frames(self):
+        loop = EventLoop()
+        src, dst = THINCServer(loop, 96, 64), THINCServer(loop, 96, 64)
+        ws = WindowServer(96, 64, driver=src.driver, clock=loop.clock)
+        src.attach_client(Connection(loop, LAN_DESKTOP))
+        ws.fill_rect(ws.screen, Rect(0, 0, 40, 20), (1, 2, 3, 255))
+        # Frozen before the loop runs: the greeting and the fill travel.
+        frozen = src.sessions[0].freeze()
+        src.detach_client(src.sessions[0])
+        unit = dst.thaw_session(FrozenSession.from_bytes(frozen.to_bytes()))
+        written = frames_written(unit)
+        conn = Connection(loop, LAN_DESKTOP)
+        client = THINCClient(loop, conn)
+        unit.rebind(conn)
+        loop.run_until_idle()
+        assert written == [(None, False)] * 2
+        assert not unit.journal and unit._writer.last_seq == 0
+        assert unit.stats["messages_sent"] == frozen.stats[
+            "messages_sent"] + 2
+        assert_pixel_identical(client, ws)
 
 
 def _refuse(error):

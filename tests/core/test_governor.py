@@ -51,21 +51,12 @@ def tight_budget(**kw):
 
 
 class TestQueueLadder:
-    #: Every case runs a second time with the session enrolled as a
-    #: mirror subscriber (the subclass below): a slow subscriber is
-    #: governed exactly like a slow unicast session.
-    subscribe = False
-
-    def _rig(self, **kw):
-        rig = make_rig(**kw)
-        if self.subscribe:
-            server = rig[3]
-            server.sessions[0].subscribed = True
-        return rig
+    """The queue-bytes ladder on a live session.  A mirror subscriber
+    is an ordinary session, so a slow one is governed by these cases."""
 
     def test_degrade_enter_and_exit(self):
         budget = tight_budget()
-        loop, conn, mon, server, ws, client = self._rig(
+        loop, conn, mon, server, ws, client = make_rig(
             link=SLOW_LINK, send_buffer=2048, budget=budget)
         session = server.sessions[0]
         ws.put_image(ws.screen, Rect(0, 0, 96, 64), noise())
@@ -89,7 +80,7 @@ class TestQueueLadder:
         drains, or audio stays shed and the link probe stays
         pessimistic for as long as nothing draws."""
         thin = LinkParams("thin", bandwidth_bps=0.4e6, rtt=0.02)
-        loop, conn, mon, server, ws, client = self._rig(
+        loop, conn, mon, server, ws, client = make_rig(
             link=thin, send_buffer=6000,
             budget=Budget(degrade_queue_bytes=20_000))
         session = server.sessions[0]
@@ -120,7 +111,7 @@ class TestQueueLadder:
         are transparent, so eviction cannot shrink them and the backlog
         passes the hard cap once; the refresh that replaces it is
         cheaper, drains, and leaves the client exact."""
-        loop, conn, mon, server, ws, client = self._rig(
+        loop, conn, mon, server, ws, client = make_rig(
             link=SLOW_LINK, send_buffer=2048,
             budget=tight_budget(max_queue_bytes=8_000,
                                 evict_queue_bytes=10_000_000))
@@ -139,7 +130,7 @@ class TestQueueLadder:
         assert_pixel_identical(client, ws)
 
     def test_ceiling_evicts(self):
-        loop, conn, mon, server, ws, client = self._rig(
+        loop, conn, mon, server, ws, client = make_rig(
             link=SLOW_LINK, send_buffer=2048,
             budget=tight_budget(degrade_queue_bytes=1_000,
                                 max_queue_bytes=3_000,
@@ -159,7 +150,7 @@ class TestQueueLadder:
         loop.run_until(6.0)
 
     def test_retrip_within_cooldown_evicts(self):
-        loop, conn, mon, server, ws, client = self._rig(
+        loop, conn, mon, server, ws, client = make_rig(
             link=SLOW_LINK, send_buffer=2048,
             budget=tight_budget(max_queue_bytes=20_000,
                                 evict_queue_bytes=10_000_000,
@@ -174,10 +165,6 @@ class TestQueueLadder:
         assert stats.coalesces >= 1
         assert stats.evicted == 1
         assert session.quarantined
-
-
-class TestQueueLadderSubscribed(TestQueueLadder):
-    subscribe = True
 
 
 class _StubBuffer:

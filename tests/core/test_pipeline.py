@@ -305,6 +305,27 @@ class TestInstrumentation:
         attributed = sum(s.stats["cpu_time"] for s in server.sessions)
         assert abs(attributed - server.stats["cpu_time"]) < 1e-9
 
+    def test_a_split_raw_counts_each_frame_it_leaves_as(self):
+        """A RAW too big for a 2 KiB socket leaves as a head and a rest
+        in two flush periods: two messages sent, and the unit's byte
+        count is what its endpoint was handed."""
+        loop, mon, server, ws, (client,) = make_rig([None],
+                                                    send_buffer=2048)
+        loop.run_until_idle()
+        session = server.sessions[0]
+        sent = session.stats["messages_sent"]
+        pixels = np.random.default_rng(3).integers(
+            0, 256, (8, 96, 4), dtype=np.uint8)
+        pixels[..., 3] = 255
+        ws.put_image(ws.screen, Rect(0, 0, 96, 8), pixels)
+        loop.run_until_idle()
+        assert session.buffer.stats["commands_split"] == 1
+        assert session.buffer.stats["commands_out"] == 1
+        assert session.stats["messages_sent"] - sent == 2
+        assert session.stats["bytes_sent"] == \
+            client.connection.down.bytes_sent
+        assert client.fb.same_as(ws.screen.fb)
+
     def test_scheduler_counts_orderings(self):
         loop, mon, server, ws, clients = make_rig([None])
         run_workload(loop, ws, clients)

@@ -318,17 +318,24 @@ class TestControllerStateFollowsTheSession:
             == (0, 0, {})
 
 
+def mirror(server):
+    """Handle a mirror SUBSCRIBE from the server's first session."""
+    server.fanout.handle_subscribe(server.sessions[0], wire.SubscribeMessage(
+        wire.SUBSCRIBE_MIRROR, 0, 0, 0))
+
+
 def run_scenario(plan=None, qos=None, end=3.5, subscribe=False):
     """The issue's scenario: video + interactive traffic on the 256
     kbit/s link, optionally under a fault plan and optionally with the
-    session enrolled as a fan-out mirror subscriber.  Returns the rig
+    session a fan-out mirror subscriber (its SUBSCRIBE handled before
+    anything draws, so it ships no refresh).  Returns the rig
     plus per-op input-to-update latencies (client-side arrival of each
     interactive fill minus its submission time).
     """
     loop, conn, mon, server, ws, client = make_qos_rig(
         link=THIN_256K, plan=plan, qos=qos)
     if subscribe:
-        server.sessions[0].subscribed = True
+        mirror(server)
     # ~166 kbit/s offered (0.65 of the link; worst 0.25s window ~0.76),
     # comfortably healthy at full rate but underwater once cross
     # traffic cuts the service rate.

@@ -18,7 +18,7 @@ from repro.region import Rect
 def sample_frozen(**over):
     base = dict(
         token=7, viewport=(96, 64), view_rect=Rect(0, 0, 96, 64),
-        sequenced=True, degraded=False, shed_display=True,
+        degraded=False, shed_display=True,
         log_dropped=False, last_seq=41, acked_seq=39,
         journal=((40, b"frame-40"), (41, b"frame-41")),
         commands=(), replay=(b"replayed",), control=(b"ctl",),
@@ -35,8 +35,8 @@ class TestRoundTrip:
         assert FrozenSession.from_bytes(frozen.to_bytes()) == frozen
 
     def test_flags_round_trip_independently(self):
-        for field, value in (("sequenced", True), ("degraded", True),
-                             ("log_dropped", True), ("shed_display", False)):
+        for field, value in (("degraded", True), ("log_dropped", True),
+                             ("shed_display", False), ("tile_mode", True)):
             frozen = sample_frozen(**{field: value})
             thawed = FrozenSession.from_bytes(frozen.to_bytes())
             assert getattr(thawed, field) is value, field
@@ -73,7 +73,7 @@ class TestValidation:
         with pytest.raises(wire.ProtocolError):
             FrozenSession.from_bytes(b"\x09" + data[1:])
 
-    # Offsets into the v3 fixed part: version token viewport view |
+    # Offsets into the v4 fixed part: version token viewport view |
     # flags last_seq acked_seq | seven counters | cpu_time.
     FLAGS = struct.calcsize(">BIHHHHHH")
     ACKED = FLAGS + struct.calcsize(">BI")
@@ -82,7 +82,7 @@ class TestValidation:
     @pytest.mark.parametrize("offset, patch", [
         (CPU_TIME, struct.pack(">d", float("nan"))),
         (CPU_TIME, struct.pack(">d", float("inf"))),
-        (FLAGS, b"\x45"),  # the sample's 0x05 plus undefined bit 0x40
+        (FLAGS, b"\x12"),  # the sample's 0x02 plus undefined bit 0x10
         (ACKED, struct.pack(">I", 99)),  # past last_seq = 41
     ], ids=["nan-cpu-time", "inf-cpu-time", "undefined-flag",
             "acked-ahead"])

@@ -17,6 +17,7 @@ from repro.display import WindowServer
 from repro.net import Connection, EventLoop, LAN_DESKTOP, PDA_80211G, \
     PacketMonitor
 from repro.protocol.commands import RawCommand
+from repro.protocol.wire import SUBSCRIBE_TILE, SubscribeMessage
 from repro.region import Rect
 from tests.helpers import assert_pixel_identical
 
@@ -109,7 +110,8 @@ class TestHeterogeneousSubscribers:
 
 def _direct_rig(ever_subscribed):
     """The same heterogeneous pair as *direct* sessions, one downlink
-    monitor each; optionally a subscriber came and went first."""
+    monitor each; optionally a wall-tile subscriber came and went
+    first."""
     loop = EventLoop()
     # The driver rasterises in 64x8 bands; size the lossy floor below
     # them so the congested class really sheds fidelity.
@@ -124,9 +126,12 @@ def _direct_rig(ever_subscribed):
         clients.append(THINCClient(loop, conn))
         mons.append(mon)
     if ever_subscribed:
-        # Enrolled and dropped server-side: no refresh either way.
-        server.sessions[0].subscribed = True
-        server.sessions[0].subscribed = False
+        # A third session takes a tile and leaves before anything
+        # draws: nothing it was sent reaches the pair's links.
+        server.attach_client(Connection(loop, LAN_DESKTOP))
+        server.fanout.handle_subscribe(server.sessions[2], SubscribeMessage(
+            SUBSCRIBE_TILE, 2, 1, 0))
+        server.detach_client(server.sessions[2])
     _flood(loop, ws, np.random.default_rng(24), 0.05, 1.0)
     loop.run_until(3.0)
     return server, ws, clients, [

@@ -170,7 +170,8 @@ class TestSubscribeProtocol:
             ws.screen.fb.data[r.y:r.y + r.height, r.x:r.x + r.width])
         client.request_subscribe(wire.SUBSCRIBE_MIRROR)
         loop.run_until(END + SETTLE + 2.0)
-        assert session.subscribed and not session.tile_mode
+        assert not session.tile_mode
+        assert session.scaler.view == ws.screen.bounds
         assert_pixel_identical(client, ws)
 
     def test_zoomed_tile_routes_by_its_view(self):

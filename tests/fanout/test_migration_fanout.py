@@ -1,8 +1,8 @@
 """Cluster migration × fan-out: subscriptions survive the move.
 
 A *subscribed* session migrated between shards mid-workload lands on
-the target shard with its membership flags (mirror or tile, carried in
-the frozen blob) and ends pixel-identical to an uninterrupted unicast
+the target shard with its membership (a tile's flag and view, carried
+in the frozen blob) and ends pixel-identical to an uninterrupted unicast
 twin.  The same move under a random fault schedule is a row of
 tests/scenario/test_regressions.py.
 """
@@ -40,7 +40,8 @@ class TestMigrationWithFanout:
             loop, coord, rcs)
         # The successor carries its mirror membership to the target.
         assert successor in coord.shards[target].sessions
-        assert successor.subscribed and not successor.tile_mode
+        assert not successor.tile_mode
+        assert successor.scaler.view == screens[target].screen.bounds
         # Pixel-identical to the target shard's live screen and to the
         # unicast twin that never moved (mirrored workloads).
         assert_pixel_identical(rcs[0].client, screens[target])
@@ -53,7 +54,7 @@ class TestMigrationWithFanout:
         token, source, target, successor = _subscribe_and_migrate(
             loop, coord, rcs, mode=wire.SUBSCRIBE_TILE,
             cols=3, rows=2, index=4, settle=SETTLE + 4.0)
-        assert successor.subscribed and successor.tile_mode
+        assert successor.tile_mode
         tile = successor.scaler.view
         assert tile == rcs[0].client.tile_assignment.rect
         # The tile client's framebuffer equals its crop of the target
@@ -71,4 +72,4 @@ class TestMigrationWithFanout:
             loop, coord, rcs)
         src = coord.shards[source]
         assert src.fanout.stats["subscribed"] >= 1
-        assert not any(s.subscribed for s in src.sessions)
+        assert all(s.token != token for s in src.sessions)

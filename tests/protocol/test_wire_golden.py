@@ -17,7 +17,7 @@
   and of two bands, BITMAP with and without ``bg``, a PFILL with a
   non-zero origin, VFRAME in both pixel formats, a self-overlapping
   and a disjoint COPY);
-* ``frozen_session`` — hex of one ``FrozenSession`` v3 blob with every
+* ``frozen_session`` — hex of one ``FrozenSession`` v4 blob with every
   flag set, all four lists non-empty and non-zero counters.
 
 A codec refactor must pass this file unchanged.  A deliberate wire
@@ -161,7 +161,7 @@ COMMANDS = {
 #: Every flag set, every list non-empty, every counter non-zero.
 FROZEN = FrozenSession(
     token=0xC0FFEE, viewport=(96, 64), view_rect=Rect(8, 4, 48, 32),
-    sequenced=True, degraded=True, shed_display=True, log_dropped=True,
+    degraded=True, shed_display=True, log_dropped=True,
     last_seq=41, acked_seq=39,
     journal=((40, b"frame-40"), (41, b"frame-41")),
     commands=(COMMANDS["COPY disjoint"].encode(),
@@ -170,7 +170,7 @@ FROZEN = FrozenSession(
     stats={"messages_sent": 12, "bytes_sent": 1 << 33, "flush_periods": 9,
            "cpu_time": 0.125, "audio_dropped": 4, "display_shed": 1,
            "uplink_dropped": 5, "wire_errors": 2},
-    subscribed=True, tile_mode=True, qos_rung=LIMITS.max_qos_rung)
+    tile_mode=True, qos_rung=LIMITS.max_qos_rung)
 
 
 def mutator_outcomes():

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster.scenario import ClientSpec, Op, Scenario
+from repro.core.fanout import TileWall
 from repro.core.governor import ServerBudget
 from repro.core.session_unit import FrozenSession
 from repro.net.faults import FaultPlan, LossBurst, Partition
@@ -24,9 +25,15 @@ from .machine import BASES, CLIP, QOS, THIN
 CHAOS_SEED = int(os.environ.get("THINC_CHAOS_SEED", "0"))
 
 
-def subscribed_on_its_new_home(run):
+#: The wall tile the fan-out row's client takes: (cols, rows, index).
+TILE = (3, 2, 4)
+
+
+def tile_on_its_new_home(run):
     shard, session = run.home(0)
-    return shard == 1 and session.subscribed
+    return (shard == 1 and session.tile_mode
+            and session.scaler.view == TileWall.grid(
+                run.scenario.width, run.scenario.height, *TILE[:2])[TILE[2]])
 
 
 def ladder_engaged_and_rung_travelled(run):
@@ -59,9 +66,9 @@ ROWS = {
     # idempotent) until past the plan's horizon, then the session moves.
     "migration-x-fan-out-x-chaos": (Scenario(
         shards=2, clients=(client_spec(plan=RANDOM),) * 2, workload=MIRRORED,
-        ops=tuple(Op(t, "subscribe") for t in (2.1, 2.6, 3.1, 3.6))
+        ops=tuple(Op(t, "subscribe", 0, TILE) for t in (2.1, 2.6, 3.1, 3.6))
         + (Op(4.2, "migrate", 0, (1,)),), settle=16.0),
-        subscribed_on_its_new_home),
+        tile_on_its_new_home),
     # A flapping radio link partitions the access link outright, so
     # frames pile up in the relay tier where only the client's
     # QOS_REPORT gap can show them to the shard; the session moves

@@ -42,12 +42,12 @@ def test_degraded_never_cleared_once_quiet_breaks_liveness(monkeypatch):
 
 
 def test_thaw_skipping_fanout_adopt_breaks_membership(monkeypatch):
-    # A thaw that ignores the frozen fan-out flags lands a migrated
-    # subscriber on its new shard as a plain session.
+    # A thaw that ignores the frozen tile flag lands a migrated wall
+    # tile on its new shard as a mirror of the tile's view.
     real = SessionUnit.thaw.__func__
     monkeypatch.setattr(SessionUnit, "thaw", classmethod(
         lambda cls, server, frozen: real(cls, server, replace(
-            frozen, subscribed=False, tile_mode=False))))
+            frozen, tile_mode=False))))
     machine_fails_with("membership", 2, "subscribe migrate")
 
 
