@@ -5,8 +5,12 @@ measuring procedure a PR that claims a gain has to follow
 (``benchmarks/e2e/README.md``, "Judging a change"), which PRs 12, 15 and
 17 each re-did by hand:
 
-1. unpack *REV* (``git archive``) into a temporary directory, so the
-   parent runs its own ``benchmarks/e2e`` and its own ``src``;
+1. unpack *REV* (``git archive``) into ``<tmp>/parent``, so the parent
+   runs its own ``benchmarks/e2e`` and its own ``src``, and copy the
+   working tree's tracked and untracked, non-ignored files into the
+   sibling ``<tmp>/change``, so uncommitted edits are what gets
+   measured.  Both trees' paths are the same length: a longer path
+   alone raises ``video_lan``'s ``peak_rss_mb`` by about 2.5 MiB;
 2. run ``benchmarks/e2e/run.py --workload W --trace 0`` N times in each
    tree, one process per run, swapping which side goes first each pair;
 3. print every pair, the wins per wall metric with each side's
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,6 +41,19 @@ WALL = (("op_wall_ms_p50", "lower"), ("op_wall_ms_p90", "lower"),
 #: Simulated-clock and byte metrics: at one seed they repeat exactly.
 EXACT = ("sim_latency_ms_p50", "sim_latency_ms_p90", "wire_bytes_per_op",
          "sim_quality", "ok_ops_share")
+
+
+def _copy_working_tree(dest: Path) -> None:
+    """Copy the files ``git ls-files -co --exclude-standard`` names
+    (tracked and untracked, not ignored) into *dest*."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
+        check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # not a tracked file deleted from the tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def _run(tree: Path, workload: str, seed: int) -> dict:
@@ -74,8 +92,10 @@ def main() -> int:
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(parent)
+        change = Path(tmp, "change")
+        _copy_working_tree(change)
         runs = {"parent": [], "change": []}
-        trees = {"parent": parent, "change": ROOT}
+        trees = {"parent": parent, "change": change}
         for pair in range(args.n):
             order = ("parent", "change") if pair % 2 == 0 \
                 else ("change", "parent")

@@ -172,22 +172,20 @@ class THINCPlatform(Platform):
         return self.client.stats["processing_time"]
 
     def video_frames_received(self):
-        return sum(len(set(v.frame_numbers))
+        return sum(len({no for no, _ in v.arrivals})
                    for v in self.client.video_stats.values())
 
     def video_frame_times(self):
-        firsts = [v.first_frame_time for v in self.client.video_stats.values()
-                  if v.first_frame_time is not None]
-        lasts = [v.last_frame_time for v in self.client.video_stats.values()
-                 if v.last_frame_time is not None]
-        return (min(firsts) if firsts else None,
-                max(lasts) if lasts else None)
+        streams = [v.arrivals for v in self.client.video_stats.values()
+                   if v.arrivals]
+        return (min(a[0][1] for a in streams) if streams else None,
+                max(a[-1][1] for a in streams) if streams else None)
 
     def audio_arrivals(self):
         return self.client.audio.arrivals
 
     def audio_chunks_received(self):
-        return self.client.audio.chunks_received
+        return len(self.client.audio.arrivals)
 
     def video_arrivals(self, frame_interval: float):
         """(server presentation time, arrival) pairs across streams."""
@@ -196,17 +194,6 @@ class THINCPlatform(Platform):
             out.extend(((no - 1) * frame_interval, t)
                        for no, t in stats.arrivals)
         return out
-
-    # -- server-side pipeline statistics -----------------------------------
-
-    def server_cpu_time(self) -> float:
-        """CPU seconds the server spent preparing commands (shared
-        prepare plane: charged once per distinct viewport)."""
-        return self.server.stats["cpu_time"]
-
-    def pipeline_stats(self):
-        """Per-stage counters of the server's command pipeline."""
-        return self.server.pipeline_stats()
 
 
 class _BaselinePlatform(Platform):

@@ -328,7 +328,7 @@ class Run:
         """The client's QOS_REPORT, ``args[0]`` the source frame rate."""
         viewer, now = self.viewer(op.client), self.loop.now
         for sid, stats in list(viewer.video_stats.items()):
-            if stats.frames_received and viewer.connection is not None:
+            if stats.arrivals and viewer.connection is not None:
                 viewer.send_qos_report(sid, max(1, int(now * op.args[0])),
                                        max(now, 1e-3))
 

@@ -5,9 +5,8 @@ from .miniclient import MiniClient
 from .command_queue import CommandQueue
 from .delivery import ClientBuffer
 from .fanout import BroadcastPlane, TileWall
-from .governor import (AdmissionDenied, Budget, Governor, GovernorStats,
-                       ServerBudget)
-from .pipeline import PreparePlane, StageStats, STAGE_NAMES
+from .governor import AdmissionDenied, Budget, Governor, ServerBudget
+from .pipeline import PreparePlane
 from .resize import DisplayScaler, resample, scale_rect
 from .scheduler import FIFOScheduler, SRSFScheduler
 from .server import ServerCostModel, THINCServer
@@ -21,7 +20,6 @@ __all__ = [
     "Budget",
     "ServerBudget",
     "Governor",
-    "GovernorStats",
     "CommandQueue",
     "ClientBuffer",
     "BroadcastPlane",
@@ -29,8 +27,6 @@ __all__ = [
     "SRSFScheduler",
     "FIFOScheduler",
     "PreparePlane",
-    "StageStats",
-    "STAGE_NAMES",
     "THINCDriver",
     "THINCServer",
     "SessionUnit",

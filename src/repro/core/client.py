@@ -54,19 +54,13 @@ class ClientCostModel:
 
 @dataclass
 class VideoStreamStats:
-    stream_id: int
-    frames_received: int = 0
-    first_frame_time: Optional[float] = None
-    last_frame_time: Optional[float] = None
-    frame_numbers: List[int] = field(default_factory=list)
-    # (frame number, client arrival time) pairs for sync analysis.
+    # (frame number, client arrival time) pairs, in arrival order: the
+    # stream's frame count, frame numbers and span all derive from it.
     arrivals: List[Tuple[int, float]] = field(default_factory=list)
 
 
 @dataclass
 class AudioStats:
-    chunks_received: int = 0
-    bytes_received: int = 0
     # (server timestamp, client arrival time) pairs for sync analysis.
     arrivals: List[Tuple[float, float]] = field(default_factory=list)
 
@@ -214,26 +208,25 @@ class THINCClient:
         from ..audio import sync
 
         vstats = self.video_stats.get(stream_id)
-        frames = vstats.frames_received if vstats is not None else 0
+        video = vstats.arrivals if vstats is not None else []
+        frames = len(video)
         playback = 0.0
         if frames and units_total > 0 and ideal_duration > 0:
-            actual = max(vstats.last_frame_time
-                         - vstats.first_frame_time, 0.0)
+            actual = max(video[-1][1] - video[0][1], 0.0)
             playback = sync.playback_quality(
                 frames, units_total, ideal_duration, actual)
         audio_q = 1.0
         if self.audio.arrivals:
             audio_q = sync.audio_quality(
-                self.audio.arrivals, self.audio.chunks_received,
+                self.audio.arrivals, len(self.audio.arrivals),
                 ideal_duration)
         skew = 0.0
-        if vstats is not None and vstats.arrivals and units_total > 0:
+        if video and units_total > 0:
             # Video arrivals carry frame numbers; the source cadence
             # turns them into server-side timestamps for the skew
             # comparison against audio's real timestamps.
             period = ideal_duration / units_total
-            video_pairs = [(no * period, arr)
-                           for no, arr in vstats.arrivals]
+            video_pairs = [(no * period, arr) for no, arr in video]
             skew = sync.av_sync_skew(self.audio.arrivals, video_pairs)
         msg = wire.QosReportMessage(
             stream_id, frames,
@@ -313,8 +306,7 @@ class THINCClient:
             return
         if isinstance(msg, wire.VideoSetupMessage):
             self.video_streams[msg.stream_id] = msg
-            self.video_stats.setdefault(
-                msg.stream_id, VideoStreamStats(msg.stream_id))
+            self.video_stats.setdefault(msg.stream_id, VideoStreamStats())
             return
         if isinstance(msg, wire.VideoMoveMessage):
             return
@@ -338,8 +330,6 @@ class THINCClient:
             self.cursor_hotspot = (msg.hot_x, msg.hot_y)
             return
         if isinstance(msg, wire.AudioChunkMessage):
-            self.audio.chunks_received += 1
-            self.audio.bytes_received += len(msg.samples)
             self.audio.arrivals.append((msg.timestamp, now))
             return
         if isinstance(msg, Command):
@@ -358,14 +348,9 @@ class THINCClient:
             nbytes, npixels)
         self.stats["last_update_time"] = now
         if isinstance(cmd, VideoFrameCommand):
-            vstats = self.video_stats.setdefault(
-                cmd.stream_id, VideoStreamStats(cmd.stream_id))
-            vstats.frames_received += 1
-            vstats.frame_numbers.append(cmd.frame_no)
+            vstats = self.video_stats.setdefault(cmd.stream_id,
+                                                 VideoStreamStats())
             vstats.arrivals.append((cmd.frame_no, now))
-            if vstats.first_frame_time is None:
-                vstats.first_frame_time = now
-            vstats.last_frame_time = now
         if not self.headless and self.fb is not None:
             cmd.apply(self.fb)
 

@@ -34,20 +34,20 @@ Responses are graduated, mildest first:
 Server-wide, :class:`ServerBudget` gates ``attach_client``: past the
 global session count or buffered-byte budget the attach is refused
 with the same typed denial on the wire plus an :class:`AdmissionDenied`
-raised to the caller.  Aggregate counters surface through
-:class:`GovernorStats`, merged into ``server.stats``.
+raised to the caller.  Aggregate counters live in the governor's
+``stats`` dict, merged into ``server.stats`` under ``governor_``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..protocol import wire
 from .qos import MAX_RUNG
 
-__all__ = ["Budget", "ServerBudget", "GovernorStats", "SessionMeter",
-           "Governor", "AdmissionDenied"]
+__all__ = ["Budget", "ServerBudget", "SessionMeter", "Governor",
+           "AdmissionDenied"]
 
 
 class AdmissionDenied(RuntimeError):
@@ -137,26 +137,6 @@ class ServerBudget:
     retry_after: float = 1.0
 
 
-class GovernorStats:
-    """Aggregate governance counters (StageStats pattern)."""
-
-    __slots__ = ("admitted", "admission_denied", "quarantined", "evicted",
-                 "degrade_entered", "degrade_exited", "coalesces",
-                 "audio_shed", "uplink_throttled", "wire_errors",
-                 "denials_written", "video_rungs_shed")
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
-        return f"GovernorStats({body})"
-
-
 class SessionMeter:
     """Per-session governance clocks: token bucket and ladder position.
     Byte gauges, the ``degraded`` and ``quarantined`` flags and the
@@ -182,7 +162,11 @@ class Governor:
         self.loop = server.loop
         self.budget = budget or Budget()
         self.server_budget = server_budget or ServerBudget()
-        self.stats = GovernorStats()
+        self.stats = dict.fromkeys(
+            ("admitted", "admission_denied", "quarantined", "evicted",
+             "degrade_entered", "degrade_exited", "coalesces", "audio_shed",
+             "uplink_throttled", "wire_errors", "denials_written",
+             "video_rungs_shed"), 0)
 
     # -- session lifecycle ---------------------------------------------------
 
@@ -211,12 +195,12 @@ class Governor:
         reason = self.check_admission()
         if reason is not None:
             self._deny(connection, reason)
-        self.stats.admitted += 1
+        self.stats["admitted"] += 1
 
     def _deny(self, connection, reason: int) -> None:
         retry = self.server_budget.retry_after
         self._write_denial(connection, reason, retry)
-        self.stats.admission_denied += 1
+        self.stats["admission_denied"] += 1
         raise AdmissionDenied(reason, retry)
 
     def _write_denial(self, connection, reason: int,
@@ -227,7 +211,7 @@ class Governor:
             wire.AttachDeniedMessage(reason, retry_after))
         if connection.down.writable_bytes() >= len(data):
             connection.down.write(data)
-            self.stats.denials_written += 1
+            self.stats["denials_written"] += 1
 
     # -- uplink chokepoint ---------------------------------------------------
 
@@ -253,7 +237,7 @@ class Governor:
             meter.tokens -= 1.0
             return True
         stats["uplink_dropped"] += 1
-        self.stats.uplink_throttled += 1
+        self.stats["uplink_throttled"] += 1
         if stats["uplink_dropped"] > b.max_uplink_dropped:
             self.quarantine(session, wire.DENY_SESSION_BUDGET,
                             evicted=True)
@@ -269,7 +253,7 @@ class Governor:
         is expected) until the error budget runs out.
         """
         session.stats["wire_errors"] += 1
-        self.stats.wire_errors += 1
+        self.stats["wire_errors"] += 1
         if self.server.resilience is not None and session.token and \
                 session.stats["wire_errors"] <= self.budget.max_uplink_errors:
             session.reset_parser()
@@ -311,11 +295,11 @@ class Governor:
                 # is never degraded — a rate-limited step just waits
                 # for the next poll interval.
                 if qos.shed_video(session):
-                    self.stats.video_rungs_shed += 1
+                    self.stats["video_rungs_shed"] += 1
                 return
             if not session.degraded:
                 session.degraded = True
-                self.stats.degrade_entered += 1
+                self.stats["degrade_entered"] += 1
 
     def after_flush(self, session) -> None:
         """Degrade exit, evaluated after each flush of a degraded
@@ -324,7 +308,7 @@ class Governor:
         if session.buffer.pending_bytes() < \
                 self.budget.degrade_queue_bytes // 2:
             session.degraded = False
-            self.stats.degrade_exited += 1
+            self.stats["degrade_exited"] += 1
 
     def _coalesce(self, session, now: float) -> None:
         """Replace a runaway queue with a full-screen RAW refresh.
@@ -337,7 +321,7 @@ class Governor:
         """
         session.meter.last_coalesce = now
         session.buffer.queue.clear()
-        self.stats.coalesces += 1
+        self.stats["coalesces"] += 1
         self.server._submit_refresh(session, chunk_rows=64)
 
     def after_audio_add(self, session) -> None:
@@ -347,7 +331,7 @@ class Governor:
         while session.audio_backlog_bytes > b.max_audio_backlog_bytes \
                 and session._audio:
             session.drop_oldest_audio()
-            self.stats.audio_shed += 1
+            self.stats["audio_shed"] += 1
 
     def after_control_add(self, session) -> None:
         """Control messages cannot be shed (order-sensitive stream and
@@ -371,9 +355,9 @@ class Governor:
         if session.quarantined:
             return
         session.quarantined = True
-        self.stats.quarantined += 1
+        self.stats["quarantined"] += 1
         if evicted:
-            self.stats.evicted += 1
+            self.stats["evicted"] += 1
         # The denial rides the session's own framing path (CHECKED
         # wrapper, RC4 keystream) so an attached client parses it like
         # any other message instead of seeing stream garbage.
@@ -383,7 +367,7 @@ class Governor:
                 reason, self.server_budget.retry_after))
             if session._writer.writable_bytes() >= len(data):
                 session._writer.write(data)
-                self.stats.denials_written += 1
+                self.stats["denials_written"] += 1
         session.detach()
         if session in self.server.sessions:
             self.server.detach_client(session)

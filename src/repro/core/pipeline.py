@@ -25,10 +25,9 @@ distinct viewport**, not once per client:
   original must stay pristine.  Shared payloads also make the wire
   frames of same-viewport sessions byte-identical.
 
-Every stage carries a :class:`StageStats` block (commands in/out, bytes
-out, CPU seconds, cache hits/misses, queue depth) so servers, sessions
-and benchmarks can report exactly where work happens; see
-``THINCServer.pipeline_stats``.
+The plane counts its CPU seconds and cache hits/misses in its
+``stats`` dict; ``THINCServer.pipeline_stats`` reports them beside the
+translate count and each session's buffer and flush counters.
 
 Ordering guarantee: prepared commands become *ready* at the CPU model's
 completion time.  One plane's serial CPU makes those times monotonic in
@@ -50,49 +49,7 @@ from ..protocol import compression, wire
 from ..protocol.commands import (Command, CompositeCommand, RawCommand,
                                  SFillCommand)
 
-__all__ = ["STAGE_NAMES", "StageStats", "PreparedCommand", "PreparePlane",
-           "FrameStage"]
-
-STAGE_NAMES = ("translate", "scale", "prepare", "buffer", "frame", "flush")
-
-
-class StageStats:
-    """Uniform instrumentation counters carried by every stage."""
-
-    __slots__ = ("commands_in", "commands_out", "bytes_out", "cpu_seconds",
-                 "cache_hits", "cache_misses", "queue_depth")
-
-    def __init__(self) -> None:
-        self.commands_in = 0
-        self.commands_out = 0
-        self.bytes_out = 0
-        self.cpu_seconds = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.queue_depth = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def accumulate(self, other: "StageStats") -> "StageStats":
-        """Sum *other* into self (used to aggregate session stages)."""
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        return self
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
-        return f"StageStats({body})"
-
-
-class PreparedCommand:
-    """A scaled, compressed command plus the time its CPU work completes."""
-
-    __slots__ = ("command", "ready_at")
-
-    def __init__(self, command: Command, ready_at: float):
-        self.command = command
-        self.ready_at = ready_at
+__all__ = ["PreparePlane", "FrameStage"]
 
 
 class PreparePlane:
@@ -144,8 +101,9 @@ class PreparePlane:
         # One serial CPU pipeline for the whole server: preparation cost
         # is charged here exactly once per distinct prepared entry.
         self._cpu_free_at = 0.0
-        self.scale_stats = StageStats()
-        self.stats = StageStats()  # the Prepare/Compress stage
+        # The Prepare/Compress stage's counters.
+        self.stats = {"cpu_seconds": 0.0, "cache_hits": 0,
+                      "cache_misses": 0}
 
     # -- adaptive encoding ---------------------------------------------------
 
@@ -215,19 +173,18 @@ class PreparePlane:
     def _deliver(self, classes) -> None:
         for members, variant in classes:
             # This dispatch's entries of *variant*, by scale key.
-            entries: Dict[Tuple, List[PreparedCommand]] = {}
+            entries: Dict[Tuple, List[Tuple[Command, float]]] = {}
             for session in members:
-                for prepared in self.prepare_entry(variant, session,
-                                                   entries):
+                for command, ready_at in self.prepare_entry(
+                        variant, session, entries):
                     # Per-session clone: shares pixels and compressed
                     # payload, but queue-mutable state stays private.
-                    session.enqueue_prepared(
-                        prepared.command.translated(0, 0),
-                        prepared.ready_at)
+                    session.enqueue_prepared(command.translated(0, 0),
+                                             ready_at)
 
     def prepare_entry(self, command: Command, session,
-                      entries: Dict[Tuple, List[PreparedCommand]]
-                      ) -> List[PreparedCommand]:
+                      entries: Dict[Tuple, List[Tuple[Command, float]]]
+                      ) -> List[Tuple[Command, float]]:
         """Resolve *command* to its prepared entry for *session*'s
         viewport: a hit on an entry this dispatch already prepared
         (*entries*, by scale key), or a fresh prepare (the
@@ -237,12 +194,12 @@ class PreparePlane:
         if entry is None:
             entry, cost = self._prepare(command, session.scaler)
             entries[key] = entry
-            self.stats.cache_misses += 1
+            self.stats["cache_misses"] += 1
             # Attribute the miss to the session that triggered it;
             # per-session cpu_time sums to the server total.
             session.stats["cpu_time"] += cost
         else:
-            self.stats.cache_hits += 1
+            self.stats["cache_hits"] += 1
         return entry
 
     def submit_batch(self, commands: Iterable[Command],
@@ -279,27 +236,25 @@ class PreparePlane:
             self._deliver(classes)
 
     def _prepare(self, command: Command,
-                 scaler) -> Tuple[List[PreparedCommand], float]:
-        self.scale_stats.commands_in += 1
+                 scaler) -> Tuple[List[Tuple[Command, float]], float]:
+        """Scale *command* for *scaler*'s viewport and charge each
+        scaled command's CPU: ``([(command, ready_at), ...], cost)``."""
         scaled = scaler.scale_command(command, read_back=self.read_back)
-        self.scale_stats.commands_out += len(scaled)
-        out: List[PreparedCommand] = []
+        out: List[Tuple[Command, float]] = []
         total_cost = 0.0
         for cmd in scaled:
             cpu = self.cost_model.cost(cmd)
             start = max(self.loop.now, self._cpu_free_at)
             self._cpu_free_at = start + cpu
             total_cost += cpu
-            self.stats.commands_in += 1
-            self.stats.commands_out += 1
-            self.stats.cpu_seconds += cpu
+            self.stats["cpu_seconds"] += cpu
             if isinstance(cmd, (RawCommand, CompositeCommand)):
                 # The stage's real work, done once and shared by every
                 # clone (hence byte-identical frames): a PNG payload
                 # starts DEFLATing beside the loop now, and the command
                 # collects it when it enters a session's buffer.
                 cmd.begin_payload()
-            out.append(PreparedCommand(cmd, self._cpu_free_at))
+            out.append((cmd, self._cpu_free_at))
         return out, total_cost
 
 
@@ -318,19 +273,12 @@ class FrameStage:
     size arithmetic is unaffected by the split.
     """
 
-    name = "frame"
-
     def __init__(self, cipher=None):
         self.cipher = cipher
-        self.stats = StageStats()
 
     def frame(self, msg) -> bytes:
         """Frame *msg* as plaintext wire bytes (no keystream consumed)."""
-        data = wire.encode_message(msg)
-        self.stats.commands_in += 1
-        self.stats.commands_out += 1
-        self.stats.bytes_out += len(data)
-        return data
+        return wire.encode_message(msg)
 
     def encrypt(self, data: bytes) -> bytes:
         """Apply the session cipher to bytes actually being written."""

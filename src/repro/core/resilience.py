@@ -51,13 +51,13 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ..net.transport import Connection
 from ..protocol import wire
 from .client import THINCClient
 
-__all__ = ["ResilienceConfig", "ResilienceStats", "SessionGuard",
+__all__ = ["ResilienceConfig", "SessionGuard",
            "ResiliencePlane", "ResilientClient"]
 
 # Headroom added to raw pixel bytes when costing a full-screen RAW
@@ -93,26 +93,6 @@ class ResilienceConfig:
     # identity.
     token_start: int = 1
     token_stride: int = 1
-
-
-class ResilienceStats:
-    """Plane-wide resilience counters (StageStats pattern)."""
-
-    __slots__ = ("attaches", "reattaches", "disconnects", "heartbeats",
-                 "resyncs_replay", "resyncs_snapshot", "reconnects_denied",
-                 "queues_dropped", "log_overflows", "replayed_bytes",
-                 "max_replay_bytes", "snapshot_bytes")
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
-        return f"ResilienceStats({body})"
 
 
 class _PreludeReader:
@@ -202,7 +182,11 @@ class ResiliencePlane:
         self.server = server
         self.loop = server.loop
         self.config = config or ResilienceConfig()
-        self.stats = ResilienceStats()
+        self.stats = dict.fromkeys(
+            ("attaches", "reattaches", "disconnects", "heartbeats",
+             "resyncs_replay", "resyncs_snapshot", "reconnects_denied",
+             "queues_dropped", "log_overflows", "replayed_bytes",
+             "max_replay_bytes", "snapshot_bytes"), 0)
         self._next_token = self.config.token_start
         self._tick_scheduled = False
         self._rng = random.Random(
@@ -253,12 +237,12 @@ class ResiliencePlane:
             # the denial in this path's own typed wire format.
             governor = self.server.governor
             if governor.check_admission() is not None:
-                governor.stats.admission_denied += 1
-                self.stats.reconnects_denied += 1
+                governor.stats["admission_denied"] += 1
+                self.stats["reconnects_denied"] += 1
                 self._write_plain(connection, wire.ReconnectDeniedMessage(
                     governor.server_budget.retry_after))
                 return
-            governor.stats.admitted += 1
+            governor.stats["admitted"] += 1
             token = self._next_token
             self._next_token += self.config.token_stride
             self._write_plain(connection, wire.ReconnectAcceptMessage(
@@ -270,7 +254,7 @@ class ResiliencePlane:
         else:
             not_before = session.guard.not_before
             if now < not_before:
-                self.stats.reconnects_denied += 1
+                self.stats["reconnects_denied"] += 1
                 self._write_plain(connection, wire.ReconnectDeniedMessage(
                     max(0.0, not_before - now)))
                 return
@@ -299,10 +283,11 @@ class ResiliencePlane:
         self._note_accept(guard, now)
         if use_replay:
             session._replay.extend(data for _, data in replay)
-            self.stats.resyncs_replay += 1
-            self.stats.replayed_bytes += replay_bytes
-            self.stats.max_replay_bytes = max(self.stats.max_replay_bytes,
-                                              replay_bytes)
+            stats = self.stats
+            stats["resyncs_replay"] += 1
+            stats["replayed_bytes"] += replay_bytes
+            stats["max_replay_bytes"] = max(stats["max_replay_bytes"],
+                                            replay_bytes)
         else:
             # Stale state is worthless now: drop it all and push a
             # freshly read, row-banded snapshot of current content.
@@ -311,8 +296,8 @@ class ResiliencePlane:
             session.clear_audio()
             session.drop_journal(False)
             session.shed_display = False
-            self.stats.resyncs_snapshot += 1
-            self.stats.snapshot_bytes += snapshot_cost
+            self.stats["resyncs_snapshot"] += 1
+            self.stats["snapshot_bytes"] += snapshot_cost
             # A resize's SCREEN_INIT may have died unacked with the log:
             # the snapshot is only paintable at the geometry it is for.
             session.queue_control(wire.ScreenInitMessage(*session.viewport))
@@ -367,10 +352,10 @@ class ResiliencePlane:
             # re-attach in place, no resync needed — the client never
             # missed a byte.
             session.detached_at = None
-            self.stats.reattaches += 1
+            self.stats["reattaches"] += 1
             session._kick()
         if isinstance(msg, wire.HeartbeatMessage):
-            self.stats.heartbeats += 1
+            self.stats["heartbeats"] += 1
             # Nobody can have applied a frame that was never sent: an
             # ack past the writer's mark is a lie, and would freeze
             # into a blob its thaw target must reject.
@@ -400,7 +385,7 @@ class ResiliencePlane:
             guard = session.guard
             if not session.detached:
                 if now - guard.last_seen > cfg.liveness_timeout:
-                    self.stats.disconnects += 1
+                    self.stats["disconnects"] += 1
                     session.detach()
                 else:
                     self._keepalive(guard, session, now)
@@ -423,7 +408,7 @@ class ResiliencePlane:
         session.buffer.queue.clear()
         session.clear_audio()
         session.shed_display = True
-        self.stats.queues_dropped += 1
+        self.stats["queues_dropped"] += 1
 
     def enrol(self, session) -> None:
         """Watch *session* from the next tick on: a fresh attach, or a
@@ -435,7 +420,7 @@ class ResiliencePlane:
         session.guard = SessionGuard(self.loop.now,
                                      self._replay_log_limit(session),
                                      session.stats["bytes_sent"])
-        self.stats.attaches += 1
+        self.stats["attaches"] += 1
         self._ensure_tick()
 
     def _keepalive(self, guard: SessionGuard, session, now: float) -> None:

@@ -405,13 +405,13 @@ class THINCServer:
         """Headline server counters (CPU spent preparing, cache hit rate)."""
         plane = self.plane.stats
         out = {
-            "cpu_time": plane.cpu_seconds,
-            "prepare_cache_hits": plane.cache_hits,
-            "prepare_cache_misses": plane.cache_misses,
+            "cpu_time": plane["cpu_seconds"],
+            "prepare_cache_hits": plane["cache_hits"],
+            "prepare_cache_misses": plane["cache_misses"],
             "commands_translated": self.commands_translated,
             "sessions": len(self.sessions),
         }
-        for key, value in self.governor.stats.as_dict().items():
+        for key, value in self.governor.stats.items():
             out[f"governor_{key}"] = value
         if self.fanout.stats["subscribed"]:
             for key, value in self.fanout.stats.items():
@@ -424,25 +424,29 @@ class THINCServer:
     def pipeline_stats(self) -> Dict[str, Dict[str, float]]:
         """Per-stage counters across the whole pipeline.
 
-        Shared stages (translate/scale/prepare) are reported directly;
-        per-session stages (buffer/frame/flush) are summed over attached
-        sessions, except queue depths which are point-in-time gauges.
+        The shared stages (translate, prepare) are reported directly;
+        the per-session ones (buffer, flush) are summed over attached
+        sessions, ``queue_depth`` from each buffer's current length.
         """
-        stats: Dict[str, Dict[str, float]] = {
+        buffer = dict.fromkeys(("commands_in", "commands_out", "bytes_out",
+                                "commands_split", "queue_depth"), 0)
+        flush = {"flush_periods": 0, "bytes_out": 0}
+        for session in self.sessions:
+            for key in ("commands_in", "commands_out", "bytes_out",
+                        "commands_split"):
+                buffer[key] += session.buffer.stats[key]
+            buffer["queue_depth"] += session.buffer.pending_commands()
+            flush["flush_periods"] += session.stats["flush_periods"]
+            flush["bytes_out"] += session.stats["bytes_sent"]
+        return {
             "translate": {
                 "commands_in": self.commands_translated,
                 "driver_ops": self.driver.stats.get("driver_ops", 0),
             },
-            "scale": self.plane.scale_stats.as_dict(),
-            "prepare": self.plane.stats.as_dict(),
+            "prepare": dict(self.plane.stats),
+            "buffer": buffer,
+            "flush": flush,
         }
-        for name in ("buffer", "frame", "flush"):
-            merged: Dict[str, float] = {}
-            for session in self.sessions:
-                for k, v in session.pipeline_stats()[name].items():
-                    merged[k] = merged.get(k, 0) + v
-            stats[name] = merged
-        return stats
 
     def pending(self) -> bool:
         return any(s.pending() for s in self.sessions)

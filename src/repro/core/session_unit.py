@@ -141,7 +141,7 @@ class _SessionWriter:
             session.journal_bytes += len(data)
             if session.journal_bytes > session.guard.log_limit:
                 session.drop_journal(True)
-                session.server.resilience.stats.log_overflows += 1
+                session.server.resilience.stats["log_overflows"] += 1
         self.write_prewrapped(data)
 
     def write_prewrapped(self, data: bytes) -> None:
@@ -683,28 +683,6 @@ class SessionUnit:
         unit._control_bytes = sum(map(len, frozen.control))
         unit.stats.update(frozen.stats)
         return unit
-
-    # -- instrumentation -----------------------------------------------------
-
-    def pipeline_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage counters for this session's half of the pipeline."""
-        bstats = self.buffer.stats
-        return {
-            "buffer": {
-                "commands_in": bstats["commands_in"],
-                "commands_out": bstats["commands_out"],
-                "bytes_out": bstats["bytes_out"],
-                "commands_split": bstats["commands_split"],
-                "queue_depth": self.buffer.pending_commands(),
-            },
-            "frame": self.frame_stage.stats.as_dict(),
-            "flush": {
-                "flush_periods": self.stats["flush_periods"],
-                "commands_out": self.stats["messages_sent"],
-                "bytes_out": self.stats["bytes_sent"],
-                "queue_depth": len(self._control) + len(self._audio),
-            },
-        }
 
     # -- client-to-server traffic ---------------------------------------------
 

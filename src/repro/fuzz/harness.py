@@ -162,12 +162,12 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     gstats = run.servers[0].governor.stats
     report.new_signatures = mutator.stats["new_signatures"]
     report.mutation_stats = dict(mutator.stats)
-    report.quarantined = gstats.quarantined
-    report.evicted = gstats.evicted
-    report.wire_errors = gstats.wire_errors
-    report.uplink_throttled = gstats.uplink_throttled
+    report.quarantined = gstats["quarantined"]
+    report.evicted = gstats["evicted"]
+    report.wire_errors = gstats["wire_errors"]
+    report.uplink_throttled = gstats["uplink_throttled"]
     report.admission_denied = (run.hostile["denied"]
-                               + gstats.admission_denied)
+                               + gstats["admission_denied"])
     report.redials = run.hostile["redials"]
     return report
 

@@ -79,7 +79,7 @@ class TestMigrationFidelity:
         assert rcs[0].stats["dials"] >= 2
         assert loop.now > severed_at
         st = coord.shards[target].resilience.stats
-        assert st.resyncs_replay + st.resyncs_snapshot >= 1
+        assert st["resyncs_replay"] + st["resyncs_snapshot"] >= 1
 
     def test_migrated_counters_and_journal_survive(self):
         loop, coord, screens, rcs = make_shard_rig(shards=2, clients=1)

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import (BLUE, GREEN, RED, WHITE, deflate_spy,
                            make_multi_rig as make_rig)
-from repro.core import STAGE_NAMES, THINCClient, THINCServer
-from repro.core.pipeline import StageStats
+from repro.core import THINCClient, THINCServer
 from repro.core.session_unit import SessionUnit
 from repro.display import WindowServer
 from repro.net import Connection, EventLoop, LAN_DESKTOP
@@ -88,7 +87,7 @@ class TestSharedPrepareExactness:
         rng = np.random.default_rng(11)
         draw_phase(ws, rng)
         loop.run_until_idle(max_time=10)
-        assert server.plane.stats.cache_hits > 0
+        assert server.plane.stats["cache_hits"] > 0
         assert b"".join(streams[0]) == b"".join(streams[1])
 
     def test_native_and_scaled_viewports_keep_pixels_exact(self):
@@ -127,7 +126,7 @@ class TestSharedPrepareExactness:
         rng = np.random.default_rng(17)
         draw_phase(ws, rng)
         loop.run_until_idle(max_time=10)
-        assert server.plane.stats.cache_hits > 0
+        assert server.plane.stats["cache_hits"] > 0
         for client in clients:
             assert client.fb.same_as(ws.screen.fb)
 
@@ -270,23 +269,10 @@ class TestPayloadBesideTheLoop:
 
 
 class TestInstrumentation:
-    def test_stage_stats_roundtrip(self):
-        stats = StageStats()
-        stats.commands_in += 3
-        stats.bytes_out += 100
-        as_dict = stats.as_dict()
-        assert as_dict["commands_in"] == 3
-        assert as_dict["bytes_out"] == 100
-        total = StageStats()
-        total.accumulate(stats)
-        total.accumulate(stats)
-        assert total.commands_in == 6
-
     def test_pipeline_stats_cover_every_stage(self):
         loop, mon, server, ws, clients = make_rig([None, (48, 32)])
         run_workload(loop, ws, clients)
         stats = server.pipeline_stats()
-        assert set(STAGE_NAMES) <= set(stats)
         # Translation admitted every driver-submitted command...
         assert stats["translate"]["commands_in"] == \
             server.stats["commands_translated"] > 0
@@ -298,8 +284,7 @@ class TestInstrumentation:
         # ...and the per-session stages drained completely.
         assert stats["buffer"]["commands_in"] > 0
         assert stats["buffer"]["queue_depth"] == 0
-        assert stats["frame"]["bytes_out"] > 0
-        assert stats["flush"]["bytes_out"] >= stats["frame"]["bytes_out"]
+        assert stats["flush"]["bytes_out"] > 0
         for session in server.sessions:
             assert session.stats["cpu_time"] >= 0.0
         attributed = sum(s.stats["cpu_time"] for s in server.sessions)

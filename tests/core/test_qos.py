@@ -177,7 +177,7 @@ class TestOneDispatchPerFrame:
         stream = ws.video_create_stream("YV12", 16, 12, Rect(0, 0, 32, 24))
         ws.video_put_frame(stream, clip.yv12_frame(0))  # frame 1: off grid
         stats = server.plane.stats
-        misses, hits = stats.cache_misses, stats.cache_hits
+        misses, hits = stats["cache_misses"], stats["cache_hits"]
         submits = []
         submit = server.plane.submit
         server.plane.submit = lambda cmd, group: (
@@ -185,7 +185,7 @@ class TestOneDispatchPerFrame:
         ws.video_put_frame(stream, clip.yv12_frame(1))  # frame 2: on grid
         assert one.qos_rung == 1
         assert submits == [[zero, one]]
-        assert (stats.cache_misses - misses, stats.cache_hits - hits) \
+        assert (stats["cache_misses"] - misses, stats["cache_hits"] - hits) \
             == (1, 1)
 
 
@@ -214,11 +214,11 @@ class TestShedOrderWithGovernor:
                                  ws.screen, Rect(0, 0, 64, 64), img))
         loop.run_until_idle(max_time=60)
         g = server.governor.stats
-        assert g.video_rungs_shed >= 1
+        assert g["video_rungs_shed"] >= 1
         # Whole video rungs are spent before audio-shedding degraded
         # mode may engage; degrade only after the ladder is exhausted.
-        if g.degrade_entered:
-            assert g.video_rungs_shed >= MAX_RUNG
+        if g["degrade_entered"]:
+            assert g["video_rungs_shed"] >= MAX_RUNG
 
     def test_governor_untouched_when_qos_off(self):
         budget = Budget(degrade_queue_bytes=512)
@@ -231,8 +231,8 @@ class TestShedOrderWithGovernor:
                              lambda img=img: ws.put_image(
                                  ws.screen, Rect(0, 0, 64, 64), img))
         loop.run_until_idle(max_time=60)
-        assert server.governor.stats.video_rungs_shed == 0
-        assert server.governor.stats.degrade_entered >= 1
+        assert server.governor.stats["video_rungs_shed"] == 0
+        assert server.governor.stats["degrade_entered"] >= 1
 
 
 class TestMigrationCarriesRung:

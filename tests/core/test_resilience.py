@@ -66,9 +66,9 @@ class TestCleanSession:
         assert_pixel_identical(rc.client, ws)
         st = server.resilience.stats
         assert rc.stats["dials"] == 1
-        assert st.attaches == 1
-        assert st.resyncs_replay == 0 and st.resyncs_snapshot == 0
-        assert st.heartbeats > 0  # liveness traffic flowed
+        assert st["attaches"] == 1
+        assert st["resyncs_replay"] == 0 and st["resyncs_snapshot"] == 0
+        assert st["heartbeats"] > 0  # liveness traffic flowed
 
     def test_acks_prune_the_replay_log(self):
         loop, dial, server, ws, rc = chaos_run(None)
@@ -88,7 +88,7 @@ class TestScriptedScenarios:
         assert_clean_outcome(rc, ws, end=1.0)
         st = server.resilience.stats
         assert rc.stats["dials"] == 1
-        assert st.resyncs_replay == 0 and st.resyncs_snapshot == 0
+        assert st["resyncs_replay"] == 0 and st["resyncs_snapshot"] == 0
 
     def test_upstream_stall_reattaches_in_place(self):
         # Heartbeats freeze, the server detaches; when the stalled
@@ -100,8 +100,8 @@ class TestScriptedScenarios:
         assert_clean_outcome(rc, ws, end=1.6)
         st = server.resilience.stats
         assert rc.stats["dials"] == 1  # no reconnect needed
-        assert st.disconnects == 1 and st.reattaches == 1
-        assert st.resyncs_replay == 0 and st.resyncs_snapshot == 0
+        assert st["disconnects"] == 1 and st["reattaches"] == 1
+        assert st["resyncs_replay"] == 0 and st["resyncs_snapshot"] == 0
 
     def test_downstream_stall_recovers_by_replay(self):
         plan = FaultPlan([Stall(start=0.4, duration=0.8,
@@ -110,15 +110,15 @@ class TestScriptedScenarios:
         assert_clean_outcome(rc, ws, end=1.6)
         st = server.resilience.stats
         assert rc.stats["dead_detected"] >= 1
-        assert st.resyncs_replay >= 1
-        assert st.resyncs_snapshot == 0  # queue survived: no fallback
-        assert st.max_replay_bytes <= FULLSCREEN_RAW
+        assert st["resyncs_replay"] >= 1
+        assert st["resyncs_snapshot"] == 0  # queue survived: no fallback
+        assert st["max_replay_bytes"] <= FULLSCREEN_RAW
 
     def test_partition_heals_without_snapshot(self):
         plan = FaultPlan([Partition(start=0.4, duration=0.6)], seed=3)
         loop, dial, server, ws, rc = chaos_run(plan, end=1.6)
         assert_clean_outcome(rc, ws, end=1.6)
-        assert server.resilience.stats.resyncs_snapshot == 0
+        assert server.resilience.stats["resyncs_snapshot"] == 0
 
     def test_mid_frame_disconnect_replays_lost_frames(self):
         # Kill the socket while a full-screen frame is in flight on a
@@ -140,8 +140,8 @@ class TestScriptedScenarios:
         assert np.array_equal(rc.client.fb.data, clean_rc.client.fb.data)
         assert rc.client.stats["seq_gaps"] == 0
         st = server.resilience.stats
-        assert st.resyncs_replay >= 1 and st.resyncs_snapshot == 0
-        assert 0 < st.max_replay_bytes <= FULLSCREEN_RAW
+        assert st["resyncs_replay"] >= 1 and st["resyncs_snapshot"] == 0
+        assert 0 < st["max_replay_bytes"] <= FULLSCREEN_RAW
 
     def test_corrupted_frames_trigger_resync_not_crash(self):
         plan = FaultPlan([Corruption(start=0.4, duration=0.3,
@@ -152,7 +152,7 @@ class TestScriptedScenarios:
         total_errors = (rc.stats["protocol_errors"]
                         + rc.client.stats["protocol_errors"])
         assert total_errors > 0  # damage was detected, typed, survived
-        assert server.resilience.stats.resyncs_snapshot == 0
+        assert server.resilience.stats["resyncs_snapshot"] == 0
 
     def test_upstream_corruption_does_not_kill_the_server(self):
         plan = FaultPlan([Corruption(start=0.3, duration=0.4,
@@ -175,8 +175,8 @@ class TestScriptedScenarios:
             plan, end=1.2, config=server_cfg, client_config=client_cfg)
         assert_pixel_identical(rc.client, ws)
         st = server.resilience.stats
-        assert st.queues_dropped == 1
-        assert st.resyncs_snapshot == 1 and st.resyncs_replay == 0
+        assert st["queues_dropped"] == 1
+        assert st["resyncs_snapshot"] == 1 and st["resyncs_replay"] == 0
         # The snapshot discontinuity is announced, not a stream bug.
         assert rc.client.stats["seq_gaps"] == 0
 
@@ -188,7 +188,7 @@ class TestScriptedScenarios:
         assert_pixel_identical(rc.client, ws)
         assert np.array_equal(rc.client.fb.data,
                               clean_twin_pixels(end=1.2, encrypt=True))
-        assert server.resilience.stats.resyncs_replay >= 1
+        assert server.resilience.stats["resyncs_replay"] >= 1
 
     def test_rapid_flapping_is_denied_backoff(self):
         plan = FaultPlan([Disconnect(at=0.4), Disconnect(at=0.9),
@@ -196,7 +196,7 @@ class TestScriptedScenarios:
         loop, dial, server, ws, rc = chaos_run(plan, end=1.6, settle=12.0)
         assert_pixel_identical(rc.client, ws)
         st = server.resilience.stats
-        assert st.resyncs_replay + st.resyncs_snapshot >= 3
+        assert st["resyncs_replay"] + st["resyncs_snapshot"] >= 3
 
 
 class TestFramingChecks:
@@ -218,7 +218,7 @@ class TestFramingChecks:
         loop.run_until(6.0)
         assert_pixel_identical(rc.client, ws)
         assert rc.stats["dials"] == 1
-        assert server.resilience.stats.resyncs_replay == 0
+        assert server.resilience.stats["resyncs_replay"] == 0
 
     def test_a_corrupted_length_redials_on_the_chunk_that_carries_it(self):
         # The wire damages one CHECKED frame's length (the journal keeps
@@ -314,8 +314,8 @@ class TestDegradation:
         loop.run_until(20.0)
         st = server.governor.stats
         session = server.sessions[0]
-        assert st.degrade_entered >= 1  # pressure was seen...
-        assert st.degrade_exited >= 1  # ...and receded
+        assert st["degrade_entered"] >= 1  # pressure was seen...
+        assert st["degrade_exited"] >= 1  # ...and receded
         assert session.stats["audio_dropped"] > 0  # audio was shed
         assert not session.degraded
         assert_pixel_identical(rc.client, ws)  # display never lies
@@ -333,7 +333,7 @@ class TestDeterminism:
         trace = []
         for conn in dial.connections:
             trace.extend(conn.fault_trace())
-        return trace, server.resilience.stats.as_dict(), dict(rc.stats)
+        return trace, dict(server.resilience.stats), dict(rc.stats)
 
     def test_same_seed_byte_identical_run(self):
         # The acceptance bar for the whole harness: one seed, one
@@ -356,5 +356,5 @@ class TestSeededSweep:
         loop, dial, server, ws, rc = chaos_run(
             plan, end=1.5, settle=12.0, workload_seed=self.CHAOS_SEED)
         assert_pixel_identical(rc.client, ws)
-        assert server.resilience.stats.max_replay_bytes <= FULLSCREEN_RAW
+        assert server.resilience.stats["max_replay_bytes"] <= FULLSCREEN_RAW
         assert rc.client.stats["seq_gaps"] == 0

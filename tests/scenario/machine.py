@@ -219,8 +219,9 @@ class ScenarioMachine(RuleBasedStateMachine):
                 counts["rungs down"] += stats.get("qos_rungs_down", 0)
                 counts["degrades"] += stats["governor_degrade_entered"]
                 counts["quarantines"] += stats["governor_quarantined"]
-                counts["resyncs"] += server.resilience.stats.resyncs_replay \
-                    + server.resilience.stats.resyncs_snapshot
+                resil = server.resilience.stats
+                counts["resyncs"] += (resil["resyncs_replay"]
+                                      + resil["resyncs_snapshot"])
             if run.coord is not None:
                 counts["migrations"] += len(run.coord.migrations)
         except BaseException:

@@ -40,7 +40,7 @@ def ladder_engaged_and_rung_travelled(run):
     carried = [FrozenSession.from_bytes(m.state) for m in run.coord.fabric_log
                if isinstance(m, wire.SessionTransferMessage)]
     downs = sum(s.stats.get("qos_rungs_down", 0)
-                + s.governor.stats.video_rungs_shed for s in run.servers)
+                + s.governor.stats["video_rungs_shed"] for s in run.servers)
     return carried and downs >= 1 and run.home(0)[0] == 1
 
 
@@ -127,8 +127,8 @@ def test_a_detached_resilient_session_redials_fresh():
     run.viewer(0).connection.close()
     run.quiesce()
     stats = run.servers[0].resilience.stats
-    assert (stats.attaches, stats.resyncs_replay + stats.resyncs_snapshot) \
-        == (2, 0)
+    assert (stats["attaches"],
+            stats["resyncs_replay"] + stats["resyncs_snapshot"]) == (2, 0)
     print(run.check())
 
 
