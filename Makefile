@@ -80,12 +80,14 @@ fuzz-smoke:
 
 # What .github/workflows/ci.yml runs: lint gates, the tier-1 suite
 # (with its 15 slowest tests, so the suite's wall time stays in view),
-# its one-CPU codec and delivery tests, every example and the size.
+# its one-CPU codec, delivery and resilience tests, every example and
+# the size.
 ci: lint analyze
 	PYTHONPATH=src $(PY) -m pytest -x -q --durations=15
 	PYTHONPATH=src taskset -c 0 $(PY) -m pytest -x -q \
 	  tests/protocol/test_compression.py tests/core/test_delivery.py \
 	  tests/core/test_pipeline.py tests/cluster/test_migration.py \
+	  tests/core/test_resilience.py \
 	  tests/bench/test_wrap_points_on_main_thread.py
 	@$(MAKE) --no-print-directory examples
 	@$(MAKE) --no-print-directory loc

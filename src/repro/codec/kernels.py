@@ -17,27 +17,27 @@ import numpy as np
 __all__ = [
     "up_filter",
     "up_unfilter",
-    "batch_up_filter",
     "rle_encode",
     "rle_encoded_size",
     "rle_decode",
 ]
 
 
-def _up_rows(img: np.ndarray) -> np.ndarray:
-    """'Up'-filter (..., H, W, C) pixels into (..., H, W*C) rows; uint8
-    wraps mod 256.
+def up_filter(pixels: np.ndarray) -> np.ndarray:
+    """PNG 'Up' predictor: (H, W, C) pixels into (H, W*C) rows, each
+    row minus the row above (uint8 wraps mod 256).
 
-    *img* is only read, and may be a view that skips bytes — the RGB
+    *pixels* is only read, and may be a view that skips bytes — the RGB
     channels of an RGBA block.  Such a view is filtered channel plane
     by channel plane (C order over channel-first views), so numpy's
     inner loop runs along a row instead of over C bytes, and no packed
     copy of the input is made.
     """
-    rows = img.shape[:-2] + (img.shape[-2] * img.shape[-1],)
-    out = np.empty(rows, dtype=np.uint8)
+    img = np.asarray(pixels, dtype=np.uint8)
+    h, w, c = img.shape
+    out = np.empty((h, w * c), dtype=np.uint8)
     if img.flags.c_contiguous:
-        src, dst = img.reshape(rows), out
+        src, dst = img.reshape(h, w * c), out
     else:
         src = np.moveaxis(img, -1, 0)
         dst = np.moveaxis(out.reshape(img.shape), -1, 0)
@@ -45,11 +45,6 @@ def _up_rows(img: np.ndarray) -> np.ndarray:
     np.subtract(src[..., 1:, :], src[..., :-1, :], out=dst[..., 1:, :],
                 order="C")
     return out
-
-
-def up_filter(pixels: np.ndarray) -> np.ndarray:
-    """PNG 'Up' predictor: each row minus the row above (mod 256)."""
-    return _up_rows(np.asarray(pixels, dtype=np.uint8))
 
 
 def up_unfilter(filtered: np.ndarray, height: int, width: int,
@@ -71,17 +66,6 @@ def up_unfilter(filtered: np.ndarray, height: int, width: int,
     np.add.accumulate(filtered.reshape(height, width, channels), axis=0,
                       dtype=np.uint8, out=out[..., :channels])
     return out
-
-
-def batch_up_filter(stack: np.ndarray) -> np.ndarray:
-    """Up-filter N same-shape images in one fused pass.
-
-    *stack* is an (N, H, W, C) uint8 array; the row shift and modular
-    subtraction run once over all N images (the batch-prepare path of
-    the prepare plane), returning an (N, H, W*C) uint8 array of
-    filtered rows ready for per-image DEFLATE.
-    """
-    return _up_rows(stack.astype(np.uint8, copy=False))
 
 
 def _run_bounds(view: np.ndarray):

@@ -17,10 +17,10 @@ Responses are graduated, mildest first:
 * **degrade** — past the queue soft watermark the session sheds audio
   (``session.degraded``, which only this module writes: entered on a
   display add, exited after a flush); past the hard cap the queue is
-  *coalesced*: dropped wholesale and replaced by a row-banded
-  full-screen RAW refresh, which is cheaper than the backlog by the
-  time the cap is hit (the same replay-vs-snapshot economics the
-  resilience plane uses for resync).
+  *coalesced*: dropped wholesale and replaced by one full-screen RAW
+  refresh, which is cheaper than the backlog by the time the cap is
+  hit (the same replay-vs-snapshot economics the resilience plane uses
+  for resync).
 * **throttle** — uplink messages pass through a token bucket; messages
   beyond the refill rate are dropped (input is best-effort by nature).
 * **evict** — protocol abuse (wire decode failures past the error
@@ -316,13 +316,13 @@ class Governor:
         By the time the hard cap is hit the backlog costs more than
         repainting the screen outright — the same economics that make
         the resilience plane prefer a snapshot over a long replay.
-        The refresh is row-banded so it can drain through a congested
-        pipe's flush budget.
+        The refresh is one RAW; the flush cuts it between PNG bands to
+        fit a congested pipe, as it does any large command.
         """
         session.meter.last_coalesce = now
         session.buffer.queue.clear()
         self.stats["coalesces"] += 1
-        self.server._submit_refresh(session, chunk_rows=64)
+        self.server._submit_refresh(session)
 
     def after_audio_add(self, session) -> None:
         """Shed the oldest audio past the backlog cap (late audio is

@@ -44,8 +44,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from ..codec import Encoding, LinkPosture, classify
-from ..protocol import compression, wire
+from ..codec import LinkPosture, classify
+from ..protocol import wire
 from ..protocol.commands import (Command, CompositeCommand, RawCommand,
                                  SFillCommand)
 
@@ -55,14 +55,13 @@ __all__ = ["PreparePlane", "FrameStage"]
 class PreparePlane:
     """Stages 2–3 — shared Scale and Prepare/Compress planes.
 
-    One dispatch (:meth:`submit`, or one command of
-    :meth:`submit_batch`) prepares each encoding variant of the command
-    once per distinct viewport scale key among its receivers —
-    :attr:`repro.core.resize.DisplayScaler.key`, view rect + client
-    size, everything that determines the scaled output — and hands
-    every receiver a clone of that entry.  Entries live only for the
-    dispatch: the server's dispatch path hands each command object to
-    the plane once, so a later lookup could never hit.
+    One dispatch (:meth:`submit`) prepares each encoding variant of
+    the command once per distinct viewport scale key among its
+    receivers — :attr:`repro.core.resize.DisplayScaler.key`, view
+    rect + client size, everything that determines the scaled output —
+    and hands every receiver a clone of that entry.  Entries live only
+    for the dispatch: the server's dispatch path hands each command
+    object to the plane once, so a later lookup could never hit.
 
     The plane also closes the server's dispatch path (see
     ``THINCServer.submit``): :meth:`variants` is its *posture classes*
@@ -146,9 +145,6 @@ class PreparePlane:
             if choice.solid_color is not None:
                 variant = self._demote_solid(command, choice.solid_color)
             else:
-                # ``with_encoding`` returns the command itself for the
-                # encoding the translator produced, so a
-                # pre-materialised batch payload survives.
                 variant = command.with_encoding(choice.encoding)
             marker = self._encoding_of(variant)
             if marker in emitted:
@@ -168,18 +164,15 @@ class PreparePlane:
         """Prepare *command* once per posture class and distinct
         viewport among *sessions* and hand each session its prepared
         clones."""
-        self._deliver(self.variants(command, sessions))
-
-    def _deliver(self, classes) -> None:
-        for members, variant in classes:
+        for members, variant in self.variants(command, sessions):
             # This dispatch's entries of *variant*, by scale key.
             entries: Dict[Tuple, List[Tuple[Command, float]]] = {}
             for session in members:
-                for command, ready_at in self.prepare_entry(
+                for prepared, ready_at in self.prepare_entry(
                         variant, session, entries):
                     # Per-session clone: shares pixels and compressed
                     # payload, but queue-mutable state stays private.
-                    session.enqueue_prepared(command.translated(0, 0),
+                    session.enqueue_prepared(prepared.translated(0, 0),
                                              ready_at)
 
     def prepare_entry(self, command: Command, session,
@@ -204,36 +197,11 @@ class PreparePlane:
 
     def submit_batch(self, commands: Iterable[Command],
                      sessions: Iterable) -> None:
-        """Admit one pipeline drain of commands at once.
-
-        Same semantics as calling :meth:`submit` per command — the
-        fan-out, entries and ordering are identical — but RAW blocks
-        headed for PNG encoding whose payload rows have the same shape
-        (opaque blocks carry RGB rows, :func:`repro.protocol.
-        compression.png_channels`) are filtered in one fused numpy pass
-        (:func:`~repro.protocol.compression.png_compress_batch`) and
-        their payloads pre-materialised, so the per-command prepare step
-        finds the bytes already encoded.  Byte-for-byte identical to the
-        per-command path.
-        """
+        """:meth:`submit` per command.  Kept only because the thincbench
+        tracer wraps it by name; ROADMAP item 25 deletes it."""
         sessions = list(sessions)
-        classed = [list(self.variants(c, sessions)) for c in commands]
-        groups: Dict[Tuple, list] = {}  # rows shape -> [(command, rows)]
-        for classes in classed:
-            for _, cmd in classes:
-                if (isinstance(cmd, RawCommand)
-                        and cmd.encoding is Encoding.PNG):
-                    rows = compression.png_channels(cmd.pixels)
-                    groups.setdefault(rows.shape, []).append((cmd, rows))
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            payloads = compression.png_compress_batch(
-                [rows for _, rows in members])
-            for (member, _), payload in zip(members, payloads):
-                member._payload = payload
-        for classes in classed:
-            self._deliver(classes)
+        for command in commands:
+            self.submit(command, sessions)
 
     def _prepare(self, command: Command,
                  scaler) -> Tuple[List[Tuple[Command, float]], float]:

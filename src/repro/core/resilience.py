@@ -15,7 +15,7 @@ Server side (:class:`ResiliencePlane`):
   session re-attaches in place; otherwise the client dials back.
 * **Detach window** — after ``detach_window`` of absence the queue and
   replay log are dropped and further display buffering is shed; the
-  eventual resync falls back to a region-chunked RAW snapshot.
+  eventual resync falls back to a full-screen RAW snapshot.
 * **Resync by replay** — every sent frame is wrapped in a CHECKED
   sequence wrapper and journaled (plaintext) on the session unit,
   pruned by the client's acks.  On reconnect the client names its last
@@ -61,13 +61,9 @@ __all__ = ["ResilienceConfig", "SessionGuard",
            "ResiliencePlane", "ResilientClient"]
 
 # Headroom added to raw pixel bytes when costing a full-screen RAW
-# snapshot: frame/CHECKED headers per chunk plus zlib's worst-case
-# expansion on incompressible content.
+# snapshot: frame/CHECKED headers per flushed piece plus zlib's
+# worst-case expansion on incompressible content.
 _SNAPSHOT_SLACK = 4096
-
-# Row-band height of a snapshot resync's refresh, so a recovering
-# client never faces one monolithic frame on a congested pipe.
-_SNAPSHOT_CHUNK_ROWS = 32
 
 # Reconnect backoff, both sides: the ceiling on the exponential delay,
 # and how close together two accepts must be to escalate it.
@@ -290,7 +286,8 @@ class ResiliencePlane:
                                             replay_bytes)
         else:
             # Stale state is worthless now: drop it all and push a
-            # freshly read, row-banded snapshot of current content.
+            # freshly read snapshot of current content, one RAW that
+            # the flush cuts between PNG bands like any other.
             session.buffer.queue.clear()
             session._replay.clear()
             session.clear_audio()
@@ -301,8 +298,7 @@ class ResiliencePlane:
             # A resize's SCREEN_INIT may have died unacked with the log:
             # the snapshot is only paintable at the geometry it is for.
             session.queue_control(wire.ScreenInitMessage(*session.viewport))
-            self.server._submit_refresh(
-                session, chunk_rows=_SNAPSHOT_CHUNK_ROWS)
+            self.server._submit_refresh(session)
         session._kick()
 
     def _snapshot_cost(self, session) -> int:

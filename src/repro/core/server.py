@@ -234,35 +234,21 @@ class THINCServer:
         return self.driver.screen_drawable.fb.read_pixels(rect)
 
     def _submit_refresh(self, session: SessionUnit,
-                        rect: Optional[Rect] = None,
-                        chunk_rows: Optional[int] = None) -> None:
+                        rect: Optional[Rect] = None) -> None:
         """Push current screen content for *rect* (whole screen when
-        None) to one session as a RAW update.
+        None) to one session as one RAW update.
 
-        ``chunk_rows`` splits the refresh into row bands of at most
-        that height — the snapshot resync path uses it so a recovering
-        client never faces one monolithic frame that cannot squeeze
-        through a congested pipe's flush budget.  A screen nothing has
-        drawn on yet is the black every client framebuffer starts as,
-        so it ships nothing.
+        The refresh is never cut in advance: the flush stage splits it
+        between PNG bands, from the room the socket has then, like any
+        other large command.  A screen nothing has drawn on yet is the
+        black every client framebuffer starts as, so it ships nothing.
         """
         screen = self.driver.screen_drawable
         if not screen.fb.pixels_drawn:
             return
         rect = screen.bounds if rect is None else rect
-        if chunk_rows is None or rect.height <= chunk_rows:
-            session.submit(RawCommand(rect, screen.fb.read_pixels(rect),
-                                      self.driver.raw_encoding))
-            return
-        bottom = rect.y + rect.height
-        bands = []
-        for y in range(rect.y, bottom, chunk_rows):
-            band = Rect(rect.x, y, rect.width, min(chunk_rows, bottom - y))
-            bands.append(RawCommand(band, screen.fb.read_pixels(band),
-                                    self.driver.raw_encoding))
-        # One drain: equal-height bands share a fused filter pass on
-        # the prepare plane's batch path.
-        session.submit_batch(bands)
+        session.submit(RawCommand(rect, screen.fb.read_pixels(rect),
+                                  self.driver.raw_encoding))
 
     # -- UpdateSink interface (called by THINCDriver) ------------------------------
 

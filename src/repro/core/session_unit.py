@@ -428,15 +428,6 @@ class SessionUnit:
         """
         self.server.plane.submit(command, (self,))
 
-    def submit_batch(self, commands) -> None:
-        """Route one drain of commands through the plane's batch path.
-
-        Equivalent to :meth:`submit` per command, but same-shape RAW
-        blocks share a fused filter pass (see
-        :meth:`repro.core.pipeline.PreparePlane.submit_batch`).
-        """
-        self.server.plane.submit_batch(commands, (self,))
-
     def enqueue_prepared(self, command: Command, ready_at: float) -> None:
         """Buffer a prepared command once its CPU completion time passes.
 

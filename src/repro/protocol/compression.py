@@ -369,24 +369,9 @@ def png_compress(pixels, level: int = 6) -> bytes:
 
 
 def png_compress_batch(blocks) -> list:
-    """Compress N same-shape HxWxC blocks in one fused filter pass.
-
-    The batch-prepare path: the 'up' row filter runs once over the
-    whole (N, H, W, C) stack, then each filtered image is DEFLATEd
-    individually (payloads stay per-command on the wire).  Byte-for-byte
-    identical to calling :func:`png_compress` per block at its default
-    level.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        return []
-    stack = np.stack([np.asarray(b, dtype=np.uint8) for b in blocks])
-    if stack.ndim != 4:
-        raise ValueError("expected a batch of HxWxC pixel arrays")
-    _, h, w, c = stack.shape
-    header = _png_header(h, w, c)
-    return [_deflate_rows(header, rows, 6)
-            for rows in kernels.batch_up_filter(stack)]
+    """:func:`png_compress` per block.  Kept only because the
+    thincbench tracer wraps it by name; ROADMAP item 25 deletes it."""
+    return [png_compress(block) for block in blocks]
 
 
 def png_first_head(payload: bytes) -> Optional[int]:

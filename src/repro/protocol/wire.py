@@ -95,7 +95,7 @@ SUBSCRIBE_TILE = 1  # own one tile of a cols x rows display wall
 # Resync kinds carried by ReconnectAcceptMessage.
 RESYNC_FRESH = 0  # brand-new session: full state follows anyway
 RESYNC_REPLAY = 1  # unacked frames replayed from the session log
-RESYNC_SNAPSHOT = 2  # log/queue was dropped: region-chunked RAW refresh
+RESYNC_SNAPSHOT = 2  # log/queue was dropped: full-screen RAW refresh
 
 # Admission-denial reasons carried by AttachDeniedMessage.
 DENY_SERVER_FULL = 0  # global session or byte budget exhausted
@@ -296,7 +296,7 @@ class ReconnectRequestMessage:
 @message("RECONNECT_ACCEPT", 29, "s->c", "(extension: resilience)")
 class ReconnectAcceptMessage:
     """The plane accepts an attach/reconnect and announces the resync
-    mode (0 fresh, 1 replay of unacked frames, 2 region-chunked RAW
+    mode (0 fresh, 1 replay of unacked frames, 2 full-screen RAW
     snapshot); sent in the clear before the (possibly re-keyed)
     session stream starts."""
 

@@ -120,9 +120,6 @@ class TestLoopEquivalence:
             img = rng.integers(0, 256, (h, w, channels), dtype=np.uint8)
         filtered = kernels.up_filter(img)
         assert filtered.tobytes() == _ref_up_filter(img).tobytes()
-        batch = kernels.batch_up_filter(np.stack([img, img[::-1]]))
-        assert batch.tobytes() == (filtered.tobytes()
-                                   + _ref_up_filter(img[::-1]).tobytes())
         wide = np.zeros((h, 2 * w * channels), dtype=np.uint8)
         wide[:, ::2] = filtered
         for rows in (filtered, wide[:, ::2]):
@@ -138,7 +135,7 @@ class TestLoopEquivalence:
         assert (rgba[..., channels:] == 255).all()
 
 
-# -- round-trips and batch equivalence --------------------------------------
+# -- round-trips ------------------------------------------------------------
 
 class TestRoundTrips:
     @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**16))
@@ -171,18 +168,6 @@ class TestRoundTrips:
             kernels.rle_decode(body, 17)
         with pytest.raises(ValueError):
             kernels.rle_decode(body + b"\x00", 16)
-
-    def test_batch_up_filter_matches_per_image(self):
-        blocks = [random_rgba(8, 6, s) for s in range(5)]
-        batched = kernels.batch_up_filter(np.stack(blocks))
-        for block, rows in zip(blocks, batched):
-            assert np.array_equal(rows, kernels.up_filter(block))
-
-    def test_png_batch_bytes_identical_to_single(self):
-        blocks = [random_rgba(8, 8, s) for s in range(4)]
-        batch = comp.png_compress_batch(blocks)
-        single = [comp.png_compress(b) for b in blocks]
-        assert batch == single
 
 
 # -- the no-per-pixel-loop guard --------------------------------------------

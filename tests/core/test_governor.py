@@ -15,11 +15,12 @@ from repro.core import AdmissionDenied, Budget, ServerBudget, THINCClient
 from repro.core.governor import SessionMeter
 from repro.net import Connection, LAN_DESKTOP
 from repro.protocol import wire
+from repro.protocol.commands import RawCommand
 from repro.region import Rect
 
 from repro.net.link import LinkParams
 
-from tests.helpers import (assert_pixel_identical, make_rig,
+from tests.helpers import (assert_pixel_identical, buffered_spy, make_rig,
                            make_resilient_rig)
 
 #: A link slow enough (64 kbit/s) that full-screen noise RAWs pile up
@@ -118,13 +119,17 @@ class TestQueueLadder:
         session = server.sessions[0]
         loop.run_until(1.0)
         rng = np.random.default_rng(3)
-        for i in range(120):
-            text = "".join(chr(c) for c in rng.integers(33, 127, 14))
-            ws.draw_text(ws.screen, 2, 8 + 10 * (i % 5), text,
-                         (int(rng.integers(0, 256)), 0, 0, 255))
-        loop.run_until(10.0)
+        with buffered_spy() as buffered:
+            for i in range(120):
+                text = "".join(chr(c) for c in rng.integers(33, 127, 14))
+                ws.draw_text(ws.screen, 2, 8 + 10 * (i % 5), text,
+                             (int(rng.integers(0, 256)), 0, 0, 255))
+            loop.run_until(10.0)
         stats = server.governor.stats
         assert stats["coalesces"] == 1
+        # The refresh is buffered as one RAW; the flush cuts it.
+        assert [c.dest for c in buffered if isinstance(c, RawCommand)] \
+            == [ws.screen.bounds]
         assert stats["evicted"] == 0 and not session.quarantined
         assert not session.degraded
         assert_pixel_identical(client, ws)
@@ -202,8 +207,7 @@ class TestLadderUnit:
                                 evict_queue_bytes=100_000, **kw))
         refreshes = []
         server._submit_refresh = (
-            lambda session, rect=None, chunk_rows=None:
-            refreshes.append((session, chunk_rows)))
+            lambda session, rect=None: refreshes.append((session, rect)))
         gov = server.governor
         return gov, _StubSession(SessionMeter(gov.budget, loop.now)), \
             refreshes
@@ -216,7 +220,7 @@ class TestLadderUnit:
         assert gov.stats["coalesces"] == 1
         assert gov.stats["evicted"] == 0
         assert sess.buffer.queue == []          # backlog dropped...
-        assert refreshes[0][1] == 64            # ...for a banded refresh
+        assert refreshes == [(sess, None)]      # ...for a full refresh
         assert not sess.quarantined
         # Once the refresh drains, the session recovers fully.
         sess.buffer.pending = 500

@@ -14,8 +14,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tests.helpers import (BLUE, GREEN, RED, WHITE, deflate_spy,
                            make_multi_rig as make_rig)
@@ -129,47 +127,6 @@ class TestSharedPrepareExactness:
         assert server.plane.stats["cache_hits"] > 0
         for client in clients:
             assert client.fb.same_as(ws.screen.fb)
-
-
-class TestBatchPrepare:
-    @given(st.lists(st.booleans(), min_size=2, max_size=6),
-           st.integers(0, 2**16))
-    @settings(max_examples=25, deadline=None)
-    def test_mixed_opaque_batch_equals_per_command_path(self, opaque,
-                                                         seed):
-        """``submit_batch`` fuses the filter over blocks whose payloads
-        carry rows of one shape — RGB for an opaque block, RGBA for the
-        rest — and every payload, band table and client pixel equals
-        what submitting one command at a time gives."""
-        rng = np.random.default_rng(seed)
-        blocks = [rng.integers(0, 256, (24, 32, 4), dtype=np.uint8)
-                  for _ in opaque]
-        for block, flag in zip(blocks, opaque):
-            if flag:
-                block[..., 3] = 255
-
-        def run(batch):
-            loop, _, server, _, (client,) = make_rig([None])
-            session = server.sessions[0]
-            cmds = [RawCommand(Rect(32 * (i % 3), 24 * (i // 3), 32, 24),
-                               block) for i, block in enumerate(blocks)]
-            # Two-row bands, so the batch payloads are banded too.
-            with mock.patch.object(compression, "_BAND_BYTES", 256):
-                if batch:
-                    server.plane.submit_batch(cmds, (session,))
-                else:
-                    for cmd in cmds:
-                        server.plane.submit(cmd, (session,))
-                loop.run_until_idle(max_time=10)
-            payloads = [cmd._encoded_payload() for cmd in cmds]
-            return ([(bytes(p), p.segments) for p in payloads],
-                    client.fb.data.copy())
-
-        (batched, batch_fb), (single, single_fb) = run(True), run(False)
-        assert batched == single
-        assert np.array_equal(batch_fb, single_fb)
-        assert [payload[4] for payload, _ in batched] == \
-            [3 if flag else 4 for flag in opaque]
 
 
 HERE = min(os.sched_getaffinity(0))

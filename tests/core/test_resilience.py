@@ -14,7 +14,8 @@ import os
 
 import numpy as np
 
-from tests.helpers import (assert_pixel_identical, make_resilient_rig,
+from tests.helpers import (assert_pixel_identical, buffered_spy,
+                           deflate_spy, make_resilient_rig,
                            scripted_workload)
 from repro.core import Budget
 from repro.core.resilience import ResilienceConfig
@@ -22,10 +23,11 @@ from repro.net import LinkParams
 from repro.net.faults import (Corruption, Disconnect, FaultPlan, LossBurst,
                               Partition, Stall)
 from repro.protocol import wire
+from repro.protocol.commands import RawCommand
 
 W, H = 96, 64
 # The replay-byte bound: what a full-screen RAW snapshot would cost on
-# the wire (raw pixels + per-chunk framing/compression overhead).
+# the wire (raw pixels + framing/compression overhead per flushed piece).
 FULLSCREEN_RAW = W * H * 4 + 4096
 SETTLE = 8.0  # all scripted plans are quiet long before this
 
@@ -163,7 +165,7 @@ class TestScriptedScenarios:
     def test_detach_window_expiry_falls_back_to_snapshot(self):
         # The client stays away past the detach window (huge client
         # backoff forces that): queue and log are dropped, and the
-        # reconnect is served by a chunked RAW snapshot instead.
+        # reconnect is served by a RAW snapshot instead.
         server_cfg = ResilienceConfig(
             heartbeat_interval=0.1, liveness_timeout=0.35,
             check_interval=0.05, backoff_base=0.05, detach_window=0.8)
@@ -179,6 +181,43 @@ class TestScriptedScenarios:
         assert st["resyncs_snapshot"] == 1 and st["resyncs_replay"] == 0
         # The snapshot discontinuity is announced, not a stream bug.
         assert rc.client.stats["seq_gaps"] == 0
+
+    def test_snapshot_is_one_raw_that_the_flush_cuts(self):
+        """A snapshot is one full-screen RAW: its PNG payload is
+        DEFLATEd once, and each flush split re-DEFLATEs only the row
+        that starts the rest.  A noisy 800-pixel-wide screen bands
+        every 27 RGB rows, so a refresh cut in advance into 32-row
+        pieces would be unbanded pieces that the WAN's full socket
+        splits by rows and DEFLATEs again: 784 800 B fed for a
+        480 000 B payload."""
+        w, h = 800, 200
+        server_cfg = ResilienceConfig(
+            heartbeat_interval=0.1, liveness_timeout=0.35,
+            check_interval=0.05, backoff_base=0.05, detach_window=0.3)
+        client_cfg = ResilienceConfig(
+            heartbeat_interval=0.1, liveness_timeout=0.35,
+            check_interval=0.05, backoff_base=2.5, backoff_jitter=0.0)
+        loop, dial, server, ws, rc = make_resilient_rig(
+            width=w, height=h, link=WAN,
+            plan=FaultPlan([Disconnect(at=0.5)], seed=9),
+            config=server_cfg, client_config=client_cfg)
+        noise = np.random.default_rng(5).integers(0, 256, (h, w, 4),
+                                                  dtype=np.uint8)
+        noise[..., 3] = 255
+        ws.put_image(ws.screen, ws.screen.bounds, noise)
+        loop.run_until(1.5)  # detached, window expired, not yet back
+        assert server.resilience.stats["queues_dropped"] == 1
+        session = next(s for s in server.sessions if s.token)
+        splits = session.buffer.stats["commands_split"]
+        with buffered_spy() as buffered, deflate_spy() as fed:
+            loop.run_until(SETTLE)
+        assert server.resilience.stats["resyncs_snapshot"] == 1
+        splits = session.buffer.stats["commands_split"] - splits
+        assert splits >= 1
+        assert sum(fed) <= noise[..., :3].nbytes + splits * w * 3
+        assert [(type(c), c.dest) for c in buffered] == \
+            [(RawCommand, ws.screen.bounds)]
+        assert_pixel_identical(rc.client, ws)
 
     def test_encrypted_session_survives_reconnect(self):
         # A reconnect restarts both RC4 keystreams; any desync would

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 from repro.cluster.scenario import ClientSpec, Scenario, pixel_mismatch
+from repro.core.delivery import ClientBuffer
 from repro.net import LAN_DESKTOP
 from repro.protocol import compression
 from repro.workloads.scripted import scripted_workload  # noqa: F401
@@ -109,3 +110,18 @@ def deflate_spy():
             **vars(zlib), "compress": spy(zlib.compress),
             "compressobj": compressobj})):
         yield fed
+
+
+@contextmanager
+def buffered_spy():
+    """Every command a session's ``ClientBuffer`` takes in while the
+    block runs, in call order (a flush split's rest is not taken in:
+    it replaces its command in place)."""
+    buffered, add = [], ClientBuffer.add
+
+    def spy(buffer, command, now=0.0):
+        buffered.append(command)
+        add(buffer, command, now)
+
+    with mock.patch.object(ClientBuffer, "add", spy):
+        yield buffered

@@ -127,13 +127,6 @@ class TestRowBands:
             kernels.up_filter(img).tobytes()
         assert np.array_equal(comp.png_decompress(payload), img)
 
-    def test_batch_is_banded_like_single(self):
-        blocks = [smooth_rgba(100, 400, seed=s) for s in range(2)]
-        batch = comp.png_compress_batch(blocks)
-        single = [comp.png_compress(b) for b in blocks]
-        assert batch == single
-        assert [p.segments for p in batch] == [p.segments for p in single]
-
     def test_split_recompresses_one_row(self):
         img = smooth_rgba(100, 700, seed=5)
         payload = comp.png_compress(img)
@@ -291,17 +284,15 @@ class TestDeflatePool:
         blocks = [rows, rows[::-1]]
         with mock.patch.object(comp, "_BAND_BYTES", 256):
             with mock.patch.object(comp, "_pool", comp._DeflatePool([])):
-                want = [comp.png_compress(rows),
-                        *comp.png_compress_batch(blocks)]
+                want = [comp.png_compress(b) for b in blocks]
             for workers, pool in pools.items():
                 with mock.patch.object(comp, "_pool", pool), \
                         deflate_spy() as fed:
-                    got = [comp.png_compress(rows),
-                           *comp.png_compress_batch(blocks)]
+                    got = [comp.png_compress(b) for b in blocks]
                 assert got == want, workers
                 assert [getattr(p, "segments", ()) for p in got] == \
                     [getattr(p, "segments", ()) for p in want], workers
-                assert sum(fed) == 3 * rows.size
+                assert sum(fed) == 2 * rows.size
 
     def test_every_worker_takes_a_run_of_a_photograph(self, pools):
         """The caller DEFLATEs the run with the zlib header, each worker
@@ -336,7 +327,6 @@ class TestDeflatePool:
         with mock.patch.object(comp, "_spare_cpus", return_value=[]), \
                 mock.patch.object(comp, "_pool", None):
             comp.png_compress(img)
-            comp.png_compress_batch([img, img])
             assert comp._pool is None
             comp.png_compress(smooth_rgba(100, 326, seed=3))
             assert comp._pool.workers == 0
