@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci loc bench-e2e-smoke bench-e2e-selftest bench-pairs claims claims-paper figures figures-paper protocol-doc examples clean
+.PHONY: install test lint analyze contracts-doc sanitize chaos fuzz fuzz-smoke cluster-smoke ci loc options bench-e2e-smoke bench-e2e-selftest bench-pairs claims claims-paper figures figures-paper protocol-doc examples clean
 
 install:
 	$(PY) setup.py develop
@@ -91,6 +91,7 @@ ci: lint analyze
 	  tests/bench/test_wrap_points_on_main_thread.py
 	@$(MAKE) --no-print-directory examples
 	@$(MAKE) --no-print-directory loc
+	@$(MAKE) --no-print-directory options
 
 # The size of src/repro, counted one way: physical lines, and lines
 # that are neither blank nor a whole-line comment, per package and in
@@ -103,6 +104,13 @@ loc:
 	    $$(find $$d -name '*.py' | xargs cat | \
 	       grep -cvE '^[[:space:]]*(#|$$)'); \
 	done
+
+# The size of the configuration surface, counted by the option-surface
+# tripwire's own scan (tests/core/test_option_surface.py): defaulted
+# parameters in src/repro and the fields of the config classes.
+# CHANGES.md entries quote these.
+options:
+	@PYTHONPATH=src $(PY) tests/core/test_option_surface.py
 
 # thincbench smoke: the BENCHMARK.json command at --quick sizes, one
 # end-to-end run plus the traced run per workload.  Fails when any op

@@ -20,15 +20,11 @@ class AudioSink(Protocol):
 
 
 class AudioFormat:
-    """PCM stream parameters: 16-bit stereo (CD quality by default)."""
+    """PCM stream parameters: 16-bit stereo at CD quality."""
 
     channels = 2
     sample_bytes = 2
-
-    def __init__(self, sample_rate: int = 44100):
-        if sample_rate <= 0:
-            raise ValueError("audio sample rate must be positive")
-        self.sample_rate = sample_rate
+    sample_rate = 44100
 
     @property
     def frame_bytes(self) -> int:
@@ -57,15 +53,13 @@ class VirtualAudioDriver:
     time of the chunk's first sample in server time.
     """
 
-    def __init__(self, sink: AudioSink, clock, fmt: Optional[AudioFormat] = None,
-                 period: float = 0.05):
-        if period <= 0:
-            raise ValueError("period must be positive")
+    period = 0.05  # seconds
+
+    def __init__(self, sink: AudioSink, clock):
         self.sink = sink
         self.clock = clock
-        self.fmt = fmt or AudioFormat()
-        self.period_bytes = max(self.fmt.frame_bytes,
-                                self.fmt.bytes_for(period))
+        self.fmt = AudioFormat()
+        self.period_bytes = self.fmt.bytes_for(self.period)
         self._pending = bytearray()
         # Playback position: server timestamp of the next byte queued.
         self._stream_time: Optional[float] = None

@@ -19,7 +19,7 @@ from ..baselines import (ICA_AUDIO_COMPRESSION, MIN_VIEWPORT,
                          ForwardServer, GoToMyPCEncoder, NXPricer,
                          OrdersPricer, ScrapeServer, SunRayEncoder,
                          VncEncoder, price_x_command)
-from ..core import THINCClient, THINCServer
+from ..core import SRSFScheduler, THINCClient, THINCServer
 from ..display import WindowServer
 from ..net import Connection, EventLoop, LinkParams, PacketMonitor
 
@@ -128,12 +128,11 @@ class THINCPlatform(Platform):
 
     def __init__(self, *args, headless: bool = True,
                  compress_raw: bool = True, offscreen_awareness: bool = True,
-                 scheduler_factory=None, **kwargs):
+                 scheduler_factory=SRSFScheduler, **kwargs):
         self._headless = headless
         self._thinc_opts = dict(compress_raw=compress_raw,
-                                offscreen_awareness=offscreen_awareness)
-        if scheduler_factory is not None:
-            self._thinc_opts["scheduler_factory"] = scheduler_factory
+                                offscreen_awareness=offscreen_awareness,
+                                scheduler_factory=scheduler_factory)
         super().__init__(*args, **kwargs)
 
     def _display_driver(self):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..audio.sync import audio_quality, av_sync_skew
+from ..core.scheduler import SRSFScheduler
 from ..display.xserver import IMAGE_CHUNK_ROWS
 from ..net import EventLoop, LinkParams, PacketMonitor
 from ..video.stream import BENCHMARK_CLIP, SyntheticVideoClip
@@ -170,7 +171,8 @@ class TypingRunResult:
     chunks: int
 
 
-def run_typing_benchmark(link: LinkParams, scheduler_factory=None,
+def run_typing_benchmark(link: LinkParams,
+                         scheduler_factory=SRSFScheduler,
                          keys: int = 15) -> TypingRunResult:
     """Echo latency under bulk load (the Section 5 ablation).
 
@@ -182,11 +184,9 @@ def run_typing_benchmark(link: LinkParams, scheduler_factory=None,
     from ..workloads.interactive import TypingUnderLoadWorkload
 
     loop = EventLoop()
-    kwargs = {}
-    if scheduler_factory is not None:
-        kwargs["scheduler_factory"] = scheduler_factory
     platform = make_platform("THINC", loop, link, width=640, height=480,
-                             headless=False, **kwargs)
+                             headless=False,
+                             scheduler_factory=scheduler_factory)
     workload = TypingUnderLoadWorkload(
         platform.window_server, loop,
         inject_input=platform.send_client_input, keys=keys)
@@ -221,7 +221,7 @@ def run_typing_benchmark(link: LinkParams, scheduler_factory=None,
 
     platform.server.submit = count
     workload.start()
-    loop.run_until_idle(max_time=keys * 0.15 + 30)
+    loop.run_until_idle(max_time=keys * workload.key_interval + 30)
     ws = platform.window_server
     return TypingRunResult(
         workload.latencies(), raws, ws.op_counts.get("put_image", 0)

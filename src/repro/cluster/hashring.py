@@ -2,7 +2,7 @@
 
 The coordinator places sessions on shards by hashing a stable key (the
 dial identity, later the session token) onto a ring of virtual nodes —
-the classic construction: each shard contributes ``replicas`` points,
+the classic construction: each shard contributes ``REPLICAS`` points,
 a key lands on the first point at or clockwise past its own hash, and
 adding or removing one shard only moves the keys that hashed into its
 arcs.  Hashing is ``zlib.crc32`` over ASCII labels (the same primitive
@@ -18,6 +18,9 @@ from bisect import bisect_right
 from typing import Iterable, Iterator, List, Tuple
 
 __all__ = ["HashRing"]
+
+#: Virtual points each node contributes to the ring.
+REPLICAS = 64
 
 
 def _point(label: str) -> int:
@@ -39,10 +42,7 @@ def _point(label: str) -> int:
 class HashRing:
     """A consistent-hash ring over hashable node identities."""
 
-    def __init__(self, nodes: Iterable = (), replicas: int = 64):
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
+    def __init__(self, nodes: Iterable = ()):
         self._nodes: set = set()
         # Parallel sorted arrays: virtual-point hashes and their owning
         # nodes (kept separate so bisect never compares node objects).
@@ -64,7 +64,7 @@ class HashRing:
     def _rebuild(self) -> None:
         points: List[Tuple[int, str, object]] = []
         for node in self._nodes:
-            for i in range(self.replicas):
+            for i in range(REPLICAS):
                 # repr-based tie-break keeps identical rings identical
                 # regardless of insertion order.
                 points.append((_point(f"{node!r}#{i}"), repr(node), node))

@@ -50,6 +50,10 @@ _LOSSY_META = struct.Struct(">HHB")
 #: low-entropy, so a light level keeps the encoder cheap.
 _LOSSY_ZLIB_LEVEL = 2
 
+#: The encoder's flat quantiser step (the header carries it, so the
+#: decoder does not assume it).
+QSTEP = 8
+
 
 def _padded_dims(h: int, w: int):
     return h + (h & 1), w + (w & 1)
@@ -63,27 +67,25 @@ def _dequantise(plane: np.ndarray, qstep: int) -> np.ndarray:
     return np.minimum(plane.astype(np.uint16) * qstep, 255).astype(np.uint8)
 
 
-def lossy_encode(pixels: np.ndarray, qstep: int = 8) -> bytes:
+def lossy_encode(pixels: np.ndarray) -> bytes:
     """Encode an HxWx4 RGBA block lossily.
 
     Chroma is 4:2:0 subsampled through the same YV12 conversion the
     video plane uses; luma, chroma and alpha planes are flat-quantised
-    by *qstep* and DEFLATE-packed together.  Alpha rides at full
+    by :data:`QSTEP` and DEFLATE-packed together.  Alpha rides at full
     resolution so transparent UI degrades in colour, never in shape.
     """
     img = np.ascontiguousarray(pixels, dtype=np.uint8)
     if img.ndim != 3 or img.shape[2] != 4:
         raise ValueError("expected an HxWx4 RGBA array")
-    if not 1 <= qstep <= 255:
-        raise ValueError("qstep must be in [1, 255]")
     h, w, _ = img.shape
     ph, pw = _padded_dims(h, w)
     if (ph, pw) != (h, w):
         img = np.pad(img, ((0, ph - h), (0, pw - w), (0, 0)), mode="edge")
     y, v, u = yuvmod.rgb_to_yv12(img)
-    body = b"".join(_quantise(p, qstep).tobytes()
+    body = b"".join(_quantise(p, QSTEP).tobytes()
                     for p in (y, v, u, img[..., 3]))
-    return (_LOSSY_META.pack(h, w, qstep)
+    return (_LOSSY_META.pack(h, w, QSTEP)
             + zlib.compress(body, _LOSSY_ZLIB_LEVEL))
 
 

@@ -35,18 +35,17 @@ __all__ = ["THINCClient", "ClientCostModel", "VideoStreamStats",
            "AudioStats"]
 
 
-@dataclass(frozen=True)
 class ClientCostModel:
     """Per-message client processing cost, in seconds.
 
     ``per_byte`` models parse/decompress work, ``per_pixel`` models
-    drawing work.  Defaults approximate the paper's 450 MHz PII client:
+    drawing work.  The rates approximate the paper's 450 MHz PII client:
     tens of MB/s of protocol processing, hundreds of Mpix/s of blitting.
     """
 
-    per_byte: float = 2e-8
-    per_pixel: float = 2e-9
-    fixed: float = 2e-6
+    per_byte = 2e-8
+    per_pixel = 2e-9
+    fixed = 2e-6
 
     def cost(self, nbytes: int, npixels: int) -> float:
         return self.fixed + nbytes * self.per_byte + npixels * self.per_pixel
@@ -76,14 +75,13 @@ class THINCClient:
     def __init__(self, loop: EventLoop, connection: Optional[Connection],
                  viewport: Optional[Tuple[int, int]] = None,
                  headless: bool = False,
-                 decrypt_key: Optional[bytes] = None,
-                 cost_model: Optional[ClientCostModel] = None):
+                 decrypt_key: Optional[bytes] = None):
         self.loop = loop
         self.connection = connection
         self.headless = headless
         self._decrypt_key = decrypt_key
         self.cipher = RC4(decrypt_key) if decrypt_key else None
-        self.cost_model = cost_model or ClientCostModel()
+        self.cost_model = ClientCostModel()
         # The accepted-id set comes from the protocol spec (THL201): a
         # server-to-server frame — say a SESSION_TRANSFER smuggled down a
         # compromised relay — dies at the frame header.

@@ -49,6 +49,25 @@ from .qos import MAX_RUNG
 __all__ = ["Budget", "ServerBudget", "SessionMeter", "Governor",
            "AdmissionDenied"]
 
+#: Seconds after a coalesce during which hitting the hard cap again
+#: means coalescing is not working: evict instead of thrashing.
+COALESCE_COOLDOWN = 1.0
+
+#: Total throttled-away uplink messages after which the flood is
+#: adjudged hostile and the session is evicted.
+MAX_UPLINK_DROPPED = 20_000
+
+#: Wire decode failures a *resilient* session may accumulate before
+#: quarantine (lossy links corrupt honest traffic; the resync machinery
+#: absorbs occasional garbage).  Plain sessions are quarantined on
+#: their first decode failure.
+MAX_UPLINK_ERRORS = 256
+
+#: Total display-command bytes buffered across all sessions past which
+#: new attaches are refused (existing sessions are governed by their
+#: own budgets).
+MAX_TOTAL_QUEUE_BYTES = 256 << 20
+
 
 class AdmissionDenied(RuntimeError):
     """``attach_client`` refused by the governor's admission control.
@@ -71,8 +90,9 @@ class Budget:
 
     Defaults are generous for honest traffic — an honest session under
     the reference workloads stays an order of magnitude below every
-    line — while still bounding what a hostile client can pin.
-    Tests construct tighter budgets to exercise the ladder cheaply.
+    line — while still bounding what a hostile client can pin.  The
+    fuzz harness (:mod:`repro.fuzz.harness`) sets tighter ones, so a
+    run climbs the whole ladder.
     """
 
     #: Soft watermark on buffered display-command bytes: past it the
@@ -85,12 +105,8 @@ class Budget:
     max_queue_bytes: int = 32 << 20
 
     #: Absolute ceiling: a queue still past this (or re-ballooning
-    #: within ``coalesce_cooldown``) evicts the session.
+    #: within ``COALESCE_COOLDOWN``) evicts the session.
     evict_queue_bytes: int = 64 << 20
-
-    #: Seconds after a coalesce during which hitting the hard cap again
-    #: means coalescing is not working — evict instead of thrashing.
-    coalesce_cooldown: float = 1.0
 
     #: Cap on framed audio bytes queued and not yet flushed; the oldest
     #: chunks are shed first (late audio is worthless).
@@ -110,16 +126,6 @@ class Budget:
     uplink_msgs_per_sec: float = 1000.0
     uplink_burst: int = 2000
 
-    #: Total throttled-away uplink messages after which the flood is
-    #: adjudged hostile and the session is evicted.
-    max_uplink_dropped: int = 20_000
-
-    #: Wire decode failures a *resilient* session may accumulate before
-    #: quarantine (lossy links corrupt honest traffic; the resync
-    #: machinery absorbs occasional garbage).  Plain sessions are
-    #: quarantined on their first decode failure.
-    max_uplink_errors: int = 256
-
 
 @dataclass(frozen=True)
 class ServerBudget:
@@ -127,11 +133,6 @@ class ServerBudget:
 
     #: Sessions the server will hold at once (attached or detached).
     max_sessions: int = 64
-
-    #: Total display-command bytes buffered across all sessions past
-    #: which new attaches are refused (existing sessions are governed
-    #: by their own budgets).
-    max_total_queue_bytes: int = 256 << 20
 
     #: Retry hint carried by admission denials.
     retry_after: float = 1.0
@@ -176,12 +177,11 @@ class Governor:
         Non-raising form for callers with their own denial wire format
         (the resilience plane answers with a ReconnectDeniedMessage).
         """
-        sb = self.server_budget
         sessions = self.server.sessions
-        if len(sessions) >= sb.max_sessions:
+        if len(sessions) >= self.server_budget.max_sessions:
             return wire.DENY_SERVER_FULL
         total = sum(s.buffer.pending_bytes() for s in sessions)
-        if total > sb.max_total_queue_bytes:
+        if total > MAX_TOTAL_QUEUE_BYTES:
             return wire.DENY_SERVER_FULL
         return None
 
@@ -220,7 +220,7 @@ class Governor:
 
         Returns False when the message should be dropped, counting it in
         the session's ``uplink_dropped``; a sustained flood past
-        ``max_uplink_dropped`` evicts the sender.
+        ``MAX_UPLINK_DROPPED`` evicts the sender.
         """
         stats = session.stats
         if session.quarantined:
@@ -238,7 +238,7 @@ class Governor:
             return True
         stats["uplink_dropped"] += 1
         self.stats["uplink_throttled"] += 1
-        if stats["uplink_dropped"] > b.max_uplink_dropped:
+        if stats["uplink_dropped"] > MAX_UPLINK_DROPPED:
             self.quarantine(session, wire.DENY_SESSION_BUDGET,
                             evicted=True)
         return False
@@ -255,7 +255,7 @@ class Governor:
         session.stats["wire_errors"] += 1
         self.stats["wire_errors"] += 1
         if self.server.resilience is not None and session.token and \
-                session.stats["wire_errors"] <= self.budget.max_uplink_errors:
+                session.stats["wire_errors"] <= MAX_UPLINK_ERRORS:
             session.reset_parser()
             return
         self.quarantine(session, wire.DENY_QUARANTINED)
@@ -278,7 +278,7 @@ class Governor:
         now = self.loop.now
         if pending > b.max_queue_bytes:
             last = session.meter.last_coalesce
-            recently = last is not None and now - last < b.coalesce_cooldown
+            recently = last is not None and now - last < COALESCE_COOLDOWN
             if pending > b.evict_queue_bytes or recently:
                 self.quarantine(session, wire.DENY_SESSION_BUDGET,
                                 evicted=True)

@@ -20,7 +20,7 @@ rung  video treatment
 1     cadence halving — frames whose number is off the divisor
       grid are dropped before they cost wire bytes
 2     rung 1 plus resolution step-down: the frame is decoded,
-      nearest-neighbour scaled by ``1 >> scale_shift`` (even
+      nearest-neighbour scaled down by ``SCALE_SHIFT`` halvings (even
       dimensions preserved for the planar formats) and re-encoded;
       the client's own VFRAME scaling stretches it back over the
       unchanged destination rectangle, so *no wire change at all*
@@ -38,7 +38,7 @@ spent before the degrade stage (which sheds audio) may engage.
 Two deliberate design points keep the plane simulation-friendly:
 
 * **No timers.**  Congestion is polled lazily when video frames pass
-  through, rate-limited to the configured interval, so an idle server
+  through, rate-limited to the link probe's interval, so an idle server
   schedules nothing and ``run_until_idle`` terminates.  All time comes
   from the :class:`~repro.net.clock.EventLoop` clock.
 * **Controller state on the unit, never migrated.**  Hysteresis
@@ -84,42 +84,33 @@ _REPORT_GAP = 2  # frames
 _REPORT_HOLD = 0.5  # seconds
 
 
+#: The ladder's hysteresis: this many consecutive congested polls step
+#: it down one rung, and this many clear polls (plus a seeded jitter of
+#: up to ``RECOVER_JITTER`` extra polls, so a fleet of sessions does not
+#: ramp up in lockstep and re-congest the link) step it back up.
+DEGRADE_POLLS = 2
+RECOVER_POLLS = 6
+RECOVER_JITTER = 2
+#: What rungs 1-3 announce and apply: keep one frame in ``FPS_DIVISOR``
+#: (rung 1 on), halve each dimension ``SCALE_SHIFT`` times (rung 2 on),
+#: quantise the RGB surface by ``QSTEP`` (rung 3).
+FPS_DIVISOR = 2
+SCALE_SHIFT = 1
+QSTEP = 8
+#: Seed of the per-session ramp-up jitter.
+SEED = 0
+
+
 @dataclass(frozen=True)
 class QosConfig:
-    """Tunables for the adaptive QoS plane.
+    """Turns the adaptive QoS plane on: ``THINCServer(qos=QosConfig())``.
 
-    ``degrade_polls`` consecutive congested polls step the ladder down
-    one rung; ``recover_polls`` consecutive clear polls (plus a seeded
-    jitter of up to ``recover_jitter`` extra polls, so a fleet of
-    sessions does not ramp up in lockstep and re-congest the link)
-    step it back up.  The congestion verdict, its poll cadence and its
-    rate window are not configured here: they are the server's one
-    :class:`~repro.core.link_health.LinkHealth` probe, the same one
-    the adaptive encoder reads.
+    The plane has no tunables.  Its congestion verdict, poll cadence
+    and rate window are the server's one
+    :class:`~repro.core.link_health.LinkHealth` probe, the same one the
+    adaptive encoder reads; its hysteresis and rung treatments are the
+    module constants above.
     """
-
-    degrade_polls: int = 2
-    recover_polls: int = 6
-    recover_jitter: int = 2
-    fps_divisor: int = 2
-    scale_shift: int = 1
-    qstep: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 2 <= self.fps_divisor <= LIMITS.max_fps_divisor:
-            raise ValueError(
-                f"fps_divisor must be in [2, {LIMITS.max_fps_divisor}]")
-        if not 1 <= self.scale_shift <= LIMITS.max_scale_shift:
-            raise ValueError(
-                f"scale_shift must be in [1, {LIMITS.max_scale_shift}]")
-        if not 1 <= self.qstep <= LIMITS.max_qos_qstep:
-            raise ValueError(
-                f"qstep must be in [1, {LIMITS.max_qos_qstep}]")
-        if self.degrade_polls < 1 or self.recover_polls < 1:
-            raise ValueError("hysteresis poll counts must be >= 1")
-        if self.recover_jitter < 0:
-            raise ValueError("recover_jitter must be >= 0")
 
 
 class _SessionQos:
@@ -131,8 +122,7 @@ class _SessionQos:
                  "grace_until", "recover_block_until", "submitted",
                  "base_gap", "rng", "recover_target")
 
-    def __init__(self, rng: random.Random, recover_polls: int,
-                 jitter: int):
+    def __init__(self, rng: random.Random):
         self.congested = 0
         self.clear = 0
         self.last_poll = -1e9
@@ -145,26 +135,24 @@ class _SessionQos:
         self.submitted: Dict[int, int] = {}
         self.base_gap: Dict[int, int] = {}
         self.rng = rng
-        self.recover_target = recover_polls + rng.randrange(jitter + 1)
+        self.reroll()
 
-    def reroll(self, recover_polls: int, jitter: int) -> None:
-        self.recover_target = recover_polls + self.rng.randrange(jitter + 1)
+    def reroll(self) -> None:
+        self.recover_target = RECOVER_POLLS + self.rng.randrange(
+            RECOVER_JITTER + 1)
 
 
 class QosPlane:
     """Per-session video degradation ladder over the flush boundary."""
 
-    def __init__(self, server, config: Optional[QosConfig] = None):
+    def __init__(self, server):
         self.server = server
         self.loop = server.loop
-        self.config = config or QosConfig()
         self._order = 0
         #: Active stream destinations (server coordinates), fed by the
         #: driver's setup/move hooks and lazily by passing frames; the
         #: recovery refresh repaints exactly these rectangles.
         self.streams: Dict[int, Rect] = {}
-        #: Latest client quality report per stream id.
-        self.reports: Dict[int, wire.QosReportMessage] = {}
         self.stats: Dict[str, float] = {
             "polls": 0,
             "frames_passed": 0,
@@ -191,15 +179,13 @@ class QosPlane:
             # the same attach sequence always yields the same ramp-up
             # jitter, so chaos scenarios replay from their seed alone.
             rng = random.Random(zlib.crc32(
-                f"{self.config.seed}|{self._order}".encode("utf-8")))
+                f"{SEED}|{self._order}".encode("utf-8")))
             self._order += 1
-            state = _SessionQos(rng, self.config.recover_polls,
-                                self.config.recover_jitter)
+            state = _SessionQos(rng)
             session.qos_state = state
         return state
 
     def _poll(self, session, now: float) -> None:
-        cfg = self.config
         state = self._state(session)
         if now - state.last_poll < PROBE_INTERVAL:
             return
@@ -213,7 +199,7 @@ class QosPlane:
         if self.server.health.congested(session):
             state.clear = 0
             state.congested += 1
-            if state.congested >= cfg.degrade_polls:
+            if state.congested >= DEGRADE_POLLS:
                 state.congested = 0
                 self._step_down(session, now)
         else:
@@ -253,7 +239,7 @@ class QosPlane:
         state = self._state(session)
         state.last_step = now
         session.qos_rung -= 1
-        state.reroll(self.config.recover_polls, self.config.recover_jitter)
+        state.reroll()
         self.stats["rungs_up"] += 1
         self._announce(session)
         if session.qos_rung == 0:
@@ -291,10 +277,9 @@ class QosPlane:
 
     def descriptor(self, rung: int) -> tuple:
         """``(fps_divisor, scale_shift, qstep)`` announced for *rung*."""
-        cfg = self.config
-        return (cfg.fps_divisor if rung >= 1 else 1,
-                cfg.scale_shift if rung >= 2 else 0,
-                cfg.qstep if rung >= 3 else 0)
+        return (FPS_DIVISOR if rung >= 1 else 1,
+                SCALE_SHIFT if rung >= 2 else 0,
+                QSTEP if rung >= 3 else 0)
 
     def quality_message(self, stream_id: int,
                         rung: int) -> wire.VideoQualityMessage:
@@ -344,7 +329,6 @@ class QosPlane:
         ``_REPORT_HOLD`` seconds), never ramp it up — so a client
         fabricating reports can only degrade its own video.
         """
-        self.reports[msg.stream_id] = msg
         self.stats["reports"] += 1
         self.stats["playback_quality"] = msg.playback_quality
         self.stats["audio_quality"] = msg.audio_quality
@@ -364,7 +348,7 @@ class QosPlane:
         state.clear = 0
         state.congested += 1
         self.stats["report_lag_events"] += 1
-        if state.congested >= self.config.degrade_polls:
+        if state.congested >= DEGRADE_POLLS:
             state.congested = 0
             self._step_down(session, now)
 
@@ -391,7 +375,7 @@ class QosPlane:
         groups: Dict[int, tuple] = {}  # id(frame) -> (group, frame)
         for rung in sorted(rungs):
             members = rungs[rung]
-            if rung and command.frame_no % self.config.fps_divisor != 0:
+            if rung and command.frame_no % FPS_DIVISOR != 0:
                 # Cadence rung: off-grid frames die before costing
                 # wire bytes (VFRAME overwrites completely, so a
                 # dropped frame is pure savings, never corruption).
@@ -417,15 +401,14 @@ class QosPlane:
         (cadence alone), deeper rungs decode/squeeze/re-encode."""
         if rung <= 1:
             return command
-        cfg = self.config
         rgba = yuv.decode_frame(command.pixel_format, command.yuv_bytes,
                                 command.src_width, command.src_height)
         # Even dimensions (floor 2) keep every planar format legal.
-        width = max(2, (command.src_width >> cfg.scale_shift) & ~1)
-        height = max(2, (command.src_height >> cfg.scale_shift) & ~1)
+        width = max(2, (command.src_width >> SCALE_SHIFT) & ~1)
+        height = max(2, (command.src_height >> SCALE_SHIFT) & ~1)
         rgb = yuv.scale_rgb(rgba, width, height)[..., :3]
         if rung >= 3:
-            q = cfg.qstep
+            q = QSTEP
             rgb = np.minimum((rgb.astype(np.int32) // q) * q + q // 2,
                              255).astype(np.uint8)
         return VideoFrameCommand(

@@ -70,6 +70,9 @@ _SNAPSHOT_SLACK = 4096
 _BACKOFF_MAX = 8.0  # seconds
 _FLAP_WINDOW = 1.0  # seconds
 
+#: Seed of the plane's backoff jitter (each client seeds its own).
+PLANE_SEED = 0
+
 
 @dataclass
 class ResilienceConfig:
@@ -81,7 +84,6 @@ class ResilienceConfig:
     detach_window: float = 5.0
     backoff_base: float = 0.25
     backoff_jitter: float = 0.25
-    seed: int = 0
     # Token namespacing for sharded deployments: shard *i* of *N* runs
     # with ``token_start=i+1, token_stride=N`` so freshly issued tokens
     # never collide across shards, while adopted (migrated) tokens keep
@@ -186,7 +188,7 @@ class ResiliencePlane:
         self._next_token = self.config.token_start
         self._tick_scheduled = False
         self._rng = random.Random(
-            zlib.crc32(f"plane|{self.config.seed}".encode("utf-8")))
+            zlib.crc32(f"plane|{PLANE_SEED}".encode("utf-8")))
 
     def find(self, token: int):
         """The session this server holds under *token*, or None."""

@@ -167,7 +167,7 @@ class THINCServer:
         # Adaptive QoS plane: degrade video before interactivity on
         # contended links.  Off by default — the paper's fixed-rate
         # video path stays the baseline, byte-for-byte.
-        self.qos = QosPlane(self, qos) if qos is not None else None
+        self.qos = QosPlane(self) if qos is not None else None
 
     # -- session management -----------------------------------------------------
 

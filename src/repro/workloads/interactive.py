@@ -47,18 +47,17 @@ class TypingUnderLoadWorkload:
     delivery time is observed through a caller-provided probe.
     """
 
+    key_interval = 0.15  # seconds
+    image_interval = 0.10  # seconds
+    image_size = 192  # pixels square
+
     def __init__(self, ws: WindowServer, loop: EventLoop,
                  inject_input: Callable[[int, int], None],
-                 keys: int = 20, key_interval: float = 0.15,
-                 image_interval: float = 0.10,
-                 image_size: int = 192):
+                 keys: int = 20):
         self.ws = ws
         self.loop = loop
         self.inject_input = inject_input
         self.keys = keys
-        self.key_interval = key_interval
-        self.image_interval = image_interval
-        self.image_size = image_size
         self.rng = np.random.default_rng(7)
         self.cursor = (40, ws.screen.height - 40)
         self.records: List[EchoRecord] = []

@@ -40,8 +40,7 @@ class AVPlayerApp:
         self.max_frames = (clip.frame_count if max_frames is None
                            else min(max_frames, clip.frame_count))
         self.audio_fmt = AudioFormat()
-        self.audio = (VirtualAudioDriver(audio_sink, loop.clock,
-                                         fmt=self.audio_fmt)
+        self.audio = (VirtualAudioDriver(audio_sink, loop.clock)
                       if audio_sink is not None else None)
         self.frames_put = 0
         self.stream = None

@@ -16,10 +16,6 @@ class TestBasics:
         ring = HashRing([0])
         assert all(ring.lookup(f"k{i}") == 0 for i in range(50))
 
-    def test_replicas_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HashRing(replicas=0)
-
     def test_membership_protocol(self):
         ring = HashRing([0, 1])
         assert len(ring) == 2 and 0 in ring and 2 not in ring

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import encodings
 from repro.codec.encodings import lossy_decode, lossy_encode, psnr
 from repro.protocol import compression as comp
 from repro.video import yuv as yuvmod
@@ -32,17 +33,18 @@ def gradient_rgba(w, h):
 class TestFidelity:
     def test_gradient_psnr_floor(self):
         img = gradient_rgba(64, 48)
-        out = lossy_decode(lossy_encode(img, qstep=8), MAX_BYTES)
+        out = lossy_decode(lossy_encode(img), MAX_BYTES)
         assert psnr(img, out) >= 30.0
 
     def test_noise_psnr_floor(self):
         img = random_rgba(64, 48, seed=3)
-        out = lossy_decode(lossy_encode(img, qstep=8), MAX_BYTES)
+        out = lossy_decode(lossy_encode(img), MAX_BYTES)
         assert psnr(img, out) >= 10.0
 
-    def test_solid_block_nearly_exact(self):
+    def test_solid_block_nearly_exact(self, monkeypatch):
+        monkeypatch.setattr(encodings, "QSTEP", 1)
         img = np.full((16, 16, 4), (40, 90, 200, 255), dtype=np.uint8)
-        out = lossy_decode(lossy_encode(img, qstep=1), MAX_BYTES)
+        out = lossy_decode(lossy_encode(img), MAX_BYTES)
         assert int(np.abs(out.astype(int) - img.astype(int)).max()) <= 4
 
     def test_alpha_rides_at_full_resolution(self):
@@ -50,7 +52,7 @@ class TestFidelity:
         error is bounded by the quantiser alone (no subsampling)."""
         img = random_rgba(32, 32, seed=5)
         img[..., 3] = (np.arange(32)[:, None] * 8).astype(np.uint8)
-        out = lossy_decode(lossy_encode(img, qstep=8), MAX_BYTES)
+        out = lossy_decode(lossy_encode(img), MAX_BYTES)
         err = np.abs(out[..., 3].astype(int) - img[..., 3].astype(int))
         assert int(err.max()) <= 8
 
@@ -93,12 +95,6 @@ class TestBoundedDecode:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             lossy_encode(np.zeros((4, 4, 3), dtype=np.uint8))
-
-    def test_rejects_bad_qstep(self):
-        with pytest.raises(ValueError):
-            lossy_encode(random_rgba(4, 4), qstep=0)
-        with pytest.raises(ValueError):
-            lossy_encode(random_rgba(4, 4), qstep=256)
 
     def test_rejects_truncated_payload(self):
         data = lossy_encode(random_rgba(16, 16, 1))

@@ -15,10 +15,10 @@ from tests.helpers import make_rig
 RED = (255, 0, 0, 255)
 
 
-def rig(headless=False, **kw):
+def rig(headless=False):
     loop = EventLoop()
     conn = Connection(loop, LAN_DESKTOP)
-    client = THINCClient(loop, conn, headless=headless, **kw)
+    client = THINCClient(loop, conn, headless=headless)
     # Drive the client directly through the server->client endpoint.
     return loop, conn, client
 
@@ -144,9 +144,11 @@ class TestRebind:
 
 
 class TestCostModel:
-    def test_processing_time_accumulates(self):
-        model = ClientCostModel(per_byte=1e-6, per_pixel=1e-6, fixed=0.0)
-        loop, conn, client = rig(cost_model=model)
+    def test_processing_time_accumulates(self, monkeypatch):
+        monkeypatch.setattr(ClientCostModel, "per_byte", 1e-6)
+        monkeypatch.setattr(ClientCostModel, "per_pixel", 1e-6)
+        monkeypatch.setattr(ClientCostModel, "fixed", 0.0)
+        loop, conn, client = rig()
         send(loop, conn, wire.ScreenInitMessage(80, 60),
              SFillCommand(Rect(0, 0, 10, 10), RED))
         cmd = SFillCommand(Rect(0, 0, 10, 10), RED)
@@ -160,9 +162,12 @@ class TestCostModel:
         assert client.done_time_with_processing() > \
             client.stats["last_update_time"]
 
-    def test_cost_formula(self):
-        model = ClientCostModel(per_byte=2.0, per_pixel=3.0, fixed=1.0)
-        assert model.cost(10, 100) == pytest.approx(1.0 + 20.0 + 300.0)
+    def test_cost_formula(self, monkeypatch):
+        monkeypatch.setattr(ClientCostModel, "per_byte", 2.0)
+        monkeypatch.setattr(ClientCostModel, "per_pixel", 3.0)
+        monkeypatch.setattr(ClientCostModel, "fixed", 1.0)
+        assert ClientCostModel().cost(10, 100) == pytest.approx(
+            1.0 + 20.0 + 300.0)
 
 
 class TestRefreshRequest:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.codec import LinkPosture
 from repro.core import AdmissionDenied, Budget, ServerBudget, THINCClient
+from repro.core import governor
 from repro.core.governor import SessionMeter
 from repro.net import Connection, LAN_DESKTOP
 from repro.protocol import wire
@@ -46,7 +47,7 @@ def put_strips(ws, rect, pixels, rows=8):
 
 def tight_budget(**kw):
     base = dict(degrade_queue_bytes=2_000, max_queue_bytes=200_000,
-                evict_queue_bytes=400_000, coalesce_cooldown=0.5)
+                evict_queue_bytes=400_000)
     base.update(kw)
     return Budget(**base)
 
@@ -154,12 +155,12 @@ class TestQueueLadder:
         ws.fill_rect(ws.screen, Rect(0, 0, 8, 8), (1, 2, 3, 255))
         loop.run_until(6.0)
 
-    def test_retrip_within_cooldown_evicts(self):
+    def test_retrip_within_cooldown_evicts(self, monkeypatch):
+        monkeypatch.setattr(governor, "COALESCE_COOLDOWN", 60.0)
         loop, conn, mon, server, ws, client = make_rig(
             link=SLOW_LINK, send_buffer=2048,
             budget=tight_budget(max_queue_bytes=20_000,
-                                evict_queue_bytes=10_000_000,
-                                coalesce_cooldown=60.0))
+                                evict_queue_bytes=10_000_000))
         session = server.sessions[0]
         # Overlapping tiles defeat queue overwrites; the first overflow
         # coalesces, and the re-trip within the cooldown evicts.
@@ -201,10 +202,10 @@ class _StubSession:
 class TestLadderUnit:
     """The queue ladder against a synthetic pending-bytes gauge."""
 
-    def _governor(self, **kw):
+    def _governor(self):
         loop, conn, mon, server, ws, client = make_rig(
             budget=tight_budget(max_queue_bytes=30_000,
-                                evict_queue_bytes=100_000, **kw))
+                                evict_queue_bytes=100_000))
         refreshes = []
         server._submit_refresh = (
             lambda session, rect=None: refreshes.append((session, rect)))
@@ -213,7 +214,7 @@ class TestLadderUnit:
             refreshes
 
     def test_hard_cap_coalesces_then_recovers(self):
-        gov, sess, refreshes = self._governor(coalesce_cooldown=0.5)
+        gov, sess, refreshes = self._governor()
         sess.buffer.pending = 50_000
         sess.buffer.queue = ["cmd"] * 4
         gov.after_display_add(sess)
@@ -227,8 +228,9 @@ class TestLadderUnit:
         gov.after_display_add(sess)
         assert not sess.quarantined and not sess.degraded
 
-    def test_recoalesce_within_cooldown_evicts(self):
-        gov, sess, refreshes = self._governor(coalesce_cooldown=10.0)
+    def test_recoalesce_within_cooldown_evicts(self, monkeypatch):
+        monkeypatch.setattr(governor, "COALESCE_COOLDOWN", 10.0)
+        gov, sess, refreshes = self._governor()
         sess.buffer.pending = 50_000
         gov.after_display_add(sess)
         assert gov.stats["coalesces"] == 1
@@ -289,10 +291,10 @@ class TestUplinkGovernance:
         assert len(seen) < 50
         assert server.sessions[0].stats["uplink_dropped"] > 0
 
-    def test_sustained_flood_evicts(self):
+    def test_sustained_flood_evicts(self, monkeypatch):
+        monkeypatch.setattr(governor, "MAX_UPLINK_DROPPED", 10)
         loop, conn, mon, server, ws, client = make_rig(
-            budget=Budget(uplink_msgs_per_sec=1.0, uplink_burst=2,
-                          max_uplink_dropped=10))
+            budget=Budget(uplink_msgs_per_sec=1.0, uplink_burst=2))
         session = server.sessions[0]
         self._flood(server, conn, loop, 40)
         assert session.quarantined
@@ -309,9 +311,9 @@ class TestUplinkGovernance:
         assert client.attach_denied is not None
         assert client.attach_denied.reason == wire.DENY_QUARANTINED
 
-    def test_resilient_session_has_wire_error_budget(self):
-        loop, dial, server, ws, rc = make_resilient_rig(
-            budget=Budget(max_uplink_errors=2))
+    def test_resilient_session_has_wire_error_budget(self, monkeypatch):
+        monkeypatch.setattr(governor, "MAX_UPLINK_ERRORS", 2)
+        loop, dial, server, ws, rc = make_resilient_rig()
         rc.start()
         loop.run_until(0.5)
         session = server.sessions[0]

@@ -5,20 +5,28 @@ understand.  A PR that adds (or removes) one has to edit this file, so
 the change shows up in a test diff and gets argued for — the ROADMAP's
 "a PR that adds a concept must delete one" made mechanical.  Beyond the
 pins, every defaulted parameter in ``src/repro`` must be set by some
-call site (``test_every_default_is_overridden_somewhere``).
+call site (``test_every_default_is_overridden_somewhere``), and every
+setting of the configuration surface by a call site in ``src/`` or
+``benchmarks/`` (``test_every_setting_is_set_by_the_product``).
+
+Run as a script (``make options``) it prints the size of that surface:
+the defaulted parameters in ``src/repro`` and the fields of the config
+classes.
 """
 
 import ast
 import gc
 import inspect
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-from repro.core import Budget, ServerBudget, THINCServer
+from repro.baselines import ClientCosts
+from repro.core import Budget, ClientCostModel, ServerBudget, THINCServer
 from repro.core.pipeline import PreparePlane
 from repro.core.qos import QosConfig
 from repro.core.resilience import ResilienceConfig, ResilientClient
-from repro.net import EventLoop
+from repro.fuzz import FuzzConfig
+from repro.net import EventLoop, LinkParams
 
 
 def test_server_constructor_parameters():
@@ -39,15 +47,14 @@ def test_server_constructor_parameters():
 
 
 def test_qos_config_fields():
-    assert [f.name for f in fields(QosConfig)] == [
-        "degrade_polls", "recover_polls", "recover_jitter",
-        "fps_divisor", "scale_shift", "qstep", "seed"]
+    # QosConfig() only turns the plane on; its dynamics are constants.
+    assert [f.name for f in fields(QosConfig)] == []
 
 
 def test_resilience_config_fields():
     assert [f.name for f in fields(ResilienceConfig)] == [
         "heartbeat_interval", "liveness_timeout", "check_interval",
-        "detach_window", "backoff_base", "backoff_jitter", "seed",
+        "detach_window", "backoff_base", "backoff_jitter",
         "token_start", "token_stride"]
 
 
@@ -59,15 +66,13 @@ def test_resilient_client_constructor_parameters():
 def test_budget_fields():
     assert [f.name for f in fields(Budget)] == [
         "degrade_queue_bytes", "max_queue_bytes", "evict_queue_bytes",
-        "coalesce_cooldown", "max_audio_backlog_bytes",
-        "max_control_backlog_bytes", "max_journal_bytes",
-        "uplink_msgs_per_sec", "uplink_burst", "max_uplink_dropped",
-        "max_uplink_errors"]
+        "max_audio_backlog_bytes", "max_control_backlog_bytes",
+        "max_journal_bytes", "uplink_msgs_per_sec", "uplink_burst"]
 
 
 def test_server_budget_fields():
     assert [f.name for f in fields(ServerBudget)] == [
-        "max_sessions", "max_total_queue_bytes", "retry_after"]
+        "max_sessions", "retry_after"]
 
 
 def test_prepare_plane_settable_hooks():
@@ -98,11 +103,11 @@ def _name(node):
 _FIELDS = {type(None): (), str: (), ast.Name: (), ast.Constant: ()}
 
 
-def scan_unset_defaults(root=ROOT):
+def scan_defaults(root=ROOT, scanned=SCANNED):
     """``file:line owner.fn(param)`` for each defaulted parameter of a
-    ``src/repro`` function or method that no call site in *root*'s
-    scanned trees passes, by keyword or by position, or reaches with a
-    ``*``/``**`` splat.
+    ``src/repro`` function or method, and for those of them that no call
+    site in *root*'s *scanned* trees passes, by keyword or by position,
+    or reaches with a ``*``/``**`` splat: ``(defaulted, unset)``.
 
     A call matches by name: ``f(…)`` and ``x.f(…)`` reach every ``f``,
     ``C(…)`` reaches ``C.__init__`` (or the nearest base's), and
@@ -206,7 +211,7 @@ def scan_unset_defaults(root=ROOT):
 
     gc.disable()   # ~250 000 fresh nodes: collections only slow parsing
     try:
-        for top in SCANNED:
+        for top in scanned:
             for path in sorted((root / top).rglob("*.py")):
                 rel = path.relative_to(root).as_posix() \
                     if top == "src" else None
@@ -272,8 +277,9 @@ def scan_unset_defaults(root=ROOT):
                             i < npos or star and i < stop)) \
                             or None in names and p in spread:
                         passed.add(where)
-    return sorted(where for recs in defs.values() for params in recs
-                  for _, _, where in params if where not in passed)
+    defaulted = sorted(where for recs in defs.values() for params in recs
+                       for _, _, where in params)
+    return defaulted, [where for where in defaulted if where not in passed]
 
 
 def test_every_default_is_overridden_somewhere():
@@ -282,7 +288,7 @@ def test_every_default_is_overridden_somewhere():
     # delete the branches only another value could reach, or argue for
     # it in ALLOWED.
     assert len(ALLOWED) <= 8
-    hits = [h for h in scan_unset_defaults()
+    hits = [h for h in scan_defaults()[1]
             if h.split(" ", 1)[1] not in ALLOWED]
     assert hits == [], "defaults no call site overrides:\n" + "\n".join(hits)
 
@@ -307,5 +313,94 @@ def test_scan_resolves_calls_by_name(tmp_path):
         "TABLE = {'f': f}\n"
         "def g(k, **params):\n"
         "    return TABLE[k](0, 1, **params)\n")
-    assert scan_unset_defaults(tmp_path) == [
+    assert scan_defaults(tmp_path)[1] == [
         "src/repro/m.py:10 m.f(z)", "src/repro/m.py:2 Base.__init__(c)"]
+
+
+# -- a setting exists because the product sets it ------------------------
+
+#: Where a call site keeps a setting settable: tests and examples set
+#: values nothing ships with, so they do not count.
+PRODUCT = ("src", "benchmarks")
+
+#: The configuration surface: every defaulted parameter of these
+#: callables and of the ``repro.workloads`` constructors, and every
+#: field of these config classes.
+SURFACE = ("THINCServer", "THINCClient", "ResilientClient",
+           "VirtualAudioDriver", "AudioFormat", "HashRing",
+           "encodings.lossy_encode")
+CONFIGS = (QosConfig, ResilienceConfig, Budget, ServerBudget,
+           ClientCostModel, ClientCosts, FuzzConfig, LinkParams)
+
+#: ``Owner(setting)`` -> why it stays settable although no call site
+#: in ``src/`` or ``benchmarks/`` sets it.
+SURFACE_ALLOWED = {
+    "THINCServer(encrypt_key)": "a credential: each deployment keys its "
+                                "own server, so it cannot be a constant",
+}
+
+
+def scan_unset_fields(root=ROOT):
+    """``Class(field)`` for each field of a config dataclass in
+    :data:`CONFIGS` that no call in *root*'s product trees sets: by
+    keyword or by position in a ``Class(…)`` call, or by keyword in a
+    ``replace(…)`` call (whose target type the scan cannot see)."""
+    names = {cls.__name__: [f.name for f in fields(cls)]
+             for cls in CONFIGS if is_dataclass(cls)}
+    words = [name.encode() for name in names] + [b"replace("]
+    passed = set()
+    for top in PRODUCT:
+        for path in sorted((root / top).rglob("*.py")):
+            text = path.read_bytes()
+            if not any(word in text for word in words):
+                continue
+            for call in ast.walk(ast.parse(text)):
+                if call.__class__ is not ast.Call:
+                    continue
+                name = _name(call.func)
+                keys = {k.arg for k in call.keywords}
+                if name in names:
+                    npos = next((i for i, a in enumerate(call.args)
+                                 if a.__class__ is ast.Starred),
+                                len(call.args))
+                    passed.update((name, f) for f in names[name]
+                                  if f in keys or f in names[name][:npos])
+                elif name == "replace":
+                    passed.update((cls, k) for cls in names for k in keys)
+    return [f"{cls}({f})" for cls, fs in names.items() for f in fs
+            if (cls, f) not in passed]
+
+
+def unset_settings(root=ROOT):
+    """The settings of the configuration surface that no call site in
+    ``src/`` or ``benchmarks/`` sets, as ``Owner(setting)``."""
+    hits = []
+    for where in scan_defaults(root, PRODUCT)[1]:
+        path, call = where.split(" ", 1)
+        fn, param = call[:-1].split("(")
+        owner = fn.removesuffix(".__init__")
+        if owner in SURFACE or (path.startswith("src/repro/workloads/")
+                                and owner != fn):
+            hits.append(f"{owner}({param})")
+    return sorted(hits) + scan_unset_fields(root)
+
+
+def test_every_setting_is_set_by_the_product():
+    # The option rule: a setting stays configurable only when the
+    # product sets it.  One that only tests set is a constant that tests
+    # patch (monkeypatch.setattr on the module or class constant).
+    hits = unset_settings()
+    assert set(SURFACE_ALLOWED) <= set(hits), "stale SURFACE_ALLOWED"
+    unset = [h for h in hits if h not in SURFACE_ALLOWED]
+    assert unset == [], "settings only tests set:\n" + "\n".join(unset)
+
+
+if __name__ == "__main__":
+    defaulted = scan_defaults(scanned=("src",))[0]
+    sizes = {cls.__name__: len(fields(cls)) if is_dataclass(cls) else 0
+             for cls in CONFIGS}
+    print(f"defaulted parameters in src/repro {len(defaulted):4d}")
+    print(f"config fields                     {sum(sizes.values()):4d}  ("
+          + ", ".join(f"{name} {n}" for name, n in sizes.items()) + ")")
+    print(f"settable values                   "
+          f"{len(defaulted) + sum(sizes.values()):4d}")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.codec import EncoderPolicy
 from repro.cluster.scenario import Scenario
+from repro.core import qos
 from repro.core.governor import Budget
 from repro.core.link_health import PROBE_INTERVAL
 from repro.core.qos import MAX_RUNG, QosConfig, QosPlane
@@ -30,7 +31,8 @@ from repro.region import Rect
 from repro.video import yuv
 from repro.video.stream import SyntheticVideoClip
 
-from ..helpers import assert_pixel_identical, client_spec, make_multi_rig
+from ..helpers import (assert_pixel_identical, client_spec, fast_qos,
+                       make_multi_rig)
 
 #: The issue's contended link: a 256 kbit/s thin pipe.
 THIN_256K = replace(PDA_80211G, name="256k thin", bandwidth_bps=256e3)
@@ -80,23 +82,6 @@ class TestConfigAndDefaults:
         assert isinstance(server.qos, QosPlane)
         assert server.stats["qos_polls"] == 0
 
-    def test_config_bounds_follow_wire_limits(self):
-        with pytest.raises(ValueError):
-            QosConfig(fps_divisor=1)
-        with pytest.raises(ValueError):
-            QosConfig(fps_divisor=17)
-        with pytest.raises(ValueError):
-            QosConfig(scale_shift=0)
-        with pytest.raises(ValueError):
-            QosConfig(qstep=65)
-        with pytest.raises(ValueError):
-            QosConfig(degrade_polls=0)
-        # The probe's cadence, window and thresholds are LinkHealth's,
-        # not per-plane knobs.
-        for gone in ("poll_interval", "window", "policy"):
-            with pytest.raises(TypeError):
-                QosConfig(**{gone: 1})
-
     def test_descriptors_tighten_monotonically(self):
         loop, conn, mon, server, ws, client = make_qos_rig(
             qos=QosConfig())
@@ -122,9 +107,9 @@ class TestLadderTransforms:
                                  yuv.encode_frame("YV12", rgb),
                                  frame_no=4)
 
-    def _plane(self, **kw):
+    def _plane(self):
         loop, conn, mon, server, ws, client = make_qos_rig(
-            qos=QosConfig(**kw))
+            qos=QosConfig())
         return server.qos
 
     def test_rung0_and_rung1_pass_the_original_object(self):
@@ -133,7 +118,7 @@ class TestLadderTransforms:
         assert plane._transform(cmd, 1) is cmd
 
     def test_rung2_steps_resolution_down(self):
-        plane = self._plane(scale_shift=1)
+        plane = self._plane()
         cmd = self._frame_cmd(w=32, h=24)
         out = plane._transform(cmd, 2)
         assert (out.src_width, out.src_height) == (16, 12)
@@ -141,8 +126,9 @@ class TestLadderTransforms:
         assert out.frame_no == cmd.frame_no
         assert len(out.yuv_bytes) < len(cmd.yuv_bytes)
 
-    def test_rung3_quantises_on_top(self):
-        plane = self._plane(scale_shift=1, qstep=32)
+    def test_rung3_quantises_on_top(self, monkeypatch):
+        monkeypatch.setattr(qos, "QSTEP", 32)
+        plane = self._plane()
         cmd = self._frame_cmd(w=32, h=24)
         r2 = plane._transform(cmd, 2)
         r3 = plane._transform(cmd, 3)
@@ -153,8 +139,9 @@ class TestLadderTransforms:
         rgb3 = yuv.decode_frame("YV12", r3.yuv_bytes, 16, 12)
         assert len(np.unique(rgb3)) < len(np.unique(rgb2))
 
-    def test_even_dimensions_preserved(self):
-        plane = self._plane(scale_shift=3)
+    def test_even_dimensions_preserved(self, monkeypatch):
+        monkeypatch.setattr(qos, "SCALE_SHIFT", 3)
+        plane = self._plane()
         cmd = self._frame_cmd(w=10, h=6)
         out = plane._transform(cmd, 2)
         assert out.src_width % 2 == 0 and out.src_height % 2 == 0
@@ -408,8 +395,10 @@ class TestAcceptanceScenario:
             self.PLAN_SEED, start=0.3, duration=1.2,
             period=period, burst=burst, drop_rate=1.0)
 
-    def _qos(self):
-        return QosConfig(seed=7, recover_polls=3, recover_jitter=1)
+    @pytest.fixture(autouse=True)
+    def _fast_qos(self):
+        with fast_qos():
+            yield
 
     def test_uncontended_twin_is_byte_identical(self):
         # QoS enabled on a healthy link must not change one byte on
@@ -417,7 +406,7 @@ class TestAcceptanceScenario:
         _, mon_off, server_off, ws_off, client_off, lat_off = \
             run_scenario(plan=None, qos=None)
         _, mon_on, server_on, ws_on, client_on, lat_on = \
-            run_scenario(plan=None, qos=self._qos())
+            run_scenario(plan=None, qos=QosConfig())
         trace_off = [(r.time, r.direction, r.size)
                      for r in mon_off.records]
         trace_on = [(r.time, r.direction, r.size)
@@ -430,9 +419,9 @@ class TestAcceptanceScenario:
     @pytest.mark.parametrize("level", LEVELS)
     def test_congested_ladder_protects_interactivity(self, level):
         _, _, _, _, _, lat_clean = run_scenario(plan=None,
-                                                qos=self._qos())
+                                                qos=QosConfig())
         loop, mon, server, ws, client, lat = run_scenario(
-            plan=self._plan(level), qos=self._qos())
+            plan=self._plan(level), qos=QosConfig())
         session = server.sessions[0]
         stats = server.stats
         # At every contention level interactive latency stays within
@@ -462,7 +451,7 @@ class TestAcceptanceScenario:
         _, mon_off, server_off, _, client_off, _ = run_scenario(
             plan=self._plan(), qos=None)
         _, mon_on, server_on, _, client_on, _ = run_scenario(
-            plan=self._plan(), qos=self._qos())
+            plan=self._plan(), qos=QosConfig())
         off = client_off.stats["bytes_by_kind"].get("vframe", 0)
         on = client_on.stats["bytes_by_kind"].get("vframe", 0)
         assert on < off
@@ -488,38 +477,38 @@ class TestLadderProperties:
             "flaps": lambda: FaultPlan.flapping_80211g(
                 seed, start=0.3, duration=1.2),
         }
-        cfg = QosConfig(seed=seed, recover_polls=3, recover_jitter=1)
-        loop, conn, mon, server, ws, client = make_qos_rig(
-            plan=makers[shape](), qos=cfg)
-        session = server.sessions[0]
-        plane = server.qos
-        transitions = []
-        orig = plane._announce
+        with fast_qos(seed):
+            loop, conn, mon, server, ws, client = make_qos_rig(
+                plan=makers[shape](), qos=QosConfig())
+            session = server.sessions[0]
+            plane = server.qos
+            transitions = []
+            orig = plane._announce
 
-        def spy(sess):
-            transitions.append((loop.now, sess.qos_rung))
-            orig(sess)
+            def spy(sess):
+                transitions.append((loop.now, sess.qos_rung))
+                orig(sess)
 
-        plane._announce = spy
-        # Video well past the fault window so recovery has room.
-        clip = SyntheticVideoClip(width=32, height=18, fps=24,
-                                  duration=4.5)
-        play_clip(loop, ws, clip, Rect(48, 24, 48, 32))
-        loop.run_until_idle(max_time=600)
+            plane._announce = spy
+            # Video well past the fault window so recovery has room.
+            clip = SyntheticVideoClip(width=32, height=18, fps=24,
+                                      duration=4.5)
+            play_clip(loop, ws, clip, Rect(48, 24, 48, 32))
+            loop.run_until_idle(max_time=600)
 
-        rungs = [0] + [r for _, r in transitions]
-        for prev, cur in zip(rungs, rungs[1:]):
-            assert abs(cur - prev) == 1, rungs
-        for (t0, r0), (t1, r1) in zip(transitions, transitions[1:]):
-            if r1 > r0:  # a further step down needs degrade_polls polls
-                spacing = (cfg.degrade_polls - 1) * PROBE_INTERVAL
-            else:  # a step up waits out at least recover_polls polls
-                spacing = (cfg.recover_polls - 1) * PROBE_INTERVAL
-            assert t1 - t0 >= spacing - 1e-9, (transitions,)
-        # The plan's last window ends by 1.5s; by end of clip the
-        # session must be back at full rate and pixel-exact.
-        assert session.qos_rung == 0
-        assert_pixel_identical(client, ws)
+            rungs = [0] + [r for _, r in transitions]
+            for prev, cur in zip(rungs, rungs[1:]):
+                assert abs(cur - prev) == 1, rungs
+            for (t0, r0), (t1, r1) in zip(transitions, transitions[1:]):
+                if r1 > r0:  # a further step down needs DEGRADE_POLLS polls
+                    spacing = (qos.DEGRADE_POLLS - 1) * PROBE_INTERVAL
+                else:  # a step up waits out at least RECOVER_POLLS polls
+                    spacing = (qos.RECOVER_POLLS - 1) * PROBE_INTERVAL
+                assert t1 - t0 >= spacing - 1e-9, (transitions,)
+            # The plan's last window ends by 1.5s; by end of clip the
+            # session must be back at full rate and pixel-exact.
+            assert session.qos_rung == 0
+            assert_pixel_identical(client, ws)
 
 
 class TestQosReports:
@@ -539,7 +528,6 @@ class TestQosReports:
         assert server.stats["qos_reports"] == 1
         assert server.stats["qos_playback_quality"] == \
             msg.playback_quality
-        assert server.qos.reports[stream_id] == msg
 
     def test_report_ignored_when_qos_off(self):
         loop, conn, mon, server, ws, client = make_qos_rig()

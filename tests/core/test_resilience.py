@@ -296,13 +296,13 @@ class TestFramingChecks:
 
 
 class TestEviction:
-    def test_evicted_client_backs_off_then_attaches_fresh(self):
+    def test_evicted_client_backs_off_then_attaches_fresh(self, monkeypatch):
         # Garbage uplink frames past the wire-error budget quarantine
         # the session, which the fresh attach's own refresh cannot
         # re-trip.  The client honours the denial's retry hint, redials
         # once under a new token and converges.
-        loop, dial, server, ws, rc = make_resilient_rig(
-            width=W, height=H, budget=Budget(max_uplink_errors=2))
+        monkeypatch.setattr("repro.core.governor.MAX_UPLINK_ERRORS", 2)
+        loop, dial, server, ws, rc = make_resilient_rig(width=W, height=H)
         scripted_workload(loop, ws, end=1.2, seed=7)
         denials, dials = [], []
         hook = rc.client.on_attach_denied

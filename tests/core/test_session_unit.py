@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Budget, FrozenSession, THINCServer
+from repro.core import FrozenSession, THINCServer
 from repro.core.resilience import ResilienceConfig
 from repro.net import Connection, EventLoop, LAN_DESKTOP
 from repro.protocol import wire
@@ -154,17 +154,18 @@ class TestLiveFreezeThaw:
         assert frozen.acked_seq == frozen.last_seq > 0
         assert FrozenSession.from_bytes(frozen.to_bytes()) == frozen
 
-    def test_migration_does_not_launder_the_wire_error_tally(self):
+    def test_migration_does_not_launder_the_wire_error_tally(
+            self, monkeypatch):
         """A session one decode failure short of its error budget on
         one shard is still one short after being migrated."""
+        monkeypatch.setattr("repro.core.governor.MAX_UPLINK_ERRORS", 3)
         loop = EventLoop()
-        budget = Budget(max_uplink_errors=3)
-        src = self.make_server(loop, budget=budget)
-        dst = self.make_server(loop, budget=budget)
+        src = self.make_server(loop)
+        dst = self.make_server(loop)
         session = self.attach(loop, src)
         token = session.token
         bad = wire.frame_message(99, b"garbage")
-        for _ in range(budget.max_uplink_errors):
+        for _ in range(3):
             session.connection.up.write(bad)
             loop.run_until(loop.now + 0.05)
         assert not session.quarantined

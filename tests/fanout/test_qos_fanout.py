@@ -25,11 +25,9 @@ from repro.video.stream import SyntheticVideoClip
 
 from tests.core.test_qos import (THIN_256K, make_qos_rig, mirror,
                                  play_clip, run_scenario)
-from tests.helpers import assert_pixel_identical
+from tests.helpers import assert_pixel_identical, fast_qos
 
 CHAOS_SEED = int(os.environ.get("THINC_CHAOS_SEED", "0"))
-
-QOS = QosConfig(seed=7, recover_polls=3, recover_jitter=1)
 
 
 def _trace(mon):
@@ -40,7 +38,7 @@ def _saturated():
     """One mirror subscriber on the 256 kbit/s link, playing a 64x48
     clip at 24 fps — ~3.5x what the link carries."""
     loop, conn, mon, server, ws, client = make_qos_rig(
-        width=64, height=48, link=THIN_256K, qos=QOS)
+        width=64, height=48, link=THIN_256K, qos=QosConfig())
     mirror(server)
     clip = SyntheticVideoClip(width=64, height=48, fps=24, duration=2.0)
     play_clip(loop, ws, clip, Rect(0, 0, 64, 48))
@@ -48,6 +46,7 @@ def _saturated():
     return mon, server, ws, client
 
 
+@fast_qos()
 class TestSubscriberWalksTheLadder:
     """A mirror subscriber is an ordinary session to every stage of
     the dispatch path, so it walks the QoS ladder as its direct twin in
@@ -69,7 +68,7 @@ class TestSubscriberWalksTheLadder:
             CHAOS_SEED, start=0.3, duration=1.2,
             period=0.2, burst=0.12, drop_rate=1.0)
         _, _, fanned, ws, client, _ = run_scenario(
-            plan=plan, qos=QOS, subscribe=True)
+            plan=plan, qos=QosConfig(), subscribe=True)
         assert fanned.stats["fanout_subscribed"] == 1
         assert fanned.stats["qos_rungs_down"] >= 1
         assert fanned.stats["qos_recoveries"] >= 1
@@ -97,11 +96,12 @@ def _lan_wall(clients, tile_grid=None, **server_kw):
 
 
 class TestComposition:
-    def test_same_rung_subscribers_share_one_transformed_variant(self):
-        # recover_polls far past the clip: both stay on the rung the
-        # test parks them at, however clear the LAN probes.
-        loop, mon, server, ws, clients = _lan_wall(
-            2, qos=QosConfig(recover_polls=10_000))
+    def test_same_rung_subscribers_share_one_transformed_variant(
+            self, monkeypatch):
+        # Recovery far past the clip: both stay on the rung the test
+        # parks them at, however clear the LAN probes.
+        monkeypatch.setattr("repro.core.qos.RECOVER_POLLS", 10_000)
+        loop, mon, server, ws, clients = _lan_wall(2, qos=QosConfig())
         for session in server.sessions:
             session.qos_rung = 2
         misses = server.plane.stats["cache_misses"]

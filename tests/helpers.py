@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 from repro.cluster.scenario import ClientSpec, Scenario, pixel_mismatch
+from repro.core import qos
 from repro.core.delivery import ClientBuffer
 from repro.net import LAN_DESKTOP
 from repro.protocol import compression
@@ -81,6 +82,16 @@ def make_shard_rig(shards=2, clients=2, width=96, height=64,
                    ("scripted", {"end": end, "seed": workload_seed})
                    if schedule_workloads else ()).build()
     return run.loop, run.coord, run.screens, run.clients
+
+
+def fast_qos(seed=7):
+    """The QoS dynamics of the contended-link tests, as a scoped patch
+    of :mod:`repro.core.qos`'s constants (a context manager or a
+    decorator): a seed of their own, and recovery after 3 clear polls
+    plus up to 1, so the ladder walks down and back again within a few
+    simulated seconds."""
+    return mock.patch.multiple(qos, SEED=seed, RECOVER_POLLS=3,
+                               RECOVER_JITTER=1)
 
 
 def assert_pixel_identical(client, ws):

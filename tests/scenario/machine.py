@@ -26,9 +26,10 @@ from repro.net import LAN_DESKTOP, WAN_DESKTOP
 from repro.net.faults import LossBurst, Partition
 from repro.net.link import PDA_80211G
 
+from ..helpers import fast_qos
+
 W, H = 64, 48
 THIN = replace(PDA_80211G, name="256k thin", bandwidth_bps=256e3)
-QOS = QosConfig(seed=7, recover_polls=3, recover_jitter=1)
 #: ~0.65 of the thin link: healthy alone, underwater once congested.
 CLIP = ("clip", {"width": 32, "height": 18, "fps": 24, "duration": 3.0,
                  "dst": (16, 16, 48, 32)})
@@ -45,7 +46,7 @@ PAINTED = ("scripted", {"end": 0.3})
 BASES = (
     # One bare server, QoS on: a thin-link viewer, a LAN viewer and a
     # reconnecting WAN viewer share it.
-    Scenario(W, H, server={"qos": QOS}, clients=(
+    Scenario(W, H, server={"qos": QosConfig()}, clients=(
         ClientSpec(THIN), ClientSpec(),
         ClientSpec(WAN_DESKTOP, resilient=True))),
     # The same server under a budget tight enough to degrade and shed.
@@ -56,10 +57,10 @@ BASES = (
     # so a migration can be refused.
     Scenario(W, H, shards=2, workload=PAINTED,
              clients=(ClientSpec(THIN),) + (ClientSpec(),) * 2,
-             server={"qos": QOS,
+             server={"qos": QosConfig(),
                      "server_budget": ServerBudget(max_sessions=2)}),
     # The same fabric with room to spare and one viewer per shard.
-    Scenario(W, H, shards=2, workload=PAINTED, server={"qos": QOS},
+    Scenario(W, H, shards=2, workload=PAINTED, server={"qos": QosConfig()},
              clients=(ClientSpec(THIN), ClientSpec())),
 )
 
@@ -103,6 +104,10 @@ class ScenarioMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.run = None
+        # The QoS bases run at the contended-link tests' dynamics, for
+        # this example alone: teardown lifts the patch.
+        self.qos = fast_qos()
+        self.qos.start()
 
     @initialize(data=st.data())
     def build(self, data):
@@ -200,6 +205,12 @@ class ScenarioMachine(RuleBasedStateMachine):
     # -- the invariant -------------------------------------------------------
 
     def teardown(self):
+        try:
+            self.judge()
+        finally:
+            self.qos.stop()
+
+    def judge(self):
         run = self.run
         if run is None:
             return
@@ -226,5 +237,6 @@ class ScenarioMachine(RuleBasedStateMachine):
                 counts["migrations"] += len(run.coord.migrations)
         except BaseException:
             print(f"\nscenario failed; replay it with "
-                  f"python -m repro replay {dump(run)}")
+                  f"python -m repro replay {dump(run)} (which runs the "
+                  f"default QoS dynamics, not fast_qos's)")
             raise

@@ -15,12 +15,13 @@ import pytest
 from repro.cluster.scenario import ClientSpec, Op, Scenario
 from repro.core.fanout import TileWall
 from repro.core.governor import ServerBudget
+from repro.core.qos import QosConfig
 from repro.core.session_unit import FrozenSession
 from repro.net.faults import FaultPlan, LossBurst, Partition
 from repro.protocol import wire
 
-from ..helpers import client_spec
-from .machine import BASES, CLIP, QOS, THIN
+from ..helpers import client_spec, fast_qos
+from .machine import BASES, CLIP, THIN
 
 CHAOS_SEED = int(os.environ.get("THINC_CHAOS_SEED", "0"))
 
@@ -74,7 +75,7 @@ ROWS = {
     # QOS_REPORT gap can show them to the shard; the session moves
     # mid-fault and the rung rides the frozen blob.
     "QoS-x-migration-mid-fault": (Scenario(
-        shards=2, server={"qos": replace(QOS, seed=CHAOS_SEED or 7)},
+        shards=2, server={"qos": QosConfig()},
         clients=(client_spec(THIN, FaultPlan.flapping_80211g(
             1000 + (CHAOS_SEED or 7), start=0.3, duration=1.6, flaps=4)),),
         workload=("clip", {"duration": 4.5}),
@@ -114,6 +115,9 @@ ROWS = {
         Op(0.05, "play", 0, CLIP), Op(0.1, "resize", 1, (32, 24)))), None),
 }
 OPEN = {}
+#: Every row runs at the state machine's QoS dynamics
+#: (``tests.helpers.fast_qos``); this row's seed re-rolls under chaos.
+QOS_SEED = {"QoS-x-migration-mid-fault": CHAOS_SEED or 7}
 
 
 def test_a_detached_resilient_session_redials_fresh():
@@ -132,12 +136,13 @@ def test_a_detached_resilient_session_redials_fresh():
     print(run.check())
 
 
-@pytest.mark.parametrize("scenario, holds", [
-    pytest.param(*row, id=name, marks=[pytest.mark.xfail(
+@pytest.mark.parametrize("name, scenario, holds", [
+    pytest.param(name, *row, id=name, marks=[pytest.mark.xfail(
         strict=True, reason=OPEN[name])] if name in OPEN else [])
     for name, row in ROWS.items()])
-def test_schedule(scenario, holds):
-    run = scenario.build()
-    run.quiesce()
-    print(run.check())
+def test_schedule(name, scenario, holds):
+    with fast_qos(QOS_SEED.get(name, 7)):
+        run = scenario.build()
+        run.quiesce()
+        print(run.check())
     assert holds is None or holds(run), holds.__name__

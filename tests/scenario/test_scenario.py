@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.cluster.scenario import ClientSpec, Op, Scenario
 from repro.core.governor import Budget, ServerBudget
+from repro.core.qos import QosConfig
 from repro.net import LAN_DESKTOP, WAN_DESKTOP
 from repro.net.faults import Corruption, Disconnect, LossBurst, Partition, Stall
 
-from .machine import CLIP, QOS
+from ..helpers import fast_qos
+from .machine import CLIP
 from .test_regressions import ROWS
 
 times = st.floats(0, 10, allow_nan=False)
@@ -36,7 +38,7 @@ ops = st.one_of(
 scenarios = st.builds(
     Scenario, st.integers(32, 200), st.integers(32, 200), st.integers(0, 3),
     st.fixed_dictionaries({}, optional={
-        "qos": st.just(QOS), "encrypt_key": st.binary(min_size=1, max_size=8),
+        "qos": st.just(QosConfig()), "encrypt_key": st.binary(min_size=1, max_size=8),
         "budget": st.builds(Budget, st.integers(1, 1 << 20)),
         "server_budget": st.builds(ServerBudget, st.integers(1, 64)),
         "adaptive_encoding": st.booleans()}),
@@ -65,7 +67,8 @@ def test_replaying_a_bundle_twice_is_byte_identical():
 def test_replay_subcommand_exits_by_the_verdict(tmp_path, capsys):
     clean = tmp_path / "clean.json"
     clean.write_text(ROWS["video-under-a-wall-tile"][0].to_json())
-    assert main(["replay", str(clean)]) == 0
+    with fast_qos():
+        assert main(["replay", str(clean)]) == 0
     assert "clients on 1 servers hold" in capsys.readouterr().out
     # A plain client has no way back from a dead socket: its session
     # keeps its backlog for ever.

@@ -15,11 +15,12 @@ tests/video/test_transcoder_golden.py``) and says so in its PR.
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import THINCServer
+from repro.core import THINCServer, qos
 from repro.core.qos import QosConfig
 from repro.core.resize import DisplayScaler
 from repro.net import EventLoop
@@ -54,9 +55,10 @@ def _zoomed(cmd):
 
 
 def _qos(cmd):
-    server = THINCServer(EventLoop(), 128, 96,
-                         qos=QosConfig(scale_shift=1, qstep=24))
-    return [server.qos._transform(cmd, rung) for rung in (2, 3)]
+    # The golden's quantiser step: coarser than the plane's own.
+    with mock.patch.object(qos, "QSTEP", 24):
+        server = THINCServer(EventLoop(), 128, 96, qos=QosConfig())
+        return [server.qos._transform(cmd, rung) for rung in (2, 3)]
 
 
 CASES = {"scale_video": _scaled_viewport, "map_video": _zoomed,

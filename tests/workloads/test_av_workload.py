@@ -75,13 +75,16 @@ class TestAVPlayer:
 
 
 class TestTypingWorkload:
-    def test_generates_keys_and_bulk(self):
+    def test_generates_keys_and_bulk(self, monkeypatch):
+        monkeypatch.setattr(TypingUnderLoadWorkload, "key_interval", 0.05)
+        monkeypatch.setattr(TypingUnderLoadWorkload, "image_interval", 0.04)
+        monkeypatch.setattr(TypingUnderLoadWorkload, "image_size", 64)
         loop = EventLoop()
         ws = WindowServer(320, 240, clock=loop.clock)
         inputs = []
         workload = TypingUnderLoadWorkload(
             ws, loop, inject_input=lambda x, y: inputs.append((x, y)),
-            keys=5, key_interval=0.05, image_interval=0.04, image_size=64)
+            keys=5)
         workload.start()
         loop.run_until_idle(max_time=5)
         assert len(inputs) == 5
