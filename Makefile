@@ -87,7 +87,7 @@ ci: lint analyze
 	PYTHONPATH=src taskset -c 0 $(PY) -m pytest -x -q \
 	  tests/protocol/test_compression.py tests/core/test_delivery.py \
 	  tests/core/test_pipeline.py tests/cluster/test_migration.py \
-	  tests/core/test_resilience.py \
+	  tests/core/test_resilience.py tests/golden/test_behaviour.py \
 	  tests/bench/test_wrap_points_on_main_thread.py
 	@$(MAKE) --no-print-directory examples
 	@$(MAKE) --no-print-directory loc

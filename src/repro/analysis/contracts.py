@@ -75,7 +75,7 @@ DISPATCH_SCOPES: Tuple[Tuple[str, str, str], ...] = (
     ("core/session_unit.py", "SessionUnit", "server"),
     ("core/resilience.py", "ResiliencePlane", "server"),
     ("core/resilience.py", "ResilientClient", "client"),
-    ("core/resilience.py", "", "prelude"),  # _decode_prelude helpers
+    ("core/resilience.py", "", "prelude"),  # read_prelude
     ("core/client.py", "THINCClient", "client"),
     ("core/miniclient.py", "MiniClient", "client"),
     ("cluster/relay.py", "*", "prelude"),

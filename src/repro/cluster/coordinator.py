@@ -216,6 +216,3 @@ class ShardCoordinator:
             "relay": dict(self.relay.stats),
             "per_shard": per_shard,
         }
-
-    def pending(self) -> bool:
-        return any(server.pending() for server in self.shards)

@@ -3,7 +3,8 @@
 Clients speak the *unchanged* THINC wire protocol to the relay — same
 prelude, same CHECKED framing, same RC4 — and never learn the fabric
 exists.  The relay reads exactly one plaintext frame off a fresh dial
-(the reconnect request), asks the coordinator which shard owns the
+(the reconnect request) with the resilience plane's own
+:func:`~repro.core.resilience.read_prelude`, asks the coordinator which shard owns the
 token (or places a fresh attach), dials a backhaul to that shard, hands
 the backhaul to the shard's resilience plane, and from then on is a
 pair of bounded byte pumps: client→shard and shard→client.  On the way
@@ -26,8 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict
 
-from ..core.resilience import _checked_prelude, _decode_prelude, \
-    _PreludeReader
+from ..core.resilience import read_prelude, write_prelude
 from ..net.link import LinkParams
 from ..net.transport import Connection
 from ..protocol import wire
@@ -124,10 +124,11 @@ class _Splice:
                         self._overflow)
         self.down = _Pump(relay.loop, client_conn.down, BUFFER_LIMIT,
                           self._overflow)
-        self._answer_seen = False
-        self._down_reader = _PreludeReader()
         client_conn.up.connect(self._on_client_bytes)
-        backhaul.down.connect(self._on_shard_bytes)
+        # Peek exactly one plaintext frame — the shard's answer — to
+        # learn the session token; everything after it may be
+        # encrypted, so the relay never parses past this point.
+        read_prelude(backhaul.down, self._on_answer, self.close)
 
     def _overflow(self) -> None:
         self.relay.stats["overflows"] += 1
@@ -137,27 +138,16 @@ class _Splice:
         self.up.push(chunk)
         self.relay.stats["bytes_up"] += len(chunk)
 
-    def _on_shard_bytes(self, chunk: bytes) -> None:
-        self.relay.stats["bytes_down"] += len(chunk)
-        if self._answer_seen:
-            self.down.push(chunk)
-            return
-        # Peek exactly one plaintext frame — the shard's answer — to
-        # learn the session token; everything after it may be
-        # encrypted, so the relay never parses past this point.
-        try:
-            frame = self._down_reader.feed(chunk)
-            if frame is None:
-                return
-            msg = _decode_prelude(frame)
-        except (ValueError, KeyError):
-            self.close()
-            return
-        self._answer_seen = True
+    def _on_answer(self, msg, frame: bytes, rest: bytes) -> None:
         if isinstance(msg, wire.ReconnectAcceptMessage):
             self.token = msg.token
             self.relay.register(self)
-        self.down.push(frame + self._down_reader.remainder())
+        self.backhaul.down.connect(self._on_shard_bytes)
+        self._on_shard_bytes(frame + rest)
+
+    def _on_shard_bytes(self, chunk: bytes) -> None:
+        self.relay.stats["bytes_down"] += len(chunk)
+        self.down.push(chunk)
 
     def close(self) -> None:
         self.up.close()
@@ -195,24 +185,12 @@ class Relay:
         self._dials += 1
         self.stats["accepts"] += 1
         dial_no = self._dials
-        reader = _PreludeReader()
 
-        def on_data(chunk: bytes) -> None:
-            try:
-                frame = reader.feed(chunk)
-                if frame is None:
-                    return
-                msg = _decode_prelude(frame)
-                if not isinstance(msg, wire.ReconnectRequestMessage):
-                    raise wire.ProtocolError(
-                        f"expected reconnect request, got {msg!r}")
-            except (ValueError, KeyError):
-                connection.up.disconnect()
-                return
-            self._route(connection, viewport, dial_no, msg,
-                        frame + reader.remainder())
+        def on_frame(msg, frame: bytes, rest: bytes) -> None:
+            if isinstance(msg, wire.ReconnectRequestMessage):
+                self._route(connection, viewport, dial_no, msg, frame + rest)
 
-        connection.up.connect(on_data)
+        read_prelude(connection.up, on_frame, lambda: None)
 
     def _route(self, connection: Connection, viewport, dial_no: int,
                req: wire.ReconnectRequestMessage, prelude: bytes) -> None:
@@ -230,16 +208,12 @@ class Relay:
             # No admitting shard anywhere: push back with the same
             # typed denial a single overloaded server uses.
             self.stats["denied"] += 1
-            data = _checked_prelude(wire.ReconnectDeniedMessage(
+            write_prelude(connection.down, wire.ReconnectDeniedMessage(
                 self.coordinator.retry_after))
-            connection.up.disconnect()
-            if connection.down.writable_bytes() >= len(data):
-                connection.down.write(data)
             return
         backhaul = Connection(self.loop, self.fabric_link)
         server = self.coordinator.shards[shard]
         server.resilience.accept(backhaul, viewport)
-        connection.up.disconnect()  # the splice takes over the stream
         splice = _Splice(self, connection, backhaul, shard)
         # Replay the prelude (plus any bytes that rode the same
         # segment) into the shard exactly as received.

@@ -133,10 +133,6 @@ class CommandQueue:
         The queue ends up exactly as after those adds: same commands,
         sequence numbers, statistics and taint.
         """
-        if merged.overwrite_class is not OverwriteClass.TRANSPARENT:
-            for part in merged.clipped(_parts_of(merged, count, pitch)):
-                stored = self.add(part)
-            return stored
         san = self._sanitizer
         if san is not None:
             replay = san.before_run(self, merged)

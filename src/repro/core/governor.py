@@ -363,10 +363,11 @@ class Governor:
         # any other message instead of seeing stream garbage.
         conn = session.connection
         if conn is not None and not conn.closed:
-            data = session._frame(wire.AttachDeniedMessage(
+            stage = session.frame_stage
+            data = stage.frame(wire.AttachDeniedMessage(
                 reason, self.server_budget.retry_after))
-            if session._writer.writable_bytes() >= len(data):
-                session._writer.write(data)
+            if stage.writable_bytes() >= len(data):
+                stage.write(data)
                 self.stats["denials_written"] += 1
         session.detach()
         if session in self.server.sessions:

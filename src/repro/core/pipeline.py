@@ -46,6 +46,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..codec import LinkPosture, classify
 from ..protocol import wire
+from ..protocol.rc4 import RC4
 from ..protocol.commands import (Command, CompositeCommand, RawCommand,
                                  SFillCommand)
 
@@ -106,13 +107,6 @@ class PreparePlane:
 
     # -- adaptive encoding ---------------------------------------------------
 
-    def _demote_solid(self, command: RawCommand, color) -> SFillCommand:
-        fill = SFillCommand(command.dest, color)
-        fill.seq = command.seq
-        fill.realtime = command.realtime
-        fill.sched_floor = command.sched_floor
-        return fill
-
     def variants(self, command: Command,
                  sessions: Iterable) -> Iterator[Tuple[List, Command]]:
         """Partition *sessions* into encoding equivalence classes.
@@ -143,7 +137,7 @@ class PreparePlane:
                                         LinkPosture(posture_key),
                                         stats=stats)
             if choice.solid_color is not None:
-                variant = self._demote_solid(command, choice.solid_color)
+                variant = SFillCommand(command.dest, choice.solid_color)
             else:
                 variant = command.with_encoding(choice.encoding)
             marker = self._encoding_of(variant)
@@ -227,22 +221,37 @@ class PreparePlane:
 
 
 class FrameStage:
-    """Stage 5 — per-session framing and (optional) RC4 encryption.
+    """Stage 5 — one session's write path: framing, sequencing and
+    journaling, (optional) RC4 encryption, and the socket.
 
     Framing and encryption are deliberately split: :meth:`frame`
-    produces *plaintext* framed bytes and :meth:`encrypt` is applied by
-    the session only at write time.  The flush path may frame a
+    produces *plaintext* framed bytes and :meth:`encrypt` is applied
+    only to bytes that reach the socket.  The flush path may frame a
     command head and then discover it does not fit — with encryption
     inside ``frame`` that consumed RC4 keystream for bytes that were
     never sent, silently desynchronising the client's cipher.  Keeping
     frames plain until the moment they hit the socket also lets the
-    resilience plane journal sent frames and re-encrypt them under a
-    fresh key after a reconnect.  RC4 is size-preserving, so all flush
-    size arithmetic is unaffected by the split.
+    journal keep sent frames re-encryptable under a fresh key after a
+    reconnect.  RC4 is size-preserving, so all flush size arithmetic is
+    unaffected by the split.
+
+    A guarded session (non-zero ``token``) wraps every frame it writes
+    in a CHECKED wrapper whose sequence number is assigned in *send*
+    order, so the client's cumulative ack and the session's replay
+    journal agree byte-for-byte about what the client may have seen,
+    and journals each wrapped plaintext frame.  The stage is the
+    ``Writer`` the flush stage writes into: ``writable_bytes`` and
+    ``capacity`` subtract the wrapper overhead so its size arithmetic
+    keeps working unchanged.  Every frame written counts in the
+    session's ``messages_sent`` and ``bytes_sent``.
     """
 
-    def __init__(self, cipher=None):
-        self.cipher = cipher
+    def __init__(self, session):
+        self.session = session
+        self.key = session.server.encrypt_key
+        self.cipher = RC4(self.key) if self.key else None
+        self.overhead = wire.CHECKED_OVERHEAD if session.token else 0
+        self.last_seq = 0
 
     def frame(self, msg) -> bytes:
         """Frame *msg* as plaintext wire bytes (no keystream consumed)."""
@@ -254,6 +263,38 @@ class FrameStage:
             return data
         return self.cipher.process(data)
 
-    def rekey(self, cipher) -> None:
-        """Replace the cipher (a reconnect restarts both keystreams)."""
-        self.cipher = cipher
+    def rekey(self) -> None:
+        """Restart the keystream (a reconnect restarts both sides')."""
+        if self.key:
+            self.cipher = RC4(self.key)
+
+    def writable_bytes(self) -> int:
+        room = self.session.connection.down.writable_bytes()
+        return max(0, room - self.overhead)
+
+    def capacity(self) -> int:
+        return self.session.connection.down.send_buffer_limit - self.overhead
+
+    def write(self, data: bytes) -> None:
+        session = self.session
+        if session.token:
+            self.last_seq += 1
+            data = wire.wrap_checked(data, self.last_seq)
+            session.journal.append((self.last_seq, data))
+            session.journal_bytes += len(data)
+            if session.journal_bytes > session.guard.log_limit:
+                session.drop_journal(True)
+                session.server.resilience.stats["log_overflows"] += 1
+        self.write_prewrapped(data)
+
+    def write_prewrapped(self, data: bytes) -> None:
+        """Write an already-wrapped frame (resync replay): encrypt
+        only — it carries its original sequence number and is already
+        in the journal."""
+        stats = self.session.stats
+        stats["messages_sent"] += 1
+        stats["bytes_sent"] += len(data)
+        self.session.connection.down.write(self.encrypt(data))
+
+    def prewrapped_writable(self) -> int:
+        return self.session.connection.down.writable_bytes()

@@ -51,14 +51,15 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..net.transport import Connection
 from ..protocol import wire
 from .client import THINCClient
 
-__all__ = ["ResilienceConfig", "SessionGuard",
-           "ResiliencePlane", "ResilientClient"]
+__all__ = ["ResilienceConfig", "SessionGuard", "ResiliencePlane",
+           "ResilientClient", "read_prelude", "write_prelude"]
 
 # Headroom added to raw pixel bytes when costing a full-screen RAW
 # snapshot: frame/CHECKED headers per flushed piece plus zlib's
@@ -93,63 +94,61 @@ class ResilienceConfig:
     token_stride: int = 1
 
 
-class _PreludeReader:
-    """Byte-exact reader for the plaintext prelude of a connection.
+#: Prelude frames are tiny; a header declaring more is garbage.
+MAX_PRELUDE = 4096
 
-    The first frame on a dialled connection (reconnect request one
-    way, accept/denied the other) travels in the clear; everything
-    after the accept may be encrypted under a fresh key.  A normal
-    StreamParser cannot be used — it would try to parse the ciphered
-    tail — so this reader consumes exactly one frame's bytes and keeps
-    the remainder untouched for whoever owns the stream next.
+
+def write_prelude(endpoint, msg) -> None:
+    """Send *msg* as a dial prelude: one CHECKED frame with sequence
+    number 0, in the clear, written whole or not at all.
+
+    The prelude is the first frame each way on a dialled connection
+    (the reconnect request one way, the accept or denial the other),
+    sent before the stream may switch to RC4.  In the clear a few
+    flipped bytes could otherwise still parse as a *valid but wrong*
+    request or answer (wrong token, wrong resync mode); the CRC turns
+    that whole class into garbage :func:`read_prelude` refuses.
     """
+    data = wire.wrap_checked(wire.encode_message(msg), 0)
+    if endpoint.writable_bytes() >= len(data):
+        endpoint.write(data)
 
-    MAX_PRELUDE = 4096  # prelude frames are tiny; anything bigger is junk
 
-    def __init__(self) -> None:
-        self._buffer = bytearray()
+def read_prelude(endpoint, on_frame, on_garbage) -> None:
+    """Take exactly one prelude frame off *endpoint*.
 
-    def feed(self, chunk: bytes) -> Optional[bytes]:
-        """Returns the first complete frame's bytes, or None."""
-        self._buffer.extend(chunk)
-        if len(self._buffer) < wire.FRAME_OVERHEAD:
-            return None
-        length = int.from_bytes(self._buffer[1:5], "big")
-        if length > self.MAX_PRELUDE:
-            raise wire.ProtocolError(
-                f"prelude frame declares {length} bytes")
+    A stream parser cannot be used: it would go on to parse the
+    possibly ciphered tail.  The receiver this connects buffers until
+    one frame is complete, disconnects, and calls ``on_frame(message,
+    frame, rest)`` with the CHECKED frame's inner message, the frame's
+    bytes as received and whatever arrived after it, untouched, for
+    whoever owns the stream next.  A header declaring more than
+    :data:`MAX_PRELUDE` bytes, a frame that does not parse, or one that
+    is not CHECKED disconnects and calls ``on_garbage()`` instead.
+    """
+    buffer = bytearray()
+
+    def on_data(chunk: bytes) -> None:
+        buffer.extend(chunk)
+        if len(buffer) < wire.FRAME_OVERHEAD:
+            return
+        length = int.from_bytes(buffer[1:5], "big")
         end = wire.FRAME_OVERHEAD + length
-        if len(self._buffer) < end:
-            return None
-        frame = bytes(self._buffer[:end])
-        del self._buffer[:end]
-        return frame
+        if length <= MAX_PRELUDE and len(buffer) < end:
+            return
+        endpoint.disconnect()
+        frame, checked = bytes(buffer[:end]), None
+        if length <= MAX_PRELUDE:
+            try:
+                checked, = wire.parse_messages(frame)
+            except wire.ProtocolError:
+                pass
+        if isinstance(checked, wire.CheckedFrame):
+            on_frame(checked.message, frame, bytes(buffer[end:]))
+        else:
+            on_garbage()
 
-    def remainder(self) -> bytes:
-        """Bytes received beyond the prelude frame."""
-        rest = bytes(self._buffer)
-        self._buffer.clear()
-        return rest
-
-
-def _checked_prelude(msg) -> bytes:
-    """Encode a prelude message inside a CHECKED wrapper (seq 0).
-
-    The prelude travels in the clear, where a few flipped bytes could
-    otherwise still parse as a *valid but wrong* request or accept
-    (wrong token, wrong resync mode).  The CRC turns that whole class
-    into a detected failure: the reader raises, the dial is abandoned
-    and retried.
-    """
-    return wire.wrap_checked(wire.encode_message(msg), 0)
-
-
-def _decode_prelude(frame: bytes):
-    """Decode one prelude frame, unwrapping (and CRC-checking) it."""
-    msg = wire.parse_messages(frame)[0]
-    if isinstance(msg, wire.CheckedFrame):
-        msg = msg.message
-    return msg
+    endpoint.connect(on_data)
 
 
 class SessionGuard:
@@ -200,29 +199,18 @@ class ResiliencePlane:
     def accept(self, connection: Connection, viewport=None) -> None:
         """Take ownership of a freshly dialled connection.
 
-        Models the listening socket: the plane reads the plaintext
-        reconnect request, then either creates a session (token 0),
-        resyncs the named one, or pushes back with a denial.  A
-        malformed prelude (corruption can hit the dial too) abandons
-        the connection; the client times out and redials.
+        Models the listening socket: the plane reads the reconnect
+        request with :func:`read_prelude`, then either creates a
+        session (token 0), resyncs the named one, or pushes back with a
+        denial.  A malformed prelude, or one that is not a request
+        (corruption can hit the dial too), abandons the connection; the
+        client times out and redials.
         """
-        reader = _PreludeReader()
+        def on_frame(msg, frame: bytes, rest: bytes) -> None:
+            if isinstance(msg, wire.ReconnectRequestMessage):
+                self._on_request(connection, msg, rest, viewport)
 
-        def on_data(chunk: bytes) -> None:
-            try:
-                frame = reader.feed(chunk)
-                if frame is None:
-                    return
-                msg = _decode_prelude(frame)
-                if not isinstance(msg, wire.ReconnectRequestMessage):
-                    raise wire.ProtocolError(
-                        f"expected reconnect request, got {msg!r}")
-            except (ValueError, KeyError):
-                connection.up.disconnect()
-                return
-            self._on_request(connection, msg, reader.remainder(), viewport)
-
-        connection.up.connect(on_data)
+        read_prelude(connection.up, on_frame, lambda: None)
 
     def _on_request(self, connection: Connection,
                     req: wire.ReconnectRequestMessage, rest: bytes,
@@ -237,13 +225,13 @@ class ResiliencePlane:
             if governor.check_admission() is not None:
                 governor.stats["admission_denied"] += 1
                 self.stats["reconnects_denied"] += 1
-                self._write_plain(connection, wire.ReconnectDeniedMessage(
+                write_prelude(connection.down, wire.ReconnectDeniedMessage(
                     governor.server_budget.retry_after))
                 return
             governor.stats["admitted"] += 1
             token = self._next_token
             self._next_token += self.config.token_stride
-            self._write_plain(connection, wire.ReconnectAcceptMessage(
+            write_prelude(connection.down, wire.ReconnectAcceptMessage(
                 token, wire.RESYNC_FRESH))
             session = self.server._make_session(connection, viewport,
                                                 token=token)
@@ -253,7 +241,7 @@ class ResiliencePlane:
             not_before = session.guard.not_before
             if now < not_before:
                 self.stats["reconnects_denied"] += 1
-                self._write_plain(connection, wire.ReconnectDeniedMessage(
+                write_prelude(connection.down, wire.ReconnectDeniedMessage(
                     max(0.0, not_before - now)))
                 return
             self._resync(session, connection, req.last_seq, now)
@@ -274,8 +262,8 @@ class ResiliencePlane:
         use_replay = (not session.log_dropped and not session.shed_display
                       and contiguous and replay_bytes <= snapshot_cost)
         mode = wire.RESYNC_REPLAY if use_replay else wire.RESYNC_SNAPSHOT
-        self._write_plain(connection,
-                          wire.ReconnectAcceptMessage(session.token, mode))
+        write_prelude(connection.down,
+                      wire.ReconnectAcceptMessage(session.token, mode))
         session.rebind(connection)
         guard.last_seen = now
         self._note_accept(guard, now)
@@ -329,11 +317,6 @@ class ResiliencePlane:
         delay *= 1.0 + self.config.backoff_jitter * self._rng.random()
         guard.not_before = now + delay
 
-    def _write_plain(self, connection: Connection, msg) -> None:
-        data = _checked_prelude(msg)
-        if connection.down.writable_bytes() >= len(data):
-            connection.down.write(data)
-
     # -- in-session traffic --------------------------------------------------
 
     def handle_session_message(self, session, msg) -> bool:
@@ -355,9 +338,9 @@ class ResiliencePlane:
         if isinstance(msg, wire.HeartbeatMessage):
             self.stats["heartbeats"] += 1
             # Nobody can have applied a frame that was never sent: an
-            # ack past the writer's mark is a lie, and would freeze
+            # ack past the frame stage's mark is a lie, and would freeze
             # into a blob its thaw target must reject.
-            acked = min(msg.last_seq, session._writer.last_seq)
+            acked = min(msg.last_seq, session.frame_stage.last_seq)
             if acked > session.acked_seq:
                 session.acked_seq = acked
                 journal = session.journal
@@ -466,12 +449,6 @@ class ResilientClient:
                       "attach_denied": 0, "replay_resyncs": 0,
                       "snapshot_resyncs": 0}
 
-    # Convenience pass-throughs ------------------------------------------------
-
-    @property
-    def fb(self):
-        return self.client.fb
-
     def start(self) -> None:
         self._dial_now()
         self.loop.schedule(self.config.heartbeat_interval,
@@ -490,34 +467,25 @@ class ResilientClient:
         self.stats["dials"] += 1
         conn = self.dial()
         self._pending_conn = conn
-        reader = _PreludeReader()
-
-        def on_answer(chunk: bytes) -> None:
-            if self._pending_conn is not conn:
-                return  # a stale dial answered after we moved on
-            try:
-                frame = reader.feed(chunk)
-                if frame is None:
-                    return
-                msg = _decode_prelude(frame)
-            except (ValueError, KeyError):
-                # Corrupted prelude: abandon the dial and retry.
-                self.stats["protocol_errors"] += 1
-                conn.down.disconnect()
-                self._pending_conn = None
-                self._dial_deadline = None
-                self._schedule_redial()
-                return
-            self._on_answer(conn, msg, reader.remainder())
-
-        conn.down.connect(on_answer)
-        req = _checked_prelude(wire.ReconnectRequestMessage(
+        read_prelude(conn.down, partial(self._on_answer, conn),
+                     partial(self._on_garbage_answer, conn))
+        write_prelude(conn.up, wire.ReconnectRequestMessage(
             self.token, self.client.last_applied_seq))
-        if conn.up.writable_bytes() >= len(req):
-            conn.up.write(req)
         self._dial_deadline = self.loop.now + self.config.liveness_timeout
 
-    def _on_answer(self, conn: Connection, msg, rest: bytes) -> None:
+    def _on_garbage_answer(self, conn: Connection) -> None:
+        if self._pending_conn is not conn:
+            return  # a stale dial answered after we moved on
+        # Corrupted prelude: abandon the dial and retry.
+        self.stats["protocol_errors"] += 1
+        self._pending_conn = None
+        self._dial_deadline = None
+        self._schedule_redial()
+
+    def _on_answer(self, conn: Connection, msg, frame: bytes,
+                   rest: bytes) -> None:
+        if self._pending_conn is not conn:
+            return  # a stale dial answered after we moved on
         if isinstance(msg, wire.ReconnectAcceptMessage):
             self.token = msg.token
             self.attached = True
@@ -542,7 +510,6 @@ class ResilientClient:
             self._send_heartbeat()  # ack immediately; prunes the log
         elif isinstance(msg, wire.ReconnectDeniedMessage):
             self.stats["denials"] += 1
-            conn.down.disconnect()
             self._pending_conn = None
             self._dial_deadline = None
             self._schedule_redial(min_delay=msg.retry_after)

@@ -236,8 +236,6 @@ class DisplayScaler:
             sx = math.floor(cmd.src_x * self.sx)
             sy = math.floor(cmd.src_y * self.sy)
             return [CopyCommand(sx, sy, dest)]
-        if isinstance(cmd, VideoFrameCommand):
-            return [self._scale_video(cmd, dest)]
         return [cmd]
 
     def map_point(self, x: int, y: int):
@@ -273,27 +271,6 @@ class DisplayScaler:
                 round(rgb.shape[1] * self.sx))) // 2 * 2)
             new_h = max(2, min(dest.height, int(
                 round(rgb.shape[0] * self.sy))) // 2 * 2)
-        scaled = resample(rgb, new_w, new_h)
-        data = yuv.encode_frame(cmd.pixel_format, scaled)
-        return VideoFrameCommand(cmd.stream_id, dest, new_w, new_h, data,
-                                 frame_no=cmd.frame_no,
-                                 pixel_format=cmd.pixel_format)
-
-    def _scale_video(self, cmd: VideoFrameCommand,
-                     dest: Rect) -> VideoFrameCommand:
-        """Resample video server-side and re-encode as YV12.
-
-        The scaled frame keeps YV12's 12 bpp, so PDA-sized video costs
-        roughly (client area / server area) of the original bandwidth —
-        the Figure 6 effect.
-        """
-        rgb = yuv.decode_frame(cmd.pixel_format, cmd.yuv_bytes,
-                               cmd.src_width, cmd.src_height)[..., :3]
-        # The source data scales with the viewport ratio like every other
-        # update; the client's hardware scaler stretches it back to the
-        # (scaled) destination window.
-        new_w = max(2, int(round(cmd.src_width * self.sx)) // 2 * 2)
-        new_h = max(2, int(round(cmd.src_height * self.sy)) // 2 * 2)
         scaled = resample(rgb, new_w, new_h)
         data = yuv.encode_frame(cmd.pixel_format, scaled)
         return VideoFrameCommand(cmd.stream_id, dest, new_w, new_h, data,

@@ -39,7 +39,6 @@ from ..net.transport import Connection
 from ..protocol import wire
 from ..protocol.commands import Command, decode_command
 from ..protocol.limits import LIMITS
-from ..protocol.rc4 import RC4
 from ..protocol.schema import (FieldRangeError, FieldTable,
                                FrameTooLargeError, TruncatedPayloadError,
                                f64, rect16, rest, u8, u16, u32, u64)
@@ -66,8 +65,6 @@ FLUSH_INTERVAL = 0.002  # seconds between flush periods while backlogged
 NOT_SERIALIZED = {
     "server": "host binding; the thaw target supplies its own",
     "loop": "host binding; every shard shares the simulated clock",
-    "frame_stage": "holds the RC4 keystream position, which is "
-                   "worthless after the re-key; rebuilt on thaw",
     "journal_bytes": "gauge over journal, recomputed on thaw",
     "detached_at": "a frozen unit is detached by definition; thaw "
                    "rebuilds the unit detached until the client redials",
@@ -93,68 +90,6 @@ NOT_SERIALIZED = {
     "_parser": "uplink parse state dies with the severed connection; "
                "reset_parser() starts the successor clean",
 }
-
-
-class _SessionWriter:
-    """The session's write-side proxy over the transport endpoint.
-
-    Three concerns live here rather than in the framing stage so they
-    happen only for bytes that actually reach the socket:
-
-    * **encryption** — frames are plaintext until written (framing a
-      split head that then fails the fit check must not consume RC4
-      keystream, and journaled frames must be re-encryptable under a
-      fresh key after a reconnect);
-    * **sequencing and journaling** — a guarded unit (non-zero
-      ``token``) wraps every outgoing frame in a CHECKED wrapper whose
-      sequence number is assigned in *send* order, so the client's
-      cumulative ack and the replay log agree byte-for-byte about what
-      the client may have seen, and keeps each wrapped plaintext frame
-      in its replay journal, unencrypted.
-
-    ``writable_bytes`` and ``capacity`` subtract the wrapper overhead so
-    the flush stage's size arithmetic keeps working unchanged.  Every
-    frame written counts in the unit's ``messages_sent`` and
-    ``bytes_sent``.
-    """
-
-    def __init__(self, session: "SessionUnit"):
-        self.session = session
-        self.overhead = wire.CHECKED_OVERHEAD if session.token else 0
-        self.last_seq = 0
-
-    def _endpoint(self):
-        return self.session.connection.down
-
-    def writable_bytes(self) -> int:
-        return max(0, self._endpoint().writable_bytes() - self.overhead)
-
-    def capacity(self) -> int:
-        return self._endpoint().send_buffer_limit - self.overhead
-
-    def write(self, data: bytes) -> None:
-        session = self.session
-        if session.token:
-            self.last_seq += 1
-            data = wire.wrap_checked(data, self.last_seq)
-            session.journal.append((self.last_seq, data))
-            session.journal_bytes += len(data)
-            if session.journal_bytes > session.guard.log_limit:
-                session.drop_journal(True)
-                session.server.resilience.stats["log_overflows"] += 1
-        self.write_prewrapped(data)
-
-    def write_prewrapped(self, data: bytes) -> None:
-        """Write an already-wrapped frame (resync replay): encrypt
-        only — it carries its original sequence number and is already
-        in the journal."""
-        stats = self.session.stats
-        stats["messages_sent"] += 1
-        stats["bytes_sent"] += len(data)
-        self._endpoint().write(self.session.frame_stage.encrypt(data))
-
-    def prewrapped_writable(self) -> int:
-        return self._endpoint().writable_bytes()
 
 
 def _check_frozen(row) -> None:
@@ -333,12 +268,6 @@ class SessionUnit:
         self.loop = server.loop
         self.scaler = DisplayScaler((server.width, server.height),
                                     viewport or (server.width, server.height))
-        key = server.encrypt_key
-        self.frame_stage = pipeline.FrameStage(RC4(key) if key else None)
-        self.buffer = ClientBuffer(
-            scheduler=server.scheduler_factory(),
-            frame=self.frame_stage.frame,
-        )
         # Resilience state: a detached session buffers but does not
         # flush.  A guarded unit (``token`` non-zero, issued by the
         # plane) journals the frames it sends, ``(seq, plaintext
@@ -359,13 +288,17 @@ class SessionUnit:
         self.shed_display = False
         self.quarantined = False
         # The one home of every per-session counter: the flush loop,
-        # the writer (frames and bytes sent) and the governor (abuse
-        # tallies) all count here.
+        # the frame stage (frames and bytes sent) and the governor
+        # (abuse tallies) all count here.
         self.stats = {"messages_sent": 0, "bytes_sent": 0,
                       "flush_periods": 0, "cpu_time": 0.0,
                       "audio_dropped": 0, "display_shed": 0,
                       "uplink_dropped": 0, "wire_errors": 0}
-        self._writer = _SessionWriter(self)
+        self.frame_stage = pipeline.FrameStage(self)
+        self.buffer = ClientBuffer(
+            scheduler=server.scheduler_factory(),
+            frame=self.frame_stage.frame,
+        )
         # Video degradation ladder rung (repro.core.qos): 0 is the
         # fixed-rate path.  Set only by the QoS plane; migrates so a
         # session does not snap back to full-rate video mid-congestion
@@ -406,17 +339,8 @@ class SessionUnit:
         return self.scaler.client_w, self.scaler.client_h
 
     @property
-    def cipher(self):
-        return self.frame_stage.cipher
-
-    @property
     def detached(self) -> bool:
         return self.detached_at is not None
-
-    # -- framing ------------------------------------------------------------
-
-    def _frame(self, msg) -> bytes:
-        return self.frame_stage.frame(msg)
 
     # -- enqueue paths ---------------------------------------------------------
 
@@ -462,7 +386,7 @@ class SessionUnit:
     def queue_control(self, message) -> None:
         if self.quarantined:
             return
-        data = self._frame(message)
+        data = self.frame_stage.frame(message)
         self._control.append(data)
         self._control_bytes += len(data)
         self.server.governor.after_control_add(self)
@@ -475,7 +399,8 @@ class SessionUnit:
             # updates (graceful degradation sheds audio first).
             self.stats["audio_dropped"] += 1
             return
-        data = self._frame(wire.AudioChunkMessage(timestamp, samples))
+        data = self.frame_stage.frame(
+            wire.AudioChunkMessage(timestamp, samples))
         self._audio.append(data)
         self._audio_bytes += len(data)
         self.server.governor.after_audio_add(self)
@@ -534,26 +459,26 @@ class SessionUnit:
         if self.detached:
             return  # no socket to write to; rebind() resumes flushing
         self.stats["flush_periods"] += 1
-        writer = self._writer
+        stage = self.frame_stage
         # Resync replay drains first (the client must catch up to the
         # stream point before new frames make sense), then control
         # messages (tiny, order-sensitive), then audio
         # (latency-sensitive), then display commands in SRSF order.
         while self._replay and \
-                len(self._replay[0]) <= writer.prewrapped_writable():
-            writer.write_prewrapped(self._replay.popleft())
+                len(self._replay[0]) <= stage.prewrapped_writable():
+            stage.write_prewrapped(self._replay.popleft())
         for fifo in (self._control, self._audio):
             if self._replay:
                 break
-            while fifo and len(fifo[0]) <= writer.writable_bytes():
+            while fifo and len(fifo[0]) <= stage.writable_bytes():
                 data = fifo.popleft()
                 if fifo is self._control:
                     self._control_bytes -= len(data)
                 else:
                     self._audio_bytes -= len(data)
-                writer.write(data)
+                stage.write(data)
         if not self._replay and not self._control:
-            self.buffer.flush(writer)
+            self.buffer.flush(stage)
         if self.degraded:
             # A flush is where the backlog drains, so the degrade-exit
             # watermark is evaluated here rather than on the next add,
@@ -596,8 +521,7 @@ class SessionUnit:
         self.connection = connection
         connection.up.connect(self._on_client_data)
         self.reset_parser()
-        if self.server.encrypt_key is not None:
-            self.frame_stage.rekey(RC4(self.server.encrypt_key))
+        self.frame_stage.rekey()
         self.detached_at = None
         self._kick()
 
@@ -625,7 +549,7 @@ class SessionUnit:
             degraded=self.degraded,
             shed_display=self.shed_display,
             log_dropped=self.log_dropped,
-            last_seq=self._writer.last_seq,
+            last_seq=self.frame_stage.last_seq,
             acked_seq=self.acked_seq,
             journal=tuple(self.journal),
             commands=tuple(cmd.encode()
@@ -655,7 +579,7 @@ class SessionUnit:
         unit.scaler = DisplayScaler((server.width, server.height),
                                     frozen.viewport,
                                     view_rect=frozen.view_rect)
-        unit._writer.last_seq = frozen.last_seq
+        unit.frame_stage.last_seq = frozen.last_seq
         unit.journal.extend(frozen.journal)
         unit.journal_bytes = sum(len(data) for _, data in frozen.journal)
         unit.acked_seq = frozen.acked_seq

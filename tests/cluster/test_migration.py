@@ -192,12 +192,12 @@ class TestSuccessorFraming:
         token = rcs[0].token
         source = coord.route_token(token)
         successor = coord.migrate(token, (source + 1) % 2)
-        last_seq = successor._writer.last_seq
+        last_seq = successor.frame_stage.last_seq
         written = frames_written(successor)
         loop.run_until(SETTLE)
         fresh = [seq for seq, _ in written if seq is None or seq > last_seq]
         assert fresh == list(range(last_seq + 1,
-                                   successor._writer.last_seq + 1))
+                                   successor.frame_stage.last_seq + 1))
         assert fresh and all(journaled for _, journaled in written)
         assert rcs[0].stats["dials"] == 2
         assert rcs[0].stats["protocol_errors"] == 0
@@ -220,7 +220,7 @@ class TestSuccessorFraming:
         unit.rebind(conn)
         loop.run_until_idle()
         assert written == [(None, False)] * 2
-        assert not unit.journal and unit._writer.last_seq == 0
+        assert not unit.journal and unit.frame_stage.last_seq == 0
         assert unit.stats["messages_sent"] == frozen.stats[
             "messages_sent"] + 2
         assert_pixel_identical(client, ws)

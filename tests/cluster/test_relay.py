@@ -1,10 +1,16 @@
 """Relay edge: routing, denial, opacity, severing, bounded pumps."""
 
-from repro.cluster import ShardCoordinator
-from repro.core.resilience import ResilienceConfig, ResilientClient
-from repro.net import Connection, EventLoop, LAN_DESKTOP
+import numpy as np
 
-from tests.helpers import make_shard_rig
+from repro.cluster import ShardCoordinator
+from repro.cluster.relay import _Pump
+from repro.core.resilience import (ResilienceConfig, ResilientClient,
+                                   write_prelude)
+from repro.net import Connection, EventLoop, LAN_DESKTOP
+from repro.protocol import wire
+from repro.region import Rect
+
+from tests.helpers import assert_pixel_identical, make_shard_rig
 
 
 def quick_config():
@@ -56,6 +62,24 @@ class TestDialPath:
         assert not coord.relay.splices
         assert all(not s.sessions for s in coord.shards)
 
+    def test_a_garbage_shard_answer_closes_the_splice(self, monkeypatch):
+        coord = ShardCoordinator(EventLoop(), 2, 96, 64,
+                                 resilience=quick_config())
+        for server in coord.shards:
+            monkeypatch.setattr(
+                server.resilience, "accept",
+                lambda backhaul, viewport=None: backhaul.down.write(
+                    b"\xff" * 64))
+        conn = Connection(coord.loop, LAN_DESKTOP)
+        received = []
+        conn.down.connect(received.append)
+        coord.relay.accept(conn)
+        write_prelude(conn.up, wire.ReconnectRequestMessage(0, 0))
+        coord.loop.run_until(0.5)
+        assert coord.relay.stats["routed_fresh"] == 1
+        assert conn.closed and not coord.relay.splices
+        assert coord.relay.stats["bytes_down"] == 0 and not received
+
     def test_full_fabric_denies_with_typed_message(self):
         loop, coord, screens, rcs = make_shard_rig(
             shards=2, clients=0, schedule_workloads=False)
@@ -97,3 +121,37 @@ class TestSevering:
         coord = ShardCoordinator(EventLoop(), 2, 96, 64)
         coord.relay.sever(12345)
         assert coord.relay.stats["severed"] == 0
+
+
+class TestPumps:
+    def test_a_chunk_larger_than_the_room_is_split(self):
+        loop = EventLoop()
+        conn = Connection(loop, LAN_DESKTOP, send_buffer=4096)
+        received = bytearray()
+        conn.up.connect(received.extend)
+        pump = _Pump(loop, conn.up, 1 << 20, lambda: None)
+        data = bytes(range(256)) * 64
+        pump.push(data)
+        assert pump.moved == 4096 and pump.buffered == len(data) - 4096
+        loop.run_until(1.0)
+        assert bytes(received) == data
+        assert pump.moved == len(data) and pump.buffered == 0
+
+    def test_a_stalled_client_leg_overflows_and_the_client_recovers(self):
+        loop, coord, screens, rcs = make_shard_rig(
+            shards=2, clients=1, schedule_workloads=False)
+        loop.run_until(0.5)
+        rc = rcs[0]
+        splice = coord.relay.splices[rc.token]
+        splice.down.limit = 1024
+        splice.client_conn.down.close()  # the client leg stops draining
+        ws = screens[splice.shard]
+        ws.put_image(ws.screen, Rect(0, 0, 32, 32), np.random.default_rng(
+            1).integers(0, 256, (32, 32, 4), dtype=np.uint8))
+        loop.run_until(1.0)
+        assert coord.relay.stats["overflows"] == 1
+        assert splice.down.closed and splice.backhaul.closed
+        loop.run_until(6.0)
+        assert rc.attached and rc.stats["dials"] == 2
+        assert_pixel_identical(rc.client, screens[
+            coord.route_token(rc.token)])

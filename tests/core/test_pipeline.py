@@ -15,8 +15,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tests.helpers import (BLUE, GREEN, RED, WHITE, deflate_spy,
-                           make_multi_rig as make_rig)
+from tests.helpers import (BLUE, GREEN, RED, WHITE, assert_pixel_identical,
+                           deflate_spy, make_multi_rig as make_rig)
+from repro.codec import EncoderPolicy, LinkPosture
 from repro.core import THINCClient, THINCServer
 from repro.core.session_unit import SessionUnit
 from repro.display import WindowServer
@@ -273,3 +274,44 @@ class TestInstrumentation:
         run_workload(loop, ws, clients)
         scheduler = server.sessions[0].buffer.scheduler
         assert scheduler.stats["orderings"] > 0
+
+
+class TestAdaptiveVariants:
+    """Under an adaptive encoder policy a RAW is encoded once per
+    posture class, and classes that pick one encoding are one class."""
+
+    def test_a_solid_image_reaches_the_client_as_an_sfill(self):
+        loop, mon, server, ws, (client,) = make_rig(
+            [None], adaptive_encoding=True)
+        loop.run_until_idle()
+        kinds = dict(client.stats["commands_by_kind"])
+        pixels = np.empty((16, 24, 4), dtype=np.uint8)
+        pixels[...] = (10, 200, 30, 255)
+        ws.put_image(ws.screen, Rect(8, 8, 24, 16), pixels)
+        loop.run_until_idle()
+        assert client.stats["commands_by_kind"] == {
+            **kinds, "sfill": kinds.get("sfill", 0) + 1}
+        assert server.encoder_policy.demotions == 1
+        assert_pixel_identical(client, ws)
+
+    def test_postures_that_pick_one_encoding_prepare_once(self):
+        loop, mon, server, ws, clients = make_rig(
+            [None, None], adaptive_encoding=True)
+        loop.run_until_idle()
+        lossless, degraded = server.sessions
+        server.plane.posture_of = {lossless: LinkPosture.LOSSLESS,
+                                   degraded: LinkPosture.DEGRADED}.get
+        # Too small for lossy: both postures pick PNG.
+        assert 16 * 24 < EncoderPolicy.min_lossy_pixels
+        pixels = np.random.default_rng(5).integers(
+            0, 256, (16, 24, 4), dtype=np.uint8)
+        pixels[..., 3] = 255
+        before = dict(server.plane.stats)
+        ws.put_image(ws.screen, Rect(8, 8, 24, 16), pixels)
+        loop.run_until_idle()
+        stats = server.plane.stats
+        assert stats["cache_misses"] - before["cache_misses"] == 1
+        assert stats["cache_hits"] - before["cache_hits"] == 1
+        for client in clients:
+            assert client.stats["commands_by_kind"]["raw"] == 1
+            assert_pixel_identical(client, ws)

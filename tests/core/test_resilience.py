@@ -17,9 +17,9 @@ import numpy as np
 from tests.helpers import (assert_pixel_identical, buffered_spy,
                            deflate_spy, make_resilient_rig,
                            scripted_workload)
-from repro.core import Budget
+from repro.core import Budget, THINCServer
 from repro.core.resilience import ResilienceConfig
-from repro.net import LinkParams
+from repro.net import LAN_DESKTOP, Connection, EventLoop, LinkParams
 from repro.net.faults import (Corruption, Disconnect, FaultPlan, LossBurst,
                               Partition, Stall)
 from repro.protocol import wire
@@ -293,6 +293,37 @@ class TestFramingChecks:
         assert when - sent[0] < 0.01  # one LAN hop, not a liveness window
         assert rc.stats["dials"] == 2
         assert_clean_outcome(rc, ws)
+
+
+class TestPrelude:
+    """The dial prelude is one CHECKED frame: anything else abandons
+    the connection before a session exists."""
+
+    @staticmethod
+    def dial(prelude):
+        loop = EventLoop()
+        server = THINCServer(loop, W, H, resilience=ResilienceConfig())
+        conn = Connection(loop, LAN_DESKTOP)
+        server.resilience.accept(conn)
+        conn.up.write(prelude)
+        loop.run_until(0.5)
+        return server, conn
+
+    def test_a_malformed_prelude_is_refused(self):
+        request = bytearray(wire.wrap_checked(wire.encode_message(
+            wire.ReconnectRequestMessage(0, 0)), 0))
+        request[6] ^= 0xFF  # the CRC no longer matches
+        server, conn = self.dial(bytes(request))
+        assert conn.up._receiver is None
+        assert not server.sessions
+        assert server.resilience.stats["attaches"] == 0
+
+    def test_a_bare_request_is_refused(self):
+        server, conn = self.dial(wire.encode_message(
+            wire.ReconnectRequestMessage(0, 0)))
+        assert conn.up._receiver is None
+        assert not server.sessions
+        assert server.resilience.stats["attaches"] == 0
 
 
 class TestEviction:

@@ -133,7 +133,7 @@ class TestLiveFreezeThaw:
         assert successor in dst.sessions
         assert successor.guard is not None
         assert dst.resilience.find(token) is successor
-        assert successor._writer.last_seq == frozen.last_seq
+        assert successor.frame_stage.last_seq == frozen.last_seq
         assert successor.stats["messages_sent"] == \
             frozen.stats["messages_sent"]
         # The thawed unit freezes back to the same surface (fresh

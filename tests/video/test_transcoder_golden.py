@@ -1,13 +1,16 @@
-"""Golden for the three server-side video transcoders.
+"""Golden for the two server-side video transcoders.
 
-``resize._scale_video``, ``resize._map_video`` and ``qos._transform``
-each decode a VFRAME, resample or squeeze it, and re-encode it; their
-output bytes reach the wire, so a change to the shared YUV decode that
-is not bit-exact would move ``wire_bytes`` and every scaled client's
-pixels.  ``transcoder_golden.json`` pins the SHA-256 of the re-encoded
-``yuv_bytes`` (and the declared source geometry) for one frame through each
-transcoder, in both wire pixel formats.  It was generated before PR 19
-replaced the float decode and must pass unchanged; a deliberate change
+``resize._map_video`` and ``qos._transform`` each decode a VFRAME,
+resample or squeeze it, and re-encode it; their output bytes reach the
+wire, so a change to the shared YUV decode that is not bit-exact would
+move ``wire_bytes`` and every scaled client's pixels.
+``transcoder_golden.json`` pins the SHA-256 of the re-encoded
+``yuv_bytes`` (and the declared source geometry) for one frame through
+three cases, in both wire pixel formats: a scaled viewport that shows
+the whole frame, which ``_map_video`` only resamples (``scale_video``),
+a zoomed view that crops it first (``map_video``), and two QoS rungs
+(``qos_transform``).  It was generated before the integer decode
+replaced the float one and must pass unchanged; a deliberate change
 to the conversion regenerates it (``PYTHONPATH=src python
 tests/video/test_transcoder_golden.py``) and says so in its PR.
 """
@@ -43,8 +46,8 @@ def _frame(pixel_format):
 
 
 def _scaled_viewport(cmd):
-    scaler = DisplayScaler((128, 96), (48, 36))
-    return [scaler._scale_video(cmd, Rect(6, 4, 33, 23))]
+    # The whole frame is in view, so _map_video only resamples it.
+    return DisplayScaler((128, 96), (48, 36)).scale_command(cmd)
 
 
 def _zoomed(cmd):
